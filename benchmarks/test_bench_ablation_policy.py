@@ -10,9 +10,11 @@ from __future__ import annotations
 
 from conftest import run_once
 
+from repro.core.config import CoreConfigSpec
 from repro.core.policies import available_policies
-from repro.experiments.runner import run_experiment
 from repro.experiments.report import format_table
+from repro.experiments.runner import run
+from repro.experiments.scenario import Scenario
 from repro.workload.params import LoadLevel
 
 
@@ -20,7 +22,9 @@ def _run_policy_sweep(bench_params):
     params = bench_params.with_load(LoadLevel.HIGH)
     rows = []
     for policy in available_policies():
-        result = run_experiment("with_loan", params, policy=policy)
+        result = run(
+            Scenario(algorithm="with_loan", params=params, config=CoreConfigSpec(policy=policy))
+        )
         rows.append(
             (
                 policy,

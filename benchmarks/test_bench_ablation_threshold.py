@@ -12,8 +12,10 @@ from __future__ import annotations
 
 from conftest import run_once
 
-from repro.experiments.runner import run_experiment
+from repro.core.config import CoreConfigSpec
 from repro.experiments.report import format_table
+from repro.experiments.runner import run
+from repro.experiments.scenario import Scenario
 from repro.workload.params import LoadLevel
 
 THRESHOLDS = (0, 1, 2, 4)
@@ -25,7 +27,13 @@ def _run_threshold_sweep(bench_params):
     )
     rows = []
     for threshold in THRESHOLDS:
-        result = run_experiment("with_loan", params, loan_threshold=threshold)
+        result = run(
+            Scenario(
+                algorithm="with_loan",
+                params=params,
+                config=CoreConfigSpec(loan_threshold=threshold),
+            )
+        )
         rows.append(
             (
                 threshold,

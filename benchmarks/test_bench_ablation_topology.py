@@ -13,8 +13,9 @@ from __future__ import annotations
 from conftest import run_once
 
 from repro.experiments.report import format_table
-from repro.experiments.runner import run_experiment
-from repro.sim.latency import ConstantLatency, HierarchicalLatency
+from repro.experiments.runner import run
+from repro.experiments.scenario import Scenario
+from repro.sim.latencyspec import HierarchicalLatencySpec
 from repro.workload.params import LoadLevel
 
 ALGORITHMS = ("bouabdallah", "without_loan", "with_loan")
@@ -22,17 +23,12 @@ ALGORITHMS = ("bouabdallah", "without_loan", "with_loan")
 
 def _run_topology_sweep(bench_params):
     params = bench_params.with_load(LoadLevel.HIGH)
-    flat = ConstantLatency(gamma=params.gamma)
-    cloud = HierarchicalLatency(
-        gamma_local=params.gamma,
-        gamma_remote=params.gamma * 20.0,
-        num_nodes=params.num_processes,
-        num_clusters=2,
-    )
+    cloud = HierarchicalLatencySpec(gamma_remote=params.gamma * 20.0, num_clusters=2)
     rows = []
     for algorithm in ALGORITHMS:
-        flat_result = run_experiment(algorithm, params, latency=flat)
-        cloud_result = run_experiment(algorithm, params, latency=cloud)
+        base = Scenario(algorithm=algorithm, params=params)
+        flat_result = run(base)  # default latency: constant params.gamma
+        cloud_result = run(base.replace(latency=cloud))
         degradation = (
             cloud_result.metrics.waiting.mean / flat_result.metrics.waiting.mean
             if flat_result.metrics.waiting.mean

@@ -7,7 +7,7 @@ fast the tuple-heap kernel dispatches events across PRs:
 * ``test_event_dispatch_throughput`` schedules and dispatches 200k no-op
   events through ``Simulator.schedule`` + ``Simulator.run`` — pure kernel
   overhead, no protocol code at all;
-* ``test_run_experiment_end_to_end`` times one full ``run_experiment``
+* ``test_run_end_to_end`` times one full ``run(scenario)``
   of the paper's algorithm at the benchmark scale, with the explicit
   ``default_max_events`` budget from the shared conftest;
 * ``test_lifecycle_hooks_overhead_on_no_fault_path`` guards the crash
@@ -22,7 +22,7 @@ import time
 
 from conftest import run_once
 
-from repro.experiments.runner import run, run_experiment
+from repro.experiments.runner import run
 from repro.experiments.scenario import Scenario
 from repro.sim.engine import Simulator
 from repro.sim.faultspec import NodeCrash
@@ -97,14 +97,12 @@ def test_calendar_dispatch_speedup_over_heap():
     )
 
 
-def test_run_experiment_end_to_end(benchmark, bench_params, bench_max_events):
+def test_run_end_to_end(benchmark, bench_params, bench_max_events):
     """One full core-algorithm run at benchmark scale (engine + protocol)."""
     result = run_once(
         benchmark,
-        run_experiment,
-        "with_loan",
-        bench_params,
-        max_events=bench_max_events,
+        run,
+        Scenario(algorithm="with_loan", params=bench_params, max_events=bench_max_events),
     )
     assert result.metrics.completed == result.metrics.issued
     elapsed = benchmark.stats["mean"]

@@ -14,7 +14,8 @@ from __future__ import annotations
 from conftest import run_once
 
 from repro.experiments.report import format_table
-from repro.experiments.runner import run_experiment
+from repro.experiments.runner import run
+from repro.experiments.scenario import Scenario
 from repro.workload.params import LoadLevel
 
 ALGORITHMS = ("incremental", "bouabdallah", "without_loan", "with_loan")
@@ -25,7 +26,7 @@ def _run_message_accounting(bench_params, phi):
     rows = []
     per_type = {}
     for algorithm in ALGORITHMS:
-        result = run_experiment(algorithm, params)
+        result = run(Scenario(algorithm=algorithm, params=params))
         rows.append(
             (
                 algorithm,

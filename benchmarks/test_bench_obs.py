@@ -83,7 +83,7 @@ def test_enabled_telemetry_overhead_under_ceiling(bench_params, bench_max_events
     )
 
 
-def test_disabled_telemetry_is_free(bench_params, bench_max_events, monkeypatch):
+def test_disabled_telemetry_is_free(bench_params, bench_max_events):
     """The nullable seam costs nothing measurable when telemetry is off.
 
     Compares the benchmark scenario against itself: both runs are
@@ -91,7 +91,6 @@ def test_disabled_telemetry_is_free(bench_params, bench_max_events, monkeypatch)
     5% ceiling guards against the seam growing real per-event work (a
     genuine regression would shift *every* round, not one).
     """
-    monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
     plain = Scenario(
         algorithm="with_loan", params=bench_params, max_events=bench_max_events
     )

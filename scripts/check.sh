@@ -58,8 +58,9 @@ echo "trace ablation (--quick) OK"
 # Structural zero-overhead check: a no-fault run must execute no frames
 # from the fault layer, the crash lifecycle or the recovery coordinator
 # (the wall-clock version of the same contract lives in
-# benchmarks/test_bench_engine.py).  Profiled under both schedulers so
-# neither dispatch loop can quietly re-enter the crash subsystem.
+# benchmarks/test_bench_engine.py).  Profiled under both schedulers
+# (Scenario(scheduler=...)) so neither dispatch loop can quietly
+# re-enter the crash subsystem.
 echo "== no-fault fast-path profile check =="
 python scripts/profile_run.py --check
 python scripts/profile_run.py --scheduler calendar --check
@@ -70,10 +71,4 @@ python scripts/profile_run.py --scheduler calendar --check
 # so the gate runs in the bare container too.
 echo "== repro/obs coverage floor (>=90%) =="
 python scripts/check_coverage.py
-
-# The benchmark trajectory table (docs/benchmarks.md) is generated from
-# benchmarks/trajectory/BENCH_*.json; --check re-renders and diffs
-# without running any benchmark, so the table can never drift.
-echo "== benchmark trajectory table =="
-python scripts/bench_trajectory.py --check
 

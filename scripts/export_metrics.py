@@ -11,8 +11,7 @@ a pushgateway, or simple diffing between runs::
     python scripts/export_metrics.py --interval 10 -o run.prom
     python scripts/export_metrics.py --health               # health reports too
 
-Telemetry here is always explicit (``Scenario(telemetry=...)``), never
-the ``REPRO_TELEMETRY`` override: the scenario printed at the top is the
+The scenario printed at the top (``Scenario(telemetry=...)``) is the
 complete description of the run.
 """
 

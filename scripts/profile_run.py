@@ -22,8 +22,8 @@ Two uses:
   the noise floor".  Wired into ``scripts/check.sh``.
 
 Options: ``--scheduler {heap,calendar}`` profiles a specific scheduler
-(default: the engine's default resolution, i.e. heap unless
-``REPRO_SCHEDULER`` overrides it); ``--sort`` picks the pstats sort key.
+through ``Scenario(scheduler=...)`` (default: the heap); ``--sort`` picks
+the pstats sort key.
 """
 
 from __future__ import annotations
@@ -57,19 +57,19 @@ ALLOWED_FRAMES: frozenset = frozenset()
 
 def profile_canonical(scheduler):
     """Run the canonical closed-loop scenario under cProfile."""
-    from repro.experiments.runner import run_experiment
+    from repro.experiments.runner import run
+    from repro.experiments.scenario import Scenario
     from repro.workload.params import WorkloadParams
 
     params = WorkloadParams(
         num_processes=10, num_resources=24, phi=4,
         duration=1_500.0, warmup=200.0, seed=1,
     )
-    if scheduler is not None:
-        os.environ["REPRO_SCHEDULER"] = scheduler
-    run_experiment("with_loan", params)  # warm imports and caches
+    scenario = Scenario(algorithm="with_loan", params=params, scheduler=scheduler)
+    run(scenario)  # warm imports and caches
     profile = cProfile.Profile()
     profile.enable()
-    result = run_experiment("with_loan", params)
+    result = run(scenario)
     profile.disable()
     return profile, result
 
@@ -94,7 +94,7 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--scheduler", choices=("heap", "calendar"), default=None,
-        help="scheduler to profile (default: engine default / REPRO_SCHEDULER)",
+        help="scheduler to profile (default: heap)",
     )
     parser.add_argument(
         "--sort", default="cumulative",

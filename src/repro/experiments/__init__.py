@@ -11,12 +11,11 @@ from repro.experiments.registry import (
     ALGORITHM_LABELS,
     AlgorithmDef,
     available_algorithms,
-    build_allocators,
     get_algorithm,
     register_algorithm,
 )
 from repro.experiments.scenario import Scenario
-from repro.experiments.runner import ExperimentResult, run, run_experiment
+from repro.experiments.runner import ExperimentResult, run
 from repro.experiments.figures import (
     FigureSeries,
     figure5_use_rate,
@@ -32,13 +31,11 @@ __all__ = [
     "ALGORITHM_LABELS",
     "AlgorithmDef",
     "available_algorithms",
-    "build_allocators",
     "get_algorithm",
     "register_algorithm",
     "Scenario",
     "ExperimentResult",
     "run",
-    "run_experiment",
     "FigureSeries",
     "figure5_use_rate",
     "figure6_waiting_time",

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.registry import ALGORITHMS
-from repro.experiments.runner import FIGURE7_SIZE_BUCKETS, ExperimentResult, run_experiment
+from repro.experiments.runner import FIGURE7_SIZE_BUCKETS, ExperimentResult
 from repro.experiments.scenario import Scenario
 from repro.parallel.executor import SweepExecutor
 from repro.workload.params import LoadLevel, WorkloadParams
@@ -39,7 +39,6 @@ __all__ = [
     "figure5_use_rate",
     "figure6_waiting_time",
     "figure7_waiting_by_size",
-    "run_experiment",
 ]
 
 #: phi values swept by Figure 5 for M = 80 (the paper's x-axis spans 1..80).

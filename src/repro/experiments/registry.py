@@ -25,15 +25,10 @@ name              algorithm
 ``with_loan``     the paper's algorithm, loan mechanism enabled
 ``shared_memory`` centralised zero-cost scheduler (reference envelope)
 ================  ====================================================
-
-:func:`build_allocators` and :func:`build_network` keep the pre-registry
-call signatures as thin shims over the registry so existing call sites
-(and the seed test suite) run unchanged.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type
 
@@ -41,10 +36,9 @@ from repro.allocator import MultiResourceAllocator
 from repro.baselines.bouabdallah_laforest import BLAllocatorNode
 from repro.baselines.central_scheduler import CentralScheduler, CentralSchedulerClientAllocator
 from repro.baselines.incremental import IncrementalAllocatorNode
-from repro.core.config import DEFAULT_RESEND_INTERVAL, CoreConfigSpec
+from repro.core.config import CoreConfigSpec
 from repro.core.node import CoreAllocatorNode
 from repro.sim.engine import Simulator
-from repro.sim.latency import LatencyModel
 from repro.sim.network import Network
 from repro.sim.trace import TraceRecorder
 from repro.workload.params import WorkloadParams
@@ -52,12 +46,8 @@ from repro.workload.params import WorkloadParams
 __all__ = [
     "ALGORITHMS",
     "ALGORITHM_LABELS",
-    "DEFAULT_RESEND_INTERVAL",
     "AlgorithmDef",
     "available_algorithms",
-    "build_allocators",
-    "build_network",
-    "config_from_overrides",
     "get_algorithm",
     "register_algorithm",
 ]
@@ -175,29 +165,6 @@ def available_algorithms() -> Tuple[str, ...]:
     return tuple(_REGISTRY)
 
 
-def config_from_overrides(
-    algorithm: AlgorithmDef,
-    policy: Optional[str] = None,
-    loan_threshold: Optional[int] = None,
-    resend_interval: Optional[float] = DEFAULT_RESEND_INTERVAL,
-) -> Optional[Any]:
-    """Translate legacy ``run_experiment`` keyword overrides into a config spec.
-
-    Only the core algorithm exposes these knobs; for any other algorithm
-    the overrides are ignored and the registered default config returned,
-    exactly as the pre-registry ``build_allocators`` branch chain did.
-    """
-    base = algorithm.default_config
-    if not isinstance(base, CoreConfigSpec):
-        return base
-    return dataclasses.replace(
-        base,
-        policy=policy if policy is not None else base.policy,
-        loan_threshold=loan_threshold if loan_threshold is not None else base.loan_threshold,
-        resend_interval=resend_interval,
-    )
-
-
 # --------------------------------------------------------------------- #
 # built-in algorithms
 # --------------------------------------------------------------------- #
@@ -297,40 +264,3 @@ ALGORITHMS: Sequence[str] = available_algorithms()
 #: Human-readable labels matching the paper's figure legends.
 ALGORITHM_LABELS: Dict[str, str] = {d.name: d.label for d in _REGISTRY.values()}
 
-
-# --------------------------------------------------------------------- #
-# pre-registry compatibility shims
-# --------------------------------------------------------------------- #
-def build_allocators(
-    algorithm: str,
-    params: WorkloadParams,
-    sim: Simulator,
-    network: Optional[Network],
-    trace: Optional[TraceRecorder] = None,
-    policy: Optional[str] = None,
-    loan_threshold: Optional[int] = None,
-    resend_interval: Optional[float] = DEFAULT_RESEND_INTERVAL,
-) -> List[MultiResourceAllocator]:
-    """Instantiate one allocator endpoint per process for ``algorithm``.
-
-    Compatibility shim over the registry: the keyword overrides are folded
-    into the algorithm's config spec via :func:`config_from_overrides`.
-    ``network`` must be ``None`` for ``shared_memory`` (which has no
-    communication) and a :class:`~repro.sim.network.Network` otherwise.
-    """
-    algo = get_algorithm(algorithm)
-    config = config_from_overrides(
-        algo, policy=policy, loan_threshold=loan_threshold, resend_interval=resend_interval
-    )
-    return algo.make_allocators(config, params, sim, network, trace)
-
-
-def build_network(
-    params: WorkloadParams,
-    sim: Simulator,
-    latency: Optional[LatencyModel] = None,
-) -> Network:
-    """Build the network used by the distributed algorithms."""
-    from repro.sim.latency import ConstantLatency
-
-    return Network(sim, latency if latency is not None else ConstantLatency(gamma=params.gamma))

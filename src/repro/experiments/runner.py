@@ -8,31 +8,21 @@ metrics plus message accounting.  Every sweep driver in
 :mod:`repro.experiments.figures` and every benchmark funnels through it —
 directly or through :mod:`repro.parallel`, where the scenario also serves
 as the memoisation key.
-
-:func:`run_experiment` is the pre-Scenario keyword interface, kept as a
-thin compatibility shim: it folds its keyword soup into a scenario and
-delegates to the same engine (see README.md for the migration table).
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional
 
 from repro.core.recovery import RecoveryCoordinator
 from repro.experiments.driver import ClosedLoopClient, OpenLoopClient
-from repro.experiments.registry import (
-    DEFAULT_RESEND_INTERVAL,
-    config_from_overrides,
-    get_algorithm,
-)
+from repro.experiments.registry import get_algorithm
 from repro.experiments.scenario import Scenario
 from repro.metrics.collector import MetricsCollector, RunMetrics
 from repro.metrics.columns import ChunkedColumns, DowntimeColumns, RecordColumns
 from repro.sim.engine import Simulator
-from repro.sim.latency import LatencyModel
-from repro.sim.latencyspec import ConstantLatencySpec, LatencySpec
+from repro.sim.latencyspec import ConstantLatencySpec
 from repro.sim.lifecycle import NodeLifecycle
 from repro.sim.network import Network
 from repro.sim.trace import TraceRecorder
@@ -94,7 +84,7 @@ class ExperimentResult:
     iterated or indexed the old record list.
 
     ``trace`` is process-local: it is only populated on in-process runs
-    (``collect_trace=True`` through :func:`run` / ``run_experiment``) and
+    (``Scenario(collect_trace=True)`` through :func:`run`) and
     is stripped from any result shipped back from a worker process or
     stored in a :class:`~repro.parallel.cache.RunCache`.
     """
@@ -127,9 +117,9 @@ class ExperimentResult:
     #: End-of-run telemetry (a
     #: :class:`~repro.obs.metrics.TelemetrySnapshot` of plain tuples),
     #: populated only when the run asked for it via
-    #: ``Scenario(telemetry=...)`` or ``$REPRO_TELEMETRY``; ``None``
-    #: otherwise.  Picklable and deterministic, so it ships through the
-    #: worker-pool path bit-identically to a ``workers=1`` run.
+    #: ``Scenario(telemetry=...)``; ``None`` otherwise.  Picklable and
+    #: deterministic, so it ships through the worker-pool path
+    #: bit-identically to a ``workers=1`` run.
     telemetry: Optional[object] = None
 
     @property
@@ -158,11 +148,13 @@ class ExperimentResult:
     def completion_rate(self) -> float:
         """Fraction of *issued* requests that completed (1.0 = full liveness).
 
-        Caveat for fault studies: the workload is closed-loop, so a
-        stalled process stops issuing and shrinks the denominator — a run
-        that stalled early can still show a high rate.  For absolute
-        throughput, compare ``metrics.completed`` against a reliable
-        (``NoFaults``) run of the same scenario.
+        Caveat for fault studies: under a closed-loop workload (the
+        default ``SyntheticSpec``) a stalled process stops issuing and
+        shrinks the denominator — a run that stalled early can still show
+        a high rate.  Open-loop and trace workloads count a request as
+        issued when it arrives, stalled or not, so there the rate falls.
+        For absolute throughput, compare ``metrics.completed`` against a
+        reliable (``NoFaults``) run of the same scenario.
         """
         if self.metrics.issued == 0:
             return 1.0
@@ -182,34 +174,19 @@ def run(scenario: Scenario) -> ExperimentResult:
     which is what lets :mod:`repro.parallel` fan scenarios out over worker
     processes and memoise them by :meth:`Scenario.key`.
     """
-    return _run(scenario.normalized(), latency_model=None)
-
-
-def _run(scenario: Scenario, latency_model: Optional[LatencyModel]) -> ExperimentResult:
-    """Engine shared by :func:`run` and the :func:`run_experiment` shim.
-
-    ``latency_model`` is the compatibility escape hatch for pre-built
-    :class:`LatencyModel` instances (which have no declarative form and
-    therefore bypass the scenario's latency spec — and any content-hash
-    cache).
-    """
+    scenario = scenario.normalized()
     algo = get_algorithm(scenario.algorithm)
     params = scenario.params
 
-    # Scheduler choice is a pure performance knob (bit-identical results
-    # across schedulers), which is why it may also come from the
-    # REPRO_SCHEDULER environment variable without touching cache keys.
     sim = Simulator(scenario.scheduler)
     trace = TraceRecorder(enabled=True) if scenario.collect_trace else None
     network = None
     fault_model = None
     if algo.needs_network:
-        if latency_model is None:
-            spec = scenario.latency if scenario.latency is not None else ConstantLatencySpec()
-            latency_model = spec.build(params)
+        latency_spec = scenario.latency if scenario.latency is not None else ConstantLatencySpec()
         if scenario.faults is not None:
             fault_model = scenario.faults.build(params)
-        network = Network(sim, latency_model, faults=fault_model)
+        network = Network(sim, latency_spec.build(params), faults=fault_model)
     allocators = algo.make_allocators(scenario.config, params, sim, network, trace)
 
     metrics = MetricsCollector(
@@ -262,33 +239,21 @@ def _run(scenario: Scenario, latency_model: Optional[LatencyModel]) -> Experimen
         if detector_model is not None:
             coordinator = RecoveryCoordinator(sim, allocators, lifecycle, detector_model)
 
-    # Telemetry is the nullable seam of repro.obs: the explicit scenario
-    # axis wins, otherwise the REPRO_TELEMETRY process override is
-    # consulted (mirroring REPRO_SCHEDULER's precedence).  Nothing below
-    # imports — or executes a single frame of — repro.obs unless a spec
-    # actually resolved, which is what profile_run.py --check pins.
+    # Telemetry is the nullable seam of repro.obs: nothing below imports
+    # — or executes a single frame of — the package unless the scenario
+    # carries a spec, which is what profile_run.py --check pins.
     telemetry_runtime = None
-    telemetry_spec = scenario.telemetry
-    telemetry_source = "scenario"
-    if telemetry_spec is None:
-        raw = os.environ.get("REPRO_TELEMETRY")
-        if raw and raw.strip().lower() not in ("0", "off", "false", "no", "none"):
-            from repro.obs.spec import telemetry_from_env
-
-            telemetry_spec = telemetry_from_env()
-            telemetry_source = "env"
-    if telemetry_spec is not None:
+    if scenario.telemetry is not None:
         from repro.obs.runtime import TelemetryRuntime
 
         telemetry_runtime = TelemetryRuntime(
-            telemetry_spec,
+            scenario.telemetry,
             sim,
             network=network,
             allocators=allocators,
             collector=metrics,
             clients=clients,
             coordinator=coordinator,
-            source=telemetry_source,
         )
         metrics.telemetry = telemetry_runtime
         telemetry_runtime.start()
@@ -356,74 +321,3 @@ def _run(scenario: Scenario, latency_model: Optional[LatencyModel]) -> Experimen
         telemetry=telemetry_runtime.finalize() if telemetry_runtime is not None else None,
     )
 
-
-def run_experiment(
-    algorithm: str,
-    params: WorkloadParams,
-    latency: Optional[LatencyModel] = None,
-    policy: Optional[str] = None,
-    loan_threshold: Optional[int] = None,
-    collect_trace: bool = False,
-    size_buckets: Optional[Sequence[int]] = None,
-    max_events: Optional[int] = None,
-    require_all_completed: bool = True,
-    resend_interval: Optional[float] = DEFAULT_RESEND_INTERVAL,
-) -> ExperimentResult:
-    """Run one algorithm against one workload configuration.
-
-    Compatibility shim over :func:`run`: the keyword arguments below are
-    folded into a :class:`Scenario` (see README.md for the field-by-field
-    migration table).  New code should build scenarios directly.
-
-    Parameters
-    ----------
-    algorithm:
-        One of :data:`repro.experiments.registry.ALGORITHMS` (or any name
-        registered through ``register_algorithm``).
-    params:
-        Workload parameterisation (N, M, phi, load, duration, seed, ...).
-    latency:
-        Optional latency override: either a declarative
-        :class:`~repro.sim.latencyspec.LatencySpec` or a pre-built
-        :class:`LatencyModel` instance (defaults to the constant
-        ``params.gamma``); ignored by ``shared_memory``.
-    policy:
-        Scheduling-function name for the core algorithm (ablation A2).
-    loan_threshold:
-        Loan threshold override for ``with_loan`` (ablation A1).
-    collect_trace:
-        Record a :class:`TraceRecorder` (needed for Gantt rendering).
-    size_buckets:
-        Request-size classes used to group waiting times (Figure 7).
-    max_events:
-        Safety valve passed to the simulator (defaults to
-        :func:`default_max_events`, a generous bound derived from the
-        workload size).
-    require_all_completed:
-        When true (default), raise if some issued request never completed —
-        i.e. a liveness failure of the protocol under test.
-    resend_interval:
-        Safety-net re-send interval of the core algorithm; ``None``
-        disables it (faithful-to-pseudo-code mode).
-    """
-    algo = get_algorithm(algorithm)
-    config = config_from_overrides(
-        algo, policy=policy, loan_threshold=loan_threshold, resend_interval=resend_interval
-    )
-    latency_spec: Optional[LatencySpec] = None
-    latency_model: Optional[LatencyModel] = None
-    if isinstance(latency, LatencySpec):
-        latency_spec = latency
-    elif latency is not None:
-        latency_model = latency
-    scenario = Scenario(
-        algorithm=algorithm,
-        params=params,
-        config=config,
-        latency=latency_spec,
-        collect_trace=collect_trace,
-        size_buckets=tuple(size_buckets) if size_buckets is not None else None,
-        max_events=max_events,
-        require_all_completed=require_all_completed,
-    ).normalized()
-    return _run(scenario, latency_model)

@@ -163,27 +163,25 @@ class Scenario:
     scheduler:
         Event-queue implementation for the simulation engine
         (:data:`repro.sim.schedulers.SCHEDULERS`: ``"heap"``,
-        ``"calendar"``, ``"ladder"``).  ``None`` (default) defers to the
-        ``REPRO_SCHEDULER`` environment variable, falling back to the
-        heap.  A pure performance knob: results are bit-identical across
-        schedulers (the engine's determinism contract), so the unset
-        value is hash-neutral and the environment override never touches
-        cache keys.  An explicit value *is* hashed — it pins the choice
-        declaratively, and distinct keys for the same numbers only cost
-        a duplicate cache entry.
+        ``"calendar"``).  ``None`` (default) is the heap.  Results are
+        bit-identical across schedulers (the engine's determinism
+        contract), so the unset value is hash-neutral.  An explicit
+        value *is* hashed — it pins the choice declaratively, and
+        distinct keys for the same numbers only cost a duplicate cache
+        entry.  Nothing should select ``"calendar"``: it measured
+        1.13–1.26x slower than the heap end to end on all four benchmark
+        workloads, and the axis survives only because
+        ``benchmarks/e2e`` probes it (see docs/scenarios.md).
     telemetry:
         Run-time observability axis
-        (:class:`~repro.obs.spec.TelemetrySpec`).  ``None`` (default)
-        defers to the ``REPRO_TELEMETRY`` environment variable, falling
-        back to no telemetry at all — and is hash-neutral, because a
-        run without telemetry executes zero instrumentation frames
-        (pinned by ``scripts/profile_run.py --check``) and produces the
-        exact result a pre-axis scenario named.  An explicit spec *is*
-        hashed: its snapshot rides on ``ExperimentResult.telemetry``
-        through the cache, so the key must know about it.  The env
-        override never touches cache keys — env-derived snapshots are
-        stripped before results enter a cache (see
-        :mod:`repro.parallel.executor`).
+        (:class:`~repro.obs.spec.TelemetrySpec`), the only switch for
+        telemetry.  ``None`` (default) is no telemetry at all — and is
+        hash-neutral, because a run without telemetry executes zero
+        instrumentation frames (pinned by
+        ``scripts/profile_run.py --check``) and produces the exact
+        result a pre-axis scenario named.  An explicit spec *is* hashed:
+        its snapshot rides on ``ExperimentResult.telemetry`` through the
+        cache, so the key must know about it.
     """
 
     algorithm: str

@@ -27,7 +27,7 @@ from repro.obs.metrics import (
     TelemetrySnapshot,
 )
 from repro.obs.runtime import TelemetryRuntime
-from repro.obs.spec import TelemetrySpec, telemetry_from_env
+from repro.obs.spec import TelemetrySpec
 
 __all__ = [
     "Counter",
@@ -41,5 +41,4 @@ __all__ = [
     "TelemetryRuntime",
     "TelemetrySnapshot",
     "TelemetrySpec",
-    "telemetry_from_env",
 ]

@@ -330,17 +330,10 @@ class TelemetrySnapshot:
     plain tuples of primitives, so its pickle is deterministic: a
     ``workers=N`` sweep ships snapshots bit-identical to the ``workers=1``
     reference (pinned in ``tests/obs/test_pipeline.py``).
-
-    ``source`` records how telemetry was switched on: ``"scenario"`` for
-    an explicit ``Scenario(telemetry=...)`` axis, ``"env"`` for the
-    ``REPRO_TELEMETRY`` process override.  Env-derived snapshots never
-    enter a :class:`~repro.parallel.cache.RunCache` (the scenario's cache
-    key does not know about the env var).
     """
 
     samples: Tuple[MetricSample, ...]
     health: Tuple[HealthReport, ...] = ()
-    source: str = "scenario"
 
     def render_text(self) -> str:
         """Render the snapshot in the Prometheus text exposition format."""

@@ -1,9 +1,8 @@
 """Live instrumentation of a running experiment.
 
 :class:`TelemetryRuntime` is created by the runner only when a run asks
-for telemetry (``Scenario(telemetry=...)`` or ``$REPRO_TELEMETRY``) —
-the nullable seam that keeps default runs at zero frames from this
-package.  It samples the run **pull-style**: a self-rescheduling probe
+for telemetry (``Scenario(telemetry=...)``) — the nullable seam that
+keeps default runs at zero frames from this package.  It samples the run **pull-style**: a self-rescheduling probe
 event reads counters the hot layers already maintain (the engine's
 dispatched/pending totals, :class:`~repro.sim.network.MessageStats`,
 allocator resend counts and queue depths, recovery totals) every
@@ -34,9 +33,7 @@ class TelemetryRuntime:
     Parameters mirror what the runner has in hand when it wires a run:
     the simulator, the (possibly absent) network, the allocator nodes,
     the metrics collector, the workload clients and the (possibly
-    absent) recovery coordinator.  ``source`` records whether telemetry
-    came from the scenario axis or the env override (see
-    :class:`~repro.obs.metrics.TelemetrySnapshot`).
+    absent) recovery coordinator.
     """
 
     def __init__(
@@ -48,7 +45,6 @@ class TelemetryRuntime:
         collector=None,
         clients: Sequence = (),
         coordinator=None,
-        source: str = "scenario",
     ) -> None:
         self.spec = spec
         self.sim = sim
@@ -57,7 +53,6 @@ class TelemetryRuntime:
         self.collector = collector
         self.clients = list(clients)
         self.coordinator = coordinator
-        self.source = source
 
         reg = MetricsRegistry()
         self.registry = reg
@@ -272,8 +267,4 @@ class TelemetryRuntime:
             self._health_gauge.labels(check=report.name).set(
                 HealthStatus.severity(report.status)
             )
-        return TelemetrySnapshot(
-            samples=self.registry.collect(),
-            health=reports,
-            source=self.source,
-        )
+        return TelemetrySnapshot(samples=self.registry.collect(), health=reports)

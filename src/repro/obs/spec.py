@@ -6,29 +6,17 @@ axis is **hash-neutral when unset**: ``Scenario(telemetry=None)`` keys
 identically to a scenario written before the axis existed, because a
 run without telemetry *is* that run — the instrumentation executes zero
 frames (see :mod:`repro.obs` and ``scripts/profile_run.py --check``).
-
-The ``REPRO_TELEMETRY`` environment variable switches telemetry on for
-a whole process without touching scenarios — mirroring
-``REPRO_SCHEDULER`` — and, like it, **loses to an explicit scenario
-value** and never participates in cache keys (env-derived snapshots are
-stripped before results enter a :class:`~repro.parallel.cache.RunCache`).
+The scenario is the only switch: nothing outside it turns telemetry on.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.obs.metrics import DEFAULT_WAIT_BUCKETS_MS
 
-__all__ = ["TELEMETRY_ENV", "TelemetrySpec", "telemetry_from_env"]
-
-#: Process-wide telemetry override (explicit scenario values win).
-TELEMETRY_ENV = "REPRO_TELEMETRY"
-
-_ENV_OFF = frozenset({"", "0", "off", "false", "no", "none"})
-_ENV_ON = frozenset({"1", "on", "true", "yes", "default"})
+__all__ = ["TelemetrySpec"]
 
 
 @dataclass(frozen=True)
@@ -83,31 +71,3 @@ class TelemetrySpec:
             parts.append(f"stall>{self.stall_after:g}ms")
         return ",".join(parts)
 
-
-def telemetry_from_env(environ=None) -> Optional[TelemetrySpec]:
-    """Telemetry spec selected by ``$REPRO_TELEMETRY`` (``None`` when off).
-
-    Accepted values: off switches (``0``/``off``/``false``/``no``/
-    ``none``/empty), on switches (``1``/``on``/``true``/``yes``/
-    ``default``) giving the default spec, or a number giving the sample
-    interval in simulated ms.  Anything else raises ``ValueError`` — a
-    typo silently disabling telemetry would defeat the point of asking
-    for it.
-    """
-    env = os.environ if environ is None else environ
-    raw = env.get(TELEMETRY_ENV)
-    if raw is None:
-        return None
-    value = raw.strip().lower()
-    if value in _ENV_OFF:
-        return None
-    if value in _ENV_ON:
-        return TelemetrySpec()
-    try:
-        interval = float(value)
-    except ValueError:
-        raise ValueError(
-            f"invalid {TELEMETRY_ENV}={raw!r}: expected on/off/1/0 or a "
-            f"sample interval in simulated ms"
-        ) from None
-    return TelemetrySpec(sample_interval=interval)

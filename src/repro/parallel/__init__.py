@@ -1,7 +1,7 @@
 """Parallel sweep execution for the experiment grid.
 
 Every figure and ablation of the reproduction is a sweep of *independent*
-:func:`repro.experiments.runner.run_experiment` calls: each run builds its
+:func:`repro.experiments.runner.run` calls: each run builds its
 own simulator, network and RNG from the seed carried in its
 :class:`~repro.workload.params.WorkloadParams`, and shares no state with
 any other run.  That makes the sweep embarrassingly parallel, and this
@@ -10,12 +10,11 @@ package is the one place that exploits it.
 Job hashing
 -----------
 A sweep is expressed as a list of picklable
-:class:`~repro.experiments.scenario.Scenario` values (or legacy
-:class:`~repro.parallel.jobs.JobSpec` instances, which resolve into
-scenarios).  Each spec has a stable content hash (:meth:`Scenario.key`):
-the spec is first *canonicalised* (dataclasses flattened field by field,
-dicts sorted by key, sequences frozen to tuples, enums replaced by their
-values) and the SHA-256 of the canonical form is the key.  The hash
+:class:`~repro.experiments.scenario.Scenario` values.  Each scenario has a
+stable content hash (:meth:`Scenario.key`): the scenario is first
+*canonicalised* (dataclasses flattened field by field, dicts sorted by
+key, sequences frozen to tuples, enums replaced by their values) and the
+SHA-256 of the canonical form is the key.  The hash
 therefore depends only on what the run computes — never on object
 identity, dict insertion order or the process that computes it — so it is
 safe to use as a memoisation key across workers, across sweeps and across
@@ -25,32 +24,28 @@ optional on-disk level persists results under ``~/.cache/repro``).
 Seed handling
 -------------
 Randomness enters a run exclusively through ``params.seed``; the executor
-never draws seeds itself.  Seeds are baked into each job spec *before*
-submission (``params.with_seed(s)``, see :func:`~repro.parallel.jobs.expand_jobs`),
-so the result of a job is a pure function of its spec and cannot depend on
-worker scheduling, completion order or the number of workers.
+never draws seeds itself.  Seeds are baked into each scenario *before*
+submission (``scenario.sweep(seed=seeds)``), so the result of a job is a
+pure function of its scenario and cannot depend on worker scheduling,
+completion order or the number of workers.
 
 Why ``workers=1`` is the reference path
 ---------------------------------------
-With ``workers=1`` the executor calls ``run_experiment`` directly in the
-current process, in submission order — exactly the serial loop the figure
-drivers used before this package existed, bit for bit.  ``workers>1``
-fans the same specs out over a ``ProcessPoolExecutor`` and reorders the
+With ``workers=1`` the executor calls ``run`` directly in the current
+process, in submission order — a plain serial loop.  ``workers>1`` fans
+the same scenarios out over a ``ProcessPoolExecutor`` and reorders the
 results back into submission order; because each job is deterministic in
-its spec, the two paths produce identical :class:`RunMetrics`, and the
+its scenario, the two paths produce identical :class:`RunMetrics`, and the
 test suite asserts it.  When in doubt (debugging, tracing, profiling),
 drop back to ``workers=1``.
 """
 
 from repro.parallel.cache import RunCache
 from repro.parallel.executor import SweepExecutor, execute_job, run_sweep
-from repro.parallel.jobs import JobSpec, expand_jobs
 
 __all__ = [
-    "JobSpec",
     "RunCache",
     "SweepExecutor",
     "execute_job",
-    "expand_jobs",
     "run_sweep",
 ]

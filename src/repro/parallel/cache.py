@@ -1,8 +1,7 @@
 """Memoisation of completed experiment runs.
 
-A :class:`RunCache` maps a spec content hash (:meth:`Scenario.key` /
-:meth:`JobSpec.key`) to the :class:`~repro.experiments.runner.ExperimentResult`
-it produced.  Because the key hashes everything the run depends on
+A :class:`RunCache` maps a scenario's content hash (:meth:`Scenario.key`)
+to the :class:`~repro.experiments.runner.ExperimentResult` it produced.  Because the key hashes everything the run depends on
 (algorithm, config spec, full workload parameters including the seed,
 latency spec and run options), a hit is guaranteed to be the exact result
 the job would recompute — the figure drivers share one cache across load

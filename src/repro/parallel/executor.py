@@ -5,39 +5,33 @@ contract is *submission-order determinism*: ``run(jobs)`` returns results
 in the order the jobs were submitted, and each result is a pure function
 of its spec — so ``workers=1`` and ``workers=N`` are interchangeable.
 
-Jobs are declarative :class:`~repro.experiments.scenario.Scenario` values
-(or legacy :class:`~repro.parallel.jobs.JobSpec` instances, which resolve
-into scenarios); either way the spec's content hash :meth:`key` is the
-memoisation key.
+Jobs are declarative :class:`~repro.experiments.scenario.Scenario` values;
+the scenario's content hash :meth:`~repro.experiments.scenario.Scenario.key`
+is the memoisation key.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence
 
 from repro.parallel.cache import RunCache
-from repro.parallel.jobs import JobSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.runner import ExperimentResult
     from repro.experiments.scenario import Scenario
 
-    SweepJob = Union["Scenario", JobSpec]
 
-
-def execute_job(spec: "SweepJob") -> "ExperimentResult":
-    """Run one spec to completion (also the worker-process entry point)."""
+def execute_job(spec: "Scenario") -> "ExperimentResult":
+    """Run one scenario to completion (also the worker-process entry point)."""
     # Imported lazily: the experiments package imports the figure drivers,
     # which import this module — a module-level import would be circular.
     from repro.experiments.runner import run
-    from repro.experiments.scenario import Scenario
 
-    scenario = spec if isinstance(spec, Scenario) else spec.to_scenario()
-    return run(scenario)
+    return run(spec)
 
 
-def _execute_job_shipped(spec: "SweepJob") -> "ExperimentResult":
+def _execute_job_shipped(spec: "Scenario") -> "ExperimentResult":
     """Worker-pool entry point: run the job, strip process-local state.
 
     A :class:`~repro.sim.trace.TraceRecorder` is heavy (one event object
@@ -54,7 +48,7 @@ def _execute_job_shipped(spec: "SweepJob") -> "ExperimentResult":
 
 
 class SweepExecutor:
-    """Fan a list of specs (scenarios / job specs) over ``workers`` processes.
+    """Fan a list of scenarios over ``workers`` processes.
 
     Parameters
     ----------
@@ -64,7 +58,7 @@ class SweepExecutor:
         uses a ``ProcessPoolExecutor`` with at most ``N`` workers.
     cache:
         Optional :class:`~repro.parallel.cache.RunCache`; completed runs
-        are memoised by job-spec hash, and duplicate specs within one
+        are memoised by scenario key, and duplicate specs within one
         submission are simulated only once.
     """
 
@@ -74,7 +68,7 @@ class SweepExecutor:
         self.workers = int(workers)
         self.cache = cache
 
-    def run(self, jobs: Iterable["SweepJob"]) -> List["ExperimentResult"]:
+    def run(self, jobs: Iterable["Scenario"]) -> List["ExperimentResult"]:
         """Execute ``jobs`` and return their results in submission order."""
         specs = list(jobs)
         results: List[Optional["ExperimentResult"]] = [None] * len(specs)
@@ -118,15 +112,6 @@ class SweepExecutor:
                     # TraceRecorder never enters it: serial and parallel
                     # sweeps sharing a cache must serve identical entries.
                     results[i].trace = None
-                    # Telemetry switched on by $REPRO_TELEMETRY (not by
-                    # the scenario) must not enter the cache either: the
-                    # scenario's key knows nothing of the env var, so an
-                    # env-decorated entry would leak a snapshot into
-                    # env-less lookups of the same key.  Scenario-axis
-                    # snapshots stay — their key includes the spec.
-                    snapshot = getattr(results[i], "telemetry", None)
-                    if snapshot is not None and getattr(snapshot, "source", "scenario") == "env":
-                        results[i].telemetry = None
                     self.cache.put(keys[i], results[i])
 
         # Fill duplicate-spec slots from the run that covered them.
@@ -138,7 +123,7 @@ class SweepExecutor:
 
 
 def run_sweep(
-    jobs: Sequence["SweepJob"],
+    jobs: Sequence["Scenario"],
     workers: int = 1,
     cache: Optional[RunCache] = None,
 ) -> List["ExperimentResult"]:

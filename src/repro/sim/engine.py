@@ -18,12 +18,11 @@ callers (e.g. the resend timers in :mod:`repro.core.node`) keep working
 unchanged.
 
 *How* the tuples are stored is pluggable (:mod:`repro.sim.schedulers`):
-the binary heap is the reference implementation, and a calendar/ladder
-queue trades heap sifts for one amortised sort per dispatch window.
-Every scheduler pops in identical ``(time, seq)`` order, so the choice
-is a pure performance knob — select it per :class:`Simulator` (or per
-``Scenario``), or globally via the ``REPRO_SCHEDULER`` environment
-variable.
+the binary heap is the default and the reference implementation, and a
+calendar queue trades heap sifts for one amortised sort per dispatch
+window.  Every scheduler pops in identical ``(time, seq)`` order, so the
+choice never changes a result; it is made per :class:`Simulator`, which
+the runner constructs from ``Scenario.scheduler``.
 """
 
 from __future__ import annotations
@@ -120,8 +119,8 @@ class Simulator:
     scheduler:
         Event-queue implementation: a name from
         :data:`repro.sim.schedulers.SCHEDULERS` (``"heap"``,
-        ``"calendar"``, ...), a pre-built scheduler instance, or ``None``
-        for the default (``$REPRO_SCHEDULER`` if set, else the heap).
+        ``"calendar"``), a pre-built scheduler instance, or ``None``
+        for the heap.
         Results are bit-identical across schedulers; see
         :mod:`repro.sim.schedulers` for the determinism contract.
 

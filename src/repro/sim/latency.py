@@ -23,13 +23,6 @@ from typing import Optional, Sequence
 class LatencyModel(ABC):
     """Strategy object mapping a (source, destination) pair to a delay."""
 
-    #: Whether the model can never reorder a directed link: the delay for
-    #: a given ``(src, dst)`` pair is constant over time, so successive
-    #: sends on one link get non-decreasing delivery times by construction
-    #: and :class:`repro.sim.network.Network` may skip its per-link FIFO
-    #: clamp entirely.  Jittered models must leave this ``False``.
-    fifo_safe = False
-
     @abstractmethod
     def latency(self, src: int, dst: int) -> float:
         """Return the one-way delay (simulated time units) for a message."""
@@ -50,8 +43,6 @@ class ConstantLatency(LatencyModel):
         Delay for a message a node sends to itself (defaults to 0, such
         messages are rare and only used by baselines for uniformity).
     """
-
-    fifo_safe = True
 
     def __init__(self, gamma: float = 0.6, local: float = 0.0) -> None:
         if gamma < 0 or local < 0:
@@ -108,8 +99,6 @@ class HierarchicalLatency(LatencyModel):
         Sequence mapping node id -> cluster id.  If omitted,
         ``num_clusters`` must be given and nodes are assigned round-robin.
     """
-
-    fifo_safe = True
 
     def __init__(
         self,

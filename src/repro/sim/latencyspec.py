@@ -11,9 +11,7 @@ inside whatever process actually runs the experiment.
 
 Fields defaulting to ``None`` (``gamma``, ``gamma_local``) resolve to the
 ``gamma`` carried by the :class:`~repro.workload.params.WorkloadParams` at
-build time, so one spec composes with any workload parameterisation —
-exactly like the implicit ``ConstantLatency(params.gamma)`` default of the
-pre-Scenario API.
+build time, so one spec composes with any workload parameterisation.
 """
 
 from __future__ import annotations

@@ -19,30 +19,30 @@ the hot path is exactly the reliable one.
 The network also keeps per-message-type counters so experiments can report
 message complexity alongside the paper's two primary metrics.
 
-``send`` is the hottest call site of every distributed run, so the
-implementation is **bound once at construction** instead of branching per
-message: ``Network.__init__`` inspects the latency model and fault layer
-and installs the cheapest applicable send variant as the instance
-attribute ``send``.
+``send`` is the hottest call site of every distributed run, so it is
+**bound once at construction** instead of branching per message:
+``Network.__init__`` looks at the latency model's type and installs one
+of two functions as the instance attribute ``send``.
 
-* ``faults is None`` and constant latency (the paper's default
-  configuration): no fault branch, no per-link FIFO clamp (a constant
-  latency can never reorder a link — see
-  :attr:`~repro.sim.latency.LatencyModel.fifo_safe`), latency hoisted to
-  two floats, message accounting folded into one flat counter update,
-  and the delivery callback resolved *per (destination, message class)*
-  once — subsequent sends schedule the handler directly, skipping both
-  the ``_deliver`` frame and per-message handler lookup.
-* ``faults is None`` with a FIFO-safe but non-constant latency model
-  (e.g. hierarchical): same, minus the latency hoist.
-* anything else: the fully general path (fault hooks + FIFO clamp).
+* :class:`~repro.sim.latency.ConstantLatency` (the paper's default
+  configuration): a constant latency can never reorder a link, so there
+  is no per-link FIFO clamp; the latency is hoisted to two floats,
+  message accounting is one flat counter update, and while a message
+  lives entirely before the fault layer's ``quiet_until()`` horizon
+  (forever, when there is no fault layer) the delivery callback is
+  resolved *per (destination, message class)* once — subsequent sends
+  schedule the handler directly, skipping the fault hooks, the
+  ``_deliver`` frame and per-message handler lookup.
+* any other latency model: the fully general path (fault hooks + FIFO
+  clamp).
 
-All variants produce bit-identical simulations; the differential tests
-in ``tests/sim/test_network.py`` pin the equivalence.
+Both produce bit-identical simulations where both apply; the
+differential test in ``tests/sim/test_network.py`` pins the equivalence.
 """
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple
 
@@ -173,11 +173,11 @@ class Network:
 
     Notes
     -----
-    ``send`` is an *instance attribute* bound in ``__init__`` to the
-    cheapest variant the configuration allows (see the module docstring).
-    Swap :attr:`faults` only by constructing a new network — the variants
-    are selected once, deliberately, to keep the reliable path free of
-    per-send configuration branches.
+    ``send`` is an *instance attribute* bound in ``__init__`` to one of
+    two functions (see the module docstring).  Swap :attr:`faults` or
+    :attr:`latency` only by constructing a new network — the binding is
+    selected once, deliberately, to keep the constant-latency path free
+    of per-send configuration branches.
     """
 
     __slots__ = (
@@ -210,8 +210,8 @@ class Network:
         self._nodes: Dict[int, "Node"] = {}
         # Sorted-ids cache for the node_ids property (None = stale).
         self._node_ids: Optional[Tuple[int, ...]] = None
-        # The stats object's flat sent-counter, aliased so the hot send
-        # variants do one inline dict update instead of a method call.
+        # The stats object's flat sent-counter, aliased so the constant
+        # send does one inline dict update instead of a method call.
         self._sent = self.stats._sent
         # (dst, message class) -> delivery callable, resolved once.
         self._delivery_cache: Dict[Tuple[int, type], Callable[[int, Any], None]] = {}
@@ -222,27 +222,18 @@ class Network:
         # the live-entry count after each sweep (hysteresis) so a table
         # of still-future deliveries cannot trigger a rebuild per send.
         self._compact_at = _LAST_DELIVERY_COMPACT_THRESHOLD
-        # Hoisted constant latencies (only read by the constant fast path).
+        # Hoisted constant latencies (only read by the constant send).
         self._gamma = 0.0
         self._local = 0.0
         # Before this instant the fault layer cannot drop anything, so
-        # the armed send variants skip both hooks (and the _deliver
+        # the constant send skips both hooks (and the _deliver
         # trampoline) for messages living entirely inside the quiet era.
-        self._quiet_until = faults.quiet_until() if faults is not None else 0.0
-        # Bind the cheapest applicable send variant once.
-        if faults is None and type(self.latency) is ConstantLatency:
+        # A reliable network is quiet forever.
+        self._quiet_until = faults.quiet_until() if faults is not None else math.inf
+        if type(self.latency) is ConstantLatency:
             self._gamma = self.latency.gamma
             self._local = self.latency.local
             self.send = self._send_constant
-        elif faults is None and self.latency.fifo_safe:
-            self.send = self._send_reliable
-        elif self.latency.fifo_safe:
-            if type(self.latency) is ConstantLatency:
-                self._gamma = self.latency.gamma
-                self._local = self.latency.local
-                self.send = self._send_armed_constant
-            else:
-                self.send = self._send_armed
         else:
             self.send = self._send_general
 
@@ -275,8 +266,8 @@ class Network:
         """Resolve (and cache) the delivery callable for ``(dst, cls)``.
 
         For nodes using the stock :meth:`~repro.sim.node.Node.deliver`,
-        this is the bound ``on_<ClassName>`` handler itself, so the fast
-        send variants schedule the handler directly and the dispatch
+        this is the bound ``on_<ClassName>`` handler itself, so the
+        constant send schedules the handler directly and the dispatch
         ``getattr`` happens once per (destination, class) instead of once
         per message.  Nodes that override ``deliver`` keep their override
         in the loop.  Raises ``KeyError`` for an unknown destination.
@@ -299,73 +290,13 @@ class Network:
         return target
 
     def _send_constant(self, src: int, dst: int, message: Any) -> float:
-        """Reliable constant-latency send: the paper's default, branch-free.
+        """Constant-latency send: no FIFO clamp, latency from two hoisted floats.
 
-        No fault hooks (``faults is None``), no FIFO clamp (constant
-        latency is FIFO-safe), latency read from two hoisted floats, one
-        flat stats update, delivery posted straight to the resolved
-        handler through the engine's no-handle path.
+        Inside the quiet era (always, without a fault layer) the delivery
+        is posted straight to the resolved handler through the engine's
+        no-handle path.  Past it the fault layer is consulted on every
+        message — that is the contract being paid for.
         """
-        cls = message.__class__
-        key = (cls, src)
-        sent = self._sent
-        sent[key] = sent.get(key, 0) + 1
-        target = self._delivery_cache.get((dst, cls))
-        if target is None:
-            target = self._resolve_delivery(dst, cls)
-        sim = self.sim
-        delivery = sim.now + (self._gamma if src != dst else self._local)
-        sim.post_at(delivery, target, src, message)
-        return delivery
-
-    def _send_reliable(self, src: int, dst: int, message: Any) -> float:
-        """Reliable send under any FIFO-safe latency model (no clamp)."""
-        cls = message.__class__
-        key = (cls, src)
-        sent = self._sent
-        sent[key] = sent.get(key, 0) + 1
-        target = self._delivery_cache.get((dst, cls))
-        if target is None:
-            target = self._resolve_delivery(dst, cls)
-        sim = self.sim
-        delivery = sim.now + self.latency.latency(src, dst)
-        sim.post_at(delivery, target, src, message)
-        return delivery
-
-    def _send_armed(self, src: int, dst: int, message: Any) -> float:
-        """Fault-hooked send under a FIFO-safe latency model (no clamp).
-
-        Crash scenarios almost always run on constant (or hierarchical)
-        latencies, so the fault layer is consulted on every message —
-        that is the contract being paid for — but the per-link FIFO
-        clamp, dead weight under a FIFO-safe model, is elided exactly as
-        on the reliable path.
-        """
-        cls = message.__class__
-        key = (cls, src)
-        sent = self._sent
-        sent[key] = sent.get(key, 0) + 1
-        sim = self.sim
-        delivery = sim.now + self.latency.latency(src, dst)
-        if delivery < self._quiet_until:
-            # Send and delivery both precede any possible fault activity:
-            # the hooks are contractually False, take the reliable path.
-            target = self._delivery_cache.get((dst, cls))
-            if target is None:
-                target = self._resolve_delivery(dst, cls)
-            sim.post_at(delivery, target, src, message)
-            return delivery
-        if dst not in self._nodes:
-            raise KeyError(f"unknown destination node {dst}")
-        if self.faults.drop_on_send(sim.now, src, dst, message):
-            # Lost before entering the link: never scheduled.
-            self.stats.record_dropped(src, message)
-            return delivery
-        sim.post_at(delivery, self._deliver, src, dst, message)
-        return delivery
-
-    def _send_armed_constant(self, src: int, dst: int, message: Any) -> float:
-        """:meth:`_send_armed` with the latency hoisted to two floats."""
         cls = message.__class__
         key = (cls, src)
         sent = self._sent
@@ -374,7 +305,8 @@ class Network:
         now = sim.now
         delivery = now + (self._gamma if src != dst else self._local)
         if delivery < self._quiet_until:
-            # Quiet era (see _send_armed): identical to _send_constant.
+            # Send and delivery both precede any possible fault activity:
+            # the hooks are contractually False.
             target = self._delivery_cache.get((dst, cls))
             if target is None:
                 target = self._resolve_delivery(dst, cls)

@@ -90,7 +90,7 @@ class Node:
 
         Raises ``NotImplementedError`` when no handler exists, which makes
         protocol wiring errors fail loudly instead of silently dropping
-        messages.  Also used by the network's fast send variants to skip
+        messages.  Also used by the network's constant send to skip
         per-message dispatch entirely.
         """
         handler: Optional[Callable[[int, Any], None]] = getattr(

@@ -13,16 +13,19 @@ Two schedulers are provided:
   implementation, a thin wrapper over :mod:`heapq`.  O(log n) per
   operation, unbeatable robustness, and the semantics every other
   scheduler is tested against.
-* :class:`CalendarQueue` (``"calendar"``, alias ``"ladder"``) — a
-  lazily sorted calendar/ladder queue tuned for the simulator's actual
-  access patterns.  A binary heap pays O(log n) *comparison calls* per
-  pop (the micro-benchmarks in this PR measured ~1.5 us per pop at
+* :class:`CalendarQueue` (``"calendar"``) — a lazily sorted calendar
+  queue tuned for the simulator's actual access patterns.  A binary
+  heap pays O(log n) *comparison calls* per pop (~1.5 us per pop at
   200k-event depth); the calendar queue instead keeps a sorted **spine**
   consumed through a cursor, an unsorted **pending** tier filled by bare
   ``list.append``, and a bounded **dispatch window** the engine iterates
   in place — so the per-event cost collapses to one C-level sort share
   plus an index increment, which is what pushes no-op dispatch past the
-  heap by >2x (see ``benchmarks/test_bench_engine.py``).
+  heap by >2x (see ``benchmarks/test_bench_engine.py``).  That gain
+  does not survive a real run: ``benchmarks/e2e`` measured the calendar
+  queue 1.13–1.26x *slower* than the heap end to end on all four
+  workloads, so nothing should select it; it stays because the
+  benchmark's per-layer probes still measure it.
 
 Scheduler push protocol
 -----------------------
@@ -42,12 +45,11 @@ scheduled event.  Every scheduler therefore exposes:
 
 ``push(entry)`` composes the two for callers that do not inline.
 
-Selection is by name through :func:`make_scheduler`, driven by
-``Scenario(scheduler=...)`` or the ``REPRO_SCHEDULER`` environment
-variable (see :mod:`repro.experiments.scenario`); the default is the
-heap.  Because of the determinism contract the choice is a pure
-performance knob: it never changes a result, which is also why it is
-hash-neutral for the run cache when left unset.
+Selection is by name through :func:`make_scheduler`, driven only by
+``Scenario(scheduler=...)`` (see :mod:`repro.experiments.scenario`); the
+default is the heap.  Because of the determinism contract the choice
+never changes a result, which is also why it is hash-neutral for the run
+cache when left unset.
 """
 
 from __future__ import annotations
@@ -61,7 +63,6 @@ __all__ = [
     "CalendarQueue",
     "HeapScheduler",
     "SCHEDULERS",
-    "SCHEDULER_ENV",
     "available_schedulers",
     "make_scheduler",
     "resolve_scheduler_name",
@@ -126,7 +127,7 @@ class HeapScheduler:
 
 
 class CalendarQueue:
-    """Lazily sorted calendar/ladder queue.
+    """Lazily sorted calendar queue.
 
     Structure
     ---------
@@ -319,15 +320,7 @@ class CalendarQueue:
 SCHEDULERS = {
     HeapScheduler.name: HeapScheduler,
     CalendarQueue.name: CalendarQueue,
-    # Honest alias: the implementation is a ladder-queue variant of the
-    # classic calendar queue (lazily sorted rungs instead of hashed
-    # year buckets).
-    "ladder": CalendarQueue,
 }
-
-#: Environment variable overriding the default scheduler for every
-#: ``Simulator()`` constructed without an explicit choice.
-SCHEDULER_ENV = "REPRO_SCHEDULER"
 
 
 def available_schedulers() -> Tuple[str, ...]:
@@ -336,11 +329,9 @@ def available_schedulers() -> Tuple[str, ...]:
 
 
 def resolve_scheduler_name(name: Optional[str]) -> str:
-    """Resolve an optional scheduler name: explicit > ``$REPRO_SCHEDULER`` > heap."""
+    """Resolve an optional scheduler name: ``None`` means the heap."""
     if name is None:
-        import os
-
-        name = os.environ.get(SCHEDULER_ENV) or HeapScheduler.name
+        name = HeapScheduler.name
     if name not in SCHEDULERS:
         raise ValueError(
             f"unknown scheduler {name!r}; available: {', '.join(available_schedulers())}"

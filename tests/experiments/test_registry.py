@@ -5,15 +5,13 @@ import pytest
 from repro.baselines.bouabdallah_laforest import BLAllocatorNode
 from repro.baselines.central_scheduler import CentralSchedulerClientAllocator
 from repro.baselines.incremental import IncrementalAllocatorNode
+from repro.core.config import CoreConfigSpec
 from repro.core.node import CoreAllocatorNode
 from repro.core.policies import MaxPolicy
-from repro.experiments.registry import (
-    ALGORITHM_LABELS,
-    ALGORITHMS,
-    build_allocators,
-    build_network,
-)
+from repro.experiments.registry import ALGORITHM_LABELS, ALGORITHMS, get_algorithm
 from repro.sim.engine import Simulator
+from repro.sim.latencyspec import ConstantLatencySpec
+from repro.sim.network import Network
 from repro.workload.params import WorkloadParams
 
 
@@ -23,6 +21,15 @@ def params():
                           duration=500.0, warmup=50.0)
 
 
+def make_network(params, sim):
+    """The network the runner builds by default: constant ``params.gamma``."""
+    return Network(sim, ConstantLatencySpec().build(params))
+
+
+def make_allocators(algorithm, params, sim, network, config=None):
+    return get_algorithm(algorithm).make_allocators(config, params, sim, network)
+
+
 class TestRegistry:
     def test_every_algorithm_has_a_label(self):
         assert set(ALGORITHM_LABELS) == set(ALGORITHMS)
@@ -30,18 +37,18 @@ class TestRegistry:
     def test_unknown_algorithm_rejected(self, params):
         sim = Simulator()
         with pytest.raises(KeyError):
-            build_allocators("nope", params, sim, None)
+            make_allocators("nope", params, sim, None)
 
     def test_shared_memory_needs_no_network(self, params):
         sim = Simulator()
-        allocators = build_allocators("shared_memory", params, sim, None)
+        allocators = make_allocators("shared_memory", params, sim, None)
         assert len(allocators) == params.num_processes
         assert all(isinstance(a, CentralSchedulerClientAllocator) for a in allocators)
 
     def test_distributed_algorithms_require_network(self, params):
         sim = Simulator()
         with pytest.raises(ValueError):
-            build_allocators("with_loan", params, sim, None)
+            make_allocators("with_loan", params, sim, None)
 
     @pytest.mark.parametrize(
         "name,cls",
@@ -54,31 +61,32 @@ class TestRegistry:
     )
     def test_builds_expected_node_types(self, params, name, cls):
         sim = Simulator()
-        network = build_network(params, sim)
-        allocators = build_allocators(name, params, sim, network)
+        network = make_network(params, sim)
+        allocators = make_allocators(name, params, sim, network)
         assert len(allocators) == params.num_processes
         assert all(isinstance(a, cls) for a in allocators)
 
     def test_loan_flag_differs_between_variants(self, params):
         sim = Simulator()
-        network = build_network(params, sim)
-        with_loan = build_allocators("with_loan", params, sim, network)
+        network = make_network(params, sim)
+        with_loan = make_allocators("with_loan", params, sim, network)
         sim2 = Simulator()
-        network2 = build_network(params, sim2)
-        without = build_allocators("without_loan", params, sim2, network2)
+        network2 = make_network(params, sim2)
+        without = make_allocators("without_loan", params, sim2, network2)
         assert with_loan[0].config.enable_loan is True
         assert without[0].config.enable_loan is False
 
     def test_policy_and_threshold_overrides(self, params):
         sim = Simulator()
-        network = build_network(params, sim)
-        allocators = build_allocators(
-            "with_loan", params, sim, network, policy="max", loan_threshold=5
+        network = make_network(params, sim)
+        allocators = make_allocators(
+            "with_loan", params, sim, network,
+            config=CoreConfigSpec(policy="max", loan_threshold=5),
         )
         assert isinstance(allocators[0].config.policy, MaxPolicy)
         assert allocators[0].config.loan_threshold == 5
 
     def test_network_uses_params_gamma(self, params):
         sim = Simulator()
-        network = build_network(params, sim)
+        network = make_network(params, sim)
         assert network.latency.latency(0, 1) == pytest.approx(params.gamma)

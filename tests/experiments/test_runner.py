@@ -3,8 +3,9 @@
 import pytest
 
 from repro.experiments.registry import ALGORITHMS
-from repro.experiments.runner import run_experiment
-from repro.sim.latency import HierarchicalLatency
+from repro.experiments.runner import run
+from repro.experiments.scenario import Scenario
+from repro.sim.latencyspec import HierarchicalLatencySpec
 from repro.workload.params import LoadLevel, WorkloadParams
 
 
@@ -24,7 +25,7 @@ def tiny_params():
 class TestRunExperiment:
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_every_algorithm_produces_valid_metrics(self, tiny_params, algorithm):
-        result = run_experiment(algorithm, tiny_params)
+        result = run(Scenario(algorithm=algorithm, params=tiny_params))
         assert result.algorithm == algorithm
         assert 0.0 < result.use_rate <= 100.0
         assert result.metrics.waiting.mean >= 0.0
@@ -33,51 +34,54 @@ class TestRunExperiment:
 
     def test_unknown_algorithm_rejected(self, tiny_params):
         with pytest.raises(KeyError):
-            run_experiment("quantum", tiny_params)
+            run(Scenario(algorithm="quantum", params=tiny_params))
 
     def test_deterministic_given_seed(self, tiny_params):
-        a = run_experiment("with_loan", tiny_params)
-        b = run_experiment("with_loan", tiny_params)
+        a = run(Scenario(algorithm="with_loan", params=tiny_params))
+        b = run(Scenario(algorithm="with_loan", params=tiny_params))
         assert a.use_rate == pytest.approx(b.use_rate)
         assert a.metrics.waiting.mean == pytest.approx(b.metrics.waiting.mean)
         assert a.metrics.messages_total == b.metrics.messages_total
 
     def test_different_seeds_differ(self, tiny_params):
-        a = run_experiment("with_loan", tiny_params)
-        b = run_experiment("with_loan", tiny_params.with_seed(99))
+        a = run(Scenario(algorithm="with_loan", params=tiny_params))
+        b = run(Scenario(algorithm="with_loan", params=tiny_params.with_seed(99)))
         assert a.metrics.issued != b.metrics.issued or a.use_rate != b.use_rate
 
     def test_messages_counted_for_distributed_algorithms(self, tiny_params):
-        result = run_experiment("bouabdallah", tiny_params)
+        result = run(Scenario(algorithm="bouabdallah", params=tiny_params))
         assert result.metrics.messages_total > 0
         assert result.metrics.messages_per_cs > 0
 
     def test_shared_memory_has_no_messages(self, tiny_params):
-        result = run_experiment("shared_memory", tiny_params)
+        result = run(Scenario(algorithm="shared_memory", params=tiny_params))
         assert result.metrics.messages_total == 0
 
     def test_trace_collection_optional(self, tiny_params):
-        without = run_experiment("with_loan", tiny_params)
+        without = run(Scenario(algorithm="with_loan", params=tiny_params))
         assert without.trace is None
-        with_trace = run_experiment("with_loan", tiny_params, collect_trace=True)
+        with_trace = run(
+            Scenario(algorithm="with_loan", params=tiny_params, collect_trace=True)
+        )
         assert with_trace.trace is not None and len(with_trace.trace) > 0
 
     def test_size_buckets_grouping(self, tiny_params):
-        result = run_experiment("with_loan", tiny_params, size_buckets=[1, 3])
+        result = run(
+            Scenario(algorithm="with_loan", params=tiny_params, size_buckets=(1, 3))
+        )
         assert set(result.metrics.waiting_by_size) <= {1, 3}
 
     def test_custom_latency_model(self, tiny_params):
-        latency = HierarchicalLatency(
-            gamma_local=0.3, gamma_remote=5.0,
-            num_nodes=tiny_params.num_processes, num_clusters=2,
+        latency = HierarchicalLatencySpec(gamma_local=0.3, gamma_remote=5.0, num_clusters=2)
+        flat = run(Scenario(algorithm="without_loan", params=tiny_params))
+        hierarchical = run(
+            Scenario(algorithm="without_loan", params=tiny_params, latency=latency)
         )
-        flat = run_experiment("without_loan", tiny_params)
-        hierarchical = run_experiment("without_loan", tiny_params, latency=latency)
         # Remote hops are ~8x slower, so waiting must not improve.
         assert hierarchical.metrics.waiting.mean >= flat.metrics.waiting.mean
 
     def test_describe_summary(self, tiny_params):
-        result = run_experiment("with_loan", tiny_params)
+        result = run(Scenario(algorithm="with_loan", params=tiny_params))
         text = result.describe()
         assert "with_loan" in text and "use_rate" in text
 
@@ -85,7 +89,7 @@ class TestRunExperiment:
         import dataclasses
 
         capped = dataclasses.replace(tiny_params, requests_per_process=2)
-        result = run_experiment("with_loan", capped)
+        result = run(Scenario(algorithm="with_loan", params=capped))
         assert result.metrics.issued <= 2 * capped.num_processes
 
 
@@ -95,8 +99,7 @@ class TestFaultRunCap:
         clipped in-flight requests of short workloads whose drain extends
         past it — a near-zero-fault run then miscounted completions (and
         raised a spurious liveness failure) relative to the reliable run."""
-        from repro.experiments.runner import fault_run_until, run
-        from repro.experiments.scenario import Scenario
+        from repro.experiments.runner import fault_run_until
         from repro.sim.faultspec import BernoulliLoss
 
         params = WorkloadParams(

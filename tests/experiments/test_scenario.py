@@ -9,7 +9,7 @@ import pytest
 
 from repro.core.config import CoreConfigSpec
 from repro.experiments.registry import BLConfigSpec
-from repro.experiments.runner import run, run_experiment
+from repro.experiments.runner import run
 from repro.experiments.scenario import Scenario
 from repro.sim.faultspec import BernoulliLoss, NoFaults, NodeCrash
 from repro.sim.latencyspec import ConstantLatencySpec, UniformJitterLatencySpec
@@ -263,36 +263,6 @@ class TestScenarioSweep:
 
 
 class TestRunScenario:
-    def test_run_matches_run_experiment_shim(self):
-        params = small_params(load=LoadLevel.HIGH, seed=11)
-        by_scenario = run(Scenario(algorithm="with_loan", params=params))
-        by_shim = run_experiment("with_loan", params)
-        assert by_scenario.metrics == by_shim.metrics
-        assert by_scenario.events_processed == by_shim.events_processed
-
-    def test_run_with_config_matches_shim_overrides(self):
-        params = small_params(load=LoadLevel.HIGH, seed=11)
-        by_scenario = run(
-            Scenario(
-                algorithm="with_loan",
-                params=params,
-                config=CoreConfigSpec(loan_threshold=2, policy="max"),
-            )
-        )
-        by_shim = run_experiment("with_loan", params, policy="max", loan_threshold=2)
-        assert by_scenario.metrics == by_shim.metrics
-
-    def test_run_with_latency_spec_matches_prebuilt_model(self):
-        from repro.sim.latency import UniformJitterLatency
-
-        params = small_params(load=LoadLevel.HIGH, seed=11)
-        spec = UniformJitterLatencySpec(gamma=1.0, jitter=0.4, seed=3)
-        by_scenario = run(Scenario(algorithm="without_loan", params=params, latency=spec))
-        by_model = run_experiment(
-            "without_loan", params, latency=UniformJitterLatency(gamma=1.0, jitter=0.4, seed=3)
-        )
-        assert by_scenario.metrics == by_model.metrics
-
     def test_workload_axis_validated_and_described(self):
         from repro.workload.spec import OpenLoopSpec, TraceReplaySpec
 

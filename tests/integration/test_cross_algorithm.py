@@ -9,7 +9,8 @@ on basic sanity relations.
 import pytest
 
 from repro.experiments.registry import ALGORITHMS
-from repro.experiments.runner import run_experiment
+from repro.experiments.runner import run
+from repro.experiments.scenario import Scenario
 from repro.workload.params import LoadLevel, WorkloadParams
 
 
@@ -28,7 +29,7 @@ def params():
 
 @pytest.fixture(scope="module")
 def results(params):
-    return {alg: run_experiment(alg, params) for alg in ALGORITHMS}
+    return {alg: run(Scenario(algorithm=alg, params=params)) for alg in ALGORITHMS}
 
 
 class TestAllAlgorithms:
@@ -67,8 +68,8 @@ class TestAllAlgorithms:
 
 class TestDeterminism:
     def test_rerun_is_bitwise_identical(self, params):
-        first = run_experiment("with_loan", params)
-        second = run_experiment("with_loan", params)
+        first = run(Scenario(algorithm="with_loan", params=params))
+        second = run(Scenario(algorithm="with_loan", params=params))
         assert first.metrics.waiting.mean == second.metrics.waiting.mean
         assert first.metrics.use_rate == second.metrics.use_rate
         assert first.metrics.messages_total == second.metrics.messages_total

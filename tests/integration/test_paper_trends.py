@@ -16,7 +16,8 @@ results — who wins, in which regime — rather than absolute values:
 
 import pytest
 
-from repro.experiments.runner import run_experiment
+from repro.experiments.runner import run
+from repro.experiments.scenario import Scenario
 from repro.workload.params import LoadLevel, WorkloadParams
 
 #: Scaled-down version of the paper's testbed (32 procs / 80 resources).
@@ -37,7 +38,7 @@ BASE = WorkloadParams(
 @pytest.fixture(scope="module")
 def high_load_small_requests():
     return {
-        alg: run_experiment(alg, BASE)
+        alg: run(Scenario(algorithm=alg, params=BASE))
         for alg in ("bouabdallah", "without_loan", "with_loan", "shared_memory")
     }
 
@@ -46,7 +47,7 @@ def high_load_small_requests():
 def high_load_large_requests():
     params = BASE.with_phi(20)
     return {
-        alg: run_experiment(alg, params)
+        alg: run(Scenario(algorithm=alg, params=params))
         for alg in ("incremental", "bouabdallah", "with_loan", "shared_memory")
     }
 
@@ -89,15 +90,17 @@ class TestLargeRequestsHighLoad:
     def test_use_rate_grows_with_request_size(self):
         """Figure 5 overall trend: larger maximum request sizes raise the
         resource-use rate for the paper's algorithm."""
-        small = run_experiment("with_loan", BASE.with_phi(2))
-        large = run_experiment("with_loan", BASE.with_phi(20))
+        small = run(Scenario(algorithm="with_loan", params=BASE.with_phi(2)))
+        large = run(Scenario(algorithm="with_loan", params=BASE.with_phi(20)))
         assert large.use_rate > small.use_rate
 
     def test_waiting_time_grows_with_request_size_for_core(self):
         """Figure 7: large requests wait longer than small ones under the
         counter-based scheduling."""
         params = BASE.with_phi(20)
-        result = run_experiment("with_loan", params, size_buckets=[1, 10, 20])
+        result = run(
+            Scenario(algorithm="with_loan", params=params, size_buckets=(1, 10, 20))
+        )
         by_size = result.metrics.waiting_by_size
         present = [b for b in (1, 10, 20) if b in by_size and by_size[b].count >= 3]
         if len(present) >= 2:
@@ -106,18 +109,19 @@ class TestLargeRequestsHighLoad:
 
 class TestMediumLoad:
     def test_medium_load_waits_less_than_high_load(self):
-        high = run_experiment("with_loan", BASE)
-        medium = run_experiment("with_loan", BASE.with_load(LoadLevel.MEDIUM))
+        high = run(Scenario(algorithm="with_loan", params=BASE))
+        medium = run(Scenario(algorithm="with_loan", params=BASE.with_load(LoadLevel.MEDIUM)))
         assert medium.metrics.waiting.mean <= high.metrics.waiting.mean
 
     def test_bl_gap_shrinks_under_medium_load(self):
         """The control-token bottleneck matters less when requests are rare:
         the waiting-time ratio ours/BL should be at least as favourable in
         high load as in medium load."""
-        medium_bl = run_experiment("bouabdallah", BASE.with_load(LoadLevel.MEDIUM))
-        medium_core = run_experiment("without_loan", BASE.with_load(LoadLevel.MEDIUM))
-        high_bl = run_experiment("bouabdallah", BASE)
-        high_core = run_experiment("without_loan", BASE)
+        medium = BASE.with_load(LoadLevel.MEDIUM)
+        medium_bl = run(Scenario(algorithm="bouabdallah", params=medium))
+        medium_core = run(Scenario(algorithm="without_loan", params=medium))
+        high_bl = run(Scenario(algorithm="bouabdallah", params=BASE))
+        high_core = run(Scenario(algorithm="without_loan", params=BASE))
         ratio_medium = medium_core.metrics.waiting.mean / max(medium_bl.metrics.waiting.mean, 1e-9)
         ratio_high = high_core.metrics.waiting.mean / max(high_bl.metrics.waiting.mean, 1e-9)
         assert ratio_high <= ratio_medium * 1.1

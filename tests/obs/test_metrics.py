@@ -241,7 +241,7 @@ class TestRegistry:
     def test_snapshot_pickle_roundtrip(self):
         reg = MetricsRegistry()
         reg.gauge("repro_backlog").set(3)
-        snap = TelemetrySnapshot(samples=reg.collect(), source="env")
+        snap = TelemetrySnapshot(samples=reg.collect())
         clone = pickle.loads(pickle.dumps(snap))
         assert clone == snap
         assert pickle.dumps(clone) == pickle.dumps(snap)

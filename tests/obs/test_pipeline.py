@@ -1,11 +1,8 @@
-"""Telemetry through the sweep pipeline: pickling, caching, env precedence.
+"""Telemetry through the sweep pipeline: pickling and caching.
 
 Pins the acceptance contract of the axis: ``ExperimentResult.telemetry``
 survives the ``workers=N`` pickle path bit-identically to ``workers=1``,
-scenario-axis snapshots are cached like any other result field, and the
-``REPRO_TELEMETRY`` process override (a) loses to an explicit scenario
-value and (b) never leaks a snapshot into a cache whose keys know
-nothing about the environment.
+and snapshots are cached like any other result field.
 """
 
 from __future__ import annotations
@@ -26,11 +23,6 @@ def params() -> WorkloadParams:
     return WorkloadParams(
         num_processes=5, num_resources=10, phi=3, duration=300.0, warmup=50.0, seed=4
     )
-
-
-@pytest.fixture(autouse=True)
-def _no_ambient_telemetry(monkeypatch):
-    monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
 
 
 class TestWorkersPickleParity:
@@ -59,87 +51,6 @@ class TestWorkersPickleParity:
         (second,) = run_sweep([scenario], workers=1, cache=cache)  # cache hit
         assert first.telemetry is not None
         assert second.telemetry == first.telemetry
-
-
-class TestEnvPrecedence:
-    def test_explicit_spec_beats_env(self, params, monkeypatch):
-        # The env asks for the default 50 ms cadence; the scenario pins
-        # 10 ms.  The scenario must win — and stamp source="scenario".
-        monkeypatch.setenv("REPRO_TELEMETRY", "1")
-        explicit = run(
-            Scenario(
-                algorithm="with_loan",
-                params=params,
-                telemetry=TelemetrySpec(sample_interval=10.0),
-            )
-        )
-        env_only = run(Scenario(algorithm="with_loan", params=params))
-        assert explicit.telemetry.source == "scenario"
-        assert env_only.telemetry.source == "env"
-        assert explicit.telemetry.value(
-            "repro_telemetry_samples_total"
-        ) > env_only.telemetry.value("repro_telemetry_samples_total")
-
-    def test_env_off_values_disable(self, params, monkeypatch):
-        for value in ("0", "off", "false", "no", "none", ""):
-            monkeypatch.setenv("REPRO_TELEMETRY", value)
-            assert run(Scenario(algorithm="with_loan", params=params)).telemetry is None
-
-    def test_env_interval_value(self, params, monkeypatch):
-        monkeypatch.setenv("REPRO_TELEMETRY", "20")
-        result = run(Scenario(algorithm="with_loan", params=params))
-        snapshot = result.telemetry
-        assert snapshot is not None and snapshot.source == "env"
-        # 300 ms duration at a 20 ms cadence: well over 10 samples.
-        assert snapshot.value("repro_telemetry_samples_total") >= 10
-
-    def test_env_results_identical_to_disabled(self, params, monkeypatch):
-        monkeypatch.setenv("REPRO_TELEMETRY", "1")
-        with_env = run(Scenario(algorithm="with_loan", params=params))
-        monkeypatch.delenv("REPRO_TELEMETRY")
-        without = run(Scenario(algorithm="with_loan", params=params))
-        assert with_env.metrics == without.metrics
-        assert pickle.dumps(with_env.record_columns) == pickle.dumps(
-            without.record_columns
-        )
-
-
-class TestEnvCacheHygiene:
-    def test_env_snapshot_stripped_before_cache(self, params, monkeypatch):
-        scenario = Scenario(algorithm="with_loan", params=params)
-        cache = RunCache()
-        monkeypatch.setenv("REPRO_TELEMETRY", "1")
-        (decorated,) = run_sweep([scenario], workers=1, cache=cache)
-        # The executor strips the env-derived snapshot before the put:
-        # the cache serves the exact result an env-less process expects.
-        assert decorated.telemetry is None
-        monkeypatch.delenv("REPRO_TELEMETRY")
-        (hit,) = run_sweep([scenario], workers=1, cache=cache)
-        assert hit.telemetry is None
-        assert hit.metrics == decorated.metrics
-
-    def test_scenario_snapshot_enters_cache(self, params):
-        scenario = Scenario(
-            algorithm="with_loan", params=params, telemetry=TelemetrySpec()
-        )
-        cache = RunCache()
-        (first,) = run_sweep([scenario], workers=1, cache=cache)
-        assert first.telemetry is not None  # scenario-axis snapshots stay
-
-    def test_env_and_scenario_keys_are_distinct_entries(self, params, monkeypatch):
-        # An env-decorated run of the *bare* scenario and an explicit
-        # telemetry scenario must not collide in the cache: their keys
-        # differ (the spec is hashed; the env var is not).
-        bare = Scenario(algorithm="with_loan", params=params)
-        spec = bare.replace(telemetry=TelemetrySpec())
-        assert bare.key() != spec.key()
-        cache = RunCache()
-        monkeypatch.setenv("REPRO_TELEMETRY", "1")
-        run_sweep([bare], workers=1, cache=cache)
-        monkeypatch.delenv("REPRO_TELEMETRY")
-        (explicit,) = run_sweep([spec], workers=1, cache=cache)
-        assert explicit.telemetry is not None
-        assert explicit.telemetry.source == "scenario"
 
 
 class TestSnapshotContents:

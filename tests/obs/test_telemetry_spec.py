@@ -1,4 +1,4 @@
-"""TelemetrySpec validation, description and env parsing."""
+"""TelemetrySpec validation and description."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import pickle
 import pytest
 
 from repro.obs.metrics import DEFAULT_WAIT_BUCKETS_MS
-from repro.obs.spec import TELEMETRY_ENV, TelemetrySpec, telemetry_from_env
+from repro.obs.spec import TelemetrySpec
 
 
 class TestTelemetrySpec:
@@ -76,37 +76,3 @@ class TestTelemetrySpec:
         ).describe()
         assert "telemetry@10ms" in text
 
-
-class TestTelemetryFromEnv:
-    def test_unset_means_off(self):
-        assert telemetry_from_env({}) is None
-
-    @pytest.mark.parametrize("value", ["", "0", "off", "OFF", "false", "no", "none"])
-    def test_off_switches(self, value):
-        assert telemetry_from_env({TELEMETRY_ENV: value}) is None
-
-    @pytest.mark.parametrize("value", ["1", "on", "true", "YES", "default"])
-    def test_on_switches_give_default_spec(self, value):
-        assert telemetry_from_env({TELEMETRY_ENV: value}) == TelemetrySpec()
-
-    def test_number_sets_sample_interval(self):
-        spec = telemetry_from_env({TELEMETRY_ENV: "12.5"})
-        assert spec == TelemetrySpec(sample_interval=12.5)
-
-    def test_whitespace_tolerated(self):
-        assert telemetry_from_env({TELEMETRY_ENV: " on "}) == TelemetrySpec()
-
-    def test_garbage_rejected_loudly(self):
-        with pytest.raises(ValueError, match="invalid REPRO_TELEMETRY"):
-            telemetry_from_env({TELEMETRY_ENV: "sometimes"})
-
-    def test_invalid_interval_rejected(self):
-        # Numbers still go through TelemetrySpec validation.
-        with pytest.raises(ValueError, match="sample_interval"):
-            telemetry_from_env({TELEMETRY_ENV: "-10"})
-
-    def test_reads_process_environment_by_default(self, monkeypatch):
-        monkeypatch.setenv(TELEMETRY_ENV, "25")
-        assert telemetry_from_env() == TelemetrySpec(sample_interval=25.0)
-        monkeypatch.delenv(TELEMETRY_ENV)
-        assert telemetry_from_env() is None

@@ -3,8 +3,9 @@
 Three layers of the contract:
 
 * a default run never even *imports* ``repro.obs`` (checked in a clean
-  subprocess — the seam is a ``None`` attribute and an env-var string
-  compare, not a lazy import that happens anyway);
+  subprocess — the seam is a ``None`` attribute, not a lazy import that
+  happens anyway), and no environment variable can change that: a run
+  is a pure function of its scenario;
 * the canonical no-telemetry run is bit-identical with the obs package
   importable vs. **stubbed out entirely** (a meta-path blocker makes
   ``import repro.obs`` raise), so a deployment could delete the package
@@ -41,14 +42,23 @@ SCENARIO_SRC = (
 )
 
 #: Subprocess body: run the scenario, print a digest of everything the
-#: run produced that the cache/figures consume.  ``{blocker}`` is
-#: replaced by the import-blocker preamble (or nothing).
+#: run produced that the cache/figures consume, whether ``repro.obs``
+#: got imported, and the scheduler the run's simulator was built with.
+#: ``{blocker}`` is replaced by the import-blocker preamble (or nothing).
 RUN_AND_DIGEST = """
 import hashlib, pickle, sys
 {blocker}
+from repro.experiments import runner
 from repro.experiments.runner import run
 from repro.experiments.scenario import Scenario
 from repro.workload.params import WorkloadParams
+
+schedulers = []
+class _SpySimulator(runner.Simulator):
+    def __init__(self, scheduler=None):
+        super().__init__(scheduler)
+        schedulers.append(self.scheduler_name)
+runner.Simulator = _SpySimulator
 
 result = run({scenario})
 assert result.telemetry is None
@@ -62,6 +72,7 @@ payload = pickle.dumps((
 print(hashlib.sha256(payload).hexdigest())
 print('obs-imported' if any(m == 'repro.obs' or m.startswith('repro.obs.')
                             for m in sys.modules) else 'obs-clean')
+print(','.join(schedulers))
 """
 
 BLOCKER = """
@@ -78,12 +89,22 @@ sys.meta_path.insert(0, _BlockObs())
 """
 
 
-def run_subprocess(blocker: str) -> tuple:
-    """Run the canonical scenario in a fresh interpreter, return (digest, imports)."""
+#: Environment variables named after a telemetry switch and a scheduler
+#: choice.  A run must ignore them: only its scenario configures it.
+HOSTILE_ENV = {"REPRO_TELEMETRY": "1", "REPRO_SCHEDULER": "calendar"}
+
+
+def run_subprocess(blocker: str, hostile: bool = False) -> tuple:
+    """Run the canonical scenario in a fresh interpreter.
+
+    Returns ``(digest, imports, schedulers)``.  ``hostile`` sets
+    :data:`HOSTILE_ENV`; otherwise those variables are removed.
+    """
     code = RUN_AND_DIGEST.format(blocker=blocker, scenario=SCENARIO_SRC)
-    env = dict(os.environ)
+    env = {k: v for k, v in os.environ.items() if k not in HOSTILE_ENV}
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-    env.pop("REPRO_TELEMETRY", None)  # a default run, whatever the outer shell set
+    if hostile:
+        env.update(HOSTILE_ENV)
     out = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
@@ -91,20 +112,26 @@ def run_subprocess(blocker: str) -> tuple:
         env=env,
         check=True,
     )
-    digest, imports = out.stdout.split()
-    return digest, imports
+    return tuple(out.stdout.split())
 
 
 class TestObsStubbedOut:
     def test_default_run_bit_identical_with_obs_blocked(self):
-        digest_normal, imports_normal = run_subprocess(blocker="")
-        digest_blocked, imports_blocked = run_subprocess(blocker=BLOCKER)
+        digest_normal, _, _ = run_subprocess(blocker="")
+        digest_blocked, imports_blocked, _ = run_subprocess(blocker=BLOCKER)
         assert digest_normal == digest_blocked
         assert imports_blocked == "obs-clean"
 
     def test_default_run_never_imports_obs(self):
-        _, imports = run_subprocess(blocker="")
+        _, imports, _ = run_subprocess(blocker="")
         assert imports == "obs-clean"
+
+    def test_default_run_ignores_hostile_environment(self):
+        # The subprocess itself asserts ``result.telemetry is None``.
+        clean = run_subprocess(blocker="")
+        hostile = run_subprocess(blocker="", hostile=True)
+        assert hostile == clean
+        assert hostile[1:] == ("obs-clean", "heap")
 
 
 class TestInProcessInertness:
@@ -122,28 +149,16 @@ class TestInProcessInertness:
             ),
         )
 
-    def test_disabled_run_has_no_snapshot(self, scenario, monkeypatch):
-        monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
+    def test_disabled_run_has_no_snapshot(self, scenario):
         result = run(scenario)
         assert result.telemetry is None
 
-    def test_enabled_run_matches_disabled_run(self, scenario, monkeypatch):
+    def test_enabled_run_matches_disabled_run(self, scenario):
         from repro.obs import TelemetrySpec
 
-        monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
         off = run(scenario)
         on = run(scenario.replace(telemetry=TelemetrySpec(sample_interval=25.0)))
         assert on.telemetry is not None
         assert pickle.dumps(off.record_columns) == pickle.dumps(on.record_columns)
         assert off.metrics == on.metrics
         assert off.resend_count == on.resend_count
-
-    def test_env_enabled_run_matches_disabled_run(self, scenario, monkeypatch):
-        monkeypatch.setenv("REPRO_TELEMETRY", "1")
-        on = run(scenario)
-        monkeypatch.delenv("REPRO_TELEMETRY")
-        off = run(scenario)
-        assert on.telemetry is not None and on.telemetry.source == "env"
-        assert off.telemetry is None
-        assert pickle.dumps(off.record_columns) == pickle.dumps(on.record_columns)
-        assert off.metrics == on.metrics

@@ -1,4 +1,4 @@
-"""Tests of the persistent (on-disk) level of the run cache."""
+"""Tests of the run cache: its in-memory level and its persistent (on-disk) level."""
 
 import pickle
 
@@ -12,6 +12,26 @@ def small_params(**kw):
     defaults = dict(num_processes=4, num_resources=8, phi=2, duration=400.0, warmup=50.0)
     defaults.update(kw)
     return WorkloadParams(**defaults)
+
+
+class TestRunCache:
+    def test_get_put_and_counters(self):
+        cache = RunCache()
+        assert cache.get("k") is None
+        cache.put("k", "result")
+        assert cache.get("k") == "result"
+        assert "k" in cache
+        assert len(cache) == 1
+        assert (cache.hits, cache.misses) == (1, 1)
+
+    def test_clear_resets_everything(self):
+        cache = RunCache()
+        cache.put("k", "result")
+        cache.get("k")
+        cache.get("missing")
+        cache.clear()
+        assert len(cache) == 0
+        assert (cache.hits, cache.misses) == (0, 0)
 
 
 class TestDiskRoundTrip:

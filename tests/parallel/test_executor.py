@@ -6,7 +6,7 @@ from repro.experiments.figures import figure5_use_rate
 from repro.experiments.scenario import Scenario
 from repro.parallel.cache import RunCache
 from repro.parallel.executor import SweepExecutor, run_sweep
-from repro.parallel.jobs import JobSpec, expand_jobs
+from repro.sim.engine import SimulationError
 from repro.sim.latencyspec import HierarchicalLatencySpec, UniformJitterLatencySpec
 from repro.workload.params import LoadLevel, WorkloadParams
 
@@ -29,14 +29,14 @@ class TestSweepExecutor:
             SweepExecutor(workers=0)
 
     def test_results_in_submission_order(self, small_base):
-        specs = expand_jobs("with_loan", small_base, seeds=(1, 2, 3))
+        specs = Scenario(algorithm="with_loan", params=small_base).sweep(seed=(1, 2, 3))
         results = run_sweep(specs)
         assert [r.params.seed for r in results] == [1, 2, 3]
 
     def test_cache_avoids_recomputation(self, small_base):
         cache = RunCache()
         executor = SweepExecutor(workers=1, cache=cache)
-        specs = expand_jobs("with_loan", small_base, seeds=(1, 2))
+        specs = Scenario(algorithm="with_loan", params=small_base).sweep(seed=(1, 2))
         first = executor.run(specs)
         second = executor.run(specs)
         assert cache.hits == 2 and len(cache) == 2
@@ -45,20 +45,22 @@ class TestSweepExecutor:
     def test_duplicate_specs_run_once_with_cache(self, small_base):
         cache = RunCache()
         executor = SweepExecutor(workers=1, cache=cache)
-        spec = JobSpec.make("with_loan", small_base)
+        spec = Scenario(algorithm="with_loan", params=small_base)
         results = executor.run([spec, spec, spec])
         assert len(cache) == 1
         assert results[0] is results[1] is results[2]
 
     def test_exceptions_propagate(self, small_base):
-        spec = JobSpec.make("nonexistent_algorithm", small_base)
-        with pytest.raises(KeyError):
+        # A scenario is validated at construction, so a failing job has to
+        # fail inside run(): ten events cannot hold a 500 ms workload.
+        spec = Scenario(algorithm="with_loan", params=small_base, max_events=10)
+        with pytest.raises(SimulationError, match="max_events"):
             run_sweep([spec])
 
 
 class TestSerialParallelDeterminism:
     def test_parallel_sweep_matches_serial(self, small_base):
-        specs = expand_jobs("with_loan", small_base, seeds=(1, 2, 3, 4))
+        specs = Scenario(algorithm="with_loan", params=small_base).sweep(seed=(1, 2, 3, 4))
         serial = run_sweep(specs, workers=1)
         parallel = run_sweep(specs, workers=4)
         assert [r.metrics for r in serial] == [r.metrics for r in parallel]
@@ -81,8 +83,7 @@ class TestSerialParallelDeterminism:
     def test_latency_sweep_identical_workers_1_vs_4(self, small_base):
         """Latency-model ablations ride the parallel executor bit-for-bit.
 
-        Impossible pre-Scenario (``JobSpec`` rejected object-valued latency
-        arguments); declarative latency specs thaw inside each worker, so a
+        Declarative latency specs thaw inside each worker, so a
         gamma-jitter / topology sweep is a pure function of its scenarios.
         """
         base = Scenario(algorithm="with_loan", params=small_base)
@@ -149,12 +150,3 @@ class TestSerialParallelDeterminism:
         hits = run_sweep(scenarios, workers=4, cache=cache)
         assert cache.hits >= 2
         assert all(r.trace is None for r in hits)
-
-    def test_jobspec_and_scenario_share_cache_entries(self, small_base):
-        cache = RunCache()
-        executor = SweepExecutor(workers=1, cache=cache)
-        job = JobSpec.make("with_loan", small_base, loan_threshold=2)
-        (first,) = executor.run([job])
-        (second,) = executor.run([job.to_scenario()])
-        assert cache.hits == 1 and len(cache) == 1
-        assert second is first

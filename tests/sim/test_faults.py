@@ -36,12 +36,10 @@ class Recorder(Node):
 class ClampedConstantLatency(ConstantLatency):
     """Constant latency that opts back into the per-link FIFO clamp.
 
-    ``ConstantLatency`` declares ``fifo_safe``, which routes sends through
-    the clamp-free fault variants; tests that assert on the clamp table
-    itself use this subclass to force the fully general send path.
+    Exactly ``ConstantLatency`` routes sends through the clamp-free
+    constant send; tests that assert on the clamp table itself use this
+    subclass to force the fully general send path.
     """
-
-    fifo_safe = False
 
 
 def make_net(sim, faults, nodes=3, gamma=1.0, latency_cls=ConstantLatency):

@@ -5,6 +5,7 @@ from dataclasses import dataclass
 import pytest
 
 from repro.sim.engine import Simulator
+from repro.sim.faults import NodeCrashModel
 from repro.sim.latency import ConstantLatency, UniformJitterLatency
 from repro.sim.network import Network
 from repro.sim.node import Node
@@ -12,6 +13,11 @@ from repro.sim.node import Node
 
 @dataclass(frozen=True)
 class Ping:
+    payload: int
+
+
+@dataclass(frozen=True)
+class Pong:
     payload: int
 
 
@@ -62,14 +68,13 @@ class TestDelivery:
 
 
 class ClampedConstantLatency(ConstantLatency):
-    """Constant latency that opts out of FIFO-clamp elision.
+    """Constant latency routed through the general send path.
 
-    The network skips its per-link clamp table for ``fifo_safe`` models;
-    the clamp-maintenance tests use this subclass to keep deterministic
-    delivery times while still routing through the general send path.
+    The network binds its clamp-free constant send only for exactly
+    ``ConstantLatency`` (``type(latency) is ConstantLatency``); a subclass
+    keeps deterministic delivery times while taking the general path,
+    clamp table included.
     """
-
-    fifo_safe = False
 
 
 class TestFifoOrdering:
@@ -103,8 +108,8 @@ class TestFifoOrdering:
 
     def test_stale_clamp_entries_are_pruned(self, sim, monkeypatch):
         monkeypatch.setattr("repro.sim.network._LAST_DELIVERY_COMPACT_THRESHOLD", 2)
-        # Constant latency is FIFO-safe and skips the clamp entirely; a
-        # deterministic but not-fifo_safe model exercises the clamp table.
+        # Plain constant latency skips the clamp entirely; the subclass
+        # is deterministic but exercises the clamp table.
         net = Network(sim, ClampedConstantLatency(gamma=1.0))
         for node_id in (0, 1, 2):
             Recorder(sim, net, node_id)
@@ -186,3 +191,94 @@ class TestStats:
         assert snap == {"Ping": 1}
         snap["Ping"] = 99
         assert net.stats.by_type["Ping"] == 1
+
+
+class HandlerNode(Node):
+    """Stock ``deliver``: messages reach their ``on_<ClassName>`` handler."""
+
+    def __init__(self, sim, network, node_id, log):
+        super().__init__(sim, network, node_id)
+        self.log = log
+
+    def on_Ping(self, src, message):
+        self.log.append((self.sim.now, src, self.node_id, message))
+
+    on_Pong = on_Ping
+
+
+#: ``(time, src, dst, message)`` sends: several links, self-sends, two
+#: message classes, same-instant bursts, and traffic to and from node 1
+#: on both sides of the crash window used below (one message is in
+#: flight across its start, one across its end).
+SEND_SCRIPT = [
+    (0.0, 0, 1, Ping(0)),
+    (0.0, 0, 1, Pong(1)),
+    (0.0, 1, 1, Ping(2)),
+    (0.5, 2, 0, Pong(3)),
+    (1.0, 1, 2, Ping(4)),
+    (2.0, 0, 1, Ping(5)),
+    (2.0, 2, 2, Pong(6)),
+    (2.5, 1, 0, Pong(7)),
+    (3.0, 1, 1, Ping(8)),
+    (3.0, 2, 1, Ping(9)),
+    (3.0, 0, 2, Ping(10)),
+    (4.0, 0, 1, Pong(11)),
+    (4.5, 1, 2, Ping(12)),
+    (5.0, 2, 1, Pong(13)),
+    (5.0, 2, 0, Ping(14)),
+]
+
+
+class TestSendBindingsAgree:
+    """The constant send and the general send are the same network.
+
+    ``Network`` binds ``send`` from the latency model's type: exactly
+    ``ConstantLatency`` takes the clamp-free constant send, anything else
+    (here a subclass with identical delays) the general one.  Every
+    observable — ``send`` return values, what is delivered when, and the
+    message accounting — must agree between the two.
+    """
+
+    @staticmethod
+    def play(latency, faults):
+        sim = Simulator()
+        net = Network(sim, latency, faults=faults)
+        log = []
+        for node_id in range(3):
+            HandlerNode(sim, net, node_id, log)
+        returned = []
+        for time, src, dst, message in SEND_SCRIPT:
+            sim.schedule(time, lambda s=src, d=dst, m=message: returned.append(net.send(s, d, m)))
+        sim.run()
+        stats = net.stats
+        return net, returned, log, (
+            stats.total,
+            dict(stats.by_type),
+            dict(stats.by_sender),
+            stats.dropped,
+            dict(stats.dropped_by_type),
+        )
+
+    @pytest.mark.parametrize(
+        "make_faults, dropped",
+        [
+            (lambda: None, 0),
+            (lambda: NodeCrashModel(node=1, at=1e9), 0),
+            # Down over [2.5, 4.75): three sends by node 1 and two
+            # deliveries to it (one sent before the crash) are lost.
+            (lambda: NodeCrashModel(node=1, at=2.5, recover_at=4.75), 5),
+        ],
+        ids=["no-faults", "crash-never-fires", "crash-mid-script"],
+    )
+    def test_constant_and_general_send_agree(self, make_faults, dropped):
+        constant_net, *constant = self.play(ConstantLatency(gamma=1.0, local=0.25), make_faults())
+        general_net, *general = self.play(
+            ClampedConstantLatency(gamma=1.0, local=0.25), make_faults()
+        )
+        assert constant_net.send.__func__ is Network._send_constant
+        assert general_net.send.__func__ is Network._send_general
+        assert constant == general
+        returned, log, stats = constant
+        assert len(returned) == len(SEND_SCRIPT) == stats[0]
+        assert stats[3] == dropped
+        assert len(log) == len(SEND_SCRIPT) - dropped

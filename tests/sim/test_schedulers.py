@@ -1,6 +1,6 @@
 """Scheduler-layer tests: heap/calendar equivalence and selection.
 
-The scheduler is a pure performance knob — the engine's determinism
+The scheduler never changes a result — the engine's determinism
 contract says every scheduler dispatches the exact same events in the
 exact same ``(time, seq)`` order.  The differential tests here drive
 both implementations through identical randomized scripts (schedules,
@@ -18,7 +18,6 @@ import pytest
 
 from repro.sim.engine import Simulator
 from repro.sim.schedulers import (
-    SCHEDULER_ENV,
     SCHEDULERS,
     CalendarQueue,
     HeapScheduler,
@@ -180,100 +179,23 @@ class TestCalendarQueue:
 
 
 # --------------------------------------------------------------------- #
-# selection: argument > environment > default
+# selection: argument > default
 # --------------------------------------------------------------------- #
 class TestSelection:
-    def test_default_is_heap(self, monkeypatch):
-        monkeypatch.delenv(SCHEDULER_ENV, raising=False)
+    def test_default_is_heap(self):
         assert resolve_scheduler_name(None) == "heap"
         assert Simulator().scheduler_name == "heap"
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(SCHEDULER_ENV, "calendar")
-        assert resolve_scheduler_name(None) == "calendar"
-        assert Simulator().scheduler_name == "calendar"
-
-    def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv(SCHEDULER_ENV, "calendar")
-        assert resolve_scheduler_name("heap") == "heap"
-        assert Simulator("heap").scheduler_name == "heap"
-
-    def test_unknown_name_rejected(self, monkeypatch):
-        monkeypatch.delenv(SCHEDULER_ENV, raising=False)
+    def test_unknown_name_rejected(self):
         with pytest.raises(ValueError, match="unknown scheduler"):
             resolve_scheduler_name("fibonacci")
-        monkeypatch.setenv(SCHEDULER_ENV, "fibonacci")
         with pytest.raises(ValueError, match="unknown scheduler"):
-            Simulator()
+            Simulator("fibonacci")
 
     def test_registry_and_factory_agree(self):
         assert set(available_schedulers()) == set(SCHEDULERS)
         assert type(make_scheduler("heap")) is HeapScheduler
         assert type(make_scheduler("calendar")) is CalendarQueue
-        # "ladder" is an alias for the calendar implementation.
-        assert type(make_scheduler("ladder")) is CalendarQueue
-
-
-class TestScenarioPrecedence:
-    """Explicit ``Scenario(scheduler=...)`` beats ``$REPRO_SCHEDULER``.
-
-    The name-resolution rule is pinned above; this is the end-to-end
-    regression that was missing: with *both* set, a full experiment run
-    must produce the event order of the explicit choice — identical
-    record columns and event counts to the env-less reference run, for
-    either direction of disagreement.  (The same precedence rule for the
-    telemetry axis is pinned in ``tests/obs/test_pipeline.py``.)
-    """
-
-    @pytest.fixture()
-    def scenario(self):
-        from repro.experiments.scenario import Scenario
-        from repro.workload.params import WorkloadParams
-
-        return Scenario(
-            algorithm="with_loan",
-            params=WorkloadParams(
-                num_processes=5,
-                num_resources=10,
-                phi=3,
-                duration=300.0,
-                warmup=50.0,
-                seed=9,
-            ),
-        )
-
-    @pytest.mark.parametrize(
-        "explicit, env", [("heap", "calendar"), ("calendar", "heap")]
-    )
-    def test_env_loses_to_explicit_scenario_value(
-        self, scenario, monkeypatch, explicit, env
-    ):
-        from repro.experiments.runner import run
-
-        monkeypatch.delenv(SCHEDULER_ENV, raising=False)
-        reference = run(scenario.replace(scheduler=explicit))
-
-        monkeypatch.setenv(SCHEDULER_ENV, env)
-        contested = run(scenario.replace(scheduler=explicit))
-
-        assert contested.events_processed == reference.events_processed
-        assert contested.simulated_time == reference.simulated_time
-        assert contested.record_columns == reference.record_columns
-        assert contested.metrics == reference.metrics
-
-    def test_env_applies_when_scenario_is_silent(self, scenario, monkeypatch):
-        # Control for the test above: the env var is not simply ignored —
-        # a scenario without an explicit scheduler does follow it (and
-        # still produces bit-identical results, per the schedulers'
-        # determinism contract).
-        from repro.experiments.runner import run
-
-        monkeypatch.delenv(SCHEDULER_ENV, raising=False)
-        reference = run(scenario)
-        monkeypatch.setenv(SCHEDULER_ENV, "calendar")
-        via_env = run(scenario)
-        assert via_env.record_columns == reference.record_columns
-        assert via_env.metrics == reference.metrics
 
 
 # --------------------------------------------------------------------- #
