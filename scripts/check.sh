@@ -65,6 +65,14 @@ echo "== no-fault fast-path profile check =="
 python scripts/profile_run.py --check
 python scripts/profile_run.py --scheduler calendar --check
 
+# The repository's benchmark at 1/20 scale (~3 s): runs all four
+# workloads through the real harness and applies its output checks —
+# equal result digests across repeats, zero failed requests, cache
+# hit/miss counts of the cold sweep.  No timing is judged here.
+echo "== end-to-end benchmark smoke (benchmarks/e2e, --smoke) =="
+python benchmarks/e2e/run.py --smoke >/dev/null
+echo "e2e benchmark smoke OK"
+
 # The observability package is pinned to a >=90% line-coverage floor by
 # its dedicated suite (tests/obs).  check_coverage.py uses pytest-cov
 # when installed and falls back to a stdlib settrace tracer otherwise,

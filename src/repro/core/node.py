@@ -152,9 +152,14 @@ class CoreAllocatorNode(Node, MultiResourceAllocator):
         self._t_lent: Set[int] = set()
         self._loan_asked = False
         self._on_granted: Optional[Callable[[], None]] = None
-        self._pending_req: Dict[int, Dict[Tuple[str, int, int], RequestKind]] = {
+        self._pending_req: Dict[int, Dict[Tuple[type, int, int], RequestKind]] = {
             r: {} for r in range(num_resources)
         }
+        # A(MyVector) and our own ReqRes per resource, computed once per
+        # waitCS phase (both are fixed while it lasts) and dropped by
+        # _set_state.
+        self._mark: Optional[float] = None
+        self._my_reqs: Dict[int, ReqRes] = {}
         self._resend_event: Optional[Event] = None
         self._single_fast_path = False
         # Highest token epoch witnessed per resource (fencing against
@@ -172,6 +177,9 @@ class CoreAllocatorNode(Node, MultiResourceAllocator):
         # Visited set for locally originated requests, allocated once: it
         # is passed on every flush and never mutated.
         self._visited_self: FrozenSet[int] = frozenset((self.node_id,))
+        # Network.send is bound once per network, so it is bound once here:
+        # every message of this node leaves through this one callable.
+        self._net_send = network.send
 
     # ------------------------------------------------------------------ #
     # public interface (MultiResourceAllocator)
@@ -244,8 +252,7 @@ class CoreAllocatorNode(Node, MultiResourceAllocator):
             self._single_fast_path = True
             self._set_state(ProcessState.WAIT_CS)
             self._buffer_request(
-                self.tok_dir[resource],
-                ReqCnt(resource=resource, sinit=self.node_id, req_id=self._cur_id, single=True),
+                self.tok_dir[resource], ReqCnt(resource, self.node_id, self._cur_id, True)
             )
             self._flush_requests(self._visited_self)
             self._arm_resend_timer()
@@ -257,9 +264,7 @@ class CoreAllocatorNode(Node, MultiResourceAllocator):
                 self._my_vector[r] = self.last_tok[r].take_counter()
             else:
                 self._cnt_needed.add(r)
-                self._buffer_request(
-                    self.tok_dir[r], ReqCnt(resource=r, sinit=self.node_id, req_id=self._cur_id)
-                )
+                self._buffer_request(self.tok_dir[r], ReqCnt(r, self.node_id, self._cur_id))
         self._flush_requests(self._visited_self)
         if self._t_required <= self._t_owned:
             self._enter_cs()
@@ -330,11 +335,12 @@ class CoreAllocatorNode(Node, MultiResourceAllocator):
         self._cnt_buffer = {}
         self._tok_buffer = {}
         self._pending_req = {r: {} for r in range(self.num_resources)}
-        self._trace("recover", tokens=sorted(self._t_owned))
-        self._return_failed_loans()
-        self._serve_queues()
+        owned = sorted(self._t_owned)
+        self._trace("recover", tokens=owned)
+        self._return_failed_loans(owned)
+        self._serve_queues(owned)
         if self.config.enable_loan:
-            self._process_pending_loans()
+            self._process_pending_loans(owned)
         self._flush_responses()
         self._flush_requests(self._visited_self)
 
@@ -469,42 +475,67 @@ class CoreAllocatorNode(Node, MultiResourceAllocator):
         """Buffer a fresh copy of our outstanding request for ``resource``."""
         if self._state is ProcessState.WAIT_S:
             if resource in self._cnt_needed:
-                self._buffer_request(
-                    dest, ReqCnt(resource=resource, sinit=self.node_id, req_id=self._cur_id)
-                )
+                self._buffer_request(dest, ReqCnt(resource, self.node_id, self._cur_id))
         elif self._state is ProcessState.WAIT_CS:
             if resource in self._t_required and resource not in self._t_owned:
                 if self._single_fast_path:
-                    self._buffer_request(
-                        dest,
-                        ReqCnt(
-                            resource=resource,
-                            sinit=self.node_id,
-                            req_id=self._cur_id,
-                            single=True,
-                        ),
-                    )
+                    self._buffer_request(dest, ReqCnt(resource, self.node_id, self._cur_id, True))
                 else:
-                    self._buffer_request(
-                        dest,
-                        ReqRes(
-                            resource=resource,
-                            sinit=self.node_id,
-                            req_id=self._cur_id,
-                            mark=self._current_mark(),
-                        ),
-                    )
+                    self._buffer_request(dest, self._my_req_for(resource))
 
     # ------------------------------------------------------------------ #
     # message handlers
     # ------------------------------------------------------------------ #
     def on_RequestEnvelope(self, src: int, env: RequestEnvelope) -> None:
-        """Handle an aggregated request message (``Receive Request``)."""
-        for req in env.requests:
-            self._handle_request(req, env.visited)
-        if self._req_buffer:
-            self._flush_requests(env.visited | {self.node_id})
-        self._flush_responses()
+        """Handle an aggregated request message (``Receive Request``).
+
+        For each request this node is either the token *holder*
+        (:meth:`_handle_request`) or a *forwarder* on the probable-owner
+        tree (Section 4.2.1), handled here: remember the request so it can
+        be replayed if the token passes through, then pass it on to the
+        father unless the father has already seen it.  Most envelopes
+        carry one request that is forwarded: request records and envelopes
+        are frozen, so the received tuple is re-sent as it is.
+        """
+        requests = env.requests
+        visited = env.visited
+        # Forwards of a multi-request envelope, aggregated per destination.
+        forwards: Optional[Dict[int, List[RequestKind]]] = None
+        for req in requests:
+            r = req.resource
+            tok = self.last_tok[r]
+            sinit = req.sinit
+            req_id = req.req_id
+            cls = req.__class__
+            # Obsolescence is judged on our (possibly stale) copy of the token.
+            if cls is ReqCnt:
+                if tok.is_obsolete_cnt(sinit, req_id):
+                    continue
+            elif tok.is_obsolete_cs(sinit, req_id):
+                continue
+            if r in self._t_owned:
+                self._handle_request(req)
+                continue
+            self._pending_req[r][(cls, sinit, req_id)] = req
+            father = self.tok_dir[r]
+            if father is None or father in visited:
+                # Forwarding stops; the request stays in our local history
+                # and will be replayed when (if) the token passes through us.
+                continue
+            if len(requests) == 1:
+                self._net_send(
+                    self.node_id, father, RequestEnvelope(visited | self._visited_self, requests)
+                )
+            elif forwards is None:
+                forwards = {father: [req]}
+            else:
+                forwards.setdefault(father, []).append(req)
+        if forwards:
+            visited = visited | self._visited_self
+            for dest, reqs in forwards.items():
+                self._net_send(self.node_id, dest, RequestEnvelope(visited, tuple(reqs)))
+        if self._cnt_buffer or self._tok_buffer:
+            self._flush_responses()
 
     def on_CounterEnvelope(self, src: int, env: CounterEnvelope) -> None:
         """Handle aggregated counter values (``Receive Counter``)."""
@@ -521,92 +552,75 @@ class CoreAllocatorNode(Node, MultiResourceAllocator):
                 self.tok_dir[r] = src
         if self._state is ProcessState.WAIT_S and not self._cnt_needed:
             self._process_cnt_needed_empty()
-        self._flush_requests(self._visited_self)
-        self._flush_responses()
+        if self._req_buffer:
+            self._flush_requests(self._visited_self)
 
     def on_TokenEnvelope(self, src: int, env: TokenEnvelope) -> None:
         """Handle aggregated resource tokens (``Receive Token``)."""
         for tok in env.tokens:
             self._process_update(tok)
-        if (
-            self._t_required
+        entering = (
+            bool(self._t_required)
             and self._t_required <= self._t_owned
             and self._state in (ProcessState.WAIT_S, ProcessState.WAIT_CS)
-        ):
+        )
+        if not entering:
+            # Return failed loans, advance the counter phase if complete,
+            # serve the queues of the tokens we hold and possibly initiate
+            # a loan request of our own.  Tokens only leave during these
+            # steps, so one sorted snapshot of the owned set serves them all.
+            owned = sorted(self._t_owned)
+            self._return_failed_loans(owned)
+            if self._state is ProcessState.WAIT_S and not self._cnt_needed:
+                self._process_cnt_needed_empty()
+            self._serve_queues(owned)
+            if self.config.enable_loan:
+                self._process_pending_loans(owned)
+                self._maybe_request_loan()
+        if self._cnt_buffer or self._tok_buffer:
             self._flush_responses()
+        if self._req_buffer:
             self._flush_requests(self._visited_self)
+        if entering:
             self._enter_cs()
-            return
-        # Not entering the CS: return failed loans, advance the counter
-        # phase if complete, serve the queues of the tokens we hold and
-        # possibly initiate a loan request of our own.
-        self._return_failed_loans()
-        if self._state is ProcessState.WAIT_S and not self._cnt_needed:
-            self._process_cnt_needed_empty()
-        self._serve_queues()
-        if self.config.enable_loan:
-            self._process_pending_loans()
-            self._maybe_request_loan()
-        self._flush_responses()
-        self._flush_requests(self._visited_self)
 
     # ------------------------------------------------------------------ #
     # request handling
     # ------------------------------------------------------------------ #
-    def _handle_request(self, req: RequestKind, visited: FrozenSet[int]) -> None:
+    def _handle_request(self, req: RequestKind) -> None:
+        """Holder role: serve a live (non-obsolete) request for a token we own."""
         r = req.resource
         tok = self.last_tok[r]
-        if isinstance(req, ReqCnt):
-            if tok.is_obsolete_cnt(req.sinit, req.req_id):
-                return
-        elif tok.is_obsolete_cs(req.sinit, req.req_id):
-            return
-
-        if r in self._t_owned:
-            if isinstance(req, ReqLoan):
-                self._process_req_loan(req)
-            elif r not in self._t_required or (
-                self._state is ProcessState.WAIT_S and not isinstance(req, ReqCnt)
-            ):
-                # Either we do not need the resource, or we are still in the
-                # counter phase: hand the token over directly.
-                self._send_token(req.sinit, r)
-            elif isinstance(req, ReqCnt):
-                tok.last_req_cnt[req.sinit] = req.req_id
-                if req.single:
-                    # Section 4.6.1: stamp the request here and treat it as
-                    # a resource request right away.
-                    synthetic = ReqRes(
-                        resource=r,
-                        sinit=req.sinit,
-                        req_id=req.req_id,
-                        mark=float(tok.take_counter()),
-                    )
-                    self._handle_request(synthetic, visited)
-                else:
-                    self._buffer_counter(
-                        req.sinit, CounterValue(resource=r, value=tok.take_counter())
-                    )
-            elif isinstance(req, ReqRes):
-                if tok.queue_contains(req.sinit, req.req_id):
+        cls = req.__class__
+        if cls is ReqLoan:
+            self._process_req_loan(req)
+        elif r not in self._t_required or (
+            self._state is ProcessState.WAIT_S and cls is not ReqCnt
+        ):
+            # Either we do not need the resource, or we are still in the
+            # counter phase: hand the token over directly.
+            self._send_token(req.sinit, r)
+        elif cls is ReqCnt:
+            tok.last_req_cnt[req.sinit] = req.req_id
+            if req.single:
+                # Section 4.6.1: stamp the request here and treat it as
+                # a resource request right away.
+                self._handle_request(
+                    ReqRes(r, req.sinit, req.req_id, float(tok.take_counter()))
+                )
+            else:
+                self._buffer_counter(req.sinit, CounterValue(r, tok.take_counter()))
+        elif not tok.queue_contains(req.sinit, req.req_id):
+            if self._state is ProcessState.WAIT_CS:
+                my_req = self._my_req_for(r)
+                if precedes(req, my_req):
+                    # The incoming request has priority: yield the token
+                    # and queue our own request so it comes back.
+                    tok.enqueue(my_req)
+                    self._send_token(req.sinit, r)
                     return
-                if self._state is ProcessState.WAIT_CS:
-                    my_req = self._my_req_for(r)
-                    if precedes(req, my_req):
-                        # The incoming request has priority: yield the token
-                        # and queue our own request so it comes back.
-                        tok.enqueue(my_req)
-                        self._send_token(req.sinit, r)
-                        return
-                # We are in CS, or our request has priority: queue it.
-                tok.enqueue(req)
-        else:
-            father = self.tok_dir[r]
-            self._remember_pending(r, req)
-            if father is not None and father not in visited:
-                self._buffer_request(father, req)
-            # else: forwarding stops; the request stays in our local history
-            # and will be replayed when (if) the token passes through us.
+            # We are in CS, or our request has priority: queue it.
+            tok.enqueue(req)
 
     def _process_req_loan(self, req: ReqLoan) -> None:
         r = req.resource
@@ -683,46 +697,44 @@ class CoreAllocatorNode(Node, MultiResourceAllocator):
         # Replay the locally buffered requests that may never have reached
         # the previous holders (Section 4.2.1).
         pending = self._pending_req[r]
+        if not pending:
+            return
         self._pending_req[r] = {}
+        me = self.node_id
         for req in pending.values():
-            if req.sinit == self.node_id:
+            sinit = req.sinit
+            if sinit == me:
                 continue
-            if isinstance(req, ReqCnt):
-                if tok.is_obsolete_cnt(req.sinit, req.req_id):
+            req_id = req.req_id
+            cls = req.__class__
+            if cls is ReqCnt:
+                if tok.is_obsolete_cnt(sinit, req_id):
                     continue
-                tok.last_req_cnt[req.sinit] = req.req_id
+                tok.last_req_cnt[sinit] = req_id
                 if req.single:
-                    if not tok.queue_contains(req.sinit, req.req_id):
-                        tok.enqueue(
-                            ReqRes(
-                                resource=r,
-                                sinit=req.sinit,
-                                req_id=req.req_id,
-                                mark=float(tok.take_counter()),
-                            )
-                        )
+                    if not tok.queue_contains(sinit, req_id):
+                        tok.enqueue(ReqRes(r, sinit, req_id, float(tok.take_counter())))
                 else:
-                    self._buffer_counter(
-                        req.sinit, CounterValue(resource=r, value=tok.take_counter())
-                    )
-            elif isinstance(req, ReqRes):
-                if tok.is_obsolete_cs(req.sinit, req.req_id):
-                    continue
-                if not tok.queue_contains(req.sinit, req.req_id):
-                    tok.enqueue(req)
-            elif isinstance(req, ReqLoan):
-                if tok.is_obsolete_cs(req.sinit, req.req_id):
-                    continue
-                if not tok.loan_contains(req.sinit, req.req_id):
-                    tok.enqueue_loan(req)
-
-    def _return_failed_loans(self) -> None:
-        """Return borrowed tokens when the loan did not let us enter the CS."""
-        for r in sorted(self._t_owned):
-            tok = self.last_tok[r]
-            if tok.lender is None or tok.lender == self.node_id:
+                    self._buffer_counter(sinit, CounterValue(r, tok.take_counter()))
+            elif tok.is_obsolete_cs(sinit, req_id):
                 continue
+            elif cls is ReqRes:
+                if not tok.queue_contains(sinit, req_id):
+                    tok.enqueue(req)
+            elif not tok.loan_contains(sinit, req_id):
+                tok.enqueue_loan(req)
+
+    def _return_failed_loans(self, owned: List[int]) -> None:
+        """Return borrowed tokens when the loan did not let us enter the CS.
+
+        ``owned`` is the sorted owned set, snapshotted by the caller (as
+        for the two methods below, which skip what has left it since).
+        """
+        for r in owned:
+            tok = self.last_tok[r]
             lender = tok.lender
+            if lender is None or lender == self.node_id:
+                continue
             tok.lender = None
             # Keep our request registered so it is not lost with the loan.
             if (
@@ -735,19 +747,19 @@ class CoreAllocatorNode(Node, MultiResourceAllocator):
             self._loan_asked = False
             self._trace("loan_failed", lender=lender, resource=r)
 
-    def _serve_queues(self) -> None:
+    def _serve_queues(self, owned: List[int]) -> None:
         """Grant owned tokens to higher-priority queued requests (lines 226-240)."""
-        for r in sorted(self._t_owned):
-            if r not in self._t_owned:  # pragma: no cover - defensive
-                continue
+        for r in owned:
             tok = self.last_tok[r]
+            if not tok.wqueue or r not in self._t_owned:
+                continue
             # Drop stale heads (our own entries or already-satisfied requests).
-            while tok.wqueue and (
-                tok.wqueue[0].sinit == self.node_id
-                or tok.is_obsolete_cs(tok.wqueue[0].sinit, tok.wqueue[0].req_id)
+            head = tok.wqueue[0]
+            while head is not None and (
+                head.sinit == self.node_id or tok.is_obsolete_cs(head.sinit, head.req_id)
             ):
                 tok.dequeue()
-            head = tok.head()
+                head = tok.head()
             if head is None:
                 continue
             if self._state in (ProcessState.WAIT_S, ProcessState.IDLE) or r not in self._t_required:
@@ -761,15 +773,13 @@ class CoreAllocatorNode(Node, MultiResourceAllocator):
                     self._send_token(head.sinit, r)
             # IN_CS: queued requests wait until Release_CS.
 
-    def _process_pending_loans(self) -> None:
+    def _process_pending_loans(self, owned: List[int]) -> None:
         """Re-examine queued loan requests of the tokens we hold (lines 241-247)."""
-        for r in sorted(self._t_owned):
-            if r not in self._t_owned:
-                continue
+        for r in owned:
             tok = self.last_tok[r]
-            if not tok.wloan:
+            if not tok.wloan or r not in self._t_owned:
                 continue
-            pending = list(tok.wloan)
+            pending = tok.wloan
             tok.wloan = []
             for req in pending:
                 if r in self._t_owned:
@@ -808,29 +818,37 @@ class CoreAllocatorNode(Node, MultiResourceAllocator):
     def _process_cnt_needed_empty(self) -> None:
         """All counter values obtained: move to ``waitCS`` and request tokens."""
         self._set_state(ProcessState.WAIT_CS)
-        mark = self._current_mark()
         for r in sorted(self._t_required):
             if r in self._t_owned:
                 continue
             father = self.tok_dir[r]
             if father is None:  # pragma: no cover - defensive
                 continue
-            self._buffer_request(
-                father, ReqRes(resource=r, sinit=self.node_id, req_id=self._cur_id, mark=mark)
-            )
+            self._buffer_request(father, self._my_req_for(r))
 
     def _current_mark(self) -> float:
-        """``A(MyVector)`` for the outstanding request."""
-        return self.config.policy.mark(self._my_vector, self._t_required)
+        """``A(MyVector)`` for the outstanding request.
+
+        ``MyVector`` and the required set are fixed for the whole ``waitCS``
+        phase, so the value is kept until the next state change; in
+        ``waitS`` (a borrowed token reaching a rebooted node) the vector is
+        still filling up and the mark is computed afresh.
+        """
+        mark = self._mark
+        if mark is None:
+            mark = self.config.policy.mark(self._my_vector, self._t_required)
+            if self._state is ProcessState.WAIT_CS:
+                self._mark = mark
+        return mark
 
     def _my_req_for(self, resource: int) -> ReqRes:
-        """Build our own ``ReqRes`` entry for ``resource`` (``myReq``)."""
-        return ReqRes(
-            resource=resource,
-            sinit=self.node_id,
-            req_id=self._cur_id,
-            mark=self._current_mark(),
-        )
+        """Our own ``ReqRes`` entry for ``resource`` (``myReq``)."""
+        req = self._my_reqs.get(resource)
+        if req is None:
+            req = ReqRes(resource, self.node_id, self._cur_id, self._current_mark())
+            if self._state is ProcessState.WAIT_CS:
+                self._my_reqs[resource] = req
+        return req
 
     # ------------------------------------------------------------------ #
     # send helpers / aggregation buffers
@@ -842,8 +860,7 @@ class CoreAllocatorNode(Node, MultiResourceAllocator):
             )
         if dest == self.node_id:
             raise AllocatorError(f"node {self.node_id}: sending token {resource} to itself")
-        tok = self.last_tok[resource]
-        self._tok_buffer.setdefault(dest, []).append(tok.copy())
+        self._tok_buffer.setdefault(dest, []).append(self.last_tok[resource].copy())
         self.tok_dir[resource] = dest
         self._t_owned.discard(resource)
         if self.trace is not None:
@@ -861,19 +878,19 @@ class CoreAllocatorNode(Node, MultiResourceAllocator):
         buffered = self._req_buffer
         self._req_buffer = {}
         for dest, reqs in buffered.items():
-            self.send(dest, RequestEnvelope(visited=visited, requests=tuple(reqs)))
+            self._net_send(self.node_id, dest, RequestEnvelope(visited, tuple(reqs)))
 
     def _flush_responses(self) -> None:
         if self._cnt_buffer:
             buffered = self._cnt_buffer
             self._cnt_buffer = {}
             for dest, counters in buffered.items():
-                self.send(dest, CounterEnvelope(counters=tuple(counters)))
+                self._net_send(self.node_id, dest, CounterEnvelope(tuple(counters)))
         if self._tok_buffer:
             buffered_toks = self._tok_buffer
             self._tok_buffer = {}
             for dest, toks in buffered_toks.items():
-                self.send(dest, TokenEnvelope(tokens=tuple(toks)))
+                self._net_send(self.node_id, dest, TokenEnvelope(tuple(toks)))
 
     # ------------------------------------------------------------------ #
     # misc internals
@@ -909,10 +926,8 @@ class CoreAllocatorNode(Node, MultiResourceAllocator):
         if self.trace is not None:
             self._trace("state", frm=self._state.value, to=new_state.value)
         self._state = new_state
-
-    def _remember_pending(self, resource: int, req: RequestKind) -> None:
-        key = (type(req).__name__, req.sinit, req.req_id)
-        self._pending_req[resource][key] = req
+        self._mark = None
+        self._my_reqs = {}
 
     def _trace(self, kind: str, **details: object) -> None:
         if self.trace is not None:
@@ -935,31 +950,15 @@ class CoreAllocatorNode(Node, MultiResourceAllocator):
     def _on_resend_timer(self) -> None:
         self._resend_event = None
         if self._state is ProcessState.WAIT_S:
-            for r in sorted(self._cnt_needed):
-                father = self.tok_dir[r]
-                if father is not None:
-                    self.resend_count += 1
-                    self._buffer_request(
-                        father, ReqCnt(resource=r, sinit=self.node_id, req_id=self._cur_id)
-                    )
+            outstanding = self._cnt_needed
         elif self._state is ProcessState.WAIT_CS:
-            mark = self._current_mark()
-            for r in sorted(self._t_required - self._t_owned):
-                father = self.tok_dir[r]
-                if father is None:
-                    continue
-                self.resend_count += 1
-                if self._single_fast_path:
-                    self._buffer_request(
-                        father,
-                        ReqCnt(resource=r, sinit=self.node_id, req_id=self._cur_id, single=True),
-                    )
-                else:
-                    self._buffer_request(
-                        father,
-                        ReqRes(resource=r, sinit=self.node_id, req_id=self._cur_id, mark=mark),
-                    )
+            outstanding = self._t_required - self._t_owned
         else:
             return
+        for r in sorted(outstanding):
+            father = self.tok_dir[r]
+            if father is not None:
+                self.resend_count += 1
+                self._reissue_pending(r, father)
         self._flush_requests(self._visited_self)
         self._arm_resend_timer()

@@ -33,7 +33,3 @@ def precedes(a: _HasMarkAndSite, b: _HasMarkAndSite) -> bool:
     """``a / b``: ``a`` strictly precedes (has priority over) ``b``."""
     return request_key(a) < request_key(b)
 
-
-def precedes_values(mark_a: float, site_a: int, mark_b: float, site_b: int) -> bool:
-    """Value-level variant of :func:`precedes` (used when no request object exists)."""
-    return (mark_a, site_a) < (mark_b, site_b)

@@ -8,14 +8,19 @@ without any global lock.
 
 from __future__ import annotations
 
-import bisect
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, TYPE_CHECKING
+from typing import Dict, List, Optional, TYPE_CHECKING, Union
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.messages import ReqLoan, ReqRes
 
 from repro.core.ordering import request_key
+
+
+def _insert_in_order(queue: List, req: Union["ReqRes", "ReqLoan"]) -> None:
+    """Insert ``req`` into ``queue`` (sorted by ``/``), before any equal key."""
+    queue.insert(bisect_left(queue, request_key(req), key=request_key), req)
 
 
 @dataclass(slots=True)
@@ -85,14 +90,14 @@ class ResourceToken:
     def queue_contains(self, sinit: int, req_id: int) -> bool:
         """Whether the waiting queue already holds a request from ``sinit``
         for critical-section request ``req_id``."""
-        return any(r.sinit == sinit and r.req_id == req_id for r in self.wqueue)
+        for r in self.wqueue:
+            if r.sinit == sinit and r.req_id == req_id:
+                return True
+        return False
 
     def enqueue(self, req: "ReqRes") -> None:
         """Insert a resource request keeping the queue sorted by ``/``."""
-        keys = [request_key(r) for r in self.wqueue]
-        bisect.insort(keys, request_key(req))
-        index = keys.index(request_key(req))
-        self.wqueue.insert(index, req)
+        _insert_in_order(self.wqueue, req)
 
     def dequeue(self) -> "ReqRes":
         """Pop the highest-priority (head) resource request."""
@@ -104,25 +109,27 @@ class ResourceToken:
 
     def remove_requests_of(self, sinit: int) -> None:
         """Drop every queued resource request issued by ``sinit``."""
-        self.wqueue = [r for r in self.wqueue if r.sinit != sinit]
+        if self.wqueue:
+            self.wqueue = [r for r in self.wqueue if r.sinit != sinit]
 
     # ------------------------------------------------------------------ #
     # loan queue
     # ------------------------------------------------------------------ #
     def loan_contains(self, sinit: int, req_id: int) -> bool:
         """Whether the loan queue already holds this loan request."""
-        return any(r.sinit == sinit and r.req_id == req_id for r in self.wloan)
+        for r in self.wloan:
+            if r.sinit == sinit and r.req_id == req_id:
+                return True
+        return False
 
     def enqueue_loan(self, req: "ReqLoan") -> None:
         """Insert a loan request keeping the loan queue sorted by ``/``."""
-        keys = [request_key(r) for r in self.wloan]
-        bisect.insort(keys, request_key(req))
-        index = keys.index(request_key(req))
-        self.wloan.insert(index, req)
+        _insert_in_order(self.wloan, req)
 
     def remove_loans_of(self, sinit: int) -> None:
         """Drop every queued loan request issued by ``sinit``."""
-        self.wloan = [r for r in self.wloan if r.sinit != sinit]
+        if self.wloan:
+            self.wloan = [r for r in self.wloan if r.sinit != sinit]
 
     # ------------------------------------------------------------------ #
     # copying
@@ -132,15 +139,16 @@ class ResourceToken:
 
         Request entries are immutable, so copying the containers is
         sufficient to decouple the sender's stale snapshot from the live
-        token travelling through the network.
+        token travelling through the network.  Arguments are positional
+        (one copy per token hop), in the field order declared above.
         """
         return ResourceToken(
-            resource=self.resource,
-            counter=self.counter,
-            last_req_cnt=dict(self.last_req_cnt),
-            last_cs=dict(self.last_cs),
-            wqueue=list(self.wqueue),
-            wloan=list(self.wloan),
-            lender=self.lender,
-            epoch=self.epoch,
+            self.resource,
+            self.counter,
+            dict(self.last_req_cnt),
+            dict(self.last_cs),
+            list(self.wqueue),
+            list(self.wloan),
+            self.lender,
+            self.epoch,
         )

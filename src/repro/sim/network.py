@@ -302,7 +302,7 @@ class Network:
         sent = self._sent
         sent[key] = sent.get(key, 0) + 1
         sim = self.sim
-        now = sim.now
+        now = sim._now  # the attribute behind Simulator.now: no property frame per message
         delivery = now + (self._gamma if src != dst else self._local)
         if delivery < self._quiet_until:
             # Send and delivery both precede any possible fault activity:

@@ -1,7 +1,7 @@
 """Unit tests for the total order ``/`` over requests."""
 
 from repro.core.messages import ReqRes
-from repro.core.ordering import precedes, precedes_values, request_key
+from repro.core.ordering import precedes, request_key
 
 
 def req(mark, site, resource=0, req_id=1):
@@ -38,7 +38,3 @@ class TestPrecedes:
     def test_total_for_distinct_sites(self):
         a, b = req(2.0, 1), req(2.0, 2)
         assert precedes(a, b) or precedes(b, a)
-
-    def test_value_level_variant_matches(self):
-        a, b = req(1.0, 4), req(1.0, 5)
-        assert precedes(a, b) == precedes_values(1.0, 4, 1.0, 5)

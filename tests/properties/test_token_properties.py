@@ -1,9 +1,11 @@
 """Property-based tests of the token queue invariants (hypothesis)."""
 
+import bisect
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.messages import ReqRes
+from repro.core.messages import ReqLoan, ReqRes
 from repro.core.ordering import request_key
 from repro.core.token import ResourceToken
 
@@ -17,6 +19,39 @@ entry_strategy = st.tuples(
 def to_req(entry):
     site, req_id, mark = entry
     return ReqRes(resource=0, sinit=site, req_id=req_id, mark=mark)
+
+
+def reference_insert(queue, req):
+    """Oracle: the key-list + ``insort`` + ``index`` placement ``enqueue`` used to do."""
+    keys = [request_key(r) for r in queue]
+    bisect.insort(keys, request_key(req))
+    queue.insert(keys.index(request_key(req)), req)
+
+
+# Few sites and few marks, so equal (mark, sinit) keys are common.
+colliding_entry_strategy = st.tuples(
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=1, max_value=50),
+    st.sampled_from([0.0, 1.0, 1.5, 2.0]),
+)
+
+
+class TestQueuePlacement:
+    @given(st.lists(st.one_of(entry_strategy, colliding_entry_strategy), max_size=40))
+    @settings(max_examples=200)
+    def test_both_queues_place_entries_like_the_reference(self, entries):
+        token = ResourceToken(resource=0)
+        expected_queue, expected_loans = [], []
+        for site, req_id, mark in entries:
+            req = ReqRes(resource=0, sinit=site, req_id=req_id, mark=mark)
+            loan = ReqLoan(resource=0, sinit=site, req_id=req_id, mark=mark, missing=frozenset({0}))
+            token.enqueue(req)
+            token.enqueue_loan(loan)
+            reference_insert(expected_queue, req)
+            reference_insert(expected_loans, loan)
+        # Identity, not equality: entries with equal keys must keep their places.
+        assert [id(r) for r in token.wqueue] == [id(r) for r in expected_queue]
+        assert [id(r) for r in token.wloan] == [id(r) for r in expected_loans]
 
 
 class TestQueueInvariants:
