@@ -46,7 +46,7 @@ def _measure_payload():
     columnar = pickle.dumps(result.record_columns, protocol=protocol)
     # What PR-3 shipped per run: the same lifecycles as a list of
     # RequestRecord dataclass objects.
-    legacy = pickle.dumps(result.record_columns.to_records(), protocol=protocol)
+    legacy = pickle.dumps(list(result.record_columns), protocol=protocol)
 
     t0 = time.perf_counter()
     blob = pickle.dumps(result, protocol=protocol)

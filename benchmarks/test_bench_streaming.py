@@ -5,9 +5,9 @@ simulator while the metrics collector seals completed records into
 bounded chunks.  These benchmarks pin that contract at benchmark scale:
 
 * ``test_open_loop_chunked_throughput`` drives an open-loop Poisson
-  workload through the paper's algorithm with ``record_chunk_rows`` set,
-  and asserts the collector's live-row high-water mark stayed O(chunk)
-  instead of O(total requests);
+  workload through the paper's algorithm with ``record_chunk_rows`` set
+  (that the chunks stay O(chunk) is asserted in tier 1,
+  ``tests/metrics/test_chunked.py``);
 * ``test_trace_replay_throughput`` replays the checked-in bursty SWF
   trace (``examples/data/sample.swf``) end to end.
 """
@@ -31,8 +31,7 @@ TRACE = os.path.join(
     "sample.swf",
 )
 
-#: Chunk size under test: far below the request volume, so the benchmark
-#: actually proves sealing happens.
+#: Chunk size under test: far below the request volume, so sealing happens.
 CHUNK_ROWS = 128
 
 
@@ -48,7 +47,7 @@ def _open_loop_params() -> WorkloadParams:
 
 
 def test_open_loop_chunked_throughput(benchmark):
-    """Open-loop run with chunked records: live rows stay O(chunk)."""
+    """Open-loop run with chunked records."""
     scenario = Scenario(
         algorithm="with_loan",
         params=_open_loop_params(),
@@ -58,10 +57,6 @@ def test_open_loop_chunked_throughput(benchmark):
     result = run_once(benchmark, run, scenario)
     m = result.metrics
     assert m.completed == m.issued
-    assert m.issued > 3 * CHUNK_ROWS  # sealing genuinely exercised
-    # Every chunk stays near the configured size: the collector sealed
-    # as it went instead of accumulating the whole run in live columns.
-    assert max(result.record_columns.chunk_lengths()) <= 2 * CHUNK_ROWS
     elapsed = benchmark.stats["mean"]
     benchmark.extra_info["requests"] = m.issued
     benchmark.extra_info["requests_per_second"] = round(m.issued / elapsed)

@@ -74,9 +74,8 @@ python benchmarks/e2e/run.py --smoke >/dev/null
 echo "e2e benchmark smoke OK"
 
 # The observability package is pinned to a >=90% line-coverage floor by
-# its dedicated suite (tests/obs).  check_coverage.py uses pytest-cov
-# when installed and falls back to a stdlib settrace tracer otherwise,
-# so the gate runs in the bare container too.
+# its dedicated suite (tests/obs).  check_coverage.py measures with a
+# stdlib settrace tracer, so the gate runs in the bare container too.
 echo "== repro/obs coverage floor (>=90%) =="
 python scripts/check_coverage.py
 

@@ -5,10 +5,8 @@ The observability layer is pinned by ``tests/obs/``; this script asserts
 the suite actually exercises it: line coverage of every module under
 ``src/repro/obs/`` must stay at or above the floor (90%).
 
-``pytest --cov`` would do this — when ``pytest-cov`` is installed.  This
-container bakes its own toolchain, so the script prefers the real
-coverage plugin when importable and otherwise falls back to a stdlib
-``sys.settrace`` tracer:
+Neither the container nor CI installs a coverage plugin, so the
+measurement is a stdlib ``sys.settrace`` tracer:
 
 * executable lines come from compiling each module and walking its code
   objects' ``co_lines()`` tables (minus ``# pragma: no cover`` lines);
@@ -136,26 +134,7 @@ def main() -> None:
                         help="pytest targets to run (default: tests/obs)")
     args = parser.parse_args()
 
-    try:
-        import pytest_cov  # noqa: F401
-        has_cov = True
-    except ImportError:
-        has_cov = False
-
     os.chdir(REPO)
-    if has_cov:
-        # Real plugin available: let it do the measurement and the gate.
-        import subprocess
-
-        cmd = [
-            sys.executable, "-m", "pytest", "-q", *args.tests,
-            "--cov=repro.obs", "--cov-report=term-missing",
-            f"--cov-fail-under={args.floor}",
-        ]
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.path.join(REPO, "src") + os.pathsep + env.get("PYTHONPATH", "")
-        sys.exit(subprocess.call(cmd, env=env))
-
     executed = run_suite_traced(["-q", "-p", "no:cacheprovider", *args.tests])
     sys.exit(report(executed, args.floor))
 

@@ -5,7 +5,7 @@ metrics collector, and provides the sweep drivers that regenerate every
 figure of the paper's evaluation (see DESIGN.md for the experiment index).
 """
 
-from repro.experiments.driver import ClosedLoopClient, OpenLoopClient
+from repro.experiments.driver import Client
 from repro.experiments.registry import (
     ALGORITHMS,
     ALGORITHM_LABELS,
@@ -25,8 +25,7 @@ from repro.experiments.figures import (
 from repro.experiments.report import format_figure5, format_figure6, format_figure7, format_table
 
 __all__ = [
-    "ClosedLoopClient",
-    "OpenLoopClient",
+    "Client",
     "ALGORITHMS",
     "ALGORITHM_LABELS",
     "AlgorithmDef",

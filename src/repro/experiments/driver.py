@@ -1,26 +1,33 @@
-"""Workload drivers: closed-loop and open-loop clients.
+"""Workload driver: the one client that replays a process's request stream.
 
-One :class:`ClosedLoopClient` sits on top of each process's allocator and
-replays the process's request stream: think -> request -> critical section
--> release -> think -> ...  (the closed system of Section 5.1).  It reports
-every lifecycle event to the shared :class:`~repro.metrics.collector.MetricsCollector`,
-which also performs the online safety check.
+A :class:`Client` sits on top of each process's allocator and owns three
+things: a timer for the next *arrival*, a FIFO of arrived requests, and
+the one request currently with the allocator (waiting for its grant or
+inside its critical section).  It reports every lifecycle event to the
+shared :class:`~repro.metrics.collector.MetricsCollector`, which also
+performs the online safety check.
 
-:class:`OpenLoopClient` drives the same allocator/metrics machinery from
-an *open-loop* stream (:class:`~repro.workload.spec.OpenLoopSpec` /
-:class:`~repro.workload.spec.TraceReplaySpec`): request arrivals are
-externally timed — ``RequestSpec.think_time`` is the gap since the
-previous *arrival*, not the previous completion — so a slow protocol
-builds a client-side backlog instead of throttling its own load.
-Waiting time then measures arrival-to-grant, backlog included.
+The closed and the open loop differ in one decision — *when the next
+arrival is armed*:
+
+* **closed loop** (Section 5.1: think -> request -> critical section ->
+  release -> think -> ...): when the critical section completes, so
+  ``RequestSpec.think_time`` is the gap since the previous *completion*
+  and the FIFO never holds more than the request about to be dispatched;
+* **open loop** (:class:`~repro.workload.spec.OpenLoopSpec` /
+  :class:`~repro.workload.spec.TraceReplaySpec`): when the previous
+  request *arrives*, so ``think_time`` is the gap since the previous
+  arrival, a slow protocol builds a client-side backlog instead of
+  throttling its own load, and waiting time measures arrival-to-grant,
+  backlog included.
 
 The client is also a crash-lifecycle participant
 (:mod:`repro.sim.lifecycle`): when its node goes down it cancels the
-think-time / critical-section timer it owns and reports an interrupted
-critical section to the collector (:meth:`MetricsCollector.on_abort`);
-when the node reboots it resumes issuing from the next request of its
-stream — provided the allocator came back idle (protocols without a
-reboot handler stop issuing instead of crashing the run).
+timers it owns, drops its backlog and reports an interrupted critical
+section to the collector (:meth:`MetricsCollector.on_abort`); when the
+node reboots it resumes from the next request of its stream — provided
+the allocator came back idle (protocols without a reboot handler stop
+issuing instead of crashing the run).
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ from repro.sim.engine import Event, Simulator
 from repro.workload.generator import RequestSpec
 
 
-class ClosedLoopClient:
+class Client:
     """Drives one process through its workload.
 
     Parameters
@@ -46,20 +53,24 @@ class ClosedLoopClient:
     allocator:
         The protocol endpoint of this process.
     requests:
-        Iterator of :class:`RequestSpec` — either an infinite
-        :class:`~repro.workload.generator.WorkloadStream` or a finite
-        scripted list (an exhausted iterator simply stops the client).
+        Iterator of :class:`RequestSpec` — an infinite workload stream or
+        a finite scripted list (an exhausted iterator simply stops the
+        client).
     metrics:
-        Shared collector.
+        Shared collector.  Its ``on_issue`` fires at *arrival* time.
     stop_issuing_at:
         No new request is issued at or after this simulated time; requests
         already issued run to completion.
+    closed_loop:
+        Whether the next arrival waits for the previous request's
+        completion (see the module docstring).  The runner passes what the
+        workload declares (``Workload.closed_loop``).
     max_requests:
         Optional hard cap on the number of requests this client issues.
     fast_timers:
-        When true, think-time and CS-duration timers go through the
-        engine's no-handle :meth:`~repro.sim.engine.Simulator.post_in`
-        fast path instead of allocating a cancellable
+        When true, arrival and CS-duration timers go through the engine's
+        no-handle :meth:`~repro.sim.engine.Simulator.post_in` fast path
+        instead of allocating a cancellable
         :class:`~repro.sim.engine.Event` per state transition.  Only
         valid for runs that can never crash this node (no crash windows):
         the handle exists solely so :meth:`on_crash` can suspend the
@@ -74,6 +85,7 @@ class ClosedLoopClient:
         requests: Iterator[RequestSpec],
         metrics: MetricsCollector,
         stop_issuing_at: float,
+        closed_loop: bool,
         max_requests: Optional[int] = None,
         fast_timers: bool = False,
     ) -> None:
@@ -83,193 +95,30 @@ class ClosedLoopClient:
         self.requests = iter(requests)
         self.metrics = metrics
         self.stop_issuing_at = stop_issuing_at
-        self.max_requests = max_requests
-        self.issued = 0
-        self.completed = 0
-        self._current: Optional[RequestSpec] = None
-        self._stopped = False
-        # Timer this client currently owns (think-time or CS-duration
-        # event), kept so a crash can suspend it; None while the
-        # allocator owns the request (waiting for the grant).
-        self._timer: Optional[Event] = None
-        self._fast_timers = fast_timers
-        self._in_cs = False
-
-    # ------------------------------------------------------------------ #
-    # lifecycle
-    # ------------------------------------------------------------------ #
-    def start(self) -> None:
-        """Schedule the first request of this client."""
-        self._schedule_next()
-
-    @property
-    def stopped(self) -> bool:
-        """Whether the client has stopped issuing new requests."""
-        return self._stopped
-
-    # ------------------------------------------------------------------ #
-    # crash lifecycle
-    # ------------------------------------------------------------------ #
-    def on_crash(self, time: float) -> None:
-        """The node went down: suspend timers, abort an interrupted CS.
-
-        A request waiting for its grant is simply abandoned (the
-        rebooting allocator forgets it; the record stays ungranted); a
-        request inside its critical section is *aborted* — the collector
-        frees its resources at the crash instant and the request counts
-        as incomplete.
-        """
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-        spec = self._current
-        if self._in_cs and spec is not None:
-            self.metrics.on_abort(time, self.process, spec.index)
-            self._in_cs = False
-        self._current = None
-
-    def on_recover(self, time: float) -> None:
-        """The node rebooted: resume the closed loop with a fresh request.
-
-        Runs after the allocator's own recovery handler (participants are
-        notified allocator-first), so an idle allocator is ready for the
-        next ``acquire``.  An allocator still inside a critical section
-        here is parked in the one the crash aborted — only possible for
-        a protocol without a reboot handler, which kept its CS across
-        the outage — and is released first: nobody is running that CS,
-        and the resources it holds would wedge every other node forever.
-        If the allocator still did not come back idle, the client stops
-        issuing instead of raising on the next acquire.
-        """
-        if self._stopped:
-            return
-        if self.allocator.in_critical_section:
-            self.allocator.release()
-        if not self.allocator.is_idle:
-            self._stopped = True
-            return
-        self._schedule_next()
-
-    # ------------------------------------------------------------------ #
-    # internals
-    # ------------------------------------------------------------------ #
-    def _schedule_next(self) -> None:
-        if self.max_requests is not None and self.issued >= self.max_requests:
-            self._stopped = True
-            return
-        try:
-            spec = next(self.requests)
-        except StopIteration:
-            self._stopped = True
-            return
-        self._current = spec
-        if self._fast_timers:
-            self.sim.post_in(spec.think_time, self._issue)
-        else:
-            self._timer = self.sim.schedule(spec.think_time, self._issue)
-
-    def _issue(self) -> None:
-        self._timer = None
-        spec = self._current
-        if spec is None:  # pragma: no cover - defensive
-            return
-        if self.sim.now >= self.stop_issuing_at:
-            self._stopped = True
-            return
-        self.issued += 1
-        self.metrics.on_issue(self.sim.now, self.process, spec.index, spec.resources)
-        self.allocator.acquire(spec.resources, self._on_granted)
-
-    def _on_granted(self) -> None:
-        spec = self._current
-        if spec is None:
-            # The request was abandoned by a crash, but the allocator's
-            # distributed acquisition completed anyway: an allocator
-            # without a reboot handler keeps its grant callback across
-            # the outage.  The grant is not recorded (the request died
-            # with the crash) — but the resources must not stay held by
-            # a critical section nobody is running, so release them
-            # straight back to the protocol.
-            self.allocator.release()
-            return
-        self.metrics.on_grant(self.sim.now, self.process, spec.index)
-        self._in_cs = True
-        if self._fast_timers:
-            self.sim.post_in(spec.cs_duration, self._on_cs_done)
-        else:
-            self._timer = self.sim.schedule(spec.cs_duration, self._on_cs_done)
-
-    def _on_cs_done(self) -> None:
-        self._timer = None
-        spec = self._current
-        if spec is None:  # pragma: no cover - defensive
-            return
-        # Record the release before letting the protocol hand resources to
-        # the next process, so same-timestamp grants never look like
-        # safety violations.
-        self.metrics.on_release(self.sim.now, self.process, spec.index)
-        self.completed += 1
-        self._in_cs = False
-        self._current = None
-        self.allocator.release()
-        self._schedule_next()
-
-
-class OpenLoopClient:
-    """Drives one process from externally timed arrivals.
-
-    Arrivals are scheduled from the stream's inter-arrival gaps
-    regardless of how earlier requests are progressing; a request whose
-    allocator is still busy queues client-side (FIFO) and is dispatched
-    when the previous critical section completes.  The collector's
-    ``on_issue`` fires at *arrival* time, so the measured waiting time is
-    arrival-to-grant — queueing backlog plus protocol latency — which is
-    the quantity an open system's users experience.
-
-    Constructor parameters match :class:`ClosedLoopClient` (including
-    ``fast_timers`` for crash-free runs); ``requests`` must yield specs
-    whose ``think_time`` is the gap since the previous arrival (the
-    open-loop convention of :mod:`repro.workload.spec`).
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        process: int,
-        allocator: MultiResourceAllocator,
-        requests: Iterator[RequestSpec],
-        metrics: MetricsCollector,
-        stop_issuing_at: float,
-        max_requests: Optional[int] = None,
-        fast_timers: bool = False,
-    ) -> None:
-        self.sim = sim
-        self.process = process
-        self.allocator = allocator
-        self.requests = iter(requests)
-        self.metrics = metrics
-        self.stop_issuing_at = stop_issuing_at
+        self.closed_loop = closed_loop
         self.max_requests = max_requests
         self.issued = 0
         self.completed = 0
         #: Largest client-side backlog observed (arrived, not yet
-        #: dispatched to the allocator) — an overload indicator.
+        #: dispatched to the allocator) — an overload indicator; at most
+        #: 1 in the closed loop.
         self.max_backlog = 0
         self._queue: Deque[RequestSpec] = deque()
         self._pending: Optional[RequestSpec] = None  # next arrival, timer armed
         self._current: Optional[RequestSpec] = None  # with the allocator / in CS
         self._stopped = False
+        self._in_cs = False
+        # ``post_in`` returns None, ``schedule`` the handle a crash cancels.
+        self._after = sim.post_in if fast_timers else sim.schedule
         self._arrival_timer: Optional[Event] = None
         self._cs_timer: Optional[Event] = None
-        self._fast_timers = fast_timers
-        self._in_cs = False
 
     # ------------------------------------------------------------------ #
     # lifecycle
     # ------------------------------------------------------------------ #
     def start(self) -> None:
         """Arm the first arrival of this client."""
-        self._schedule_arrival()
+        self._arm_arrival()
 
     @property
     def stopped(self) -> bool:
@@ -288,16 +137,16 @@ class OpenLoopClient:
         """The node went down: drop timers, backlog and any interrupted CS.
 
         Queued arrivals die with the node (their records stay ungranted
-        and count as incomplete), a request waiting for its grant is
-        abandoned, and a request inside its CS is aborted so the
-        collector frees its resources at the crash instant.
+        and count as incomplete); a request waiting for its grant is
+        simply abandoned (the rebooting allocator forgets it); a request
+        inside its critical section is *aborted* — the collector frees
+        its resources at the crash instant and the request counts as
+        incomplete.
         """
-        if self._arrival_timer is not None:
-            self._arrival_timer.cancel()
-            self._arrival_timer = None
-        if self._cs_timer is not None:
-            self._cs_timer.cancel()
-            self._cs_timer = None
+        for timer in (self._arrival_timer, self._cs_timer):
+            if timer is not None:
+                timer.cancel()
+        self._arrival_timer = self._cs_timer = None
         spec = self._current
         if self._in_cs and spec is not None:
             self.metrics.on_abort(time, self.process, spec.index)
@@ -309,10 +158,15 @@ class OpenLoopClient:
     def on_recover(self, time: float) -> None:
         """The node rebooted: resume arrivals from the next stream entry.
 
-        Mirrors :meth:`ClosedLoopClient.on_recover`: a stale critical
-        section kept across the outage is released first, and if the
-        allocator still is not idle the client stops instead of raising
-        on the next acquire.
+        Runs after the allocator's own recovery handler (participants are
+        notified allocator-first), so an idle allocator is ready for the
+        next ``acquire``.  An allocator still inside a critical section
+        here is parked in the one the crash aborted — only possible for
+        a protocol without a reboot handler, which kept its CS across
+        the outage — and is released first: nobody is running that CS,
+        and the resources it holds would wedge every other node forever.
+        If the allocator still did not come back idle, the client stops
+        issuing instead of raising on the next acquire.
         """
         if self._stopped:
             return
@@ -321,12 +175,12 @@ class OpenLoopClient:
         if not self.allocator.is_idle:
             self._stopped = True
             return
-        self._schedule_arrival()
+        self._arm_arrival()
 
     # ------------------------------------------------------------------ #
     # internals
     # ------------------------------------------------------------------ #
-    def _schedule_arrival(self) -> None:
+    def _arm_arrival(self) -> None:
         if self.max_requests is not None and self.issued >= self.max_requests:
             self._stopped = True
             return
@@ -336,10 +190,7 @@ class OpenLoopClient:
             self._stopped = True
             return
         self._pending = spec
-        if self._fast_timers:
-            self.sim.post_in(spec.think_time, self._on_arrival)
-        else:
-            self._arrival_timer = self.sim.schedule(spec.think_time, self._on_arrival)
+        self._arrival_timer = self._after(spec.think_time, self._on_arrival)
 
     def _on_arrival(self) -> None:
         self._arrival_timer = None
@@ -355,10 +206,11 @@ class OpenLoopClient:
         self._queue.append(spec)
         if len(self._queue) > self.max_backlog:
             self.max_backlog = len(self._queue)
-        # Arrivals keep coming whatever the service is doing — that is
-        # the open loop.  The next arrival is armed before dispatch so
-        # a same-instant grant cannot delay the arrival process.
-        self._schedule_arrival()
+        # Open loop: arrivals keep coming whatever the service is doing.
+        # The next one is armed before dispatch so a same-instant grant
+        # cannot delay the arrival process.
+        if not self.closed_loop:
+            self._arm_arrival()
         if self._current is None:
             self._dispatch()
 
@@ -370,29 +222,33 @@ class OpenLoopClient:
     def _on_granted(self) -> None:
         spec = self._current
         if spec is None:
-            # Grant for a request abandoned by a crash (see
-            # ClosedLoopClient._on_granted): hand the resources straight
-            # back so nobody holds a CS that is not running.
+            # The request was abandoned by a crash, but the allocator's
+            # distributed acquisition completed anyway: an allocator
+            # without a reboot handler keeps its grant callback across
+            # the outage.  The grant is not recorded (the request died
+            # with the crash) — but the resources must not stay held by
+            # a critical section nobody is running, so release them
+            # straight back to the protocol.
             self.allocator.release()
             return
         self.metrics.on_grant(self.sim.now, self.process, spec.index)
         self._in_cs = True
-        if self._fast_timers:
-            self.sim.post_in(spec.cs_duration, self._on_cs_done)
-        else:
-            self._cs_timer = self.sim.schedule(spec.cs_duration, self._on_cs_done)
+        self._cs_timer = self._after(spec.cs_duration, self._on_cs_done)
 
     def _on_cs_done(self) -> None:
         self._cs_timer = None
         spec = self._current
         if spec is None:  # pragma: no cover - defensive
             return
-        # Release recorded before the protocol moves the resources on,
-        # exactly like the closed-loop client.
+        # Record the release before letting the protocol hand resources to
+        # the next process, so same-timestamp grants never look like
+        # safety violations.
         self.metrics.on_release(self.sim.now, self.process, spec.index)
         self.completed += 1
         self._in_cs = False
         self._current = None
         self.allocator.release()
-        if self._queue:
+        if self.closed_loop:
+            self._arm_arrival()
+        elif self._queue:
             self._dispatch()

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.core.recovery import RecoveryCoordinator
-from repro.experiments.driver import ClosedLoopClient, OpenLoopClient
+from repro.experiments.driver import Client
 from repro.experiments.registry import get_algorithm
 from repro.experiments.scenario import Scenario
 from repro.metrics.collector import MetricsCollector, RunMetrics
@@ -80,8 +80,7 @@ class ExperimentResult:
     :class:`~repro.metrics.columns.RecordColumns` (sorted by
     ``(process, index)``, float32 times) that is cheap to pickle across
     the worker-pool boundary and into the run cache; :attr:`records`
-    exposes the same rows as lazy ``RequestRecord`` views for code that
-    iterated or indexed the old record list.
+    is the same container read as a sequence of ``RequestRecord`` views.
 
     ``trace`` is process-local: it is only populated on in-process runs
     (``Scenario(collect_trace=True)`` through :func:`run`) and
@@ -123,14 +122,14 @@ class ExperimentResult:
     telemetry: Optional[object] = None
 
     @property
-    def records(self) -> RecordColumns:
+    def records(self) -> "RecordColumns | ChunkedColumns":
         """Request lifecycles as a lazy sequence of ``RequestRecord`` views.
 
-        Backed by :attr:`record_columns`: ``len``, iteration, integer
-        indexing and slicing all work as they did on the old list, each
-        access materialising a fresh view (mutations are not written
-        back).  Times are float32 — sub-microsecond at the simulated-ms
-        scale; exact doubles only exist on the in-process collector.
+        This is :attr:`record_columns` itself: ``len``, iteration, integer
+        indexing and slicing each materialise fresh views (mutations are
+        not written back).  Times are float32 — sub-microsecond at the
+        simulated-ms scale; exact doubles only exist on the in-process
+        collector.
         """
         return self.record_columns
 
@@ -190,17 +189,13 @@ def run(scenario: Scenario) -> ExperimentResult:
     allocators = algo.make_allocators(scenario.config, params, sim, network, trace)
 
     metrics = MetricsCollector(
-        params.num_resources,
-        warmup=params.warmup,
-        chunk_rows=scenario.record_chunk_rows,
-        spill=scenario.record_spill,
+        params.num_resources, warmup=params.warmup, chunk_rows=scenario.record_chunk_rows
     )
     # The workload axis thaws here, inside whatever process runs the
     # experiment — streams are lazy iterators, never materialised lists,
     # so nothing workload-sized crosses the worker-pool boundary.
     workload_spec = scenario.workload if scenario.workload is not None else SyntheticSpec()
     workload = workload_spec.build(params)
-    client_type = ClosedLoopClient if workload.closed_loop else OpenLoopClient
     # Crash windows are needed up front: a client whose node can never
     # crash takes the no-handle timer fast path (its cancellable timer
     # handles exist only for on_crash to suspend), so only the clients
@@ -208,13 +203,14 @@ def run(scenario: Scenario) -> ExperimentResult:
     crash_windows = fault_model.crash_windows() if fault_model is not None else ()
     crash_nodes = {node for node, _, _ in crash_windows}
     clients = [
-        client_type(
+        Client(
             sim,
             process=p,
             allocator=allocators[p],
             requests=workload.stream_for(p),
             metrics=metrics,
             stop_issuing_at=params.duration,
+            closed_loop=workload.closed_loop,
             max_requests=params.requests_per_process,
             fast_timers=p not in crash_nodes,
         )

@@ -140,7 +140,8 @@ class Scenario:
         paper's Section-5.1 closed loop (normalised to
         :class:`~repro.workload.spec.SyntheticSpec`, thawed per-run
         exactly like the latency spec).  Open-loop and trace-replay
-        workloads select the open-loop client in the runner.
+        workloads run the client in its open loop: arrivals are timed by
+        the stream, not by the previous completion.
     collect_trace:
         Record a :class:`~repro.sim.trace.TraceRecorder` (Gantt rendering).
     size_buckets:
@@ -154,12 +155,9 @@ class Scenario:
     record_chunk_rows:
         When set, the collector seals completed request records into
         packed chunks of about this many rows instead of keeping every
-        record live (see :mod:`repro.metrics.collector`), bounding record
-        memory for very long runs.  ``None`` (default) keeps the classic
+        record live (see :mod:`repro.metrics.collector`), bounding the
+        live rows of very long runs.  ``None`` (default) keeps the classic
         all-in-memory columns.
-    record_spill:
-        With ``record_chunk_rows``, write sealed chunks to a temporary
-        spill directory instead of holding the packed bytes in memory.
     scheduler:
         Event-queue implementation for the simulation engine
         (:data:`repro.sim.schedulers.SCHEDULERS`: ``"heap"``,
@@ -196,7 +194,6 @@ class Scenario:
     max_events: Optional[int] = None
     require_all_completed: bool = True
     record_chunk_rows: Optional[int] = None
-    record_spill: bool = False
     scheduler: Optional[str] = None
     telemetry: Optional[Any] = None
 
@@ -207,7 +204,6 @@ class Scenario:
     _CANONICAL_NEUTRAL = {
         "workload": SyntheticSpec(),
         "record_chunk_rows": None,
-        "record_spill": False,
         "scheduler": None,
         "telemetry": None,
     }
@@ -252,8 +248,6 @@ class Scenario:
             object.__setattr__(self, "size_buckets", tuple(self.size_buckets))
         if self.record_chunk_rows is not None and self.record_chunk_rows < 1:
             raise ValueError("record_chunk_rows must be >= 1 (or None for unchunked)")
-        if self.record_spill and self.record_chunk_rows is None:
-            raise ValueError("record_spill requires record_chunk_rows")
         if self.scheduler is not None:
             from repro.sim.schedulers import available_schedulers
 
@@ -414,8 +408,7 @@ class Scenario:
         if norm.size_buckets is not None:
             parts.append(f"buckets={list(norm.size_buckets)}")
         if norm.record_chunk_rows is not None:
-            spill = ", spill" if norm.record_spill else ""
-            parts.append(f"chunked={norm.record_chunk_rows}{spill}")
+            parts.append(f"chunked={norm.record_chunk_rows}")
         if norm.scheduler is not None:
             parts.append(f"scheduler={norm.scheduler}")
         if norm.telemetry is not None:

@@ -12,16 +12,17 @@ time) and computes the paper's metrics over the measurement window
 * average waiting time, overall and per request-size class (Figures 6, 7).
 
 Aggregation (:meth:`MetricsCollector.build`) makes a single pass over the
-columns — counts, overall waiting times and per-size-class groups all come
-out of one loop, feeding :func:`~repro.metrics.stats.summarize` packed
-``array('d')`` buffers instead of Python float lists.
+granted requests' ``(issue, wait, size)`` samples — counts, overall
+waiting times and per-size-class groups all come out of one loop, feeding
+:func:`~repro.metrics.stats.summarize` packed ``array('d')`` buffers
+instead of Python float lists.
 
 **Chunked mode** (``chunk_rows`` set, driven by
 ``Scenario.record_chunk_rows``): whenever the completed *prefix* of the
 live columns reaches the chunk size, it is sealed — its waiting-time /
-size samples are folded into compact streaming buffers and its rows are
-packed into an lzma chunk (optionally spilled to a temporary directory),
-so record memory stays O(chunk + in-flight) however long the run.
+size samples are folded into compact streaming buffers (24 bytes a
+request) and its rows are packed into an lzma chunk (a few bytes a
+request), so the live rows stay O(chunk + in-flight) however long the run.
 Sealing strictly preserves issue order and the float accumulation order
 of every aggregate, so a chunked run's :class:`RunMetrics` is
 bit-identical to the unchunked run's; only the result's record container
@@ -32,12 +33,10 @@ instead of a ``(process, index)``-sorted ``RecordColumns``).
 from __future__ import annotations
 
 import math
-import os
-import pickle
-import tempfile
 from array import array
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple, Union
+from operator import sub
+from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple, Union
 
 from repro.metrics.columns import ChunkedColumns, RecordColumns, RequestRecord
 from repro.metrics.stats import SummaryStats, summarize
@@ -111,10 +110,6 @@ class MetricsCollector:
         When set, seal completed prefixes of about this many rows into
         packed chunks (see the module docstring).  ``None`` (default)
         keeps every record live — the classic exact-bytes path.
-    spill:
-        With ``chunk_rows``, write sealed chunks to a private temporary
-        directory instead of holding the packed bytes in memory; the
-        spill files live as long as the result's record container.
     """
 
     def __init__(
@@ -123,14 +118,11 @@ class MetricsCollector:
         warmup: float = 0.0,
         check_safety: bool = True,
         chunk_rows: Optional[int] = None,
-        spill: bool = False,
     ) -> None:
         if num_resources < 1:
             raise ValueError("num_resources must be >= 1")
         if chunk_rows is not None and chunk_rows < 1:
             raise ValueError("chunk_rows must be >= 1 (or None for unchunked)")
-        if spill and chunk_rows is None:
-            raise ValueError("spill requires chunk_rows")
         self.num_resources = num_resources
         self.warmup = float(warmup)
         self.check_safety = check_safety
@@ -142,8 +134,6 @@ class MetricsCollector:
         self._holder: Dict[int, Tuple[int, int]] = {}
         self._busy_since: Dict[int, float] = {}
         self._busy_time: Dict[int, float] = {}
-        self._concurrency_samples: List[Tuple[float, int]] = []
-        self._in_cs: set[Tuple[int, int]] = set()
         #: Requests whose critical section was cut short by a node crash.
         self.aborted = 0
         #: Telemetry push seam (:class:`repro.obs.runtime.TelemetryRuntime`):
@@ -153,10 +143,8 @@ class MetricsCollector:
         self.telemetry = None
         # --- chunked mode state -------------------------------------- #
         self._chunk_rows = chunk_rows
-        self._spill = spill
-        self._spill_tmp: Optional[tempfile.TemporaryDirectory] = None
-        #: Sealed chunk entries (packed tuples, or spill-file paths).
-        self._sealed_chunks: List[object] = []
+        #: Sealed chunks in their packed transport form.
+        self._sealed_chunks: List[Tuple] = []
         self._sealed_lengths: List[int] = []
         #: Rows sealed so far (every sealed row completed its lifecycle).
         self._sealed_rows = 0
@@ -212,8 +200,6 @@ class MetricsCollector:
         for k in range(lo, hi):
             holder_map[ids[k]] = key
             busy_since[ids[k]] = time
-        self._in_cs.add(key)
-        self._concurrency_samples.append((time, len(self._in_cs)))
         telemetry = self.telemetry
         if telemetry is not None:
             telemetry.observe_grant(time, process, time - cols.issue[row])
@@ -265,7 +251,6 @@ class MetricsCollector:
                 if time > begin:
                     busy_time[r] = busy_time.get(r, 0.0) + (time - begin)
                 del holder_map[r]
-        self._in_cs.discard(key)
 
     def on_abort(self, time: float, process: int, index: int) -> None:
         """A crash killed the process while it was inside its CS.
@@ -297,33 +282,7 @@ class MetricsCollector:
     # ------------------------------------------------------------------ #
     def _pack_rows(self, end: int) -> Tuple:
         """Pack live rows ``[0, end)`` into the float32 transport form."""
-        cols = self.columns
-        chunk = RecordColumns(time_typecode="f")
-        for row in range(end):
-            chunk.process.append(cols.process[row])
-            chunk.index.append(cols.index[row])
-            chunk.issue.append(cols.issue[row])
-            chunk.grant.append(cols.grant[row])
-            chunk.release.append(cols.release[row])
-            for k in range(cols.offsets[row], cols.offsets[row + 1]):
-                chunk.resource_ids.append(cols.resource_ids[k])
-            chunk.offsets.append(len(chunk.resource_ids))
-        return chunk._packed()
-
-    def _store_chunk(self, packed: Tuple, rows: int) -> None:
-        """Append a packed chunk (in memory, or as a spill file)."""
-        if self._spill:
-            if self._spill_tmp is None:
-                self._spill_tmp = tempfile.TemporaryDirectory(prefix="repro-record-spill-")
-            path = os.path.join(
-                self._spill_tmp.name, f"{len(self._sealed_chunks):06d}.chunk"
-            )
-            with open(path, "wb") as fh:
-                pickle.dump(packed, fh)
-            self._sealed_chunks.append(path)
-        else:
-            self._sealed_chunks.append(packed)
-        self._sealed_lengths.append(rows)
+        return self.columns.rows(0, end, "f")._packed()
 
     def _seal_prefix(self) -> None:
         """Seal the completed prefix of the live columns into a chunk.
@@ -335,23 +294,13 @@ class MetricsCollector:
         """
         k = self._prefix
         cols = self.columns
-        for row in range(k):
-            issue = cols.issue[row]
-            self._sealed_waits.append(cols.grant[row] - issue)
-            self._sealed_issues.append(issue)
-            self._sealed_sizes.append(cols.offsets[row + 1] - cols.offsets[row])
-        self._store_chunk(self._pack_rows(k), k)
-        live = RecordColumns(time_typecode="d")
-        for row in range(k, len(cols)):
-            live.process.append(cols.process[row])
-            live.index.append(cols.index[row])
-            live.issue.append(cols.issue[row])
-            live.grant.append(cols.grant[row])
-            live.release.append(cols.release[row])
-            for j in range(cols.offsets[row], cols.offsets[row + 1]):
-                live.resource_ids.append(cols.resource_ids[j])
-            live.offsets.append(len(live.resource_ids))
-        self.columns = live
+        issue = cols.issue[:k]
+        self._sealed_issues.extend(issue)
+        self._sealed_waits.extend(map(sub, cols.grant[:k], issue))
+        self._sealed_sizes.extend(map(sub, cols.offsets[1 : k + 1], cols.offsets[:k]))
+        self._sealed_chunks.append(self._pack_rows(k))
+        self._sealed_lengths.append(k)
+        self.columns = cols.rows(k, len(cols), "d")
         self._rows = {key: row - k for key, row in self._rows.items() if row >= k}
         self._sealed_rows += k
         self._prefix = 0
@@ -412,9 +361,7 @@ class MetricsCollector:
         if len(self.columns) or not entries:
             entries.append(self._pack_rows(len(self.columns)))
             lengths.append(len(self.columns))
-        tempdir = self._spill_tmp
-        self._spill_tmp = None  # ownership moves to the result container
-        return ChunkedColumns(entries, lengths, tempdir=tempdir)
+        return ChunkedColumns(entries, lengths)
 
     # ------------------------------------------------------------------ #
     # aggregation
@@ -436,20 +383,25 @@ class MetricsCollector:
         total_busy = sum(min(b, window) for b in busy.values())
         return 100.0 * total_busy / (window * self.num_resources)
 
+    def _samples(self) -> Iterator[Tuple[float, float, int]]:
+        """``(issue, wait, size)`` of every granted request, in issue order.
+
+        Sealed rows (all completed, hence granted) stream in first from
+        their compact buffers, then the granted live rows — the order a
+        single loop over unchunked columns produces, which is what keeps
+        every aggregate of a chunked run bit-identical.
+        """
+        yield from zip(self._sealed_issues, self._sealed_waits, self._sealed_sizes)
+        cols = self.columns
+        offsets = cols.offsets
+        for row, (issue, grant) in enumerate(zip(cols.issue, cols.grant)):
+            if not math.isnan(grant):
+                yield issue, grant - issue, offsets[row + 1] - offsets[row]
+
     def waiting_times(self, min_issue: Optional[float] = None) -> List[float]:
         """Waiting times of granted requests issued after ``min_issue``."""
         threshold = self.warmup if min_issue is None else min_issue
-        cols = self.columns
-        sealed = [
-            wait
-            for wait, issue in zip(self._sealed_waits, self._sealed_issues)
-            if issue >= threshold
-        ]
-        return sealed + [
-            grant - issue
-            for issue, grant in zip(cols.issue, cols.grant)
-            if not math.isnan(grant) and issue >= threshold
-        ]
+        return [wait for issue, wait, _ in self._samples() if issue >= threshold]
 
     def waiting_times_by_size(
         self, buckets: Optional[List[int]] = None
@@ -460,19 +412,10 @@ class MetricsCollector:
         Figure 7), each request is assigned to the closest bucket value;
         otherwise exact sizes are used as keys.
         """
-        cols = self.columns
         grouped: Dict[int, List[float]] = {}
-        for wait, issue, size in zip(
-            self._sealed_waits, self._sealed_issues, self._sealed_sizes
-        ):
+        for issue, wait, size in self._samples():
             if issue >= self.warmup:
                 grouped.setdefault(_bucket_for(size, buckets), []).append(wait)
-        for row in range(len(cols)):
-            grant = cols.grant[row]
-            if math.isnan(grant) or cols.issue[row] < self.warmup:
-                continue
-            size = cols.offsets[row + 1] - cols.offsets[row]
-            grouped.setdefault(_bucket_for(size, buckets), []).append(grant - cols.issue[row])
         return grouped
 
     def build(
@@ -486,44 +429,24 @@ class MetricsCollector:
     ) -> RunMetrics:
         """Assemble the final :class:`RunMetrics` for the run.
 
-        One pass over the columns yields the grant/completion counts, the
-        overall waiting-time sample and the per-size-class groups; each
-        sample is accumulated straight into an ``array('d')`` buffer that
+        One pass over the samples yields the grant count, the overall
+        waiting-time sample and the per-size-class groups; each sample is
+        accumulated straight into an ``array('d')`` buffer that
         :func:`summarize` consumes without further copies.
         """
-        cols = self.columns
         warmup = self.warmup
-        issued = self._sealed_rows + len(cols)
-        # Sealed rows all completed their lifecycle; their measured
-        # samples stream in first, in issue order — the exact order the
-        # single-pass loop below would have produced unchunked.
-        granted = completed = self._sealed_rows
+        issued = self._sealed_rows + len(self.columns)
+        completed = self._sealed_rows + sum(
+            1 for release in self.columns.release if not math.isnan(release)
+        )
+        granted = 0
         waits = array("d")
         by_size_samples: Dict[int, array] = {}
-        for wait, issue, size in zip(
-            self._sealed_waits, self._sealed_issues, self._sealed_sizes
-        ):
-            if issue < warmup:
-                continue
-            waits.append(wait)
-            key = _bucket_for(size, size_buckets)
-            bucket = by_size_samples.get(key)
-            if bucket is None:
-                bucket = by_size_samples[key] = array("d")
-            bucket.append(wait)
-        for row in range(len(cols)):
-            grant = cols.grant[row]
-            if not math.isnan(cols.release[row]):
-                completed += 1
-            if math.isnan(grant):
-                continue
+        for issue, wait, size in self._samples():
             granted += 1
-            issue = cols.issue[row]
             if issue < warmup:
                 continue
-            wait = grant - issue
             waits.append(wait)
-            size = cols.offsets[row + 1] - cols.offsets[row]
             key = _bucket_for(size, size_buckets)
             bucket = by_size_samples.get(key)
             if bucket is None:

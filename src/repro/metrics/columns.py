@@ -1,10 +1,8 @@
 """Struct-of-arrays storage for request lifecycle records.
 
-Every layer of the harness used to shuttle per-request lifecycles around
-as ``List[RequestRecord]`` — tens of thousands of small dataclass objects
-whose pickling dominated IPC for long runs (the first open performance
-item of ROADMAP.md).  :class:`RecordColumns` replaces the list with one
-column per field:
+Per-request lifecycles travel from the collector to results, worker
+pools and the run cache as a :class:`RecordColumns`: one column per field
+instead of one object per request.
 
 * ``process`` / ``index`` — ``array('q')`` request identity columns,
 * ``issue`` / ``grant`` / ``release`` — time columns (``array('d')`` on
@@ -21,10 +19,9 @@ machine type that fits, byte-shuffles the time columns (grouping the
 high-order bytes that barely vary) and compresses the lot with lzma —
 about an order of magnitude smaller than pickling the equivalent record
 list (``benchmarks/test_bench_results.py`` tracks the exact ratio).  It
-is **content-hashable** via :meth:`content_key`, and **backwards
-compatible**: ``__getitem__`` / :meth:`iter_records` materialise
-:class:`RequestRecord` views on demand, so code that indexed or iterated
-``result.records`` keeps working unchanged.
+is **content-hashable** via :meth:`content_key`, and reads as a
+**sequence of records**: indexing, slicing and iteration materialise
+:class:`RequestRecord` views on demand.
 
 Precision contract: result columns store times as ``float32``.  At the
 simulated-millisecond scale of the paper's workloads that is sub-
@@ -176,9 +173,8 @@ class RecordColumns:
 
         ``grant``/``release`` start as ``NaN`` (never reached); resource
         ids are stored in the iteration order of ``resources`` — for the
-        collector that is the workload's frozenset order, which keeps
-        downstream float accumulations (busy-time sums) in the exact
-        order the record-list implementation used.
+        collector that is the workload's frozenset order, which fixes the
+        order of downstream float accumulations (busy-time sums).
         """
         row = len(self.process)
         self.process.append(process)
@@ -191,13 +187,31 @@ class RecordColumns:
         self.offsets.append(len(self.resource_ids))
         return row
 
-    def set_grant(self, row: int, time: float) -> None:
-        """Record the grant time of row ``row``."""
-        self.grant[row] = time
+    def extend(self, source: "RecordColumns", start: int = 0, stop: Optional[int] = None) -> None:
+        """Append rows ``[start, stop)`` of ``source`` (default: all of it).
 
-    def set_release(self, row: int, time: float) -> None:
-        """Record the release time of row ``row``."""
-        self.release[row] = time
+        The one contiguous-range copy: whole array slices, times
+        converted to this container's typecode, CSR offsets rebased.
+        """
+        stop = len(source) if stop is None else stop
+        self.process.extend(source.process[start:stop])
+        self.index.extend(source.index[start:stop])
+        typecode = self.time_typecode
+        for name in ("issue", "grant", "release"):
+            column = getattr(source, name)[start:stop]
+            if column.typecode != typecode:
+                column = array(typecode, column)
+            getattr(self, name).extend(column)
+        lo, hi = source.offsets[start], source.offsets[stop]
+        shift = len(self.resource_ids) - lo
+        self.resource_ids.extend(source.resource_ids[lo:hi])
+        self.offsets.extend(offset + shift for offset in source.offsets[start + 1 : stop + 1])
+
+    def rows(self, start: int, stop: int, time_typecode: str) -> "RecordColumns":
+        """Copy of rows ``[start, stop)`` with times in ``time_typecode``."""
+        out = RecordColumns(time_typecode=time_typecode)
+        out.extend(self, start, stop)
+        return out
 
     @classmethod
     def from_records(
@@ -208,20 +222,16 @@ class RecordColumns:
         for rec in records:
             row = cols.append(rec.process, rec.index, rec.resources, rec.issue_time)
             if rec.grant_time is not None:
-                cols.set_grant(row, rec.grant_time)
+                cols.grant[row] = rec.grant_time
             if rec.release_time is not None:
-                cols.set_release(row, rec.release_time)
+                cols.release[row] = rec.release_time
         return cols
 
     # ------------------------------------------------------------------ #
-    # row access (backward-compatible record views)
+    # row access (record views)
     # ------------------------------------------------------------------ #
     def __len__(self) -> int:
         return len(self.process)
-
-    def size_of(self, row: int) -> int:
-        """Number of resources requested by row ``row``."""
-        return self.offsets[row + 1] - self.offsets[row]
 
     def resources_of(self, row: int) -> FrozenSet[int]:
         """Resource set of row ``row`` as a frozenset."""
@@ -259,16 +269,8 @@ class RecordColumns:
         return self.record(row)
 
     def __iter__(self) -> Iterator["RequestRecord"]:
-        return self.iter_records()
-
-    def iter_records(self) -> Iterator["RequestRecord"]:
-        """Yield every row as a :class:`RequestRecord` view."""
         for row in range(len(self)):
             yield self.record(row)
-
-    def to_records(self) -> List["RequestRecord"]:
-        """Materialise the whole container as a list of records."""
-        return [self.record(row) for row in range(len(self))]
 
     # ------------------------------------------------------------------ #
     # transformation
@@ -451,26 +453,15 @@ def _rebuild_columns(
     return cols
 
 
-def _load_packed(entry: Union[Tuple, str]) -> Tuple:
-    """Resolve a chunk entry (packed tuple, or path to a spilled one)."""
-    if isinstance(entry, str):
-        import pickle
-
-        with open(entry, "rb") as fh:
-            return pickle.load(fh)
-    return entry
-
-
 class ChunkedColumns:
     """Chunked record store: a sequence of packed :class:`RecordColumns`.
 
     Produced by :class:`~repro.metrics.collector.MetricsCollector` when a
     scenario sets ``record_chunk_rows``: completed prefixes of the live
     columns are sealed into lzma-packed chunks (the exact
-    :meth:`RecordColumns._packed` transport form — a few bytes per row)
-    either held in memory or spilled to a temporary directory, so a
-    10^6+-request run's record memory is bounded by the chunk size plus
-    whatever is still in flight.
+    :meth:`RecordColumns._packed` transport form — a few bytes per row),
+    so a 10^6+-request run's live record rows are bounded by the chunk
+    size plus whatever is still in flight.
 
     The read surface is the same as :class:`RecordColumns` — ``len``,
     iteration, integer/slice indexing, :meth:`content_key` — but rows are
@@ -478,21 +469,11 @@ class ChunkedColumns:
     nothing ever holds all rows to sort them), unlike the compact
     ``(process, index)``-sorted unchunked result.  Random access unpacks
     the covering chunk, so iterate rather than index in hot loops.
-
-    ``tempdir`` (when spilling) is a ``tempfile.TemporaryDirectory``
-    owned by this container: the spill files live exactly as long as the
-    result object, and pickling re-inlines the packed chunks so results
-    cross process boundaries without a shared filesystem.
     """
 
-    __slots__ = ("_entries", "_lengths", "_starts", "_tempdir", "_cache")
+    __slots__ = ("_entries", "_lengths", "_starts", "_cache")
 
-    def __init__(
-        self,
-        entries: List[Union[Tuple, str]],
-        lengths: List[int],
-        tempdir: Optional[object] = None,
-    ) -> None:
+    def __init__(self, entries: List[Tuple], lengths: List[int]) -> None:
         if len(entries) != len(lengths):
             raise ValueError("entries and lengths must be parallel")
         self._entries = list(entries)
@@ -501,7 +482,6 @@ class ChunkedColumns:
         for n in self._lengths:
             starts.append(starts[-1] + n)
         self._starts = starts
-        self._tempdir = tempdir
         self._cache: Tuple[int, Optional[RecordColumns]] = (-1, None)
 
     # ------------------------------------------------------------------ #
@@ -523,12 +503,12 @@ class ChunkedColumns:
         cached_i, cached = self._cache
         if cached_i == i and cached is not None:
             return cached
-        cols = _rebuild_columns(*_load_packed(self._entries[i]))
+        cols = _rebuild_columns(*self._entries[i])
         self._cache = (i, cols)
         return cols
 
     # ------------------------------------------------------------------ #
-    # record-compatible read surface
+    # record read surface
     # ------------------------------------------------------------------ #
     def __len__(self) -> int:
         return self._starts[-1]
@@ -547,16 +527,8 @@ class ChunkedColumns:
         return self.chunk(i)[row - self._starts[i]]
 
     def __iter__(self) -> Iterator["RequestRecord"]:
-        return self.iter_records()
-
-    def iter_records(self) -> Iterator["RequestRecord"]:
-        """Yield every row as a :class:`RequestRecord` view, chunk by chunk."""
         for i in range(len(self._entries)):
-            yield from self.chunk(i).iter_records()
-
-    def to_records(self) -> List["RequestRecord"]:
-        """Materialise the whole container as a list of records."""
-        return list(self.iter_records())
+            yield from self.chunk(i)
 
     def to_columns(self, time_typecode: Optional[str] = None) -> RecordColumns:
         """Concatenate every chunk into one flat :class:`RecordColumns`.
@@ -567,16 +539,7 @@ class ChunkedColumns:
         first = self.chunk(0) if self._entries else RecordColumns()
         out = RecordColumns(time_typecode=time_typecode or first.time_typecode)
         for i in range(len(self._entries)):
-            chunk = self.chunk(i)
-            for row in range(len(chunk)):
-                out.process.append(chunk.process[row])
-                out.index.append(chunk.index[row])
-                out.issue.append(chunk.issue[row])
-                out.grant.append(chunk.grant[row])
-                out.release.append(chunk.release[row])
-                for k in range(chunk.offsets[row], chunk.offsets[row + 1]):
-                    out.resource_ids.append(chunk.resource_ids[k])
-                out.offsets.append(len(out.resource_ids))
+            out.extend(self.chunk(i))
         return out
 
     # ------------------------------------------------------------------ #
@@ -605,21 +568,17 @@ class ChunkedColumns:
     __hash__ = None  # content-hash via content_key(), like RecordColumns
 
     def __reduce__(self) -> Tuple:
-        # Spilled chunks are re-inlined: the receiving process has no
-        # access to this process's temporary spill directory.
-        packed = tuple(_load_packed(entry) for entry in self._entries)
-        return (_rebuild_chunked, (PACK_VERSION, tuple(self._lengths), packed))
+        return (
+            _rebuild_chunked,
+            (PACK_VERSION, tuple(self._lengths), tuple(self._entries)),
+        )
 
     def __repr__(self) -> str:
-        spilled = sum(1 for e in self._entries if isinstance(e, str))
-        return (
-            f"ChunkedColumns(n={len(self)}, chunks={len(self._entries)}, "
-            f"spilled={spilled})"
-        )
+        return f"ChunkedColumns(n={len(self)}, chunks={len(self._entries)})"
 
 
 def _rebuild_chunked(version: int, lengths: Tuple[int, ...], packed: Tuple) -> ChunkedColumns:
-    """Pickle constructor for :class:`ChunkedColumns` (all chunks in memory)."""
+    """Pickle constructor for :class:`ChunkedColumns`."""
     if version != PACK_VERSION:
         raise ValueError(f"unsupported ChunkedColumns pack version {version}")
     return ChunkedColumns(list(packed), list(lengths))

@@ -67,12 +67,12 @@ __all__ = [
 class Workload(ABC):
     """Live (thawed) workload: a factory of per-process request streams.
 
-    ``closed_loop`` selects the driving client in the runner: ``True``
-    pairs the streams with
-    :class:`~repro.experiments.driver.ClosedLoopClient` (the next request
-    waits for the previous completion), ``False`` with
-    :class:`~repro.experiments.driver.OpenLoopClient` (arrivals are
-    external; ``RequestSpec.think_time`` is the inter-arrival gap).
+    ``closed_loop`` tells the runner how the
+    :class:`~repro.experiments.driver.Client` times these streams:
+    ``True`` — the next request waits for the previous completion
+    (``RequestSpec.think_time`` is the think time after a release);
+    ``False`` — arrivals are external (``think_time`` is the
+    inter-arrival gap, and a slow protocol builds a backlog).
     """
 
     closed_loop: bool = True

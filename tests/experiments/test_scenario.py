@@ -270,8 +270,6 @@ class TestRunScenario:
             Scenario(algorithm="with_loan", params=small_params(), workload=object())
         with pytest.raises(ValueError):
             Scenario(algorithm="with_loan", params=small_params(), record_chunk_rows=0)
-        with pytest.raises(ValueError, match="record_spill"):
-            Scenario(algorithm="with_loan", params=small_params(), record_spill=True)
         text = Scenario(
             algorithm="with_loan",
             params=small_params(),

@@ -8,7 +8,9 @@ from repro.experiments.scenario import Scenario
 from repro.experiments.runner import run
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.columns import ChunkedColumns, RecordColumns
+from repro.workload.arrivals import PoissonArrivals
 from repro.workload.params import WorkloadParams
+from repro.workload.spec import OpenLoopSpec
 
 PARAMS = WorkloadParams(
     num_processes=4, num_resources=8, phi=3, rho=2.0, duration=800.0, warmup=80.0, seed=3
@@ -39,14 +41,28 @@ class TestCollectorChunking:
         with pytest.raises(ValueError):
             MetricsCollector(num_resources=2, chunk_rows=0)
 
-    def test_spill_requires_chunking(self):
-        with pytest.raises(ValueError):
-            MetricsCollector(num_resources=2, spill=True)
-
     def test_live_rows_bounded_by_chunk_size(self):
         c = MetricsCollector(num_resources=2, chunk_rows=16)
         drive(c, 500)
         assert c.max_live_rows <= 16 + 1  # one in-flight request at a time
+
+    def test_only_the_sealed_buffers_grow_with_the_run(self):
+        """The memory contract: per request, a chunked collector keeps the
+        three sealed sample values and its share of a packed chunk — no
+        other attribute may hold anything per request."""
+
+        def sizes(n):
+            c = MetricsCollector(num_resources=2, chunk_rows=16)
+            drive(c, n)
+            return {
+                name: len(value) for name, value in vars(c).items() if hasattr(value, "__len__")
+            }
+
+        small, large = sizes(200), sizes(2000)
+        grew = {name for name in large if large[name] > small[name]}
+        assert grew == {
+            "_sealed_waits", "_sealed_issues", "_sealed_sizes", "_sealed_chunks", "_sealed_lengths",
+        }
 
     def test_unchunked_live_rows_grow_without_bound(self):
         c = MetricsCollector(num_resources=2)
@@ -92,15 +108,9 @@ class TestEndToEndChunking:
     def baseline(self):
         return run(Scenario(algorithm="with_loan", params=PARAMS))
 
-    @pytest.mark.parametrize("spill", [False, True])
-    def test_run_metrics_bit_identical(self, baseline, spill):
+    def test_run_metrics_bit_identical(self, baseline):
         chunked = run(
-            Scenario(
-                algorithm="with_loan",
-                params=PARAMS,
-                record_chunk_rows=32,
-                record_spill=spill,
-            )
+            Scenario(algorithm="with_loan", params=PARAMS, record_chunk_rows=32)
         )
         assert chunked.metrics == baseline.metrics
 
@@ -110,18 +120,29 @@ class TestEndToEndChunking:
             Scenario(algorithm="with_loan", params=PARAMS, record_chunk_rows=32)
         )
         key = lambda r: (r.process, r.index)
-        assert sorted(chunked.record_columns.to_records(), key=key) == sorted(
-            baseline.record_columns.to_records(), key=key
+        assert sorted(chunked.record_columns, key=key) == sorted(
+            baseline.record_columns, key=key
         )
 
-    def test_spilled_columns_pickle_roundtrip(self):
+    def test_open_loop_run_seals_as_it_goes(self):
+        """Every chunk stays near the configured size: the collector sealed
+        during the run instead of accumulating it all in live columns."""
+        chunk_rows = 32
         result = run(
             Scenario(
                 algorithm="with_loan",
                 params=PARAMS,
-                record_chunk_rows=32,
-                record_spill=True,
+                workload=OpenLoopSpec(arrival=PoissonArrivals(rate=0.05)),
+                record_chunk_rows=chunk_rows,
             )
+        )
+        assert result.metrics.completed == result.metrics.issued
+        assert result.metrics.issued > 3 * chunk_rows  # sealing genuinely exercised
+        assert max(result.record_columns.chunk_lengths()) <= 2 * chunk_rows
+
+    def test_chunked_columns_pickle_roundtrip(self):
+        result = run(
+            Scenario(algorithm="with_loan", params=PARAMS, record_chunk_rows=32)
         )
         cols = result.record_columns
         clone = pickle.loads(pickle.dumps(cols))
@@ -160,7 +181,7 @@ class TestChunkedColumnsContainer:
         cols = self.make([3, 4, 2])
         assert [r.index for r in cols[2:6]] == [2, 3, 4, 5]
         assert [r.index for r in cols] == list(range(9))
-        assert len(cols.to_records()) == 9
+        assert len(list(cols)) == 9
 
     def test_out_of_range_rejected(self):
         with pytest.raises(IndexError):

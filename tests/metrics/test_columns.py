@@ -26,12 +26,11 @@ def sample_records():
 
 
 class TestRoundTrip:
-    def test_from_records_iter_records_equality(self):
+    def test_from_records_iteration_equality(self):
         records = sample_records()
         cols = RecordColumns.from_records(records, time_typecode="d")
         assert len(cols) == 3
-        assert list(cols.iter_records()) == records
-        assert cols.to_records() == records
+        assert list(cols) == records
 
     def test_getitem_indexing_slicing_negative(self):
         records = sample_records()
@@ -57,11 +56,36 @@ class TestRoundTrip:
         cols = RecordColumns(time_typecode="d")
         row = cols.append(5, 0, frozenset({1, 2}), 10.0)
         assert cols.grant_time(row) is None and cols.release_time(row) is None
-        cols.set_grant(row, 11.0)
-        cols.set_release(row, 12.0)
+        cols.grant[row] = 11.0
+        cols.release[row] = 12.0
         assert cols[row] == RequestRecord(5, 0, frozenset({1, 2}), 10.0, 11.0, 12.0)
-        assert cols.size_of(row) == 2
+        assert cols[row].size == 2
         assert cols.resources_of(row) == frozenset({1, 2})
+
+
+class TestRangeCopy:
+    """``rows`` / ``extend`` against the row-by-row ``from_records`` oracle."""
+
+    @pytest.mark.parametrize("typecode", ["d", "f"])
+    def test_rows_equals_the_row_by_row_copy(self, typecode):
+        records = sample_records()
+        cols = RecordColumns.from_records(records, time_typecode="d")
+        for start in range(len(records) + 1):
+            for stop in range(start, len(records) + 1):
+                expected = RecordColumns.from_records(records[start:stop], time_typecode=typecode)
+                assert cols.rows(start, stop, typecode) == expected
+
+    def test_rows_is_a_copy(self):
+        cols = RecordColumns.from_records(sample_records(), time_typecode="d")
+        part = cols.rows(1, 3, "d")
+        part.grant[0] = 99.0
+        assert cols.grant[1] == 3.5
+
+    def test_extend_concatenates_and_rebases_offsets(self):
+        records = sample_records()
+        out = RecordColumns.from_records(records[:1], time_typecode="f")
+        out.extend(RecordColumns.from_records(records[1:], time_typecode="d"))
+        assert out == RecordColumns.from_records(records, time_typecode="f")
 
 
 class TestPickle:
@@ -69,7 +93,7 @@ class TestPickle:
         cols = RecordColumns.from_records(sample_records(), time_typecode="d")
         clone = pickle.loads(pickle.dumps(cols))
         assert clone == cols
-        assert clone.to_records() == cols.to_records()
+        assert list(clone) == list(cols)
         assert clone.content_key() == cols.content_key()
 
     def test_pickle_round_trip_float32(self):
@@ -100,7 +124,7 @@ class TestPickle:
             RequestRecord(-3, 1 << 33, frozenset({2}), 4.0, None, None),
         ]
         cols = RecordColumns.from_records(records, time_typecode="d")
-        assert pickle.loads(pickle.dumps(cols)).to_records() == records
+        assert list(pickle.loads(pickle.dumps(cols))) == records
 
     def test_pickle_elides_closed_loop_indexes(self):
         """Consecutive per-process indexes are rebuilt, not transported."""
@@ -111,7 +135,7 @@ class TestPickle:
         ]
         cols = RecordColumns.from_records(canonical, time_typecode="d")
         assert cols._index_is_canonical()
-        assert pickle.loads(pickle.dumps(cols)).to_records() == canonical
+        assert list(pickle.loads(pickle.dumps(cols))) == canonical
         gapped = RecordColumns.from_records(
             [RequestRecord(0, 7, frozenset({1}), 1.0, None, None)], time_typecode="d"
         )
@@ -124,7 +148,6 @@ class TestEmpty:
         cols = RecordColumns()
         assert len(cols) == 0
         assert list(cols) == []
-        assert cols.to_records() == []
         assert list(cols.offsets) == [0]
 
     def test_empty_pickle_round_trip(self):
@@ -148,7 +171,7 @@ class TestContentHash:
     def test_key_changes_with_content(self):
         a = RecordColumns.from_records(sample_records(), time_typecode="d")
         b = RecordColumns.from_records(sample_records(), time_typecode="d")
-        b.set_grant(2, 99.0)
+        b.grant[2] = 99.0
         assert a != b
         assert a.content_key() != b.content_key()
 
@@ -171,7 +194,7 @@ class TestCompact:
     def test_compact_float32_precision_contract(self):
         cols = RecordColumns(time_typecode="d")
         row = cols.append(0, 0, frozenset({1}), 1000.123456789)
-        cols.set_grant(row, 1001.987654321)
+        cols.grant[row] = 1001.987654321
         compacted = cols.compact()
         assert compacted.time_typecode == "f"
         # sub-microsecond at the simulated-millisecond scale

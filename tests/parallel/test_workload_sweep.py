@@ -58,7 +58,6 @@ class TestWorkloadSweepDeterminism:
             params=small_base,
             workload=OpenLoopSpec(),
             record_chunk_rows=64,
-            record_spill=True,
         )
         grid = base.sweep(seed=(1, 2))
         serial = run_sweep(grid, workers=1)

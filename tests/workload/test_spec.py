@@ -54,9 +54,7 @@ class TestScenarioKeyNeutrality:
 
     def test_chunking_fields_are_key_neutral_at_defaults(self):
         bare = Scenario(algorithm="with_loan", params=PARAMS)
-        defaulted = Scenario(
-            algorithm="with_loan", params=PARAMS, record_chunk_rows=None, record_spill=False
-        )
+        defaulted = Scenario(algorithm="with_loan", params=PARAMS, record_chunk_rows=None)
         assert bare.key() == defaulted.key()
 
     def test_chunking_changes_the_key_when_set(self):
