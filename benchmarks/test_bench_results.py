@@ -98,6 +98,9 @@ def test_result_payload_size_and_pickle_time(benchmark):
         f"(contract: >= {MIN_PAYLOAD_SHRINK}x): "
         f"{stats['columnar_bytes']} vs {stats['legacy_bytes']} legacy bytes"
     )
-    # Transport must also be fast, not just small: a quick-run result
-    # round-trips in single-digit milliseconds.
-    assert stats["pickle_ms"] + stats["unpickle_ms"] < 250.0
+    # Transport must also be fast, not just small.  Measured here: 1.1-1.2
+    # ms to pickle plus 0.4-0.5 ms to unpickle (400 warm round trips:
+    # median 1.4 ms, max 3.0 ms).  The bound is five times that, which the
+    # fixed 8 MiB-dictionary encoder this replaced (9-11 ms for the same
+    # result, the first encode of a process) does not meet.
+    assert stats["pickle_ms"] + stats["unpickle_ms"] < 8.0

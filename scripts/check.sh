@@ -73,6 +73,13 @@ echo "== end-to-end benchmark smoke (benchmarks/e2e, --smoke) =="
 python benchmarks/e2e/run.py --smoke >/dev/null
 echo "e2e benchmark smoke OK"
 
+# The pairs protocol (git archive both refs, alternate them through the
+# unmodified harness, judge by the choosing-metrics rule) on HEAD against
+# itself, one smoke pair: keeps scripts/bench_pairs.py from rotting.
+echo "== bench_pairs smoke (HEAD vs HEAD, 1 pair, --smoke) =="
+python scripts/bench_pairs.py HEAD HEAD --workload closed_loop_paper --pairs 1 --smoke >/dev/null
+echo "bench_pairs smoke OK"
+
 # The observability package is pinned to a >=90% line-coverage floor by
 # its dedicated suite (tests/obs).  check_coverage.py measures with a
 # stdlib settrace tracer, so the gate runs in the bare container too.

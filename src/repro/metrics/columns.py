@@ -34,6 +34,7 @@ level should read ``MetricsCollector.columns`` in-process.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import lzma
 import math
@@ -47,12 +48,53 @@ __all__ = ["ChunkedColumns", "DowntimeColumns", "RecordColumns", "RequestRecord"
 #: versions loudly instead of misreading bytes.
 PACK_VERSION = 1
 
-#: LZMA filter chain of the packed form: preset 6 is the speed/size sweet
-#: spot for the few-kilobyte payloads a run produces (measurably smaller
-#: than zlib on shuffled float planes, still well under a millisecond
-#: here), and ``FORMAT_RAW`` drops the xz container overhead — the pack
-#: version field plays that role.
+#: LZMA filter chain of the packed form — what the *decoder* is given.
+#: Preset 6 (bt4 match finder, ``nice_len`` 64) packs shuffled float
+#: planes measurably smaller than zlib, and ``FORMAT_RAW`` drops the xz
+#: container overhead — the pack version field plays that role.  The
+#: encoder uses the same chain with the dictionary fitted to its input
+#: (:func:`_encoder_filters`); an LZMA2 decoder accepts any stream
+#: written with a dictionary no larger than its own, so this one reads
+#: both.  Packing is not free: 1.0 ms for a 10 kB chunk back to back
+#: (1.6 ms inside a run) and 12 ms for the 106 kB result of a 12 s
+#: closed-loop run at N=32.
 _LZMA_FILTERS = [{"id": lzma.FILTER_LZMA2, "preset": 6}]
+
+#: Dictionary of preset 6, the encoder's cap: a payload above it packs
+#: exactly as the bare preset would.
+_DICT_CAP = 8 << 20
+
+#: Smallest dictionary the encoder asks for.  Measured on the payloads
+#: the four ``benchmarks/e2e`` workloads produce (294 over seeds 1-3,
+#: 2.5-107 kB), floors interleaved, best of 15-25: from 4 KiB to 256 KiB
+#: the cost does not change (56 chunks of 10 kB: 53-56 ms; 40
+#: figure-sweep results: 75-88 ms), 1 MiB is slower (68 ms; 92 ms) and
+#: the preset's 8 MiB more than twice as slow on the chunks (122-135 ms;
+#: 136-137 ms).  At 256 KiB the bytes equal the bare preset's on all 294
+#: payloads (293 below that — the match finder's hash collisions depend
+#: on the table size), which keeps payload-size baselines stable.
+_DICT_FLOOR = 256 << 10
+
+
+def _encoder_filters(nbytes: int) -> List[dict]:
+    """Preset-6 chain with ``dict_size`` fitted to an ``nbytes`` payload.
+
+    The smallest power of two holding the payload, between
+    :data:`_DICT_FLOOR` and :data:`_DICT_CAP`.  Do not simplify this back
+    to the bare preset: liblzma sizes its match-finder tables from
+    ``dict_size`` — for 8 MiB a 16 MiB hash table allocated and zeroed
+    plus a 64 MiB son table reserved — **per encoder**, and every call
+    builds a new encoder.  Measured per 10 kB chunk of the
+    ``open_loop_bl`` benchmark run (56 of them): 5.3 ms with the bare
+    preset against 1.6 ms fitted inside the run, where every call gets
+    fresh pages; 2.2 ms against 1.0 ms back to back on warm memory; and
+    17 MiB of the process's peak RSS (51.9 to 34.9 MiB).  A dictionary
+    larger than the input finds no extra matches, so the output does not
+    grow.
+    """
+    dict_size = min(max(1 << (nbytes - 1).bit_length(), _DICT_FLOOR), _DICT_CAP)
+    return [{"id": lzma.FILTER_LZMA2, "preset": 6, "dict_size": dict_size}]
+
 
 #: Sentinel typecode marking an elided index column (see ``_packed``).
 _ELIDED = "-"
@@ -114,7 +156,7 @@ def _shuffle(data: bytes, itemsize: int) -> bytes:
 
     Time columns share their high-order (sign/exponent) bytes across
     items; grouping them turns near-constant byte runs into long matches
-    for zlib.  :func:`_unshuffle` is the exact inverse.
+    for the LZMA match finder.  :func:`_unshuffle` is the exact inverse.
     """
     if itemsize <= 1 or len(data) <= itemsize:
         return data
@@ -373,7 +415,8 @@ class RecordColumns:
             narrowed = column if typecode == column.typecode else array(typecode, column)
             int_typecodes.append(typecode)
             parts.append(narrowed.tobytes())
-        blob = lzma.compress(b"".join(parts), format=lzma.FORMAT_RAW, filters=_LZMA_FILTERS)
+        raw = b"".join(parts)
+        blob = lzma.compress(raw, format=lzma.FORMAT_RAW, filters=_encoder_filters(len(raw)))
         return (
             PACK_VERSION,
             len(self),
@@ -521,8 +564,6 @@ class ChunkedColumns:
         row = item if item >= 0 else len(self) + item
         if not 0 <= row < len(self):
             raise IndexError(f"row {item} out of range for {len(self)} records")
-        import bisect
-
         i = bisect.bisect_right(self._starts, row) - 1
         return self.chunk(i)[row - self._starts[i]]
 

@@ -38,6 +38,19 @@ results back into submission order; because each job is deterministic in
 its scenario, the two paths produce identical :class:`RunMetrics`, and the
 test suite asserts it.  When in doubt (debugging, tracing, profiling),
 drop back to ``workers=1``.
+
+What crosses the pool, and when entries are written
+---------------------------------------------------
+A worker returns the *pickle* of its result (``bytes``), not the result:
+the record columns LZMA-pack themselves whenever they are pickled, and a
+byte string is the one thing the pool can ship and the disk cache can
+store without packing them again.  The parent unpickles it once for the
+returned list and writes the same bytes as the cache entry, so a result
+is encoded exactly once on either path (``workers=1``: by the cache
+write; no cache, ``workers=1``: never).  Entries are stored as results
+arrive, in submission order, while the remaining jobs are still running:
+a sweep that is interrupted or hits a failing job keeps every result it
+had received, and the next sweep over the same cache resumes from there.
 """
 
 from repro.parallel.cache import RunCache

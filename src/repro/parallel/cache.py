@@ -19,7 +19,12 @@ Two levels are provided:
   *across* processes and interpreter restarts.  Writes are atomic (tmp
   file + ``os.replace``), so concurrent sweeps sharing a directory at
   worst redo a run, never read a torn file; unreadable or stale-format
-  files are treated as misses.
+  files are treated as misses.  An entry file is the result's
+  highest-protocol pickle and nothing else, so :meth:`RunCache.put`
+  accepts those bytes from a caller that already holds them (the sweep
+  executor, for results shipped from pool workers) instead of pickling —
+  and LZMA-packing the records — a second time.  The executor puts each
+  result as it arrives, not when the sweep ends.
 
 The scenario key hashes only the *inputs* of a run, not the code that
 interprets them, so the on-disk level additionally namespaces entries by
@@ -135,13 +140,13 @@ class RunCache:
         except Exception:  # corrupt / truncated / incompatible: a miss
             return None
 
-    def _dump(self, key: str, result: "ExperimentResult") -> None:
+    def _dump(self, key: str, pickled: bytes) -> None:
         target = self._file(key)
         try:
             fd, tmp = tempfile.mkstemp(dir=str(self.path), suffix=".tmp")
             try:
                 with os.fdopen(fd, "wb") as fh:
-                    pickle.dump(result, fh, protocol=pickle.HIGHEST_PROTOCOL)
+                    fh.write(pickled)
                 os.replace(tmp, target)
             except BaseException:
                 try:
@@ -168,11 +173,20 @@ class RunCache:
             self.hits += 1
         return result
 
-    def put(self, key: str, result: "ExperimentResult") -> None:
-        """Store ``result`` under ``key`` (last write wins)."""
+    def put(self, key: str, result: "ExperimentResult", pickled: Optional[bytes] = None) -> None:
+        """Store ``result`` under ``key`` (last write wins).
+
+        ``pickled`` is ``pickle.dumps(result, HIGHEST_PROTOCOL)`` when
+        the caller already holds it (the executor does, for a result a
+        pool worker shipped): the entry file is those bytes, so the
+        result — whose record columns LZMA-pack themselves on every
+        pickle — is not encoded a second time.
+        """
         self._store[key] = result
         if self.path is not None:
-            self._dump(key, result)
+            if pickled is None:
+                pickled = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
+            self._dump(key, pickled)
 
     def __len__(self) -> int:
         """Number of results held in memory (disk entries load lazily)."""
@@ -202,8 +216,11 @@ class RunCache:
         self.hits = 0
         self.misses = 0
         if self.path is not None:
-            for entry in self.path.glob(f"*.v{CACHE_FORMAT}.pkl"):
-                try:
-                    entry.unlink()
-                except OSError:
-                    pass
+            # ``*.tmp``: what a writer killed between ``mkstemp`` and
+            # ``os.replace`` left behind; nothing else ever removes it.
+            for pattern in (f"*.v{CACHE_FORMAT}.pkl", "*.tmp"):
+                for entry in self.path.glob(pattern):
+                    try:
+                        entry.unlink()
+                    except OSError:
+                        pass

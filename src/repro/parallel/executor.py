@@ -8,12 +8,22 @@ of its spec — so ``workers=1`` and ``workers=N`` are interchangeable.
 Jobs are declarative :class:`~repro.experiments.scenario.Scenario` values;
 the scenario's content hash :meth:`~repro.experiments.scenario.Scenario.key`
 is the memoisation key.
+
+A result is encoded once on its way from the process that computed it to
+the disk cache.  A pool worker returns the result's *pickle* (``bytes``,
+which the pool ships with a memcpy); the parent unpickles it once for the
+returned list and hands the same bytes to
+:meth:`RunCache.put <repro.parallel.cache.RunCache.put>` as the entry
+file's content.  At ``workers=1`` nothing is shipped and ``put`` makes
+the one pickle.  Either way entries are written as results arrive, not
+after the sweep: a sweep that dies part-way keeps what it finished.
 """
 
 from __future__ import annotations
 
+import pickle
 from concurrent.futures import ProcessPoolExecutor
-from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.parallel.cache import RunCache
 
@@ -31,20 +41,22 @@ def execute_job(spec: "Scenario") -> "ExperimentResult":
     return run(spec)
 
 
-def _execute_job_shipped(spec: "Scenario") -> "ExperimentResult":
-    """Worker-pool entry point: run the job, strip process-local state.
+def _execute_job_shipped(spec: "Scenario") -> bytes:
+    """Worker-pool entry point: run the job, return the result's pickle.
 
     A :class:`~repro.sim.trace.TraceRecorder` is heavy (one event object
     per protocol step) and only meaningful in the process that produced
     it, so it never crosses the pool boundary: ``trace`` is only
     available on in-process (``workers=1``) runs.  The request records
-    themselves already travel in compact columnar form
-    (:class:`~repro.metrics.columns.RecordColumns` packs itself on
-    pickling).
+    travel in compact columnar form
+    (:class:`~repro.metrics.columns.RecordColumns` LZMA-packs itself on
+    pickling); pickling here, rather than leaving it to the pool, is what
+    lets the parent reuse the bytes as the cache entry instead of packing
+    the records again.
     """
     result = execute_job(spec)
     result.trace = None
-    return result
+    return pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
 
 
 class SweepExecutor:
@@ -94,25 +106,15 @@ class SweepExecutor:
             unique[key] = i
             pending.append(i)
 
-        if pending:
-            if self.workers == 1:
-                for i in pending:
-                    results[i] = execute_job(specs[i])
-            else:
-                workers = min(self.workers, len(pending))
-                with ProcessPoolExecutor(max_workers=workers) as pool:
-                    for i, result in zip(
-                        pending, pool.map(_execute_job_shipped, [specs[i] for i in pending])
-                    ):
-                        results[i] = result
+        for i, result, pickled in self._execute(specs, pending):
+            results[i] = result
             if self.cache is not None:
-                for i in pending:
-                    # A cache outlives the process that filled it (the
-                    # persistent level by design), so the process-local
-                    # TraceRecorder never enters it: serial and parallel
-                    # sweeps sharing a cache must serve identical entries.
-                    results[i].trace = None
-                    self.cache.put(keys[i], results[i])
+                # A cache outlives the process that filled it (the
+                # persistent level by design), so the process-local
+                # TraceRecorder never enters it: serial and parallel
+                # sweeps sharing a cache must serve identical entries.
+                result.trace = None
+                self.cache.put(keys[i], result, pickled)
 
         # Fill duplicate-spec slots from the run that covered them.
         if self.cache is not None:
@@ -120,6 +122,25 @@ class SweepExecutor:
                 if results[i] is None:
                     results[i] = results[unique[keys[i]]]
         return results  # type: ignore[return-value]
+
+    def _execute(
+        self, specs: List["Scenario"], pending: List[int]
+    ) -> Iterator[Tuple[int, "ExperimentResult", Optional[bytes]]]:
+        """Yield ``(index, result, its pickle if a worker made one)`` as jobs finish.
+
+        Submission order on both paths; a job that raises ends the
+        iteration with its exception after the jobs before it were
+        yielded.
+        """
+        if self.workers == 1:
+            for i in pending:
+                yield i, execute_job(specs[i]), None
+        elif pending:
+            workers = min(self.workers, len(pending))
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                shipped = pool.map(_execute_job_shipped, [specs[i] for i in pending])
+                for i, pickled in zip(pending, shipped):
+                    yield i, pickle.loads(pickled), pickled
 
 
 def run_sweep(

@@ -11,6 +11,7 @@ from repro.metrics.columns import ChunkedColumns, RecordColumns
 from repro.workload.arrivals import PoissonArrivals
 from repro.workload.params import WorkloadParams
 from repro.workload.spec import OpenLoopSpec
+from tests.metrics.test_columns import check_codec
 
 PARAMS = WorkloadParams(
     num_processes=4, num_resources=8, phi=3, rho=2.0, duration=800.0, warmup=80.0, seed=3
@@ -149,6 +150,24 @@ class TestEndToEndChunking:
         assert clone == cols
         assert clone.content_key() == cols.content_key()
         assert len(clone) == len(cols)
+
+
+    def test_sealed_chunks_meet_the_codec_contract(self):
+        """Each chunk is sealed by the fitted encoder: it reads back through
+        the unchanged decoder chain, as does the fixed-preset encoding of
+        the same rows, and is no larger than that reference."""
+        result = run(
+            Scenario(algorithm="with_loan", params=PARAMS, record_chunk_rows=16)
+        )
+        cols = result.record_columns
+        assert cols.chunk_count > 3
+        for i in range(cols.chunk_count):
+            check_codec(cols.chunk(i))
+
+    def test_empty_chunked_container_pickles(self):
+        empty = ChunkedColumns([], [])
+        clone = pickle.loads(pickle.dumps(empty))
+        assert clone == empty and len(clone) == 0
 
 
 class TestChunkedColumnsContainer:

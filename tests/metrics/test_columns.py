@@ -1,11 +1,37 @@
 """Unit tests for the struct-of-arrays record container."""
 
+import lzma
 import math
 import pickle
 
 import pytest
 
-from repro.metrics.columns import RecordColumns, RequestRecord
+from repro.metrics import columns
+from repro.metrics.columns import RecordColumns, RequestRecord, _rebuild_columns
+
+#: The fixed-preset encoder every release up to PR 15 used, kept as the
+#: reference implementation: its blobs are what older cache directories
+#: hold, and its output length is the size contract of the fitted encoder.
+REFERENCE_FILTERS = [{"id": lzma.FILTER_LZMA2, "preset": 6}]
+
+
+def check_codec(cols, raw_bytes=None):
+    """The codec contract on one container; returns the raw payload length.
+
+    Round trip through pickle; the blob decodes with the unchanged
+    ``_LZMA_FILTERS`` chain; so does the reference encoder's blob of the
+    same payload; and the fitted encoder's output is no longer than the
+    reference's by more than 0.5 %.
+    """
+    assert pickle.loads(pickle.dumps(cols)) == cols
+    *head, blob = cols._packed()
+    raw = lzma.decompress(blob, format=lzma.FORMAT_RAW, filters=columns._LZMA_FILTERS)
+    if raw_bytes is not None:
+        assert len(raw) == raw_bytes
+    reference = lzma.compress(raw, format=lzma.FORMAT_RAW, filters=REFERENCE_FILTERS)
+    assert _rebuild_columns(*head, reference) == cols
+    assert len(blob) <= len(reference) * 1.005
+    return len(raw)
 
 
 def sample_records():
@@ -141,6 +167,84 @@ class TestPickle:
         )
         assert not gapped._index_is_canonical()
         assert pickle.loads(pickle.dumps(gapped)).index[0] == 7
+
+
+def sized_columns(rows):
+    """``rows`` rows that pack to exactly 16 raw bytes each.
+
+    Three float32 times (12 B) plus one byte each for ``process``, a
+    non-canonical ``index`` (so it is not elided), the per-row size and
+    the single resource id.
+    """
+    cols = RecordColumns(time_typecode="f")
+    for i in range(rows):
+        row = cols.append(i % 32, 5, (i * 7 % 80,), i * 0.37)
+        cols.grant[row] = cols.issue[row] + (i * 7919 % 101) / 10
+        cols.release[row] = cols.grant[row] + (i * 104729 % 53) / 7
+    return cols
+
+
+class TestFittedEncoder:
+    """The encoder's dictionary follows the payload; the format does not change."""
+
+    FLOOR_ROWS = columns._DICT_FLOOR // 16
+
+    @pytest.mark.parametrize(
+        "rows",
+        [FLOOR_ROWS - 1, FLOOR_ROWS, FLOOR_ROWS + 1, 2 * FLOOR_ROWS, 4 * FLOOR_ROWS],
+        ids=["below", "at", "above", "x2", "x4"],
+    )
+    def test_payloads_around_the_floor(self, rows):
+        assert 4 * self.FLOOR_ROWS * 16 <= 1 << 20  # largest case stays ~1 MiB
+        check_codec(sized_columns(rows), raw_bytes=rows * 16)
+
+    def test_empty_container(self):
+        assert check_codec(RecordColumns()) == 0
+
+    def test_all_nan_grant_and_release(self):
+        cols = RecordColumns(time_typecode="d")
+        for i in range(300):
+            cols.append(i % 4, i // 4, (i % 5, 7), float(i))
+        assert all(math.isnan(v) for v in cols.grant)
+        check_codec(cols)
+        assert all(math.isnan(v) for v in pickle.loads(pickle.dumps(cols)).release)
+
+    def test_wide_value_columns(self):
+        cols = RecordColumns(time_typecode="d")
+        for i in range(300):
+            row = cols.append(-1 - i, (1 << 40) + 3 * i, ((1 << 35) + i, i), float(i))
+            cols.grant[row] = float(i) + 0.5
+        *_, int_typecodes, _ = cols._packed()
+        assert int_typecodes == "qQBQ"
+        check_codec(cols)
+
+    def test_dictionary_formula(self):
+        """Smallest power of two holding the payload, floor <= d <= preset's."""
+        floor, cap = columns._DICT_FLOOR, columns._DICT_CAP
+
+        def dict_size(nbytes):
+            (chain,) = columns._encoder_filters(nbytes)
+            assert chain["id"] == lzma.FILTER_LZMA2 and chain["preset"] == 6
+            return chain["dict_size"]
+
+        assert dict_size(0) == dict_size(1) == dict_size(floor - 1) == dict_size(floor) == floor
+        assert dict_size(floor + 1) == 2 * floor
+        assert dict_size(1 << 20) == 1 << 20 and dict_size((1 << 20) + 1) == 1 << 21
+        assert dict_size(cap - 1) == dict_size(cap) == dict_size(cap + 1) == dict_size(1 << 40) == cap
+        for nbytes in range(0, 3 * floor, 4093):
+            d = dict_size(nbytes)
+            assert d & (d - 1) == 0 and floor <= d <= cap and d >= nbytes
+
+    def test_cap_is_the_presets_own_dictionary(self):
+        """At the cap the chain *is* preset 6, so large payloads pack as before."""
+        (capped,) = columns._encoder_filters(columns._DICT_CAP)
+        assert lzma._encode_filter_properties(capped) == lzma._encode_filter_properties(
+            columns._LZMA_FILTERS[0]
+        )
+
+    def test_decoder_chain_is_the_bare_preset(self):
+        assert columns._LZMA_FILTERS == REFERENCE_FILTERS
+        assert columns.PACK_VERSION == 1
 
 
 class TestEmpty:

@@ -53,6 +53,35 @@ class TestDiskRoundTrip:
         RunCache(path=tmp_path).put("k", "result")
         assert RunCache(path=tmp_path).get("k") == "result"
 
+    def test_put_writes_the_highest_protocol_pickle(self, tmp_path):
+        """The two-argument form (what ``benchmarks/e2e`` probes call)
+        pickles the result itself."""
+        cache = RunCache(path=tmp_path)
+        cache.put("k", {"a": 1})
+        assert cache._file("k").read_bytes() == pickle.dumps(
+            {"a": 1}, protocol=pickle.HIGHEST_PROTOCOL
+        )
+
+    def test_put_with_pickled_writes_those_bytes(self, tmp_path):
+        """A caller that already holds the pickle hands it over; the entry
+        file is those bytes and the result is not pickled again."""
+
+        class Unpicklable:
+            def __reduce__(self):
+                raise AssertionError("put() pickled a result it was given the bytes of")
+
+        cache = RunCache(path=tmp_path)
+        result, pickled = Unpicklable(), pickle.dumps("what the worker sent")
+        cache.put("k", result, pickled)
+        assert cache.get("k") is result  # memory level: the object itself
+        assert cache._file("k").read_bytes() == pickled
+        assert RunCache(path=tmp_path).get("k") == "what the worker sent"
+
+    def test_memory_only_put_ignores_the_pickle(self):
+        cache = RunCache()
+        cache.put("k", "result", b"unused")
+        assert cache.get("k") == "result"
+
     def test_contains_sees_disk_entries(self, tmp_path):
         RunCache(path=tmp_path).put("k", "result")
         assert "k" in RunCache(path=tmp_path)
@@ -135,6 +164,19 @@ class TestDiskRobustness:
         assert len(cache) == 0
         assert not list(cache.path.glob("*.pkl"))
         assert RunCache(path=tmp_path).get("a") is None
+
+    def test_clear_removes_a_killed_writers_tmp_file(self, tmp_path):
+        """A writer killed between ``mkstemp`` and ``os.replace`` leaves a
+        ``*.tmp`` file nothing else would ever remove."""
+        cache = RunCache(path=tmp_path)
+        cache.put("a", 1)
+        orphan = cache.path / "tmpk3v9x_2a.tmp"
+        orphan.write_bytes(b"half a pickle")
+        bystander = cache.path / f"k.v{CACHE_FORMAT + 1}.pkl"
+        bystander.write_bytes(b"another format's entry")
+        cache.clear()
+        assert not orphan.exists()
+        assert [entry.name for entry in cache.path.iterdir()] == [bystander.name]
 
     def test_unwritable_location_degrades_to_memory(self, tmp_path):
         blocker = tmp_path / "file"

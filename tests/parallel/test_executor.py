@@ -1,5 +1,8 @@
 """Executor tests: ordering, caching, and serial/parallel determinism."""
 
+import lzma
+import pickle
+
 import pytest
 
 from repro.experiments.figures import figure5_use_rate
@@ -150,3 +153,78 @@ class TestSerialParallelDeterminism:
         hits = run_sweep(scenarios, workers=4, cache=cache)
         assert cache.hits >= 2
         assert all(r.trace is None for r in hits)
+
+
+class TestEncodeOnce:
+    """A result is LZMA-packed once between the process that ran it and the disk cache."""
+
+    @pytest.fixture
+    def jobs(self, small_base):
+        return Scenario(algorithm="with_loan", params=small_base).sweep(
+            algorithm=("with_loan", "bouabdallah"), seed=(1, 2)
+        )
+
+    @pytest.fixture
+    def encodes(self, monkeypatch):
+        """Counts this process's ``lzma.compress`` calls (a pool worker
+        counts in its own copy, which the parent never sees)."""
+        calls = []
+        compress = lzma.compress
+
+        def counting(data, **kwargs):
+            calls.append(len(data))
+            return compress(data, **kwargs)
+
+        monkeypatch.setattr(lzma, "compress", counting)
+        return calls
+
+    def test_parent_never_encodes_on_the_pool_path(self, jobs, tmp_path, encodes):
+        cache = RunCache(path=tmp_path)
+        results = SweepExecutor(workers=2, cache=cache).run(jobs)
+        assert encodes == []
+        assert len(list(cache.path.glob("*.pkl"))) == len(jobs) == len(results)
+
+    def test_serial_path_encodes_once_per_job(self, jobs, tmp_path, encodes):
+        SweepExecutor(workers=1, cache=RunCache(path=tmp_path)).run(jobs)
+        assert len(encodes) == len(jobs)
+
+    def test_memory_only_serial_sweep_never_encodes(self, jobs, encodes):
+        SweepExecutor(workers=1, cache=RunCache()).run(jobs)
+        assert encodes == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_entry_files_hold_the_returned_results(self, jobs, tmp_path, workers):
+        cache = RunCache(path=tmp_path)
+        traced = [job.replace(collect_trace=True) for job in jobs]
+        results = SweepExecutor(workers=workers, cache=cache).run(traced)
+        for job, result in zip(traced, results):
+            with open(cache.path / f"{job.key()}.v2.pkl", "rb") as fh:
+                stored = pickle.load(fh)
+            assert stored.trace is None and result.trace is None
+            assert stored == result
+            assert stored.record_columns.content_key() == result.record_columns.content_key()
+
+    def test_serial_and_pool_caches_are_interchangeable(self, jobs, tmp_path):
+        serial, pooled = RunCache(path=tmp_path / "w1"), RunCache(path=tmp_path / "w2")
+        SweepExecutor(workers=1, cache=serial).run(jobs)
+        SweepExecutor(workers=2, cache=pooled).run(jobs)
+        names = sorted(entry.name for entry in serial.path.iterdir())
+        assert names == sorted(entry.name for entry in pooled.path.iterdir())
+        assert len(names) == len(jobs)
+        for name in names:
+            assert (serial.path / name).read_bytes() == (pooled.path / name).read_bytes()
+        # Each directory is a 100 % hit for the other kind of executor.
+        for path, workers in ((tmp_path / "w1", 2), (tmp_path / "w2", 1)):
+            reader = RunCache(path=path)
+            SweepExecutor(workers=workers, cache=reader).run(jobs)
+            assert (reader.hits, reader.misses) == (len(jobs), 0)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_sweep_keeps_the_jobs_before_the_failure(self, jobs, tmp_path, workers):
+        failing = jobs[2].replace(max_events=10)
+        doomed = [jobs[0], jobs[1], failing, jobs[3]]
+        with pytest.raises(SimulationError, match="max_events"):
+            SweepExecutor(workers=workers, cache=RunCache(path=tmp_path)).run(doomed)
+        survivor = RunCache(path=tmp_path)
+        assert jobs[0].key() in survivor and jobs[1].key() in survivor
+        assert failing.key() not in survivor
