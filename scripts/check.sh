@@ -60,10 +60,16 @@ echo "trace ablation (--quick) OK"
 # (the wall-clock version of the same contract lives in
 # benchmarks/test_bench_engine.py).  Profiled under both schedulers
 # (Scenario(scheduler=...)) so neither dispatch loop can quietly
-# re-enter the crash subsystem.
-echo "== no-fault fast-path profile check =="
+# re-enter the crash subsystem.  The third leg is the same kind of pin
+# for a run that has a fault layer (node crash + detector + jitter): the
+# fault hooks run only for messages touching the crashable node (< 0.25
+# hook calls per message; asking about every message is 2.0) and the
+# per-message path has no peek/pop, stats-method, Random.uniform or
+# `now` property frame.
+echo "== no-fault fast-path and armed-path profile checks =="
 python scripts/profile_run.py --check
 python scripts/profile_run.py --scheduler calendar --check
+python scripts/profile_run.py --armed --check
 
 # The repository's benchmark at 1/20 scale (~3 s): runs all four
 # workloads through the real harness and applies its output checks —
@@ -75,9 +81,12 @@ echo "e2e benchmark smoke OK"
 
 # The pairs protocol (git archive both refs, alternate them through the
 # unmodified harness, judge by the choosing-metrics rule) on HEAD against
-# itself, one smoke pair: keeps scripts/bench_pairs.py from rotting.
+# itself, one smoke pair on each workload a claim has been made on (the
+# no-fault closed loop, and the same loop with an armed network): keeps
+# scripts/bench_pairs.py from rotting.
 echo "== bench_pairs smoke (HEAD vs HEAD, 1 pair, --smoke) =="
 python scripts/bench_pairs.py HEAD HEAD --workload closed_loop_paper --pairs 1 --smoke >/dev/null
+python scripts/bench_pairs.py HEAD HEAD --workload crash_recovery --pairs 1 --smoke >/dev/null
 echo "bench_pairs smoke OK"
 
 # The observability package is pinned to a >=90% line-coverage floor by

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Profile the canonical closed-loop scenario with cProfile.
 
-Two uses:
+Three uses:
 
 * ``python scripts/profile_run.py`` — run the canonical no-fault
   benchmark scenario under cProfile and print the top-20 functions by
@@ -20,10 +20,23 @@ Two uses:
   ``benchmarks/test_bench_obs.py``; this check pins the mechanism (the
   code is truly never entered), so it cannot rot into "slow but under
   the noise floor".  Wired into ``scripts/check.sh``.
+* ``python scripts/profile_run.py --armed --check`` — the same kind of
+  structural assertion for a run that *does* have a fault layer: the
+  canonical scenario plus a permanent crash of node 1 at t=300, a
+  heartbeat detector and jittered latency (the ``crash_recovery``
+  benchmark's configuration in small).  An armed network must cost what
+  its work costs: the two fault hooks run only for messages that touch
+  the crashable node (fewer than 0.25 hook calls per message, where
+  consulting both hooks for every message is 2.0), and the per-message
+  path executes no frame of ``HeapScheduler.peek``/``pop``,
+  ``MessageStats.record``, ``Random.uniform`` or a ``now`` property.
+  The exact per-message hook count is pinned by
+  ``tests/sim/test_network.py``; this leg checks a whole run.
 
 Options: ``--scheduler {heap,calendar}`` profiles a specific scheduler
-through ``Scenario(scheduler=...)`` (default: the heap); ``--sort`` picks
-the pstats sort key.
+through ``Scenario(scheduler=...)`` (default: the heap); ``--armed``
+profiles the fault-layer scenario instead of the no-fault one (its
+``--check`` is for the heap only); ``--sort`` picks the pstats sort key.
 """
 
 from __future__ import annotations
@@ -55,8 +68,32 @@ FORBIDDEN_ON_NO_FAULT_PATH = (
 ALLOWED_FRAMES: frozenset = frozenset()
 
 
-def profile_canonical(scheduler):
-    """Run the canonical closed-loop scenario under cProfile."""
+#: Ceiling on ``drop_on_send`` + ``drop_on_delivery`` calls per message
+#: of the armed run.  Consulting both hooks for every message is 2.0.
+ARMED_HOOK_CALLS_PER_MESSAGE = 0.25
+
+#: ``(file suffix, function name, caller's file suffix)`` frames the
+#: armed run must never execute: each was one Python frame per message
+#: or per event before the armed path was made to cost what its work
+#: costs.  An empty caller suffix matches any caller; ``Random.uniform``
+#: is only forbidden to the latency model (the workload generator draws
+#: think times with it, once per request).
+FORBIDDEN_ON_ARMED_PATH = (
+    (os.path.join("sim", "schedulers.py"), "peek", ""),
+    (os.path.join("sim", "schedulers.py"), "pop", ""),
+    (os.path.join("sim", "network.py"), "record", ""),
+    (os.path.join("sim", "engine.py"), "now", ""),
+    ("random.py", "uniform", os.path.join("sim", "latency.py")),
+)
+
+
+def profile_canonical(scheduler, armed=False):
+    """Run the canonical closed-loop scenario under cProfile.
+
+    ``armed`` adds a permanent crash of node 1, a heartbeat detector and
+    jittered latency: every message on the general send, the run loop
+    bounded by ``until``.
+    """
     from repro.experiments.runner import run
     from repro.experiments.scenario import Scenario
     from repro.workload.params import WorkloadParams
@@ -66,6 +103,17 @@ def profile_canonical(scheduler):
         duration=1_500.0, warmup=200.0, seed=1,
     )
     scenario = Scenario(algorithm="with_loan", params=params, scheduler=scheduler)
+    if armed:
+        from repro.sim.detectorspec import HeartbeatDetector
+        from repro.sim.faultspec import NodeCrash
+        from repro.sim.latencyspec import UniformJitterLatencySpec
+
+        scenario = scenario.replace(
+            faults=NodeCrash(node=1, at=300.0),
+            detector=HeartbeatDetector(interval=10, timeout=30),
+            latency=UniformJitterLatencySpec(jitter=0.4),
+            require_all_completed=False,
+        )
     run(scenario)  # warm imports and caches
     profile = cProfile.Profile()
     profile.enable()
@@ -90,6 +138,34 @@ def check_no_fault_frames(profile) -> list:
     return offenders
 
 
+def check_armed_budget(profile, messages: int) -> tuple:
+    """Return the armed run's budget violations (printable lines) and hook-call count."""
+    stats = pstats.Stats(profile)
+    faults_py = os.path.join("sim", "faults.py")
+    hook_calls = 0
+    problems = []
+    for (filename, lineno, funcname), (_cc, _nc, _tt, _ct, callers) in stats.stats.items():
+        if filename.endswith(faults_py) and funcname in ("drop_on_send", "drop_on_delivery"):
+            hook_calls += sum(calls[0] for calls in callers.values())
+        for suffix, forbidden, caller_suffix in FORBIDDEN_ON_ARMED_PATH:
+            if funcname != forbidden or not filename.endswith(suffix):
+                continue
+            ncalls = sum(
+                calls[0] for caller, calls in callers.items()
+                if caller[0].endswith(caller_suffix)
+            )
+            if ncalls:
+                rel = os.path.relpath(filename, REPO)
+                problems.append(f"{rel}:{lineno} {funcname} ran {ncalls} times (budget: 0)")
+    ceiling = ARMED_HOOK_CALLS_PER_MESSAGE * messages
+    if not 0 < hook_calls < ceiling:
+        problems.append(
+            f"fault hooks ran {hook_calls} times for {messages} messages "
+            f"(budget: more than 0, below {ceiling:.0f})"
+        )
+    return sorted(problems), hook_calls
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -104,9 +180,32 @@ def main() -> None:
         "--check", action="store_true",
         help="assert the no-fault run executes no fault/lifecycle/recovery frames",
     )
+    parser.add_argument(
+        "--armed", action="store_true",
+        help="profile the canonical scenario with a node crash, a detector and "
+        "jittered latency; with --check, assert the armed per-message budget",
+    )
     args = parser.parse_args()
+    if args.armed and args.check and args.scheduler == "calendar":
+        parser.error("--armed --check budgets the heap's bounded loop; drop --scheduler calendar")
 
-    profile, result = profile_canonical(args.scheduler)
+    profile, result = profile_canonical(args.scheduler, armed=args.armed)
+
+    if args.check and args.armed:
+        messages = result.metrics.messages_total
+        problems, hook_calls = check_armed_budget(profile, messages)
+        if problems:
+            print("armed run exceeded its per-message budget:", file=sys.stderr)
+            for line in problems:
+                print(f"  {line}", file=sys.stderr)
+            sys.exit(1)
+        print(
+            f"armed path within budget: {hook_calls} fault-hook calls for {messages} "
+            f"messages ({hook_calls / messages:.3f} per message, ceiling "
+            f"{ARMED_HOOK_CALLS_PER_MESSAGE}); 0 frames of "
+            + ", ".join(name for _suffix, name, _caller in FORBIDDEN_ON_ARMED_PATH)
+        )
+        return
 
     if args.check:
         offenders = check_no_fault_frames(profile)
@@ -123,7 +222,8 @@ def main() -> None:
         return
 
     print(
-        f"canonical closed loop: {result.events_processed} events, "
+        f"canonical closed loop{' (armed)' if args.armed else ''}: "
+        f"{result.events_processed} events, "
         f"{result.metrics.completed} completed requests\n"
     )
     stats = pstats.Stats(profile)

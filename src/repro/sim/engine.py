@@ -28,6 +28,7 @@ the runner constructs from ``Scenario.scheduler``.
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Any, Callable, Optional, Union
 
 from repro.sim.schedulers import CalendarQueue, HeapScheduler, make_scheduler
@@ -124,6 +125,14 @@ class Simulator:
         Results are bit-identical across schedulers; see
         :mod:`repro.sim.schedulers` for the determinism contract.
 
+    Attributes
+    ----------
+    now:
+        Current simulated time.  A plain slot so that the per-message
+        readers (network, clients, lifecycle) pay an attribute load, not
+        a property frame; read-only by convention, like
+        ``HeapScheduler.entries`` — only the engine's loops write it.
+
     Examples
     --------
     >>> sim = Simulator()
@@ -140,7 +149,7 @@ class Simulator:
     __slots__ = (
         "_scheduler",
         "_seq",
-        "_now",
+        "now",
         "_running",
         "_processed",
         "_cancelled",
@@ -152,7 +161,7 @@ class Simulator:
             scheduler = make_scheduler(scheduler)
         self._scheduler = scheduler
         self._seq = 0
-        self._now = 0.0
+        self.now: float = 0.0
         self._running = False
         self._processed = 0
         # Sequence numbers of cancelled-but-still-queued events.
@@ -164,11 +173,6 @@ class Simulator:
     # ------------------------------------------------------------------ #
     # clock
     # ------------------------------------------------------------------ #
-    @property
-    def now(self) -> float:
-        """Current simulated time."""
-        return self._now
-
     @property
     def processed_events(self) -> int:
         """Number of events executed so far (diagnostics)."""
@@ -195,7 +199,14 @@ class Simulator:
         Python frame per event.
         """
         raise SimulationError(
-            f"cannot schedule an event in the past (time={time!r} < now={self._now!r})"
+            f"cannot schedule an event in the past (time={time!r} < now={self.now!r})"
+        )
+
+    @staticmethod
+    def _raise_runaway(max_events: Optional[int]) -> None:
+        """Shared ``max_events`` error of the three loops in :meth:`run`."""
+        raise SimulationError(
+            f"max_events={max_events} exceeded; possible livelock in the protocol"
         )
 
     def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> Event:
@@ -217,7 +228,7 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule an event in the past (delay={delay!r})")
-        time = self._now + delay
+        time = self.now + delay
         seq = self._seq
         self._seq = seq + 1
         scheduler = self._scheduler
@@ -230,7 +241,7 @@ class Simulator:
     def schedule_at(self, time: float, callback: Callable[..., None], *args: Any) -> Event:
         """Schedule ``callback(*args)`` at an absolute simulated time."""
         time = float(time)
-        if time < self._now:
+        if time < self.now:
             self._raise_past(time)
         seq = self._seq
         self._seq = seq + 1
@@ -248,7 +259,7 @@ class Simulator:
         cancel.  Semantics are otherwise identical to :meth:`schedule_at`.
         """
         time = float(time)
-        if time < self._now:
+        if time < self.now:
             self._raise_past(time)
         seq = self._seq
         self._seq = seq + 1
@@ -267,7 +278,7 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule an event in the past (delay={delay!r})")
-        time = self._now + delay
+        time = self.now + delay
         seq = self._seq
         self._seq = seq + 1
         scheduler = self._scheduler
@@ -306,7 +317,7 @@ class Simulator:
             if cancelled and seq in cancelled:
                 cancelled.discard(seq)
                 continue
-            self._now = time
+            self.now = time
             self._processed += 1
             callback(*args)
             return True
@@ -326,8 +337,11 @@ class Simulator:
             If given, stop once the next event would fire strictly after
             this time.  The clock is advanced to ``until`` in that case.
         max_events:
-            Safety valve for runaway protocols; raises
-            :class:`SimulationError` when exceeded.
+            Safety valve for runaway protocols: a run of exactly
+            ``max_events`` events completes, and :class:`SimulationError`
+            is raised when one more is about to run — with or without
+            ``until``, on every scheduler.  Cancelled entries and events
+            past ``until`` never count.
         advance_to_until:
             When false, the clock is left at the last executed event
             instead of being advanced to ``until`` — for callers using
@@ -339,89 +353,86 @@ class Simulator:
         self._running = True
         scheduler = self._scheduler
         cancelled = self._cancelled
+        # max_events is a countdown, not a loop structure, and means the
+        # same in every loop: a run of exactly max_events events
+        # completes, one more about to run raises.
+        budget = -1 if max_events is None else max_events
         try:
-            if until is None:
-                # Tightest loops for the common "drain everything" case,
-                # one per scheduler family.  max_events is only a runaway
-                # safety valve here: a countdown, not a loop structure.
-                budget = -1 if max_events is None else max_events
-                if type(scheduler) is HeapScheduler:
-                    queue = scheduler.entries
-                    heappop = heapq.heappop
-                    while queue:
-                        time, seq, callback, args = heappop(queue)
+            if type(scheduler) is HeapScheduler:
+                # The heap inline, draining or bounded by `until` alike:
+                # this is the loop of every default run, and `until` is
+                # how every run with a fault layer is driven.  Popping
+                # before looking at the time keeps the drain free of a
+                # peek; the one live entry found past the horizon goes
+                # back under its own (time, seq), so order is untouched.
+                queue = scheduler.entries
+                heappop = heapq.heappop
+                horizon = math.inf if until is None else until
+                while queue:
+                    time, seq, callback, args = heappop(queue)
+                    if cancelled and seq in cancelled:
+                        cancelled.discard(seq)
+                        continue
+                    if time > horizon:
+                        heapq.heappush(queue, (time, seq, callback, args))
+                        break
+                    if budget == 0:
+                        self._raise_runaway(max_events)
+                    budget -= 1
+                    self.now = time
+                    self._processed += 1
+                    callback(*args)
+            elif until is None:
+                # Batch drain: iterate the scheduler's ready window in
+                # place instead of paying a pop() call per event.  The
+                # cursor is re-read each iteration and advanced *before*
+                # the callback, so in-window insertions and nested
+                # ``step()`` calls made by a callback stay consistent
+                # with this loop.
+                while True:
+                    window = scheduler.take_ready()
+                    if window is None:
+                        break
+                    while True:
+                        pos = scheduler.pos
+                        if pos >= len(window):
+                            break
+                        time, seq, callback, args = window[pos]
+                        scheduler.pos = pos + 1
                         if cancelled and seq in cancelled:
                             cancelled.discard(seq)
                             continue
                         if budget == 0:
-                            raise SimulationError(
-                                f"max_events={max_events} exceeded; "
-                                f"possible livelock in the protocol"
-                            )
+                            self._raise_runaway(max_events)
                         budget -= 1
-                        self._now = time
+                        self.now = time
                         self._processed += 1
                         callback(*args)
-                else:
-                    # Batch drain: iterate the scheduler's ready window in
-                    # place instead of paying a pop() call per event.  The
-                    # cursor is re-read each iteration and advanced *before*
-                    # the callback, so in-window insertions and nested
-                    # ``step()`` calls made by a callback stay consistent
-                    # with this loop.
-                    while True:
-                        window = scheduler.take_ready()
-                        if window is None:
-                            break
-                        while True:
-                            pos = scheduler.pos
-                            if pos >= len(window):
-                                break
-                            time, seq, callback, args = window[pos]
-                            scheduler.pos = pos + 1
-                            if cancelled and seq in cancelled:
-                                cancelled.discard(seq)
-                                continue
-                            if budget == 0:
-                                raise SimulationError(
-                                    f"max_events={max_events} exceeded; "
-                                    f"possible livelock in the protocol"
-                                )
-                            budget -= 1
-                            self._now = time
-                            self._processed += 1
-                            callback(*args)
-                return
-            # Run bounded by `until`: generic peek/pop loop,
-            # scheduler-agnostic (fault runs and stall caps — never the
-            # hot no-fault path).
-            peek = scheduler.peek
-            pop = scheduler.pop
-            executed = 0
-            while True:
-                entry = peek()
-                if entry is None:
-                    break
-                time, seq, callback, args = entry
-                if cancelled and seq in cancelled:
+            else:
+                # Scheduler-agnostic peek/pop loop: only a non-heap
+                # scheduler bounded by `until` comes here.
+                peek = scheduler.peek
+                pop = scheduler.pop
+                while True:
+                    entry = peek()
+                    if entry is None:
+                        break
+                    time, seq, callback, args = entry
+                    if cancelled and seq in cancelled:
+                        pop()
+                        cancelled.discard(seq)
+                        continue
+                    if time > until:
+                        break
+                    if budget == 0:
+                        self._raise_runaway(max_events)
+                    budget -= 1
                     pop()
-                    cancelled.discard(seq)
-                    continue
-                if time > until:
-                    if advance_to_until:
-                        self._now = max(self._now, until)
-                    return
-                pop()
-                self._now = time
-                self._processed += 1
-                callback(*args)
-                executed += 1
-                if max_events is not None and executed >= max_events:
-                    raise SimulationError(
-                        f"max_events={max_events} exceeded; possible livelock in the protocol"
-                    )
-            if advance_to_until:
-                self._now = max(self._now, until)
+                    self.now = time
+                    self._processed += 1
+                    callback(*args)
+            if until is not None and advance_to_until:
+                self.now = max(self.now, until)
         finally:
             self._running = False
 
@@ -435,7 +446,7 @@ class Simulator:
         """
         self._scheduler.clear()
         self._cancelled.clear()
-        self._now = 0.0
+        self.now = 0.0
         self._seq = 0
         self._processed = 0
         self._generation += 1

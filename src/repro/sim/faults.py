@@ -1,4 +1,4 @@
-"""Live fault layer consulted by the network on every send and delivery.
+"""Live fault layer, consulted by the network for messages that can meet a fault.
 
 The models below are the *thawed* counterparts of the declarative specs in
 :mod:`repro.sim.faultspec`, exactly as :mod:`repro.sim.latency` models are
@@ -16,8 +16,27 @@ A fault model answers two questions:
   at delivery time: has the link or the destination gone down while the
   message was in flight (partition window, crashed receiver)?
 
-Both answers must be deterministic functions of the spec and the (single
-threaded, deterministic) simulation history: randomness enters only
+and makes two *scoping* declarations that say which messages the network
+need not ask about at all:
+
+* :meth:`FaultModel.quiet_until` — in time: both hooks return ``False``
+  for every instant strictly before it;
+* :meth:`FaultModel.exposed_nodes` — in space: both hooks return
+  ``False`` for every message whose source and destination are both
+  outside the returned set (``None``: any message may be dropped).
+
+The network consults the hooks only for a message that is *exposed* —
+delivered at or after ``quiet_until()`` **and** touching an exposed
+node — and posts every other message straight to its handler.  Both
+declarations are functions of the spec alone, never of the simulation
+history, so the decision made once at send time holds for the whole
+flight of the message.  A custom model must honour both contracts; the
+inherited defaults (``0.0`` and ``None``: always ask, about everything)
+are the safe ones, so a model that overrides neither is consulted on
+every send and delivery.
+
+The hooks' answers must be deterministic functions of the spec and the
+(single threaded, deterministic) simulation history: randomness enters only
 through a dedicated ``random.Random`` seeded from the spec, and send /
 delivery events happen in the same order in every run of the same
 scenario — which is what keeps fault sweeps bit-identical between
@@ -45,6 +64,13 @@ class FaultModel:
 
     Subclasses override one or both hooks; returning ``True`` drops the
     message (the network records it in ``MessageStats.dropped``).
+
+    A subclass that can say *when* or *to whom* its hooks may ever
+    return ``True`` narrows :meth:`quiet_until` / :meth:`exposed_nodes`
+    accordingly, and the network then skips the hooks for every message
+    outside that scope.  Narrowing is a promise: a hook that would have
+    returned ``True`` outside the declared scope is simply never asked.
+    Leaving both at their defaults is always correct.
     """
 
     __slots__ = ()
@@ -83,6 +109,21 @@ class FaultModel:
         window start.
         """
         return 0.0
+
+    def exposed_nodes(self) -> Optional[FrozenSet[int]]:
+        """Nodes whose traffic either drop hook could ever drop.
+
+        Both hooks are guaranteed to return ``False`` for a message whose
+        ``src`` and ``dst`` are *both* outside this set, at any time, so
+        the network consults them only for messages that touch it — which
+        is what makes one crashed node cost a fault check on its own
+        traffic instead of on everyone's.  The set is a function of the
+        spec, not of time, so the network reads it once and decides per
+        message at send time.  The conservative default is ``None``: any
+        message may be dropped.  Models that are not tied to particular
+        nodes (Bernoulli loss) must keep that default.
+        """
+        return None
 
     def describe(self) -> str:
         """Human-readable description used in experiment reports."""
@@ -148,6 +189,10 @@ class LinkPartitionModel(FaultModel):
         """No message can hit the cut before the partition starts."""
         return self.start
 
+    def exposed_nodes(self) -> FrozenSet[int]:
+        """Only links between the partitioned pairs' endpoints are cut."""
+        return frozenset(node for pair in self.pairs for node in pair)
+
     def describe(self) -> str:
         links = sorted(tuple(sorted(p)) for p in self.pairs)
         return f"partition({links}, [{self.start:g}, {self.end:g}))"
@@ -193,6 +238,10 @@ class NodeCrashModel(FaultModel):
         """No message is affected before the crash instant."""
         return self.at
 
+    def exposed_nodes(self) -> FrozenSet[int]:
+        """Only messages the crashed node sends or receives are lost."""
+        return frozenset((self.node,))
+
     def describe(self) -> str:
         window = f"[{self.at:g}, {self.recover_at:g})"
         return f"crash(node={self.node}, {window})"
@@ -230,6 +279,13 @@ class CompositeFaultModel(FaultModel):
     def quiet_until(self) -> float:
         """Quiet only while every child is quiet."""
         return min((m.quiet_until() for m in self.models), default=math.inf)
+
+    def exposed_nodes(self) -> Optional[FrozenSet[int]]:
+        """Union of the children's sets; ``None`` as soon as one child says so."""
+        scopes = [m.exposed_nodes() for m in self.models]
+        if None in scopes:
+            return None
+        return frozenset().union(*scopes)
 
     def describe(self) -> str:
         return " + ".join(m.describe() for m in self.models)

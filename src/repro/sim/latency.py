@@ -73,13 +73,19 @@ class UniformJitterLatency(LatencyModel):
         self.gamma = float(gamma)
         self.jitter = float(jitter)
         self._rng = random.Random(seed)
+        # ``Random.uniform(lo, hi)`` is ``lo + (hi - lo) * random()``:
+        # the same expression on hoisted operands draws the same floats
+        # without a ``uniform`` frame per message.
+        lo = self.gamma * (1.0 - self.jitter)
+        hi = self.gamma * (1.0 + self.jitter)
+        self._lo = lo
+        self._span = hi - lo
+        self._random = self._rng.random
 
     def latency(self, src: int, dst: int) -> float:
         if src == dst:
             return 0.0
-        lo = self.gamma * (1.0 - self.jitter)
-        hi = self.gamma * (1.0 + self.jitter)
-        return self._rng.uniform(lo, hi)
+        return self._lo + self._span * self._random()
 
     def describe(self) -> str:
         return f"UniformJitterLatency(gamma={self.gamma}, jitter={self.jitter})"

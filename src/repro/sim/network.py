@@ -10,11 +10,11 @@ Implements the communication model assumed in Section 3.1 of the paper:
 
 Reliability is a default, not an axiom: an optional fault layer
 (:mod:`repro.sim.faults`, thawed from the declarative specs in
-:mod:`repro.sim.faultspec`) is consulted at send time (crashed sender,
-Bernoulli link loss) and at delivery time (partition window, crashed
-receiver); dropped messages never reach node delivery and are accounted
-separately in :class:`MessageStats`.  With no fault layer (``faults=None``)
-the hot path is exactly the reliable one.
+:mod:`repro.sim.faultspec`) may drop a message at send time (crashed
+sender, Bernoulli link loss) or at delivery time (partition window,
+crashed receiver); dropped messages never reach node delivery and are
+accounted separately in :class:`MessageStats`.  With no fault layer
+(``faults=None``) the hot path is exactly the reliable one.
 
 The network also keeps per-message-type counters so experiments can report
 message complexity alongside the paper's two primary metrics.
@@ -26,18 +26,29 @@ of two functions as the instance attribute ``send``.
 
 * :class:`~repro.sim.latency.ConstantLatency` (the paper's default
   configuration): a constant latency can never reorder a link, so there
-  is no per-link FIFO clamp; the latency is hoisted to two floats,
-  message accounting is one flat counter update, and while a message
-  lives entirely before the fault layer's ``quiet_until()`` horizon
-  (forever, when there is no fault layer) the delivery callback is
-  resolved *per (destination, message class)* once — subsequent sends
-  schedule the handler directly, skipping the fault hooks, the
-  ``_deliver`` frame and per-message handler lookup.
-* any other latency model: the fully general path (fault hooks + FIFO
-  clamp).
+  is no per-link FIFO clamp and the latency is hoisted to two floats.
+* any other latency model: a latency draw through a bound method hoisted
+  at construction, plus the per-link FIFO clamp.
 
-Both produce bit-identical simulations where both apply; the
-differential test in ``tests/sim/test_network.py`` pins the equivalence.
+Both resolve the delivery callback *per (destination, message class)*
+once (an unknown destination raises ``KeyError`` there, before anything
+is counted), update one flat counter, and make one ``post_at``.  And both
+apply the same **exposure test** before involving the fault layer: a
+message is exposed when it is delivered at or after the layer's
+``quiet_until()`` *and* its source or destination is one of the layer's
+``exposed_nodes()`` (``None``: every node).  Only an exposed message is
+put to ``drop_on_send`` and routed through ``_deliver`` →
+``drop_on_delivery``; every other message is posted straight to the
+resolved handler, because both hooks are contractually ``False`` for it.
+Both declarations depend on the fault spec alone, so deciding at send
+time cannot race a crash that begins while the message is in flight: a
+message to or from a node that can crash is always exposed, whenever it
+is sent.  A reliable network is quiet forever.
+
+Both sends produce bit-identical simulations where both apply; the
+differential tests in ``tests/sim/test_network.py`` pin that, and pin
+the production network against a reference that consults both hooks
+for every message.
 """
 
 from __future__ import annotations
@@ -195,6 +206,8 @@ class Network:
         "_last_delivery",
         "_compact_at",
         "_quiet_until",
+        "_exposed_nodes",
+        "_latency_of",
     )
 
     def __init__(
@@ -210,8 +223,8 @@ class Network:
         self._nodes: Dict[int, "Node"] = {}
         # Sorted-ids cache for the node_ids property (None = stale).
         self._node_ids: Optional[Tuple[int, ...]] = None
-        # The stats object's flat sent-counter, aliased so the constant
-        # send does one inline dict update instead of a method call.
+        # The stats object's flat sent-counter, aliased so the sends do
+        # one inline dict update instead of a method call.
         self._sent = self.stats._sent
         # (dst, message class) -> delivery callable, resolved once.
         self._delivery_cache: Dict[Tuple[int, type], Callable[[int, Any], None]] = {}
@@ -225,11 +238,15 @@ class Network:
         # Hoisted constant latencies (only read by the constant send).
         self._gamma = 0.0
         self._local = 0.0
-        # Before this instant the fault layer cannot drop anything, so
-        # the constant send skips both hooks (and the _deliver
-        # trampoline) for messages living entirely inside the quiet era.
-        # A reliable network is quiet forever.
+        # The fault layer's scope, read once (it is a function of the
+        # spec): the layer cannot drop anything delivered before
+        # _quiet_until, nor anything whose source and destination are both
+        # outside _exposed_nodes (None: every node is exposed).  A
+        # reliable network is quiet forever.
         self._quiet_until = faults.quiet_until() if faults is not None else math.inf
+        self._exposed_nodes = faults.exposed_nodes() if faults is not None else None
+        # The latency draw of the general send, bound once.
+        self._latency_of = self.latency.latency
         if type(self.latency) is ConstantLatency:
             self._gamma = self.latency.gamma
             self._local = self.latency.local
@@ -267,7 +284,7 @@ class Network:
 
         For nodes using the stock :meth:`~repro.sim.node.Node.deliver`,
         this is the bound ``on_<ClassName>`` handler itself, so the
-        constant send schedules the handler directly and the dispatch
+        sends schedule the handler directly and the dispatch
         ``getattr`` happens once per (destination, class) instead of once
         per message.  Nodes that override ``deliver`` keep their override
         in the loop.  Raises ``KeyError`` for an unknown destination.
@@ -281,8 +298,8 @@ class Network:
             try:
                 target = node._resolve_handler(cls)
             except NotImplementedError:
-                # No handler: keep the error surfacing at *delivery* time
-                # (matching the general path), not at send time.
+                # No handler: the error surfaces at *delivery* time, from
+                # Node.deliver, not at send time.
                 target = node.deliver
         else:
             target = node.deliver
@@ -292,61 +309,75 @@ class Network:
     def _send_constant(self, src: int, dst: int, message: Any) -> float:
         """Constant-latency send: no FIFO clamp, latency from two hoisted floats.
 
-        Inside the quiet era (always, without a fault layer) the delivery
-        is posted straight to the resolved handler through the engine's
-        no-handle path.  Past it the fault layer is consulted on every
-        message — that is the contract being paid for.
+        An unexposed message (see the module docstring; every message,
+        without a fault layer) is posted straight to the resolved handler
+        through the engine's no-handle path.
         """
         cls = message.__class__
+        target = self._delivery_cache.get((dst, cls))
+        if target is None:
+            target = self._resolve_delivery(dst, cls)
         key = (cls, src)
         sent = self._sent
         sent[key] = sent.get(key, 0) + 1
         sim = self.sim
-        now = sim._now  # the attribute behind Simulator.now: no property frame per message
+        now = sim.now
         delivery = now + (self._gamma if src != dst else self._local)
-        if delivery < self._quiet_until:
-            # Send and delivery both precede any possible fault activity:
-            # the hooks are contractually False.
-            target = self._delivery_cache.get((dst, cls))
-            if target is None:
-                target = self._resolve_delivery(dst, cls)
-            sim.post_at(delivery, target, src, message)
-            return delivery
-        if dst not in self._nodes:
-            raise KeyError(f"unknown destination node {dst}")
-        if self.faults.drop_on_send(now, src, dst, message):
-            # Lost before entering the link: never scheduled.
-            self.stats.record_dropped(src, message)
-            return delivery
-        sim.post_at(delivery, self._deliver, src, dst, message)
+        if delivery >= self._quiet_until:
+            exposed = self._exposed_nodes
+            if exposed is None or src in exposed or dst in exposed:
+                if self.faults.drop_on_send(now, src, dst, message):
+                    # Lost before entering the link: never scheduled.
+                    self.stats.record_dropped(src, message)
+                    return delivery
+                sim.post_at(delivery, self._deliver, target, src, dst, message)
+                return delivery
+        sim.post_at(delivery, target, src, message)
         return delivery
 
     def _send_general(self, src: int, dst: int, message: Any) -> float:
-        """Fully general send: fault hooks plus the per-link FIFO clamp."""
-        if dst not in self._nodes:
-            raise KeyError(f"unknown destination node {dst}")
-        self.stats.record(src, message)
-        delay = self.latency.latency(src, dst)
-        delivery = self.sim.now + delay
-        faults = self.faults
-        if faults is not None and faults.drop_on_send(self.sim.now, src, dst, message):
-            # Lost before entering the link (crashed sender, Bernoulli
-            # loss): never scheduled, and the FIFO clamp is untouched —
-            # a dropped message cannot delay later ones.
-            self.stats.record_dropped(src, message)
-            return delivery
+        """General send: a latency draw plus the per-link FIFO clamp.
+
+        The order of side effects is fixed: count, draw the latency (so
+        the latency RNG advances even for a message that is then
+        dropped), ``drop_on_send`` if exposed, clamp, post.
+        """
+        cls = message.__class__
+        target = self._delivery_cache.get((dst, cls))
+        if target is None:
+            target = self._resolve_delivery(dst, cls)
+        key = (cls, src)
+        sent = self._sent
+        sent[key] = sent.get(key, 0) + 1
+        sim = self.sim
+        now = sim.now
+        delivery = now + self._latency_of(src, dst)
         # FIFO per directed link: never deliver before a previously sent
         # message on the same link.
-        key = (src, dst)
+        link = (src, dst)
         last = self._last_delivery
-        prev = last.get(key, -1.0)
-        if delivery < prev:
-            delivery = prev
-        last[key] = delivery
+        prev = last.get(link, -1.0)
+        due = delivery if delivery >= prev else prev
+        deliver = None
+        if due >= self._quiet_until:
+            exposed = self._exposed_nodes
+            if exposed is None or src in exposed or dst in exposed:
+                if self.faults.drop_on_send(now, src, dst, message):
+                    # Lost before entering the link (crashed sender,
+                    # Bernoulli loss): never scheduled, and the FIFO clamp
+                    # is untouched — a dropped message cannot delay later
+                    # ones.
+                    self.stats.record_dropped(src, message)
+                    return delivery
+                deliver = self._deliver
+        last[link] = due
         if len(last) >= self._compact_at:
             self._compact_last_delivery()
-        self.sim.post_at(delivery, self._deliver, src, dst, message)
-        return delivery
+        if deliver is None:
+            sim.post_at(due, target, src, message)
+        else:
+            sim.post_at(due, deliver, target, src, dst, message)
+        return due
 
     def _compact_last_delivery(self) -> None:
         """Drop FIFO-clamp entries whose delivery is already in the past.
@@ -365,18 +396,17 @@ class Network:
             _LAST_DELIVERY_COMPACT_THRESHOLD, 2 * len(self._last_delivery)
         )
 
-    def _deliver(self, src: int, dst: int, message: Any) -> None:
-        faults = self.faults
-        if faults is not None and faults.drop_on_delivery(self.sim.now, src, dst, message):
+    def _deliver(
+        self, target: Callable[[int, Any], None], src: int, dst: int, message: Any
+    ) -> None:
+        """Delivery of an exposed message: the fault layer's second say.
+
+        Only the sends post this, so the fault layer exists and ``target``
+        is the handler they resolved for ``(dst, message class)``.
+        """
+        if self.faults.drop_on_delivery(self.sim.now, src, dst, message):
             # Lost in flight (partition window, crashed receiver): the
             # message dies here instead of reaching node delivery.
             self.stats.record_dropped(src, message)
             return
-        cls = message.__class__
-        target = self._delivery_cache.get((dst, cls))
-        if target is None:
-            try:
-                target = self._resolve_delivery(dst, cls)
-            except KeyError:  # pragma: no cover - defensive
-                return
         target(src, message)

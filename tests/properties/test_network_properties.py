@@ -1,0 +1,192 @@
+"""Property-based differential: the production network against its oracle.
+
+``Network`` asks the fault layer only about messages that can meet a
+fault and posts the rest straight to their handlers; the
+``ReferenceNetwork`` kept in ``tests/sim/test_network.py`` asks both
+hooks about every message.  Random send scripts, latency models and
+fault models must not be able to tell the two apart — which holds
+because every fault model keeps the two scoping contracts
+(``quiet_until()``, ``exposed_nodes()``), checked here as well.
+"""
+
+import math
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.sim.faults import (
+    BernoulliLossModel,
+    CompositeFaultModel,
+    LinkPartitionModel,
+    NodeCrashModel,
+)
+from repro.sim.latency import ConstantLatency, HierarchicalLatency, UniformJitterLatency
+from repro.sim.network import Network
+from tests.sim.test_network import (
+    ClampedConstantLatency,
+    CountingFaults,
+    Ping,
+    Pong,
+    ReferenceNetwork,
+    exposed_sends,
+    play_script,
+    stats_of,
+)
+
+NODES = 6
+#: Registered ids plus one nobody registered: a crash model may name it
+#: (the benchmark's send probe does), and a send to it raises.
+UNREGISTERED = NODES + 3
+
+#: A coarse grid, so that scripts are full of same-instant bursts and of
+#: messages in flight exactly across a window's edge.
+instants = st.integers(min_value=0, max_value=32).map(lambda quarter: quarter / 4)
+node_ids = st.integers(min_value=0, max_value=NODES - 1)
+destinations = st.one_of(node_ids, node_ids, node_ids, st.just(UNREGISTERED))
+messages = st.builds(
+    lambda cls, payload: cls(payload), st.sampled_from([Ping, Pong]), st.integers(0, 99)
+)
+scripts = st.lists(st.tuples(instants, node_ids, destinations, messages), max_size=40)
+
+#: Latency recipes: plain data, thawed once per network so that the two
+#: sides never share an RNG.
+LATENCIES = {
+    "constant": lambda seed: ConstantLatency(gamma=1.0, local=0.25),
+    "clamped": lambda seed: ClampedConstantLatency(gamma=1.0, local=0.25),
+    "jitter": lambda seed: UniformJitterLatency(gamma=1.0, jitter=0.9, seed=seed),
+    "hierarchical": lambda seed: HierarchicalLatency(
+        gamma_local=0.5, gamma_remote=2.0, num_nodes=NODES, num_clusters=2
+    ),
+}
+latencies = st.tuples(st.sampled_from(sorted(LATENCIES)), st.integers(0, 5))
+
+window_ends = st.one_of(st.just(math.inf), st.integers(1, 16).map(lambda quarter: quarter / 4))
+crashes = st.tuples(
+    st.just("crash"),
+    st.one_of(node_ids, st.just(UNREGISTERED)),
+    st.one_of(instants, st.just(1e9)),  # 1e9: armed, never fires
+    window_ends,
+)
+partitions = st.tuples(
+    st.just("partition"),
+    st.lists(st.tuples(node_ids, node_ids), max_size=3),
+    instants,
+    window_ends,
+)
+losses = st.tuples(
+    st.just("loss"),
+    st.sampled_from([0.0, 0.3, 1.0]),
+    st.integers(0, 5),
+    st.sampled_from([None, ("Ping",)]),
+)
+simple_faults = st.one_of(crashes, partitions, losses)
+fault_recipes = st.one_of(
+    st.none(),
+    simple_faults,
+    st.tuples(st.just("composite"), st.lists(simple_faults, max_size=3)),
+)
+
+
+def thaw(recipe):
+    """Build a fresh live fault model (own RNG) from a drawn recipe."""
+    if recipe is None:
+        return None
+    kind = recipe[0]
+    if kind == "crash":
+        _, node, at, length = recipe
+        return NodeCrashModel(node=node, at=at, recover_at=at + length)
+    if kind == "partition":
+        _, pairs, start, length = recipe
+        return LinkPartitionModel(pairs, start=start, end=start + length)
+    if kind == "loss":
+        _, p, seed, kinds = recipe
+        return BernoulliLossModel(p=p, seed=seed, kinds=kinds)
+    return CompositeFaultModel([thaw(child) for child in recipe[1]])
+
+
+def rng_states(latency, faults):
+    """Final state of every RNG the latency and fault models own."""
+    models = [latency]
+    while models:
+        model = models.pop()
+        if model is None:
+            continue
+        models.extend(getattr(model, "models", ()))
+        if hasattr(model, "_rng"):
+            yield model._rng.getstate()
+
+
+def observe(network_cls, latency_recipe, fault_recipe, script):
+    name, seed = latency_recipe
+    latency, faults = LATENCIES[name](seed), thaw(fault_recipe)
+    net, returned, log = play_script(network_cls, latency, faults, script, nodes=NODES)
+    return returned, log, stats_of(net), list(rng_states(latency, faults))
+
+
+@given(scripts, latencies, fault_recipes)
+@settings(max_examples=300, deadline=None)
+def test_network_is_indistinguishable_from_the_reference(script, latency_recipe, fault_recipe):
+    production = observe(Network, latency_recipe, fault_recipe, script)
+    reference = observe(ReferenceNetwork, latency_recipe, fault_recipe, script)
+    assert production == reference
+    returned, log, stats, _rngs = production
+    refused = returned.count("KeyError")
+    assert refused == sum(1 for _time, _src, dst, _message in script if dst == UNREGISTERED)
+    # A refused send is not counted; every other one is delivered or dropped.
+    assert stats[0] == len(script) - refused == len(log) + stats[3]
+
+
+@given(scripts, st.sampled_from(["constant", "clamped"]), simple_faults, st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_hooks_are_asked_exactly_about_exposed_messages(script, latency, fault_recipe, scoped):
+    """``scoped=False``: a model that declares nothing is asked about everything."""
+    faults = CountingFaults(thaw(fault_recipe), scoped)
+    _net, returned, _log = play_script(Network, LATENCIES[latency](0), faults, script, nodes=NODES)
+    asked = exposed_sends(faults, script, returned)
+    if not scoped:
+        assert asked == len(script) - returned.count("KeyError")
+    assert faults.send_calls == asked
+    assert faults.delivery_calls == asked - faults.send_drops
+
+
+probes = st.lists(
+    st.tuples(
+        st.one_of(instants, st.floats(min_value=0.0, max_value=1e9, allow_nan=False)),
+        st.integers(0, UNREGISTERED + 1),
+        st.integers(0, UNREGISTERED + 1),
+        messages,
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+@given(fault_recipes.filter(lambda recipe: recipe is not None), probes)
+@settings(max_examples=300, deadline=None)
+def test_hooks_are_false_outside_the_declared_scope(fault_recipe, probed):
+    """The two contracts the network's exposure test relies on.
+
+    Before ``quiet_until()``, or with neither endpoint in a non-``None``
+    ``exposed_nodes()``, both hooks say ``False`` — for every model and
+    every composite, windows ending at ``math.inf`` included.
+    """
+    model = thaw(fault_recipe)
+    quiet, scope = model.quiet_until(), model.exposed_nodes()
+    for time, src, dst, message in probed:
+        if time < quiet or (scope is not None and src not in scope and dst not in scope):
+            assert not model.drop_on_send(time, src, dst, message)
+            assert not model.drop_on_delivery(time, src, dst, message)
+
+
+@given(st.lists(simple_faults, max_size=4))
+def test_composite_scope_is_the_union_of_its_children(recipes):
+    children = [thaw(recipe) for recipe in recipes]
+    composite = CompositeFaultModel(children)
+    scopes = [child.exposed_nodes() for child in children]
+    if None in scopes:
+        assert composite.exposed_nodes() is None
+    else:
+        assert composite.exposed_nodes() == frozenset().union(*scopes)
+    assert composite.quiet_until() == min(
+        (child.quiet_until() for child in children), default=math.inf
+    )

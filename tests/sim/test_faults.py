@@ -1,11 +1,13 @@
 """Network-level tests of the live fault layer and dropped accounting."""
 
+import math
 from dataclasses import dataclass
 
 from repro.sim.engine import Simulator
 from repro.sim.faults import (
     BernoulliLossModel,
     CompositeFaultModel,
+    FaultModel,
     LinkPartitionModel,
     NodeCrashModel,
 )
@@ -149,6 +151,62 @@ class TestComposite:
         assert [m.payload for _, _, m in nodes[1].received] == [0]
         assert nodes[2].received == []
         assert net.stats.dropped == 2
+
+
+class TestScopeDeclarations:
+    """``quiet_until()`` / ``exposed_nodes()`` of each model and of composites.
+
+    That the hooks honour what these declare is a property test
+    (``tests/properties/test_network_properties.py``); here, what each
+    model declares.
+    """
+
+    def test_defaults_are_the_safe_ones(self):
+        # A model written before the declarations existed overrides
+        # neither: it is asked always, about everything.
+        class Legacy(FaultModel):
+            def drop_on_send(self, time, src, dst, message):
+                return True
+
+        assert Legacy().quiet_until() == 0.0
+        assert Legacy().exposed_nodes() is None
+        assert BernoulliLossModel(p=0.1).quiet_until() == 0.0
+        assert BernoulliLossModel(p=0.1, kinds=("Ping",)).exposed_nodes() is None
+
+    def test_crash_names_its_node_from_its_start(self):
+        model = NodeCrashModel(node=4, at=2.5, recover_at=9.0)
+        assert model.quiet_until() == 2.5
+        assert model.exposed_nodes() == frozenset({4})
+
+    def test_partition_names_every_endpoint_from_its_start(self):
+        model = LinkPartitionModel(pairs=((0, 1), (1, 5), (3, 3)), start=2.0, end=math.inf)
+        assert model.quiet_until() == 2.0
+        assert model.exposed_nodes() == frozenset({0, 1, 3, 5})
+        assert LinkPartitionModel(pairs=()).exposed_nodes() == frozenset()
+
+    def test_composite_is_the_union_of_its_children(self):
+        crash = NodeCrashModel(node=4, at=7.0)
+        cut = LinkPartitionModel(pairs=((0, 1),), start=3.0, end=5.0)
+        model = CompositeFaultModel([crash, CompositeFaultModel([cut])])
+        assert model.quiet_until() == 3.0
+        assert model.exposed_nodes() == frozenset({0, 1, 4})
+
+    def test_one_unscoped_child_unscopes_the_composite(self):
+        model = CompositeFaultModel(
+            [NodeCrashModel(node=4, at=7.0), BernoulliLossModel(p=0.1)]
+        )
+        assert model.quiet_until() == 0.0
+        assert model.exposed_nodes() is None
+
+    def test_empty_composite_exposes_nothing_ever(self, sim):
+        model = CompositeFaultModel([])
+        assert model.quiet_until() == math.inf
+        assert model.exposed_nodes() == frozenset()
+        net, nodes = make_net(sim, model)
+        net.send(0, 1, Ping(0))
+        sim.run()
+        assert [m.payload for _, _, m in nodes[1].received] == [0]
+        assert net.stats.dropped == 0
 
 
 class TestMessageStatsAccounting:

@@ -1,5 +1,7 @@
 """Unit tests for the latency models."""
 
+import random
+
 import pytest
 
 from repro.sim.latency import ConstantLatency, HierarchicalLatency, UniformJitterLatency
@@ -38,6 +40,24 @@ class TestUniformJitterLatency:
     def test_self_message_is_free(self):
         model = UniformJitterLatency(gamma=1.0, jitter=0.5, seed=1)
         assert model.latency(2, 2) == 0.0
+
+    @pytest.mark.parametrize(
+        "gamma, jitter, seed", [(0.6, 0.4, 1), (1.0, 0.9, 7), (0.6, 0.0, 3), (2.5, 0.2, 0)]
+    )
+    def test_draws_are_exactly_random_uniform(self, gamma, jitter, seed):
+        """The hoisted ``lo + span * random()`` is ``Random.uniform``, bit for bit."""
+        model = UniformJitterLatency(gamma, jitter, seed)
+        rng = random.Random(seed)
+        lo, hi = gamma * (1.0 - jitter), gamma * (1.0 + jitter)
+        assert [model.latency(0, 1) for _ in range(10_000)] == [
+            rng.uniform(lo, hi) for _ in range(10_000)
+        ]
+
+    def test_self_message_consumes_no_draw(self):
+        model = UniformJitterLatency(gamma=1.0, jitter=0.5, seed=1)
+        before = model._rng.getstate()
+        assert [model.latency(n, n) for n in range(5)] == [0.0] * 5
+        assert model._rng.getstate() == before
 
     def test_invalid_jitter_rejected(self):
         with pytest.raises(ValueError):

@@ -5,9 +5,9 @@ from dataclasses import dataclass
 import pytest
 
 from repro.sim.engine import Simulator
-from repro.sim.faults import NodeCrashModel
-from repro.sim.latency import ConstantLatency, UniformJitterLatency
-from repro.sim.network import Network
+from repro.sim.faults import BernoulliLossModel, FaultModel, LinkPartitionModel, NodeCrashModel
+from repro.sim.latency import ConstantLatency, LatencyModel, UniformJitterLatency
+from repro.sim.network import MessageStats, Network
 from repro.sim.node import Node
 
 
@@ -282,3 +282,237 @@ class TestSendBindingsAgree:
         assert len(returned) == len(SEND_SCRIPT) == stats[0]
         assert stats[3] == dropped
         assert len(log) == len(SEND_SCRIPT) - dropped
+
+
+class ReferenceNetwork:
+    """The network before it scoped its fault checks, kept as the oracle.
+
+    One send for every latency model — count, draw the latency, ask
+    ``drop_on_send``, clamp per link, post ``_deliver`` — and a delivery
+    that asks ``drop_on_delivery`` and then dispatches through
+    ``Node.deliver``: both hooks for *every* message, whatever the
+    model's ``quiet_until()`` / ``exposed_nodes()`` say.  The production
+    network must be indistinguishable from it on anything observable
+    (``tests/properties/test_network_properties.py``).
+    """
+
+    def __init__(self, sim, latency, faults=None):
+        self.sim = sim
+        self.latency = latency
+        self.faults = faults
+        self.stats = MessageStats()
+        self._nodes = {}
+        self._last_delivery = {}
+
+    def register(self, node):
+        self._nodes[node.node_id] = node
+
+    def send(self, src, dst, message):
+        if dst not in self._nodes:
+            raise KeyError(f"unknown destination node {dst}")
+        self.stats.record(src, message)
+        delivery = self.sim.now + self.latency.latency(src, dst)
+        faults = self.faults
+        if faults is not None and faults.drop_on_send(self.sim.now, src, dst, message):
+            self.stats.record_dropped(src, message)
+            return delivery
+        delivery = max(delivery, self._last_delivery.get((src, dst), -1.0))
+        self._last_delivery[(src, dst)] = delivery
+        self.sim.post_at(delivery, self._deliver, src, dst, message)
+        return delivery
+
+    def _deliver(self, src, dst, message):
+        faults = self.faults
+        if faults is not None and faults.drop_on_delivery(self.sim.now, src, dst, message):
+            self.stats.record_dropped(src, message)
+            return
+        self._nodes[dst].deliver(src, message)
+
+
+def stats_of(net):
+    """Every counter of ``net.stats`` as plain comparable values."""
+    stats = net.stats
+    return (
+        stats.total,
+        dict(stats.by_type),
+        dict(stats.by_sender),
+        stats.dropped,
+        dict(stats.dropped_by_type),
+    )
+
+
+def play_script(network_cls, latency, faults, script, nodes=3):
+    """Schedule ``script``'s sends on a fresh network of ``network_cls``.
+
+    Returns ``(net, returned, log)``: what each ``send`` returned, in
+    script order (the string ``"KeyError"`` where it raised one), and
+    the ``(time, src, dst, message)`` delivery log.
+    """
+    sim = Simulator()
+    net = network_cls(sim, latency, faults=faults)
+    log = []
+    for node_id in range(nodes):
+        HandlerNode(sim, net, node_id, log)
+    returned = [None] * len(script)
+
+    def send(index, src, dst, message):
+        try:
+            returned[index] = net.send(src, dst, message)
+        except KeyError:
+            returned[index] = "KeyError"
+
+    for index, (time, src, dst, message) in enumerate(script):
+        sim.schedule(time, send, index, src, dst, message)
+    sim.run()
+    return net, returned, log
+
+
+class CountingFaults(FaultModel):
+    """Delegates to ``inner`` and counts how often each hook is asked.
+
+    With ``scoped=False`` it declares nothing — the inherited
+    ``quiet_until()`` / ``exposed_nodes()`` of a model written before the
+    scoping contracts existed — and must then be asked about everything.
+    """
+
+    def __init__(self, inner, scoped=True):
+        self.inner = inner
+        self.scoped = scoped
+        self.send_calls = 0
+        self.send_drops = 0
+        self.delivery_calls = 0
+
+    def drop_on_send(self, time, src, dst, message):
+        self.send_calls += 1
+        dropped = self.inner.drop_on_send(time, src, dst, message)
+        self.send_drops += dropped
+        return dropped
+
+    def drop_on_delivery(self, time, src, dst, message):
+        self.delivery_calls += 1
+        return self.inner.drop_on_delivery(time, src, dst, message)
+
+    def quiet_until(self):
+        return self.inner.quiet_until() if self.scoped else super().quiet_until()
+
+    def exposed_nodes(self):
+        return self.inner.exposed_nodes() if self.scoped else super().exposed_nodes()
+
+
+def exposed_sends(faults, script, returned):
+    """Sends of ``script`` the fault layer has to be asked about.
+
+    For a latency that is constant per link, what ``send`` returns is
+    the delivery instant whether or not the message is then dropped.
+    """
+    quiet = faults.quiet_until()
+    scope = faults.exposed_nodes()
+    return sum(
+        1
+        for (_time, src, dst, _message), delivery in zip(script, returned)
+        if delivery != "KeyError"
+        and delivery >= quiet
+        and (scope is None or src in scope or dst in scope)
+    )
+
+
+@pytest.mark.parametrize(
+    "latency_cls", [ConstantLatency, ClampedConstantLatency], ids=["constant", "general"]
+)
+class TestFaultLayerIsConsultedOnlyWhenExposed:
+    """Hook calls are the messages that can meet a fault, on both sends."""
+
+    def play(self, latency_cls, inner, scoped=True):
+        faults = CountingFaults(inner, scoped)
+        _net, returned, _log = play_script(
+            Network, latency_cls(gamma=1.0, local=0.25), faults, SEND_SCRIPT
+        )
+        return faults, returned
+
+    @pytest.mark.parametrize(
+        "inner, asked",
+        [
+            # Eleven messages have node 1 at one end; the three node 1
+            # sends inside [2.5, 4.75) die at the send hook.
+            (NodeCrashModel(node=1, at=0.0, recover_at=1e9), 11),
+            (NodeCrashModel(node=1, at=2.5, recover_at=4.75), 7),
+            # The form the benchmark's probe uses: nobody registered 7.
+            (NodeCrashModel(node=7, at=0.0), 0),
+            (NodeCrashModel(node=1, at=1e9), 0),
+            # Nodes 0 and 2 are named, so only 1 -> 1 self-sends are not.
+            (LinkPartitionModel([(0, 2)], start=0.0), 13),
+            (LinkPartitionModel([(0, 2)], start=3.0, end=5.0), 8),
+            (BernoulliLossModel(p=0.0), 15),
+        ],
+        ids=["crash", "crash-window", "crash-unregistered", "crash-never", "partition",
+             "partition-window", "loss"],
+    )
+    def test_hook_calls_equal_exposed_messages(self, latency_cls, inner, asked):
+        faults, returned = self.play(latency_cls, inner)
+        assert exposed_sends(faults, SEND_SCRIPT, returned) == asked
+        assert faults.send_calls == asked
+        assert faults.delivery_calls == asked - faults.send_drops
+
+    def test_model_that_declares_no_scope_is_asked_about_everything(self, latency_cls):
+        faults, _returned = self.play(latency_cls, NodeCrashModel(node=7, at=1e9), scoped=False)
+        assert faults.quiet_until() == 0.0 and faults.exposed_nodes() is None
+        assert faults.send_calls == faults.delivery_calls == len(SEND_SCRIPT)
+
+
+class ScriptedLatency(LatencyModel):
+    """Hands out the given delays in order, one per message."""
+
+    def __init__(self, delays):
+        self._delays = iter(delays)
+
+    def latency(self, src, dst):
+        return next(self._delays)
+
+
+@pytest.mark.parametrize("network_cls", [Network, ReferenceNetwork])
+def test_message_clamped_into_a_crash_window_is_exposed(network_cls):
+    """Exposure is judged on the instant a message is *delivered*.
+
+    Two same-instant sends on one link: the second draws the shorter
+    delay (due 0.5) and the FIFO clamp holds it back to the first's 1.5.
+    The receiver dies at 1.0 — after the second message's own due time,
+    before its clamped one — and must take both messages with it.
+    """
+    script = [(0.0, 0, 1, Ping(0)), (0.0, 0, 1, Ping(1))]
+    net, returned, log = play_script(
+        network_cls, ScriptedLatency([1.5, 0.5]), NodeCrashModel(node=1, at=1.0), script
+    )
+    assert returned == [1.5, 1.5]
+    assert log == []
+    assert net.stats.dropped == 2
+
+
+@pytest.mark.parametrize(
+    "make_latency",
+    [
+        lambda: ConstantLatency(gamma=1.0),
+        lambda: ClampedConstantLatency(gamma=1.0),
+        lambda: UniformJitterLatency(gamma=1.0, jitter=0.5, seed=3),
+    ],
+    ids=["constant", "general", "jitter"],
+)
+@pytest.mark.parametrize(
+    "make_faults",
+    [lambda: None, lambda: NodeCrashModel(node=1, at=0.0), lambda: BernoulliLossModel(p=0.5)],
+    ids=["no-faults", "crash", "loss"],
+)
+def test_unknown_destination_raises_before_anything_is_counted(sim, make_latency, make_faults):
+    latency, faults = make_latency(), make_faults()
+    rng_states = [
+        model._rng.getstate() for model in (latency, faults) if hasattr(model, "_rng")
+    ]
+    net = Network(sim, latency, faults=faults)
+    for node_id in range(3):
+        Recorder(sim, net, node_id)
+    with pytest.raises(KeyError, match="unknown destination node 99"):
+        net.send(1, 99, Ping(0))
+    assert stats_of(net) == (0, {}, {}, 0, {})
+    assert sim.pending_events == 0
+    assert rng_states == [
+        model._rng.getstate() for model in (latency, faults) if hasattr(model, "_rng")
+    ]
