@@ -7,16 +7,24 @@ lifecycle layer (:mod:`repro.sim.lifecycle`) halts its local timers — a
 full fail-silent crash.  Tokens held by the dead node are unreachable,
 so without recovery every algorithm stalls: requesters chase a dead
 probable-owner chain forever (the loan algorithm's resend net just
-re-sends into the void) and completion craters.
+re-sends into the void) and the run ends at the stall cap with every
+survivor still waiting.
 
 The ``detector`` scenario axis (:mod:`repro.sim.detectorspec`) closes
 the gap.  With a ``HeartbeatDetector``, crashes are detected after a
 deterministic worst-case heartbeat delay and the recovery protocol
 (:mod:`repro.core.recovery`) adjudicates token losses, regenerates each
 lost token at the lowest-id surviving requester, repoints survivors and
-fences the rebooted node — completion returns to (or near) 100%, the
-only unavoidable casualty being a request whose critical section died
-with its process.
+fences the rebooted node — the run drains with no live node waiting, the
+only unavoidable casualty being the request that died with its process.
+
+Two columns say whether that happened.  ``goodput`` is requests completed
+relative to the same algorithm's crash-free ``none`` row
+(``completed/issued`` would flatter a wedged run: a closed-loop client
+that never gets its grant stops issuing).  ``ended`` is
+``result.termination``: ``drained`` or ``fault_cap``, and how many
+requests live nodes still held; requests that died with the crashed node
+are ``abandoned``, not waiting.
 
 Three crash shapes are swept per algorithm:
 
@@ -51,9 +59,10 @@ from repro.workload.params import LoadLevel, WorkloadParams
 
 ALGORITHMS = ("with_loan", "incremental")
 
-#: Completion-rate floor asserted for the loan algorithm under a detected
-#: single-node crash (the acceptance bar of the recovery subsystem).
-RECOVERY_COMPLETION_FLOOR = 0.99
+#: Goodput floor (against the crash-free row) asserted for the loan
+#: algorithm under a detected single-node crash, beside "no live node
+#: still waiting" — the acceptance bar of the recovery subsystem.
+RECOVERY_GOODPUT_FLOOR = 0.7
 
 
 def crash_shapes(params: WorkloadParams, detection_delay: float):
@@ -66,12 +75,21 @@ def crash_shapes(params: WorkloadParams, detection_delay: float):
     )
 
 
-def result_row(result) -> tuple:
+def ended(result) -> str:
+    end = result.termination
+    held = sum(count for _, count in end.waiting)
+    return f"{end.reason}, {held} waiting" if held else end.reason
+
+
+def result_row(result, twin) -> tuple:
+    """One table row; ``twin`` is the same algorithm's crash-free result."""
     m = result.metrics
     downtime = result.downtime.total if result.downtime is not None else 0.0
     return (
         f"{m.completed}/{m.issued}",
-        f"{100.0 * result.completion_rate:.1f}%",
+        f"{m.completed / twin.metrics.completed:.2f}",
+        ended(result),
+        result.termination.abandoned,
         result.tokens_regenerated,
         f"{result.recovery_time:g}",
         f"{downtime:g}",
@@ -119,9 +137,14 @@ def main() -> None:
             cells.append(((algorithm, shape, "on"), scenario_for(algorithm, crash, detector)))
     results = run_sweep([scenario for _, scenario in cells], workers=args.workers)
 
-    header = ["algorithm", "crash", "detector", "completed", "rate",
-              "regen", "rec time", "downtime", "aborted"]
-    rows = [label + result_row(result) for (label, _), result in zip(cells, results)]
+    twins = {
+        label[0]: result for (label, _), result in zip(cells, results) if label[1] == "none"
+    }
+    header = ["algorithm", "crash", "detector", "completed", "goodput", "ended",
+              "abandoned", "regen", "rec time", "downtime", "aborted"]
+    rows = [
+        label + result_row(result, twins[label[0]]) for (label, _), result in zip(cells, results)
+    ]
     print(params.describe())
     print(f"detector: {detector.describe()} (worst-case detection "
           f"{detector.detection_delay:g} ms)")
@@ -131,22 +154,31 @@ def main() -> None:
     print("Without a detector a permanent crash stalls both algorithms: the dead")
     print("node's tokens are gone and every requester chases them forever.  With")
     print("the heartbeat detector, lost tokens are regenerated at the lowest-id")
-    print("surviving requester and completion returns to ~100% — the only loss is")
-    print("a critical section that died with its process ('aborted').  A blip that")
-    print("recovers before detection regenerates nothing (regen=0): the node just")
-    print("rejoins, and the loan algorithm's resend net absorbs the dropped")
-    print("messages (the incremental baseline, lacking resends, may still stall).")
+    print("surviving requester and the run drains with nobody waiting — the only loss")
+    print("is the request that died with its process ('abandoned'; also 'aborted' if")
+    print("it was inside its critical section).  A blip that recovers before detection")
+    print("regenerates nothing (regen=0): the node just rejoins, and the loan")
+    print("algorithm's resend net absorbs the dropped messages (the incremental")
+    print("baseline, lacking resends, may still stall).")
 
     # Self-check: the recovery bar this example exists to demonstrate.
     failures = []
     for (label, _), result in zip(cells, results):
         algorithm, shape, det = label
         if algorithm == "with_loan" and det == "on":
-            if result.completion_rate < RECOVERY_COMPLETION_FLOOR:
-                failures.append((algorithm, shape, result.completion_rate))
+            end = result.termination
+            if end.waiting:
+                nodes = ", ".join(str(node) for node, _ in end.waiting)
+                failures.append(
+                    f"{shape}/on: node {nodes} still waiting when the run ended ({end.reason} "
+                    f"at t={result.simulated_time:.0f}, last grant t={end.last_grant:.0f})"
+                )
+            goodput = result.metrics.completed / twins[algorithm].metrics.completed
+            if goodput < RECOVERY_GOODPUT_FLOOR:
+                failures.append(f"{shape}/on: goodput {goodput:.2f} < {RECOVERY_GOODPUT_FLOOR}")
         if algorithm == "with_loan" and shape == "blip" and det == "on":
             if result.tokens_regenerated != 0:
-                failures.append((algorithm, "blip regenerated", result.tokens_regenerated))
+                failures.append(f"blip/on: regenerated {result.tokens_regenerated} tokens")
     if failures:
         print(f"\nRECOVERY REGRESSION: {failures}", file=sys.stderr)
         raise SystemExit(1)

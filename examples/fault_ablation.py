@@ -6,24 +6,28 @@ Section 3.1 of the paper assumes reliable FIFO links; the declarative
 subjects the three distributed algorithms to Bernoulli loss of their
 *control-plane* messages (requests and counter replies — token transfer
 stays reliable, as over a reliable transport) and reports how much of the
-workload still completes:
+workload still completes, as **goodput**: requests completed relative to
+the same algorithm's 0%-loss row.  (``completed/issued`` would flatter a
+wedged run: a closed-loop client that never gets its grant stops issuing.)
 
 * the paper's loan-based algorithm carries a requester-side re-send safety
-  net (Section 4.2.1), so lost requests are simply re-issued and the
-  workload keeps completing even at 10% loss;
+  net (Section 4.2.1), so a lost *request* is re-issued; a lost *counter
+  reply* is not recovered (ROADMAP item 3), so it still ends with nodes
+  waiting — later and less often than the baselines;
 * the incremental and Bouabdallah–Laforest baselines have no resend
   machinery: the first lost request on a path stalls that requester (and
   everyone queued behind it) forever.
 
 A second, shorter table drops *all* messages — including tokens — at 1%:
 no algorithm replicates tokens, so a single lost token envelope stalls its
-resource for good and every completion rate collapses.  The resend timers
-help only with what they were designed for.
+resource for good and goodput collapses.  The resend timers help only
+with what they were designed for.
 
 Runs with faults cannot rely on the event queue draining (stalled
 protocols re-arm their resend timers forever), so the runner caps them at
-a deterministic horizon and ``require_all_completed=False`` turns liveness
-failures into data instead of errors.
+a deterministic horizon; the ``ended`` column is ``result.termination``:
+``drained`` or ``fault_cap``, and how many requests live nodes still held.
+``require_all_completed=False`` keeps those runs as rows instead of errors.
 
 Run with::
 
@@ -55,14 +59,22 @@ CONTROL_PLANE = {
 ALGORITHMS = tuple(CONTROL_PLANE)
 
 
-def loss_row(result) -> tuple:
+def ended(result) -> str:
+    end = result.termination
+    held = sum(count for _, count in end.waiting)
+    return f"{end.reason}, {held} waiting" if held else end.reason
+
+
+def loss_row(result, twin) -> tuple:
+    """One table row; ``twin`` is the same algorithm's 0%-loss result."""
     m = result.metrics
     return (
         f"{m.completed}/{m.issued}",
-        f"{100.0 * result.completion_rate:.0f}%",
+        f"{m.completed / twin.metrics.completed:.2f}",
+        ended(result),
         result.messages_dropped,
         result.resend_count,
-        m.waiting.mean,
+        f"{m.waiting.mean:.2f} ({m.waiting.count})",
     )
 
 
@@ -113,11 +125,17 @@ def main() -> None:
     cells = control_cells + all_cells
     results = run_sweep([scenario for _, scenario in cells], workers=args.workers)
 
-    rows = [label + loss_row(result) for (label, _), result in zip(cells, results)]
+    twins = {
+        label[0]: result
+        for (label, scenario), result in zip(cells, results)
+        if scenario.faults is None
+    }
+    rows = [label + loss_row(result, twins[label[0]]) for (label, _), result in zip(cells, results)]
     control_rows = rows[: len(control_cells)]
     all_rows = rows[len(control_cells):]
 
-    header = ["algorithm", "loss", "completed", "rate", "dropped", "resends", "avg wait (ms)"]
+    header = ["algorithm", "loss", "completed", "goodput", "ended", "dropped", "resends",
+              "avg wait ms (of n granted)"]
     print(params.describe())
     print()
     print(
@@ -130,12 +148,14 @@ def main() -> None:
     print()
     print(format_table(header, all_rows, title="All-message loss (tokens included)"))
     print()
-    print("With lossy requests but reliable token transfer, the loan algorithm's")
-    print("resend timers re-issue every lost ReqCnt/ReqRes and completion stays at")
-    print("(or near) 100%, while the baselines — with no resend path — stall on the")
-    print("first lost request.  Once tokens themselves can vanish (second table),")
-    print("no algorithm recovers: a lost token retires its resource for the run.")
-
+    print("Goodput is completed requests over the same algorithm's 0%-loss row; 'ended'")
+    print("is how the run stopped and how many requests live nodes still held.  The")
+    print("baselines have no resend path: the first lost request wedges its requester")
+    print("and, soon, everyone queued behind it.  The loan algorithm re-issues a lost")
+    print("request, so it gets further — but a lost counter reply is never re-elicited,")
+    print("so it too ends at the stall cap with nodes waiting and goodput well below 1.")
+    print("Once tokens themselves can vanish (second table) no algorithm recovers: a")
+    print("lost token retires its resource for the run.")
 
 if __name__ == "__main__":
     main()

@@ -33,12 +33,17 @@ issuing instead of crashing the run).
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Iterator, Optional
+from typing import Deque, Iterable, Iterator, Optional
 
 from repro.allocator import MultiResourceAllocator
 from repro.metrics.collector import MetricsCollector
 from repro.sim.engine import Event, Simulator
 from repro.workload.generator import RequestSpec
+
+
+def last_grant(clients: "Iterable[Client]") -> Optional[float]:
+    """Simulated time of the latest grant across ``clients`` (``None``: none yet)."""
+    return max((c.last_grant for c in clients if c.last_grant is not None), default=None)
 
 
 class Client:
@@ -103,10 +108,12 @@ class Client:
         #: dispatched to the allocator) — an overload indicator; at most
         #: 1 in the closed loop.
         self.max_backlog = 0
+        self.last_grant: Optional[float] = None  # time of the latest grant
+        self.abandoned = 0  # issued requests that died with the node
         self._queue: Deque[RequestSpec] = deque()
         self._pending: Optional[RequestSpec] = None  # next arrival, timer armed
         self._current: Optional[RequestSpec] = None  # with the allocator / in CS
-        self._stopped = False
+        self.stopped = False  # no longer admitting new arrivals
         self._in_cs = False
         # ``post_in`` returns None, ``schedule`` the handle a crash cancels.
         self._after = sim.post_in if fast_timers else sim.schedule
@@ -121,14 +128,18 @@ class Client:
         self._arm_arrival()
 
     @property
-    def stopped(self) -> bool:
-        """Whether the client has stopped admitting new arrivals."""
-        return self._stopped
+    def waiting(self) -> int:
+        """Issued requests this client still holds: the one with the allocator
+        (awaiting its grant or in its critical section) plus the arrival
+        FIFO.  A crash empties both into :attr:`abandoned`.
+        """
+        return (self._current is not None) + len(self._queue)
 
     @property
-    def backlog(self) -> int:
-        """Requests arrived but not yet handed to the allocator."""
-        return len(self._queue)
+    def waiting_index(self) -> Optional[int]:
+        """Stream index of the oldest request still held (``None`` if idle)."""
+        held = self._current or (self._queue[0] if self._queue else None)
+        return held.index if held is not None else None
 
     # ------------------------------------------------------------------ #
     # crash lifecycle
@@ -136,12 +147,11 @@ class Client:
     def on_crash(self, time: float) -> None:
         """The node went down: drop timers, backlog and any interrupted CS.
 
-        Queued arrivals die with the node (their records stay ungranted
-        and count as incomplete); a request waiting for its grant is
-        simply abandoned (the rebooting allocator forgets it); a request
-        inside its critical section is *aborted* — the collector frees
-        its resources at the crash instant and the request counts as
-        incomplete.
+        Every request the client held is *abandoned* and will never
+        complete: queued arrivals die with the node (their records stay
+        ungranted); a request waiting for its grant is forgotten by the
+        rebooting allocator; a request inside its critical section is also
+        *aborted* — the collector frees its resources at the crash instant.
         """
         for timer in (self._arrival_timer, self._cs_timer):
             if timer is not None:
@@ -151,6 +161,7 @@ class Client:
         if self._in_cs and spec is not None:
             self.metrics.on_abort(time, self.process, spec.index)
             self._in_cs = False
+        self.abandoned += self.waiting
         self._current = None
         self._pending = None
         self._queue.clear()
@@ -168,12 +179,12 @@ class Client:
         If the allocator still did not come back idle, the client stops
         issuing instead of raising on the next acquire.
         """
-        if self._stopped:
+        if self.stopped:
             return
         if self.allocator.in_critical_section:
             self.allocator.release()
         if not self.allocator.is_idle:
-            self._stopped = True
+            self.stopped = True
             return
         self._arm_arrival()
 
@@ -182,12 +193,12 @@ class Client:
     # ------------------------------------------------------------------ #
     def _arm_arrival(self) -> None:
         if self.max_requests is not None and self.issued >= self.max_requests:
-            self._stopped = True
+            self.stopped = True
             return
         try:
             spec = next(self.requests)
         except StopIteration:
-            self._stopped = True
+            self.stopped = True
             return
         self._pending = spec
         self._arrival_timer = self._after(spec.think_time, self._on_arrival)
@@ -199,7 +210,7 @@ class Client:
         if spec is None:  # pragma: no cover - defensive
             return
         if self.sim.now >= self.stop_issuing_at:
-            self._stopped = True
+            self.stopped = True
             return
         self.issued += 1
         self.metrics.on_issue(self.sim.now, self.process, spec.index, spec.resources)
@@ -231,7 +242,8 @@ class Client:
             # straight back to the protocol.
             self.allocator.release()
             return
-        self.metrics.on_grant(self.sim.now, self.process, spec.index)
+        self.last_grant = self.sim.now
+        self.metrics.on_grant(self.last_grant, self.process, spec.index)
         self._in_cs = True
         self._cs_timer = self._after(spec.cs_duration, self._on_cs_done)
 

@@ -13,15 +13,15 @@ as the memoisation key.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.core.recovery import RecoveryCoordinator
-from repro.experiments.driver import Client
+from repro.experiments.driver import Client, last_grant
 from repro.experiments.registry import get_algorithm
 from repro.experiments.scenario import Scenario
 from repro.metrics.collector import MetricsCollector, RunMetrics
 from repro.metrics.columns import ChunkedColumns, DowntimeColumns, RecordColumns
-from repro.sim.engine import Simulator
+from repro.sim.engine import SimulationError, Simulator
 from repro.sim.latencyspec import ConstantLatencySpec
 from repro.sim.lifecycle import NodeLifecycle
 from repro.sim.network import Network
@@ -72,6 +72,42 @@ def fault_run_until(params: WorkloadParams) -> float:
     return 2.0 * params.duration + 20.0 * params.num_processes * params.alpha_max
 
 
+@dataclass(frozen=True)
+class Termination:
+    """How a run ended, read off the clients once the event loop returns.
+
+    A request is *waiting* iff a live :class:`Client` still holds it; one
+    that died with its node is *abandoned* (the records cannot tell).  Always
+    ``metrics.issued == metrics.completed + sum(n for _, n in waiting) + abandoned``.
+    """
+
+    #: ``"drained"`` (the event queue emptied) or ``"fault_cap"`` (stopped at
+    #: :func:`fault_run_until` with events pending).  The event cap raises.
+    reason: str
+    #: Simulated time of the last grant; ``None`` if there was none.
+    last_grant: Optional[float]
+    #: ``((node, requests), ...)``, ascending, only nodes still holding any.
+    waiting: Tuple[Tuple[int, int], ...]
+    #: Issued requests that died with their node.
+    abandoned: int
+
+    def progress(self) -> str:
+        """Last grant, waiting nodes and abandoned count, in words."""
+        last = "none" if self.last_grant is None else f"t={self.last_grant:g}"
+        nodes = ", ".join(str(node) for node, _ in self.waiting) or "-"
+        held = sum(count for _, count in self.waiting)
+        return f"last grant {last}; {held} waiting on nodes {nodes}; {self.abandoned} abandoned"
+
+
+def _termination(reason: str, clients: Sequence[Client]) -> Termination:
+    return Termination(
+        reason=reason,
+        last_grant=last_grant(clients),
+        waiting=tuple((c.process, c.waiting) for c in clients if c.waiting),
+        abandoned=sum(c.abandoned for c in clients),
+    )
+
+
 @dataclass
 class ExperimentResult:
     """Everything produced by one experiment run.
@@ -99,6 +135,8 @@ class ExperimentResult:
     #: (``record_chunk_rows``) — an issue-ordered
     #: :class:`~repro.metrics.columns.ChunkedColumns`.
     record_columns: "RecordColumns | ChunkedColumns"
+    #: How the run ended (always populated; see :class:`Termination`).
+    termination: Termination
     #: Messages lost to injected faults (0 under reliable links).
     messages_dropped: int = 0
     #: Safety-net re-sends issued by the core algorithm's resend timers.
@@ -143,25 +181,12 @@ class ExperimentResult:
         """Average waiting time in ms (Figures 6 and 7's y-axis)."""
         return self.metrics.waiting.mean
 
-    @property
-    def completion_rate(self) -> float:
-        """Fraction of *issued* requests that completed (1.0 = full liveness).
-
-        Caveat for fault studies: under a closed-loop workload (the
-        default ``SyntheticSpec``) a stalled process stops issuing and
-        shrinks the denominator — a run that stalled early can still show
-        a high rate.  Open-loop and trace workloads count a request as
-        issued when it arrives, stalled or not, so there the rate falls.
-        For absolute throughput, compare ``metrics.completed`` against a
-        reliable (``NoFaults``) run of the same scenario.
-        """
-        if self.metrics.issued == 0:
-            return 1.0
-        return self.metrics.completed / self.metrics.issued
-
     def describe(self) -> str:
-        """One-line human-readable summary."""
-        return f"[{self.params.describe()}] {self.metrics.describe()}"
+        """One-line human-readable summary (says how the run ended if not cleanly)."""
+        end = self.termination
+        unclean = end.waiting or end.reason != "drained"
+        tail = f" ended={end.reason} ({end.progress()})" if unclean else ""
+        return f"[{self.params.describe()}] {self.metrics.describe()}{tail}"
 
 
 def run(scenario: Scenario) -> ExperimentResult:
@@ -247,7 +272,6 @@ def run(scenario: Scenario) -> ExperimentResult:
             sim,
             network=network,
             allocators=allocators,
-            collector=metrics,
             clients=clients,
             coordinator=coordinator,
         )
@@ -263,18 +287,21 @@ def run(scenario: Scenario) -> ExperimentResult:
             params, expected_requests=workload.expected_requests()
         )
 
-    if fault_model is None:
-        sim.run(max_events=max_events)
-    else:
-        # An active fault layer can stall the protocol with its resend
-        # timers still re-arming, so the queue never drains: cap the run
-        # at a deterministic horizon instead (see fault_run_until).  The
-        # cap is a stall guard, not a target — a run that drains before
-        # it must report its real drain time, comparable to a reliable
-        # run's, so the clock is not advanced to the cap.
-        sim.run(
-            until=fault_run_until(params), max_events=max_events, advance_to_until=False
-        )
+    try:
+        if fault_model is None:
+            sim.run(max_events=max_events)
+        else:
+            # The cap is a stall guard, not a target — a run that drains
+            # before it must report its real drain time, comparable to a
+            # reliable run's, so the clock is not advanced to the cap.
+            sim.run(
+                until=fault_run_until(params), max_events=max_events, advance_to_until=False
+            )
+    except SimulationError as exc:
+        raise SimulationError(f"{exc}; {_termination('error', clients).progress()}") from exc
+    # The bounded loop stops only on a live event past the cap, so
+    # anything still queued means the cap, not a drain, ended the run.
+    termination = _termination("fault_cap" if sim.pending_events else "drained", clients)
 
     horizon = min(params.duration, sim.now) if sim.now > params.warmup else sim.now
     messages_total = network.stats.total if network is not None else 0
@@ -290,15 +317,12 @@ def run(scenario: Scenario) -> ExperimentResult:
         extra={"aborted": float(metrics.aborted)} if metrics.aborted else None,
     )
 
-    if scenario.require_all_completed and not metrics.all_completed():
-        # incomplete_requests scans only the live columns (sealed chunks
-        # are complete by construction), so this path never materialises
-        # the full record set even on chunked multi-million-request runs.
-        incomplete = metrics.incomplete_requests()
+    if scenario.require_all_completed and termination.waiting:
+        first = termination.waiting[0][0]
         raise RuntimeError(
-            f"liveness failure: {len(incomplete)} request(s) never completed under "
-            f"{scenario.algorithm!r} (first: process {incomplete[0][0]}, "
-            f"index {incomplete[0][1]})"
+            f"liveness failure under {scenario.algorithm!r}: run ended "
+            f"{termination.reason}; {termination.progress()} (first: process {first}, "
+            f"index {clients[first].waiting_index})"
         )
 
     return ExperimentResult(
@@ -309,6 +333,7 @@ def run(scenario: Scenario) -> ExperimentResult:
         simulated_time=sim.now,
         events_processed=sim.processed_events,
         record_columns=metrics.result_columns(),
+        termination=termination,
         messages_dropped=network.stats.dropped if network is not None else 0,
         resend_count=sum(getattr(a, "resend_count", 0) for a in allocators),
         tokens_regenerated=coordinator.tokens_regenerated if coordinator is not None else 0,

@@ -150,8 +150,9 @@ class Scenario:
         Safety valve passed to the simulator (``None`` = derived bound,
         see :func:`repro.experiments.runner.default_max_events`).
     require_all_completed:
-        Raise when some issued request never completed — i.e. a liveness
-        failure of the protocol under test.
+        Raise when a live node still waits for a request at the end of
+        the run (``termination.waiting`` is non-empty) — a liveness
+        failure.  A request that died with its crashed node does not.
     record_chunk_rows:
         When set, the collector seals completed request records into
         packed chunks of about this many rows instead of keeping every

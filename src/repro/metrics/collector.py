@@ -260,9 +260,9 @@ class MetricsCollector:
         held, so a regenerated token granting one of them to another
         process is not a (false) safety violation.  The request itself
         stays *incomplete*: its ``release`` column remains ``NaN`` and it
-        is never counted as completed, which is what makes aborts visible
-        in ``completion_rate``.  Aborting a request that was never
-        granted is a no-op (nothing was held).
+        is never counted as completed (the client counts it as abandoned).
+        Aborting a request that was never granted is a no-op (nothing was
+        held).
         """
         key = (process, index)
         row = self._rows.get(key)
@@ -321,7 +321,8 @@ class MetricsCollector:
         """``(process, index)`` of issued-but-never-completed requests, sorted.
 
         Sealed rows are complete by construction, so the live columns see
-        every incomplete request even in chunked mode.
+        every incomplete request even in chunked mode.  (Waiting or died
+        with its node?  Only ``ExperimentResult.termination`` can tell.)
         """
         cols = self.columns
         return sorted(
@@ -337,10 +338,6 @@ class MetricsCollector:
     def currently_held(self) -> Dict[int, Tuple[int, int]]:
         """Snapshot of resource -> (process, index) currently holding it."""
         return dict(self._holder)
-
-    def all_completed(self) -> bool:
-        """Whether every issued request went through grant and release."""
-        return not any(math.isnan(value) for value in self.columns.release)
 
     def result_columns(self) -> Union[RecordColumns, ChunkedColumns]:
         """Compact copy of the records for an :class:`ExperimentResult`.

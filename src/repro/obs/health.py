@@ -11,10 +11,9 @@ itself:
   once it has observed two consecutive samples at the same time (the
   run has wedged), ``UNKNOWN`` before the first beat.
 * :class:`StallCheck` — progress of the protocol, not just the clock.
-  Fed ``(now, grants_completed)``; reports ``DEGRADED`` when the event
-  clock has advanced more than ``stall_after`` simulated ms since the
-  last completed grant (events are flowing but nobody gets the
-  resource), escalating to ``UNHEALTHY`` at ``2 * stall_after``.
+  Fed ``(now, last_grant)``; ``DEGRADED`` once the clock is more than
+  ``stall_after`` simulated ms past the run's last grant (events are
+  flowing but nobody gets the resource), ``UNHEALTHY`` at twice that.
 
 Statuses order by severity (``HEALTHY < DEGRADED < UNHEALTHY``;
 ``UNKNOWN`` sits between healthy and degraded — no data is worse than
@@ -157,10 +156,10 @@ class HeartbeatCheck(HealthCheck):
 class StallCheck(HealthCheck):
     """Grant-progress watchdog: clock advances but no grants complete.
 
-    ``stall_after`` is the simulated-ms budget between completed grants;
-    beyond it the check degrades, and at twice the budget it is
-    unhealthy.  :meth:`update` is fed ``(now, grants_completed)`` at each
-    telemetry sample.
+    ``stall_after`` is the simulated-ms budget between grants; beyond it
+    the check degrades, and at twice the budget it is unhealthy.
+    :meth:`update` is fed ``(now, last_grant)`` at each telemetry sample;
+    a run with no grant yet is judged from ``t = 0``.
     """
 
     def __init__(self, stall_after: float, name: str = "grant_progress") -> None:
@@ -168,35 +167,20 @@ class StallCheck(HealthCheck):
             raise ValueError(f"stall_after must be > 0, got {stall_after!r}")
         super().__init__(name, self._status)
         self.stall_after = float(stall_after)
-        self._last_grants: Optional[int] = None
-        self._last_progress_time = 0.0
-        self._now = 0.0
+        self._sample: Optional[Tuple[float, Optional[float]]] = None
 
-    def update(self, now: float, grants_completed: int) -> None:
-        """Record the grant total at simulated time ``now``."""
-        self._now = now
-        if self._last_grants is None or grants_completed > self._last_grants:
-            self._last_progress_time = now
-        self._last_grants = grants_completed
+    def update(self, now: float, last_grant: Optional[float]) -> None:
+        """Record the time of the last grant as of simulated time ``now``."""
+        self._sample = (now, last_grant)
 
     def _status(self) -> Tuple[str, str]:
-        if self._last_grants is None:
+        if self._sample is None:
             return HealthStatus.UNKNOWN, "no samples observed yet"
-        idle = self._now - self._last_progress_time
-        if idle > 2 * self.stall_after:
-            return (
-                HealthStatus.UNHEALTHY,
-                f"no grant completed for {idle:g} ms "
-                f"(budget {self.stall_after:g} ms)",
-            )
+        now, last_grant = self._sample
+        idle = now - (last_grant or 0.0)
         if idle > self.stall_after:
             return (
-                HealthStatus.DEGRADED,
-                f"no grant completed for {idle:g} ms "
-                f"(budget {self.stall_after:g} ms)",
+                HealthStatus.UNHEALTHY if idle > 2 * self.stall_after else HealthStatus.DEGRADED,
+                f"no grant completed for {idle:g} ms (budget {self.stall_after:g} ms)",
             )
-        return (
-            HealthStatus.HEALTHY,
-            f"{self._last_grants} grants completed, last progress at "
-            f"{self._last_progress_time:g}",
-        )
+        return HealthStatus.HEALTHY, f"{idle:g} ms since the last grant"

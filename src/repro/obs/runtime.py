@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
+from repro.experiments.driver import last_grant
 from repro.obs.health import HealthMonitor, HeartbeatCheck, HealthStatus, StallCheck
 from repro.obs.metrics import MetricsRegistry, TelemetrySnapshot
 from repro.obs.spec import TelemetrySpec
@@ -32,8 +33,7 @@ class TelemetryRuntime:
 
     Parameters mirror what the runner has in hand when it wires a run:
     the simulator, the (possibly absent) network, the allocator nodes,
-    the metrics collector, the workload clients and the (possibly
-    absent) recovery coordinator.
+    the workload clients and the (possibly absent) recovery coordinator.
     """
 
     def __init__(
@@ -42,7 +42,6 @@ class TelemetryRuntime:
         sim,
         network=None,
         allocators: Sequence = (),
-        collector=None,
         clients: Sequence = (),
         coordinator=None,
     ) -> None:
@@ -50,7 +49,6 @@ class TelemetryRuntime:
         self.sim = sim
         self.network = network
         self.allocators = list(allocators)
-        self.collector = collector
         self.clients = list(clients)
         self.coordinator = coordinator
 
@@ -170,26 +168,6 @@ class TelemetryRuntime:
             self._armed = True
             self.sim.post_in(self.spec.sample_interval, self._probe)
 
-    def _work_remains(self) -> bool:
-        """Re-arm while clients still issue or requests are outstanding.
-
-        Both conditions are required.  ``pending_events`` mirrors the
-        runner's drain-the-queue termination: when the probe fires into
-        an otherwise empty queue the run is over no matter what the
-        request ledger says (a crashed node's aborted requests never
-        complete, and re-arming on them alone would stretch the run to
-        its horizon).  The ledger check stops the probe early on healthy
-        closed loops, where stale resend timers keep the queue non-empty
-        after the last grant.
-        """
-        if self.sim.pending_events == 0:
-            return False
-        if any(not c.stopped for c in self.clients):
-            return True
-        if self.collector is not None and not self.collector.all_completed():
-            return True
-        return False
-
     def _delta(self, key: str, current: float) -> float:
         """Non-negative delta of a cumulative source since the last sample."""
         last = self._last.get(key, 0.0)
@@ -247,11 +225,14 @@ class TelemetryRuntime:
             self._recovery_time.set(coord.recovery_time)
 
         self._heartbeat.beat(now)
-        self._stall.update(now, int(self._grants.value))
+        self._stall.update(now, last_grant(self.clients))
 
     def _probe(self) -> None:
         self.sample()
-        if self._work_remains():
+        # Re-arm while clients still issue or hold requests (stale resend
+        # timers keep a healthy closed loop's queue non-empty after the last
+        # grant), never into an otherwise empty queue: the run has drained.
+        if self.sim.pending_events and any(c.waiting or not c.stopped for c in self.clients):
             self.sim.post_in(self.spec.sample_interval, self._probe)
         else:
             self._armed = False

@@ -7,6 +7,12 @@ under a deterministic crash schedule and asserts on the recovery
 outcomes.  The online safety checker is armed in every run, so a
 regeneration bug that resurrects a second token fails loudly as a
 ``SafetyViolation``, not as a silently wrong metric.
+
+"Recovered" is read off ``result.termination``: the run drained, no live
+node still waits for a grant, and exactly the requests that died with
+their nodes are abandoned.  Scenarios keep the default
+``require_all_completed=True`` (which raises on a waiting survivor)
+unless the test is about a run that is expected to wedge.
 """
 
 import pickle
@@ -38,18 +44,13 @@ def make_params(**overrides):
     return WorkloadParams(**defaults)
 
 
-def incomplete_by_survivors(result, crashed_nodes):
-    """Incomplete requests issued by processes that never crashed.
-
-    A crashed process may legitimately leave its own in-flight request
-    unfinished (it died); full recovery means *survivors* finish
-    everything they issued.
-    """
-    return [
-        (r.process, r.index)
-        for r in result.records
-        if not r.completed and r.process not in crashed_nodes
-    ]
+def assert_recovered(result, abandoned):
+    """The run drained with nobody waiting; only ``abandoned`` requests died."""
+    end = result.termination
+    assert end.reason == "drained"
+    assert end.waiting == ()
+    assert end.abandoned == abandoned
+    assert result.metrics.issued == result.metrics.completed + abandoned
 
 
 def loan_scenario(params, faults=None, detector=None, **scenario_kw):
@@ -59,16 +60,26 @@ def loan_scenario(params, faults=None, detector=None, **scenario_kw):
         config=CoreConfigSpec(enable_loan=True, resend_interval=50.0),
         faults=faults,
         detector=detector,
-        require_all_completed=False,
         **scenario_kw,
     )
 
 
 class TestCrashWhileHoldingTokens:
     def test_permanent_crash_without_detector_stalls(self):
-        result = run(loan_scenario(make_params(), faults=NodeCrash(node=2, at=125.0)))
+        result = run(
+            loan_scenario(
+                make_params(),
+                faults=NodeCrash(node=2, at=125.0),
+                require_all_completed=False,
+            )
+        )
         assert result.tokens_regenerated == 0
-        assert result.completion_rate < 0.95  # requests chase the dead holder
+        # Every survivor chases the dead holder until the stall cap.
+        end = result.termination
+        assert end.reason == "fault_cap"
+        assert end.waiting == ((0, 1), (1, 1), (3, 1), (4, 1))
+        assert end.abandoned == 0
+        assert end.last_grant == pytest.approx(166.46, abs=0.01)
 
     def test_permanent_crash_with_detector_recovers(self):
         result = run(
@@ -79,7 +90,7 @@ class TestCrashWhileHoldingTokens:
         # Node 2 held tokens when it died: they were rebuilt and the rest
         # of the workload completed on the regenerated incarnations.
         assert result.tokens_regenerated >= 1
-        assert result.completion_rate >= 0.99
+        assert_recovered(result, abandoned=0)  # node 2 was thinking when it died
         assert result.recovery_time == pytest.approx(
             DETECTOR.detection_delay, abs=1e-9
         )
@@ -94,9 +105,8 @@ class TestCrashWhileHoldingTokens:
         )
         assert result.tokens_regenerated >= 2
         # Survivors finish everything; only the dead node's own in-flight
-        # request may stay open.
-        assert incomplete_by_survivors(result, {0}) == []
-        assert result.completion_rate >= 0.95
+        # request died with it.
+        assert_recovered(result, abandoned=1)
 
     def test_downtime_columns_report_the_outage(self):
         result = run(
@@ -128,12 +138,10 @@ class TestCrashDuringLoan:
             ),
             faults=NodeCrash(node=3, at=291.0),
             detector=DETECTOR,
-            require_all_completed=False,
         )
         result = run(scenario)
         assert result.tokens_regenerated >= 1
-        assert incomplete_by_survivors(result, {3}) == []
-        assert result.completion_rate >= 0.95
+        assert_recovered(result, abandoned=1)
 
 
 class TestRecoverBeforeDetection:
@@ -144,7 +152,7 @@ class TestRecoverBeforeDetection:
         result = run(loan_scenario(make_params(), faults=blip, detector=DETECTOR))
         assert result.tokens_regenerated == 0
         assert result.recovery_time == 0.0
-        assert result.completion_rate == 1.0
+        assert_recovered(result, abandoned=0)
 
     def test_blip_result_matches_detectorless_run(self):
         # With no detection fired, the detector must not perturb the run:
@@ -170,7 +178,7 @@ class TestDoubleCrash:
         result = run(loan_scenario(make_params(), faults=faults, detector=DETECTOR))
         assert result.tokens_regenerated >= 2
         # Three survivors finish everything except what died mid-CS.
-        assert result.completion_rate >= 0.95
+        assert_recovered(result, abandoned=1)
         assert result.downtime is not None and len(result.downtime) == 2
 
     def test_regenerator_crash_while_holding_regenerated_token(self):
@@ -189,10 +197,9 @@ class TestDoubleCrash:
         )
         result = run(loan_scenario(make_params(), faults=faults, detector=DETECTOR))
         assert result.tokens_regenerated >= 2
-        # Survivors finish everything they issued; only the dead nodes'
-        # own in-flight requests may stay open.
-        assert incomplete_by_survivors(result, {0, 2}) == []
-        assert result.completion_rate >= 0.95
+        # Survivors finish everything they issued; only a dead node's
+        # own in-flight request died with it.
+        assert_recovered(result, abandoned=1)
 
     def test_incremental_baseline_survives_detected_crash(self):
         params = make_params()
@@ -202,11 +209,10 @@ class TestDoubleCrash:
                 params=params,
                 faults=NodeCrash(node=2, at=125.0),
                 detector=DETECTOR,
-                require_all_completed=False,
             )
         )
         assert result.tokens_regenerated >= 1
-        assert result.completion_rate >= 0.95
+        assert_recovered(result, abandoned=1)
 
 
 class TestNonRecoveryAllocatorBlip:
@@ -216,8 +222,13 @@ class TestNonRecoveryAllocatorBlip:
         # request the crashed client already abandoned.  The driver must
         # release the allocator instead of leaving it parked inside a
         # critical section nobody is running (which silently wedged
-        # every other node: the run used to drain at t=165 of 500 with
-        # completion 0.86).
+        # every other node: the run used to drain at t=165 of 500).
+        #
+        # What HEAD still does, pinned beside it: node 3 — which never
+        # crashed — waits for ever for a grant.  This is the resend-less
+        # Bouabdallah-Laforest limitation (a message to the blipping node
+        # is lost and nobody re-sends it) that ROADMAP item 2 has to
+        # settle: implement a recovery path or call the pair unsupported.
         result = run(
             Scenario(
                 algorithm="bouabdallah",
@@ -226,8 +237,10 @@ class TestNonRecoveryAllocatorBlip:
                 require_all_completed=False,
             )
         )
-        assert result.completion_rate >= 0.95
         assert result.simulated_time >= 500.0
+        assert result.termination.last_grant > 490.0  # the others ran to the end
+        assert result.termination.waiting == ((3, 1),)
+        assert result.termination.abandoned == 1
 
     def test_aborted_cs_releases_on_reboot(self):
         # Symmetric case: the crash lands *inside* the critical section.
@@ -235,17 +248,16 @@ class TestNonRecoveryAllocatorBlip:
         # nobody would ever call release(); the reboot handler must
         # release the parked CS or its resources (and the control token)
         # wedge every other node — the run used to drain at the reboot
-        # instant with completion 0.82.
+        # instant.
         result = run(
             Scenario(
                 algorithm="bouabdallah",
                 params=make_params(),
                 faults=NodeCrash(node=2, at=110.0, recover_at=120.0),
-                require_all_completed=False,
             )
         )
         assert result.metrics.extra.get("aborted") == 1.0
-        assert result.completion_rate >= 0.95
+        assert_recovered(result, abandoned=1)
         assert result.simulated_time >= 500.0
 
 
@@ -255,8 +267,7 @@ class TestAllDownDetectionWindow:
         # gave up there would leave node 0's tokens lost forever even
         # after nodes 1 and 2 reboot.  Re-arming until a capable
         # survivor is up regenerates them on the first firing after the
-        # reboots (regen used to stay 0, with completion 0.79 at the
-        # stall cap).
+        # reboots (regen used to stay 0, the run ending at the stall cap).
         params = make_params(num_processes=3)
         faults = CompositeFaults(
             (
@@ -272,7 +283,7 @@ class TestAllDownDetectionWindow:
         assert result.recovery_time >= result.tokens_regenerated * (
             300.0 - 125.0
         )
-        assert result.completion_rate >= 0.95
+        assert_recovered(result, abandoned=2)
 
     def test_permanent_all_down_drains_instead_of_rearming_forever(self):
         # With every peer down for good there is no reboot to wait for:
@@ -297,7 +308,8 @@ class TestAllDownDetectionWindow:
 class TestCrashSweepDeterminism:
     def test_recovery_sweep_is_bit_identical_across_workers(self):
         params = make_params()
-        grid = loan_scenario(params).sweep(
+        # The detector-less permanent crash wedges by design.
+        grid = loan_scenario(params, require_all_completed=False).sweep(
             faults=(
                 NodeCrash(node=2, at=125.0),
                 NodeCrash(node=2, at=125.0, recover_at=285.0),
@@ -309,6 +321,7 @@ class TestCrashSweepDeterminism:
             return pickle.dumps(
                 (
                     result.metrics,
+                    result.termination,
                     result.tokens_regenerated,
                     result.recovery_time,
                     result.downtime.as_dict() if result.downtime else None,

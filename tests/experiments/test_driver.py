@@ -7,7 +7,7 @@ from repro.metrics.collector import MetricsCollector
 from repro.sim.engine import Simulator
 from repro.workload.generator import RequestSpec
 
-from tests.helpers import build_system
+from tests.helpers import assert_all_completed, build_system
 
 BOTH_LOOPS = pytest.mark.parametrize("closed_loop", [True, False], ids=["closed", "open"])
 
@@ -50,7 +50,7 @@ class TestClient:
         system.run()
         assert client.issued == 3
         assert client.completed == 3
-        assert metrics.all_completed()
+        assert_all_completed(metrics)
         assert client.stopped
 
     @BOTH_LOOPS
@@ -72,7 +72,7 @@ class TestClient:
         client.start()
         system.run()
         assert 0 < client.issued < 10
-        assert metrics.all_completed()
+        assert_all_completed(metrics)
 
     @BOTH_LOOPS
     def test_exhausted_iterator_stops_client(self, closed_loop):
@@ -95,7 +95,7 @@ class TestClient:
         for client in clients:
             client.start()
         system.run()
-        assert metrics.all_completed()
+        assert_all_completed(metrics)
 
     def test_closed_loop_thinks_after_each_completion(self):
         system = build_system("core", num_processes=2, num_resources=4, gamma=0.5)
@@ -127,8 +127,8 @@ class TestClient:
         client.start()
         system.run()
         assert client.max_backlog >= 3
-        assert client.backlog == 0  # fully drained by the end of the run
-        assert metrics.all_completed()
+        assert client.waiting == 0  # fully drained by the end of the run
+        assert_all_completed(metrics)
 
     def test_waiting_time_includes_queueing(self):
         """A backlogged request waits from *arrival*, not from dispatch."""
@@ -231,6 +231,7 @@ class TestCrash:
         assert rig.allocator.requested == frozenset({0})
         rig.crash()
         assert rig.metrics.aborted == 0  # nothing was held
+        assert (rig.client.waiting, rig.client.abandoned) == (0, 1)
         assert rig.metrics.record_for(0, 0).grant_time is None
         rig.allocator.reboot()
         rig.recover()
@@ -246,6 +247,9 @@ class TestCrash:
         rig.run(4.0)
         rig.crash()
         assert rig.metrics.aborted == 1
+        # The open loop had queued arrivals behind the CS; they died too.
+        assert (rig.client.waiting, rig.client.abandoned) == (0, rig.client.issued)
+        assert rig.client.last_grant == 1.0
         assert rig.metrics.currently_held() == {}  # freed at the crash instant
         rig.run(50.0)
         # The CS timer died with the node: no completion, no release.
@@ -292,9 +296,9 @@ def test_crash_with_a_backlog_drops_the_queued_arrivals():
     """Open loop: arrivals queued behind a busy allocator die with the node."""
     rig = CrashRig(closed_loop=False)
     rig.run(3.0)  # arrivals at 1, 2, 3; none granted
-    assert rig.client.issued == 3 and rig.client.backlog == 2
+    assert rig.client.issued == 3 and rig.client.waiting == 3
     rig.crash()
-    assert rig.client.backlog == 0
+    assert rig.client.waiting == 0 and rig.client.abandoned == 3
     rig.run(50.0)
     assert rig.client.issued == 3  # the armed fourth arrival was cancelled too
     assert rig.metrics.incomplete_requests() == [(0, 0), (0, 1), (0, 2)]

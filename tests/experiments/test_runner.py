@@ -3,8 +3,11 @@
 import pytest
 
 from repro.experiments.registry import ALGORITHMS
-from repro.experiments.runner import run
+from repro.experiments.runner import Termination, run
 from repro.experiments.scenario import Scenario
+from repro.sim.detectorspec import HeartbeatDetector
+from repro.sim.engine import SimulationError
+from repro.sim.faultspec import BernoulliLoss, NodeCrash
 from repro.sim.latencyspec import HierarchicalLatencySpec
 from repro.workload.params import LoadLevel, WorkloadParams
 
@@ -125,3 +128,74 @@ class TestFaultRunCap:
         # The cap is a stall guard, not a clock target: a drained faulty
         # run reports its real drain time, comparable to the reliable run.
         assert faulty.simulated_time == reliable.simulated_time
+
+
+class TestTermination:
+    """``result.termination``: the one answer to "how did this run end?"."""
+
+    #: ROADMAP item 1's loss run: the protocol wedges at t = 81 ms of 5 000.
+    LOSS_PARAMS = WorkloadParams(
+        num_processes=32, num_resources=80, phi=8, duration=5_000.0, load=LoadLevel.HIGH
+    )
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_no_fault_run_drains_with_nobody_waiting(self, tiny_params, algorithm):
+        result = run(Scenario(algorithm=algorithm, params=tiny_params))
+        end = result.termination
+        assert (end.reason, end.waiting, end.abandoned) == ("drained", (), 0)
+        assert 0.0 < end.last_grant <= result.simulated_time
+        # A clean run's one-line summary does not mention how it ended.
+        assert "ended=" not in result.describe()
+
+    def test_loss_run_reports_the_wedge_its_twin_does_not(self):
+        twin = run(Scenario(algorithm="with_loan", params=self.LOSS_PARAMS))
+        assert twin.termination == Termination(
+            "drained", twin.termination.last_grant, (), 0
+        )
+        lossy = Scenario(
+            algorithm="with_loan", params=self.LOSS_PARAMS, faults=BernoulliLoss(p=0.005)
+        )
+        result = run(lossy.replace(require_all_completed=False))
+        end = result.termination
+        assert end.reason == "fault_cap"
+        assert end.last_grant == pytest.approx(80.6, abs=0.1)
+        assert end.waiting == tuple((node, 1) for node in range(32))
+        assert end.abandoned == 0
+        # completed/issued = 37/69 hides it; the twin's count does not.
+        assert (result.metrics.completed, twin.metrics.completed) == (37, 2501)
+        assert "ended=fault_cap (last grant t=80.6" in result.describe()
+        with pytest.raises(RuntimeError, match="liveness failure.*fault_cap.*last grant") as exc:
+            run(lossy)
+        assert "(first: process 0, index 1)" in str(exc.value)
+
+    def test_default_scenario_accepts_a_request_that_died_with_its_node(self, tiny_params):
+        # Node 0 (the initial holder of every token) dies mid-request and
+        # is detected: every survivor finishes, so the default
+        # require_all_completed=True does not raise on the one casualty.
+        result = run(
+            Scenario(
+                algorithm="with_loan",
+                params=tiny_params,
+                faults=NodeCrash(node=0, at=10.0),
+                detector=HeartbeatDetector(interval=10.0, timeout=30.0),
+            )
+        )
+        assert result.termination.waiting == ()
+        assert result.termination.abandoned == 1
+        assert result.metrics.issued == result.metrics.completed + 1
+
+    def test_default_scenario_raises_on_waiting_survivors(self, tiny_params):
+        undetected = Scenario(
+            algorithm="with_loan", params=tiny_params, faults=NodeCrash(node=0, at=10.0)
+        )
+        with pytest.raises(RuntimeError, match=r"waiting on nodes 1, 2, 3, 4"):
+            run(undetected)
+
+    def test_event_cap_says_where_the_protocol_stands(self):
+        params = WorkloadParams(
+            num_processes=2, num_resources=2, phi=2, duration=500.0, warmup=0.0,
+            load=LoadLevel.HIGH, seed=3,
+        )
+        with pytest.raises(SimulationError, match="max_events=50 exceeded") as exc:
+            run(Scenario(algorithm="with_loan", params=params, max_events=50))
+        assert str(exc.value).endswith("last grant t=178.647; 1 waiting on nodes 1; 0 abandoned")

@@ -23,6 +23,11 @@ def small_params(**kw):
 
 
 class TestScenarioValue:
+    def test_scenario_has_fourteen_fields(self):
+        # How a run ended is a *result* (``ExperimentResult.termination``),
+        # not configuration: the axis count stays what ROADMAP pins.
+        assert len(dataclasses.fields(Scenario)) == 14
+
     def test_scenarios_are_picklable(self):
         scenario = Scenario(
             algorithm="with_loan",

@@ -1,0 +1,109 @@
+"""Reproducers of ROADMAP items 2 and 3, pinned with ``result.termination``.
+
+First half of "pin, then fix".  Every case asserts the *future* behaviour
+— the run drains and no live node is left waiting — and is marked
+``xfail(strict=True, raises=...)`` with the way it fails today, so tier-1
+stays green and each case flips loudly (XPASS is an error) the day its
+defect is fixed.  What each case does on HEAD is in its id.
+
+All cases: ``with_loan``, high load, duration 3 000, warm-up 150.
+"""
+
+import pytest
+
+from repro.allocator import AllocatorError
+from repro.experiments import Scenario, run
+from repro.metrics.collector import SafetyViolation
+from repro.sim.detectorspec import HeartbeatDetector
+from repro.sim.faultspec import BernoulliLoss, NodeCrash
+from repro.sim.latencyspec import UniformJitterLatencySpec
+from repro.workload.params import LoadLevel, WorkloadParams
+
+DETECTOR = HeartbeatDetector(interval=10.0, timeout=30.0)
+
+
+def known(raises, *values, today):
+    return pytest.param(
+        *values, id=today, marks=pytest.mark.xfail(strict=True, raises=raises, reason=today)
+    )
+
+
+def scenario(n, m, phi, seed, **axes):
+    params = WorkloadParams(
+        num_processes=n, num_resources=m, phi=phi, duration=3_000.0, warmup=150.0,
+        load=LoadLevel.HIGH, seed=seed,
+    )
+    return Scenario(algorithm="with_loan", params=params, require_all_completed=False, **axes)
+
+
+def assert_finished(result):
+    end = result.termination
+    assert end.reason == "drained" and end.waiting == (), end.progress()
+
+
+@pytest.mark.parametrize(
+    "n, m, phi, seed",
+    [
+        known(AllocatorError, 10, 16, 8, 33, today="10-16-8 seed 33: sends a token it does not own"),
+        known(SafetyViolation, 10, 16, 8, 70, today="10-16-8 seed 70: double grant"),
+        known(AssertionError, 10, 16, 8, 9, today="10-16-8 seed 9: fault_cap, 1 survivor waiting"),
+        known(AssertionError, 10, 16, 8, 57, today="10-16-8 seed 57: fault_cap, 1 survivor waiting"),
+        known(AssertionError, 10, 16, 8, 98, today="10-16-8 seed 98: fault_cap, 1 survivor waiting"),
+        known(AssertionError, 10, 16, 8, 32, today="10-16-8 seed 32: fault_cap, 6 survivors waiting"),
+        known(AllocatorError, 8, 12, 4, 5, today="8-12-4 seed 5: sends a token it does not own"),
+        known(AssertionError, 8, 12, 4, 117, today="8-12-4 seed 117: fault_cap, 3 survivors waiting"),
+        known(AssertionError, 8, 12, 6, 59, today="8-12-6 seed 59: fault_cap, 3 survivors waiting"),
+        known(AssertionError, 8, 12, 6, 66, today="8-12-6 seed 66: fault_cap, 1 survivor waiting"),
+    ],
+)
+def test_detected_permanent_crash_recovers(n, m, phi, seed):
+    """ROADMAP item 2: node 2 dies at t=300 under jittered latency."""
+    result = run(
+        scenario(
+            n, m, phi, seed,
+            faults=NodeCrash(node=2, at=300.0),
+            detector=DETECTOR,
+            latency=UniformJitterLatencySpec(jitter=0.4),
+        )
+    )
+    assert_finished(result)
+    assert result.termination.abandoned <= 1  # only what died with node 2
+
+
+@pytest.mark.parametrize(
+    "seed",
+    [
+        known(SafetyViolation, 7, today="seed 7: double grant"),
+        known(SafetyViolation, 15, today="seed 15: double grant"),
+    ],
+)
+def test_detected_blip_recovers(seed):
+    """ROADMAP item 2: node 2 is down for 160 ms, constant latency."""
+    result = run(
+        scenario(
+            10, 16, 8, seed,
+            faults=NodeCrash(node=2, at=500.0, recover_at=660.0),
+            detector=DETECTOR,
+        )
+    )
+    assert_finished(result)
+
+
+@pytest.mark.parametrize(
+    "kind, seed",
+    [
+        # The resend net works for what it was built for: no mark.
+        pytest.param("RequestEnvelope", 1, id="requests seed 1: drains (19 drops)"),
+        pytest.param("RequestEnvelope", 2, id="requests seed 2: drains (21 drops)"),
+        known(AssertionError, "CounterEnvelope", 1, today="counters seed 1: 6 drops, 6 nodes waiting"),
+        known(AssertionError, "CounterEnvelope", 2, today="counters seed 2: 6 drops, 6 nodes waiting"),
+        known(AssertionError, "TokenEnvelope", 1, today="tokens seed 1: 1 drop, all 10 nodes waiting"),
+        known(AssertionError, "TokenEnvelope", 2, today="tokens seed 2: 1 drop, all 10 nodes waiting"),
+    ],
+)
+def test_loss_of_one_message_class_converges(kind, seed):
+    """ROADMAP item 3: 0.5 % Bernoulli loss of one message class."""
+    result = run(scenario(10, 16, 8, seed, faults=BernoulliLoss(p=0.005, kinds=(kind,))))
+    assert result.messages_dropped > 0
+    assert_finished(result)
+    assert result.termination.abandoned == 0

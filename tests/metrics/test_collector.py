@@ -18,7 +18,7 @@ class TestLifecycle:
         rec = c.record_for(0, 0)
         assert rec.waiting_time == pytest.approx(2.0)
         assert rec.completed
-        assert c.all_completed()
+        assert c.incomplete_requests() == []
 
     def test_duplicate_issue_rejected(self):
         c = make_collector()
@@ -55,10 +55,10 @@ class TestLifecycle:
         with pytest.raises(ValueError):
             make_collector().on_issue(1.0, 0, 0, frozenset())
 
-    def test_all_completed_false_while_pending(self):
+    def test_pending_request_is_incomplete(self):
         c = make_collector()
         c.on_issue(1.0, 0, 0, frozenset({0}))
-        assert not c.all_completed()
+        assert c.incomplete_requests() == [(0, 0)]
 
 
 class TestSafetyCheck:
@@ -213,7 +213,7 @@ class TestAbort:
         collector.on_issue(0.0, 0, 0, frozenset({1}))
         collector.on_grant(1.0, 0, 0)
         collector.on_abort(2.0, 0, 0)
-        assert not collector.all_completed()
+        assert collector.incomplete_requests() == [(0, 0)]
         metrics = collector.build(algorithm="x", horizon=10.0)
         assert metrics.completed == 0
         assert metrics.granted == 1

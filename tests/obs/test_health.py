@@ -105,38 +105,36 @@ class TestStallCheck:
 
     def test_healthy_within_budget(self):
         st = StallCheck(100.0)
-        st.update(0.0, 0)
-        st.update(50.0, 3)
-        assert st.run(50.0).status == HealthStatus.HEALTHY
+        st.update(50.0, 12.5)
+        report = st.run(50.0)
+        assert report.status == HealthStatus.HEALTHY
+        assert "37.5 ms since the last grant" in report.detail
 
     def test_degraded_past_budget(self):
         st = StallCheck(100.0)
-        st.update(0.0, 5)
-        st.update(150.0, 5)  # clock advanced 150 ms, no new grants
+        st.update(150.0, 0.0)  # clock advanced 150 ms since the last grant
         report = st.run(150.0)
         assert report.status == HealthStatus.DEGRADED
         assert "no grant completed" in report.detail
 
     def test_unhealthy_past_twice_budget(self):
         st = StallCheck(100.0)
-        st.update(0.0, 5)
-        st.update(250.0, 5)
+        st.update(250.0, 0.0)
         assert st.run(250.0).status == HealthStatus.UNHEALTHY
 
     def test_progress_resets_the_clock(self):
         st = StallCheck(100.0)
-        st.update(0.0, 0)
-        st.update(150.0, 0)
+        st.update(150.0, 10.0)
         assert st.run(150.0).status == HealthStatus.DEGRADED
-        st.update(160.0, 1)  # a grant completed: healthy again
+        st.update(160.0, 155.0)  # a grant completed: healthy again
         assert st.run(160.0).status == HealthStatus.HEALTHY
 
-    def test_first_sample_anchors_progress(self):
-        # The first sample (even with zero grants) starts the budget; a
-        # report straight after it must not claim a stall.
+    def test_run_with_no_grant_yet_is_judged_from_zero(self):
         st = StallCheck(100.0)
-        st.update(500.0, 0)
-        assert st.run(500.0).status == HealthStatus.HEALTHY
+        st.update(100.0, None)
+        assert st.run(100.0).status == HealthStatus.HEALTHY
+        st.update(150.0, None)
+        assert st.run(150.0).status == HealthStatus.DEGRADED
 
 
 class TestHealthMonitor:

@@ -41,6 +41,7 @@ def fingerprint(result):
         (
             result.algorithm,
             result.metrics,
+            result.termination,
             result.simulated_time,
             result.events_processed,
             result.messages_dropped,
@@ -67,6 +68,15 @@ class TestFaultSweepDeterminism:
         faulty = [r for s, r in zip(fault_grid, results) if s.faults is not None]
         assert all(r.messages_dropped == 0 for r in reliable)
         assert any(r.messages_dropped > 0 for r in faulty)
+        # The fingerprint carries ``termination`` through the pool, the
+        # memory cache and the disk cache; make sure it is not trivial here.
+        assert all(
+            (r.termination.reason, r.termination.waiting, r.termination.abandoned)
+            == ("drained", (), 0)
+            for r in reliable
+        )
+        assert {r.termination.reason for r in faulty} == {"drained", "fault_cap"}
+        assert any(r.termination.waiting and r.termination.abandoned for r in faulty)
 
 
 class TestFaultSweepMemoisation:
