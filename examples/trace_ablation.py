@@ -32,8 +32,8 @@ Two things the table shows, and the script self-checks:
 
 The trace scenarios also exercise the streaming path end-to-end: records
 are collected in bounded chunks (``record_chunk_rows``), the trace file
-is never materialised, and its SHA-256 — not its path — keys the run
-cache.
+is parsed once per run into 20 bytes a job (no job objects), and its
+SHA-256 — not its path — keys the run cache.
 
 Run with::
 

@@ -65,7 +65,8 @@ echo "trace ablation (--quick) OK"
 # fault hooks run only for messages touching the crashable node (< 0.25
 # hook calls per message; asking about every message is 2.0) and the
 # per-message path has no peek/pop, stats-method, Random.uniform or
-# `now` property frame.
+# `now` property frame.  All three legs also assert zero Python frames
+# defined in core/messages.py (its records are built by C calls).
 echo "== no-fault fast-path and armed-path profile checks =="
 python scripts/profile_run.py --check
 python scripts/profile_run.py --scheduler calendar --check

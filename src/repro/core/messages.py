@@ -11,21 +11,72 @@ same family addressed to the same site into a single network message; the
 request records stay small and immutable so they can safely sit in token
 waiting queues and per-node histories.
 
-All message classes use ``slots=True``: one is allocated per message hop
-on the simulation hot path, and slotted instances are both smaller and
-faster to construct than dict-backed ones.
+What the records are
+--------------------
+Every network message of the loan protocol is an envelope wrapping a tuple
+of records, so the seven classes are *tuple-backed*: each is a
+``collections.namedtuple`` subclassed with ``__slots__ = ()`` over the
+shared :class:`_Record` base.  A record is built by one C call
+(``tuple.__new__``), its fields are read through C-level tuple getters, and
+it is immutable because a tuple is, not because ``__setattr__`` is
+overridden.  Guaranteed, and pinned by ``tests/core/test_messages.py``:
+
+* class names, field names, field order and defaults are the protocol's
+  vocabulary; positional and keyword construction agree, and
+  ``message.__class__`` is the key network dispatch, the ``kinds=`` loss
+  filters and the per-type message counters use;
+* assigning or deleting an attribute raises ``AttributeError``;
+* records are hashable, equal fields give equal hashes, and records of
+  *different* classes never compare equal although their underlying tuples
+  may (``ReqCnt(1, 2, 3, False) != ReqRes(1, 2, 3, 0.0)``);
+* ``repr`` names the class and its fields; ``pickle`` and ``copy`` give
+  back an equal record of the same class.
+
+Where envelopes are validated
+-----------------------------
+An envelope with an empty payload is a protocol bug, so the public
+constructors of the three envelopes raise ``ValueError`` on one.  The four
+places of ``core/node.py`` that *assemble* envelopes (the forwarder, the
+request flush and the two response flushes) do not go through them: there
+non-emptiness is structural — the forwarder re-sends the tuple it is
+iterating, a buffer entry exists only because something was appended to
+it — so they build the record directly with ``tuple.__new__(cls, fields)``
+and save one Python frame per message (as does the token regenerator, for
+a literal one-token payload).  Both ways produce the same class.
+``tests/properties/test_envelope_properties.py`` checks on whole runs that
+no empty envelope ever reaches the network, and ``scripts/profile_run.py
+--check`` that a run executes no Python frame defined in this module.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from typing import FrozenSet, Tuple, Union
 
 from repro.core.token import ResourceToken
 
+_tuple_new = tuple.__new__
 
-@dataclass(frozen=True, slots=True)
-class ReqCnt:
+
+class _Record:
+    """Semantics the seven tuple-backed records share.
+
+    A plain tuple subclass would compare equal to any tuple with the same
+    items; a record is equal only to a record of its own class.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    __hash__ = tuple.__hash__
+
+
+class ReqCnt(_Record, namedtuple("ReqCnt", "resource sinit req_id single", defaults=(False,))):
     """Request for the current counter value of ``resource``.
 
     Sent by ``sinit`` for its critical-section request ``req_id`` while in
@@ -37,14 +88,15 @@ class ReqCnt:
     resource request instead of replying with a counter value.
     """
 
+    __slots__ = ()
+
     resource: int
     sinit: int
     req_id: int
-    single: bool = False
+    single: bool
 
 
-@dataclass(frozen=True, slots=True)
-class ReqRes:
+class ReqRes(_Record, namedtuple("ReqRes", "resource sinit req_id mark")):
     """Request for the right to access ``resource``.
 
     ``mark`` is the value of the scheduling function ``A`` applied to the
@@ -52,14 +104,18 @@ class ReqRes:
     request's position in the total order ``/``.
     """
 
+    __slots__ = ()
+
     resource: int
     sinit: int
     req_id: int
     mark: float
 
 
-@dataclass(frozen=True, slots=True)
-class ReqLoan:
+class ReqLoan(
+    _Record,
+    namedtuple("ReqLoan", "resource sinit req_id mark missing", defaults=(frozenset(),)),
+):
     """Request to *borrow* ``resource`` (and the rest of ``missing``).
 
     Sent by a ``waitCS`` process that misses at most ``loan_threshold``
@@ -67,27 +123,29 @@ class ReqLoan:
     the conditions of ``canLend`` hold (Section 4.5).
     """
 
+    __slots__ = ()
+
     resource: int
     sinit: int
     req_id: int
     mark: float
-    missing: FrozenSet[int] = field(default_factory=frozenset)
+    missing: FrozenSet[int]
 
 
 #: Union of the three request kinds (the paper's "request messages" family).
 RequestKind = Union[ReqCnt, ReqRes, ReqLoan]
 
 
-@dataclass(frozen=True, slots=True)
-class CounterValue:
+class CounterValue(_Record, namedtuple("CounterValue", "resource value")):
     """Reply to a ``ReqCnt``: the counter value reserved for the request."""
+
+    __slots__ = ()
 
     resource: int
     value: int
 
 
-@dataclass(frozen=True, slots=True)
-class RequestEnvelope:
+class RequestEnvelope(_Record, namedtuple("RequestEnvelope", "visited requests")):
     """Aggregated request message forwarded along the trees.
 
     ``visited`` is the set of sites already traversed by these requests;
@@ -96,31 +154,40 @@ class RequestEnvelope:
     trees reshape themselves.
     """
 
+    __slots__ = ()
+
     visited: FrozenSet[int]
     requests: Tuple[RequestKind, ...]
 
-    def __post_init__(self) -> None:
-        if not self.requests:
+    def __new__(
+        cls, visited: FrozenSet[int], requests: Tuple[RequestKind, ...]
+    ) -> "RequestEnvelope":
+        if not requests:
             raise ValueError("a request envelope must carry at least one request")
+        return _tuple_new(cls, (visited, requests))
 
 
-@dataclass(frozen=True, slots=True)
-class CounterEnvelope:
+class CounterEnvelope(_Record, namedtuple("CounterEnvelope", "counters")):
     """Aggregated ``Counter`` replies sent directly to one requester."""
+
+    __slots__ = ()
 
     counters: Tuple[CounterValue, ...]
 
-    def __post_init__(self) -> None:
-        if not self.counters:
+    def __new__(cls, counters: Tuple[CounterValue, ...]) -> "CounterEnvelope":
+        if not counters:
             raise ValueError("a counter envelope must carry at least one value")
+        return _tuple_new(cls, (counters,))
 
 
-@dataclass(frozen=True, slots=True)
-class TokenEnvelope:
+class TokenEnvelope(_Record, namedtuple("TokenEnvelope", "tokens")):
     """Aggregated resource tokens sent directly to one site."""
+
+    __slots__ = ()
 
     tokens: Tuple[ResourceToken, ...]
 
-    def __post_init__(self) -> None:
-        if not self.tokens:
+    def __new__(cls, tokens: Tuple[ResourceToken, ...]) -> "TokenEnvelope":
+        if not tokens:
             raise ValueError("a token envelope must carry at least one token")
+        return _tuple_new(cls, (tokens,))

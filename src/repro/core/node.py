@@ -90,6 +90,13 @@ from repro.sim.network import Network
 from repro.sim.node import Node
 from repro.sim.trace import TraceRecorder
 
+# Envelopes are assembled at four places below (the forwarder, the request
+# flush and the two response flushes) where a non-empty payload is
+# structural, so they are built positionally — one C call — instead of
+# through the validating public constructor (see repro.core.messages).
+# The regenerator's literal one-token envelope is built the same way.
+_tuple_new = tuple.__new__
+
 
 class ProcessState(str, Enum):
     """The four states of the machine of Figure 2."""
@@ -98,6 +105,16 @@ class ProcessState(str, Enum):
     WAIT_S = "waitS"
     WAIT_CS = "waitCS"
     IN_CS = "inCS"
+
+
+# The members, bound once: the handlers below test the state some thirty
+# times, and ``ProcessState.X`` is a global load plus an attribute lookup
+# on an ``Enum`` class each time.
+_IDLE = ProcessState.IDLE
+_WAIT_S = ProcessState.WAIT_S
+_WAIT_CS = ProcessState.WAIT_CS
+_IN_CS = ProcessState.IN_CS
+_WAITING = (_WAIT_S, _WAIT_CS)
 
 
 class CoreAllocatorNode(Node, MultiResourceAllocator):
@@ -144,7 +161,7 @@ class CoreAllocatorNode(Node, MultiResourceAllocator):
         self.last_tok: List[ResourceToken] = [ResourceToken(resource=r) for r in range(num_resources)]
         self._t_owned: Set[int] = set(range(num_resources)) if owns_all else set()
 
-        self._state = ProcessState.IDLE
+        self._state = _IDLE
         self._t_required: Set[int] = set()
         self._cnt_needed: Set[int] = set()
         self._my_vector: List[int] = [0] * num_resources
@@ -191,11 +208,11 @@ class CoreAllocatorNode(Node, MultiResourceAllocator):
 
     @property
     def in_critical_section(self) -> bool:
-        return self._state is ProcessState.IN_CS
+        return self._state is _IN_CS
 
     @property
     def is_idle(self) -> bool:
-        return self._state is ProcessState.IDLE
+        return self._state is _IDLE
 
     @property
     def owned_tokens(self) -> FrozenSet[int]:
@@ -227,7 +244,7 @@ class CoreAllocatorNode(Node, MultiResourceAllocator):
 
     def acquire(self, resources: Iterable[int], on_granted: Callable[[], None]) -> None:
         """Request exclusive access to ``resources`` (``Request_CS``)."""
-        if self._state is not ProcessState.IDLE:
+        if self._state is not _IDLE:
             raise AllocatorError(
                 f"node {self.node_id}: acquire() while a request is outstanding "
                 f"(state={self._state.value})"
@@ -250,14 +267,14 @@ class CoreAllocatorNode(Node, MultiResourceAllocator):
             # ReqCnt as a resource request.
             resource = next(iter(rset))
             self._single_fast_path = True
-            self._set_state(ProcessState.WAIT_CS)
+            self._set_state(_WAIT_CS)
             self._buffer_request(
                 self.tok_dir[resource], ReqCnt(resource, self.node_id, self._cur_id, True)
             )
             self._flush_requests(self._visited_self)
             self._arm_resend_timer()
             return
-        self._set_state(ProcessState.WAIT_S)
+        self._set_state(_WAIT_S)
         for r in sorted(rset):
             if self.tok_dir[r] is None:
                 # Token held locally: reserve the counter value directly.
@@ -273,17 +290,17 @@ class CoreAllocatorNode(Node, MultiResourceAllocator):
             # since: move straight to the acquisition phase.
             self._process_cnt_needed_empty()
             self._flush_requests(self._visited_self)
-        if self._state is not ProcessState.IN_CS:
+        if self._state is not _IN_CS:
             self._arm_resend_timer()
 
     def release(self) -> None:
         """Exit the critical section (``Release_CS``)."""
-        if self._state is not ProcessState.IN_CS:
+        if self._state is not _IN_CS:
             raise AllocatorError(
                 f"node {self.node_id}: release() outside critical section "
                 f"(state={self._state.value})"
             )
-        self._set_state(ProcessState.IDLE)
+        self._set_state(_IDLE)
         self._loan_asked = False
         for r in sorted(self._t_required):
             tok = self.last_tok[r]
@@ -324,7 +341,7 @@ class CoreAllocatorNode(Node, MultiResourceAllocator):
         remaining queues can never emit a duplicate token.
         """
         Node.on_recover(self, time)
-        self._set_state(ProcessState.IDLE)
+        self._set_state(_IDLE)
         self._t_required = set()
         self._cnt_needed = set()
         self._my_vector = [0] * self.num_resources
@@ -355,7 +372,7 @@ class CoreAllocatorNode(Node, MultiResourceAllocator):
 
     def recovery_requires(self) -> FrozenSet[int]:
         """Tokens this node is currently waiting for (regeneration priority)."""
-        if self._state in (ProcessState.WAIT_S, ProcessState.WAIT_CS):
+        if self._state in _WAITING:
             return frozenset(self._t_required - self._t_owned)
         return frozenset()
 
@@ -417,7 +434,7 @@ class CoreAllocatorNode(Node, MultiResourceAllocator):
             tok.remove_requests_of(crashed)
             tok.remove_loans_of(crashed)
         self._trace("token_regenerated", resource=resource, crashed=crashed, epoch=epoch)
-        self.on_TokenEnvelope(self.node_id, TokenEnvelope(tokens=(tok,)))
+        self.on_TokenEnvelope(self.node_id, _tuple_new(TokenEnvelope, ((tok,),)))
 
     def recovery_repoint(
         self,
@@ -473,10 +490,10 @@ class CoreAllocatorNode(Node, MultiResourceAllocator):
 
     def _reissue_pending(self, resource: int, dest: int) -> None:
         """Buffer a fresh copy of our outstanding request for ``resource``."""
-        if self._state is ProcessState.WAIT_S:
+        if self._state is _WAIT_S:
             if resource in self._cnt_needed:
                 self._buffer_request(dest, ReqCnt(resource, self.node_id, self._cur_id))
-        elif self._state is ProcessState.WAIT_CS:
+        elif self._state is _WAIT_CS:
             if resource in self._t_required and resource not in self._t_owned:
                 if self._single_fast_path:
                     self._buffer_request(dest, ReqCnt(resource, self.node_id, self._cur_id, True))
@@ -495,7 +512,8 @@ class CoreAllocatorNode(Node, MultiResourceAllocator):
         be replayed if the token passes through, then pass it on to the
         father unless the father has already seen it.  Most envelopes
         carry one request that is forwarded: request records and envelopes
-        are frozen, so the received tuple is re-sent as it is.
+        are immutable (tuple-backed), so the received tuple is re-sent as
+        it is — and, being the tuple this loop iterates, it is not empty.
         """
         requests = env.requests
         visited = env.visited
@@ -524,7 +542,9 @@ class CoreAllocatorNode(Node, MultiResourceAllocator):
                 continue
             if len(requests) == 1:
                 self._net_send(
-                    self.node_id, father, RequestEnvelope(visited | self._visited_self, requests)
+                    self.node_id,
+                    father,
+                    _tuple_new(RequestEnvelope, (visited | self._visited_self, requests)),
                 )
             elif forwards is None:
                 forwards = {father: [req]}
@@ -533,7 +553,9 @@ class CoreAllocatorNode(Node, MultiResourceAllocator):
         if forwards:
             visited = visited | self._visited_self
             for dest, reqs in forwards.items():
-                self._net_send(self.node_id, dest, RequestEnvelope(visited, tuple(reqs)))
+                self._net_send(
+                    self.node_id, dest, _tuple_new(RequestEnvelope, (visited, tuple(reqs)))
+                )
         if self._cnt_buffer or self._tok_buffer:
             self._flush_responses()
 
@@ -550,7 +572,7 @@ class CoreAllocatorNode(Node, MultiResourceAllocator):
             if self.tok_dir[r] is not None:
                 # Path shortcut (Section 4.6.2): the replier held the token.
                 self.tok_dir[r] = src
-        if self._state is ProcessState.WAIT_S and not self._cnt_needed:
+        if self._state is _WAIT_S and not self._cnt_needed:
             self._process_cnt_needed_empty()
         if self._req_buffer:
             self._flush_requests(self._visited_self)
@@ -562,7 +584,7 @@ class CoreAllocatorNode(Node, MultiResourceAllocator):
         entering = (
             bool(self._t_required)
             and self._t_required <= self._t_owned
-            and self._state in (ProcessState.WAIT_S, ProcessState.WAIT_CS)
+            and self._state in _WAITING
         )
         if not entering:
             # Return failed loans, advance the counter phase if complete,
@@ -571,7 +593,7 @@ class CoreAllocatorNode(Node, MultiResourceAllocator):
             # steps, so one sorted snapshot of the owned set serves them all.
             owned = sorted(self._t_owned)
             self._return_failed_loans(owned)
-            if self._state is ProcessState.WAIT_S and not self._cnt_needed:
+            if self._state is _WAIT_S and not self._cnt_needed:
                 self._process_cnt_needed_empty()
             self._serve_queues(owned)
             if self.config.enable_loan:
@@ -595,7 +617,7 @@ class CoreAllocatorNode(Node, MultiResourceAllocator):
         if cls is ReqLoan:
             self._process_req_loan(req)
         elif r not in self._t_required or (
-            self._state is ProcessState.WAIT_S and cls is not ReqCnt
+            self._state is _WAIT_S and cls is not ReqCnt
         ):
             # Either we do not need the resource, or we are still in the
             # counter phase: hand the token over directly.
@@ -611,7 +633,7 @@ class CoreAllocatorNode(Node, MultiResourceAllocator):
             else:
                 self._buffer_counter(req.sinit, CounterValue(r, tok.take_counter()))
         elif not tok.queue_contains(req.sinit, req.req_id):
-            if self._state is ProcessState.WAIT_CS:
+            if self._state is _WAIT_CS:
                 my_req = self._my_req_for(r)
                 if precedes(req, my_req):
                     # The incoming request has priority: yield the token
@@ -640,7 +662,7 @@ class CoreAllocatorNode(Node, MultiResourceAllocator):
             if self.trace is not None:
                 self._trace("loan_granted", borrower=req.sinit, resources=sorted(req.missing))
         else:
-            if r not in self._t_required or self._state is ProcessState.WAIT_S:
+            if r not in self._t_required or self._state is _WAIT_S:
                 self._send_token(req.sinit, r)
             elif not tok.loan_contains(req.sinit, req.req_id):
                 tok.enqueue_loan(req)
@@ -649,15 +671,15 @@ class CoreAllocatorNode(Node, MultiResourceAllocator):
         """The ``canLend`` predicate (Section 4.5 / lines 117-132)."""
         if not self.config.enable_loan:
             return False
-        if not set(req.missing) <= self._t_owned:
+        if not req.missing <= self._t_owned:
             return False
         if any(self.last_tok[r].lender is not None for r in self._t_owned):
             return False
         if self._t_lent:
             return False
-        if self._state is ProcessState.IN_CS:
+        if self._state is _IN_CS:
             return False
-        if self._state is ProcessState.WAIT_CS:
+        if self._state is _WAIT_CS:
             if not self._loan_asked:
                 return True
             return request_key(req) < (self._current_mark(), self.node_id)
@@ -739,7 +761,7 @@ class CoreAllocatorNode(Node, MultiResourceAllocator):
             # Keep our request registered so it is not lost with the loan.
             if (
                 r in self._t_required
-                and self._state in (ProcessState.WAIT_S, ProcessState.WAIT_CS)
+                and self._state in _WAITING
                 and not tok.queue_contains(self.node_id, self._cur_id)
             ):
                 tok.enqueue(self._my_req_for(r))
@@ -762,10 +784,10 @@ class CoreAllocatorNode(Node, MultiResourceAllocator):
                 head = tok.head()
             if head is None:
                 continue
-            if self._state in (ProcessState.WAIT_S, ProcessState.IDLE) or r not in self._t_required:
+            if self._state in (_WAIT_S, _IDLE) or r not in self._t_required:
                 tok.dequeue()
                 self._send_token(head.sinit, r)
-            elif self._state is ProcessState.WAIT_CS:
+            elif self._state is _WAIT_CS:
                 my_req = self._my_req_for(r)
                 if precedes(head, my_req):
                     tok.dequeue()
@@ -787,7 +809,7 @@ class CoreAllocatorNode(Node, MultiResourceAllocator):
 
     def _maybe_request_loan(self) -> None:
         """Initiate a loan request when few resources are missing (lines 248-252)."""
-        if self._state is not ProcessState.WAIT_CS or self._loan_asked:
+        if self._state is not _WAIT_CS or self._loan_asked:
             return
         missing = self._t_required - self._t_owned
         if not missing or len(missing) > self.config.loan_threshold:
@@ -817,7 +839,7 @@ class CoreAllocatorNode(Node, MultiResourceAllocator):
     # ------------------------------------------------------------------ #
     def _process_cnt_needed_empty(self) -> None:
         """All counter values obtained: move to ``waitCS`` and request tokens."""
-        self._set_state(ProcessState.WAIT_CS)
+        self._set_state(_WAIT_CS)
         for r in sorted(self._t_required):
             if r in self._t_owned:
                 continue
@@ -837,7 +859,7 @@ class CoreAllocatorNode(Node, MultiResourceAllocator):
         mark = self._mark
         if mark is None:
             mark = self.config.policy.mark(self._my_vector, self._t_required)
-            if self._state is ProcessState.WAIT_CS:
+            if self._state is _WAIT_CS:
                 self._mark = mark
         return mark
 
@@ -846,7 +868,7 @@ class CoreAllocatorNode(Node, MultiResourceAllocator):
         req = self._my_reqs.get(resource)
         if req is None:
             req = ReqRes(resource, self.node_id, self._cur_id, self._current_mark())
-            if self._state is ProcessState.WAIT_CS:
+            if self._state is _WAIT_CS:
                 self._my_reqs[resource] = req
         return req
 
@@ -877,20 +899,26 @@ class CoreAllocatorNode(Node, MultiResourceAllocator):
             return
         buffered = self._req_buffer
         self._req_buffer = {}
+        # A buffer entry exists only because setdefault(dest, []).append(x)
+        # created it: no payload below (or in _flush_responses) is empty.
         for dest, reqs in buffered.items():
-            self._net_send(self.node_id, dest, RequestEnvelope(visited, tuple(reqs)))
+            self._net_send(
+                self.node_id, dest, _tuple_new(RequestEnvelope, (visited, tuple(reqs)))
+            )
 
     def _flush_responses(self) -> None:
         if self._cnt_buffer:
             buffered = self._cnt_buffer
             self._cnt_buffer = {}
             for dest, counters in buffered.items():
-                self._net_send(self.node_id, dest, CounterEnvelope(tuple(counters)))
+                self._net_send(
+                    self.node_id, dest, _tuple_new(CounterEnvelope, (tuple(counters),))
+                )
         if self._tok_buffer:
             buffered_toks = self._tok_buffer
             self._tok_buffer = {}
             for dest, toks in buffered_toks.items():
-                self._net_send(self.node_id, dest, TokenEnvelope(tuple(toks)))
+                self._net_send(self.node_id, dest, _tuple_new(TokenEnvelope, (tuple(toks),)))
 
     # ------------------------------------------------------------------ #
     # misc internals
@@ -911,7 +939,7 @@ class CoreAllocatorNode(Node, MultiResourceAllocator):
         return None
 
     def _enter_cs(self) -> None:
-        self._set_state(ProcessState.IN_CS)
+        self._set_state(_IN_CS)
         self._cancel_resend_timer()
         callback = self._on_granted
         self._on_granted = None
@@ -949,9 +977,9 @@ class CoreAllocatorNode(Node, MultiResourceAllocator):
 
     def _on_resend_timer(self) -> None:
         self._resend_event = None
-        if self._state is ProcessState.WAIT_S:
+        if self._state is _WAIT_S:
             outstanding = self._cnt_needed
-        elif self._state is ProcessState.WAIT_CS:
+        elif self._state is _WAIT_CS:
             outstanding = self._t_required - self._t_owned
         else:
             return

@@ -18,24 +18,26 @@ whatever process runs the experiment:
   pluggable :class:`~repro.workload.arrivals.ArrivalSpec` (Poisson,
   heavy-tailed, bursty, diurnal), independent of completions.
 * :class:`TraceReplaySpec` — replays an SWF job trace
-  (:mod:`repro.workload.swf`), streamed lazily; the SHA-256 of the trace
+  (:mod:`repro.workload.swf`), parsed once per run into three compact
+  columns (20 bytes a job); the SHA-256 of the trace
   file's contents is folded into the scenario key via
   :meth:`TraceReplaySpec.__canonical__`, so the run cache can never serve
   a result computed from a stale or edited trace.
 
 Thawed workloads expose per-process **iterators** of
 :class:`~repro.workload.generator.RequestSpec`; nothing ever materialises
-a request list, which is what lets a multi-million-request trace or
-open-loop run stream through the simulator in O(1) workload memory.
+a request list, which is what lets a multi-million-request open-loop
+run stream through the simulator in O(1) workload memory (a trace
+replay keeps its 20 bytes a job, and no job or request objects).
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 import math
 import os
 from abc import ABC, abstractmethod
+from array import array
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterator, Optional, Tuple
 
@@ -47,7 +49,7 @@ from repro.workload.generator import (
     draw_request_shape,
 )
 from repro.workload.params import cs_duration_for_size
-from repro.workload.swf import count_swf_jobs, read_swf
+from repro.workload.swf import read_swf_columns
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.workload.params import WorkloadParams
@@ -155,10 +157,11 @@ class OpenLoopWorkload(Workload):
 class TraceWorkload(Workload):
     """Thawed :class:`TraceReplaySpec`: lazy SWF replay.
 
-    Jobs are dealt round-robin over the ``N`` processes in trace order;
-    each per-process stream makes its own lazy pass over the file (``N``
-    cheap sequential scans instead of an unbounded cross-process reorder
-    buffer), re-basing submit times so the trace starts at t=0.  Job
+    Jobs are dealt round-robin over the ``N`` processes in trace order.
+    The file is parsed once per run, on first use, into three columns
+    (:func:`~repro.workload.swf.read_swf_columns`, 20 bytes a job, capped
+    by ``max_jobs``); process ``p`` reads rows ``[p::N]`` of them,
+    re-basing submit times so the trace starts at t=0.  Job
     size maps to ``min(phi, bit_length(procs))`` — a log2 compression of
     the requested processor count into the paper's request-size range —
     and the CS duration is the job's scaled runtime (falling back to the
@@ -171,12 +174,14 @@ class TraceWorkload(Workload):
         self.spec = spec
         self.params = params
         self._streams = RandomStreams(params.seed)
+        self._parsed: Optional[Tuple[array, array, array]] = None
 
-    def _jobs(self):
-        jobs = read_swf(self.spec.path)
-        if self.spec.max_jobs is not None:
-            jobs = itertools.islice(jobs, self.spec.max_jobs)
-        return jobs
+    def _columns(self) -> Tuple[array, array, array]:
+        """``(submit_time, run_time, procs)`` of the replayed jobs, parsed on first use."""
+        columns = self._parsed
+        if columns is None:
+            columns = self._parsed = read_swf_columns(self.spec.path, self.spec.max_jobs)
+        return columns
 
     def stream_for(self, process: int) -> Iterator[RequestSpec]:
         """Lazy stream of this process's round-robin share of the trace."""
@@ -185,25 +190,25 @@ class TraceWorkload(Workload):
             raise ValueError(f"process id {process} out of range")
         pick_rng = self._streams.stream("trace-pick", process)
         scale = self.spec.time_scale
-        base: Optional[float] = None
+        submit_times, run_times, procs = self._columns()
+        if not submit_times:
+            return
+        base = max(submit_times[0], 0.0)
         last_arrival: Optional[float] = None
-        index = 0
-        for n, job in enumerate(self._jobs()):
-            if base is None:
-                base = max(job.submit_time, 0.0)
-            if n % params.num_processes != process:
-                continue
-            arrival = max(max(job.submit_time, 0.0) - base, 0.0) * scale
+        rows = range(process, len(submit_times), params.num_processes)
+        for index, row in enumerate(rows):
+            arrival = max(max(submit_times[row], 0.0) - base, 0.0) * scale
             if last_arrival is None:
                 gap = arrival
             else:
                 gap = max(arrival - last_arrival, 0.0)
                 arrival = max(arrival, last_arrival)
             last_arrival = arrival
-            size = min(params.phi, max(1, job.procs.bit_length()))
+            size = min(params.phi, max(1, procs[row].bit_length()))
             resources = frozenset(pick_rng.sample(range(params.num_resources), size))
-            if job.run_time > 0:
-                cs_duration = max(job.run_time * scale, 1e-6)
+            run_time = run_times[row]
+            if run_time > 0:
+                cs_duration = max(run_time * scale, 1e-6)
             else:
                 cs_duration = cs_duration_for_size(
                     size, params.num_resources, params.alpha_min, params.alpha_max
@@ -215,13 +220,10 @@ class TraceWorkload(Workload):
                 cs_duration=cs_duration,
                 think_time=gap,
             )
-            index += 1
 
     def expected_requests(self) -> Optional[int]:
-        """Job count of the trace (one streaming pass, capped by ``max_jobs``)."""
-        count = count_swf_jobs(self.spec.path)
-        if self.spec.max_jobs is not None:
-            count = min(count, self.spec.max_jobs)
+        """Job count of the replayed trace (capped by ``max_jobs``)."""
+        count = len(self._columns()[0])
         params = self.params
         if params.requests_per_process is not None:
             count = min(count, params.requests_per_process * params.num_processes)

@@ -9,17 +9,27 @@ full standard record so other consumers need no second parser (the
 accasim ``workload_parser`` idiom cited in ROADMAP.md).
 
 Parsing is **lazy**: :func:`read_swf` and :func:`parse_swf` are
-generators holding one line in memory at a time, so a multi-million-job
-trace streams through :class:`~repro.workload.spec.TraceReplaySpec`
-without ever materialising a job list.
+generators holding one line in memory at a time.  Replay
+(:class:`~repro.workload.spec.TraceReplaySpec`) needs the trace once per
+process, so it reads it once per run through :func:`read_swf_columns`
+into three ``array`` columns — submit time, run time, processor count,
+20 bytes a job — and never materialises job *objects*.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator, Optional
+from typing import IO, Iterable, Iterator, List, Optional, Tuple
 
-__all__ = ["SWFJob", "SWF_FIELDS", "parse_swf", "read_swf", "count_swf_jobs"]
+__all__ = [
+    "SWFJob",
+    "SWF_FIELDS",
+    "parse_swf",
+    "read_swf",
+    "read_swf_columns",
+    "count_swf_jobs",
+]
 
 #: The 18 standard SWF fields, in file order (Feitelson's definition).
 SWF_FIELDS = (
@@ -76,18 +86,24 @@ class SWFJob:
     @property
     def procs(self) -> int:
         """Best available processor count: requested, falling back to allocated."""
-        if self.requested_procs > 0:
-            return self.requested_procs
-        return max(self.allocated_procs, 1)
+        return _best_procs(self.requested_procs, self.allocated_procs)
+
+
+def _best_procs(requested: int, allocated: int) -> int:
+    return requested if requested > 0 else max(allocated, 1)
 
 
 _FLOAT_FIELDS = frozenset(
     ("submit_time", "wait_time", "run_time", "avg_cpu_time", "requested_time", "think_time")
 )
+_SUBMIT, _RUN, _ALLOCATED, _REQUESTED = (
+    SWF_FIELDS.index(name)
+    for name in ("submit_time", "run_time", "allocated_procs", "requested_procs")
+)
 
 
-def _parse_line(line: str, lineno: int) -> Optional[SWFJob]:
-    """Parse one SWF line; ``None`` for comments/blank lines."""
+def _parse_values(line: str, lineno: int) -> Optional[List]:
+    """One SWF line as values in ``SWF_FIELDS`` order; ``None`` for comments/blank lines."""
     stripped = line.strip()
     if not stripped or stripped.startswith(";"):
         return None
@@ -96,15 +112,15 @@ def _parse_line(line: str, lineno: int) -> Optional[SWFJob]:
         # Tolerate truncated records (some archive exports drop the
         # trailing dependency fields): pad with the SWF unknown sentinel.
         fields = fields + ["-1"] * (len(SWF_FIELDS) - len(fields))
-    values = {}
+    values = []
     for name, token in zip(SWF_FIELDS, fields):
         try:
-            values[name] = float(token) if name in _FLOAT_FIELDS else int(float(token))
+            values.append(float(token) if name in _FLOAT_FIELDS else int(float(token)))
         except ValueError:
             raise ValueError(
                 f"SWF line {lineno}: field {name!r} is not numeric: {token!r}"
             ) from None
-    return SWFJob(**values)
+    return values
 
 
 def parse_swf(lines: Iterable[str]) -> Iterator[SWFJob]:
@@ -115,9 +131,9 @@ def parse_swf(lines: Iterable[str]) -> Iterator[SWFJob]:
     than one record.
     """
     for lineno, line in enumerate(lines, start=1):
-        job = _parse_line(line, lineno)
-        if job is not None:
-            yield job
+        values = _parse_values(line, lineno)
+        if values is not None:
+            yield SWFJob(*values)
 
 
 def read_swf(path: str) -> Iterator[SWFJob]:
@@ -129,6 +145,29 @@ def read_swf(path: str) -> Iterator[SWFJob]:
     fh: IO[str]
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
         yield from parse_swf(fh)
+
+
+def read_swf_columns(path: str, max_jobs: Optional[int] = None) -> Tuple[array, array, array]:
+    """The first ``max_jobs`` jobs (all by default) as three columns.
+
+    Returns ``(submit_time, run_time, procs)`` — two ``array('d')`` and
+    one ``array('i')`` of :attr:`SWFJob.procs` — from one pass over the
+    file that builds no :class:`SWFJob`.  Every field of a line is still
+    checked, so a malformed line raises the same ``ValueError`` as
+    :func:`read_swf`; lines after the ``max_jobs``-th job are not read.
+    """
+    submit, run, procs = array("d"), array("d"), array("i")
+    fh: IO[str]
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if max_jobs is not None and len(submit) >= max_jobs:
+                break
+            values = _parse_values(line, lineno)
+            if values is not None:
+                submit.append(values[_SUBMIT])
+                run.append(values[_RUN])
+                procs.append(_best_procs(values[_REQUESTED], values[_ALLOCATED]))
+    return submit, run, procs
 
 
 def count_swf_jobs(path: str) -> int:

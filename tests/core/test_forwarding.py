@@ -86,6 +86,42 @@ class TestForwarderRole:
         assert out.requests[0] is req
         assert list(node._pending_req[2].values()) == [req]
 
+    def test_forwarded_envelope_is_exactly_a_request_envelope(self):
+        """Built positionally, yet the class dispatch and ``kinds=`` filters see."""
+        node, network = make_forwarder()
+        req = ReqCnt(resource=2, sinit=9, req_id=1)
+        received = (req,)
+        visited = frozenset({9, 4})
+        node.on_RequestEnvelope(4, RequestEnvelope(visited, received))
+        [(_src, _dst, out)] = network.sent
+        assert type(out) is RequestEnvelope
+        assert out.__class__.__name__ == "RequestEnvelope"
+        # The single-request path re-sends the received tuple object itself.
+        assert out.requests is received
+        assert out.visited == visited | {5}
+        assert isinstance(out.visited, frozenset)
+        assert out == RequestEnvelope(frozenset({9, 4, 5}), (req,))
+
+    def test_grouped_forward_splits_by_father_in_order_of_first_use(self):
+        node, network = make_forwarder()
+        node.tok_dir[1] = 7
+        node.tok_dir[2] = 3
+        node.tok_dir[3] = 7
+        to_7_first = ReqRes(resource=1, sinit=9, req_id=2, mark=1.0)
+        to_3 = ReqCnt(resource=2, sinit=8, req_id=4)
+        to_7_second = ReqLoan(resource=3, sinit=9, req_id=2, mark=1.0, missing=frozenset({3}))
+        visited = frozenset({9})
+
+        node.on_RequestEnvelope(9, RequestEnvelope(visited, (to_7_first, to_3, to_7_second)))
+
+        assert [(src, dst) for src, dst, _ in network.sent] == [(5, 7), (5, 3)]
+        first, second = (out for _, _, out in network.sent)
+        assert type(first) is type(second) is RequestEnvelope
+        assert first.requests == (to_7_first, to_7_second)
+        assert second.requests == (to_3,)
+        assert first.requests[0] is to_7_first and first.requests[1] is to_7_second
+        assert first.visited == second.visited == frozenset({9, 5})
+
     def test_single_request_stops_at_a_visited_father(self):
         node, network = make_forwarder()
         req = ReqCnt(resource=2, sinit=9, req_id=1)

@@ -1,5 +1,8 @@
 """Unit tests for the core algorithm's message types."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.core.messages import (
@@ -61,3 +64,152 @@ class TestEnvelopes:
     def test_token_envelope_contents(self):
         env = TokenEnvelope(tokens=(ResourceToken(resource=4),))
         assert env.tokens[0].resource == 4
+
+
+#: One fully specified instance per message class, as (class, field values
+#: by name in declaration order).
+RECORDS = [
+    (ReqCnt, {"resource": 2, "sinit": 1, "req_id": 3, "single": True}),
+    (ReqRes, {"resource": 2, "sinit": 1, "req_id": 3, "mark": 4.5}),
+    (
+        ReqLoan,
+        {"resource": 2, "sinit": 1, "req_id": 3, "mark": 4.5, "missing": frozenset({2, 5})},
+    ),
+    (CounterValue, {"resource": 1, "value": 7}),
+    (
+        RequestEnvelope,
+        {"visited": frozenset({0, 1}), "requests": (ReqCnt(resource=0, sinit=0, req_id=1),)},
+    ),
+    (CounterEnvelope, {"counters": (CounterValue(resource=1, value=7),)}),
+    (TokenEnvelope, {"tokens": (ResourceToken(resource=4),)}),
+]
+RECORD_IDS = [cls.__name__ for cls, _ in RECORDS]
+
+
+@pytest.mark.parametrize("cls, fields", RECORDS, ids=RECORD_IDS)
+class TestRecordContract:
+    """What every one of the seven tuple-backed message classes guarantees."""
+
+    def test_positional_and_keyword_construction_agree(self, cls, fields):
+        by_keyword = cls(**fields)
+        by_position = cls(*fields.values())
+        assert by_keyword == by_position
+        assert type(by_keyword) is type(by_position) is cls
+        for name, value in fields.items():
+            assert getattr(by_position, name) == value
+
+    def test_attribute_assignment_and_deletion_raise(self, cls, fields):
+        record = cls(**fields)
+        for name in fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, fields[name])
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+        with pytest.raises(AttributeError):
+            record.not_a_field = 1
+
+    def test_equal_fields_give_equal_hash(self, cls, fields):
+        a, b = cls(**fields), cls(**fields)
+        if cls is TokenEnvelope:
+            # A token is mutable protocol state and has no hash; the
+            # envelope carrying it is never hashed either.
+            with pytest.raises(TypeError):
+                hash(a)
+            return
+        assert a is not b
+        assert a == b and not a != b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    def test_never_equal_to_a_bare_tuple(self, cls, fields):
+        record = cls(**fields)
+        bare = tuple(fields.values())
+        assert record != bare and bare != record
+        assert not record == bare and not bare == record
+
+    def test_repr_names_the_class_and_its_fields(self, cls, fields):
+        text = repr(cls(**fields))
+        assert text.startswith(cls.__name__ + "(")
+        for name, value in fields.items():
+            assert f"{name}={value!r}" in text
+
+    def test_pickle_and_copy_round_trip(self, cls, fields):
+        record = cls(**fields)
+        for clone in (
+            pickle.loads(pickle.dumps(record)),
+            pickle.loads(pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)),
+            copy.copy(record),
+            copy.deepcopy(record),
+        ):
+            assert type(clone) is cls
+            assert clone == record
+
+
+class TestDefaults:
+    def test_reqcnt_single_defaults_to_false(self):
+        assert ReqCnt(2, 1, 3).single is False
+        assert ReqCnt(2, 1, 3) == ReqCnt(2, 1, 3, False)
+
+    def test_reqloan_missing_defaults_to_the_empty_frozenset(self):
+        loan = ReqLoan(2, 1, 3, 1.0)
+        assert loan.missing == frozenset()
+        assert isinstance(loan.missing, frozenset)
+
+    @pytest.mark.parametrize(
+        "cls", [ReqRes, CounterValue, RequestEnvelope, CounterEnvelope, TokenEnvelope]
+    )
+    def test_the_other_classes_have_no_defaults(self, cls):
+        with pytest.raises(TypeError):
+            cls()
+
+
+class TestCrossClassInequality:
+    """Records of different classes never compare equal, whatever their fields."""
+
+    def test_reqcnt_and_reqres_over_equal_tuples(self):
+        cnt, res = ReqCnt(1, 2, 3, False), ReqRes(1, 2, 3, 0.0)
+        assert tuple(cnt) == tuple(res)  # the underlying tuples are equal
+        assert cnt != res and res != cnt
+        assert not cnt == res and not res == cnt
+        assert len({cnt, res}) == 2
+        assert {cnt: "cnt", res: "res"} == {res: "res", cnt: "cnt"}
+        assert {cnt: "cnt", res: "res"}[res] == "res"
+
+    def test_one_field_envelopes_over_the_same_payload(self):
+        payload = (CounterValue(1, 7),)
+        counters, tokens = CounterEnvelope(payload), TokenEnvelope(payload)
+        assert counters != tokens and not counters == tokens
+        assert len({counters, tokens}) == 2
+
+    def test_reqres_and_reqloan_are_ordered_by_key_not_by_class(self):
+        # The token queues sort by request_key(), never by comparing records.
+        from repro.core.ordering import request_key
+
+        res = ReqRes(0, 4, 1, 2.0)
+        loan = ReqLoan(0, 4, 1, 2.0)
+        assert request_key(res) == request_key(loan)
+        assert res != loan
+
+
+class TestEnvelopeValidation:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: RequestEnvelope(frozenset({0}), ()),
+            lambda: RequestEnvelope(visited=frozenset({0}), requests=()),
+            lambda: CounterEnvelope(()),
+            lambda: CounterEnvelope(counters=()),
+            lambda: TokenEnvelope(()),
+            lambda: TokenEnvelope(tokens=()),
+        ],
+    )
+    def test_public_constructors_refuse_an_empty_payload(self, build):
+        with pytest.raises(ValueError, match="must carry at least one"):
+            build()
+
+    def test_pickle_goes_through_the_validating_constructor(self):
+        # An envelope is rebuilt by its class call, so a forged empty one
+        # cannot be unpickled into existence.
+        forged = tuple.__new__(CounterEnvelope, ((),))
+        with pytest.raises(ValueError):
+            pickle.loads(pickle.dumps(forged))

@@ -183,6 +183,48 @@ class TestTraceReplaySpec:
         # Job 4 has run_time 0 -> synthetic size-dependent fallback.
         assert specs[3].cs_duration > 0.0
 
+    def test_a_run_parses_the_trace_once(self, monkeypatch):
+        """N streams and the event valve share one parse of the file."""
+        from repro.experiments.runner import run
+        from repro.workload import swf
+
+        opened = []
+
+        def counting_open(path, *args, **kwargs):
+            opened.append(path)
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(swf, "open", counting_open, raising=False)
+        params = WorkloadParams(
+            num_processes=8, num_resources=8, phi=3, seed=11, duration=5_000.0, warmup=0.0
+        )
+        result = run(Scenario("with_loan", params, workload=TraceReplaySpec(path=MINI)))
+        assert result.metrics.completed == 5
+        assert opened == [MINI]
+
+    def test_streams_match_a_pass_over_the_job_records(self):
+        """Row ``[p::N]`` of the columns is process p's round-robin share."""
+        from repro.workload.swf import read_swf
+
+        jobs = list(read_swf(MINI))
+        wl = TraceReplaySpec(path=MINI, time_scale=0.5).build(PARAMS)
+        for process in range(PARAMS.num_processes):
+            mine = jobs[process :: PARAMS.num_processes]
+            specs = list(wl.stream_for(process))
+            assert [r.index for r in specs] == list(range(len(mine)))
+            arrivals = list(itertools.accumulate(r.think_time for r in specs))
+            assert arrivals == [j.submit_time * 0.5 for j in mine]
+            assert [len(r.resources) for r in specs] == [
+                min(PARAMS.phi, j.procs.bit_length()) for j in mine
+            ]
+
+    def test_malformed_line_raises_from_the_stream(self, tmp_path):
+        bad = tmp_path / "bad.swf"
+        bad.write_text("1 0 0 5 4 -1 -1 4\n2 3 0 bogus 4\n")
+        wl = TraceReplaySpec(path=str(bad)).build(PARAMS)
+        with pytest.raises(ValueError, match="line 2.*'run_time'"):
+            next(wl.stream_for(0))
+
     def test_missing_file_raises_at_build(self):
         with pytest.raises(FileNotFoundError):
             TraceReplaySpec(path="/nonexistent/trace.swf").build(PARAMS)

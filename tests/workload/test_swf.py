@@ -5,7 +5,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.workload.swf import SWF_FIELDS, count_swf_jobs, parse_swf, read_swf
+from repro.workload.swf import (
+    SWF_FIELDS,
+    count_swf_jobs,
+    parse_swf,
+    read_swf,
+    read_swf_columns,
+)
 
 MINI = Path(__file__).parent / "data" / "mini.swf"
 
@@ -72,3 +78,37 @@ class TestLaziness:
 
     def test_count_swf_jobs(self):
         assert count_swf_jobs(str(MINI)) == 5
+
+
+class TestColumns:
+    """``read_swf_columns``: what replay reads, without a job object per line."""
+
+    def test_columns_agree_with_the_job_records(self):
+        jobs = list(read_swf(str(MINI)))
+        submit, run, procs = read_swf_columns(str(MINI))
+        assert list(submit) == [j.submit_time for j in jobs]
+        assert list(run) == [j.run_time for j in jobs]
+        assert list(procs) == [j.procs for j in jobs] == [4, 1, 8, 2, 16]
+        assert (submit.typecode, run.typecode, procs.typecode) == ("d", "d", "i")
+
+    @pytest.mark.parametrize("max_jobs, kept", [(1, 1), (3, 3), (5, 5), (9, 5)])
+    def test_max_jobs_caps_the_columns(self, max_jobs, kept):
+        submit, run, procs = read_swf_columns(str(MINI), max_jobs)
+        assert len(submit) == len(run) == len(procs) == kept
+
+    def test_malformed_line_raises_the_parser_error(self, tmp_path):
+        bad = tmp_path / "bad.swf"
+        # The bad token sits in a field replay does not use: every field is checked.
+        bad.write_text("; header\n1 0 0 5 4 -1 -1 4\n2 3 0 5 4 -1 bogus 4\n")
+        with pytest.raises(ValueError) as from_jobs:
+            list(read_swf(str(bad)))
+        with pytest.raises(ValueError) as from_columns:
+            read_swf_columns(str(bad))
+        assert str(from_columns.value) == str(from_jobs.value)
+        assert "line 3" in str(from_columns.value)
+
+    def test_lines_after_max_jobs_are_not_read(self, tmp_path):
+        bad = tmp_path / "bad.swf"
+        bad.write_text("1 0 0 5 4 -1 -1 4\n2 3 0 bogus 4\n")
+        submit, _, _ = read_swf_columns(str(bad), max_jobs=1)
+        assert list(submit) == [0.0]
