@@ -55,6 +55,16 @@ echo "== trace-ablation example (--quick) =="
 python examples/trace_ablation.py --quick >/dev/null
 echo "trace ablation (--quick) OK"
 
+# One small telemetry run exported as Prometheus text with its health
+# reports (tests/obs/test_export_metrics.py checks the output's format).
+echo "== telemetry export (scripts/export_metrics.py --health) =="
+prom="$(mktemp)"
+python scripts/export_metrics.py --processes 4 --resources 8 --duration 300 \
+    --warmup 50 --health -o "$prom" 2>/dev/null
+grep -q '^# HEALTH grant_progress ' "$prom"
+rm -f "$prom"
+echo "telemetry export OK"
+
 # Structural zero-overhead check: a no-fault run must execute no frames
 # from the fault layer, the crash lifecycle or the recovery coordinator
 # (the wall-clock version of the same contract lives in

@@ -16,7 +16,6 @@ interface.
 
 from __future__ import annotations
 
-import math
 from abc import ABC, abstractmethod
 from typing import AbstractSet, Dict, Sequence, Type
 
@@ -96,66 +95,6 @@ class SumPolicy(SchedulingPolicy):
         return float(sum(vector[r] for r in required))
 
 
-class BalancedPolicy(SchedulingPolicy):
-    """Mean over the *full* footprint, zero entries included.
-
-    Scarcity-aware ordering in the spirit of accasim's ``balanced``
-    allocator criterion: a request whose footprint touches mostly cold
-    (never- or rarely-counted) resources averages in their zeros and gets
-    a small mark, so it is served early — spreading use across the
-    resource pool instead of piling onto the already-hot entries.
-    Monotone in every counter, hence starvation-free like the paper's
-    policies.
-    """
-
-    name = "balanced"
-
-    def mark(self, vector: Sequence[int], required: AbstractSet[int]) -> float:
-        if not required:
-            return 0.0
-        return sum(vector[r] for r in required) / len(required)
-
-
-class WeightedPolicy(SchedulingPolicy):
-    """Root-mean-square of the footprint: hot resources dominate the mark.
-
-    The quadratic mean weights each counter by its own magnitude, so the
-    mark of a request is dominated by its most contended (scarcest)
-    resources — accasim's ``weighted`` criticality ordering.  Requests
-    blocking a critical resource are pushed behind the queue that built
-    up on it, while requests over uncontended resources slip through.
-    Component-wise monotone (counters are non-negative), hence
-    starvation-free.
-    """
-
-    name = "weighted"
-
-    def mark(self, vector: Sequence[int], required: AbstractSet[int]) -> float:
-        if not required:
-            return 0.0
-        return math.sqrt(sum(vector[r] * vector[r] for r in required) / len(required))
-
-
-class HybridPolicy(SchedulingPolicy):
-    """Midpoint of :class:`BalancedPolicy` and :class:`WeightedPolicy`.
-
-    Blends the load-spreading mean with the scarcity-weighted quadratic
-    mean (accasim's ``hybrid`` ordering): cold footprints still serve
-    early, but a single very hot resource in the footprint keeps its
-    weight.  A convex combination of monotone marks is monotone, so the
-    starvation-freedom argument carries over unchanged.
-    """
-
-    name = "hybrid"
-
-    def mark(self, vector: Sequence[int], required: AbstractSet[int]) -> float:
-        if not required:
-            return 0.0
-        balanced = sum(vector[r] for r in required) / len(required)
-        weighted = math.sqrt(sum(vector[r] * vector[r] for r in required) / len(required))
-        return 0.5 * (balanced + weighted)
-
-
 _REGISTRY: Dict[str, Type[SchedulingPolicy]] = {
     cls.name: cls
     for cls in (
@@ -163,9 +102,6 @@ _REGISTRY: Dict[str, Type[SchedulingPolicy]] = {
         MaxPolicy,
         MinNonZeroPolicy,
         SumPolicy,
-        BalancedPolicy,
-        WeightedPolicy,
-        HybridPolicy,
     )
 }
 

@@ -15,12 +15,10 @@ over a single simulated process exactly as a real implementation would
 multiplex them over one MPI rank.
 """
 
-from repro.mutex.base import MutexError, MutexInstance
-from repro.mutex.naimi_trehel import NaimiTrehelInstance, NTRequest, NTToken
+from repro.mutex.naimi_trehel import MutexError, NaimiTrehelInstance, NTRequest, NTToken
 
 __all__ = [
     "MutexError",
-    "MutexInstance",
     "NaimiTrehelInstance",
     "NTRequest",
     "NTToken",

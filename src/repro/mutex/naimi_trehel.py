@@ -40,7 +40,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Optional
 
-from repro.mutex.base import MutexError, MutexInstance
+
+class MutexError(RuntimeError):
+    """Raised on invalid use of a mutex instance (double request, etc.)."""
 
 
 @dataclass(frozen=True)
@@ -66,8 +68,12 @@ class NTToken:
     epoch: int = 0
 
 
-class NaimiTrehelInstance(MutexInstance):
+class NaimiTrehelInstance:
     """One embeddable Naimi–Tréhel instance.
+
+    The instance lives inside a host node and talks only through the
+    host: it emits messages with ``send_fn(dst, message)``, and the host
+    routes every incoming message for it to :meth:`handle`.
 
     Parameters
     ----------
@@ -93,7 +99,9 @@ class NaimiTrehelInstance(MutexInstance):
         initial_holder: int = 0,
         on_token_received: Optional[Callable[[Any], None]] = None,
     ) -> None:
-        super().__init__(instance_id, node_id, send_fn)
+        self.instance_id = instance_id
+        self.node_id = int(node_id)
+        self._send = send_fn
         self._has_token = node_id == initial_holder
         self.owner: Optional[int] = None if self._has_token else initial_holder
         self.next: Optional[int] = None
@@ -111,10 +119,12 @@ class NaimiTrehelInstance(MutexInstance):
     # ------------------------------------------------------------------ #
     @property
     def has_token(self) -> bool:
+        """Whether this instance currently holds the token."""
         return self._has_token
 
     @property
     def in_critical_section(self) -> bool:
+        """Whether the host process is inside this instance's CS."""
         return self._in_cs
 
     @property
@@ -126,7 +136,7 @@ class NaimiTrehelInstance(MutexInstance):
     # public protocol
     # ------------------------------------------------------------------ #
     def request(self, on_acquired: Callable[[], None]) -> None:
-        """Request the critical section of this instance."""
+        """Request the critical section; ``on_acquired`` fires exactly once."""
         if self._requesting or self._in_cs:
             raise MutexError(
                 f"instance {self.instance_id!r} at node {self.node_id}: "
@@ -162,6 +172,7 @@ class NaimiTrehelInstance(MutexInstance):
     # message handling
     # ------------------------------------------------------------------ #
     def handle(self, src: int, message: Any) -> None:
+        """Process a protocol message addressed to this instance."""
         if isinstance(message, NTRequest):
             self._on_request(message.requester)
         elif isinstance(message, NTToken):

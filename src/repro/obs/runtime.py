@@ -2,15 +2,17 @@
 
 :class:`TelemetryRuntime` is created by the runner only when a run asks
 for telemetry (``Scenario(telemetry=...)``) — the nullable seam that
-keeps default runs at zero frames from this package.  It samples the run **pull-style**: a self-rescheduling probe
-event reads counters the hot layers already maintain (the engine's
-dispatched/pending totals, :class:`~repro.sim.network.MessageStats`,
-allocator resend counts and queue depths, recovery totals) every
-``sample_interval`` simulated ms, so instrumentation costs nothing on
-the per-event path.  The single *push* hook is
-:meth:`observe_grant`, called by the metrics collector behind a
-``None``-check when a request enters its critical section — the one
-place a per-request waiting time exists.
+keeps default runs at zero frames from this package.  Every counter it
+reports is a monotone total a hot layer already maintains (the engine's
+dispatched count, :class:`~repro.sim.network.MessageStats`, allocator
+resend counts, client issue/complete counts, recovery totals), so
+:meth:`~TelemetryRuntime.finalize` reads each total once, at the final
+sample, and builds the snapshot's samples directly; gauges are read at
+that sample too.  A self-rescheduling probe fires every
+``sample_interval`` simulated ms and counts itself.  The single *push*
+hook is :meth:`~TelemetryRuntime.observe_grant`, called by the metrics
+collector behind a ``None``-check when a request enters its critical
+section — the one place a per-request waiting time exists.
 
 Everything is driven by simulated time: snapshots of the same scenario
 are bit-identical whichever worker produced them.
@@ -18,18 +20,31 @@ are bit-identical whichever worker produced them.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from bisect import bisect_left
+from itertools import accumulate
+from typing import Mapping, Sequence
 
 from repro.experiments.driver import last_grant
-from repro.obs.health import HealthMonitor, HeartbeatCheck, HealthStatus, StallCheck
-from repro.obs.metrics import MetricsRegistry, TelemetrySnapshot
+from repro.obs.health import HealthStatus, grant_progress, heartbeat
+from repro.obs.metrics import MetricSample, TelemetrySnapshot
 from repro.obs.spec import TelemetrySpec
 
 __all__ = ["TelemetryRuntime"]
 
 
+def _single(name: str, kind: str, help: str, value: float) -> MetricSample:
+    """Sample of an unlabelled family."""
+    return MetricSample(name, kind, help, (((), float(value)),))
+
+
+def _labelled(name: str, kind: str, help: str, label: str, values: Mapping) -> MetricSample:
+    """Sample of a family with one label, series sorted by label value."""
+    series = tuple((((label, key),), float(value)) for key, value in sorted(values.items()))
+    return MetricSample(name, kind, help, series)
+
+
 class TelemetryRuntime:
-    """Registry + probe + health checks for one experiment run.
+    """Probe, wait histogram and end-of-run snapshot for one experiment run.
 
     Parameters mirror what the runner has in hand when it wires a run:
     the simulator, the (possibly absent) network, the allocator nodes,
@@ -51,201 +66,98 @@ class TelemetryRuntime:
         self.allocators = list(allocators)
         self.clients = list(clients)
         self.coordinator = coordinator
+        self._samples = 0
+        # Wait histogram: per-bucket (non-cumulative) hit counts, the
+        # last slot being +Inf; ``le`` is inclusive, as in Prometheus.
+        self._bounds = tuple(float(b) for b in spec.wait_buckets)
+        self._bucket_hits = [0] * (len(self._bounds) + 1)
+        self._wait_sum = 0.0
+        # Most recent granted wait per process (per-node gauges only).
+        self._last_wait = [0.0] * len(self.clients) if spec.node_gauges else []
 
-        reg = MetricsRegistry()
-        self.registry = reg
-        self._events = reg.counter(
-            "repro_events_dispatched_total", "Simulation events dispatched."
-        )
-        self._backlog = reg.gauge(
-            "repro_scheduler_backlog", "Events pending in the scheduler queue."
-        )
-        self._sim_time = reg.gauge(
-            "repro_sim_time_ms", "Current simulated time in ms."
-        )
-        self._samples_taken = reg.counter(
-            "repro_telemetry_samples_total", "Telemetry probe firings."
-        )
-        self._sent = reg.counter(
-            "repro_messages_sent_total",
-            "Messages sent, by message class.",
-            labelnames=("type",),
-        )
-        self._dropped = reg.counter(
-            "repro_messages_dropped_total",
-            "Messages dropped by the fault layer, by message class.",
-            labelnames=("type",),
-        )
-        self._resends = reg.counter(
-            "repro_resends_total", "Control-plane resends across allocator nodes."
-        )
-        self._issued = reg.counter(
-            "repro_requests_issued_total", "Requests issued by workload clients."
-        )
-        self._completed = reg.counter(
-            "repro_requests_completed_total", "Requests completed (CS exited)."
-        )
-        self._grants = reg.counter(
-            "repro_grants_total", "Requests granted (CS entered)."
-        )
-        self._wait = reg.histogram(
-            "repro_request_wait_ms",
-            "Request waiting time (issue to grant), simulated ms.",
-            buckets=spec.wait_buckets,
-        )
-        self._queue_depth = reg.gauge(
-            "repro_node_queue_depth",
-            "Waiting requests queued on tokens owned by each node.",
-            labelnames=("node",),
-        )
-        self._token_wait = reg.gauge(
-            "repro_node_token_wait_ms",
-            "Most recent request wait granted by each node, simulated ms.",
-            labelnames=("node",),
-        )
-        self._regenerated = reg.counter(
-            "repro_tokens_regenerated_total", "Tokens regenerated after crashes."
-        )
-        self._fences = reg.counter(
-            "repro_fences_applied_total", "Fencing-epoch updates applied to nodes."
-        )
-        self._recovery_time = reg.gauge(
-            "repro_recovery_time_ms", "Simulated time spent in token recovery."
-        )
-        self._health_gauge = reg.gauge(
-            "repro_health",
-            "Health status by check (0 healthy, 1 unknown, 2 degraded, 3 unhealthy).",
-            labelnames=("check",),
-        )
-
-        self.monitor = HealthMonitor()
-        self._heartbeat = self.monitor.register(HeartbeatCheck())
-        self._stall = self.monitor.register(StallCheck(spec.stall_after))
-
-        # Last-seen totals for delta sampling of cumulative sources.
-        self._last: Dict[str, float] = {}
-        self._last_sent: Dict[str, int] = {}
-        self._last_dropped: Dict[str, int] = {}
-        self._armed = False
-
-        # Child series are resolved once here, not per sample/grant:
-        # ``labels()`` validates the label set and stringifies values on
-        # every call, which would dominate telemetry cost on short runs
-        # (the probe touches every node each sample, the grant hook
-        # fires per request).
-        if spec.node_gauges:
-            self._wait_children = [
-                self._token_wait.labels(node=p) for p in range(len(self.clients))
-            ]
-            self._depth_children = [
-                (a, self._queue_depth.labels(node=getattr(a, "node_id", i)))
-                for i, a in enumerate(self.allocators)
-                if hasattr(a, "telemetry_queue_depth")
-            ]
-        else:
-            self._wait_children = []
-            self._depth_children = []
-        self._sent_children: Dict[str, object] = {}
-        self._dropped_children: Dict[str, object] = {}
-
-    # ------------------------------------------------------------------ #
-    # push hook (collector.on_grant, behind a None-check)
-    # ------------------------------------------------------------------ #
     def observe_grant(self, time: float, process: int, wait: float) -> None:
         """Record one granted request: called when a CS is entered."""
-        self._grants.inc()
-        self._wait.observe(wait)
-        wait_children = self._wait_children
-        if wait_children:
-            wait_children[process].set(wait)
+        self._bucket_hits[bisect_left(self._bounds, wait)] += 1
+        self._wait_sum += wait
+        if self._last_wait:
+            self._last_wait[process] = float(wait)
 
-    # ------------------------------------------------------------------ #
-    # pull-style sampling probe
-    # ------------------------------------------------------------------ #
     def start(self) -> None:
         """Arm the sampling probe (first firing one interval from now)."""
-        if not self._armed:
-            self._armed = True
-            self.sim.post_in(self.spec.sample_interval, self._probe)
-
-    def _delta(self, key: str, current: float) -> float:
-        """Non-negative delta of a cumulative source since the last sample."""
-        last = self._last.get(key, 0.0)
-        self._last[key] = current
-        return current - last if current > last else 0.0
-
-    def sample(self) -> None:
-        """Read every pull-style source into the registry, once."""
-        sim = self.sim
-        now = sim.now
-        self._samples_taken.inc()
-        self._sim_time.set(now)
-        self._events.inc(self._delta("events", sim.processed_events))
-        self._backlog.set(sim.pending_events)
-
-        if self.network is not None:
-            stats = self.network.stats
-            for name, count in stats.by_type.items():
-                prev = self._last_sent.get(name, 0)
-                if count > prev:
-                    child = self._sent_children.get(name)
-                    if child is None:
-                        child = self._sent.labels(type=name)
-                        self._sent_children[name] = child
-                    child.inc(count - prev)
-                self._last_sent[name] = count
-            for name, count in stats.dropped_snapshot().items():
-                prev = self._last_dropped.get(name, 0)
-                if count > prev:
-                    child = self._dropped_children.get(name)
-                    if child is None:
-                        child = self._dropped.labels(type=name)
-                        self._dropped_children[name] = child
-                    child.inc(count - prev)
-                self._last_dropped[name] = count
-
-        resends = sum(getattr(a, "resend_count", 0) for a in self.allocators)
-        self._resends.inc(self._delta("resends", resends))
-        for allocator, child in self._depth_children:
-            child.set(allocator.telemetry_queue_depth)
-
-        issued = sum(c.issued for c in self.clients)
-        completed = sum(c.completed for c in self.clients)
-        self._issued.inc(self._delta("issued", issued))
-        self._completed.inc(self._delta("completed", completed))
-
-        if self.coordinator is not None:
-            coord = self.coordinator
-            self._regenerated.inc(
-                self._delta("regenerated", coord.tokens_regenerated)
-            )
-            self._fences.inc(
-                self._delta("fences", getattr(coord, "fences_applied", 0))
-            )
-            self._recovery_time.set(coord.recovery_time)
-
-        self._heartbeat.beat(now)
-        self._stall.update(now, last_grant(self.clients))
+        self.sim.post_in(self.spec.sample_interval, self._probe)
 
     def _probe(self) -> None:
-        self.sample()
+        self._samples += 1
         # Re-arm while clients still issue or hold requests (stale resend
         # timers keep a healthy closed loop's queue non-empty after the last
         # grant), never into an otherwise empty queue: the run has drained.
         if self.sim.pending_events and any(c.waiting or not c.stopped for c in self.clients):
             self.sim.post_in(self.spec.sample_interval, self._probe)
-        else:
-            self._armed = False
 
-    # ------------------------------------------------------------------ #
-    # end of run
-    # ------------------------------------------------------------------ #
     def finalize(self) -> TelemetrySnapshot:
-        """Take a final sample and freeze the run's telemetry."""
-        self.sample()
-        reports = self.monitor.run_all(self.sim.now)
-        for report in reports:
-            self._health_gauge.labels(check=report.name).set(
-                HealthStatus.severity(report.status)
-            )
-        return TelemetrySnapshot(samples=self.registry.collect(), health=reports)
+        """Take the final sample and freeze the run's telemetry."""
+        self._samples += 1
+        sim, spec, coord = self.sim, self.spec, self.coordinator
+        now = sim.now
+        sent = dropped = {}
+        if self.network is not None:
+            sent = self.network.stats.by_type
+            dropped = self.network.stats.dropped_by_type
+        depths = {}
+        if spec.node_gauges:
+            depths = {
+                str(getattr(a, "node_id", i)): a.telemetry_queue_depth
+                for i, a in enumerate(self.allocators)
+                if hasattr(a, "telemetry_queue_depth")
+            }
+        cumulative = tuple(accumulate(self._bucket_hits))
+        health = (
+            heartbeat(now),
+            grant_progress(now, last_grant(self.clients), spec.stall_after),
+        )
+        samples = (
+            _single("repro_events_dispatched_total", "counter",
+                    "Simulation events dispatched.", sim.processed_events),
+            _single("repro_scheduler_backlog", "gauge",
+                    "Events pending in the scheduler queue.", sim.pending_events),
+            _single("repro_sim_time_ms", "gauge", "Current simulated time in ms.", now),
+            _single("repro_telemetry_samples_total", "counter",
+                    "Telemetry probe firings.", self._samples),
+            _labelled("repro_messages_sent_total", "counter",
+                      "Messages sent, by message class.", "type", sent),
+            _labelled("repro_messages_dropped_total", "counter",
+                      "Messages dropped by the fault layer, by message class.", "type", dropped),
+            _single("repro_resends_total", "counter",
+                    "Control-plane resends across allocator nodes.",
+                    sum(getattr(a, "resend_count", 0) for a in self.allocators)),
+            _single("repro_requests_issued_total", "counter",
+                    "Requests issued by workload clients.",
+                    sum(c.issued for c in self.clients)),
+            _single("repro_requests_completed_total", "counter",
+                    "Requests completed (CS exited).", sum(c.completed for c in self.clients)),
+            _single("repro_grants_total", "counter", "Requests granted (CS entered).",
+                    cumulative[-1]),
+            MetricSample(
+                "repro_request_wait_ms", "histogram",
+                "Request waiting time (issue to grant), simulated ms.",
+                (((), (cumulative, self._wait_sum, cumulative[-1])),), self._bounds,
+            ),
+            _labelled("repro_node_queue_depth", "gauge",
+                      "Waiting requests queued on tokens owned by each node.", "node", depths),
+            _labelled("repro_node_token_wait_ms", "gauge",
+                      "Most recent request wait granted by each node, simulated ms.", "node",
+                      {str(p): wait for p, wait in enumerate(self._last_wait)}),
+            _single("repro_tokens_regenerated_total", "counter",
+                    "Tokens regenerated after crashes.",
+                    coord.tokens_regenerated if coord is not None else 0),
+            _single("repro_fences_applied_total", "counter",
+                    "Fencing-epoch updates applied to nodes.",
+                    coord.fences_applied if coord is not None else 0),
+            _single("repro_recovery_time_ms", "gauge",
+                    "Simulated time spent in token recovery.",
+                    coord.recovery_time if coord is not None else 0.0),
+            _labelled("repro_health", "gauge",
+                      "Health status by check (0 healthy, 1 unknown, 2 degraded, 3 unhealthy).",
+                      "check", {r.name: HealthStatus.severity(r.status) for r in health}),
+        )
+        return TelemetrySnapshot(samples=samples, health=health)

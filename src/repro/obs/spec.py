@@ -11,6 +11,7 @@ The scenario is the only switch: nothing outside it turns telemetry on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -34,11 +35,12 @@ class TelemetrySpec:
         dominate the snapshot.
     wait_buckets:
         Upper bounds of the request-waiting-time histogram, in simulated
-        milliseconds (strictly increasing; ``+Inf`` is implicit).
+        milliseconds (finite and strictly increasing; ``+Inf`` is
+        implicit).
     stall_after:
         Grant-progress health budget: the run degrades when the event
         clock advances more than this many simulated ms without any
-        grant completing (see :class:`repro.obs.health.StallCheck`).
+        grant completing (see :func:`repro.obs.health.grant_progress`).
     """
 
     sample_interval: float = 50.0
@@ -59,6 +61,8 @@ class TelemetrySpec:
             raise ValueError("wait_buckets must not be empty")
         if any(b2 <= b1 for b1, b2 in zip(self.wait_buckets, self.wait_buckets[1:])):
             raise ValueError("wait_buckets must be strictly increasing")
+        if not all(math.isfinite(b) for b in self.wait_buckets):
+            raise ValueError("wait_buckets must be finite (+Inf is implicit)")
 
     def describe(self) -> str:
         """One-line human-readable summary."""

@@ -4,13 +4,10 @@ import pytest
 
 from repro.core.config import CoreConfigSpec
 from repro.core.policies import (
-    BalancedPolicy,
-    HybridPolicy,
     MaxPolicy,
     MeanNonZeroPolicy,
     MinNonZeroPolicy,
     SumPolicy,
-    WeightedPolicy,
     available_policies,
     get_policy,
 )
@@ -61,56 +58,6 @@ class TestOtherPolicies:
         assert MinNonZeroPolicy().mark([0, 0], {0}) == 0.0
 
 
-class TestScarcityAwarePolicies:
-    """The accasim-style balanced / weighted / hybrid orderings."""
-
-    def test_balanced_averages_over_full_footprint(self):
-        # Zeros count: a mostly cold footprint gets a small mark.
-        v = vector(5, {0: 6})
-        assert BalancedPolicy().mark(v, {0, 1, 2}) == pytest.approx(2.0)
-        # MeanNonZero would give 6.0 here — the policies genuinely differ.
-        assert MeanNonZeroPolicy().mark(v, {0, 1, 2}) == pytest.approx(6.0)
-
-    def test_weighted_is_the_quadratic_mean(self):
-        v = vector(4, {0: 3, 1: 4})
-        expected = ((9 + 16) / 2) ** 0.5
-        assert WeightedPolicy().mark(v, {0, 1}) == pytest.approx(expected)
-
-    def test_weighted_dominated_by_hot_resources(self):
-        hot = vector(4, {0: 10, 1: 0})
-        spread = vector(4, {0: 5, 1: 5})
-        assert WeightedPolicy().mark(hot, {0, 1}) > WeightedPolicy().mark(spread, {0, 1})
-        # Same total load -> the balanced mean cannot tell them apart.
-        assert BalancedPolicy().mark(hot, {0, 1}) == BalancedPolicy().mark(spread, {0, 1})
-
-    def test_hybrid_is_the_midpoint(self):
-        v = vector(4, {0: 3, 1: 7})
-        required = {0, 1}
-        expected = 0.5 * (
-            BalancedPolicy().mark(v, required) + WeightedPolicy().mark(v, required)
-        )
-        assert HybridPolicy().mark(v, required) == pytest.approx(expected)
-
-    @pytest.mark.parametrize("policy", [BalancedPolicy(), WeightedPolicy(), HybridPolicy()])
-    def test_monotone_in_counters(self, policy):
-        low = policy.mark(vector(3, {0: 1, 1: 2}), {0, 1})
-        high = policy.mark(vector(3, {0: 5, 1: 6}), {0, 1})
-        assert high > low
-
-    @pytest.mark.parametrize("policy", [BalancedPolicy(), WeightedPolicy(), HybridPolicy()])
-    def test_empty_footprint_is_zero(self, policy):
-        assert policy.mark([0, 0], set()) == 0.0
-
-    @pytest.mark.parametrize("name", ["balanced", "weighted", "hybrid"])
-    def test_reachable_by_name(self, name):
-        assert get_policy(name).describe() == name
-
-    @pytest.mark.parametrize("name", ["balanced", "weighted", "hybrid"])
-    def test_reachable_through_core_config_spec(self, name):
-        config = CoreConfigSpec(policy=name).build(WorkloadParams())
-        assert config.policy.describe() == name
-
-
 class TestRegistry:
     def test_get_policy_by_name(self):
         assert isinstance(get_policy("mean_nonzero"), MeanNonZeroPolicy)
@@ -127,3 +74,25 @@ class TestRegistry:
 
     def test_describe_returns_name(self):
         assert MeanNonZeroPolicy().describe() == "mean_nonzero"
+
+    def test_registry_holds_the_four_policies(self):
+        assert list(available_policies()) == ["max", "mean_nonzero", "min_nonzero", "sum"]
+
+    @pytest.mark.parametrize("name", ["max", "mean_nonzero", "min_nonzero", "sum"])
+    def test_reachable_through_core_config_spec(self, name):
+        config = CoreConfigSpec(policy=name).build(WorkloadParams())
+        assert config.policy.describe() == name
+
+
+class TestRemovedPolicies:
+    """The scarcity-aware ``balanced``/``weighted``/``hybrid`` policies are gone."""
+
+    @pytest.mark.parametrize("name", ["balanced", "weighted", "hybrid"])
+    def test_name_fails_fast(self, name):
+        with pytest.raises(KeyError, match="mean_nonzero"):
+            get_policy(name)
+
+    @pytest.mark.parametrize("name", ["balanced", "weighted", "hybrid"])
+    def test_core_config_spec_rejects_name(self, name):
+        with pytest.raises(KeyError, match=name):
+            CoreConfigSpec(policy=name)

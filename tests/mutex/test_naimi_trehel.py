@@ -6,8 +6,7 @@ from typing import List
 
 import pytest
 
-from repro.mutex.base import MutexError
-from repro.mutex.naimi_trehel import NaimiTrehelInstance, NTRequest, NTToken
+from repro.mutex.naimi_trehel import MutexError, NaimiTrehelInstance, NTRequest, NTToken
 from repro.sim.engine import Simulator
 from repro.sim.latency import ConstantLatency
 from repro.sim.network import Network
@@ -77,6 +76,15 @@ class TestBasics:
         hosts = build_hosts(sim, 2)
         with pytest.raises(MutexError):
             hosts[0].mutex.handle(1, "garbage")
+
+    def test_package_exports_the_one_implementation(self):
+        import repro.mutex
+
+        assert sorted(repro.mutex.__all__) == [
+            "MutexError", "NTRequest", "NTToken", "NaimiTrehelInstance",
+        ]
+        assert repro.mutex.MutexError is MutexError
+        assert issubclass(MutexError, RuntimeError)
 
 
 class TestMutualExclusion:

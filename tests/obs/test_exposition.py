@@ -1,7 +1,7 @@
 """Exposition-format tests: golden output plus a strict mini-parser.
 
 The golden test pins the exact bytes ``render_text()`` produces for a
-hand-built registry; the parser tests validate the *format* (every line
+hand-built snapshot; the parser tests validate the *format* (every line
 is a comment or a ``name{labels} value`` sample, ``# HELP``/``# TYPE``
 precede their samples, histogram series are cumulative and consistent)
 so any future metric addition stays valid Prometheus exposition without
@@ -11,75 +11,27 @@ needing a new golden string.
 from __future__ import annotations
 
 import math
-import re
 
 import pytest
 
-from repro.obs.metrics import MetricsRegistry, _format_value
-
-SAMPLE_LINE = re.compile(
-    r"^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)"
-    r"(?P<labels>\{[^{}]*\})?"
-    r" (?P<value>-?[0-9.e+\-]+|[+-]Inf|NaN)$"
-)
-LABEL_PAIR = re.compile(r'([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\]|\\.)*)"')
+from repro.obs.metrics import MetricSample, TelemetrySnapshot, _format_value
+from tests.obs.helpers import parse_exposition
 
 
-def parse_exposition(text: str):
-    """Parse exposition text into {family: {"type":..., "samples": [...]}}.
-
-    Raises AssertionError on any formatting violation — this is the
-    validity oracle used by every test below.
-    """
-    assert text.endswith("\n"), "exposition must end with a newline"
-    families: dict = {}
-    current = None
-    for line in text.splitlines():
-        if line.startswith("# HELP "):
-            _, _, rest = line.partition("# HELP ")
-            name, _, _help = rest.partition(" ")
-            assert name not in families, f"duplicate HELP for {name}"
-            families[name] = {"type": None, "samples": []}
-            current = name
-        elif line.startswith("# TYPE "):
-            _, _, rest = line.partition("# TYPE ")
-            name, _, kind = rest.partition(" ")
-            assert name == current, "TYPE must follow its HELP"
-            assert kind in ("counter", "gauge", "histogram", "untyped")
-            families[name]["type"] = kind
-        else:
-            m = SAMPLE_LINE.match(line)
-            assert m, f"malformed sample line: {line!r}"
-            name = m.group("name")
-            base = current
-            assert base is not None and families[base]["type"] is not None
-            if families[base]["type"] == "histogram":
-                assert (
-                    name == base
-                    or name == f"{base}_bucket"
-                    or name == f"{base}_sum"
-                    or name == f"{base}_count"
-                ), f"sample {name} outside family {base}"
-            else:
-                assert name == base, f"sample {name} outside family {base}"
-            labels = dict(LABEL_PAIR.findall(m.group("labels") or ""))
-            families[base]["samples"].append((name, labels, m.group("value")))
-    return families
-
-
-def build_golden_registry() -> MetricsRegistry:
-    reg = MetricsRegistry()
-    events = reg.counter("repro_events_total", "Events dispatched.")
-    events.inc(1234)
-    sent = reg.counter("repro_messages_sent_total", "Sent by class.", labelnames=("type",))
-    sent.labels(type="ReqRes").inc(10)
-    sent.labels(type="Token").inc(3)
-    backlog = reg.gauge("repro_backlog", "Pending events.")
-    backlog.set(7.5)
-    wait = reg.histogram("repro_wait_ms", "Waiting time.", buckets=(1.0, 5.0))
-    for v in (0.5, 1.0, 2.0, 99.0):
-        wait.observe(v)
-    return reg
+def build_golden_snapshot() -> TelemetrySnapshot:
+    return TelemetrySnapshot(samples=(
+        MetricSample("repro_events_total", "counter", "Events dispatched.", (((), 1234.0),)),
+        MetricSample(
+            "repro_messages_sent_total", "counter", "Sent by class.",
+            (((("type", "ReqRes"),), 10.0), ((("type", "Token"),), 3.0)),
+        ),
+        MetricSample("repro_backlog", "gauge", "Pending events.", (((), 7.5),)),
+        # Waits 0.5, 1.0, 2.0 and 99.0 against bounds (1, 5).
+        MetricSample(
+            "repro_wait_ms", "histogram", "Waiting time.",
+            (((), ((2, 3, 4), 102.5, 4)),), (1.0, 5.0),
+        ),
+    ))
 
 
 GOLDEN = """\
@@ -105,7 +57,7 @@ repro_wait_ms_count 4
 
 class TestGolden:
     def test_render_text_matches_golden(self):
-        assert build_golden_registry().render_text() == GOLDEN
+        assert build_golden_snapshot().render_text() == GOLDEN
 
     def test_golden_parses(self):
         families = parse_exposition(GOLDEN)
@@ -116,16 +68,16 @@ class TestGolden:
             "repro_wait_ms",
         }
 
-    def test_empty_registry_renders_empty(self):
-        assert MetricsRegistry().render_text() == ""
+    def test_empty_snapshot_renders_empty(self):
+        assert TelemetrySnapshot(samples=()).render_text() == ""
 
 
 class TestFormatValidity:
     def test_every_line_well_formed(self):
-        parse_exposition(build_golden_registry().render_text())
+        parse_exposition(build_golden_snapshot().render_text())
 
     def test_histogram_buckets_cumulative_and_consistent(self):
-        families = parse_exposition(build_golden_registry().render_text())
+        families = parse_exposition(build_golden_snapshot().render_text())
         hist = families["repro_wait_ms"]["samples"]
         buckets = [(s[1]["le"], float(s[2])) for s in hist if s[0].endswith("_bucket")]
         counts = [v for _, v in buckets]
@@ -135,18 +87,17 @@ class TestFormatValidity:
         assert counts[-1] == count, "+Inf bucket must equal _count"
 
     def test_label_escaping(self):
-        reg = MetricsRegistry()
-        c = reg.counter("repro_x_total", "h", labelnames=("path",))
-        c.labels(path='a\\b"c\nd').inc()
-        text = reg.render_text()
+        sample = MetricSample(
+            "repro_x_total", "counter", "h", (((("path", 'a\\b"c\nd'),), 1.0),)
+        )
+        text = TelemetrySnapshot(samples=(sample,)).render_text()
         assert 'path="a\\\\b\\"c\\nd"' in text
         families = parse_exposition(text)
         assert families["repro_x_total"]["samples"][0][1]["path"] == 'a\\\\b\\"c\\nd'
 
     def test_help_escaping(self):
-        reg = MetricsRegistry()
-        reg.counter("repro_x_total", "line one\nline two \\ slash")
-        text = reg.render_text()
+        sample = MetricSample("repro_x_total", "counter", "line one\nline two \\ slash", ())
+        text = TelemetrySnapshot(samples=(sample,)).render_text()
         assert "# HELP repro_x_total line one\\nline two \\\\ slash" in text
 
 

@@ -1,16 +1,12 @@
-"""Health-check state transitions: heartbeat, stall watchdog, aggregation."""
+"""Health verdicts: status ordering, reports, heartbeat, grant-progress watchdog."""
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
-from repro.obs.health import (
-    HealthCheck,
-    HealthMonitor,
-    HealthStatus,
-    HeartbeatCheck,
-    StallCheck,
-)
+from repro.obs.health import HealthReport, HealthStatus, grant_progress, heartbeat
 
 
 class TestHealthStatus:
@@ -22,143 +18,82 @@ class TestHealthStatus:
             < HealthStatus.severity(HealthStatus.UNHEALTHY)
         )
 
-    def test_worst(self):
-        assert HealthStatus.worst([]) == HealthStatus.HEALTHY
-        assert (
-            HealthStatus.worst([HealthStatus.HEALTHY, HealthStatus.DEGRADED])
-            == HealthStatus.DEGRADED
-        )
-        assert (
-            HealthStatus.worst(
-                [HealthStatus.UNHEALTHY, HealthStatus.HEALTHY, HealthStatus.UNKNOWN]
-            )
-            == HealthStatus.UNHEALTHY
-        )
-
     def test_severity_rejects_unknown_string(self):
         with pytest.raises(ValueError):
             HealthStatus.severity("fine")
 
+    @pytest.mark.parametrize(
+        "status, gauge",
+        [("healthy", 0), ("unknown", 1), ("degraded", 2), ("unhealthy", 3)],
+    )
+    def test_severity_is_the_documented_gauge_value(self, status, gauge):
+        # The repro_health HELP text promises exactly these numbers.
+        assert HealthStatus.severity(status) == gauge
 
-class TestHealthCheck:
-    def test_report_carries_probe_result(self):
-        check = HealthCheck("x", lambda: (HealthStatus.HEALTHY, "all good"))
-        report = check.run(12.5)
-        assert report.name == "x"
+
+class TestHealthReport:
+    def test_defaults(self):
+        report = HealthReport("x", HealthStatus.HEALTHY)
+        assert report.detail == ""
+        assert report.checked_at == 0.0
+
+    def test_frozen_and_picklable(self):
+        report = grant_progress(150.0, 0.0, 100.0)
+        with pytest.raises(AttributeError):
+            report.status = HealthStatus.HEALTHY
+        clone = pickle.loads(pickle.dumps(report))
+        assert clone == report
+        assert type(clone) is HealthReport
+
+
+class TestHeartbeat:
+    def test_names_the_last_beat(self):
+        report = heartbeat(12.5)
+        assert report.name == "heartbeat"
         assert report.status == HealthStatus.HEALTHY
-        assert report.detail == "all good"
+        assert report.detail == "last beat at 12.5"
         assert report.checked_at == 12.5
 
-    def test_raising_probe_reports_unknown(self):
-        def probe():
-            raise RuntimeError("boom")
-
-        report = HealthCheck("x", probe).run(1.0)
-        assert report.status == HealthStatus.UNKNOWN
-        assert "RuntimeError" in report.detail and "boom" in report.detail
-
-    def test_invalid_status_reports_unknown(self):
-        report = HealthCheck("x", lambda: ("fine", "")).run()
-        assert report.status == HealthStatus.UNKNOWN
-        assert "invalid status" in report.detail
+    def test_detail_uses_the_general_number_format(self):
+        assert heartbeat(1500.0).detail == "last beat at 1500"
+        assert heartbeat(2.5e6).detail == "last beat at 2.5e+06"
 
 
-class TestHeartbeatCheck:
-    def test_unknown_before_first_beat(self):
-        assert HeartbeatCheck().run().status == HealthStatus.UNKNOWN
-
-    def test_healthy_while_clock_advances(self):
-        hb = HeartbeatCheck()
-        for t in (1.0, 2.0, 3.0):
-            hb.beat(t)
-        assert hb.run(3.0).status == HealthStatus.HEALTHY
-
-    def test_single_stuck_sample_tolerated(self):
-        hb = HeartbeatCheck()
-        hb.beat(1.0)
-        hb.beat(1.0)  # one repeated sample could be a boundary artefact
-        assert hb.run(1.0).status == HealthStatus.HEALTHY
-
-    def test_two_stuck_samples_unhealthy(self):
-        hb = HeartbeatCheck()
-        hb.beat(1.0)
-        hb.beat(1.0)
-        hb.beat(1.0)
-        report = hb.run(1.0)
-        assert report.status == HealthStatus.UNHEALTHY
-        assert "stuck" in report.detail
-
-    def test_recovers_when_clock_moves_again(self):
-        hb = HeartbeatCheck()
-        for t in (1.0, 1.0, 1.0, 2.0):
-            hb.beat(t)
-        assert hb.run(2.0).status == HealthStatus.HEALTHY
-
-
-class TestStallCheck:
-    def test_requires_positive_budget(self):
-        with pytest.raises(ValueError):
-            StallCheck(0.0)
-
-    def test_unknown_before_first_sample(self):
-        assert StallCheck(100.0).run().status == HealthStatus.UNKNOWN
-
+class TestGrantProgress:
     def test_healthy_within_budget(self):
-        st = StallCheck(100.0)
-        st.update(50.0, 12.5)
-        report = st.run(50.0)
+        report = grant_progress(50.0, 12.5, 100.0)
+        assert report.name == "grant_progress"
         assert report.status == HealthStatus.HEALTHY
-        assert "37.5 ms since the last grant" in report.detail
+        assert report.detail == "37.5 ms since the last grant"
+        assert report.checked_at == 50.0
 
     def test_degraded_past_budget(self):
-        st = StallCheck(100.0)
-        st.update(150.0, 0.0)  # clock advanced 150 ms since the last grant
-        report = st.run(150.0)
+        # The clock advanced 150 ms since the last grant.
+        report = grant_progress(150.0, 0.0, 100.0)
         assert report.status == HealthStatus.DEGRADED
-        assert "no grant completed" in report.detail
+        assert report.detail == "no grant completed for 150 ms (budget 100 ms)"
 
     def test_unhealthy_past_twice_budget(self):
-        st = StallCheck(100.0)
-        st.update(250.0, 0.0)
-        assert st.run(250.0).status == HealthStatus.UNHEALTHY
+        assert grant_progress(250.0, 0.0, 100.0).status == HealthStatus.UNHEALTHY
 
-    def test_progress_resets_the_clock(self):
-        st = StallCheck(100.0)
-        st.update(150.0, 10.0)
-        assert st.run(150.0).status == HealthStatus.DEGRADED
-        st.update(160.0, 155.0)  # a grant completed: healthy again
-        assert st.run(160.0).status == HealthStatus.HEALTHY
+    def test_exactly_at_budget_is_healthy(self):
+        assert grant_progress(100.0, 0.0, 100.0).status == HealthStatus.HEALTHY
+        assert grant_progress(200.0, 0.0, 100.0).status == HealthStatus.DEGRADED
+
+    def test_exactly_twice_budget_is_degraded(self):
+        assert grant_progress(200.0, 0.0, 100.0).status == HealthStatus.DEGRADED
+        assert grant_progress(200.5, 0.0, 100.0).status == HealthStatus.UNHEALTHY
+
+    def test_unhealthy_detail_names_idle_time_and_budget(self):
+        report = grant_progress(300.0, 50.0, 100.0)
+        assert report.status == HealthStatus.UNHEALTHY
+        assert report.detail == "no grant completed for 250 ms (budget 100 ms)"
+        assert report.checked_at == 300.0
+
+    def test_only_the_latest_grant_counts(self):
+        # However long the run, a recent grant keeps it healthy.
+        assert grant_progress(10_000.0, 9_950.0, 100.0).status == HealthStatus.HEALTHY
 
     def test_run_with_no_grant_yet_is_judged_from_zero(self):
-        st = StallCheck(100.0)
-        st.update(100.0, None)
-        assert st.run(100.0).status == HealthStatus.HEALTHY
-        st.update(150.0, None)
-        assert st.run(150.0).status == HealthStatus.DEGRADED
-
-
-class TestHealthMonitor:
-    def test_run_all_in_registration_order(self):
-        monitor = HealthMonitor()
-        monitor.register(HealthCheck("b", lambda: (HealthStatus.HEALTHY, "")))
-        monitor.register(HealthCheck("a", lambda: (HealthStatus.DEGRADED, "")))
-        reports = monitor.run_all(9.0)
-        assert [r.name for r in reports] == ["b", "a"]
-        assert all(r.checked_at == 9.0 for r in reports)
-
-    def test_overall_is_worst_status(self):
-        monitor = HealthMonitor()
-        monitor.register(HealthCheck("ok", lambda: (HealthStatus.HEALTHY, "")))
-        assert monitor.overall() == HealthStatus.HEALTHY
-        monitor.register(HealthCheck("bad", lambda: (HealthStatus.UNHEALTHY, "")))
-        assert monitor.overall() == HealthStatus.UNHEALTHY
-
-    def test_register_replaces_same_name(self):
-        monitor = HealthMonitor()
-        monitor.register(HealthCheck("x", lambda: (HealthStatus.UNHEALTHY, "")))
-        monitor.register(HealthCheck("x", lambda: (HealthStatus.HEALTHY, "")))
-        (report,) = monitor.run_all()
-        assert report.status == HealthStatus.HEALTHY
-
-    def test_empty_monitor_is_healthy(self):
-        assert HealthMonitor().overall() == HealthStatus.HEALTHY
+        assert grant_progress(100.0, None, 100.0).status == HealthStatus.HEALTHY
+        assert grant_progress(150.0, None, 100.0).status == HealthStatus.DEGRADED

@@ -1,6 +1,7 @@
 """Property-based pins: histogram invariants and telemetry-axis hash neutrality.
 
-The histogram properties hold for *arbitrary* finite float sequences —
+The histogram properties hold for *arbitrary* finite float sequences fed
+through a runtime's grant hook —
 sum/count consistency, cumulative-bucket monotonicity, every observation
 accounted for exactly once.  The hash-neutrality properties pin the
 contract that made the telemetry axis safe to add: scenarios that don't
@@ -16,8 +17,8 @@ from hypothesis import strategies as st
 
 from repro.experiments.scenario import Scenario, canonical
 from repro.obs import TelemetrySpec
-from repro.obs.metrics import Histogram
 from repro.workload.params import WorkloadParams
+from tests.obs.helpers import wait_histogram
 
 finite_floats = st.floats(
     min_value=-1e12, max_value=1e12, allow_nan=False, allow_infinity=False
@@ -33,41 +34,34 @@ bucket_bounds = st.lists(
 
 class TestHistogramInvariants:
     @given(bounds=bucket_bounds, values=st.lists(finite_floats, max_size=200))
-    @settings(max_examples=200)
+    @settings(max_examples=200, deadline=None)
     def test_sum_count_and_cumulative_monotonicity(self, bounds, values):
-        h = Histogram("repro_wait_ms", buckets=bounds)
-        for v in values:
-            h.observe(v)
+        cumulative, total, count = wait_histogram(values, bounds)
 
-        assert h.count_value == len(values)
-        assert h.sum_value == sum(float(v) for v in values)
+        assert count == len(values)
+        expected = 0.0
+        for v in values:  # the run adds waits in grant order
+            expected += v
+        assert total == expected
 
-        cumulative = h.cumulative_counts()
         assert len(cumulative) == len(bounds) + 1
         assert all(b >= a for a, b in zip(cumulative, cumulative[1:]))
         assert cumulative[-1] == len(values)  # +Inf catches everything
 
     @given(bounds=bucket_bounds, values=st.lists(finite_floats, max_size=100))
-    @settings(max_examples=200)
+    @settings(max_examples=200, deadline=None)
     def test_buckets_match_inclusive_le_semantics(self, bounds, values):
-        h = Histogram("repro_wait_ms", buckets=bounds)
-        for v in values:
-            h.observe(v)
-        cumulative = h.cumulative_counts()
+        cumulative, _, _ = wait_histogram(values, bounds)
         for bound, running in zip(bounds, cumulative):
             assert running == sum(1 for v in values if float(v) <= bound)
 
     @given(values=st.lists(finite_floats, min_size=1, max_size=50))
-    @settings(max_examples=100)
+    @settings(max_examples=100, deadline=None)
     def test_observation_order_is_irrelevant(self, values):
-        a = Histogram("repro_wait_ms", buckets=(0.0, 10.0))
-        b = Histogram("repro_wait_ms", buckets=(0.0, 10.0))
-        for v in values:
-            a.observe(v)
-        for v in reversed(values):
-            b.observe(v)
-        assert a.cumulative_counts() == b.cumulative_counts()
-        assert a.count_value == b.count_value
+        a = wait_histogram(values, (0.0, 10.0))
+        b = wait_histogram(values[::-1], (0.0, 10.0))
+        assert a[0] == b[0]
+        assert a[2] == b[2]
 
 
 #: Scenario.key() values captured at the pre-telemetry-axis HEAD (PR 9).

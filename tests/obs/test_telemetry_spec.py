@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import pickle
 
 import pytest
@@ -43,6 +44,19 @@ class TestTelemetrySpec:
             TelemetrySpec(wait_buckets=())
         with pytest.raises(ValueError, match="strictly increasing"):
             TelemetrySpec(wait_buckets=(2.0, 1.0))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            TelemetrySpec(wait_buckets=(1.0, 1.0))
+
+    def test_buckets_must_be_finite_and_nonempty(self):
+        # A bad histogram fails when the spec is built, not mid-run.
+        with pytest.raises(ValueError, match="not be empty"):
+            TelemetrySpec(wait_buckets=())
+        with pytest.raises(ValueError, match="finite"):
+            TelemetrySpec(wait_buckets=(1.0, math.inf))
+        with pytest.raises(ValueError, match="finite"):
+            TelemetrySpec(wait_buckets=(math.nan,))
+        with pytest.raises(ValueError, match="finite"):
+            TelemetrySpec(wait_buckets=(-math.inf, 1.0))
 
     def test_describe(self):
         assert TelemetrySpec().describe() == "telemetry@50ms"
