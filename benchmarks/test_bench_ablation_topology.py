@@ -15,7 +15,7 @@ from conftest import run_once
 from repro.experiments.report import format_table
 from repro.experiments.runner import run
 from repro.experiments.scenario import Scenario
-from repro.sim.latencyspec import HierarchicalLatencySpec
+from repro.sim.latency import HierarchicalLatencySpec
 from repro.workload.params import LoadLevel
 
 ALGORITHMS = ("bouabdallah", "without_loan", "with_loan")

@@ -25,7 +25,7 @@ from conftest import run_once
 from repro.experiments.runner import run
 from repro.experiments.scenario import Scenario
 from repro.sim.engine import Simulator
-from repro.sim.faultspec import NodeCrash
+from repro.sim.faults import NodeCrash
 
 #: Events scheduled+dispatched by the throughput benchmark.
 DISPATCH_EVENTS = 200_000

@@ -18,7 +18,7 @@ from __future__ import annotations
 from repro.experiments import Scenario
 from repro.experiments.report import format_table
 from repro.parallel import run_sweep
-from repro.sim.latencyspec import ConstantLatencySpec, HierarchicalLatencySpec
+from repro.sim.latency import ConstantLatencySpec, HierarchicalLatencySpec
 from repro.workload.params import LoadLevel, WorkloadParams
 
 ALGORITHMS = ("bouabdallah", "without_loan", "with_loan")

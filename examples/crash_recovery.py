@@ -54,7 +54,7 @@ from repro.experiments import Scenario
 from repro.experiments.report import format_table
 from repro.parallel import run_sweep
 from repro.sim.detectorspec import HeartbeatDetector
-from repro.sim.faultspec import NodeCrash
+from repro.sim.faults import NodeCrash
 from repro.workload.params import LoadLevel, WorkloadParams
 
 ALGORITHMS = ("with_loan", "incremental")

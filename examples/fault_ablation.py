@@ -34,8 +34,8 @@ Run with::
     python examples/fault_ablation.py [--quick] [--workers N]
 
 The sweep fans out over worker processes; results are bit-identical at any
-``--workers`` because each scenario thaws its fault model (and its RNG)
-from the spec inside the worker.
+``--workers`` because each scenario binds its fault spec (and the loss's
+own RNG) inside the worker.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from repro.core.config import CoreConfigSpec
 from repro.experiments import Scenario
 from repro.experiments.report import format_table
 from repro.parallel import run_sweep
-from repro.sim.faultspec import BernoulliLoss
+from repro.sim.faults import BernoulliLoss
 from repro.workload.params import LoadLevel, WorkloadParams
 
 #: Request/reply message classes of each algorithm — the messages a lossy

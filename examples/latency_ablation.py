@@ -8,7 +8,7 @@ restriction: this example sweeps the network-jitter amplitude (and a
 two-cluster cloud topology for contrast) over the paper's algorithm and the
 Bouabdallah–Laforest baseline, fanning all runs out over worker processes.
 The results are bit-identical to a ``workers=1`` run because each scenario
-thaws its own latency model from the spec inside the worker.
+binds its latency spec (and the jitter's own RNG) inside the worker.
 
 Run with::
 
@@ -20,7 +20,7 @@ from __future__ import annotations
 from repro.experiments import Scenario
 from repro.experiments.report import format_table
 from repro.parallel import run_sweep
-from repro.sim.latencyspec import UniformJitterLatencySpec
+from repro.sim.latency import UniformJitterLatencySpec
 from repro.workload.params import LoadLevel, WorkloadParams
 
 ALGORITHMS = ("bouabdallah", "with_loan")

@@ -31,7 +31,7 @@ from repro.core.config import CoreConfig
 from repro.core.node import CoreAllocatorNode
 from repro.metrics.collector import MetricsCollector
 from repro.sim.engine import Simulator
-from repro.sim.latency import ConstantLatency
+from repro.sim.latency import ConstantLatencySpec
 from repro.sim.network import Network
 from repro.sim.trace import TraceRecorder
 
@@ -41,7 +41,7 @@ PROCESS_NAMES = {0: "s1", 1: "s2", 2: "s3"}
 
 def main() -> None:
     sim = Simulator()
-    network = Network(sim, ConstantLatency(gamma=1.0))
+    network = Network(sim, ConstantLatencySpec(gamma=1.0))
     trace = TraceRecorder()
     config = CoreConfig(enable_loan=False)
     nodes = [

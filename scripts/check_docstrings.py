@@ -27,7 +27,7 @@ REPO = Path(__file__).resolve().parent.parent
 GATED = [
     "src/repro/experiments",
     "src/repro/obs",
-    "src/repro/sim/faultspec.py",
+    "src/repro/sim/faults.py",
 ]
 
 #: Dunder methods whose semantics are standard enough to skip (D105).

@@ -10,7 +10,9 @@ Three uses:
   start from evidence instead of guesses.
 * ``python scripts/profile_run.py --check`` — assert the zero-overhead
   contract structurally: a no-fault run must execute **no frames at
-  all** from the fault layer (``sim/faults.py``), the crash lifecycle
+  all** from the fault layer (``sim/faults.py``, where the fault specs and
+  their hooks live; its one ``NoFaults.bind`` per run is admitted through
+  ``ALLOWED_FRAMES``), the crash lifecycle
   (``sim/lifecycle.py``), the recovery coordinator
   (``core/recovery.py``) or the telemetry package (the whole
   ``repro/obs/`` directory — the canonical scenario asks for no
@@ -29,7 +31,8 @@ Three uses:
   the crashable node (fewer than 0.25 hook calls per message, where
   consulting both hooks for every message is 2.0), and the per-message
   path executes no frame of ``HeapScheduler.peek``/``pop``,
-  ``MessageStats.record``, ``Random.uniform`` or a ``now`` property.
+  ``MessageStats.record``, ``Random.uniform`` called by the jittered
+  latency (``sim/latency.py``) or a ``now`` property.
   The exact per-message hook count is pinned by
   ``tests/sim/test_network.py``; this leg checks a whole run.
 
@@ -65,6 +68,7 @@ from __future__ import annotations
 
 import argparse
 import cProfile
+import importlib
 import os
 import pstats
 import sys
@@ -89,12 +93,12 @@ FORBIDDEN_ON_NO_FAULT_PATH = (
 #: tell how many records a run *built*; see the module docstring.)
 FORBIDDEN_ON_EVERY_PATH = (os.path.join("core", "messages.py"),)
 
-#: Construction-time frames that are allowed even from forbidden modules:
-#: importing a module or defining its classes is not "consulting the
-#: fault layer per message".  Nothing in the canonical scenario imports
-#: these lazily today, so the allowlist is empty — it exists to make the
-#: policy explicit.
-ALLOWED_FRAMES: frozenset = frozenset()
+#: Construction-time functions allowed to run even from forbidden modules,
+#: as ``(module, qualified name)``: binding a run's specs, like importing
+#: a module or defining its classes, is not "consulting the fault layer
+#: per message".  A no-fault run binds its ``NoFaults()`` once (and gets
+#: ``None``, so the network keeps its reliable path).
+ALLOWED_FRAMES = (("repro.sim.faults", "NoFaults.bind"),)
 
 
 #: Ceiling on ``drop_on_send`` + ``drop_on_delivery`` calls per message
@@ -134,8 +138,8 @@ def profile_canonical(scheduler, armed=False):
     scenario = Scenario(algorithm="with_loan", params=params, scheduler=scheduler)
     if armed:
         from repro.sim.detectorspec import HeartbeatDetector
-        from repro.sim.faultspec import NodeCrash
-        from repro.sim.latencyspec import UniformJitterLatencySpec
+        from repro.sim.faults import NodeCrash
+        from repro.sim.latency import UniformJitterLatencySpec
 
         scenario = scenario.replace(
             faults=NodeCrash(node=1, at=300.0),
@@ -151,12 +155,25 @@ def profile_canonical(scheduler, armed=False):
     return profile, result
 
 
+def allowed_frames() -> frozenset:
+    """The ``pstats`` keys ``(file, line, func)`` of :data:`ALLOWED_FRAMES`."""
+    keys = set()
+    for module, qualname in ALLOWED_FRAMES:
+        function = importlib.import_module(module)
+        for name in qualname.split("."):
+            function = getattr(function, name)
+        code = function.__code__
+        keys.add((code.co_filename, code.co_firstlineno, code.co_name))
+    return frozenset(keys)
+
+
 def forbidden_frames(profile, forbidden) -> list:
     """Return the (file, line, func) frames the run executed in ``forbidden`` modules."""
     stats = pstats.Stats(profile)
+    allowed = allowed_frames()
     offenders = []
     for (filename, lineno, funcname) in stats.stats:
-        if (filename, funcname) in ALLOWED_FRAMES:
+        if (filename, lineno, funcname) in allowed:
             continue
         for suffix in forbidden:
             if suffix.endswith(os.sep):
@@ -254,6 +271,8 @@ def main() -> None:
         print(
             "no-fault fast path clean: 0 frames from "
             + ", ".join(forbidden)
+            + " beside the allowed "
+            + ", ".join(name for _module, name in ALLOWED_FRAMES)
         )
         return
 

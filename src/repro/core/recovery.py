@@ -7,9 +7,9 @@ completion rate collapsing once tokens can vanish).  This module closes
 that gap with a deterministic recovery protocol layered on the lifecycle
 events of :mod:`repro.sim.lifecycle`:
 
-1. **Detection** — a scenario's :class:`~repro.sim.detectorspec.DetectorSpec`
-   thaws into a :class:`~repro.sim.detectorspec.CrashDetector` whose
-   ``detection_delay`` models a heartbeat scheme's worst-case latency.
+1. **Detection** — a scenario's
+   :class:`~repro.sim.detectorspec.HeartbeatDetector` gives a
+   ``detection_delay`` that models a heartbeat scheme's worst-case latency.
    Each crash schedules one detection event that far in the future; a
    node that recovers first cancels it (its heartbeats resumed), so an
    undetected blip never triggers regeneration.
@@ -68,7 +68,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.sim.detectorspec import CrashDetector
+from repro.sim.detectorspec import HeartbeatDetector
 from repro.sim.engine import Event, Simulator
 from repro.sim.lifecycle import NodeLifecycle
 
@@ -114,7 +114,7 @@ class RecoveryCoordinator:
         sim: Simulator,
         allocators: Sequence[object],
         lifecycle: NodeLifecycle,
-        detector: CrashDetector,
+        detector: HeartbeatDetector,
     ) -> None:
         self._sim = sim
         self._allocators = list(allocators)

@@ -22,7 +22,7 @@ from repro.experiments.scenario import Scenario
 from repro.metrics.collector import MetricsCollector, RunMetrics
 from repro.metrics.columns import ChunkedColumns, DowntimeColumns, RecordColumns
 from repro.sim.engine import SimulationError, Simulator
-from repro.sim.latencyspec import ConstantLatencySpec
+from repro.sim.latency import ConstantLatencySpec
 from repro.sim.lifecycle import NodeLifecycle
 from repro.sim.network import Network
 from repro.sim.trace import TraceRecorder
@@ -192,8 +192,8 @@ class ExperimentResult:
 def run(scenario: Scenario) -> ExperimentResult:
     """Run one declarative scenario to completion.
 
-    The result is a pure function of the scenario: the latency spec is
-    thawed into a live model here, randomness enters exclusively through
+    The result is a pure function of the scenario: the latency and fault
+    specs are bound to this run here, randomness enters exclusively through
     ``scenario.params.seed``, and nothing is shared with any other run —
     which is what lets :mod:`repro.parallel` fan scenarios out over worker
     processes and memoise them by :meth:`Scenario.key`.
@@ -205,12 +205,12 @@ def run(scenario: Scenario) -> ExperimentResult:
     sim = Simulator(scenario.scheduler)
     trace = TraceRecorder(enabled=True) if scenario.collect_trace else None
     network = None
-    fault_model = None
+    faults = None
     if algo.needs_network:
         latency_spec = scenario.latency if scenario.latency is not None else ConstantLatencySpec()
         if scenario.faults is not None:
-            fault_model = scenario.faults.build(params)
-        network = Network(sim, latency_spec.build(params), faults=fault_model)
+            faults = scenario.faults.bind(params)
+        network = Network(sim, latency_spec.bind(params), faults=faults)
     allocators = algo.make_allocators(scenario.config, params, sim, network, trace)
 
     metrics = MetricsCollector(
@@ -225,7 +225,7 @@ def run(scenario: Scenario) -> ExperimentResult:
     # crash takes the no-handle timer fast path (its cancellable timer
     # handles exist only for on_crash to suspend), so only the clients
     # of nodes actually named in a window pay for Event handles.
-    crash_windows = fault_model.crash_windows() if fault_model is not None else ()
+    crash_windows = faults.crash_windows() if faults is not None else ()
     crash_nodes = {node for node, _, _ in crash_windows}
     clients = [
         Client(
@@ -242,7 +242,7 @@ def run(scenario: Scenario) -> ExperimentResult:
         for p in range(params.num_processes)
     ]
 
-    # Crash lifecycle: only instantiated when the fault model actually
+    # Crash lifecycle: only instantiated when the fault layer actually
     # declares node outages, so the no-crash path schedules exactly the
     # same events as the pre-lifecycle substrate (bit-identity).  The
     # lifecycle events are scheduled before the clients start, giving
@@ -256,9 +256,9 @@ def run(scenario: Scenario) -> ExperimentResult:
             for p in range(params.num_processes)
         }
         lifecycle = NodeLifecycle(sim, crash_windows, participants)
-        detector_model = scenario.detector.build() if scenario.detector is not None else None
-        if detector_model is not None:
-            coordinator = RecoveryCoordinator(sim, allocators, lifecycle, detector_model)
+        detector = scenario.detector.bind(params) if scenario.detector is not None else None
+        if detector is not None:
+            coordinator = RecoveryCoordinator(sim, allocators, lifecycle, detector)
 
     # Telemetry is the nullable seam of repro.obs: nothing below imports
     # — or executes a single frame of — the package unless the scenario
@@ -288,7 +288,7 @@ def run(scenario: Scenario) -> ExperimentResult:
         )
 
     try:
-        if fault_model is None:
+        if faults is None:
             sim.run(max_events=max_events)
         else:
             # The cap is a stall guard, not a target — a run that drains

@@ -2,7 +2,7 @@
 
 A :class:`Scenario` captures *everything* one experiment run depends on —
 the algorithm name, its frozen config spec, the workload parameters, a
-declarative :class:`~repro.sim.latencyspec.LatencySpec` and the run
+declarative :class:`~repro.sim.latency.LatencySpec` and the run
 options — as a frozen, picklable, content-hashable value.  The runner's
 :func:`~repro.experiments.runner.run` entrypoint turns a scenario into an
 :class:`~repro.experiments.runner.ExperimentResult`, and because the
@@ -38,8 +38,8 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.experiments.registry import get_algorithm
 from repro.sim.detectorspec import DetectorSpec
-from repro.sim.faultspec import FaultSpec, NoFaults
-from repro.sim.latencyspec import ConstantLatencySpec, LatencySpec
+from repro.sim.faults import FaultSpec, NoFaults
+from repro.sim.latency import ConstantLatencySpec, LatencySpec
 from repro.workload.params import WorkloadParams
 from repro.workload.spec import SyntheticSpec, WorkloadSpec
 
@@ -97,6 +97,10 @@ def canonical(value: Any) -> Any:
     return value
 
 
+def _is_spec(value: Any, kind: type) -> bool:
+    return isinstance(value, kind) and dataclasses.is_dataclass(value)
+
+
 def content_hash(value: Any) -> str:
     """SHA-256 of the canonical form of ``value``."""
     return hashlib.sha256(repr(canonical(value)).encode("utf-8")).hexdigest()
@@ -117,15 +121,16 @@ class Scenario:
         Frozen config spec of the algorithm (its registered
         ``config_type``); ``None`` uses the registered default.
     latency:
-        Declarative latency model; ``None`` means constant ``params.gamma``
-        (thawed into a live model inside the process running the
-        experiment, so scenarios stay picklable and hashable).
+        Declarative latency model (:class:`~repro.sim.latency.LatencySpec`);
+        ``None`` means constant ``params.gamma``.  The runner binds it to
+        the run inside the process running the experiment, so scenarios
+        stay picklable and hashable.
     faults:
         Declarative fault-injection model
-        (:class:`~repro.sim.faultspec.FaultSpec`); ``None`` means the
+        (:class:`~repro.sim.faults.FaultSpec`); ``None`` means the
         paper's reliable Section 3.1 links (normalised to
-        :class:`~repro.sim.faultspec.NoFaults`, thawed per-run exactly
-        like the latency spec).
+        :class:`~repro.sim.faults.NoFaults`, bound per-run exactly like
+        the latency spec).
     detector:
         Declarative crash detector
         (:class:`~repro.sim.detectorspec.DetectorSpec`); ``None`` (the
@@ -138,8 +143,8 @@ class Scenario:
         Declarative workload shape
         (:class:`~repro.workload.spec.WorkloadSpec`); ``None`` means the
         paper's Section-5.1 closed loop (normalised to
-        :class:`~repro.workload.spec.SyntheticSpec`, thawed per-run
-        exactly like the latency spec).  Open-loop and trace-replay
+        :class:`~repro.workload.spec.SyntheticSpec`, built into live
+        request streams per run).  Open-loop and trace-replay
         workloads run the client in its open loop: arrivals are timed by
         the stream, not by the previous completion.
     collect_trace:
@@ -221,22 +226,23 @@ class Scenario:
                     f"algorithm {self.algorithm!r} expects a "
                     f"{algo.config_type.__name__} config, got {type(self.config).__name__}"
                 )
-        if self.latency is not None and not isinstance(self.latency, LatencySpec):
+        # A spec is a frozen dataclass; what bind() returns for one run (a
+        # jittered latency or a Bernoulli loss holding its RNG) is not.
+        if self.latency is not None and not _is_spec(self.latency, LatencySpec):
             raise TypeError(
                 f"latency must be a LatencySpec (got {type(self.latency).__name__}); "
-                f"live LatencyModel instances are not hashable/picklable specs — "
+                f"objects bound to one run are not hashable/picklable specs — "
                 f"use e.g. ConstantLatencySpec / UniformJitterLatencySpec instead"
             )
-        if self.faults is not None and not isinstance(self.faults, FaultSpec):
+        if self.faults is not None and not _is_spec(self.faults, FaultSpec):
             raise TypeError(
                 f"faults must be a FaultSpec (got {type(self.faults).__name__}); "
-                f"live FaultModel instances are not hashable/picklable specs — "
+                f"objects bound to one run are not hashable/picklable specs — "
                 f"use e.g. NoFaults / BernoulliLoss / NodeCrash instead"
             )
-        if self.detector is not None and not isinstance(self.detector, DetectorSpec):
+        if self.detector is not None and not _is_spec(self.detector, DetectorSpec):
             raise TypeError(
-                f"detector must be a DetectorSpec (got {type(self.detector).__name__}); "
-                f"live CrashDetector instances are not hashable/picklable specs — "
+                f"detector must be a DetectorSpec (got {type(self.detector).__name__}) — "
                 f"use e.g. HeartbeatDetector instead"
             )
         if self.workload is not None and not isinstance(self.workload, WorkloadSpec):
@@ -281,7 +287,7 @@ class Scenario:
         :class:`~repro.workload.spec.SyntheticSpec` (whose canonical form
         is neutral, so pre-axis scenarios keep their keys),
         ``latency=None`` to :class:`ConstantLatencySpec` and
-        ``faults=None`` to :class:`~repro.sim.faultspec.NoFaults` (for
+        ``faults=None`` to :class:`~repro.sim.faults.NoFaults` (for
         network-less algorithms any latency, fault or detector spec is
         dropped instead).  A detector is kept only when the (normalised)
         fault spec actually produces node outages: with nothing to
@@ -308,7 +314,7 @@ class Scenario:
                 # the exact reliable-path run NoFaults does, and a
                 # single-child composite gives its child's run — all must
                 # share one key.  This also fails fast on specs whose
-                # build() rejects the workload (e.g. a crash naming a
+                # bind() rejects the workload (e.g. a crash naming a
                 # node outside it).
                 faults = self.faults.normalized(self.params)
                 if faults != self.faults:
@@ -316,13 +322,8 @@ class Scenario:
             if self.latency is None:
                 changes["latency"] = ConstantLatencySpec()
             if self.detector is not None:
-                effective_faults = changes.get("faults", self.faults)
-                model = effective_faults.build(self.params)
-                if (
-                    self.detector.build() is None
-                    or model is None
-                    or not model.crash_windows()
-                ):
+                faults = changes.get("faults", self.faults)
+                if self.detector.bind(self.params) is None or not faults.crash_windows():
                     changes["detector"] = None
         else:
             if self.latency is not None:

@@ -3,10 +3,10 @@
 The paper evaluated its algorithms on a 32-node cluster over OpenMPI; this
 package provides the equivalent substrate as a deterministic discrete-event
 simulator: a simulated clock with an event heap (:mod:`repro.sim.engine`),
-a FIFO message-passing network — reliable by default — with pluggable
-latency models (:mod:`repro.sim.network`, :mod:`repro.sim.latency`) and
-declarative fault injection (:mod:`repro.sim.faultspec`,
-:mod:`repro.sim.faults`) with node crash/recovery lifecycle delivery
+a FIFO message-passing network — reliable by default
+(:mod:`repro.sim.network`) — whose latency and faults are frozen specs
+that the network consults directly (:mod:`repro.sim.latency`,
+:mod:`repro.sim.faults`), node crash/recovery lifecycle delivery
 (:mod:`repro.sim.lifecycle`) and declarative crash detection
 (:mod:`repro.sim.detectorspec`), a node/process abstraction with message
 dispatch, timers and lifecycle hooks (:mod:`repro.sim.node`),
@@ -19,22 +19,11 @@ the system model of Section 3.1 of the paper (reliable FIFO links, complete
 communication graph, one process per node, no shared memory).
 """
 
-from repro.sim.detectorspec import (
-    CrashDetector,
-    DetectorSpec,
-    HeartbeatDetector,
-    NoDetector,
-)
+from repro.sim.detectorspec import DetectorSpec, HeartbeatDetector, NoDetector
 from repro.sim.engine import Event, Simulator
 from repro.sim.faults import (
-    BernoulliLossModel,
-    CompositeFaultModel,
-    FaultModel,
-    LinkPartitionModel,
-    NodeCrashModel,
-)
-from repro.sim.faultspec import (
     BernoulliLoss,
+    BoundBernoulliLoss,
     CompositeFaults,
     FaultSpec,
     LinkPartition,
@@ -42,15 +31,10 @@ from repro.sim.faultspec import (
     NodeCrash,
 )
 from repro.sim.latency import (
-    ConstantLatency,
-    HierarchicalLatency,
-    LatencyModel,
-    UniformJitterLatency,
-)
-from repro.sim.latencyspec import (
     ConstantLatencySpec,
     HierarchicalLatencySpec,
     LatencySpec,
+    UniformJitterLatency,
     UniformJitterLatencySpec,
 )
 from repro.sim.lifecycle import NodeLifecycle
@@ -62,29 +46,21 @@ from repro.sim.trace import TraceEvent, TraceRecorder
 __all__ = [
     "Event",
     "Simulator",
-    "FaultModel",
-    "BernoulliLossModel",
-    "LinkPartitionModel",
-    "NodeCrashModel",
-    "CompositeFaultModel",
     "FaultSpec",
     "NoFaults",
     "BernoulliLoss",
+    "BoundBernoulliLoss",
     "LinkPartition",
     "NodeCrash",
     "CompositeFaults",
-    "CrashDetector",
     "DetectorSpec",
     "NoDetector",
     "HeartbeatDetector",
     "NodeLifecycle",
-    "LatencyModel",
-    "ConstantLatency",
-    "UniformJitterLatency",
-    "HierarchicalLatency",
     "LatencySpec",
     "ConstantLatencySpec",
     "UniformJitterLatencySpec",
+    "UniformJitterLatency",
     "HierarchicalLatencySpec",
     "Network",
     "MessageStats",

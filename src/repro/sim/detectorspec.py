@@ -1,70 +1,41 @@
-"""Declarative crash-detector specifications.
+"""Declarative crash detection.
 
 Token regeneration needs *failure detection*: survivors must learn that a
 node is down before they can adjudicate which tokens died with it.  Each
-spec below is a frozen, picklable, content-hashable description of a
-detection process — the exact counterpart of :mod:`repro.sim.faultspec`
-for detection — carried on :attr:`repro.experiments.scenario.Scenario.detector`
-and thawed into a live :class:`CrashDetector` via :meth:`DetectorSpec.build`
-inside whatever process runs the experiment.
+spec below is a frozen, picklable, content-hashable value carried on
+:attr:`repro.experiments.scenario.Scenario.detector` and read directly by
+:class:`repro.core.recovery.RecoveryCoordinator`.
 
-The built detector is an *abstract heartbeat scheme*: instead of flooding
-the message plane with ``N x (N-1)`` periodic heartbeats (which would
-perturb the paper's message-complexity metrics for every faulty run), it
-rides the fault layer's deterministic outage windows and delivers one
-crash *detection* event per outage, ``interval + timeout`` after the
-crash instant — exactly when a peer's heartbeat timeout would have fired
-in the worst case (a heartbeat sent just before the crash, plus the full
-timeout).  A node that recovers before its detection fires is never
-reported (its heartbeats resumed in time), which is what makes the
-"recover before detection" scenario regeneration-free.
-
-``build`` returns ``None`` when the spec detects nothing (``NoDetector``),
-and :meth:`repro.experiments.scenario.Scenario.normalized` drops any
-detector whose fault spec produces no crash windows — there is nothing to
-detect, so the scenario must share its key with the detector-less run.
+A detector is an *abstract heartbeat scheme*: instead of flooding the
+message plane with ``N x (N-1)`` periodic heartbeats (which would perturb
+the paper's message-complexity metrics), it rides the fault layer's
+deterministic outage windows and delivers one *detection* event per
+outage, ``detection_delay`` after the crash — exactly when a peer's
+heartbeat timeout would have fired in the worst case.  A node that
+recovers before its detection fires is never reported (its heartbeats
+resumed in time), so such a blip regenerates nothing.
+:meth:`~repro.experiments.scenario.Scenario.normalized` drops a detector
+that binds to ``None`` or whose fault spec declares no crash windows, so
+the scenario shares its key with the detector-less run.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-__all__ = ["CrashDetector", "DetectorSpec", "NoDetector", "HeartbeatDetector"]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.workload.params import WorkloadParams
 
-
-class CrashDetector:
-    """Live crash detector thawed from a :class:`DetectorSpec`.
-
-    ``detection_delay`` is the worst-case time between a node halting and
-    every survivor having detected it; the recovery coordinator schedules
-    one detection event per outage at ``crash time + detection_delay``.
-    """
-
-    __slots__ = ("detection_delay",)
-
-    def __init__(self, detection_delay: float) -> None:
-        if detection_delay < 0:
-            raise ValueError(f"detection delay must be >= 0, got {detection_delay!r}")
-        self.detection_delay = float(detection_delay)
-
-    def describe(self) -> str:
-        """Human-readable description used in experiment reports."""
-        return f"detector(delay={self.detection_delay:g}ms)"
+__all__ = ["DetectorSpec", "NoDetector", "HeartbeatDetector"]
 
 
-class DetectorSpec(ABC):
-    """Frozen description of a crash-detection process, thawed per-run."""
+class DetectorSpec:
+    """Frozen description of a crash-detection process."""
 
-    @abstractmethod
-    def build(self) -> Optional[CrashDetector]:
-        """Instantiate the live detector.
-
-        Returns ``None`` when the spec performs no detection at all
-        (``NoDetector``), in which case crashes are never announced and
-        lost tokens are never regenerated.
-        """
+    def bind(self, params: "WorkloadParams") -> Optional["DetectorSpec"]:
+        """The detector of one run; ``None`` when crashes go unannounced."""
+        return self
 
     def describe(self) -> str:
         """Human-readable description used in experiment reports."""
@@ -79,8 +50,8 @@ class NoDetector(DetectorSpec):
     normalises to ``None`` so both share one cache key.
     """
 
-    def build(self) -> None:
-        """Build nothing: detection is disabled."""
+    def bind(self, params: "WorkloadParams") -> None:
+        """Nothing detects: lost tokens are never regenerated."""
         return None
 
     def describe(self) -> str:
@@ -92,21 +63,11 @@ class NoDetector(DetectorSpec):
 class HeartbeatDetector(DetectorSpec):
     """Timeout-based heartbeat detection.
 
-    Attributes
-    ----------
-    interval:
-        Heartbeat period in simulated milliseconds (every node pings its
-        peers this often).  Must be positive.
-    timeout:
-        Silence (in ms) after the last expected heartbeat before a peer
-        is declared dead.  Must be non-negative.
-
-    The worst-case detection latency — a heartbeat sent immediately
-    before the crash, plus a full timeout on the next one — is
-    ``interval + timeout``; the built :class:`CrashDetector` uses exactly
-    that as its deterministic ``detection_delay`` (see the module
-    docstring for why the heartbeats themselves are not simulated as
-    messages).
+    Every node pings its peers each ``interval`` ms (positive) and declares
+    a peer dead after ``timeout`` ms (non-negative) of silence past the
+    heartbeat it expected.  The worst case — a heartbeat sent just before
+    the crash, then a full timeout on the next — is
+    :attr:`detection_delay`.
     """
 
     interval: float = 25.0
@@ -120,12 +81,8 @@ class HeartbeatDetector(DetectorSpec):
 
     @property
     def detection_delay(self) -> float:
-        """Worst-case crash-to-detection latency (``interval + timeout``)."""
+        """Crash-to-detection time at every survivor: ``interval + timeout``."""
         return self.interval + self.timeout
-
-    def build(self) -> CrashDetector:
-        """Thaw into the live :class:`CrashDetector`."""
-        return CrashDetector(detection_delay=self.detection_delay)
 
     def describe(self) -> str:
         """Human-readable description used in experiment reports."""

@@ -1,189 +1,198 @@
-"""Live fault layer, consulted by the network for messages that can meet a fault.
+"""Fault injection: frozen fault specs that are also the network's fault layer.
 
-The models below are the *thawed* counterparts of the declarative specs in
-:mod:`repro.sim.faultspec`, exactly as :mod:`repro.sim.latency` models are
-the thawed counterparts of :mod:`repro.sim.latencyspec` specs: they may
-carry live state (a :class:`random.Random`) and therefore never serve as
-experiment parameters themselves — a spec builds one per run, inside the
-process that runs the experiment.
+Section 3.1 of the paper assumes reliable FIFO links; here that is a
+*default*.  Each spec is a frozen, picklable, content-hashable value, and
+its methods are the hooks ``Network`` consults: ``drop_on_send`` (crashed
+sender, Bernoulli loss) and ``drop_on_delivery`` (partition window,
+crashed receiver).  Both hooks are ``False`` before ``quiet_until()`` and
+for a message with neither endpoint in ``exposed_nodes()`` (``None``: any
+message); these two declarations depend on the spec alone, so the network
+decides once per message, and the defaults (``0.0``, ``None``) are safe
+for a custom spec.  ``crash_windows()`` declares the node outages the
+runner turns into lifecycle events (:mod:`repro.sim.lifecycle`).
 
-A fault model answers two questions:
-
-* :meth:`FaultModel.drop_on_send` — evaluated by ``Network.send`` at send
-  time: is the message lost before it ever enters the link (crashed
-  sender, Bernoulli link loss)?
-* :meth:`FaultModel.drop_on_delivery` — evaluated by ``Network._deliver``
-  at delivery time: has the link or the destination gone down while the
-  message was in flight (partition window, crashed receiver)?
-
-and makes two *scoping* declarations that say which messages the network
-need not ask about at all:
-
-* :meth:`FaultModel.quiet_until` — in time: both hooks return ``False``
-  for every instant strictly before it;
-* :meth:`FaultModel.exposed_nodes` — in space: both hooks return
-  ``False`` for every message whose source and destination are both
-  outside the returned set (``None``: any message may be dropped).
-
-The network consults the hooks only for a message that is *exposed* —
-delivered at or after ``quiet_until()`` **and** touching an exposed
-node — and posts every other message straight to its handler.  Both
-declarations are functions of the spec alone, never of the simulation
-history, so the decision made once at send time holds for the whole
-flight of the message.  A custom model must honour both contracts; the
-inherited defaults (``0.0`` and ``None``: always ask, about everything)
-are the safe ones, so a model that overrides neither is consulted on
-every send and delivery.
-
-The hooks' answers must be deterministic functions of the spec and the
-(single threaded, deterministic) simulation history: randomness enters only
-through a dedicated ``random.Random`` seeded from the spec, and send /
-delivery events happen in the same order in every run of the same
-scenario — which is what keeps fault sweeps bit-identical between
-``workers=1`` and ``workers=N``.
-
-A fault model additionally *declares* the node outages it produces via
-:meth:`FaultModel.crash_windows`: the runner turns every window into
-crash/recover lifecycle events delivered through
-:class:`repro.sim.lifecycle.NodeLifecycle`, so a crashed node stops its
-local timers too (resend timers, think-time clients) instead of silently
-computing while its network is cut.  Models producing no windows cost
-nothing: the lifecycle layer is only instantiated when at least one
-window exists, keeping the no-crash path untouched.
+:meth:`FaultSpec.bind` prepares a spec for one run: it validates node ids
+against the workload and returns ``None`` when the spec injects nothing
+(the network keeps its reliable fast path), the spec itself when it is
+deterministic, or a :class:`BoundBernoulliLoss` holding the loss's own
+RNG, seeded from the spec — the only randomness, so fault sweeps stay
+bit-identical between ``workers=1`` and ``workers=N``.  A ``None`` window
+end means "never": the hooks read it as ``math.inf``, and the field, which
+``Scenario.key()`` hashes, keeps ``None``.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from typing import Any, FrozenSet, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Any, FrozenSet, Iterable, Optional, Tuple
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.workload.params import WorkloadParams
+
+__all__ = [
+    "FaultSpec", "NoFaults", "BernoulliLoss", "BoundBernoulliLoss",
+    "LinkPartition", "NodeCrash", "CompositeFaults",
+]
 
 
-class FaultModel:
-    """Interface of the live fault layer (default: no faults).
+def _check_nodes(fault: str, nodes: Iterable[int], params: "WorkloadParams") -> None:
+    # A node outside the workload would inject nothing, silently passing the run.
+    for node in nodes:
+        if not 0 <= node < params.num_processes:
+            raise ValueError(
+                f"{fault} names node {node}, but the workload has "
+                f"processes 0..{params.num_processes - 1}"
+            )
 
-    Subclasses override one or both hooks; returning ``True`` drops the
-    message (the network records it in ``MessageStats.dropped``).
 
-    A subclass that can say *when* or *to whom* its hooks may ever
-    return ``True`` narrows :meth:`quiet_until` / :meth:`exposed_nodes`
-    accordingly, and the network then skips the hooks for every message
-    outside that scope.  Narrowing is a promise: a hook that would have
-    returned ``True`` outside the declared scope is simply never asked.
-    Leaving both at their defaults is always correct.
-    """
+class FaultSpec:
+    """A fault process; the defaults drop nothing and declare the safe scope."""
 
-    __slots__ = ()
+    def bind(self, params: "WorkloadParams") -> Optional["FaultSpec"]:
+        """The fault layer of one run under ``params`` (``None``: reliable links)."""
+        return self
+
+    def normalized(self, params: "WorkloadParams") -> "FaultSpec":
+        """Canonical spec (one scenario key) for the run this spec produces.
+
+        Anything that binds to ``None`` is :class:`NoFaults`; a spec that
+        :meth:`bind` rejects fails here.
+        """
+        return self if self.bind(params) is not None else NoFaults()
 
     def drop_on_send(self, time: float, src: int, dst: int, message: Any) -> bool:
-        """Whether a message sent now from ``src`` to ``dst`` is lost."""
+        """Whether a message sent at ``time`` from ``src`` to ``dst`` is lost."""
         return False
 
     def drop_on_delivery(self, time: float, src: int, dst: int, message: Any) -> bool:
-        """Whether a message arriving now at ``dst`` from ``src`` is lost."""
+        """Whether a message arriving at ``time`` at ``dst`` from ``src`` is lost."""
         return False
 
     def crash_windows(self) -> Tuple[Tuple[int, float, float], ...]:
-        """Node outages this model produces, as ``(node, at, recover_at)``.
-
-        ``recover_at`` is ``math.inf`` for a crash that never heals.  The
-        runner schedules one lifecycle crash event per window (and a
-        recovery event when ``recover_at`` is finite); an empty tuple —
-        the default — means no lifecycle machinery is installed at all.
-        Windows must be deterministic in the spec (no RNG), so the
-        lifecycle schedule is identical in every process running the
-        scenario.
-        """
+        """Node outages ``(node, at, recover_at)``, ``math.inf`` for good; no RNG."""
         return ()
 
     def quiet_until(self) -> float:
-        """First simulated instant either drop hook could return ``True``.
-
-        Both hooks are guaranteed to return ``False`` for any ``time``
-        strictly before this value, so the network may skip consulting
-        them for messages whose send *and* delivery both precede it —
-        which is what makes an armed-but-far-future crash window cost
-        (almost) nothing on the hot path.  The conservative default is
-        ``0.0``: always consult.  Randomised models (Bernoulli loss) must
-        keep that default; deterministic windowed models return their
-        window start.
-        """
+        """First simulated instant either drop hook could return ``True``."""
         return 0.0
 
     def exposed_nodes(self) -> Optional[FrozenSet[int]]:
-        """Nodes whose traffic either drop hook could ever drop.
-
-        Both hooks are guaranteed to return ``False`` for a message whose
-        ``src`` and ``dst`` are *both* outside this set, at any time, so
-        the network consults them only for messages that touch it — which
-        is what makes one crashed node cost a fault check on its own
-        traffic instead of on everyone's.  The set is a function of the
-        spec, not of time, so the network reads it once and decides per
-        message at send time.  The conservative default is ``None``: any
-        message may be dropped.  Models that are not tied to particular
-        nodes (Bernoulli loss) must keep that default.
-        """
+        """Nodes whose traffic either drop hook could ever drop (``None``: any)."""
         return None
 
     def describe(self) -> str:
         """Human-readable description used in experiment reports."""
-        return type(self).__name__
+        return repr(self)
 
 
-class BernoulliLossModel(FaultModel):
-    """Each message is lost independently with probability ``p``.
+@dataclass(frozen=True)
+class NoFaults(FaultSpec):
+    """Reliable links — the paper's model, and what ``faults=None`` normalises to."""
 
-    The decision is made at send time from a dedicated RNG, so the drop
-    sequence depends only on ``(p, seed, kinds)`` and the (deterministic)
-    order of sends — never on which process runs the experiment.  When
-    ``kinds`` is given, only messages whose class name is in it are at
-    risk (and only they consume an RNG draw); others pass untouched.
+    def bind(self, params: "WorkloadParams") -> None:
+        """Nothing to inject: the network keeps its reliable fast path."""
+        return None
+
+    def describe(self) -> str:
+        """Human-readable description used in experiment reports."""
+        return "no faults"
+
+
+@dataclass(frozen=True)
+class BernoulliLoss(FaultSpec):
+    """Independent message loss with probability ``p``, drawn at send time.
+
+    ``kinds`` restricts the loss to messages whose *class name* is listed
+    (normalised to a sorted tuple); ``None`` puts every message at risk.
+    Naming only control-plane messages (``("RequestEnvelope",
+    "CounterEnvelope")`` for the core algorithm, ``("NTRequest",)`` for
+    Naimi–Tréhel-based baselines) models lossy request datagrams over
+    reliable token transfer — what the Section 4.2.1 resend net is for.
+    Kinds cannot be validated up front: a misspelt or wrong-algorithm name
+    drops nothing, so check that ``messages_dropped`` is plausible.
     """
 
-    __slots__ = ("p", "kinds", "_rng")
+    p: float
+    seed: int = 0
+    kinds: Optional[Tuple[str, ...]] = None
 
-    def __init__(
-        self, p: float, seed: int = 0, kinds: Optional[Sequence[str]] = None
-    ) -> None:
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"loss probability must lie in [0, 1], got {p!r}")
-        self.p = float(p)
-        self.kinds: Optional[FrozenSet[str]] = frozenset(kinds) if kinds is not None else None
-        self._rng = random.Random(seed)
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.p <= 1.0:
+            raise ValueError(f"loss probability must lie in [0, 1], got {self.p!r}")
+        if self.kinds is not None:
+            object.__setattr__(self, "kinds", tuple(sorted(set(self.kinds))))
+            if not self.kinds:
+                raise ValueError("kinds must name at least one message type (or be None)")
+
+    def bind(self, params: "WorkloadParams") -> Optional["BoundBernoulliLoss"]:
+        """A fresh :class:`BoundBernoulliLoss` (``None`` when ``p == 0``)."""
+        return BoundBernoulliLoss(self) if self.p > 0.0 else None
+
+    def describe(self) -> str:
+        """Human-readable description used in experiment reports."""
+        if self.kinds is not None:
+            return f"loss(p={self.p:g}, kinds={list(self.kinds)})"
+        return f"loss(p={self.p:g})"
+
+
+class BoundBernoulliLoss(FaultSpec):
+    """One run's :class:`BernoulliLoss`, drawing from ``random.Random(seed)``.
+
+    The drops depend only on the spec and the (deterministic) order of
+    sends; only messages at risk consume a draw.
+    """
+
+    def __init__(self, spec: BernoulliLoss) -> None:
+        self.p = spec.p
+        self.kinds = frozenset(spec.kinds) if spec.kinds is not None else None
+        self._rng = random.Random(spec.seed)
 
     def drop_on_send(self, time: float, src: int, dst: int, message: Any) -> bool:
+        """Lost when a message at risk draws below ``p``."""
         if self.kinds is not None and type(message).__name__ not in self.kinds:
             return False
         return self._rng.random() < self.p
 
-    def describe(self) -> str:
-        if self.kinds is not None:
-            return f"loss(p={self.p:g}, kinds={sorted(self.kinds)})"
-        return f"loss(p={self.p:g})"
 
+@dataclass(frozen=True)
+class LinkPartition(FaultSpec):
+    """Bidirectional partition of node ``pairs`` during ``[start, end)``.
 
-class LinkPartitionModel(FaultModel):
-    """Bidirectional partition of given node pairs during ``[start, end)``.
-
-    A message is dropped when it would be *delivered* while the partition
-    is active — the in-flight message hits the cut, whichever side it was
-    sent from.
+    ``pairs`` is normalised (each pair sorted, pairs sorted), so
+    ``((1, 0),)`` and ``((0, 1),)`` share a key.  ``end=None`` never heals.
+    A message is dropped when its *delivery* falls inside the window.
     """
 
-    __slots__ = ("pairs", "start", "end")
+    pairs: Tuple[Tuple[int, int], ...]
+    start: float = 0.0
+    end: Optional[float] = None
 
-    def __init__(
-        self, pairs: Sequence[Tuple[int, int]], start: float = 0.0, end: float = math.inf
-    ) -> None:
-        self.pairs: FrozenSet[FrozenSet[int]] = frozenset(frozenset(p) for p in pairs)
-        self.start = float(start)
-        self.end = float(end)
+    def __post_init__(self) -> None:
+        normalised = []
+        for pair in self.pairs:
+            a, b = pair
+            if a == b:
+                raise ValueError(f"partition pair must name two distinct nodes, got {pair!r}")
+            normalised.append((min(a, b), max(a, b)))
+        object.__setattr__(self, "pairs", tuple(sorted(set(normalised))))
+        if not self.pairs:
+            raise ValueError("partition needs at least one node pair")
+        if self.end is not None and self.end <= self.start:
+            raise ValueError(f"end ({self.end!r}) must be after start ({self.start!r})")
+
+    def bind(self, params: "WorkloadParams") -> "LinkPartition":
+        """The spec itself, once every pair's nodes are in the workload."""
+        _check_nodes("partition", (node for pair in self.pairs for node in pair), params)
+        return self
 
     def drop_on_delivery(self, time: float, src: int, dst: int, message: Any) -> bool:
-        if not self.start <= time < self.end:
+        """Lost when delivered inside the window over a cut link."""
+        end = self.end
+        if time < self.start or (end is not None and time >= end):
             return False
-        pair = frozenset((src, dst))
-        return pair in self.pairs
+        return ((src, dst) if src < dst else (dst, src)) in self.pairs
 
     def quiet_until(self) -> float:
         """No message can hit the cut before the partition starts."""
@@ -194,45 +203,55 @@ class LinkPartitionModel(FaultModel):
         return frozenset(node for pair in self.pairs for node in pair)
 
     def describe(self) -> str:
-        links = sorted(tuple(sorted(p)) for p in self.pairs)
-        return f"partition({links}, [{self.start:g}, {self.end:g}))"
+        """Human-readable description used in experiment reports."""
+        end = f"{self.end:g}" if self.end is not None else "inf"
+        return f"partition({list(self.pairs)}, [{self.start:g}, {end}))"
 
 
-class NodeCrashModel(FaultModel):
-    """Fail-silent crash of one node during ``[at, recover_at)``.
+@dataclass(frozen=True)
+class NodeCrash(FaultSpec):
+    """Fail-silent crash of ``node`` during ``[at, recover_at)`` (``None``: for good).
 
-    While crashed, the node neither sends (messages it emits are lost at
-    send time) nor receives (messages arriving for it are lost at delivery
-    time); messages already delivered before the crash are unaffected.
-    The window is also reported through :meth:`crash_windows`, so the
-    runner halts the node's *local* computation too: its timers are
-    suspended by an ``on_crash`` lifecycle callback and resumed by
-    ``on_recover`` (see :mod:`repro.sim.lifecycle`) — a full fail-silent
-    crash, not just a network cut.
+    While down the node neither sends nor receives, and its local timers
+    halt too: the window is also a :meth:`crash_windows` entry, delivered
+    as ``on_crash``/``on_recover`` by :mod:`repro.sim.lifecycle`.  A crash
+    mid-critical-section aborts that request.  Tokens survive a reboot;
+    pair the crash with a ``Scenario.detector``
+    (:mod:`repro.sim.detectorspec`) to regenerate tokens lost for good.
     """
 
-    __slots__ = ("node", "at", "recover_at")
+    node: int
+    at: float
+    recover_at: Optional[float] = None
 
-    def __init__(self, node: int, at: float, recover_at: float = math.inf) -> None:
-        if recover_at <= at:
-            raise ValueError(f"recover_at ({recover_at!r}) must be after at ({at!r})")
-        self.node = int(node)
-        self.at = float(at)
-        self.recover_at = float(recover_at)
+    def __post_init__(self) -> None:
+        if self.node < 0:
+            raise ValueError(f"node must be a valid site id, got {self.node!r}")
+        if self.recover_at is not None and self.recover_at <= self.at:
+            raise ValueError(f"recover_at ({self.recover_at!r}) must be after at ({self.at!r})")
+
+    def bind(self, params: "WorkloadParams") -> "NodeCrash":
+        """The spec itself, once the node is in the workload."""
+        _check_nodes("crash", (self.node,), params)
+        return self
 
     def crashed(self, time: float) -> bool:
         """Whether the node is down at simulated ``time``."""
-        return self.at <= time < self.recover_at
+        recover_at = self.recover_at
+        return self.at <= time and (recover_at is None or time < recover_at)
 
     def drop_on_send(self, time: float, src: int, dst: int, message: Any) -> bool:
+        """A down node's sends are lost."""
         return src == self.node and self.crashed(time)
 
     def drop_on_delivery(self, time: float, src: int, dst: int, message: Any) -> bool:
+        """Messages arriving at a down node are lost."""
         return dst == self.node and self.crashed(time)
 
     def crash_windows(self) -> Tuple[Tuple[int, float, float], ...]:
         """The single outage window this crash produces."""
-        return ((self.node, self.at, self.recover_at),)
+        recover_at = math.inf if self.recover_at is None else self.recover_at
+        return ((self.node, float(self.at), float(recover_at)),)
 
     def quiet_until(self) -> float:
         """No message is affected before the crash instant."""
@@ -243,49 +262,78 @@ class NodeCrashModel(FaultModel):
         return frozenset((self.node,))
 
     def describe(self) -> str:
-        window = f"[{self.at:g}, {self.recover_at:g})"
-        return f"crash(node={self.node}, {window})"
+        """Human-readable description used in experiment reports."""
+        recover = f"{self.recover_at:g}" if self.recover_at is not None else "inf"
+        return f"crash(node={self.node}, [{self.at:g}, {recover}))"
 
 
-class CompositeFaultModel(FaultModel):
-    """Union of several fault models: a message is dropped if *any* drops it.
+@dataclass(frozen=True)
+class CompositeFaults(FaultSpec):
+    """Union of fault specs: a message is dropped if *any* child drops it."""
 
-    Children are consulted in spec order; ``any`` short-circuits, which is
-    fine for determinism because the whole simulation is single-threaded
-    and replays identically.
-    """
+    specs: Tuple[FaultSpec, ...] = field(default_factory=tuple)
 
-    __slots__ = ("models",)
+    def __post_init__(self) -> None:
+        if not isinstance(self.specs, tuple):
+            object.__setattr__(self, "specs", tuple(self.specs))
+        for spec in self.specs:
+            if not isinstance(spec, FaultSpec):
+                raise TypeError(f"CompositeFaults takes FaultSpec children, got {spec!r}")
 
-    def __init__(self, models: Sequence[FaultModel]) -> None:
-        self.models: Tuple[FaultModel, ...] = tuple(models)
+    def bind(self, params: "WorkloadParams") -> Optional[FaultSpec]:
+        """The children's layers, minus ``None``s; one is itself, none is ``None``."""
+        bound = [b for b in (spec.bind(params) for spec in self.specs) if b is not None]
+        if len(bound) < 2:
+            return bound[0] if bound else None
+        return CompositeFaults(tuple(bound))
+
+    def normalized(self, params: "WorkloadParams") -> FaultSpec:
+        """Flatten nested composites and drop ineffective children; a lone child is itself."""
+        effective = []
+        for spec in self.specs:
+            child = spec.normalized(params)
+            if isinstance(child, NoFaults):
+                continue
+            if isinstance(child, CompositeFaults):
+                effective.extend(child.specs)
+            else:
+                effective.append(child)
+        if not effective:
+            return NoFaults()
+        if len(effective) == 1:
+            return effective[0]
+        return CompositeFaults(tuple(effective))
 
     def drop_on_send(self, time: float, src: int, dst: int, message: Any) -> bool:
-        return any(m.drop_on_send(time, src, dst, message) for m in self.models)
+        """Whether any child, asked in order, drops the message at send time."""
+        return any(spec.drop_on_send(time, src, dst, message) for spec in self.specs)
 
     def drop_on_delivery(self, time: float, src: int, dst: int, message: Any) -> bool:
-        return any(m.drop_on_delivery(time, src, dst, message) for m in self.models)
+        """Whether any child, asked in order, drops the message at delivery."""
+        return any(spec.drop_on_delivery(time, src, dst, message) for spec in self.specs)
 
     def crash_windows(self) -> Tuple[Tuple[int, float, float], ...]:
-        """Union of the children's outage windows, sorted by (at, node).
-
-        Sorting makes the lifecycle schedule independent of the order the
-        composite's children were given in, so equivalent composites
-        produce identical event sequences.
-        """
-        windows = [w for m in self.models for w in m.crash_windows()]
+        """The children's windows, sorted by (at, node) whatever their order."""
+        windows = [w for spec in self.specs for w in spec.crash_windows()]
         return tuple(sorted(windows, key=lambda w: (w[1], w[0], w[2])))
 
     def quiet_until(self) -> float:
         """Quiet only while every child is quiet."""
-        return min((m.quiet_until() for m in self.models), default=math.inf)
+        return min((spec.quiet_until() for spec in self.specs), default=math.inf)
 
     def exposed_nodes(self) -> Optional[FrozenSet[int]]:
         """Union of the children's sets; ``None`` as soon as one child says so."""
-        scopes = [m.exposed_nodes() for m in self.models]
+        scopes = [spec.exposed_nodes() for spec in self.specs]
         if None in scopes:
             return None
         return frozenset().union(*scopes)
 
     def describe(self) -> str:
-        return " + ".join(m.describe() for m in self.models)
+        """Human-readable description used in experiment reports."""
+        if not self.specs:
+            return "no faults"
+        return " + ".join(spec.describe() for spec in self.specs)
+
+
+# benchmarks/e2e/e2ebench/probes.py imports this name; ROADMAP item 8's benchmark PR retires it.
+NodeCrashModel = NodeCrash

@@ -1,310 +1,4 @@
-"""Declarative fault-injection specifications.
+"""Re-exports of :mod:`repro.sim.faults`, the module that defines the fault specs."""
 
-Section 3.1 of the paper assumes reliable FIFO links; that assumption is
-now a *default*, not a hard-coded property of the substrate.  Each spec
-below is a frozen, picklable, content-hashable description of a fault
-process — the exact counterpart of :mod:`repro.sim.latencyspec` for
-failures — that thaws into a live :class:`~repro.sim.faults.FaultModel`
-via :meth:`FaultSpec.build` inside whatever process runs the experiment.
-That is what lets fault sweeps ride :mod:`repro.parallel` with
-``workers=N`` bit-identical to ``workers=1`` and be memoised by
-:meth:`~repro.experiments.scenario.Scenario.key`.
-
-``build`` returns ``None`` when the spec injects nothing (``NoFaults``,
-``BernoulliLoss(p=0)``, an empty composite): the network then keeps its
-zero-overhead reliable path and the runner keeps the drain-the-queue
-termination rule, so a ``faults=None`` / ``faults=NoFaults()`` scenario is
-bit-identical to the pre-fault-subsystem behaviour.
-"""
-
-from __future__ import annotations
-
-import math
-from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Tuple
-
-from repro.sim.faults import (
-    BernoulliLossModel,
-    CompositeFaultModel,
-    FaultModel,
-    LinkPartitionModel,
-    NodeCrashModel,
-)
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.workload.params import WorkloadParams
-
-__all__ = [
-    "FaultSpec",
-    "NoFaults",
-    "BernoulliLoss",
-    "LinkPartition",
-    "NodeCrash",
-    "CompositeFaults",
-]
-
-
-class FaultSpec(ABC):
-    """Frozen description of a fault process, thawed per-run."""
-
-    @abstractmethod
-    def build(self, params: "WorkloadParams") -> Optional[FaultModel]:
-        """Instantiate the live fault model for ``params``.
-
-        Returns ``None`` when the spec injects no faults at all, keeping
-        the network on its reliable fast path.
-        """
-
-    def normalized(self, params: "WorkloadParams") -> "FaultSpec":
-        """Canonical spec for the run this spec produces under ``params``.
-
-        Specs producing the same run must normalise to the same value, so
-        they share one :meth:`~repro.experiments.scenario.Scenario.key`
-        (and one cache entry): anything that builds no model collapses to
-        :class:`NoFaults`, and composites unwrap to their effective
-        children.  Also the fail-fast point for specs whose :meth:`build`
-        rejects the workload (e.g. a crash naming a node outside it).
-        """
-        return self if self.build(params) is not None else NoFaults()
-
-    def describe(self) -> str:
-        """Human-readable description used in experiment reports."""
-        return repr(self)
-
-
-@dataclass(frozen=True)
-class NoFaults(FaultSpec):
-    """Reliable links — the paper's Section 3.1 communication model.
-
-    This is what ``Scenario.faults=None`` normalises to, so the explicit
-    and the implicit form share one cache key.
-    """
-
-    def build(self, params: "WorkloadParams") -> None:
-        """Build nothing: the network keeps its reliable fast path."""
-        return None
-
-    def describe(self) -> str:
-        """Human-readable description used in experiment reports."""
-        return "no faults"
-
-
-@dataclass(frozen=True)
-class BernoulliLoss(FaultSpec):
-    """Independent message loss with probability ``p``.
-
-    The thawed model draws from a dedicated :class:`random.Random` seeded
-    with ``seed``, so equal specs observe identical drop sequences in any
-    process.  ``p=0`` builds no model at all (reliable fast path).
-
-    ``kinds`` optionally restricts the loss to messages whose *class name*
-    is listed (normalised to a sorted tuple for stable hashing); ``None``
-    puts every message at risk.  Naming only an algorithm's control-plane
-    messages (e.g. ``("RequestEnvelope", "CounterEnvelope")`` for the core
-    algorithm, ``("NTRequest",)`` for Naimi–Tréhel-based baselines) models
-    lossy request datagrams over reliable token transfer — the regime the
-    resend safety net of Section 4.2.1 is built for.
-
-    .. warning:: kinds are matched by name against whatever the algorithm
-       actually sends and cannot be validated up front (message classes
-       are per-algorithm implementation detail): a misspelt or
-       wrong-algorithm name drops nothing.  When a run under a
-       kinds-filtered loss matters, sanity-check that its
-       ``messages_dropped`` is plausible.
-    """
-
-    p: float
-    seed: int = 0
-    kinds: Optional[Tuple[str, ...]] = None
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"loss probability must lie in [0, 1], got {self.p!r}")
-        if self.kinds is not None:
-            object.__setattr__(self, "kinds", tuple(sorted(set(self.kinds))))
-            if not self.kinds:
-                raise ValueError("kinds must name at least one message type (or be None)")
-
-    def build(self, params: "WorkloadParams") -> Optional[BernoulliLossModel]:
-        """Thaw into a live loss model (``None`` when ``p == 0``).
-
-        The model's RNG is seeded from ``seed`` alone, so equal specs
-        observe identical drop sequences in any process.
-        """
-        if self.p <= 0.0:
-            return None
-        return BernoulliLossModel(p=self.p, seed=self.seed, kinds=self.kinds)
-
-    def describe(self) -> str:
-        """Human-readable description used in experiment reports."""
-        if self.kinds is not None:
-            return f"loss(p={self.p:g}, kinds={list(self.kinds)})"
-        return f"loss(p={self.p:g})"
-
-
-@dataclass(frozen=True)
-class LinkPartition(FaultSpec):
-    """Bidirectional partition of node ``pairs`` during ``[start, end)``.
-
-    ``pairs`` is normalised (each pair sorted, pairs sorted overall) so
-    ``LinkPartition(pairs=((1, 0),))`` and ``LinkPartition(pairs=((0, 1),))``
-    hash to the same scenario key.  ``end=None`` means "never heals".
-    A message is dropped when its *delivery* falls inside the window.
-    """
-
-    pairs: Tuple[Tuple[int, int], ...]
-    start: float = 0.0
-    end: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        normalised = []
-        for pair in self.pairs:
-            a, b = pair
-            if a == b:
-                raise ValueError(f"partition pair must name two distinct nodes, got {pair!r}")
-            normalised.append((min(a, b), max(a, b)))
-        object.__setattr__(self, "pairs", tuple(sorted(set(normalised))))
-        if not self.pairs:
-            raise ValueError("partition needs at least one node pair")
-        if self.end is not None and self.end <= self.start:
-            raise ValueError(f"end ({self.end!r}) must be after start ({self.start!r})")
-
-    def build(self, params: "WorkloadParams") -> LinkPartitionModel:
-        """Thaw into a live partition model, validating node ids.
-
-        Raises ``ValueError`` when a pair names a node outside
-        ``params.num_processes`` — a typo'd id would otherwise partition
-        nothing and silently report the protocol as fault-tolerant.
-        """
-        # Node ids are only checkable against a concrete workload: a typo'd
-        # id would otherwise partition nothing and silently report the
-        # protocol as fault-tolerant.
-        for pair in self.pairs:
-            for node in pair:
-                if not 0 <= node < params.num_processes:
-                    raise ValueError(
-                        f"partition names node {node}, but the workload has "
-                        f"processes 0..{params.num_processes - 1}"
-                    )
-        end = self.end if self.end is not None else math.inf
-        return LinkPartitionModel(pairs=self.pairs, start=self.start, end=end)
-
-    def describe(self) -> str:
-        """Human-readable description used in experiment reports."""
-        end = f"{self.end:g}" if self.end is not None else "inf"
-        return f"partition({list(self.pairs)}, [{self.start:g}, {end}))"
-
-
-@dataclass(frozen=True)
-class NodeCrash(FaultSpec):
-    """Fail-silent crash of ``node`` during ``[at, recover_at)``.
-
-    ``recover_at=None`` means the node never comes back; times are
-    simulated milliseconds.  While down the node neither sends nor
-    receives (fault layer), and its *local* computation halts too: the
-    outage window is delivered as ``on_crash``/``on_recover`` lifecycle
-    events (:mod:`repro.sim.lifecycle`) that suspend and restore the
-    node's timers — resend safety nets, think-time clients.  A crash
-    mid-critical-section aborts that request (resources freed at the
-    crash instant, request counted as incomplete).  Durable protocol
-    state (tokens) survives a reboot; pair the crash with a
-    ``Scenario.detector`` (:mod:`repro.sim.detectorspec`) to recover
-    tokens that die with a node for good.
-    """
-
-    node: int
-    at: float
-    recover_at: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.node < 0:
-            raise ValueError(f"node must be a valid site id, got {self.node!r}")
-        if self.recover_at is not None and self.recover_at <= self.at:
-            raise ValueError(
-                f"recover_at ({self.recover_at!r}) must be after at ({self.at!r})"
-            )
-
-    def build(self, params: "WorkloadParams") -> NodeCrashModel:
-        """Thaw into a live crash model, validating the node id.
-
-        The model both drops the node's traffic and declares the outage
-        window (``crash_windows``), which the runner turns into
-        ``on_crash``/``on_recover`` lifecycle events.  Times are
-        simulated milliseconds, like every time in this library.
-        """
-        # Same rationale as LinkPartition.build: crashing a node that is
-        # not in the workload would inject nothing, and the ablation would
-        # silently report survival of a crash that never happened.
-        if not 0 <= self.node < params.num_processes:
-            raise ValueError(
-                f"crash names node {self.node}, but the workload has "
-                f"processes 0..{params.num_processes - 1}"
-            )
-        recover_at = self.recover_at if self.recover_at is not None else math.inf
-        return NodeCrashModel(node=self.node, at=self.at, recover_at=recover_at)
-
-    def describe(self) -> str:
-        """Human-readable description used in experiment reports."""
-        recover = f"{self.recover_at:g}" if self.recover_at is not None else "inf"
-        return f"crash(node={self.node}, [{self.at:g}, {recover}))"
-
-
-@dataclass(frozen=True)
-class CompositeFaults(FaultSpec):
-    """Union of several fault specs: a message is dropped if *any* drops it.
-
-    Children that build to ``None`` are elided; a composite of nothing
-    effective builds to ``None`` itself (reliable fast path), and one of
-    exactly one effective child builds that child's model directly.
-    """
-
-    specs: Tuple[FaultSpec, ...] = field(default_factory=tuple)
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.specs, tuple):
-            object.__setattr__(self, "specs", tuple(self.specs))
-        for spec in self.specs:
-            if not isinstance(spec, FaultSpec):
-                raise TypeError(f"CompositeFaults takes FaultSpec children, got {spec!r}")
-
-    def build(self, params: "WorkloadParams") -> Optional[FaultModel]:
-        """Thaw every effective child and combine them.
-
-        ``None`` children are elided; no effective child means ``None``
-        (reliable fast path) and exactly one builds that child's model
-        directly instead of a single-entry composite.
-        """
-        models = [m for m in (spec.build(params) for spec in self.specs) if m is not None]
-        if not models:
-            return None
-        if len(models) == 1:
-            return models[0]
-        return CompositeFaultModel(models)
-
-    def normalized(self, params: "WorkloadParams") -> FaultSpec:
-        """Flatten nested composites and drop ineffective children.
-
-        A composite of one effective child *is* that child's run, and a
-        composite of none is the reliable run — both must key accordingly.
-        """
-        effective = []
-        for spec in self.specs:
-            child = spec.normalized(params)
-            if isinstance(child, NoFaults):
-                continue
-            if isinstance(child, CompositeFaults):
-                effective.extend(child.specs)
-            else:
-                effective.append(child)
-        if not effective:
-            return NoFaults()
-        if len(effective) == 1:
-            return effective[0]
-        return CompositeFaults(tuple(effective))
-
-    def describe(self) -> str:
-        """Human-readable description used in experiment reports."""
-        if not self.specs:
-            return "no faults"
-        return " + ".join(spec.describe() for spec in self.specs)
+from repro.sim.faults import *  # noqa: F401,F403
+from repro.sim.faults import __all__  # noqa: F401

@@ -1,142 +1,160 @@
-"""Network latency models.
+"""Network latency: frozen latency specs that are also the network's latency model.
 
-The paper reports ``gamma ~= 0.6 ms`` for its 10 Gb/s Ethernet cluster and
-suggests (Section 6) evaluating the algorithm on hierarchical topologies
-such as clouds.  Three models are provided:
-
-* :class:`ConstantLatency` — every message takes exactly ``gamma``.
-* :class:`UniformJitterLatency` — latency drawn uniformly from
-  ``[gamma*(1-jitter), gamma*(1+jitter)]``; FIFO order per link is still
-  enforced by :class:`repro.sim.network.Network`.
-* :class:`HierarchicalLatency` — cluster-aware latency (intra-cluster
-  ``gamma_local``, inter-cluster ``gamma_remote``), used by the topology
-  ablation (A3 in DESIGN.md).
+Each spec is a frozen, picklable, content-hashable value whose
+``latency(src, dst)`` is a one-way delay in simulated ms: constant (the
+paper's cluster, ``gamma ~= 0.6``), uniformly jittered (``Network`` still
+keeps each link FIFO), or hierarchical (the cloud topologies of the
+paper's Section 6).  :meth:`LatencySpec.bind` prepares a spec for one run:
+a ``None`` gamma resolves to ``params.gamma`` and a cluster map is checked
+against the workload.  It returns the resolved spec, or for jitter a
+:class:`UniformJitterLatency` drawing from the spec's own seeded RNG.
 """
 
 from __future__ import annotations
 
 import random
-from abc import ABC, abstractmethod
-from typing import Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Optional, Tuple
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.workload.params import WorkloadParams
+
+__all__ = [
+    "LatencySpec", "ConstantLatencySpec", "UniformJitterLatencySpec",
+    "UniformJitterLatency", "HierarchicalLatencySpec",
+]
 
 
-class LatencyModel(ABC):
-    """Strategy object mapping a (source, destination) pair to a delay."""
+class LatencySpec:
+    """A latency model: frozen description and the network's delay hook in one."""
 
-    @abstractmethod
+    def bind(self, params: "WorkloadParams") -> "LatencySpec":
+        """The latency model of one run under ``params``."""
+        return self
+
     def latency(self, src: int, dst: int) -> float:
-        """Return the one-way delay (simulated time units) for a message."""
+        """One-way delay of a message from ``src`` to ``dst``."""
+        raise NotImplementedError
 
     def describe(self) -> str:
         """Human-readable description used in experiment reports."""
-        return type(self).__name__
+        return repr(self)
 
 
-class ConstantLatency(LatencyModel):
-    """Constant one-way latency for every pair of distinct nodes.
+@dataclass(frozen=True)
+class ConstantLatencySpec(LatencySpec):
+    """Every message takes exactly ``gamma`` (``None`` = ``params.gamma``).
 
-    Parameters
-    ----------
-    gamma:
-        One-way delay.  The paper's testbed corresponds to ``0.6`` (ms).
-    local:
-        Delay for a message a node sends to itself (defaults to 0, such
-        messages are rare and only used by baselines for uniformity).
+    A message a node sends to itself takes ``local``.  ``Network`` binds
+    its clamp-free constant send for exactly this type.
     """
 
-    def __init__(self, gamma: float = 0.6, local: float = 0.0) -> None:
-        if gamma < 0 or local < 0:
+    gamma: Optional[float] = None
+    local: float = 0.0
+
+    def __post_init__(self) -> None:
+        if (self.gamma is not None and self.gamma < 0) or self.local < 0:
             raise ValueError("latencies must be non-negative")
-        self.gamma = float(gamma)
-        self.local = float(local)
+
+    def bind(self, params: "WorkloadParams") -> "ConstantLatencySpec":
+        """The spec, with ``gamma`` resolved against ``params``."""
+        return self if self.gamma is not None else replace(self, gamma=params.gamma)
 
     def latency(self, src: int, dst: int) -> float:
+        """``local`` for a self-message, ``gamma`` otherwise."""
         return self.local if src == dst else self.gamma
 
-    def describe(self) -> str:
-        return f"ConstantLatency(gamma={self.gamma})"
 
+@dataclass(frozen=True)
+class UniformJitterLatencySpec(LatencySpec):
+    """Uniform multiplicative jitter around ``gamma`` (``None`` = ``params.gamma``).
 
-class UniformJitterLatency(LatencyModel):
-    """Latency with multiplicative uniform jitter around ``gamma``.
-
-    The jitter models queueing variability on the switch.  A dedicated
-    :class:`random.Random` instance keeps the model deterministic for a
-    given seed and independent from workload randomness.
+    The jitter models queueing variability on the switch.  The spec draws
+    nothing itself: :meth:`bind` returns a :class:`UniformJitterLatency`
+    seeded with ``seed``, independent of the workload's randomness.
     """
 
-    def __init__(self, gamma: float = 0.6, jitter: float = 0.2, seed: int = 0) -> None:
-        if not 0 <= jitter < 1:
-            raise ValueError("jitter must lie in [0, 1)")
-        if gamma <= 0:
-            raise ValueError("gamma must be positive")
-        self.gamma = float(gamma)
-        self.jitter = float(jitter)
+    gamma: Optional[float] = None
+    jitter: float = 0.2
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.jitter < 1:
+            raise ValueError(f"jitter must lie in [0, 1), got {self.jitter!r}")
+        if self.gamma is not None and self.gamma <= 0:
+            raise ValueError(f"gamma must be positive, got {self.gamma!r}")
+
+    def bind(self, params: "WorkloadParams") -> "UniformJitterLatency":
+        """A fresh :class:`UniformJitterLatency` for one run."""
+        gamma = self.gamma if self.gamma is not None else params.gamma
+        return UniformJitterLatency(gamma, self.jitter, self.seed)
+
+
+# benchmarks/e2e/e2ebench/probes.py builds this by name; ROADMAP item 8's benchmark PR retires that.
+class UniformJitterLatency(LatencySpec):
+    """One run's :class:`UniformJitterLatencySpec`: its bounds and its own RNG.
+
+    ``Random.uniform(lo, hi)`` is ``lo + (hi - lo) * random()``; hoisting
+    the operands draws the same floats without a ``uniform`` frame.
+    """
+
+    def __init__(self, gamma: float, jitter: float, seed: int = 0) -> None:
+        self._lo = gamma * (1.0 - jitter)
+        self._span = gamma * (1.0 + jitter) - self._lo
         self._rng = random.Random(seed)
-        # ``Random.uniform(lo, hi)`` is ``lo + (hi - lo) * random()``:
-        # the same expression on hoisted operands draws the same floats
-        # without a ``uniform`` frame per message.
-        lo = self.gamma * (1.0 - self.jitter)
-        hi = self.gamma * (1.0 + self.jitter)
-        self._lo = lo
-        self._span = hi - lo
         self._random = self._rng.random
 
     def latency(self, src: int, dst: int) -> float:
+        """A fresh draw for every message between distinct nodes."""
         if src == dst:
             return 0.0
         return self._lo + self._span * self._random()
 
-    def describe(self) -> str:
-        return f"UniformJitterLatency(gamma={self.gamma}, jitter={self.jitter})"
 
+@dataclass(frozen=True)
+class HierarchicalLatencySpec(LatencySpec):
+    """Two-level per-link latency: cheap intra-cluster, expensive inter-cluster.
 
-class HierarchicalLatency(LatencyModel):
-    """Two-level (cluster / inter-cluster) latency model.
-
-    Nodes are partitioned into clusters; messages within a cluster cost
-    ``gamma_local`` and messages between clusters cost ``gamma_remote``.
-    This models the "hierarchical physical topology such as Clouds"
-    scenario from the paper's conclusion.
-
-    Parameters
-    ----------
-    cluster_of:
-        Sequence mapping node id -> cluster id.  If omitted,
-        ``num_clusters`` must be given and nodes are assigned round-robin.
+    Either give an explicit ``cluster_of`` map (a cluster id per node) or a
+    ``num_clusters`` count, which assigns nodes round-robin (node ``i`` to
+    cluster ``i % num_clusters``).  ``gamma_local=None`` is
+    ``params.gamma``.  A self-message is free.
     """
 
-    def __init__(
-        self,
-        gamma_local: float = 0.6,
-        gamma_remote: float = 20.0,
-        cluster_of: Optional[Sequence[int]] = None,
-        num_nodes: Optional[int] = None,
-        num_clusters: Optional[int] = None,
-    ) -> None:
-        if gamma_local < 0 or gamma_remote < 0:
+    gamma_local: Optional[float] = None
+    gamma_remote: float = 20.0
+    num_clusters: Optional[int] = 2
+    cluster_of: Optional[Tuple[int, ...]] = None
+
+    def __post_init__(self) -> None:
+        if self.cluster_of is not None and not isinstance(self.cluster_of, tuple):
+            object.__setattr__(self, "cluster_of", tuple(self.cluster_of))
+        if self.cluster_of is None and (self.num_clusters is None or self.num_clusters <= 0):
+            raise ValueError("either cluster_of or a positive num_clusters must be given")
+        if (self.gamma_local is not None and self.gamma_local < 0) or self.gamma_remote < 0:
             raise ValueError("latencies must be non-negative")
-        if cluster_of is None:
-            if num_nodes is None or num_clusters is None or num_clusters <= 0:
-                raise ValueError(
-                    "either cluster_of or (num_nodes, num_clusters) must be provided"
-                )
-            cluster_of = [i % num_clusters for i in range(num_nodes)]
-        self.gamma_local = float(gamma_local)
-        self.gamma_remote = float(gamma_remote)
-        self.cluster_of = list(cluster_of)
+
+    def bind(self, params: "WorkloadParams") -> "HierarchicalLatencySpec":
+        """The spec, with ``gamma_local`` resolved; a cluster map must cover every node."""
+        clusters = self.cluster_of
+        if clusters is not None and len(clusters) < params.num_processes:
+            raise ValueError(
+                f"cluster_of gives a cluster to {len(clusters)} nodes, but the workload has "
+                f"processes 0..{params.num_processes - 1}: node {len(clusters)} has none"
+            )
+        return self if self.gamma_local is not None else replace(self, gamma_local=params.gamma)
 
     def latency(self, src: int, dst: int) -> float:
+        """``gamma_local`` within a cluster, ``gamma_remote`` across clusters."""
         if src == dst:
             return 0.0
-        try:
-            same = self.cluster_of[src] == self.cluster_of[dst]
-        except IndexError as exc:  # pragma: no cover - defensive
-            raise ValueError(f"node id out of range for cluster map: {src}, {dst}") from exc
+        clusters = self.cluster_of
+        if clusters is None:
+            same = src % self.num_clusters == dst % self.num_clusters
+        else:
+            same = clusters[src] == clusters[dst]
         return self.gamma_local if same else self.gamma_remote
 
-    def describe(self) -> str:
-        return (
-            f"HierarchicalLatency(local={self.gamma_local}, remote={self.gamma_remote}, "
-            f"clusters={len(set(self.cluster_of))})"
-        )
+
+# benchmarks/e2e/e2ebench/probes.py imports this name; ROADMAP item 8's benchmark PR retires it.
+ConstantLatency = ConstantLatencySpec

@@ -2,8 +2,8 @@
 
 The fault layer (:mod:`repro.sim.faults`) models the *network* side of a
 crash — a down node neither sends nor receives.  This module adds the
-*process* side: every outage window a fault model declares through
-:meth:`~repro.sim.faults.FaultModel.crash_windows` is turned into two
+*process* side: every outage window a fault spec declares through
+:meth:`~repro.sim.faults.FaultSpec.crash_windows` is turned into two
 lifecycle events delivered to the node's participants (its protocol
 allocator and its workload client):
 
@@ -66,7 +66,7 @@ class NodeLifecycle:
         Simulation engine; events are scheduled at construction time.
     windows:
         ``(node, at, recover_at)`` outage windows (``recover_at`` may be
-        ``math.inf``), typically ``fault_model.crash_windows()``.
+        ``math.inf``), typically ``faults.crash_windows()``.
         Overlapping windows for one node nest: the node is down while at
         least one window covers the current time, and transitions are
         delivered only on the down/up edges.

@@ -8,27 +8,28 @@ Implements the communication model assumed in Section 3.1 of the paper:
   jittered (delivery times are clamped to be non-decreasing per link);
 * complete communication graph — any node can message any other node.
 
-Reliability is a default, not an axiom: an optional fault layer
-(:mod:`repro.sim.faults`, thawed from the declarative specs in
-:mod:`repro.sim.faultspec`) may drop a message at send time (crashed
-sender, Bernoulli link loss) or at delivery time (partition window,
-crashed receiver); dropped messages never reach node delivery and are
-accounted separately in :class:`MessageStats`.  With no fault layer
-(``faults=None``) the hot path is exactly the reliable one.
+Reliability is a default, not an axiom: an optional fault layer (a
+fault spec of :mod:`repro.sim.faults`, bound to the run) may drop a
+message at send time (crashed sender, Bernoulli link loss) or at
+delivery time (partition window, crashed receiver); dropped messages
+never reach node delivery and are accounted separately in
+:class:`MessageStats`.  With no fault layer (``faults=None``) the hot
+path is exactly the reliable one.
 
 The network also keeps per-message-type counters so experiments can report
 message complexity alongside the paper's two primary metrics.
 
 ``send`` is the hottest call site of every distributed run, so it is
 **bound once at construction** instead of branching per message:
-``Network.__init__`` looks at the latency model's type and installs one
+``Network.__init__`` looks at the latency spec's type and installs one
 of two functions as the instance attribute ``send``.
 
-* :class:`~repro.sim.latency.ConstantLatency` (the paper's default
-  configuration): a constant latency can never reorder a link, so there
-  is no per-link FIFO clamp and the latency is hoisted to two floats.
-* any other latency model: a latency draw through a bound method hoisted
-  at construction, plus the per-link FIFO clamp.
+* exactly :class:`~repro.sim.latency.ConstantLatencySpec` (the paper's
+  default configuration): a constant latency can never reorder a link,
+  so there is no per-link FIFO clamp and the latency is hoisted to two
+  floats.
+* any other latency spec (or a subclass): a latency draw through a bound
+  method hoisted at construction, plus the per-link FIFO clamp.
 
 Both resolve the delivery callback *per (destination, message class)*
 once (an unknown destination raises ``KeyError`` there, before anything
@@ -58,10 +59,10 @@ from collections import defaultdict
 from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple
 
 from repro.sim.engine import Simulator
-from repro.sim.latency import ConstantLatency, LatencyModel
+from repro.sim.latency import ConstantLatencySpec, LatencySpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.sim.faults import FaultModel
+    from repro.sim.faults import FaultSpec
     from repro.sim.node import Node
 
 #: Compact ``Network._last_delivery`` once it holds this many links.
@@ -176,11 +177,12 @@ class Network:
     sim:
         Simulation engine used to schedule deliveries.
     latency:
-        Latency model; defaults to the paper's constant ``gamma = 0.6``.
+        Latency spec, bound to the run (``LatencySpec.bind``: no ``None``
+        gamma left); defaults to the paper's constant ``gamma = 0.6``.
     faults:
-        Optional live :class:`~repro.sim.faults.FaultModel` (thawed from a
-        :class:`~repro.sim.faultspec.FaultSpec`); ``None`` (default) keeps
-        the reliable Section 3.1 links.
+        Optional fault layer, a :class:`~repro.sim.faults.FaultSpec` bound
+        to the run (``FaultSpec.bind``); ``None`` (default) keeps the
+        reliable Section 3.1 links.
 
     Notes
     -----
@@ -213,11 +215,11 @@ class Network:
     def __init__(
         self,
         sim: Simulator,
-        latency: Optional[LatencyModel] = None,
-        faults: Optional["FaultModel"] = None,
+        latency: Optional[LatencySpec] = None,
+        faults: Optional["FaultSpec"] = None,
     ) -> None:
         self.sim = sim
-        self.latency = latency if latency is not None else ConstantLatency()
+        self.latency = latency if latency is not None else ConstantLatencySpec(gamma=0.6)
         self.faults = faults
         self.stats = MessageStats()
         self._nodes: Dict[int, "Node"] = {}
@@ -247,7 +249,7 @@ class Network:
         self._exposed_nodes = faults.exposed_nodes() if faults is not None else None
         # The latency draw of the general send, bound once.
         self._latency_of = self.latency.latency
-        if type(self.latency) is ConstantLatency:
+        if type(self.latency) is ConstantLatencySpec:
             self._gamma = self.latency.gamma
             self._local = self.latency.local
             self.send = self._send_constant

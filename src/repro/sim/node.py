@@ -6,7 +6,7 @@ simulator and the network, can send messages, set timers, and dispatches
 incoming messages to ``on_<MessageClassName>`` handler methods.
 
 Nodes are also the unit of *failure*: when a scenario's fault spec
-declares node outages (:meth:`repro.sim.faults.FaultModel.crash_windows`),
+declares node outages (:meth:`repro.sim.faults.FaultSpec.crash_windows`),
 the :class:`~repro.sim.lifecycle.NodeLifecycle` layer delivers
 :meth:`Node.on_crash` at the start of each window and
 :meth:`Node.on_recover` at its end.  The base implementations only flip

@@ -6,8 +6,7 @@ instead issues requests at externally driven instants, whether or not
 earlier requests have completed.  Each :class:`ArrivalSpec` below is the
 frozen, picklable description of one such arrival process; it thaws into
 an infinite inter-arrival-gap generator via :meth:`ArrivalSpec.gaps`
-inside the process running the experiment (exactly the
-:class:`~repro.sim.latencyspec.LatencySpec` thaw idiom).
+inside the process running the experiment.
 
 All specs are *rate-normalised*: ``rate`` is the per-process mean arrival
 rate in requests per simulated millisecond, and every family draws gaps

@@ -2,8 +2,8 @@
 
 Workload generation was the last experiment dimension still baked into a
 single hard-coded generator: latency, faults and detectors all have
-frozen, picklable, content-hashable spec axes thawed per-run
-(:mod:`repro.sim.latencyspec` is the template).  A :class:`WorkloadSpec`
+frozen, picklable, content-hashable spec axes bound per-run
+(:mod:`repro.sim.latency`).  A :class:`WorkloadSpec`
 closes that gap — it is the declarative description of *how requests
 arrive*, carried by :class:`~repro.experiments.scenario.Scenario` as the
 ``workload`` axis and thawed into per-process request streams inside

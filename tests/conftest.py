@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.sim.engine import Simulator
-from repro.sim.latency import ConstantLatency
+from repro.sim.latency import ConstantLatencySpec
 from repro.sim.network import Network
 from repro.workload.params import LoadLevel, WorkloadParams
 
@@ -19,7 +19,7 @@ def sim() -> Simulator:
 @pytest.fixture
 def network(sim: Simulator) -> Network:
     """A network with a 0.5 ms constant latency attached to ``sim``."""
-    return Network(sim, ConstantLatency(gamma=0.5))
+    return Network(sim, ConstantLatencySpec(gamma=0.5))
 
 
 @pytest.fixture

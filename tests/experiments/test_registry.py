@@ -10,7 +10,7 @@ from repro.core.node import CoreAllocatorNode
 from repro.core.policies import MaxPolicy
 from repro.experiments.registry import ALGORITHM_LABELS, ALGORITHMS, get_algorithm
 from repro.sim.engine import Simulator
-from repro.sim.latencyspec import ConstantLatencySpec
+from repro.sim.latency import ConstantLatencySpec
 from repro.sim.network import Network
 from repro.workload.params import WorkloadParams
 
@@ -23,7 +23,7 @@ def params():
 
 def make_network(params, sim):
     """The network the runner builds by default: constant ``params.gamma``."""
-    return Network(sim, ConstantLatencySpec().build(params))
+    return Network(sim, ConstantLatencySpec().bind(params))
 
 
 def make_allocators(algorithm, params, sim, network, config=None):

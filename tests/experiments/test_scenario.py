@@ -66,18 +66,20 @@ class TestScenarioValue:
             Scenario(algorithm="shared_memory", params=small_params(), config=CoreConfigSpec())
 
     def test_live_latency_model_rejected(self):
-        from repro.sim.latency import ConstantLatency
-
-        with pytest.raises(TypeError, match="LatencySpec"):
-            Scenario(algorithm="with_loan", params=small_params(), latency=ConstantLatency())
+        """What a jittered latency binds to for one run holds an RNG: not a spec."""
+        bound = UniformJitterLatencySpec(jitter=0.3).bind(small_params())
+        with pytest.raises(TypeError, match="LatencySpec .*bound to one run"):
+            Scenario(algorithm="with_loan", params=small_params(), latency=bound)
 
     def test_live_fault_model_rejected(self):
-        from repro.sim.faults import BernoulliLossModel
+        """What a Bernoulli loss binds to for one run holds an RNG: not a spec."""
+        bound = BernoulliLoss(p=0.1).bind(small_params())
+        with pytest.raises(TypeError, match="FaultSpec .*bound to one run"):
+            Scenario(algorithm="with_loan", params=small_params(), faults=bound)
 
-        with pytest.raises(TypeError, match="FaultSpec"):
-            Scenario(
-                algorithm="with_loan", params=small_params(), faults=BernoulliLossModel(p=0.1)
-            )
+    def test_non_spec_detector_rejected(self):
+        with pytest.raises(TypeError, match="DetectorSpec"):
+            Scenario(algorithm="with_loan", params=small_params(), detector=40.0)
 
 
 class TestScenarioKey:

@@ -18,7 +18,7 @@ from repro.core.config import CoreConfig
 from repro.core.node import CoreAllocatorNode
 from repro.metrics.collector import MetricsCollector
 from repro.sim.engine import Simulator
-from repro.sim.latency import ConstantLatency, LatencyModel
+from repro.sim.latency import ConstantLatencySpec, LatencySpec
 from repro.sim.network import Network
 from repro.sim.trace import TraceRecorder
 
@@ -43,7 +43,7 @@ def build_system(
     num_processes: int,
     num_resources: int,
     gamma: float = 0.5,
-    latency: Optional[LatencyModel] = None,
+    latency: Optional[LatencySpec] = None,
     core_config: Optional[CoreConfig] = None,
     resend_interval: Optional[float] = None,
 ) -> System:
@@ -63,7 +63,7 @@ def build_system(
         return System(sim=sim, network=None, allocators=allocators,
                       num_resources=num_resources, trace=trace)
 
-    network = Network(sim, latency or ConstantLatency(gamma=gamma))
+    network = Network(sim, latency or ConstantLatencySpec(gamma=gamma))
     if algorithm == "incremental":
         allocators = [
             IncrementalAllocatorNode(

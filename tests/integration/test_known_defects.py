@@ -107,3 +107,26 @@ def test_loss_of_one_message_class_converges(kind, seed):
     assert result.messages_dropped > 0
     assert_finished(result)
     assert result.termination.abandoned == 0
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        known(
+            SafetyViolation, 0.005,
+            today="p=0.005: resource 23 granted to process 5 at t=276.99 while held by process 10",
+        ),
+        known(AllocatorError, 0.01, today="p=0.01: node 31 sends token 65 it does not own"),
+    ],
+)
+def test_loss_of_requests_and_counters_stays_safe(p):
+    """ROADMAP "make the resend net sound": requests and counters lost together.
+
+    N=32/M=80/phi=8, seed 6.  No token is ever dropped, yet the run
+    double-grants a resource at 0.5 % loss and hands on a token its
+    sender does not own at 1 %.
+    """
+    kinds = ("RequestEnvelope", "CounterEnvelope")
+    result = run(scenario(32, 80, 8, 6, faults=BernoulliLoss(p=p, kinds=kinds)))
+    assert result.messages_dropped > 0
+    assert_finished(result)

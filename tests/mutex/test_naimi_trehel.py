@@ -8,7 +8,7 @@ import pytest
 
 from repro.mutex.naimi_trehel import MutexError, NaimiTrehelInstance, NTRequest, NTToken
 from repro.sim.engine import Simulator
-from repro.sim.latency import ConstantLatency
+from repro.sim.latency import ConstantLatencySpec
 from repro.sim.network import Network
 from repro.sim.node import Node
 
@@ -43,7 +43,7 @@ class MutexHost(Node):
 
 
 def build_hosts(sim, n, gamma=1.0):
-    network = Network(sim, ConstantLatency(gamma=gamma))
+    network = Network(sim, ConstantLatencySpec(gamma=gamma))
     return [MutexHost(sim, network, i) for i in range(n)]
 
 
@@ -155,7 +155,7 @@ class TestTokenPayload:
         assert hosts[2].mutex.token_payload == {"counter": 7}
 
     def test_on_token_received_hook(self, sim):
-        network = Network(sim, ConstantLatency(gamma=1.0))
+        network = Network(sim, ConstantLatencySpec(gamma=1.0))
         seen = []
 
         class HookHost(MutexHost):

@@ -14,14 +14,14 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.faults import (
-    BernoulliLossModel,
-    CompositeFaultModel,
-    LinkPartitionModel,
-    NodeCrashModel,
+from repro.sim.faults import BernoulliLoss, CompositeFaults, LinkPartition, NoFaults, NodeCrash
+from repro.sim.latency import (
+    ConstantLatencySpec,
+    HierarchicalLatencySpec,
+    UniformJitterLatencySpec,
 )
-from repro.sim.latency import ConstantLatency, HierarchicalLatency, UniformJitterLatency
 from repro.sim.network import Network
+from repro.workload.params import WorkloadParams
 from tests.sim.test_network import (
     ClampedConstantLatency,
     CountingFaults,
@@ -37,6 +37,9 @@ NODES = 6
 #: Registered ids plus one nobody registered: a crash model may name it
 #: (the benchmark's send probe does), and a send to it raises.
 UNREGISTERED = NODES + 3
+#: What specs are bound against: every drawn node id, the unregistered one
+#: included, is a process of it.
+PARAMS = WorkloadParams(num_processes=UNREGISTERED + 1, num_resources=8, phi=2)
 
 #: A coarse grid, so that scripts are full of same-instant bursts and of
 #: messages in flight exactly across a window's edge.
@@ -48,15 +51,17 @@ messages = st.builds(
 )
 scripts = st.lists(st.tuples(instants, node_ids, destinations, messages), max_size=40)
 
-#: Latency recipes: plain data, thawed once per network so that the two
-#: sides never share an RNG.
+#: Latency recipes: specs bound once per network so that the two sides
+#: never share an RNG.
 LATENCIES = {
-    "constant": lambda seed: ConstantLatency(gamma=1.0, local=0.25),
-    "clamped": lambda seed: ClampedConstantLatency(gamma=1.0, local=0.25),
-    "jitter": lambda seed: UniformJitterLatency(gamma=1.0, jitter=0.9, seed=seed),
-    "hierarchical": lambda seed: HierarchicalLatency(
-        gamma_local=0.5, gamma_remote=2.0, num_nodes=NODES, num_clusters=2
+    "constant": lambda seed: ConstantLatencySpec(gamma=1.0, local=0.25).bind(PARAMS),
+    "clamped": lambda seed: ClampedConstantLatency(gamma=1.0, local=0.25).bind(PARAMS),
+    "jitter": lambda seed: UniformJitterLatencySpec(gamma=1.0, jitter=0.9, seed=seed).bind(
+        PARAMS
     ),
+    "hierarchical": lambda seed: HierarchicalLatencySpec(
+        gamma_local=0.5, gamma_remote=2.0, num_clusters=2
+    ).bind(PARAMS),
 }
 latencies = st.tuples(st.sampled_from(sorted(LATENCIES)), st.integers(0, 5))
 
@@ -88,30 +93,43 @@ fault_recipes = st.one_of(
 
 
 def thaw(recipe):
-    """Build a fresh live fault model (own RNG) from a drawn recipe."""
+    """Bind a fresh fault spec (own RNG) from a drawn recipe.
+
+    A window ending at ``math.inf`` is the spec's ``None`` (never).  A spec
+    that binds to nothing (zero loss, an empty composite) plays as itself,
+    a layer that never drops.  Deliberate narrowing: ``LinkPartition``
+    rejects a pair naming one node twice and an empty pair list, so such
+    pairs are left out of a drawn partition, and one left with none is
+    ``NoFaults()``.
+    """
     if recipe is None:
         return None
     kind = recipe[0]
     if kind == "crash":
         _, node, at, length = recipe
-        return NodeCrashModel(node=node, at=at, recover_at=at + length)
-    if kind == "partition":
+        spec = NodeCrash(node=node, at=at, recover_at=None if math.isinf(length) else at + length)
+    elif kind == "partition":
         _, pairs, start, length = recipe
-        return LinkPartitionModel(pairs, start=start, end=start + length)
-    if kind == "loss":
+        pairs = tuple((a, b) for a, b in pairs if a != b)
+        end = None if math.isinf(length) else start + length
+        spec = LinkPartition(pairs, start=start, end=end) if pairs else NoFaults()
+    elif kind == "loss":
         _, p, seed, kinds = recipe
-        return BernoulliLossModel(p=p, seed=seed, kinds=kinds)
-    return CompositeFaultModel([thaw(child) for child in recipe[1]])
+        spec = BernoulliLoss(p=p, seed=seed, kinds=kinds)
+    else:
+        spec = CompositeFaults(tuple(thaw(child) for child in recipe[1]))
+    bound = spec.bind(PARAMS)
+    return spec if bound is None else bound
 
 
 def rng_states(latency, faults):
-    """Final state of every RNG the latency and fault models own."""
-    models = [latency]
+    """Final state of every RNG the bound latency and fault layer own."""
+    models = [latency, faults]
     while models:
         model = models.pop()
         if model is None:
             continue
-        models.extend(getattr(model, "models", ()))
+        models.extend(getattr(model, "specs", ()))
         if hasattr(model, "_rng"):
             yield model._rng.getstate()
 
@@ -181,7 +199,7 @@ def test_hooks_are_false_outside_the_declared_scope(fault_recipe, probed):
 @given(st.lists(simple_faults, max_size=4))
 def test_composite_scope_is_the_union_of_its_children(recipes):
     children = [thaw(recipe) for recipe in recipes]
-    composite = CompositeFaultModel(children)
+    composite = CompositeFaults(tuple(children))
     scopes = [child.exposed_nodes() for child in children]
     if None in scopes:
         assert composite.exposed_nodes() is None

@@ -4,11 +4,14 @@ import math
 
 import pytest
 
-from repro.sim.detectorspec import CrashDetector, HeartbeatDetector, NoDetector
+from repro.sim.detectorspec import HeartbeatDetector, NoDetector
 from repro.sim.engine import Simulator
-from repro.sim.faults import CompositeFaultModel, NodeCrashModel
-from repro.sim.faultspec import BernoulliLoss, CompositeFaults, NodeCrash
+from repro.sim.faults import BernoulliLoss, CompositeFaults, FaultSpec, NoFaults, NodeCrash
 from repro.sim.lifecycle import NodeLifecycle
+from repro.workload.params import WorkloadParams
+
+
+PARAMS = WorkloadParams(num_processes=3, num_resources=4, phi=2)
 
 
 class Probe:
@@ -36,32 +39,28 @@ class Listener:
 
 
 class TestCrashWindows:
-    def test_default_model_has_no_windows(self):
-        from repro.sim.faults import FaultModel
-
-        assert FaultModel().crash_windows() == ()
+    def test_default_spec_has_no_windows(self):
+        assert FaultSpec().crash_windows() == ()
+        assert NoFaults().crash_windows() == ()
+        assert BernoulliLoss(p=0.5).crash_windows() == ()
 
     def test_node_crash_window(self):
-        model = NodeCrashModel(node=3, at=5.0, recover_at=9.0)
-        assert model.crash_windows() == ((3, 5.0, 9.0),)
+        spec = NodeCrash(node=3, at=5.0, recover_at=9.0)
+        assert spec.crash_windows() == ((3, 5.0, 9.0),)
 
     def test_composite_windows_sorted_by_time(self):
-        model = CompositeFaultModel(
-            [
-                NodeCrashModel(node=1, at=7.0),
-                NodeCrashModel(node=2, at=3.0, recover_at=5.0),
-            ]
+        spec = CompositeFaults(
+            (
+                NodeCrash(node=1, at=7.0),
+                NodeCrash(node=2, at=3.0, recover_at=5.0),
+            )
         )
-        assert model.crash_windows() == ((2, 3.0, 5.0), (1, 7.0, math.inf))
+        assert spec.crash_windows() == ((2, 3.0, 5.0), (1, 7.0, math.inf))
 
-    def test_spec_round_trip(self):
-        params_windows = (
-            CompositeFaults((BernoulliLoss(p=0.1), NodeCrash(node=0, at=2.0)))
-        )
-        from repro.workload.params import WorkloadParams
-
-        model = params_windows.build(WorkloadParams(num_processes=3, num_resources=4, phi=2))
-        assert model.crash_windows() == ((0, 2.0, math.inf),)
+    def test_bound_composite_declares_the_spec_windows(self):
+        spec = CompositeFaults((BernoulliLoss(p=0.1), NodeCrash(node=0, at=2.0)))
+        layer = spec.bind(PARAMS)
+        assert layer.crash_windows() == spec.crash_windows() == ((0, 2.0, math.inf),)
 
 
 class TestNodeLifecycle:
@@ -171,15 +170,13 @@ class TestNodeLifecycle:
 
 
 class TestDetectorSpecs:
-    def test_no_detector_builds_nothing(self):
-        assert NoDetector().build() is None
+    def test_no_detector_binds_nothing(self):
+        assert NoDetector().bind(PARAMS) is None
 
     def test_heartbeat_detection_delay(self):
         spec = HeartbeatDetector(interval=10.0, timeout=25.0)
         assert spec.detection_delay == 35.0
-        built = spec.build()
-        assert isinstance(built, CrashDetector)
-        assert built.detection_delay == 35.0
+        assert spec.bind(PARAMS) is spec
 
     def test_heartbeat_validation(self):
         with pytest.raises(ValueError):

@@ -5,10 +5,18 @@ from dataclasses import dataclass
 import pytest
 
 from repro.sim.engine import Simulator
-from repro.sim.faults import BernoulliLossModel, FaultModel, LinkPartitionModel, NodeCrashModel
-from repro.sim.latency import ConstantLatency, LatencyModel, UniformJitterLatency
+from repro.sim.faults import BernoulliLoss, FaultSpec, LinkPartition, NodeCrash
+from repro.sim.latency import ConstantLatencySpec, LatencySpec, UniformJitterLatency
 from repro.sim.network import MessageStats, Network
 from repro.sim.node import Node
+from repro.workload.params import WorkloadParams
+
+# The names these tests were written with: the constant latency spec and
+# the crash spec are the network's latency model and fault layer.
+ConstantLatency = ConstantLatencySpec
+NodeCrashModel = NodeCrash
+
+PARAMS = WorkloadParams(num_processes=8, num_resources=8, phi=2)
 
 
 @dataclass(frozen=True)
@@ -49,13 +57,13 @@ class TestDelivery:
             net.send(0, 99, Ping(0))
 
     def test_duplicate_node_id_rejected(self, sim):
-        net = Network(sim, ConstantLatency())
+        net = Network(sim, ConstantLatency(gamma=0.6))
         Recorder(sim, net, 0)
         with pytest.raises(ValueError):
             Recorder(sim, net, 0)
 
     def test_node_ids_sorted(self, sim):
-        net = Network(sim, ConstantLatency())
+        net = Network(sim, ConstantLatency(gamma=0.6))
         for node_id in (3, 1, 2):
             Recorder(sim, net, node_id)
         assert net.node_ids == [1, 2, 3]
@@ -367,12 +375,12 @@ def play_script(network_cls, latency, faults, script, nodes=3):
     return net, returned, log
 
 
-class CountingFaults(FaultModel):
+class CountingFaults(FaultSpec):
     """Delegates to ``inner`` and counts how often each hook is asked.
 
     With ``scoped=False`` it declares nothing — the inherited
-    ``quiet_until()`` / ``exposed_nodes()`` of a model written before the
-    scoping contracts existed — and must then be asked about everything.
+    ``quiet_until()`` / ``exposed_nodes()`` of a spec that does not
+    narrow its scope — and must then be asked about everything.
     """
 
     def __init__(self, inner, scoped=True):
@@ -440,9 +448,10 @@ class TestFaultLayerIsConsultedOnlyWhenExposed:
             (NodeCrashModel(node=7, at=0.0), 0),
             (NodeCrashModel(node=1, at=1e9), 0),
             # Nodes 0 and 2 are named, so only 1 -> 1 self-sends are not.
-            (LinkPartitionModel([(0, 2)], start=0.0), 13),
-            (LinkPartitionModel([(0, 2)], start=3.0, end=5.0), 8),
-            (BernoulliLossModel(p=0.0), 15),
+            (LinkPartition(((0, 2),), start=0.0), 13),
+            (LinkPartition(((0, 2),), start=3.0, end=5.0), 8),
+            # Unscoped: asked about everything, and drops every Pong.
+            (BernoulliLoss(p=1.0, kinds=("Pong",)).bind(PARAMS), 15),
         ],
         ids=["crash", "crash-window", "crash-unregistered", "crash-never", "partition",
              "partition-window", "loss"],
@@ -459,7 +468,7 @@ class TestFaultLayerIsConsultedOnlyWhenExposed:
         assert faults.send_calls == faults.delivery_calls == len(SEND_SCRIPT)
 
 
-class ScriptedLatency(LatencyModel):
+class ScriptedLatency(LatencySpec):
     """Hands out the given delays in order, one per message."""
 
     def __init__(self, delays):
@@ -498,7 +507,11 @@ def test_message_clamped_into_a_crash_window_is_exposed(network_cls):
 )
 @pytest.mark.parametrize(
     "make_faults",
-    [lambda: None, lambda: NodeCrashModel(node=1, at=0.0), lambda: BernoulliLossModel(p=0.5)],
+    [
+        lambda: None,
+        lambda: NodeCrash(node=1, at=0.0),
+        lambda: BernoulliLoss(p=0.5).bind(PARAMS),
+    ],
     ids=["no-faults", "crash", "loss"],
 )
 def test_unknown_destination_raises_before_anything_is_counted(sim, make_latency, make_faults):
@@ -516,3 +529,18 @@ def test_unknown_destination_raises_before_anything_is_counted(sim, make_latency
     assert rng_states == [
         model._rng.getstate() for model in (latency, faults) if hasattr(model, "_rng")
     ]
+
+
+def test_the_benchmark_probes_network_builds_as_it_did():
+    """``benchmarks/e2e/e2ebench/probes.py`` builds its two networks from these names."""
+    from repro.sim.faults import NodeCrashModel as ProbeCrash
+    from repro.sim.latency import ConstantLatency as ProbeConstant
+
+    general = Network(
+        Simulator(), UniformJitterLatency(0.6, 0.4, seed=1), faults=ProbeCrash(node=3, at=0.0)
+    )
+    constant = Network(Simulator(), ProbeConstant(0.6))
+    assert general.send.__func__ is Network._send_general
+    assert general.faults == NodeCrash(node=3, at=0.0)
+    assert constant.send.__func__ is Network._send_constant
+    assert constant.latency == ConstantLatencySpec(gamma=0.6)

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from repro.sim.latency import ConstantLatency
+from repro.sim.latency import ConstantLatencySpec
 from repro.sim.network import Network
 from repro.sim.node import Node
 
@@ -31,7 +31,7 @@ class Greeter(Node):
 
 class TestDispatch:
     def test_handler_invoked_by_message_class_name(self, sim):
-        net = Network(sim, ConstantLatency(gamma=1.0))
+        net = Network(sim, ConstantLatencySpec(gamma=1.0))
         a = Greeter(sim, net, 0)
         b = Greeter(sim, net, 1)
         a.send(1, Hello("hi"))
@@ -39,7 +39,7 @@ class TestDispatch:
         assert b.greetings == [(0, "hi")]
 
     def test_missing_handler_raises(self, sim):
-        net = Network(sim, ConstantLatency(gamma=1.0))
+        net = Network(sim, ConstantLatencySpec(gamma=1.0))
         a = Greeter(sim, net, 0)
         Greeter(sim, net, 1)
         a.send(1, Unknown())
@@ -47,7 +47,7 @@ class TestDispatch:
             sim.run()
 
     def test_registration_happens_on_construction(self, sim):
-        net = Network(sim, ConstantLatency())
+        net = Network(sim, ConstantLatencySpec(gamma=0.6))
         node = Greeter(sim, net, 7)
         assert net.node(7) is node
 
