@@ -21,7 +21,13 @@ Three uses:
   ``benchmarks/test_bench_engine.py`` and
   ``benchmarks/test_bench_obs.py``; this check pins the mechanism (the
   code is truly never entered), so it cannot rot into "slow but under
-  the noise floor".  Wired into ``scripts/check.sh``.
+  the noise floor".  The same leg profiles a small ``bouabdallah`` run
+  too, and asserts for both runs that the shared send path costs one
+  frame of ``sim`` per message: no ``Node.send`` frame (a node's
+  ``send`` is a ``partial`` over the network's bound send) and no
+  ``Simulator.post_at`` called from ``sim/network.py`` (the sends queue
+  through the simulator's push directly).  Wired into
+  ``scripts/check.sh``.
 * ``python scripts/profile_run.py --armed --check`` — the same kind of
   structural assertion for a run that *does* have a fault layer: the
   canonical scenario plus a permanent crash of node 1 at t=300, a
@@ -32,7 +38,8 @@ Three uses:
   consulting both hooks for every message is 2.0), and the per-message
   path executes no frame of ``HeapScheduler.peek``/``pop``,
   ``MessageStats.record``, ``Random.uniform`` called by the jittered
-  latency (``sim/latency.py``) or a ``now`` property.
+  latency (``sim/latency.py``), a ``now`` property, or the two frames
+  the no-fault leg forbids on the send path.
   The exact per-message hook count is pinned by
   ``tests/sim/test_network.py``; this leg checks a whole run.
 
@@ -105,27 +112,37 @@ ALLOWED_FRAMES = (("repro.sim.faults", "NoFaults.bind"),)
 #: of the armed run.  Consulting both hooks for every message is 2.0.
 ARMED_HOOK_CALLS_PER_MESSAGE = 0.25
 
-#: ``(file suffix, function name, caller's file suffix)`` frames the
-#: armed run must never execute: each was one Python frame per message
-#: or per event before the armed path was made to cost what its work
-#: costs.  An empty caller suffix matches any caller; ``Random.uniform``
-#: is only forbidden to the latency model (the workload generator draws
-#: think times with it, once per request).
+#: ``(file suffix, function name, caller's file suffix)`` frames no
+#: profiled run may execute between a handler and the event queue: each
+#: was one Python frame per message before a node's ``send`` became a
+#: ``partial`` over the network's bound send and the sends queued through
+#: the simulator's push directly.  An empty caller suffix matches any
+#: caller (``post_at`` stays a public method for other callers).
+FORBIDDEN_ON_SEND_PATH = (
+    (os.path.join("sim", "node.py"), "send", ""),
+    (os.path.join("sim", "engine.py"), "post_at", os.path.join("sim", "network.py")),
+)
+
+#: Frames, as above, the armed run must never execute: each was one
+#: Python frame per message or per event before the armed path was made
+#: to cost what its work costs.  ``Random.uniform`` is only forbidden to
+#: the latency model (the workload generator draws think times with it,
+#: once per request).
 FORBIDDEN_ON_ARMED_PATH = (
     (os.path.join("sim", "schedulers.py"), "peek", ""),
     (os.path.join("sim", "schedulers.py"), "pop", ""),
     (os.path.join("sim", "network.py"), "record", ""),
     (os.path.join("sim", "engine.py"), "now", ""),
     ("random.py", "uniform", os.path.join("sim", "latency.py")),
-)
+) + FORBIDDEN_ON_SEND_PATH
 
 
-def profile_canonical(scheduler, armed=False):
+def profile_canonical(scheduler, armed=False, algorithm="with_loan"):
     """Run the canonical closed-loop scenario under cProfile.
 
     ``armed`` adds a permanent crash of node 1, a heartbeat detector and
     jittered latency: every message on the general send, the run loop
-    bounded by ``until``.
+    bounded by ``until``.  ``algorithm`` swaps the protocol.
     """
     from repro.experiments.runner import run
     from repro.experiments.scenario import Scenario
@@ -135,7 +152,7 @@ def profile_canonical(scheduler, armed=False):
         num_processes=10, num_resources=24, phi=4,
         duration=1_500.0, warmup=200.0, seed=1,
     )
-    scenario = Scenario(algorithm="with_loan", params=params, scheduler=scheduler)
+    scenario = Scenario(algorithm=algorithm, params=params, scheduler=scheduler)
     if armed:
         from repro.sim.detectorspec import HeartbeatDetector
         from repro.sim.faults import NodeCrash
@@ -184,17 +201,14 @@ def forbidden_frames(profile, forbidden) -> list:
     return offenders
 
 
-def check_armed_budget(profile, messages: int) -> tuple:
-    """Return the armed run's budget violations (printable lines) and hook-call count."""
-    stats = pstats.Stats(profile)
-    faults_py = os.path.join("sim", "faults.py")
-    hook_calls = 0
+def forbidden_calls(profile, forbidden) -> list:
+    """Printable lines for the ``(file suffix, function, caller suffix)`` frames that ran."""
     problems = []
-    for (filename, lineno, funcname), (_cc, _nc, _tt, _ct, callers) in stats.stats.items():
-        if filename.endswith(faults_py) and funcname in ("drop_on_send", "drop_on_delivery"):
-            hook_calls += sum(calls[0] for calls in callers.values())
-        for suffix, forbidden, caller_suffix in FORBIDDEN_ON_ARMED_PATH:
-            if funcname != forbidden or not filename.endswith(suffix):
+    for (filename, lineno, funcname), (_cc, _nc, _tt, _ct, callers) in (
+        pstats.Stats(profile).stats.items()
+    ):
+        for suffix, name, caller_suffix in forbidden:
+            if funcname != name or not filename.endswith(suffix):
                 continue
             ncalls = sum(
                 calls[0] for caller, calls in callers.items()
@@ -203,6 +217,18 @@ def check_armed_budget(profile, messages: int) -> tuple:
             if ncalls:
                 rel = os.path.relpath(filename, REPO)
                 problems.append(f"{rel}:{lineno} {funcname} ran {ncalls} times (budget: 0)")
+    return problems
+
+
+def check_armed_budget(profile, messages: int) -> tuple:
+    """Return the armed run's budget violations (printable lines) and hook-call count."""
+    stats = pstats.Stats(profile)
+    faults_py = os.path.join("sim", "faults.py")
+    hook_calls = 0
+    for (filename, _lineno, funcname), (_cc, _nc, _tt, _ct, callers) in stats.stats.items():
+        if filename.endswith(faults_py) and funcname in ("drop_on_send", "drop_on_delivery"):
+            hook_calls += sum(calls[0] for calls in callers.values())
+    problems = forbidden_calls(profile, FORBIDDEN_ON_ARMED_PATH)
     for filename, lineno, funcname in forbidden_frames(profile, FORBIDDEN_ON_EVERY_PATH):
         rel = os.path.relpath(filename, REPO)
         problems.append(f"{rel}:{lineno} {funcname} ran (budget: 0 frames from its module)")
@@ -227,8 +253,9 @@ def main() -> None:
     )
     parser.add_argument(
         "--check", action="store_true",
-        help="assert the no-fault run executes no fault/lifecycle/recovery/obs frames "
-        "and no frame defined in core/messages.py",
+        help="assert the no-fault runs (with_loan, bouabdallah) execute no "
+        "fault/lifecycle/recovery/obs frames, no frame defined in core/messages.py "
+        "and no Node.send or network-called post_at frame",
     )
     parser.add_argument(
         "--armed", action="store_true",
@@ -261,18 +288,29 @@ def main() -> None:
 
     if args.check:
         forbidden = FORBIDDEN_ON_NO_FAULT_PATH + FORBIDDEN_ON_EVERY_PATH
-        offenders = forbidden_frames(profile, forbidden)
-        if offenders:
-            print("no-fault run executed frames from forbidden modules:", file=sys.stderr)
-            for filename, lineno, funcname in sorted(offenders):
-                rel = os.path.relpath(filename, REPO)
-                print(f"  {rel}:{lineno} {funcname}", file=sys.stderr)
+        bl_profile, _ = profile_canonical(args.scheduler, algorithm="bouabdallah")
+        problems = []
+        for algorithm, run_profile in (("with_loan", profile), ("bouabdallah", bl_profile)):
+            offenders = [
+                f"{os.path.relpath(filename, REPO)}:{lineno} {funcname} "
+                "(budget: 0 frames from its module)"
+                for filename, lineno, funcname in forbidden_frames(run_profile, forbidden)
+            ]
+            offenders += forbidden_calls(run_profile, FORBIDDEN_ON_SEND_PATH)
+            problems += [f"{algorithm}: {line}" for line in sorted(offenders)]
+        if problems:
+            print("no-fault runs executed forbidden frames:", file=sys.stderr)
+            for line in problems:
+                print(f"  {line}", file=sys.stderr)
             sys.exit(1)
         print(
-            "no-fault fast path clean: 0 frames from "
+            "no-fault fast path clean (with_loan, bouabdallah): 0 frames from "
             + ", ".join(forbidden)
             + " beside the allowed "
             + ", ".join(name for _module, name in ALLOWED_FRAMES)
+            + "; 0 frames of "
+            + ", ".join(f"{suffix} {name}" + (f" called from {caller}" if caller else "")
+                        for suffix, name, caller in FORBIDDEN_ON_SEND_PATH)
         )
         return
 

@@ -28,15 +28,19 @@ which is exactly the synchronisation cost the paper attacks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Union
 
 from repro.allocator import AllocatorError, MultiResourceAllocator, validate_resources
 from repro.mutex.naimi_trehel import NaimiTrehelInstance, NTRequest, NTToken
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
-from repro.sim.node import Node
+from repro.sim.node import Node, Record
 from repro.sim.trace import TraceRecorder
+
+# Both message classes are tuple-backed records, built at their send
+# sites with one C call (see repro.sim.node.Record).
+_tuple_new = tuple.__new__
 
 
 class _TokenHere:
@@ -56,17 +60,19 @@ ControlEntry = Union[_TokenHere, int]
 CONTROL_INSTANCE = "BL-control"
 
 
-@dataclass(frozen=True)
-class BLResourceToken:
+class BLResourceToken(Record, namedtuple("BLResourceToken", "resource")):
     """The unique token granting access to ``resource``."""
+
+    __slots__ = ()
 
     resource: int
 
 
-@dataclass(frozen=True)
-class BLInquire:
+class BLInquire(Record, namedtuple("BLInquire", "resource requester")):
     """Ask the previous latest requester to forward ``resource``'s token to
     ``requester`` once it is done with it."""
+
+    __slots__ = ()
 
     resource: int
     requester: int
@@ -147,7 +153,7 @@ class BLAllocatorNode(Node, MultiResourceAllocator):
             nxt = self._next_holder.pop(r, None)
             if nxt is not None:
                 self._owned.discard(r)
-                self.send(nxt, BLResourceToken(resource=r))
+                self.send(nxt, _tuple_new(BLResourceToken, (r,)))
 
     # ------------------------------------------------------------------ #
     # control-token phase
@@ -170,7 +176,7 @@ class BLAllocatorNode(Node, MultiResourceAllocator):
                         "but does not hold its token"
                     )
             else:
-                self.send(entry, BLInquire(resource=r, requester=self.node_id))
+                self.send(entry, _tuple_new(BLInquire, (r, self.node_id)))
             vector[r] = self.node_id
         self._registered = True
         self._control.token_payload = vector
@@ -191,17 +197,17 @@ class BLAllocatorNode(Node, MultiResourceAllocator):
         r = msg.resource
         if r in self._owned and not self._resource_busy(r):
             self._owned.discard(r)
-            self.send(msg.requester, BLResourceToken(resource=r))
+            self.send(msg.requester, _tuple_new(BLResourceToken, (r,)))
         else:
             self._next_holder[r] = msg.requester
 
     def on_NTRequest(self, src: int, msg: NTRequest) -> None:
-        """Route control-token traffic to the embedded Naimi–Tréhel instance."""
-        self._control.handle(src, msg)
+        """A control-token request: the embedded Naimi–Tréhel instance serves it."""
+        self._control.receive_request(msg.requester)
 
     def on_NTToken(self, src: int, msg: NTToken) -> None:
-        """Route control-token traffic to the embedded Naimi–Tréhel instance."""
-        self._control.handle(src, msg)
+        """The control token arrived at the embedded Naimi–Tréhel instance."""
+        self._control.receive_token(msg)
 
     # ------------------------------------------------------------------ #
     # internals

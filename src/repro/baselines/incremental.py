@@ -287,8 +287,8 @@ class IncrementalAllocatorNode(Node, MultiResourceAllocator):
     # ------------------------------------------------------------------ #
     def on_NTRequest(self, src: int, msg: NTRequest) -> None:
         """Route a Naimi–Tréhel request to the matching per-resource instance."""
-        self._instances[msg.instance].handle(src, msg)
+        self._instances[msg.instance].receive_request(msg.requester)
 
     def on_NTToken(self, src: int, msg: NTToken) -> None:
         """Route a Naimi–Tréhel token to the matching per-resource instance."""
-        self._instances[msg.instance].handle(src, msg)
+        self._instances[msg.instance].receive_token(msg)

@@ -15,11 +15,12 @@ What the records are
 --------------------
 Every network message of the loan protocol is an envelope wrapping a tuple
 of records, so the seven classes are *tuple-backed*: each is a
-``collections.namedtuple`` subclassed with ``__slots__ = ()`` over the
-shared :class:`_Record` base.  A record is built by one C call
-(``tuple.__new__``), its fields are read through C-level tuple getters, and
-it is immutable because a tuple is, not because ``__setattr__`` is
-overridden.  Guaranteed, and pinned by ``tests/core/test_messages.py``:
+``collections.namedtuple`` subclassed with ``__slots__ = ()`` over
+:class:`repro.sim.node.Record`, the base every protocol's messages share.
+A record is built by one C call (``tuple.__new__``), its fields are read
+through C-level tuple getters, and it is immutable because a tuple is, not
+because ``__setattr__`` is overridden.  Guaranteed, and pinned by
+``tests/core/test_messages.py``:
 
 * class names, field names, field order and defaults are the protocol's
   vocabulary; positional and keyword construction agree, and
@@ -54,29 +55,12 @@ from collections import namedtuple
 from typing import FrozenSet, Tuple, Union
 
 from repro.core.token import ResourceToken
+from repro.sim.node import Record
 
 _tuple_new = tuple.__new__
 
 
-class _Record:
-    """Semantics the seven tuple-backed records share.
-
-    A plain tuple subclass would compare equal to any tuple with the same
-    items; a record is equal only to a record of its own class.
-    """
-
-    __slots__ = ()
-
-    def __eq__(self, other: object) -> bool:
-        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
-
-    def __ne__(self, other: object) -> bool:
-        return not self == other
-
-    __hash__ = tuple.__hash__
-
-
-class ReqCnt(_Record, namedtuple("ReqCnt", "resource sinit req_id single", defaults=(False,))):
+class ReqCnt(Record, namedtuple("ReqCnt", "resource sinit req_id single", defaults=(False,))):
     """Request for the current counter value of ``resource``.
 
     Sent by ``sinit`` for its critical-section request ``req_id`` while in
@@ -96,7 +80,7 @@ class ReqCnt(_Record, namedtuple("ReqCnt", "resource sinit req_id single", defau
     single: bool
 
 
-class ReqRes(_Record, namedtuple("ReqRes", "resource sinit req_id mark")):
+class ReqRes(Record, namedtuple("ReqRes", "resource sinit req_id mark")):
     """Request for the right to access ``resource``.
 
     ``mark`` is the value of the scheduling function ``A`` applied to the
@@ -113,7 +97,7 @@ class ReqRes(_Record, namedtuple("ReqRes", "resource sinit req_id mark")):
 
 
 class ReqLoan(
-    _Record,
+    Record,
     namedtuple("ReqLoan", "resource sinit req_id mark missing", defaults=(frozenset(),)),
 ):
     """Request to *borrow* ``resource`` (and the rest of ``missing``).
@@ -136,7 +120,7 @@ class ReqLoan(
 RequestKind = Union[ReqCnt, ReqRes, ReqLoan]
 
 
-class CounterValue(_Record, namedtuple("CounterValue", "resource value")):
+class CounterValue(Record, namedtuple("CounterValue", "resource value")):
     """Reply to a ``ReqCnt``: the counter value reserved for the request."""
 
     __slots__ = ()
@@ -145,7 +129,7 @@ class CounterValue(_Record, namedtuple("CounterValue", "resource value")):
     value: int
 
 
-class RequestEnvelope(_Record, namedtuple("RequestEnvelope", "visited requests")):
+class RequestEnvelope(Record, namedtuple("RequestEnvelope", "visited requests")):
     """Aggregated request message forwarded along the trees.
 
     ``visited`` is the set of sites already traversed by these requests;
@@ -167,7 +151,7 @@ class RequestEnvelope(_Record, namedtuple("RequestEnvelope", "visited requests")
         return _tuple_new(cls, (visited, requests))
 
 
-class CounterEnvelope(_Record, namedtuple("CounterEnvelope", "counters")):
+class CounterEnvelope(Record, namedtuple("CounterEnvelope", "counters")):
     """Aggregated ``Counter`` replies sent directly to one requester."""
 
     __slots__ = ()
@@ -180,7 +164,7 @@ class CounterEnvelope(_Record, namedtuple("CounterEnvelope", "counters")):
         return _tuple_new(cls, (counters,))
 
 
-class TokenEnvelope(_Record, namedtuple("TokenEnvelope", "tokens")):
+class TokenEnvelope(Record, namedtuple("TokenEnvelope", "tokens")):
     """Aggregated resource tokens sent directly to one site."""
 
     __slots__ = ()

@@ -194,9 +194,6 @@ class CoreAllocatorNode(Node, MultiResourceAllocator):
         # Visited set for locally originated requests, allocated once: it
         # is passed on every flush and never mutated.
         self._visited_self: FrozenSet[int] = frozenset((self.node_id,))
-        # Network.send is bound once per network, so it is bound once here:
-        # every message of this node leaves through this one callable.
-        self._net_send = network.send
 
     # ------------------------------------------------------------------ #
     # public interface (MultiResourceAllocator)
@@ -541,10 +538,8 @@ class CoreAllocatorNode(Node, MultiResourceAllocator):
                 # and will be replayed when (if) the token passes through us.
                 continue
             if len(requests) == 1:
-                self._net_send(
-                    self.node_id,
-                    father,
-                    _tuple_new(RequestEnvelope, (visited | self._visited_self, requests)),
+                self.send(
+                    father, _tuple_new(RequestEnvelope, (visited | self._visited_self, requests))
                 )
             elif forwards is None:
                 forwards = {father: [req]}
@@ -553,9 +548,7 @@ class CoreAllocatorNode(Node, MultiResourceAllocator):
         if forwards:
             visited = visited | self._visited_self
             for dest, reqs in forwards.items():
-                self._net_send(
-                    self.node_id, dest, _tuple_new(RequestEnvelope, (visited, tuple(reqs)))
-                )
+                self.send(dest, _tuple_new(RequestEnvelope, (visited, tuple(reqs))))
         if self._cnt_buffer or self._tok_buffer:
             self._flush_responses()
 
@@ -902,23 +895,19 @@ class CoreAllocatorNode(Node, MultiResourceAllocator):
         # A buffer entry exists only because setdefault(dest, []).append(x)
         # created it: no payload below (or in _flush_responses) is empty.
         for dest, reqs in buffered.items():
-            self._net_send(
-                self.node_id, dest, _tuple_new(RequestEnvelope, (visited, tuple(reqs)))
-            )
+            self.send(dest, _tuple_new(RequestEnvelope, (visited, tuple(reqs))))
 
     def _flush_responses(self) -> None:
         if self._cnt_buffer:
             buffered = self._cnt_buffer
             self._cnt_buffer = {}
             for dest, counters in buffered.items():
-                self._net_send(
-                    self.node_id, dest, _tuple_new(CounterEnvelope, (tuple(counters),))
-                )
+                self.send(dest, _tuple_new(CounterEnvelope, (tuple(counters),)))
         if self._tok_buffer:
             buffered_toks = self._tok_buffer
             self._tok_buffer = {}
             for dest, toks in buffered_toks.items():
-                self._net_send(self.node_id, dest, _tuple_new(TokenEnvelope, (tuple(toks),)))
+                self.send(dest, _tuple_new(TokenEnvelope, (tuple(toks),)))
 
     # ------------------------------------------------------------------ #
     # misc internals

@@ -33,39 +33,57 @@ overwrite an occupied ``next``, never hand out a token the node does not
 hold) so that stale in-flight requests arriving after a rebuild degrade
 to a dropped request rather than a duplicated token.  The guards are
 unreachable in fault-free runs, which therefore stay bit-identical.
+
+Messages
+--------
+The two message classes are tuple-backed records
+(:class:`repro.sim.node.Record`), built at their three send sites with
+``tuple.__new__`` — one C call, no constructor frame.  The network has
+already dispatched a message by class when the host's ``on_NTRequest`` /
+``on_NTToken`` handler runs, so the host hands it straight to
+:meth:`NaimiTrehelInstance.receive_request` or
+:meth:`~NaimiTrehelInstance.receive_token`; nothing dispatches it twice.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Any, Callable, Hashable, Optional
+
+from repro.sim.node import Record
+
+_tuple_new = tuple.__new__
 
 
 class MutexError(RuntimeError):
     """Raised on invalid use of a mutex instance (double request, etc.)."""
 
 
-@dataclass(frozen=True)
-class NTRequest:
+class NTRequest(Record, namedtuple("NTRequest", "instance requester")):
     """Request message: ``requester`` asks for the CS of ``instance``."""
+
+    __slots__ = ()
 
     instance: Hashable
     requester: int
 
 
-@dataclass(frozen=True)
-class NTToken:
+class NTToken(Record, namedtuple("NTToken", "instance payload epoch", defaults=(None, 0))):
     """The unique token of ``instance``; ``payload`` travels with it.
 
     ``epoch`` is the fencing epoch of this token incarnation, bumped by
     every regeneration (:mod:`repro.core.recovery`); receivers ignore
     tokens older than the epoch they last witnessed.  Always ``0`` in
-    crash-free runs.
+    crash-free runs.  The payload object itself travels, not a copy
+    (Bouabdallah–Laforest's control vector is a list, which also makes
+    such a token unhashable).
     """
 
+    __slots__ = ()
+
     instance: Hashable
-    payload: Any = None
-    epoch: int = 0
+    payload: Any
+    epoch: int
 
 
 class NaimiTrehelInstance:
@@ -73,7 +91,8 @@ class NaimiTrehelInstance:
 
     The instance lives inside a host node and talks only through the
     host: it emits messages with ``send_fn(dst, message)``, and the host
-    routes every incoming message for it to :meth:`handle`.
+    passes every incoming message for it to :meth:`receive_request` or
+    :meth:`receive_token`, by the message's class.
 
     Parameters
     ----------
@@ -154,7 +173,7 @@ class NaimiTrehelInstance:
             self._enter_cs()
         else:
             self._requesting = True
-            self._send(self.owner, NTRequest(self.instance_id, self.node_id))
+            self._send(self.owner, _tuple_new(NTRequest, (self.instance_id, self.node_id)))
             self.owner = None
 
     def release(self) -> None:
@@ -169,18 +188,10 @@ class NaimiTrehelInstance:
             self.next = None
 
     # ------------------------------------------------------------------ #
-    # message handling
+    # message handling (the host calls these from its on_NT* handlers)
     # ------------------------------------------------------------------ #
-    def handle(self, src: int, message: Any) -> None:
-        """Process a protocol message addressed to this instance."""
-        if isinstance(message, NTRequest):
-            self._on_request(message.requester)
-        elif isinstance(message, NTToken):
-            self._on_token(message)
-        else:  # pragma: no cover - defensive
-            raise MutexError(f"unexpected message for mutex instance: {message!r}")
-
-    def _on_request(self, requester: int) -> None:
+    def receive_request(self, requester: int) -> None:
+        """An :class:`NTRequest` of ``requester`` arrived for this instance."""
         if requester == self.node_id:
             # Own request echoed back through stale post-recovery pointers;
             # unreachable in fault-free runs.
@@ -200,10 +211,11 @@ class NaimiTrehelInstance:
                 self._hand_token(requester)
         else:
             # Forward along the probable-owner chain.
-            self._send(self.owner, NTRequest(self.instance_id, requester))
+            self._send(self.owner, _tuple_new(NTRequest, (self.instance_id, requester)))
         self.owner = requester
 
-    def _on_token(self, token: NTToken) -> None:
+    def receive_token(self, token: NTToken) -> None:
+        """The token of this instance arrived."""
         if token.epoch < self._token_epoch:
             # Stale copy of a lost-and-regenerated token: a newer
             # incarnation exists elsewhere; absorbing this one would
@@ -359,7 +371,9 @@ class NaimiTrehelInstance:
         ``owner``/``next`` bookkeeping, which differs per site).
         """
         self._has_token = False
-        self._send(dest, NTToken(self.instance_id, self.token_payload, self._token_epoch))
+        self._send(
+            dest, _tuple_new(NTToken, (self.instance_id, self.token_payload, self._token_epoch))
+        )
 
     def _enter_cs(self) -> None:
         self._in_cs = True

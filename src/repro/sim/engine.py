@@ -17,6 +17,16 @@ numbers, and :class:`Event` survives only as a thin handle so existing
 callers (e.g. the resend timers in :mod:`repro.core.node`) keep working
 unchanged.
 
+Every event is queued the same way: ``push((time, next_seq(), callback,
+args))``, where ``push`` is the scheduler's one push callable and
+``next_seq`` the ``__next__`` of an :func:`itertools.count` — on the
+heap, both are C-level, so queueing costs no Python frame.  The
+:class:`Simulator` binds the pair once, as ``_push`` and ``_next_seq``;
+its own scheduling methods and the network's sends
+(:mod:`repro.sim.network`) call them directly.  :meth:`Simulator.reset`
+replaces the counter, so a caller must read ``sim._next_seq`` when it
+queues, never keep its own reference.
+
 *How* the tuples are stored is pluggable (:mod:`repro.sim.schedulers`):
 the binary heap is the default and the reference implementation, and a
 calendar queue trades heap sifts for one amortised sort per dispatch
@@ -28,6 +38,7 @@ the runner constructs from ``Scenario.scheduler``.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from typing import Any, Callable, Optional, Union
 
@@ -148,7 +159,8 @@ class Simulator:
 
     __slots__ = (
         "_scheduler",
-        "_seq",
+        "_push",
+        "_next_seq",
         "now",
         "_running",
         "_processed",
@@ -160,7 +172,9 @@ class Simulator:
         if scheduler is None or isinstance(scheduler, str):
             scheduler = make_scheduler(scheduler)
         self._scheduler = scheduler
-        self._seq = 0
+        # The queueing pair (see the module docstring).
+        self._push = scheduler.push
+        self._next_seq = itertools.count().__next__
         self.now: float = 0.0
         self._running = False
         self._processed = 0
@@ -229,13 +243,8 @@ class Simulator:
         if delay < 0:
             raise SimulationError(f"cannot schedule an event in the past (delay={delay!r})")
         time = self.now + delay
-        seq = self._seq
-        self._seq = seq + 1
-        scheduler = self._scheduler
-        if time >= scheduler.append_threshold:
-            scheduler.append((time, seq, callback, args))
-        else:
-            scheduler.insert((time, seq, callback, args))
+        seq = self._next_seq()
+        self._push((time, seq, callback, args))
         return Event(time, seq, callback, args, self, self._generation)
 
     def schedule_at(self, time: float, callback: Callable[..., None], *args: Any) -> Event:
@@ -243,31 +252,21 @@ class Simulator:
         time = float(time)
         if time < self.now:
             self._raise_past(time)
-        seq = self._seq
-        self._seq = seq + 1
-        scheduler = self._scheduler
-        if time >= scheduler.append_threshold:
-            scheduler.append((time, seq, callback, args))
-        else:
-            scheduler.insert((time, seq, callback, args))
+        seq = self._next_seq()
+        self._push((time, seq, callback, args))
         return Event(time, seq, callback, args, self, self._generation)
 
     def post_at(self, time: float, callback: Callable[..., None], *args: Any) -> None:
         """Fast-path :meth:`schedule_at` that allocates no :class:`Event`.
 
-        Intended for hot senders (the network delivery path) that never
-        cancel.  Semantics are otherwise identical to :meth:`schedule_at`.
+        For callers that never cancel.  Semantics are otherwise identical
+        to :meth:`schedule_at`.  (The network's sends queue through the
+        pair directly instead; see the module docstring.)
         """
         time = float(time)
         if time < self.now:
             self._raise_past(time)
-        seq = self._seq
-        self._seq = seq + 1
-        scheduler = self._scheduler
-        if time >= scheduler.append_threshold:
-            scheduler.append((time, seq, callback, args))
-        else:
-            scheduler.insert((time, seq, callback, args))
+        self._push((time, self._next_seq(), callback, args))
 
     def post_in(self, delay: float, callback: Callable[..., None], *args: Any) -> None:
         """Fast-path :meth:`schedule` that allocates no :class:`Event`.
@@ -279,18 +278,14 @@ class Simulator:
         if delay < 0:
             raise SimulationError(f"cannot schedule an event in the past (delay={delay!r})")
         time = self.now + delay
-        seq = self._seq
-        self._seq = seq + 1
-        scheduler = self._scheduler
-        if time >= scheduler.append_threshold:
-            scheduler.append((time, seq, callback, args))
-        else:
-            scheduler.insert((time, seq, callback, args))
+        self._push((time, self._next_seq(), callback, args))
 
     def cancel(self, seq: int) -> None:
-        """Cancel the queued event with sequence number ``seq``."""
-        if seq >= self._seq:
-            return
+        """Cancel the queued event with sequence number ``seq``.
+
+        ``seq`` must be one this generation issued, as an :class:`Event`
+        handle's is (:meth:`Event.cancel` drops a stale handle's).
+        """
         self._cancelled.add(seq)
         # Cancelling an already-fired event would pin its seq forever;
         # prune whenever the set outgrows the queue (cancels are rare,
@@ -447,6 +442,6 @@ class Simulator:
         self._scheduler.clear()
         self._cancelled.clear()
         self.now = 0.0
-        self._seq = 0
+        self._next_seq = itertools.count().__next__
         self._processed = 0
         self._generation += 1

@@ -33,7 +33,15 @@ of two functions as the instance attribute ``send``.
 
 Both resolve the delivery callback *per (destination, message class)*
 once (an unknown destination raises ``KeyError`` there, before anything
-is counted), update one flat counter, and make one ``post_at``.  And both
+is counted), update one flat counter, and queue the delivery through the
+simulator's push and sequence counter directly (see
+:mod:`repro.sim.engine`), with no ``post_at`` frame.  They skip
+``post_at``'s past-time check: every latency spec rejects a negative
+delay at construction (``tests/sim/test_latency.py``) and the FIFO clamp
+only moves a delivery later, so a delivery is never before ``now``.  A
+node's ``send`` enters the bound function directly
+(:class:`~repro.sim.node.Node`), so a message costs one Python frame of
+``sim`` on the constant send.  And both
 apply the same **exposure test** before involving the fault layer: a
 message is exposed when it is delivered at or after the layer's
 ``quiet_until()`` *and* its source or destination is one of the layer's
@@ -312,8 +320,7 @@ class Network:
         """Constant-latency send: no FIFO clamp, latency from two hoisted floats.
 
         An unexposed message (see the module docstring; every message,
-        without a fault layer) is posted straight to the resolved handler
-        through the engine's no-handle path.
+        without a fault layer) is queued straight to the resolved handler.
         """
         cls = message.__class__
         target = self._delivery_cache.get((dst, cls))
@@ -324,6 +331,7 @@ class Network:
         sent[key] = sent.get(key, 0) + 1
         sim = self.sim
         now = sim.now
+        # Never in the past: latencies are non-negative (module docstring).
         delivery = now + (self._gamma if src != dst else self._local)
         if delivery >= self._quiet_until:
             exposed = self._exposed_nodes
@@ -332,9 +340,11 @@ class Network:
                     # Lost before entering the link: never scheduled.
                     self.stats.record_dropped(src, message)
                     return delivery
-                sim.post_at(delivery, self._deliver, target, src, dst, message)
+                sim._push(
+                    (delivery, sim._next_seq(), self._deliver, (target, src, dst, message))
+                )
                 return delivery
-        sim.post_at(delivery, target, src, message)
+        sim._push((delivery, sim._next_seq(), target, (src, message)))
         return delivery
 
     def _send_general(self, src: int, dst: int, message: Any) -> float:
@@ -375,10 +385,12 @@ class Network:
         last[link] = due
         if len(last) >= self._compact_at:
             self._compact_last_delivery()
+        # Never in the past: latencies are non-negative and the clamp only
+        # moves a delivery later (module docstring).
         if deliver is None:
-            sim.post_at(due, target, src, message)
+            sim._push((due, sim._next_seq(), target, (src, message)))
         else:
-            sim.post_at(due, deliver, target, src, dst, message)
+            sim._push((due, sim._next_seq(), deliver, (target, src, dst, message)))
         return due
 
     def _compact_last_delivery(self) -> None:

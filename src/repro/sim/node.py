@@ -1,9 +1,19 @@
-"""Base class for simulated processes (nodes).
+"""Base class for simulated processes (nodes), and of the messages they send.
 
 The paper's model has one process per node; the two words are used
 interchangeably (Section 3.1).  A :class:`Node` owns a reference to the
 simulator and the network, can send messages, set timers, and dispatches
 incoming messages to ``on_<MessageClassName>`` handler methods.
+
+A node has one way to send: :attr:`Node.send` is
+``functools.partial(network.send, node_id)``, bound once in
+``Node.__init__``, so a handler's send enters the network's bound send
+function directly, with no frame of the node's in between (see
+:mod:`repro.sim.network`).
+
+Dispatch is by message *class*, so every protocol's messages are
+:class:`Record` subclasses: tuple-backed, immutable, built by one C call,
+and equal only to records of their own class.
 
 Nodes are also the unit of *failure*: when a scenario's fault spec
 declares node outages (:meth:`repro.sim.faults.FaultSpec.crash_windows`),
@@ -18,10 +28,37 @@ computing while its network is cut.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable, Optional
 
 from repro.sim.engine import Event, Simulator
 from repro.sim.network import Network
+
+
+class Record:
+    """Base of every protocol message: a ``namedtuple`` with class-aware equality.
+
+    A message class is ``class M(Record, namedtuple("M", "field ..."))``
+    with ``__slots__ = ()``: its instances are tuples, so a send site can
+    build one with ``tuple.__new__(M, (field, ...))`` (one C call, no
+    Python frame) and a handler reads its fields through C-level tuple
+    getters.  A plain tuple subclass would compare equal to any tuple with
+    the same items; a record is equal only to a record of its own class,
+    so ``message.__class__`` — the key of by-class dispatch, of the
+    network's per-type counters and of the ``kinds=`` loss filters — is
+    part of its value.  ``tests/core/test_messages.py`` pins the contract
+    for every message class.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    __hash__ = tuple.__hash__
 
 
 class Node:
@@ -31,6 +68,10 @@ class Node:
     ``<ClassName>`` is the class name of the message object, e.g. a
     ``ReqCnt`` message is handled by ``on_ReqCnt(self, src, msg)``.  A
     subclass may instead override :meth:`deliver` entirely.
+
+    ``send(dst, message)`` sends a message to node ``dst`` over the
+    network and returns its delivery time; it is an instance attribute,
+    ``partial(network.send, node_id)``, not a method.
     """
 
     def __init__(self, sim: Simulator, network: Network, node_id: int) -> None:
@@ -41,6 +82,9 @@ class Node:
         # message class -> bound on_<ClassName> handler, so dispatch pays
         # one dict hit per message instead of an f-string + getattr.
         self._handler_cache: dict = {}
+        # The network binds its send function once; a node binds its own
+        # id to it once, so sending costs no frame of the node's.
+        self.send: Callable[[int, Any], float] = partial(network.send, self.node_id)
         network.register(self)
 
     # ------------------------------------------------------------------ #
@@ -74,10 +118,6 @@ class Node:
     # ------------------------------------------------------------------ #
     # communication helpers
     # ------------------------------------------------------------------ #
-    def send(self, dst: int, message: Any) -> None:
-        """Send a message to node ``dst`` over the network."""
-        self.network.send(self.node_id, dst, message)
-
     def set_timer(self, delay: float, callback: Callable[..., None], *args: Any) -> Event:
         """Schedule a local callback ``delay`` time units from now."""
         return self.sim.schedule(delay, callback, *args)

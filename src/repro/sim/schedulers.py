@@ -29,21 +29,15 @@ Two schedulers are provided:
 
 Scheduler push protocol
 -----------------------
-The engine inlines the push fast path to avoid a Python frame per
-scheduled event.  Every scheduler therefore exposes:
-
-``append_threshold`` (float attribute)
-    Entries with ``time >= append_threshold`` may be handed to
-    :attr:`append` directly; the scheduler keeps the attribute current.
-``append`` (callable attribute)
-    The fast insertion path — a *C-level* callable (``list.append`` for
-    the calendar's pending tier, ``partial(heappush, ...)`` for the
-    heap, which sets the threshold to ``-inf`` so every entry takes it).
-``insert(entry)``
-    The general path for entries below the threshold (the calendar
-    bisects them into the live dispatch window).
-
-``push(entry)`` composes the two for callers that do not inline.
+Every scheduler exposes one ``push(entry)`` callable, and everything that
+queues an event goes through it: the :class:`~repro.sim.engine.Simulator`
+binds it once (with a C-level sequence counter beside it), and its
+``schedule``/``schedule_at``/``post_at``/``post_in`` and the network's
+sends call the pair directly.  For the heap, ``push`` is
+``partial(heappush, entries)`` — a C-level callable, so queueing an
+event costs no Python frame.  The calendar queue's ``push`` is a method
+that appends past its window and bisects into it otherwise; that frame
+per event is its price (it is slated for deletion).
 
 Selection is by name through :func:`make_scheduler`, driven only by
 ``Scenario(scheduler=...)`` (see :mod:`repro.experiments.scenario`); the
@@ -79,30 +73,21 @@ class HeapScheduler:
 
     A thin wrapper over :mod:`heapq` on a plain list.  The engine's
     drain loop special-cases this class and runs ``heappop`` inline on
-    :attr:`entries`, and :attr:`append` is a C-level
-    ``partial(heappush, entries)`` with :attr:`append_threshold` pinned
-    at ``-inf``, so wrapping costs nothing on the default path.
+    :attr:`entries`, and :attr:`push` is a C-level
+    ``partial(heappush, entries)``, so wrapping costs nothing on the
+    default path.  :meth:`clear` empties the list in place, so ``push``
+    stays bound to the live heap for the scheduler's lifetime.
     """
 
     name = "heap"
 
-    __slots__ = ("entries", "append", "append_threshold")
+    __slots__ = ("entries", "push")
 
     def __init__(self) -> None:
         #: The raw heap list; the engine may operate on it directly.
         self.entries: List[Entry] = []
-        #: Fast-path insertion (see the module docstring's push protocol).
-        self.append = partial(heapq.heappush, self.entries)
-        #: Every entry qualifies for :attr:`append`.
-        self.append_threshold = _NEG_INF
-
-    def insert(self, entry: Entry) -> None:
-        """General insertion path (same as :attr:`append` for a heap)."""
-        heapq.heappush(self.entries, entry)
-
-    def push(self, entry: Entry) -> None:
-        """Insert one entry."""
-        heapq.heappush(self.entries, entry)
+        #: Insert one entry (see the module docstring's push protocol).
+        self.push = partial(heapq.heappush, self.entries)
 
     def pop(self) -> Optional[Entry]:
         """Remove and return the smallest entry, or ``None`` when empty."""
@@ -141,8 +126,8 @@ class CalendarQueue:
         sliced off its front.  Never mutated in place, so a huge
         pre-scheduled workload is sorted exactly once.
     ``_pending``
-        Unsorted new arrivals, filled by bare ``list.append`` (the
-        engine calls :attr:`append` — a bound C method — directly).
+        Unsorted new arrivals, filled by :meth:`push` with a bare
+        ``list.append``.
 
     Refill (:meth:`take_ready`) slices the next window off the spine.
     Pending entries are folded in lazily: while every pending entry is
@@ -151,14 +136,14 @@ class CalendarQueue:
     spine remainder — a concatenation of two sorted runs, which Timsort
     merges at C speed in one gallop.
 
-    ``append_threshold`` is maintained as a lower bound of everything
-    *outside* the window (spine remainder and pending), so the engine
+    ``_threshold`` is maintained as a lower bound of everything
+    *outside* the window (spine remainder and pending), so :meth:`push`
     can route entries below it — which must land inside the live window
-    to fire in order — to :meth:`insert`, a ``bisect.insort`` into the
-    window.  Bounding the window bounds that memmove.
+    to fire in order — to a ``bisect.insort`` into the window.  Bounding
+    the window bounds that memmove.
 
     Ordering argument (the determinism contract): the window is sorted
-    and every outside entry is ``>= append_threshold >=`` every window
+    and every outside entry is ``>= _threshold >=`` every window
     entry's time; within a timestamp tie across the boundary the window
     entries carry smaller sequence numbers, because ties are split only
     by sorted-order slicing and new (higher-seq) arrivals only ever join
@@ -171,7 +156,7 @@ class CalendarQueue:
     #: Maximum entries sliced into the dispatch window per refill.
     CHUNK = 4096
 
-    __slots__ = ("_window", "pos", "_spine", "_spine_pos", "_pending", "append", "append_threshold")
+    __slots__ = ("_window", "pos", "_spine", "_spine_pos", "_pending", "_threshold")
 
     def __init__(self) -> None:
         self._window: List[Entry] = []
@@ -181,27 +166,22 @@ class CalendarQueue:
         self._spine: List[Entry] = []
         self._spine_pos = 0
         self._pending: List[Entry] = []
-        #: Fast-path insertion (see the module docstring's push protocol).
-        self.append = self._pending.append
-        #: Lower bound of every entry outside the dispatch window.
-        self.append_threshold = _NEG_INF
-
-    def insert(self, entry: Entry) -> None:
-        """Insert an entry below the threshold into the live window.
-
-        Correct because the engine never schedules into the past: the
-        entry's time is ``>= now``, hence at or after the entry at
-        ``pos - 1``, so bisecting from :attr:`pos` keeps the window
-        sorted and the cursor untouched.
-        """
-        insort(self._window, entry, self.pos)
+        # Lower bound of every entry outside the dispatch window.
+        self._threshold = _NEG_INF
 
     def push(self, entry: Entry) -> None:
-        """Insert one entry (compose the fast/general paths)."""
-        if entry[0] >= self.append_threshold:
+        """Insert one entry: into the pending tier, or below the threshold
+        into the live window.
+
+        The window insertion is correct because the engine never
+        schedules into the past: the entry's time is ``>= now``, hence at
+        or after the entry at ``pos - 1``, so bisecting from :attr:`pos`
+        keeps the window sorted and the cursor untouched.
+        """
+        if entry[0] >= self._threshold:
             self._pending.append(entry)
         else:
-            self.insert(entry)
+            insort(self._window, entry, self.pos)
 
     # ------------------------------------------------------------------ #
     # refill machinery
@@ -219,7 +199,6 @@ class CalendarQueue:
             self._spine = pending
         self._spine_pos = 0
         self._pending = []
-        self.append = self._pending.append
 
     def take_ready(self) -> Optional[List[Entry]]:
         """Return the dispatch window with unconsumed entries, else ``None``.
@@ -255,7 +234,7 @@ class CalendarQueue:
             if self._window:
                 self._window = []
             self.pos = 0
-            self.append_threshold = _NEG_INF
+            self._threshold = _NEG_INF
             return None
         end = spine_pos + self.CHUNK
         self._window = spine[spine_pos:end]
@@ -270,7 +249,7 @@ class CalendarQueue:
             threshold = pending[0][0]
         else:
             threshold = self._window[-1][0]
-        self.append_threshold = threshold
+        self._threshold = threshold
         return self._window
 
     def pop(self) -> Optional[Entry]:
@@ -303,8 +282,7 @@ class CalendarQueue:
         self._spine = []
         self._spine_pos = 0
         self._pending = []
-        self.append = self._pending.append
-        self.append_threshold = _NEG_INF
+        self._threshold = _NEG_INF
 
     def seqs(self) -> Iterator[int]:
         """Iterate the sequence numbers of all queued entries."""

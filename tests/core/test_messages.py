@@ -1,10 +1,21 @@
-"""Unit tests for the core algorithm's message types."""
+"""Unit tests for the message types: the core algorithm's and the baselines'.
+
+The record contract below holds for the seven classes of
+``core/messages.py`` and for the four of Naimi–Tréhel and
+Bouabdallah–Laforest.
+"""
 
 import copy
 import pickle
 
 import pytest
 
+from repro.baselines.bouabdallah_laforest import (
+    CONTROL_INSTANCE,
+    TOKEN_HERE,
+    BLInquire,
+    BLResourceToken,
+)
 from repro.core.messages import (
     CounterEnvelope,
     CounterValue,
@@ -15,6 +26,7 @@ from repro.core.messages import (
     TokenEnvelope,
 )
 from repro.core.token import ResourceToken
+from repro.mutex.naimi_trehel import NTRequest, NTToken
 
 
 class TestRequestKinds:
@@ -82,13 +94,17 @@ RECORDS = [
     ),
     (CounterEnvelope, {"counters": (CounterValue(resource=1, value=7),)}),
     (TokenEnvelope, {"tokens": (ResourceToken(resource=4),)}),
+    (NTRequest, {"instance": CONTROL_INSTANCE, "requester": 5}),
+    (NTToken, {"instance": 3, "payload": ("opaque",), "epoch": 2}),
+    (BLInquire, {"resource": 3, "requester": 5}),
+    (BLResourceToken, {"resource": 4}),
 ]
 RECORD_IDS = [cls.__name__ for cls, _ in RECORDS]
 
 
 @pytest.mark.parametrize("cls, fields", RECORDS, ids=RECORD_IDS)
 class TestRecordContract:
-    """What every one of the seven tuple-backed message classes guarantees."""
+    """What every message class guarantees, the loan protocol's and the baselines'."""
 
     def test_positional_and_keyword_construction_agree(self, cls, fields):
         by_keyword = cls(**fields)
@@ -155,8 +171,17 @@ class TestDefaults:
         assert loan.missing == frozenset()
         assert isinstance(loan.missing, frozenset)
 
+    def test_nttoken_carries_no_payload_at_epoch_zero_by_default(self):
+        token = NTToken("lock")
+        assert token.payload is None and token.epoch == 0
+        assert token == NTToken("lock", None, 0) == NTToken(instance="lock")
+
     @pytest.mark.parametrize(
-        "cls", [ReqRes, CounterValue, RequestEnvelope, CounterEnvelope, TokenEnvelope]
+        "cls",
+        [
+            ReqRes, CounterValue, RequestEnvelope, CounterEnvelope, TokenEnvelope,
+            NTRequest, BLInquire, BLResourceToken,
+        ],
     )
     def test_the_other_classes_have_no_defaults(self, cls):
         with pytest.raises(TypeError):
@@ -189,6 +214,31 @@ class TestCrossClassInequality:
         loan = ReqLoan(0, 4, 1, 2.0)
         assert request_key(res) == request_key(loan)
         assert res != loan
+
+    def test_ntrequest_and_blinquire_over_equal_tuples(self):
+        # The case a bare namedtuple gets wrong: both are (int, int).
+        request, inquire = NTRequest(3, 5), BLInquire(3, 5)
+        assert request != inquire and inquire != request
+        assert not request == inquire and not inquire == request
+        assert len({request, inquire}) == 2
+
+
+class TestControlTokenPayload:
+    """Bouabdallah–Laforest's control token carries its vector as a list."""
+
+    def test_list_payload_is_carried_not_copied_and_stays_unhashable(self):
+        vector = [TOKEN_HERE, 2, TOKEN_HERE]
+        token = NTToken(CONTROL_INSTANCE, vector)
+        assert token.payload is vector
+        assert copy.copy(token).payload is vector
+        with pytest.raises(TypeError):
+            hash(token)
+
+    def test_deep_copy_and_pickle_copy_the_list(self):
+        token = NTToken(CONTROL_INSTANCE, [1, 2, 3], 4)
+        for clone in (copy.deepcopy(token), pickle.loads(pickle.dumps(token))):
+            assert type(clone) is NTToken and clone == token
+            assert clone.payload is not token.payload
 
 
 class TestEnvelopeValidation:

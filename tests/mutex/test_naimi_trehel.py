@@ -25,10 +25,10 @@ class MutexHost(Node):
         self.cs_exits: List[float] = []
 
     def on_NTRequest(self, src, msg):
-        self.mutex.handle(src, msg)
+        self.mutex.receive_request(msg.requester)
 
     def on_NTToken(self, src, msg):
-        self.mutex.handle(src, msg)
+        self.mutex.receive_token(msg)
 
     def enter_and_hold(self, hold: float) -> None:
         self.mutex.request(lambda: self._entered(hold))
@@ -71,11 +71,6 @@ class TestBasics:
         hosts[1].mutex.request(lambda: None)
         with pytest.raises(MutexError):
             hosts[1].mutex.request(lambda: None)
-
-    def test_unexpected_message_raises(self, sim):
-        hosts = build_hosts(sim, 2)
-        with pytest.raises(MutexError):
-            hosts[0].mutex.handle(1, "garbage")
 
     def test_package_exports_the_one_implementation(self):
         import repro.mutex

@@ -292,6 +292,49 @@ class TestSendBindingsAgree:
         assert len(log) == len(SEND_SCRIPT) - dropped
 
 
+@pytest.mark.parametrize("scheduler", ["heap", "calendar"])
+@pytest.mark.parametrize(
+    "latency",
+    [ConstantLatency(gamma=1.0), ClampedConstantLatency(gamma=1.0)],
+    ids=["constant-send", "general-send"],
+)
+class TestSendsQueueThroughTheSimulator:
+    """A send takes its sequence number from the simulator when it is made.
+
+    The engine breaks a timestamp tie by sequence number, so a delivery
+    and a timer due at the same instant fire in the order they were
+    queued — also after :meth:`Simulator.reset` has restarted the count,
+    which a network holding on to the first counter would get wrong.
+    """
+
+    @staticmethod
+    def queue_after_reset(scheduler, latency, send_first):
+        sim = Simulator(scheduler)
+        net = Network(sim, latency)
+        Recorder(sim, net, 0)
+        receiver = Recorder(sim, net, 1)
+        for i in range(5):
+            net.send(0, 1, Ping(i))
+        sim.run()
+        sim.reset()
+        fired = receiver.received = []
+        if send_first:
+            net.send(0, 1, Ping(99))
+        sim.schedule_at(1.0, fired.append, "timer")
+        if not send_first:
+            net.send(0, 1, Ping(99))
+        sim.run()
+        return fired
+
+    def test_a_send_before_a_timer_fires_first(self, scheduler, latency):
+        fired = self.queue_after_reset(scheduler, latency, send_first=True)
+        assert fired == [(1.0, 0, Ping(99)), "timer"]
+
+    def test_a_send_after_a_timer_fires_second(self, scheduler, latency):
+        fired = self.queue_after_reset(scheduler, latency, send_first=False)
+        assert fired == ["timer", (1.0, 0, Ping(99))]
+
+
 class ReferenceNetwork:
     """The network before it scoped its fault checks, kept as the oracle.
 
