@@ -27,7 +27,7 @@ Run with::
 
 from __future__ import annotations
 
-from repro.core.config import CoreConfig
+from repro.core.config import CoreConfigSpec
 from repro.core.node import CoreAllocatorNode
 from repro.metrics.collector import MetricsCollector
 from repro.sim.engine import Simulator
@@ -43,7 +43,7 @@ def main() -> None:
     sim = Simulator()
     network = Network(sim, ConstantLatencySpec(gamma=1.0))
     trace = TraceRecorder()
-    config = CoreConfig(enable_loan=False)
+    config = CoreConfigSpec(enable_loan=False, resend_interval=None)
     nodes = [
         CoreAllocatorNode(sim, network, p, num_resources=2, config=config, trace=trace)
         for p in range(3)

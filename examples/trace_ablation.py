@@ -40,7 +40,7 @@ Run with::
     python examples/trace_ablation.py [--quick] [--workers N]
 
 Results are bit-identical at any ``--workers`` because every workload
-spec re-thaws its streams from the scenario inside the worker.
+spec draws its streams afresh from the scenario inside the worker.
 """
 
 from __future__ import annotations

@@ -7,13 +7,14 @@ cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
 # Docs gates first: they are instant and catch the cheapest regressions
-# (a dead relative link in docs//README, a public experiments/ or
-# sim/faults.py symbol without a docstring — scripts/check_docstrings.py is the
-# container-local stand-in for `ruff check --select D1`).
+# (a dead relative link in docs//README, a public experiments/, obs/,
+# workload/, core/config.py or sim/faults.py symbol without a docstring —
+# scripts/check_docstrings.py is the container-local stand-in for
+# `ruff check --select D1`).
 echo "== docs link check =="
 python scripts/check_links.py
 
-echo "== docstring gate (experiments/, obs/, sim/faults.py) =="
+echo "== docstring gate (experiments/, obs/, workload/, core/config.py, sim/faults.py) =="
 python scripts/check_docstrings.py
 
 echo "== tier-1 test suite =="

@@ -28,6 +28,8 @@ GATED = [
     "src/repro/experiments",
     "src/repro/obs",
     "src/repro/sim/faults.py",
+    "src/repro/workload",
+    "src/repro/core/config.py",
 ]
 
 #: Dunder methods whose semantics are standard enough to skip (D105).

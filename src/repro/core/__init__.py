@@ -13,13 +13,13 @@ and the pseudo-code of Annex A):
 * an optional **loan mechanism** by which a waiting process lends *all* the
   tokens another process is missing so the borrower can run its critical
   section immediately, with at most one outstanding loan per lender —
-  enabled/disabled through :class:`repro.core.config.CoreConfig`
+  enabled/disabled through :class:`repro.core.config.CoreConfigSpec`
   (the "With loan" / "Without loan" variants of the evaluation).
 
 The process-level endpoint is :class:`repro.core.node.CoreAllocatorNode`.
 """
 
-from repro.core.config import DEFAULT_RESEND_INTERVAL, CoreConfig, CoreConfigSpec
+from repro.core.config import DEFAULT_RESEND_INTERVAL, CoreConfigSpec
 from repro.core.messages import (
     CounterEnvelope,
     CounterValue,
@@ -43,7 +43,6 @@ from repro.core.token import ResourceToken
 
 __all__ = [
     "DEFAULT_RESEND_INTERVAL",
-    "CoreConfig",
     "CoreConfigSpec",
     "CoreAllocatorNode",
     "ProcessState",

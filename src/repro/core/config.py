@@ -1,35 +1,27 @@
 """Configuration of the core algorithm.
 
-Two layers are provided:
-
-* :class:`CoreConfig` — the *built* configuration consumed by
-  :class:`repro.core.node.CoreAllocatorNode`; it holds a live
-  :class:`~repro.core.policies.SchedulingPolicy` instance and is therefore
-  neither hashable nor a good cache key.
-* :class:`CoreConfigSpec` — the *declarative* counterpart used by the
-  Scenario API (:mod:`repro.experiments.scenario`): frozen, picklable and
-  content-hashable (the policy is referenced by registry name), thawed
-  into a :class:`CoreConfig` via :meth:`CoreConfigSpec.build` inside the
-  process that runs the experiment.
+:class:`CoreConfigSpec` is the one configuration type: frozen, picklable
+and content-hashable, carried by a
+:class:`~repro.experiments.scenario.Scenario` as its ``config`` and taken
+as is by :class:`repro.core.node.CoreAllocatorNode`.  The scheduling
+function is referenced by its registry name; each node looks the policy
+up once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from dataclasses import dataclass
+from typing import Optional
 
-from repro.core.policies import MeanNonZeroPolicy, SchedulingPolicy, get_policy
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.workload.params import WorkloadParams
+from repro.core.policies import get_policy
 
 #: Default safety-net re-send interval of the core algorithm (ms).  See the
 #: implementation notes in :mod:`repro.core.node`.
 DEFAULT_RESEND_INTERVAL = 500.0
 
 
-@dataclass
-class CoreConfig:
+@dataclass(frozen=True)
+class CoreConfigSpec:
     """Tunable knobs of :class:`repro.core.node.CoreAllocatorNode`.
 
     Attributes
@@ -41,9 +33,19 @@ class CoreConfig:
         A waiting process asks for a loan only when the number of resources
         it is still missing is positive and at most this threshold.  The
         paper's evaluation uses 1; the threshold ablation (A1) sweeps it.
+        ``None`` means "use the threshold carried by the workload
+        parameters": the algorithm's builder resolves it when it binds the
+        run, so the same spec composes with any
+        :class:`~repro.workload.params.WorkloadParams`.  A lending node
+        needs it resolved.
     policy:
-        Scheduling function ``A``; defaults to the paper's mean of non-zero
-        counter values.
+        Registry name of the scheduling function ``A`` (see
+        :func:`repro.core.policies.get_policy`); defaults to the paper's
+        mean of non-zero counter values.
+    resend_interval:
+        If not ``None``, a node re-sends its outstanding ``ReqCnt``/``ReqRes``
+        messages after this much simulated time without progress (safety
+        net; see :mod:`repro.core.node`).
     initial_holder:
         Site owning every resource token at time zero (the *elected node*
         of the initialisation pseudo-code).
@@ -54,57 +56,6 @@ class CoreConfig:
         request, halving the synchronisation cost of single-resource
         requests.  Off by default (the paper's evaluation does not state
         whether it was active).
-    """
-
-    enable_loan: bool = True
-    loan_threshold: int = 1
-    policy: SchedulingPolicy = field(default_factory=MeanNonZeroPolicy)
-    initial_holder: int = 0
-    single_resource_optimization: bool = False
-
-    def __post_init__(self) -> None:
-        if self.loan_threshold < 0:
-            raise ValueError("loan_threshold must be >= 0")
-        if self.initial_holder < 0:
-            raise ValueError("initial_holder must be a valid site id")
-
-    @classmethod
-    def without_loan(cls, policy: Optional[str] = None) -> "CoreConfig":
-        """Convenience constructor for the "Without loan" variant."""
-        return cls(
-            enable_loan=False,
-            policy=get_policy(policy) if policy else MeanNonZeroPolicy(),
-        )
-
-    @classmethod
-    def with_loan(cls, loan_threshold: int = 1, policy: Optional[str] = None) -> "CoreConfig":
-        """Convenience constructor for the "With loan" variant."""
-        return cls(
-            enable_loan=True,
-            loan_threshold=loan_threshold,
-            policy=get_policy(policy) if policy else MeanNonZeroPolicy(),
-        )
-
-    def describe(self) -> str:
-        """One-line summary used by experiment reports."""
-        loan = f"loan<= {self.loan_threshold}" if self.enable_loan else "no-loan"
-        return f"CoreConfig({loan}, A={self.policy.describe()})"
-
-
-@dataclass(frozen=True)
-class CoreConfigSpec:
-    """Declarative, hashable configuration of the core algorithm.
-
-    Attributes mirror :class:`CoreConfig` plus the node-level
-    ``resend_interval`` knob, with two differences that keep the spec a
-    pure value:
-
-    * ``policy`` is the registry *name* of the scheduling function (see
-      :func:`repro.core.policies.get_policy`), not an instance;
-    * ``loan_threshold`` may be ``None``, meaning "use the threshold
-      carried by the workload parameters" — resolved at :meth:`build`
-      time so the same spec composes with any
-      :class:`~repro.workload.params.WorkloadParams`.
     """
 
     enable_loan: bool = True
@@ -121,17 +72,6 @@ class CoreConfigSpec:
             raise ValueError("initial_holder must be a valid site id")
         # Fail fast on policy-name typos, without holding the instance.
         get_policy(self.policy)
-
-    def build(self, params: "WorkloadParams") -> CoreConfig:
-        """Thaw the spec into the :class:`CoreConfig` a node consumes."""
-        threshold = self.loan_threshold if self.loan_threshold is not None else params.loan_threshold
-        return CoreConfig(
-            enable_loan=self.enable_loan,
-            loan_threshold=threshold,
-            policy=get_policy(self.policy),
-            initial_holder=self.initial_holder,
-            single_resource_optimization=self.single_resource_optimization,
-        )
 
     def describe(self) -> str:
         """One-line summary used by experiment reports."""

@@ -30,8 +30,8 @@ Implementation notes (documented deviations)
   cases the pseudo-code leaves implicit.
 * A borrower returning tokens after a *failed* loan re-registers its own
   ``ReqRes`` in the returned token so the request cannot be lost.
-* An optional requester-side re-send timer (``CoreConfig`` is unchanged;
-  see ``resend_interval`` below) re-issues pending ``ReqCnt``/``ReqRes``
+* An optional requester-side re-send timer
+  (``CoreConfigSpec.resend_interval``) re-issues pending ``ReqCnt``/``ReqRes``
   messages after a long silence.  Request messages are idempotent (they are
   de-duplicated through ``lastReqC``/``lastCS`` and queue membership), so
   the retry is a pure safety net against the rare message-drop case of
@@ -72,7 +72,7 @@ from enum import Enum
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.allocator import AllocatorError, MultiResourceAllocator, validate_resources
-from repro.core.config import CoreConfig
+from repro.core.config import CoreConfigSpec
 from repro.core.messages import (
     CounterEnvelope,
     CounterValue,
@@ -84,6 +84,7 @@ from repro.core.messages import (
     TokenEnvelope,
 )
 from repro.core.ordering import precedes, request_key
+from repro.core.policies import get_policy
 from repro.core.token import ResourceToken
 from repro.sim.engine import Event, Simulator
 from repro.sim.network import Network
@@ -127,13 +128,11 @@ class CoreAllocatorNode(Node, MultiResourceAllocator):
     num_resources:
         Total number of resources ``M``.
     config:
-        Algorithm configuration (loan on/off, threshold, policy ``A``).
+        Algorithm configuration (loan on/off, threshold, policy ``A``,
+        re-send interval); with loans on, ``loan_threshold`` must not be
+        ``None`` (the algorithm's builder resolves it from the workload).
     trace:
         Optional trace recorder for Gantt rendering / debugging.
-    resend_interval:
-        If not ``None``, re-send outstanding ``ReqCnt``/``ReqRes`` messages
-        after this much simulated time without progress (safety net; see
-        the module docstring).
     """
 
     def __init__(
@@ -142,19 +141,20 @@ class CoreAllocatorNode(Node, MultiResourceAllocator):
         network: Network,
         node_id: int,
         num_resources: int,
-        config: Optional[CoreConfig] = None,
+        config: CoreConfigSpec,
         trace: Optional[TraceRecorder] = None,
-        resend_interval: Optional[float] = None,
     ) -> None:
         Node.__init__(self, sim, network, node_id)
         if num_resources < 1:
             raise ValueError("num_resources must be >= 1")
         self.num_resources = num_resources
-        self.config = config if config is not None else CoreConfig()
+        if config.enable_loan and config.loan_threshold is None:
+            raise ValueError("a lending node needs config.loan_threshold resolved")
+        self.config = config
+        self._policy = get_policy(config.policy)
         self.trace = trace
-        self.resend_interval = resend_interval
 
-        owner = self.config.initial_holder
+        owner = config.initial_holder
         owns_all = node_id == owner
         # tokDir: probable owner per resource (None <=> this node holds the token)
         self.tok_dir: List[Optional[int]] = [None if owns_all else owner] * num_resources
@@ -851,7 +851,7 @@ class CoreAllocatorNode(Node, MultiResourceAllocator):
         """
         mark = self._mark
         if mark is None:
-            mark = self.config.policy.mark(self._my_vector, self._t_required)
+            mark = self._policy.mark(self._my_vector, self._t_required)
             if self._state is _WAIT_CS:
                 self._mark = mark
         return mark
@@ -954,10 +954,11 @@ class CoreAllocatorNode(Node, MultiResourceAllocator):
     # re-send safety net
     # ------------------------------------------------------------------ #
     def _arm_resend_timer(self) -> None:
-        if self.resend_interval is None:
+        interval = self.config.resend_interval
+        if interval is None:
             return
         self._cancel_resend_timer()
-        self._resend_event = self.set_timer(self.resend_interval, self._on_resend_timer)
+        self._resend_event = self.set_timer(interval, self._on_resend_timer)
 
     def _cancel_resend_timer(self) -> None:
         if self._resend_event is not None:

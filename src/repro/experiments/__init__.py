@@ -9,10 +9,9 @@ from repro.experiments.driver import Client
 from repro.experiments.registry import (
     ALGORITHMS,
     ALGORITHM_LABELS,
-    AlgorithmDef,
-    available_algorithms,
+    TABLE,
+    Algorithm,
     get_algorithm,
-    register_algorithm,
 )
 from repro.experiments.scenario import Scenario
 from repro.experiments.runner import ExperimentResult, run
@@ -28,10 +27,9 @@ __all__ = [
     "Client",
     "ALGORITHMS",
     "ALGORITHM_LABELS",
-    "AlgorithmDef",
-    "available_algorithms",
+    "TABLE",
+    "Algorithm",
     "get_algorithm",
-    "register_algorithm",
     "Scenario",
     "ExperimentResult",
     "run",

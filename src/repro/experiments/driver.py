@@ -69,7 +69,7 @@ class Client:
     closed_loop:
         Whether the next arrival waits for the previous request's
         completion (see the module docstring).  The runner passes what the
-        workload declares (``Workload.closed_loop``).
+        workload declares (``WorkloadSpec.closed_loop``).
     max_requests:
         Optional hard cap on the number of requests this client issues.
     fast_timers:

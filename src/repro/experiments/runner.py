@@ -27,7 +27,6 @@ from repro.sim.lifecycle import NodeLifecycle
 from repro.sim.network import Network
 from repro.sim.trace import TraceRecorder
 from repro.workload.params import WorkloadParams
-from repro.workload.spec import SyntheticSpec
 
 #: Size classes reported by Figure 7 of the paper (for M = 80).
 FIGURE7_SIZE_BUCKETS = [1, 17, 33, 49, 65, 80]
@@ -44,7 +43,7 @@ def default_max_events(
 
     ``expected_requests`` overrides the closed-loop think-time estimate —
     open-loop and trace workloads report their own offered volume through
-    :meth:`~repro.workload.spec.Workload.expected_requests`, which would
+    :meth:`~repro.workload.spec.WorkloadSpec.expected_requests`, which would
     otherwise be wildly misestimated by the ``beta``-based formula.
     """
     if expected_requests is None:
@@ -211,16 +210,15 @@ def run(scenario: Scenario) -> ExperimentResult:
         if scenario.faults is not None:
             faults = scenario.faults.bind(params)
         network = Network(sim, latency_spec.bind(params), faults=faults)
-    allocators = algo.make_allocators(scenario.config, params, sim, network, trace)
+    allocators = algo.build(scenario.config, params, sim, network, trace)
 
     metrics = MetricsCollector(
         params.num_resources, warmup=params.warmup, chunk_rows=scenario.record_chunk_rows
     )
-    # The workload axis thaws here, inside whatever process runs the
-    # experiment — streams are lazy iterators, never materialised lists,
+    # The workload axis binds here, inside whatever process runs the
+    # experiment — streams are lazy generators, never materialised lists,
     # so nothing workload-sized crosses the worker-pool boundary.
-    workload_spec = scenario.workload if scenario.workload is not None else SyntheticSpec()
-    workload = workload_spec.build(params)
+    workload = scenario.workload.build(params)
     # Crash windows are needed up front: a client whose node can never
     # crash takes the no-handle timer fast path (its cancellable timer
     # handles exist only for on_crash to suspend), so only the clients

@@ -49,6 +49,10 @@ __all__ = ["Scenario", "canonical", "content_hash"]
 #: :meth:`Scenario.sweep` as sweep axes.
 _PARAMS_FIELDS = frozenset(f.name for f in dataclasses.fields(WorkloadParams))
 
+#: Config fields that name a node, checked against N before any run starts
+#: (``None`` is no node: the incremental baseline's round-robin holders).
+_NODE_FIELDS = ("initial_holder", "control_holder")
+
 
 def canonical(value: Any) -> Any:
     """Canonical form of ``value`` used for content hashing.
@@ -113,13 +117,14 @@ class Scenario:
     Attributes
     ----------
     algorithm:
-        Name of a registered algorithm (see
-        :func:`repro.experiments.registry.register_algorithm`).
+        Name of an algorithm (a row of
+        :data:`repro.experiments.registry.TABLE`).
     params:
         Workload parameterisation (N, M, phi, load, duration, seed, ...).
     config:
-        Frozen config spec of the algorithm (its registered
-        ``config_type``); ``None`` uses the registered default.
+        Frozen config spec of the algorithm, of its default config's
+        type; ``None`` uses that default.  Node ids it names (a holder)
+        must lie in ``0..N-1``.
     latency:
         Declarative latency model (:class:`~repro.sim.latency.LatencySpec`);
         ``None`` means constant ``params.gamma``.  The runner binds it to
@@ -215,16 +220,16 @@ class Scenario:
     }
 
     def __post_init__(self) -> None:
-        algo = get_algorithm(self.algorithm)  # KeyError on typos, at build time
+        default = get_algorithm(self.algorithm).default_config  # KeyError on typos
         if self.config is not None:
-            if algo.config_type is None:
+            if default is None:
                 raise TypeError(
                     f"algorithm {self.algorithm!r} takes no config, got {self.config!r}"
                 )
-            if not isinstance(self.config, algo.config_type):
+            if not isinstance(self.config, type(default)):
                 raise TypeError(
                     f"algorithm {self.algorithm!r} expects a "
-                    f"{algo.config_type.__name__} config, got {type(self.config).__name__}"
+                    f"{type(default).__name__} config, got {type(self.config).__name__}"
                 )
         # A spec is a frozen dataclass; what bind() returns for one run (a
         # jittered latency or a Bernoulli loss holding its RNG) is not.
@@ -248,8 +253,7 @@ class Scenario:
         if self.workload is not None and not isinstance(self.workload, WorkloadSpec):
             raise TypeError(
                 f"workload must be a WorkloadSpec (got {type(self.workload).__name__}); "
-                f"live Workload instances are not hashable/picklable specs — "
-                f"use e.g. SyntheticSpec / OpenLoopSpec / TraceReplaySpec instead"
+                f"use e.g. SyntheticSpec / OpenLoopSpec / TraceReplaySpec"
             )
         if self.size_buckets is not None and not isinstance(self.size_buckets, tuple):
             object.__setattr__(self, "size_buckets", tuple(self.size_buckets))
@@ -280,10 +284,10 @@ class Scenario:
     # derived forms
     # ------------------------------------------------------------------ #
     def normalized(self) -> "Scenario":
-        """Fill registry defaults in, so equal runs hash equally.
+        """Fill the algorithm table's defaults in, so equal runs hash equally.
 
-        ``config=None`` is resolved to the algorithm's registered default
-        config, ``workload=None`` to
+        ``config=None`` is resolved to the algorithm's default config (a
+        config naming a node outside ``0..N-1`` fails here), ``workload=None`` to
         :class:`~repro.workload.spec.SyntheticSpec` (whose canonical form
         is neutral, so pre-axis scenarios keep their keys),
         ``latency=None`` to :class:`ConstantLatencySpec` and
@@ -299,12 +303,16 @@ class Scenario:
         changes: Dict[str, Any] = {}
         if self.config is None and algo.default_config is not None:
             changes["config"] = algo.default_config
+        config = changes.get("config", self.config)
+        for name in _NODE_FIELDS:
+            node = getattr(config, name, None)
+            if node is not None and not 0 <= node < self.params.num_processes:
+                raise ValueError(
+                    f"{type(config).__name__}.{name}={node} names no node: the workload "
+                    f"has N={self.params.num_processes} processes"
+                )
         if self.workload is None:
             changes["workload"] = SyntheticSpec()
-        else:
-            workload = self.workload.normalized(self.params)
-            if workload != self.workload:
-                changes["workload"] = workload
         if algo.needs_network:
             if self.faults is None:
                 changes["faults"] = NoFaults()
@@ -355,7 +363,7 @@ class Scenario:
 
         Changing ``algorithm`` to a *different* algorithm without also
         supplying ``config`` resets the config to ``None`` (the new
-        algorithm's registered default): the old algorithm's config does
+        algorithm's default): the old algorithm's config does
         not, in general, even have the right type — this is what lets a
         configured (or :meth:`normalized`) scenario sweep the algorithm
         axis.

@@ -10,7 +10,7 @@ is inversely proportional to the request load.
 """
 
 from repro.workload.params import LoadLevel, WorkloadParams, cs_duration_for_size
-from repro.workload.generator import RequestSpec, WorkloadGenerator, WorkloadStream
+from repro.workload.generator import RequestSpec
 from repro.workload.arrivals import (
     ArrivalSpec,
     DiurnalArrivals,
@@ -20,21 +20,19 @@ from repro.workload.arrivals import (
     PoissonArrivals,
 )
 from repro.workload.spec import (
+    BoundWorkload,
     OpenLoopSpec,
     SyntheticSpec,
     TraceReplaySpec,
-    Workload,
     WorkloadSpec,
 )
-from repro.workload.swf import SWFJob, count_swf_jobs, parse_swf, read_swf
+from repro.workload.swf import read_swf_columns
 
 __all__ = [
     "LoadLevel",
     "WorkloadParams",
     "cs_duration_for_size",
     "RequestSpec",
-    "WorkloadGenerator",
-    "WorkloadStream",
     "ArrivalSpec",
     "PoissonArrivals",
     "ParetoArrivals",
@@ -42,12 +40,9 @@ __all__ = [
     "MarkovModulatedArrivals",
     "DiurnalArrivals",
     "WorkloadSpec",
-    "Workload",
+    "BoundWorkload",
     "SyntheticSpec",
     "OpenLoopSpec",
     "TraceReplaySpec",
-    "SWFJob",
-    "parse_swf",
-    "read_swf",
-    "count_swf_jobs",
+    "read_swf_columns",
 ]

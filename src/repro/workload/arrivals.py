@@ -4,8 +4,8 @@ A closed-loop workload (:class:`~repro.workload.spec.SyntheticSpec`)
 derives its timing from the think-time loop; an *open-loop* workload
 instead issues requests at externally driven instants, whether or not
 earlier requests have completed.  Each :class:`ArrivalSpec` below is the
-frozen, picklable description of one such arrival process; it thaws into
-an infinite inter-arrival-gap generator via :meth:`ArrivalSpec.gaps`
+frozen, picklable description of one such arrival process; its
+:meth:`ArrivalSpec.gaps` draws an infinite inter-arrival-gap generator
 inside the process running the experiment.
 
 All specs are *rate-normalised*: ``rate`` is the per-process mean arrival

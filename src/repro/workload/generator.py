@@ -1,20 +1,18 @@
-"""Request stream generation.
+"""Requests and the request shape of Section 5.1.
 
-Each process runs a closed loop: think for an exponentially distributed
-time with mean ``beta``, then request ``x`` resources where ``x`` is drawn
-uniformly from ``{1, ..., phi}``, hold them for a critical section whose
-duration grows with ``x``, release, repeat (Section 5.1 of the paper).
-
-The generator produces :class:`RequestSpec` objects; the driver in
+A request asks for ``x`` resources, ``x`` drawn uniformly from
+``{1, ..., phi}``, and holds them for a critical section whose duration
+grows with ``x`` (Section 5.1 of the paper).  The workload specs of
+:mod:`repro.workload.spec` draw their streams of :class:`RequestSpec`
+objects with :func:`draw_request_shape`; the driver in
 :mod:`repro.experiments.driver` turns them into protocol calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterator, List, Optional
+from typing import FrozenSet
 
-from repro.sim.rng import RandomStreams
 from repro.workload.params import WorkloadParams, cs_duration_for_size
 
 
@@ -41,11 +39,6 @@ class RequestSpec:
     resources: FrozenSet[int]
     cs_duration: float
     think_time: float
-
-    @property
-    def size(self) -> int:
-        """Number of resources requested."""
-        return len(self.resources)
 
     def __post_init__(self) -> None:
         if not self.resources:
@@ -81,95 +74,3 @@ def draw_request_shape(
     else:
         factor = 1.0
     return resources, max(mean_cs * factor, 1e-6)
-
-
-class WorkloadStream:
-    """Infinite iterator of :class:`RequestSpec` for a single process."""
-
-    def __init__(self, params: WorkloadParams, process: int, streams: RandomStreams) -> None:
-        self.params = params
-        self.process = process
-        self._size_rng = streams.stream("size", process)
-        self._pick_rng = streams.stream("pick", process)
-        self._think_rng = streams.stream("think", process)
-        self._cs_rng = streams.stream("cs", process)
-        self._index = 0
-
-    def __iter__(self) -> Iterator[RequestSpec]:
-        return self
-
-    def __next__(self) -> RequestSpec:
-        return self.next_request()
-
-    def next_request(self) -> RequestSpec:
-        """Draw the next request for this process."""
-        p = self.params
-        resources, cs_duration = draw_request_shape(
-            p, self._size_rng, self._pick_rng, self._cs_rng
-        )
-        # First request of a process starts after a short staggered delay so
-        # all N processes do not fire at exactly t=0; subsequent requests use
-        # the exponential think time with mean beta.
-        if self._index == 0:
-            think = self._think_rng.uniform(0.0, min(p.beta, p.alpha_max))
-        else:
-            think = self._think_rng.expovariate(1.0 / p.beta) if p.beta > 0 else 0.0
-        spec = RequestSpec(
-            process=self.process,
-            index=self._index,
-            resources=resources,
-            cs_duration=cs_duration,
-            think_time=think,
-        )
-        self._index += 1
-        return spec
-
-
-class WorkloadGenerator:
-    """Factory of per-process :class:`WorkloadStream` objects.
-
-    All streams derive from the master seed in ``params.seed`` so that the
-    workload is identical across algorithms being compared — the same
-    request sequences are replayed against every protocol, exactly as the
-    paper compares algorithms under a common workload.
-    """
-
-    def __init__(self, params: WorkloadParams) -> None:
-        self.params = params
-        self._streams = RandomStreams(params.seed)
-
-    def stream_for(self, process: int) -> WorkloadStream:
-        """Return the request stream of one process."""
-        if not 0 <= process < self.params.num_processes:
-            raise ValueError(f"process id {process} out of range")
-        return WorkloadStream(self.params, process, self._streams)
-
-    def all_streams(self) -> List[WorkloadStream]:
-        """Return one stream per process, in process-id order."""
-        return [self.stream_for(p) for p in range(self.params.num_processes)]
-
-    def preview(self, process: int, count: int) -> List[RequestSpec]:
-        """Materialise the first ``count`` requests of a process (testing aid)."""
-        stream = self.stream_for(process)
-        return [stream.next_request() for _ in range(count)]
-
-
-def fixed_requests(
-    process: int,
-    resource_sets: List[FrozenSet[int]],
-    cs_duration: float = 10.0,
-    think_time: float = 1.0,
-) -> List[RequestSpec]:
-    """Build a deterministic scripted request list (used by examples/tests)."""
-    specs: List[RequestSpec] = []
-    for index, resources in enumerate(resource_sets):
-        specs.append(
-            RequestSpec(
-                process=process,
-                index=index,
-                resources=frozenset(resources),
-                cs_duration=cs_duration,
-                think_time=think_time if index > 0 else 0.0,
-            )
-        )
-    return specs

@@ -1,16 +1,14 @@
 """Declarative workload specifications.
 
-Workload generation was the last experiment dimension still baked into a
-single hard-coded generator: latency, faults and detectors all have
-frozen, picklable, content-hashable spec axes bound per-run
-(:mod:`repro.sim.latency`).  A :class:`WorkloadSpec`
-closes that gap — it is the declarative description of *how requests
-arrive*, carried by :class:`~repro.experiments.scenario.Scenario` as the
-``workload`` axis and thawed into per-process request streams inside
-whatever process runs the experiment:
+A :class:`WorkloadSpec` is the frozen, picklable, content-hashable
+description of *how requests arrive*, carried by
+:class:`~repro.experiments.scenario.Scenario` as the ``workload`` axis.
+Like the latency, fault and detector specs it is its own model: each spec
+draws its per-process request streams itself, and :meth:`WorkloadSpec.build`
+only binds it to one run's parameters and random streams
+(:class:`BoundWorkload`), inside whatever process runs the experiment:
 
-* :class:`SyntheticSpec` — the paper's Section-5.1 closed loop, exactly
-  as :class:`~repro.workload.generator.WorkloadGenerator` produces it.
+* :class:`SyntheticSpec` — the paper's Section-5.1 closed loop.
   Scenarios built from bare :class:`~repro.workload.params.WorkloadParams`
   normalise to this spec, and its canonical form is neutral, so existing
   cache keys and figure series are unchanged.
@@ -24,7 +22,7 @@ whatever process runs the experiment:
   :meth:`TraceReplaySpec.__canonical__`, so the run cache can never serve
   a result computed from a stale or edited trace.
 
-Thawed workloads expose per-process **iterators** of
+Streams are **generators** of
 :class:`~repro.workload.generator.RequestSpec`; nothing ever materialises
 a request list, which is what lets a multi-million-request open-loop
 run stream through the simulator in O(1) workload memory (a trace
@@ -34,28 +32,27 @@ replay keeps its 20 bytes a job, and no job or request objects).
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import os
 from abc import ABC, abstractmethod
-from array import array
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterator, Optional, Tuple
+from functools import cached_property
+from typing import TYPE_CHECKING, ClassVar, Dict, Iterator, Optional, Tuple
 
 from repro.sim.rng import RandomStreams
 from repro.workload.arrivals import ArrivalSpec, PoissonArrivals
-from repro.workload.generator import (
-    RequestSpec,
-    WorkloadGenerator,
-    draw_request_shape,
-)
+from repro.workload.generator import RequestSpec, draw_request_shape
 from repro.workload.params import cs_duration_for_size
 from repro.workload.swf import read_swf_columns
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from array import array
+
     from repro.workload.params import WorkloadParams
 
 __all__ = [
-    "Workload",
+    "BoundWorkload",
     "WorkloadSpec",
     "SyntheticSpec",
     "OpenLoopSpec",
@@ -63,28 +60,26 @@ __all__ = [
 ]
 
 
-# --------------------------------------------------------------------- #
-# thawed side: live per-run workloads
-# --------------------------------------------------------------------- #
-class Workload(ABC):
-    """Live (thawed) workload: a factory of per-process request streams.
+class WorkloadSpec(ABC):
+    """Frozen description of a workload; :meth:`build` binds it to one run."""
 
-    ``closed_loop`` tells the runner how the
-    :class:`~repro.experiments.driver.Client` times these streams:
-    ``True`` — the next request waits for the previous completion
-    (``RequestSpec.think_time`` is the think time after a release);
-    ``False`` — arrivals are external (``think_time`` is the
-    inter-arrival gap, and a slow protocol builds a backlog).
-    """
+    #: How the :class:`~repro.experiments.driver.Client` times the streams:
+    #: ``True`` — the next request waits for the previous completion
+    #: (``RequestSpec.think_time`` is the think time after a release);
+    #: ``False`` — arrivals are external (``think_time`` is the
+    #: inter-arrival gap, and a slow protocol builds a backlog).
+    closed_loop: ClassVar[bool] = True
 
-    closed_loop: bool = True
+    def build(self, params: "WorkloadParams") -> "BoundWorkload":
+        """The workload of one run under ``params``."""
+        return BoundWorkload(self, params)
 
     @abstractmethod
-    def stream_for(self, process: int) -> Iterator[RequestSpec]:
-        """Lazy request stream of one process (never a materialised list)."""
+    def stream(self, run: "BoundWorkload", process: int) -> Iterator[RequestSpec]:
+        """Lazy request stream of ``process`` in ``run`` (never a materialised list)."""
 
-    def expected_requests(self) -> Optional[int]:
-        """Approximate total request count across all processes.
+    def expected_requests(self, run: "BoundWorkload") -> Optional[int]:
+        """Approximate total request count across all processes of ``run``.
 
         Used to derive the event-count safety valve for workloads whose
         volume is not captured by the closed-loop think-time formula;
@@ -93,165 +88,40 @@ class Workload(ABC):
         """
         return None
 
-
-class SyntheticWorkload(Workload):
-    """Thawed :class:`SyntheticSpec`: the Section-5.1 closed-loop streams."""
-
-    closed_loop = True
-
-    def __init__(self, params: "WorkloadParams") -> None:
-        self.params = params
-        self._generator = WorkloadGenerator(params)
-
-    def stream_for(self, process: int) -> Iterator[RequestSpec]:
-        """The exact stream :class:`WorkloadGenerator` produces (bit-identical)."""
-        return self._generator.stream_for(process)
-
-
-class OpenLoopWorkload(Workload):
-    """Thawed :class:`OpenLoopSpec`: externally timed request streams.
-
-    Request *shapes* (size, resource pick, CS duration) reuse the
-    synthetic distribution and draw order of
-    :func:`~repro.workload.generator.draw_request_shape` on dedicated
-    RNG streams, so two open-loop specs differing only in their arrival
-    process issue identically shaped requests at different instants.
-    """
-
-    closed_loop = False
-
-    def __init__(self, spec: "OpenLoopSpec", params: "WorkloadParams") -> None:
-        self.spec = spec
-        self.params = params
-        self._streams = RandomStreams(params.seed)
-
-    def stream_for(self, process: int) -> Iterator[RequestSpec]:
-        """Lazy open-loop stream: gaps from the arrival spec, synthetic shapes."""
-        params = self.params
-        if not 0 <= process < params.num_processes:
-            raise ValueError(f"process id {process} out of range")
-        size_rng = self._streams.stream("ol-size", process)
-        pick_rng = self._streams.stream("ol-pick", process)
-        cs_rng = self._streams.stream("ol-cs", process)
-        arrival_rng = self._streams.stream("ol-arrival", process)
-        gaps = self.spec.arrival.gaps(arrival_rng, params)
-        for index, gap in enumerate(gaps):
-            resources, cs_duration = draw_request_shape(params, size_rng, pick_rng, cs_rng)
-            yield RequestSpec(
-                process=process,
-                index=index,
-                resources=resources,
-                cs_duration=cs_duration,
-                think_time=gap,
-            )
-
-    def expected_requests(self) -> Optional[int]:
-        """Mean offered volume: ``N * duration * rate`` (capped by the per-process limit)."""
-        params = self.params
-        per_process = params.duration * self.spec.arrival.mean_rate(params)
-        if params.requests_per_process is not None:
-            per_process = min(per_process, params.requests_per_process)
-        return max(1, math.ceil(per_process * params.num_processes))
-
-
-class TraceWorkload(Workload):
-    """Thawed :class:`TraceReplaySpec`: lazy SWF replay.
-
-    Jobs are dealt round-robin over the ``N`` processes in trace order.
-    The file is parsed once per run, on first use, into three columns
-    (:func:`~repro.workload.swf.read_swf_columns`, 20 bytes a job, capped
-    by ``max_jobs``); process ``p`` reads rows ``[p::N]`` of them,
-    re-basing submit times so the trace starts at t=0.  Job
-    size maps to ``min(phi, bit_length(procs))`` — a log2 compression of
-    the requested processor count into the paper's request-size range —
-    and the CS duration is the job's scaled runtime (falling back to the
-    synthetic size-dependent duration when the trace lacks one).
-    """
-
-    closed_loop = False
-
-    def __init__(self, spec: "TraceReplaySpec", params: "WorkloadParams") -> None:
-        self.spec = spec
-        self.params = params
-        self._streams = RandomStreams(params.seed)
-        self._parsed: Optional[Tuple[array, array, array]] = None
-
-    def _columns(self) -> Tuple[array, array, array]:
-        """``(submit_time, run_time, procs)`` of the replayed jobs, parsed on first use."""
-        columns = self._parsed
-        if columns is None:
-            columns = self._parsed = read_swf_columns(self.spec.path, self.spec.max_jobs)
-        return columns
-
-    def stream_for(self, process: int) -> Iterator[RequestSpec]:
-        """Lazy stream of this process's round-robin share of the trace."""
-        params = self.params
-        if not 0 <= process < params.num_processes:
-            raise ValueError(f"process id {process} out of range")
-        pick_rng = self._streams.stream("trace-pick", process)
-        scale = self.spec.time_scale
-        submit_times, run_times, procs = self._columns()
-        if not submit_times:
-            return
-        base = max(submit_times[0], 0.0)
-        last_arrival: Optional[float] = None
-        rows = range(process, len(submit_times), params.num_processes)
-        for index, row in enumerate(rows):
-            arrival = max(max(submit_times[row], 0.0) - base, 0.0) * scale
-            if last_arrival is None:
-                gap = arrival
-            else:
-                gap = max(arrival - last_arrival, 0.0)
-                arrival = max(arrival, last_arrival)
-            last_arrival = arrival
-            size = min(params.phi, max(1, procs[row].bit_length()))
-            resources = frozenset(pick_rng.sample(range(params.num_resources), size))
-            run_time = run_times[row]
-            if run_time > 0:
-                cs_duration = max(run_time * scale, 1e-6)
-            else:
-                cs_duration = cs_duration_for_size(
-                    size, params.num_resources, params.alpha_min, params.alpha_max
-                )
-            yield RequestSpec(
-                process=process,
-                index=index,
-                resources=resources,
-                cs_duration=cs_duration,
-                think_time=gap,
-            )
-
-    def expected_requests(self) -> Optional[int]:
-        """Job count of the replayed trace (capped by ``max_jobs``)."""
-        count = len(self._columns()[0])
-        params = self.params
-        if params.requests_per_process is not None:
-            count = min(count, params.requests_per_process * params.num_processes)
-        return max(1, count)
-
-
-# --------------------------------------------------------------------- #
-# frozen side: declarative specs
-# --------------------------------------------------------------------- #
-class WorkloadSpec(ABC):
-    """Frozen description of a workload, thawed per-run via :meth:`build`."""
-
     @abstractmethod
-    def build(self, params: "WorkloadParams") -> Workload:
-        """Instantiate the live workload for ``params``."""
-
-    def normalized(self, params: "WorkloadParams") -> "WorkloadSpec":
-        """Normal form under ``params`` (default: the spec itself).
-
-        Scenario normalisation calls this hook so specs can fail fast on
-        parameterisations they cannot drive and collapse equivalent
-        spellings onto one cache key.
-        """
-        return self
-
     def describe(self) -> str:
         """Human-readable description used in experiment reports."""
-        return repr(self)
+
+
+class BoundWorkload:
+    """One run's workload: a spec, the run's params and its random streams.
+
+    Every stream of the run draws from the one :class:`RandomStreams`
+    seeded by ``params.seed``, so the workload is identical across the
+    algorithms being compared.  A trace replay also reads its columns
+    from here, parsed once per run on first use.
+    """
+
+    def __init__(self, spec: WorkloadSpec, params: "WorkloadParams") -> None:
+        self.spec = spec
+        self.params = params
+        self.closed_loop = spec.closed_loop
+        self.streams = RandomStreams(params.seed)
+
+    @cached_property
+    def columns(self) -> Tuple["array", "array", "array"]:
+        """``(submit_time, run_time, procs)`` of the replayed trace's jobs."""
+        return read_swf_columns(self.spec.path, self.spec.max_jobs)
+
+    def stream_for(self, process: int) -> Iterator[RequestSpec]:
+        """Lazy request stream of one process."""
+        if not 0 <= process < self.params.num_processes:
+            raise ValueError(f"process id {process} out of range")
+        return self.spec.stream(self, process)
+
+    def expected_requests(self) -> Optional[int]:
+        """See :meth:`WorkloadSpec.expected_requests`."""
+        return self.spec.expected_requests(self)
 
 
 @dataclass(frozen=True)
@@ -265,9 +135,28 @@ class SyntheticSpec(WorkloadSpec):
     ``workload=SyntheticSpec()`` explicitly.
     """
 
-    def build(self, params: "WorkloadParams") -> SyntheticWorkload:
-        """Thaw into the closed-loop generator streams."""
-        return SyntheticWorkload(params)
+    def stream(self, run: BoundWorkload, process: int) -> Iterator[RequestSpec]:
+        """Think, request ``x`` in ``{1..phi}`` resources, hold them, repeat.
+
+        Each request draws its shape (size, pick, cs noise) and then its
+        think time.  The first request of a process waits a short
+        staggered delay, uniform in ``[0, min(beta, alpha_max)]``, so the
+        N processes do not all fire at t=0; later ones think for an
+        exponential time with mean ``beta``.
+        """
+        params = run.params
+        size_rng = run.streams.stream("size", process)
+        pick_rng = run.streams.stream("pick", process)
+        think_rng = run.streams.stream("think", process)
+        cs_rng = run.streams.stream("cs", process)
+        beta = params.beta
+        for index in itertools.count():
+            resources, cs_duration = draw_request_shape(params, size_rng, pick_rng, cs_rng)
+            if index == 0:
+                think = think_rng.uniform(0.0, min(beta, params.alpha_max))
+            else:
+                think = think_rng.expovariate(1.0 / beta) if beta > 0 else 0.0
+            yield RequestSpec(process, index, resources, cs_duration, think)
 
     def describe(self) -> str:
         """Canonical label of the closed-loop workload."""
@@ -283,7 +172,15 @@ class OpenLoopSpec(WorkloadSpec):
     waiting times reflect the *backlog* a real service would build up.
     ``arrival`` defaults to rate-matched Poisson
     (:class:`~repro.workload.arrivals.PoissonArrivals` at ``1/beta``).
+
+    Request *shapes* (size, resource pick, CS duration) reuse the
+    synthetic distribution and draw order of
+    :func:`~repro.workload.generator.draw_request_shape` on dedicated
+    RNG streams, so two open-loop specs differing only in their arrival
+    process issue identically shaped requests at different instants.
     """
+
+    closed_loop: ClassVar[bool] = False
 
     arrival: ArrivalSpec = PoissonArrivals()
 
@@ -294,10 +191,29 @@ class OpenLoopSpec(WorkloadSpec):
                 f"use e.g. PoissonArrivals / ParetoArrivals / MarkovModulatedArrivals"
             )
 
-    def build(self, params: "WorkloadParams") -> OpenLoopWorkload:
-        """Thaw into per-process open-loop streams (validates the rate)."""
+    def build(self, params: "WorkloadParams") -> BoundWorkload:
+        """Bind to one run (validates the arrival rate)."""
         self.arrival.mean_rate(params)  # fail fast on underivable rates
-        return OpenLoopWorkload(self, params)
+        return BoundWorkload(self, params)
+
+    def stream(self, run: BoundWorkload, process: int) -> Iterator[RequestSpec]:
+        """Gaps from the arrival spec, synthetic shapes."""
+        params = run.params
+        size_rng = run.streams.stream("ol-size", process)
+        pick_rng = run.streams.stream("ol-pick", process)
+        cs_rng = run.streams.stream("ol-cs", process)
+        arrival_rng = run.streams.stream("ol-arrival", process)
+        for index, gap in enumerate(self.arrival.gaps(arrival_rng, params)):
+            resources, cs_duration = draw_request_shape(params, size_rng, pick_rng, cs_rng)
+            yield RequestSpec(process, index, resources, cs_duration, gap)
+
+    def expected_requests(self, run: BoundWorkload) -> Optional[int]:
+        """Mean offered volume: ``N * duration * rate`` (capped by the per-process limit)."""
+        params = run.params
+        per_process = params.duration * self.arrival.mean_rate(params)
+        if params.requests_per_process is not None:
+            per_process = min(per_process, params.requests_per_process)
+        return max(1, math.ceil(per_process * params.num_processes))
 
     def describe(self) -> str:
         """Label naming the arrival family."""
@@ -328,6 +244,14 @@ def _file_sha256(path: str) -> str:
 class TraceReplaySpec(WorkloadSpec):
     """Replay an SWF-format job trace as the workload.
 
+    Jobs are dealt round-robin over the ``N`` processes in trace order:
+    process ``p`` reads rows ``[p::N]`` of the run's columns, re-basing
+    submit times so the trace starts at t=0.  Job size maps to
+    ``min(phi, bit_length(procs))`` — a log2 compression of the requested
+    processor count into the paper's request-size range — and the CS
+    duration is the job's scaled runtime (falling back to the synthetic
+    size-dependent duration when the trace lacks one).
+
     Parameters
     ----------
     path:
@@ -342,6 +266,8 @@ class TraceReplaySpec(WorkloadSpec):
         Optional cap on the number of jobs replayed.
     """
 
+    closed_loop: ClassVar[bool] = False
+
     path: str
     time_scale: float = 1.0
     max_jobs: Optional[int] = None
@@ -353,10 +279,6 @@ class TraceReplaySpec(WorkloadSpec):
             raise ValueError("time_scale must be positive")
         if self.max_jobs is not None and self.max_jobs < 1:
             raise ValueError("max_jobs must be >= 1 (or None for the whole trace)")
-
-    def trace_sha256(self) -> str:
-        """Content digest of the trace file (raises if the file is missing)."""
-        return _file_sha256(self.path)
 
     def __canonical__(self):
         """Canonical form folding the trace *contents* into the key.
@@ -372,15 +294,53 @@ class TraceReplaySpec(WorkloadSpec):
             (
                 ("max_jobs", self.max_jobs),
                 ("time_scale", self.time_scale),
-                ("trace_sha256", self.trace_sha256()),
+                ("trace_sha256", _file_sha256(self.path)),
             ),
         )
 
-    def build(self, params: "WorkloadParams") -> TraceWorkload:
-        """Thaw into lazy per-process replay streams (checks the file exists)."""
+    def build(self, params: "WorkloadParams") -> BoundWorkload:
+        """Bind to one run (checks the file exists; it is parsed on first use)."""
         if not os.path.exists(self.path):
             raise FileNotFoundError(f"SWF trace not found: {self.path}")
-        return TraceWorkload(self, params)
+        return BoundWorkload(self, params)
+
+    def stream(self, run: BoundWorkload, process: int) -> Iterator[RequestSpec]:
+        """This process's round-robin share of the trace."""
+        params = run.params
+        pick_rng = run.streams.stream("trace-pick", process)
+        scale = self.time_scale
+        submit_times, run_times, procs = run.columns
+        if not submit_times:
+            return
+        base = max(submit_times[0], 0.0)
+        last_arrival: Optional[float] = None
+        rows = range(process, len(submit_times), params.num_processes)
+        for index, row in enumerate(rows):
+            arrival = max(max(submit_times[row], 0.0) - base, 0.0) * scale
+            if last_arrival is None:
+                gap = arrival
+            else:
+                gap = max(arrival - last_arrival, 0.0)
+                arrival = max(arrival, last_arrival)
+            last_arrival = arrival
+            size = min(params.phi, max(1, procs[row].bit_length()))
+            resources = frozenset(pick_rng.sample(range(params.num_resources), size))
+            run_time = run_times[row]
+            if run_time > 0:
+                cs_duration = max(run_time * scale, 1e-6)
+            else:
+                cs_duration = cs_duration_for_size(
+                    size, params.num_resources, params.alpha_min, params.alpha_max
+                )
+            yield RequestSpec(process, index, resources, cs_duration, gap)
+
+    def expected_requests(self, run: BoundWorkload) -> Optional[int]:
+        """Job count of the replayed trace (capped by ``max_jobs``)."""
+        count = len(run.columns[0])
+        params = run.params
+        if params.requests_per_process is not None:
+            count = min(count, params.requests_per_process * params.num_processes)
+        return max(1, count)
 
     def describe(self) -> str:
         """Label naming the trace file and scale."""

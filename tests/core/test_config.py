@@ -2,39 +2,39 @@
 
 import pytest
 
-from repro.core.config import CoreConfig
-from repro.core.policies import MaxPolicy, MeanNonZeroPolicy
+from repro.core.config import DEFAULT_RESEND_INTERVAL, CoreConfigSpec
+
+from tests.helpers import build_system
 
 
-class TestCoreConfig:
+class TestCoreConfigSpec:
     def test_defaults_match_paper_evaluation(self):
-        config = CoreConfig()
+        config = CoreConfigSpec()
         assert config.enable_loan is True
-        assert config.loan_threshold == 1
-        assert isinstance(config.policy, MeanNonZeroPolicy)
+        assert config.loan_threshold is None  # the workload's threshold (1 by default)
+        assert config.policy == "mean_nonzero"
+        assert config.resend_interval == DEFAULT_RESEND_INTERVAL
         assert config.initial_holder == 0
 
-    def test_without_loan_constructor(self):
-        config = CoreConfig.without_loan()
-        assert config.enable_loan is False
-
-    def test_with_loan_constructor_threshold(self):
-        config = CoreConfig.with_loan(loan_threshold=3)
-        assert config.enable_loan is True
-        assert config.loan_threshold == 3
-
     def test_policy_by_name(self):
-        config = CoreConfig.with_loan(policy="max")
-        assert isinstance(config.policy, MaxPolicy)
+        assert CoreConfigSpec(policy="max").policy == "max"
+        with pytest.raises(KeyError, match="unknown scheduling policy"):
+            CoreConfigSpec(policy="nope")
 
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValueError):
-            CoreConfig(loan_threshold=-1)
+            CoreConfigSpec(loan_threshold=-1)
 
     def test_negative_initial_holder_rejected(self):
         with pytest.raises(ValueError):
-            CoreConfig(initial_holder=-2)
+            CoreConfigSpec(initial_holder=-2)
 
     def test_describe_mentions_loan_state(self):
-        assert "no-loan" in CoreConfig.without_loan().describe()
-        assert "loan" in CoreConfig.with_loan().describe()
+        assert "no-loan" in CoreConfigSpec(enable_loan=False).describe()
+        assert "loan<=3" in CoreConfigSpec(loan_threshold=3).describe()
+
+    def test_lending_node_needs_a_resolved_threshold(self):
+        with pytest.raises(ValueError, match="loan_threshold"):
+            build_system("core", 2, 2, core_config=CoreConfigSpec())
+        system = build_system("core", 2, 2, core_config=CoreConfigSpec(enable_loan=False))
+        assert len(system.allocators) == 2

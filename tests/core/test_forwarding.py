@@ -8,7 +8,7 @@ instead of through a figure benchmark.
 
 import pytest
 
-from repro.core.config import CoreConfig
+from repro.core.config import CoreConfigSpec
 from repro.core.messages import ReqCnt, ReqLoan, ReqRes, RequestEnvelope
 from repro.core.node import CoreAllocatorNode
 from repro.experiments.runner import run
@@ -33,9 +33,8 @@ class RecordingNetwork:
 def make_forwarder(node_id=5, num_resources=6):
     """A node that holds no token; every probable owner is node 0."""
     network = RecordingNetwork()
-    node = CoreAllocatorNode(
-        Simulator(), network, node_id, num_resources, config=CoreConfig(initial_holder=0)
-    )
+    config = CoreConfigSpec(loan_threshold=1, resend_interval=None)
+    node = CoreAllocatorNode(Simulator(), network, node_id, num_resources, config=config)
     return node, network
 
 

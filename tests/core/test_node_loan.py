@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.core.config import CoreConfig
 
-from tests.helpers import assert_all_completed, build_system, run_scripted
+from tests.helpers import assert_all_completed, build_system, node_config, run_scripted
 
 #: Scripted scenario in which a loan is useful:
 #:   * process 1 first runs a tiny CS on {3}, which bumps that counter and
@@ -27,7 +26,7 @@ LOAN_SCENARIO = [
 
 
 def run_loan_scenario(enable_loan: bool):
-    config = CoreConfig(enable_loan=enable_loan, loan_threshold=1)
+    config = node_config(enable_loan=enable_loan, loan_threshold=1)
     system = build_system("core", num_processes=3, num_resources=4, gamma=1.0,
                           core_config=config)
     metrics = run_scripted(system, LOAN_SCENARIO)
@@ -74,7 +73,7 @@ class TestLoanScenario:
         assert len(metrics.records) == 4
 
     def test_loan_does_not_change_results_without_contention(self):
-        config = CoreConfig(enable_loan=True)
+        config = node_config(enable_loan=True)
         system = build_system("core", num_processes=3, num_resources=6, gamma=1.0,
                               core_config=config)
         metrics = run_scripted(
@@ -91,7 +90,7 @@ class TestLoanScenario:
 
 class TestLoanThreshold:
     def test_zero_threshold_never_asks_for_loans(self):
-        config = CoreConfig(enable_loan=True, loan_threshold=0)
+        config = node_config(enable_loan=True, loan_threshold=0)
         system = build_system("core", num_processes=3, num_resources=4, gamma=1.0,
                               core_config=config)
         metrics = run_scripted(system, LOAN_SCENARIO)
@@ -101,7 +100,7 @@ class TestLoanThreshold:
     def test_larger_threshold_allows_multi_resource_loans(self):
         """With threshold 2 the middle process (missing two resources) also
         asks for a loan; the run must stay correct and complete."""
-        config = CoreConfig(enable_loan=True, loan_threshold=2)
+        config = node_config(enable_loan=True, loan_threshold=2)
         system = build_system("core", num_processes=3, num_resources=4, gamma=1.0,
                               core_config=config)
         metrics = run_scripted(system, LOAN_SCENARIO)
@@ -115,7 +114,7 @@ class TestLoanUnderLoad:
         import random
 
         rng = random.Random(seed)
-        config = CoreConfig(enable_loan=True, loan_threshold=1)
+        config = node_config(enable_loan=True, loan_threshold=1)
         system = build_system("core", num_processes=5, num_resources=4, gamma=0.5,
                               core_config=config)
         requests = []

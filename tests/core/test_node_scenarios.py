@@ -3,7 +3,6 @@
 import pytest
 
 from repro.allocator import AllocatorError
-from repro.core.config import CoreConfig
 from repro.core.node import ProcessState
 
 from tests.helpers import assert_all_completed, build_system, run_scripted

@@ -11,7 +11,8 @@ from repro.core.policies import (
     available_policies,
     get_policy,
 )
-from repro.workload.params import WorkloadParams
+
+from tests.helpers import build_system, node_config
 
 
 def vector(m, assignments):
@@ -80,8 +81,8 @@ class TestRegistry:
 
     @pytest.mark.parametrize("name", ["max", "mean_nonzero", "min_nonzero", "sum"])
     def test_reachable_through_core_config_spec(self, name):
-        config = CoreConfigSpec(policy=name).build(WorkloadParams())
-        assert config.policy.describe() == name
+        system = build_system("core", 2, 2, core_config=node_config(policy=name))
+        assert {node._policy.describe() for node in system.allocators} == {name}
 
 
 class TestRemovedPolicies:

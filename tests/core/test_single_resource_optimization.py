@@ -4,13 +4,13 @@ import random
 
 import pytest
 
-from repro.core.config import CoreConfig
+from repro.core.config import CoreConfigSpec
 
-from tests.helpers import assert_all_completed, build_system, run_scripted
+from tests.helpers import assert_all_completed, build_system, node_config, run_scripted
 
 
-def config(enabled: bool) -> CoreConfig:
-    return CoreConfig(enable_loan=True, single_resource_optimization=enabled)
+def config(enabled: bool) -> CoreConfigSpec:
+    return node_config(enable_loan=True, single_resource_optimization=enabled)
 
 
 class TestFastPath:

@@ -1,4 +1,6 @@
-"""Tests of the algorithm registry."""
+"""Tests of the algorithm table."""
+
+import dataclasses
 
 import pytest
 
@@ -7,8 +9,7 @@ from repro.baselines.central_scheduler import CentralSchedulerClientAllocator
 from repro.baselines.incremental import IncrementalAllocatorNode
 from repro.core.config import CoreConfigSpec
 from repro.core.node import CoreAllocatorNode
-from repro.core.policies import MaxPolicy
-from repro.experiments.registry import ALGORITHM_LABELS, ALGORITHMS, get_algorithm
+from repro.experiments.registry import ALGORITHM_LABELS, ALGORITHMS, TABLE, get_algorithm
 from repro.sim.engine import Simulator
 from repro.sim.latency import ConstantLatencySpec
 from repro.sim.network import Network
@@ -27,12 +28,22 @@ def make_network(params, sim):
 
 
 def make_allocators(algorithm, params, sim, network, config=None):
-    return get_algorithm(algorithm).make_allocators(config, params, sim, network)
+    """What the runner does with a normalised scenario's algorithm and config."""
+    row = get_algorithm(algorithm)
+    if config is None:
+        config = row.default_config
+    return row.build(config, params, sim, network, None)
 
 
-class TestRegistry:
+class TestTable:
     def test_every_algorithm_has_a_label(self):
         assert set(ALGORITHM_LABELS) == set(ALGORITHMS)
+
+    def test_rows_in_legend_order(self):
+        assert ALGORITHMS == (
+            "incremental", "bouabdallah", "without_loan", "with_loan", "shared_memory"
+        )
+        assert all(name == row.name for name, row in TABLE.items())
 
     def test_unknown_algorithm_rejected(self, params):
         sim = Simulator()
@@ -45,10 +56,10 @@ class TestRegistry:
         assert len(allocators) == params.num_processes
         assert all(isinstance(a, CentralSchedulerClientAllocator) for a in allocators)
 
-    def test_distributed_algorithms_require_network(self, params):
-        sim = Simulator()
-        with pytest.raises(ValueError):
-            make_allocators("with_loan", params, sim, None)
+    def test_only_shared_memory_runs_without_a_network(self):
+        assert [name for name, row in TABLE.items() if not row.needs_network] == [
+            "shared_memory"
+        ]
 
     @pytest.mark.parametrize(
         "name,cls",
@@ -83,8 +94,15 @@ class TestRegistry:
             "with_loan", params, sim, network,
             config=CoreConfigSpec(policy="max", loan_threshold=5),
         )
-        assert isinstance(allocators[0].config.policy, MaxPolicy)
+        assert allocators[0].config.policy == "max"
         assert allocators[0].config.loan_threshold == 5
+
+    def test_unset_threshold_binds_the_workload_threshold(self, params):
+        params = dataclasses.replace(params, loan_threshold=3)
+        sim = Simulator()
+        allocators = make_allocators("with_loan", params, sim, make_network(params, sim))
+        assert TABLE["with_loan"].default_config.loan_threshold is None
+        assert {a.config.loan_threshold for a in allocators} == {3}
 
     def test_network_uses_params_gamma(self, params):
         sim = Simulator()

@@ -2,13 +2,14 @@
 
 import dataclasses
 import pickle
+import re
 import subprocess
 import sys
 
 import pytest
 
 from repro.core.config import CoreConfigSpec
-from repro.experiments.registry import BLConfigSpec
+from repro.experiments.registry import BLConfigSpec, IncrementalConfigSpec
 from repro.experiments.runner import run
 from repro.experiments.scenario import Scenario
 from repro.sim.faultspec import BernoulliLoss, NoFaults, NodeCrash
@@ -80,6 +81,44 @@ class TestScenarioValue:
     def test_non_spec_detector_rejected(self):
         with pytest.raises(TypeError, match="DetectorSpec"):
             Scenario(algorithm="with_loan", params=small_params(), detector=40.0)
+
+
+class TestConfigNodeIds:
+    """A config naming a node outside the workload fails before any run starts."""
+
+    @pytest.mark.parametrize(
+        "algorithm, config, field",
+        [
+            ("with_loan", CoreConfigSpec(initial_holder=9), "CoreConfigSpec.initial_holder=9"),
+            ("bouabdallah", BLConfigSpec(control_holder=9), "BLConfigSpec.control_holder=9"),
+            ("bouabdallah", BLConfigSpec(control_holder=-1), "BLConfigSpec.control_holder=-1"),
+            (
+                "incremental",
+                IncrementalConfigSpec(initial_holder=9),
+                "IncrementalConfigSpec.initial_holder=9",
+            ),
+        ],
+    )
+    def test_holder_outside_workload_rejected(self, algorithm, config, field):
+        scenario = Scenario(algorithm=algorithm, params=small_params(), config=config)
+        message = re.escape(field) + ".*N=4"
+        with pytest.raises(ValueError, match=message):
+            scenario.key()
+        with pytest.raises(ValueError, match=message):
+            run(scenario)
+
+    @pytest.mark.parametrize(
+        "algorithm, config",
+        [
+            ("with_loan", CoreConfigSpec(initial_holder=3)),
+            ("bouabdallah", BLConfigSpec(control_holder=3)),
+            ("incremental", IncrementalConfigSpec(initial_holder=3)),
+            ("incremental", IncrementalConfigSpec(initial_holder=None)),
+        ],
+    )
+    def test_holder_inside_workload_runs(self, algorithm, config):
+        result = run(Scenario(algorithm=algorithm, params=small_params(), config=config))
+        assert result.termination.reason == "drained"
 
 
 class TestScenarioKey:
@@ -301,28 +340,22 @@ class TestRunScenario:
         assert "with_loan" in text and "loan<=2" in text
 
 
-class TestRegistryPluggability:
-    def test_registered_algorithm_is_droppable_into_scenarios(self):
+class TestAlgorithmTable:
+    def test_a_new_row_is_droppable_into_scenarios(self, monkeypatch):
+        from repro.baselines.central_scheduler import (
+            CentralScheduler,
+            CentralSchedulerClientAllocator,
+        )
         from repro.experiments import registry
 
-        @registry.register_algorithm("test_dummy", label="Dummy", needs_network=False)
-        def _build(config, params, sim, network, trace):
-            from repro.baselines.central_scheduler import (
-                CentralScheduler,
-                CentralSchedulerClientAllocator,
-            )
-
+        def build(config, params, sim, network, trace):
             scheduler = CentralScheduler(sim, params.num_resources)
             return [
                 CentralSchedulerClientAllocator(scheduler, p)
                 for p in range(params.num_processes)
             ]
 
-        try:
-            assert "test_dummy" in registry.available_algorithms()
-            result = run(Scenario(algorithm="test_dummy", params=small_params()))
-            assert result.metrics.completed == result.metrics.issued
-            with pytest.raises(ValueError, match="already registered"):
-                registry.register_algorithm("test_dummy")(_build)
-        finally:
-            del registry._REGISTRY["test_dummy"]
+        row = registry.Algorithm("test_dummy", "Dummy", None, False, build)
+        monkeypatch.setitem(registry.TABLE, "test_dummy", row)
+        result = run(Scenario(algorithm="test_dummy", params=small_params()))
+        assert result.metrics.completed == result.metrics.issued

@@ -14,7 +14,7 @@ from repro.allocator import MultiResourceAllocator
 from repro.baselines.bouabdallah_laforest import BLAllocatorNode
 from repro.baselines.central_scheduler import CentralScheduler, CentralSchedulerClientAllocator
 from repro.baselines.incremental import IncrementalAllocatorNode
-from repro.core.config import CoreConfig
+from repro.core.config import CoreConfigSpec
 from repro.core.node import CoreAllocatorNode
 from repro.metrics.collector import MetricsCollector
 from repro.sim.engine import Simulator
@@ -38,20 +38,28 @@ class System:
         self.sim.run(until=until, max_events=max_events)
 
 
+def node_config(**fields: object) -> CoreConfigSpec:
+    """A core config resolved for a node: loan threshold 1, no re-send net.
+
+    ``fields`` override either default or set any other field.
+    """
+    return CoreConfigSpec(**{"loan_threshold": 1, "resend_interval": None, **fields})
+
+
 def build_system(
     algorithm: str,
     num_processes: int,
     num_resources: int,
     gamma: float = 0.5,
     latency: Optional[LatencySpec] = None,
-    core_config: Optional[CoreConfig] = None,
-    resend_interval: Optional[float] = None,
+    core_config: Optional[CoreConfigSpec] = None,
 ) -> System:
     """Build a system of ``num_processes`` allocators for ``algorithm``.
 
     ``algorithm`` is one of ``core``, ``core_loan``, ``incremental``,
     ``bouabdallah``, ``shared_memory`` (the short names used by unit tests;
-    the experiment registry uses the paper-facing names).
+    the experiment registry uses the paper-facing names).  ``core``
+    nodes default to :func:`node_config`.
     """
     sim = Simulator()
     trace = TraceRecorder(enabled=True)
@@ -80,11 +88,10 @@ def build_system(
     elif algorithm in ("core", "core_loan"):
         config = core_config
         if config is None:
-            config = CoreConfig(enable_loan=(algorithm == "core_loan"))
+            config = node_config(enable_loan=(algorithm == "core_loan"))
         allocators = [
             CoreAllocatorNode(
-                sim, network, p, num_resources=num_resources, config=config,
-                trace=trace, resend_interval=resend_interval,
+                sim, network, p, num_resources=num_resources, config=config, trace=trace,
             )
             for p in range(num_processes)
         ]

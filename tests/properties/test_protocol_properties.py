@@ -9,9 +9,8 @@ are kept small so hypothesis can explore many shapes quickly.
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.config import CoreConfig
 
-from tests.helpers import assert_all_completed, build_system, run_scripted
+from tests.helpers import assert_all_completed, build_system, node_config, run_scripted
 
 N_PROC = 4
 N_RES = 5
@@ -46,7 +45,7 @@ class TestCoreAlgorithmProperties:
     @given(scenarios(), st.booleans())
     @COMMON_SETTINGS
     def test_safety_liveness_and_conservation(self, requests, enable_loan):
-        config = CoreConfig(enable_loan=enable_loan)
+        config = node_config(enable_loan=enable_loan)
         system = build_system("core", num_processes=N_PROC, num_resources=N_RES,
                               gamma=0.5, core_config=config)
         metrics = run_scripted(system, requests, max_events=2_000_000)

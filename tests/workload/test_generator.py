@@ -1,9 +1,12 @@
-"""Unit tests for the workload generator."""
+"""Unit tests for requests and the Section-5.1 closed-loop stream."""
+
+import itertools
 
 import pytest
 
-from repro.workload.generator import RequestSpec, WorkloadGenerator, fixed_requests
+from repro.workload.generator import RequestSpec
 from repro.workload.params import LoadLevel, WorkloadParams
+from repro.workload.spec import SyntheticSpec
 
 
 @pytest.fixture
@@ -13,11 +16,15 @@ def params():
     )
 
 
-class TestRequestSpec:
-    def test_size_property(self):
-        spec = RequestSpec(0, 0, frozenset({1, 2, 3}), 10.0, 1.0)
-        assert spec.size == 3
+def closed_loop(params, process=0):
+    return SyntheticSpec().build(params).stream_for(process)
 
+
+def preview(params, process, count):
+    return list(itertools.islice(closed_loop(params, process), count))
+
+
+class TestRequestSpec:
     def test_empty_resources_rejected(self):
         with pytest.raises(ValueError):
             RequestSpec(0, 0, frozenset(), 10.0, 1.0)
@@ -31,24 +38,18 @@ class TestRequestSpec:
             RequestSpec(0, 0, frozenset({1}), 1.0, -1.0)
 
 
-class TestWorkloadStream:
+class TestClosedLoopStream:
     def test_sizes_within_phi(self, params):
-        stream = WorkloadGenerator(params).stream_for(0)
-        for _ in range(300):
-            spec = stream.next_request()
-            assert 1 <= spec.size <= params.phi
+        for spec in preview(params, 0, 300):
+            assert 1 <= len(spec.resources) <= params.phi
 
     def test_resources_within_range(self, params):
-        stream = WorkloadGenerator(params).stream_for(1)
-        for _ in range(200):
-            spec = stream.next_request()
+        for spec in preview(params, 1, 200):
             assert all(0 <= r < params.num_resources for r in spec.resources)
 
     def test_cs_duration_positive_and_bounded(self, params):
-        stream = WorkloadGenerator(params).stream_for(2)
         upper = params.alpha_max * (1 + params.cs_noise)
-        for _ in range(200):
-            spec = stream.next_request()
+        for spec in preview(params, 2, 200):
             assert 0 < spec.cs_duration <= upper + 1e-9
 
     def test_larger_requests_have_longer_mean_cs(self):
@@ -56,50 +57,38 @@ class TestWorkloadStream:
             num_processes=2, num_resources=40, phi=40, duration=1_000.0, warmup=100.0,
             seed=3, cs_noise=0.0,
         )
-        stream = WorkloadGenerator(params).stream_for(0)
-        specs = [stream.next_request() for _ in range(500)]
-        small = [s.cs_duration for s in specs if s.size <= 5]
-        large = [s.cs_duration for s in specs if s.size >= 35]
+        specs = preview(params, 0, 500)
+        small = [s.cs_duration for s in specs if len(s.resources) <= 5]
+        large = [s.cs_duration for s in specs if len(s.resources) >= 35]
         assert small and large
         assert sum(large) / len(large) > sum(small) / len(small)
 
     def test_indices_increment(self, params):
-        stream = WorkloadGenerator(params).stream_for(0)
-        indices = [stream.next_request().index for _ in range(5)]
-        assert indices == [0, 1, 2, 3, 4]
+        assert [spec.index for spec in preview(params, 0, 5)] == [0, 1, 2, 3, 4]
 
     def test_iterator_protocol(self, params):
-        stream = WorkloadGenerator(params).stream_for(0)
-        first = next(stream)
+        first = next(closed_loop(params))
         assert isinstance(first, RequestSpec)
 
     def test_think_time_non_negative(self, params):
-        stream = WorkloadGenerator(params).stream_for(3)
-        assert all(stream.next_request().think_time >= 0 for _ in range(200))
+        assert all(spec.think_time >= 0 for spec in preview(params, 3, 200))
 
 
-class TestWorkloadGenerator:
+class TestClosedLoopDeterminism:
     def test_deterministic_for_same_seed(self, params):
-        a = WorkloadGenerator(params).preview(0, 20)
-        b = WorkloadGenerator(params).preview(0, 20)
-        assert a == b
+        assert preview(params, 0, 20) == preview(params, 0, 20)
 
     def test_different_seeds_differ(self, params):
-        a = WorkloadGenerator(params).preview(0, 20)
-        b = WorkloadGenerator(params.with_seed(6)).preview(0, 20)
-        assert a != b
+        assert preview(params, 0, 20) != preview(params.with_seed(6), 0, 20)
 
     def test_processes_get_different_streams(self, params):
-        gen = WorkloadGenerator(params)
-        assert gen.preview(0, 20) != gen.preview(1, 20)
+        run = SyntheticSpec().build(params)
+        first = list(itertools.islice(run.stream_for(0), 20))
+        assert first != list(itertools.islice(run.stream_for(1), 20))
 
     def test_out_of_range_process_rejected(self, params):
         with pytest.raises(ValueError):
-            WorkloadGenerator(params).stream_for(99)
-
-    def test_all_streams_covers_every_process(self, params):
-        streams = WorkloadGenerator(params).all_streams()
-        assert len(streams) == params.num_processes
+            closed_loop(params, 99)
 
     def test_workload_identical_across_load_levels_for_sizes(self):
         """The same seed must replay the same resource sets regardless of
@@ -107,14 +96,6 @@ class TestWorkloadGenerator:
         base = WorkloadParams(
             num_processes=2, num_resources=10, phi=4, duration=100.0, warmup=10.0, seed=9
         )
-        medium = WorkloadGenerator(base.with_load(LoadLevel.MEDIUM)).preview(0, 30)
-        high = WorkloadGenerator(base.with_load(LoadLevel.HIGH)).preview(0, 30)
+        medium = preview(base.with_load(LoadLevel.MEDIUM), 0, 30)
+        high = preview(base.with_load(LoadLevel.HIGH), 0, 30)
         assert [s.resources for s in medium] == [s.resources for s in high]
-
-
-class TestFixedRequests:
-    def test_builds_sequential_specs(self):
-        specs = fixed_requests(2, [frozenset({1}), frozenset({2, 3})], cs_duration=5.0)
-        assert [s.index for s in specs] == [0, 1]
-        assert specs[0].think_time == 0.0
-        assert specs[1].resources == frozenset({2, 3})

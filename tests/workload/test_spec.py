@@ -1,4 +1,4 @@
-"""Tests for the declarative workload axis (specs, thawing, cache keys)."""
+"""Tests for the declarative workload axis (specs, binding to a run, cache keys)."""
 
 import itertools
 import os
@@ -9,7 +9,6 @@ import pytest
 
 from repro.experiments.scenario import Scenario
 from repro.workload.arrivals import ParetoArrivals, PoissonArrivals
-from repro.workload.generator import WorkloadGenerator
 from repro.workload.params import WorkloadParams
 from repro.workload.spec import (
     OpenLoopSpec,
@@ -18,20 +17,13 @@ from repro.workload.spec import (
     WorkloadSpec,
 )
 
+from tests.workload.swf_oracle import read_swf
+
 PARAMS = WorkloadParams(num_processes=4, num_resources=8, phi=3, rho=2.0, seed=11)
 MINI = os.path.join(os.path.dirname(__file__), "data", "mini.swf")
 
 
 class TestSyntheticSpec:
-    def test_streams_bit_identical_to_generator(self):
-        """The spec is a pure re-packaging of WorkloadGenerator."""
-        direct = WorkloadGenerator(PARAMS)
-        thawed = SyntheticSpec().build(PARAMS)
-        for process in range(PARAMS.num_processes):
-            a = list(itertools.islice(direct.stream_for(process), 50))
-            b = list(itertools.islice(thawed.stream_for(process), 50))
-            assert a == b
-
     def test_closed_loop(self):
         assert SyntheticSpec().build(PARAMS).closed_loop is True
 
@@ -204,8 +196,6 @@ class TestTraceReplaySpec:
 
     def test_streams_match_a_pass_over_the_job_records(self):
         """Row ``[p::N]`` of the columns is process p's round-robin share."""
-        from repro.workload.swf import read_swf
-
         jobs = list(read_swf(MINI))
         wl = TraceReplaySpec(path=MINI, time_scale=0.5).build(PARAMS)
         for process in range(PARAMS.num_processes):
