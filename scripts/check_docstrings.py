@@ -27,7 +27,9 @@ REPO = Path(__file__).resolve().parent.parent
 GATED = [
     "src/repro/experiments",
     "src/repro/obs",
+    "src/repro/sim/engine.py",
     "src/repro/sim/faults.py",
+    "src/repro/sim/schedulers.py",
     "src/repro/workload",
     "src/repro/core/config.py",
 ]

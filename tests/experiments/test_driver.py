@@ -202,6 +202,9 @@ class CrashRig:
         self.client.start()
 
     def run(self, until):
+        # A no-op event at `until` moves the clock there, so the crash or
+        # reboot a test delivers next happens at `until`.
+        self.sim.schedule(until - self.sim.now, lambda: None)
         self.sim.run(until=until)
 
     def crash(self):
@@ -290,6 +293,25 @@ class TestCrash:
         assert rig.client.issued == issued
         rig.recover()  # and a stopped client stays stopped
         assert rig.client.stopped
+
+
+def test_a_crash_cancels_only_the_crashed_clients_timers():
+    """Two clients on one simulator arm timers at the same instants."""
+    rig = CrashRig(closed_loop=True)
+    bystander = Client(
+        sim=rig.sim,
+        process=1,
+        allocator=StubAllocator(),
+        requests=iter(script(1, [1.0] * 4, cs_duration=10.0)),
+        metrics=rig.metrics,
+        stop_issuing_at=1_000.0,
+        closed_loop=True,
+    )
+    bystander.start()
+    rig.run(0.5)
+    rig.crash()
+    rig.run(5.0)
+    assert (rig.client.issued, bystander.issued) == (0, 1)
 
 
 def test_crash_with_a_backlog_drops_the_queued_arrivals():

@@ -169,6 +169,15 @@ class TestNodeLifecycle:
         assert lifecycle.next_reboot(0) is None
 
 
+    def test_edges_land_exactly_at_their_instants(self):
+        probe = Probe()
+        at, recover_at = 0.1 + 0.2, 1.1 + 2.2  # not representable sums
+        sim = Simulator()
+        NodeLifecycle(sim, [(0, at, recover_at)], {0: [probe]})
+        sim.run()
+        assert probe.events == [("crash", at), ("recover", recover_at)]
+
+
 class TestDetectorSpecs:
     def test_no_detector_binds_nothing(self):
         assert NoDetector().bind(PARAMS) is None
