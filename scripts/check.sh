@@ -8,8 +8,8 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
 # Docs gates first: they are instant and catch the cheapest regressions
 # (a dead relative link in docs//README, a public experiments/, obs/,
-# workload/, core/config.py or sim/{engine,faults,schedulers}.py symbol
-# without a docstring —
+# workload/, core/config.py or sim/{engine,faults,schedulers}.py symbol without a
+# docstring —
 # scripts/check_docstrings.py is the container-local stand-in for
 # `ruff check --select D1`).
 echo "== docs link check =="
@@ -76,8 +76,8 @@ echo "telemetry export OK"
 # for a run that has a fault layer (node crash + detector + jitter): the
 # fault hooks run only for messages touching the crashable node (< 0.25
 # hook calls per message; asking about every message is 2.0) and the
-# per-message path has no stats-method, Random.uniform or `now`
-# property frame.  All three legs also assert zero Python frames
+# per-message path has no peek/pop, stats-method, Random.uniform or
+# `now` property frame.  All three legs also assert zero Python frames
 # defined in core/messages.py (its records are built by C calls).
 echo "== no-fault fast-path and armed-path profile checks =="
 python scripts/profile_run.py --check

@@ -25,7 +25,7 @@ Three uses:
   too, and asserts for both runs that the shared send path costs one
   frame of ``sim`` per message: no ``Node.send`` frame (a node's
   ``send`` is a ``partial`` over the network's bound send) and no
-  ``Simulator.schedule`` called from ``sim/network.py`` (the sends queue
+  ``Simulator.post_at`` called from ``sim/network.py`` (the sends queue
   through the simulator's push directly).  Wired into
   ``scripts/check.sh``.
 * ``python scripts/profile_run.py --armed --check`` — the same kind of
@@ -36,8 +36,8 @@ Three uses:
   its work costs: the two fault hooks run only for messages that touch
   the crashable node (fewer than 0.25 hook calls per message, where
   consulting both hooks for every message is 2.0), and the per-message
-  path executes no frame of ``MessageStats.record``,
-  ``Random.uniform`` called by the jittered
+  path executes no frame of ``HeapScheduler.peek``/``pop``,
+  ``MessageStats.record``, ``Random.uniform`` called by the jittered
   latency (``sim/latency.py``), a ``now`` property, or the two frames
   the no-fault leg forbids on the send path.
   The exact per-message hook count is pinned by
@@ -117,19 +117,20 @@ ARMED_HOOK_CALLS_PER_MESSAGE = 0.25
 #: was one Python frame per message before a node's ``send`` became a
 #: ``partial`` over the network's bound send and the sends queued through
 #: the simulator's push directly.  An empty caller suffix matches any
-#: caller (``schedule`` is how every other layer queues its timers).
+#: caller (``post_at`` stays a public method for other callers).
 FORBIDDEN_ON_SEND_PATH = (
     (os.path.join("sim", "node.py"), "send", ""),
-    (os.path.join("sim", "engine.py"), "schedule", os.path.join("sim", "network.py")),
+    (os.path.join("sim", "engine.py"), "post_at", os.path.join("sim", "network.py")),
 )
 
 #: Frames, as above, the armed run must never execute: each was one
 #: Python frame per message or per event before the armed path was made
 #: to cost what its work costs.  ``Random.uniform`` is only forbidden to
 #: the latency model (the workload generator draws think times with it,
-#: once per request).  The run loop's bounded heap loop is inline: the
-#: heap has no ``peek``/``pop`` method left to call.
+#: once per request).
 FORBIDDEN_ON_ARMED_PATH = (
+    (os.path.join("sim", "schedulers.py"), "peek", ""),
+    (os.path.join("sim", "schedulers.py"), "pop", ""),
     (os.path.join("sim", "network.py"), "record", ""),
     (os.path.join("sim", "engine.py"), "now", ""),
     ("random.py", "uniform", os.path.join("sim", "latency.py")),
@@ -254,7 +255,7 @@ def main() -> None:
         "--check", action="store_true",
         help="assert the no-fault runs (with_loan, bouabdallah) execute no "
         "fault/lifecycle/recovery/obs frames, no frame defined in core/messages.py "
-        "and no Node.send or network-called Simulator.schedule frame",
+        "and no Node.send or network-called post_at frame",
     )
     parser.add_argument(
         "--armed", action="store_true",

@@ -69,7 +69,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.sim.detectorspec import HeartbeatDetector
-from repro.sim.engine import Simulator
+from repro.sim.engine import Event, Simulator
 from repro.sim.lifecycle import NodeLifecycle
 
 __all__ = ["RecoveryCoordinator", "supports_recovery"]
@@ -120,8 +120,7 @@ class RecoveryCoordinator:
         self._allocators = list(allocators)
         self._lifecycle = lifecycle
         self._detector = detector
-        # Per down node, the seq of its armed detection timeout.
-        self._pending: Dict[int, int] = {}
+        self._pending: Dict[int, Event] = {}
         self._crashed_at: Dict[int, float] = {}
         # Fencing epoch per token key, bumped on every regeneration; stale
         # incarnations still in flight identify themselves by a smaller
@@ -168,7 +167,7 @@ class RecoveryCoordinator:
                 allocator.recovery_fence(key, owner=owner, epoch=epoch)
                 self.fences_applied += 1
         if pending is not None:
-            self._sim.cancel(pending)
+            pending.cancel()
             self._sim.schedule(0.0, self._post_blip_sweep)
 
     # ------------------------------------------------------------------ #

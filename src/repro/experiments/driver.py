@@ -23,10 +23,8 @@ arrival is armed*:
 
 The client is also a crash-lifecycle participant
 (:mod:`repro.sim.lifecycle`): when its node goes down it cancels the
-two timers it owns (each is the sequence number
-:meth:`~repro.sim.engine.Simulator.schedule` returned), drops its
-backlog and reports an interrupted critical section to the collector
-(:meth:`MetricsCollector.on_abort`); when the
+timers it owns, drops its backlog and reports an interrupted critical
+section to the collector (:meth:`MetricsCollector.on_abort`); when the
 node reboots it resumes from the next request of its stream — provided
 the allocator came back idle (protocols without a reboot handler stop
 issuing instead of crashing the run).
@@ -39,7 +37,7 @@ from typing import Deque, Iterable, Iterator, Optional
 
 from repro.allocator import MultiResourceAllocator
 from repro.metrics.collector import MetricsCollector
-from repro.sim.engine import Simulator
+from repro.sim.engine import Event, Simulator
 from repro.workload.generator import RequestSpec
 
 
@@ -74,6 +72,14 @@ class Client:
         workload declares (``WorkloadSpec.closed_loop``).
     max_requests:
         Optional hard cap on the number of requests this client issues.
+    fast_timers:
+        When true, arrival and CS-duration timers go through the engine's
+        no-handle :meth:`~repro.sim.engine.Simulator.post_in` fast path
+        instead of allocating a cancellable
+        :class:`~repro.sim.engine.Event` per state transition.  Only
+        valid for runs that can never crash this node (no crash windows):
+        the handle exists solely so :meth:`on_crash` can suspend the
+        timer.  Timings and results are identical either way.
     """
 
     def __init__(
@@ -86,6 +92,7 @@ class Client:
         stop_issuing_at: float,
         closed_loop: bool,
         max_requests: Optional[int] = None,
+        fast_timers: bool = False,
     ) -> None:
         self.sim = sim
         self.process = process
@@ -108,9 +115,10 @@ class Client:
         self._current: Optional[RequestSpec] = None  # with the allocator / in CS
         self.stopped = False  # no longer admitting new arrivals
         self._in_cs = False
-        # Seqs of the armed timers, which on_crash cancels.
-        self._arrival_timer: Optional[int] = None
-        self._cs_timer: Optional[int] = None
+        # ``post_in`` returns None, ``schedule`` the handle a crash cancels.
+        self._after = sim.post_in if fast_timers else sim.schedule
+        self._arrival_timer: Optional[Event] = None
+        self._cs_timer: Optional[Event] = None
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -147,7 +155,7 @@ class Client:
         """
         for timer in (self._arrival_timer, self._cs_timer):
             if timer is not None:
-                self.sim.cancel(timer)
+                timer.cancel()
         self._arrival_timer = self._cs_timer = None
         spec = self._current
         if self._in_cs and spec is not None:
@@ -193,7 +201,7 @@ class Client:
             self.stopped = True
             return
         self._pending = spec
-        self._arrival_timer = self.sim.schedule(spec.think_time, self._on_arrival)
+        self._arrival_timer = self._after(spec.think_time, self._on_arrival)
 
     def _on_arrival(self) -> None:
         self._arrival_timer = None
@@ -237,7 +245,7 @@ class Client:
         self.last_grant = self.sim.now
         self.metrics.on_grant(self.last_grant, self.process, spec.index)
         self._in_cs = True
-        self._cs_timer = self.sim.schedule(spec.cs_duration, self._on_cs_done)
+        self._cs_timer = self._after(spec.cs_duration, self._on_cs_done)
 
     def _on_cs_done(self) -> None:
         self._cs_timer = None

@@ -219,6 +219,12 @@ def run(scenario: Scenario) -> ExperimentResult:
     # experiment — streams are lazy generators, never materialised lists,
     # so nothing workload-sized crosses the worker-pool boundary.
     workload = scenario.workload.build(params)
+    # Crash windows are needed up front: a client whose node can never
+    # crash takes the no-handle timer fast path (its cancellable timer
+    # handles exist only for on_crash to suspend), so only the clients
+    # of nodes actually named in a window pay for Event handles.
+    crash_windows = faults.crash_windows() if faults is not None else ()
+    crash_nodes = {node for node, _, _ in crash_windows}
     clients = [
         Client(
             sim,
@@ -229,6 +235,7 @@ def run(scenario: Scenario) -> ExperimentResult:
             stop_issuing_at=params.duration,
             closed_loop=workload.closed_loop,
             max_requests=params.requests_per_process,
+            fast_timers=p not in crash_nodes,
         )
         for p in range(params.num_processes)
     ]
@@ -241,7 +248,6 @@ def run(scenario: Scenario) -> ExperimentResult:
     # a protocol event at the same instant always resolve crash-first.
     lifecycle: Optional[NodeLifecycle] = None
     coordinator: Optional[RecoveryCoordinator] = None
-    crash_windows = faults.crash_windows() if faults is not None else ()
     if crash_windows:
         participants = {
             p: [obj for obj in (allocators[p], clients[p]) if hasattr(obj, "on_crash")]
@@ -283,10 +289,12 @@ def run(scenario: Scenario) -> ExperimentResult:
         if faults is None:
             sim.run(max_events=max_events)
         else:
-            # The cap is a stall guard, not a target: the clock stays at
-            # the last event, so a run that drains before it reports its
-            # real drain time, comparable to a reliable run's.
-            sim.run(until=fault_run_until(params), max_events=max_events)
+            # The cap is a stall guard, not a target — a run that drains
+            # before it must report its real drain time, comparable to a
+            # reliable run's, so the clock is not advanced to the cap.
+            sim.run(
+                until=fault_run_until(params), max_events=max_events, advance_to_until=False
+            )
     except SimulationError as exc:
         raise SimulationError(f"{exc}; {_termination('error', clients).progress()}") from exc
     # The bounded loop stops only on a live event past the cap, so

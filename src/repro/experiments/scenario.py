@@ -260,9 +260,13 @@ class Scenario:
         if self.record_chunk_rows is not None and self.record_chunk_rows < 1:
             raise ValueError("record_chunk_rows must be >= 1 (or None for unchunked)")
         if self.scheduler is not None:
-            from repro.sim.schedulers import make_scheduler
+            from repro.sim.schedulers import available_schedulers
 
-            make_scheduler(self.scheduler)  # raises ValueError for an unknown name
+            if self.scheduler not in available_schedulers():
+                raise ValueError(
+                    f"unknown scheduler {self.scheduler!r}; "
+                    f"available: {', '.join(available_schedulers())}"
+                )
         if self.telemetry is not None:
             # Imported lazily for the same reason the runner defers it:
             # scenarios without telemetry must never touch repro.obs.

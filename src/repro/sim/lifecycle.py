@@ -63,9 +63,7 @@ class NodeLifecycle:
     Parameters
     ----------
     sim:
-        Simulation engine; events are scheduled at construction time,
-        which the runner reaches at ``now == 0``, so each edge's delay
-        is its instant.
+        Simulation engine; events are scheduled at construction time.
     windows:
         ``(node, at, recover_at)`` outage windows (``recover_at`` may be
         ``math.inf``), typically ``faults.crash_windows()``.
@@ -101,9 +99,9 @@ class NodeLifecycle:
         self._effective_reboots: Dict[int, List[float]] = {}
         spans_by_node: Dict[int, List[Tuple[float, float]]] = {}
         for node, at, recover_at in windows:
-            sim.schedule(at - sim.now, self._crash, node)
+            sim.schedule_at(at, self._crash, node)
             if not math.isinf(recover_at):
-                sim.schedule(recover_at - sim.now, self._recover, node)
+                sim.schedule_at(recover_at, self._recover, node)
             spans_by_node.setdefault(node, []).append((at, recover_at))
         for node, spans in spans_by_node.items():
             spans.sort()

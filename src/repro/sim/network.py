@@ -35,8 +35,8 @@ Both resolve the delivery callback *per (destination, message class)*
 once (an unknown destination raises ``KeyError`` there, before anything
 is counted), update one flat counter, and queue the delivery through the
 simulator's push and sequence counter directly (see
-:mod:`repro.sim.engine`), with no ``Simulator.schedule`` frame.  They
-skip its negative-delay check: every latency spec rejects a negative
+:mod:`repro.sim.engine`), with no ``post_at`` frame.  They skip
+``post_at``'s past-time check: every latency spec rejects a negative
 delay at construction (``tests/sim/test_latency.py``) and the FIFO clamp
 only moves a delivery later, so a delivery is never before ``now``.  A
 node's ``send`` enters the bound function directly

@@ -2,10 +2,8 @@
 
 The paper's model has one process per node; the two words are used
 interchangeably (Section 3.1).  A :class:`Node` owns a reference to the
-simulator and the network, can send messages, and dispatches incoming
-messages to ``on_<MessageClassName>`` handler methods.  A node's timers
-are the simulator's events: ``self.sim.schedule(delay, callback)``
-returns the sequence number that ``self.sim.cancel`` takes back.
+simulator and the network, can send messages, set timers, and dispatches
+incoming messages to ``on_<MessageClassName>`` handler methods.
 
 A node has one way to send: :attr:`Node.send` is
 ``functools.partial(network.send, node_id)``, bound once in
@@ -33,7 +31,7 @@ from __future__ import annotations
 from functools import partial
 from typing import Any, Callable, Optional
 
-from repro.sim.engine import Simulator
+from repro.sim.engine import Event, Simulator
 from repro.sim.network import Network
 
 
@@ -116,6 +114,13 @@ class Node:
         timers (and must call ``super().on_recover(time)``).
         """
         self._crashed = False
+
+    # ------------------------------------------------------------------ #
+    # communication helpers
+    # ------------------------------------------------------------------ #
+    def set_timer(self, delay: float, callback: Callable[..., None], *args: Any) -> Event:
+        """Schedule a local callback ``delay`` time units from now."""
+        return self.sim.schedule(delay, callback, *args)
 
     # ------------------------------------------------------------------ #
     # delivery

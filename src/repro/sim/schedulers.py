@@ -32,20 +32,18 @@ Scheduler push protocol
 Every scheduler exposes one ``push(entry)`` callable, and everything that
 queues an event goes through it: the :class:`~repro.sim.engine.Simulator`
 binds it once (with a C-level sequence counter beside it), and its
-``schedule`` and the network's sends call the pair directly.  For the heap, ``push`` is
+``schedule``/``schedule_at``/``post_at``/``post_in`` and the network's
+sends call the pair directly.  For the heap, ``push`` is
 ``partial(heappush, entries)`` — a C-level callable, so queueing an
 event costs no Python frame.  The calendar queue's ``push`` is a method
 that appends past its window and bisects into it otherwise; that frame
 per event is its price (it is slated for deletion).
 
-Selection is by name in :data:`SCHEDULERS`, driven only by
+Selection is by name through :func:`make_scheduler`, driven only by
 ``Scenario(scheduler=...)`` (see :mod:`repro.experiments.scenario`); the
 default is the heap.  Because of the determinism contract the choice
 never changes a result, which is also why it is hash-neutral for the run
-cache when left unset.  A scheduler offers only what the engine calls:
-``push``, ``len`` and ``seqs`` (for pruning cancellations), plus
-``entries`` on the heap, which the run loop drains inline, and
-``take_ready``/``peek``/``pop`` on the calendar queue.
+cache when left unset.
 """
 
 from __future__ import annotations
@@ -55,7 +53,14 @@ from bisect import insort
 from functools import partial
 from typing import Iterator, List, Optional, Tuple
 
-__all__ = ["CalendarQueue", "HeapScheduler", "SCHEDULERS", "make_scheduler"]
+__all__ = [
+    "CalendarQueue",
+    "HeapScheduler",
+    "SCHEDULERS",
+    "available_schedulers",
+    "make_scheduler",
+    "resolve_scheduler_name",
+]
 
 #: Queue entry shape shared with the engine: ``(time, seq, callback, args)``.
 Entry = Tuple[float, int, object, tuple]
@@ -67,9 +72,11 @@ class HeapScheduler:
     """Binary-heap scheduler — the reference implementation.
 
     A thin wrapper over :mod:`heapq` on a plain list.  The engine's
-    run loop special-cases this class and runs ``heappop`` inline on
+    drain loop special-cases this class and runs ``heappop`` inline on
     :attr:`entries`, and :attr:`push` is a C-level
-    ``partial(heappush, entries)``, so wrapping costs nothing.
+    ``partial(heappush, entries)``, so wrapping costs nothing on the
+    default path.  :meth:`clear` empties the list in place, so ``push``
+    stays bound to the live heap for the scheduler's lifetime.
     """
 
     name = "heap"
@@ -82,8 +89,22 @@ class HeapScheduler:
         #: Insert one entry (see the module docstring's push protocol).
         self.push = partial(heapq.heappush, self.entries)
 
+    def pop(self) -> Optional[Entry]:
+        """Remove and return the smallest entry, or ``None`` when empty."""
+        entries = self.entries
+        return heapq.heappop(entries) if entries else None
+
+    def peek(self) -> Optional[Entry]:
+        """Return the smallest entry without removing it (``None`` if empty)."""
+        entries = self.entries
+        return entries[0] if entries else None
+
     def __len__(self) -> int:
         return len(self.entries)
+
+    def clear(self) -> None:
+        """Drop every queued entry."""
+        self.entries.clear()
 
     def seqs(self) -> Iterator[int]:
         """Iterate the sequence numbers of all queued entries."""
@@ -254,6 +275,15 @@ class CalendarQueue:
             + len(self._pending)
         )
 
+    def clear(self) -> None:
+        """Drop every queued entry and reset the window."""
+        self._window = []
+        self.pos = 0
+        self._spine = []
+        self._spine_pos = 0
+        self._pending = []
+        self._threshold = _NEG_INF
+
     def seqs(self) -> Iterator[int]:
         """Iterate the sequence numbers of all queued entries."""
         for entry in self._window[self.pos:]:
@@ -271,14 +301,22 @@ SCHEDULERS = {
 }
 
 
-def make_scheduler(name: Optional[str] = None):
-    """Build the scheduler named ``name`` (``None``: the heap).
+def available_schedulers() -> Tuple[str, ...]:
+    """Names accepted by :func:`make_scheduler` / ``Scenario(scheduler=...)``."""
+    return tuple(sorted(SCHEDULERS))
 
-    Raises ``ValueError`` for a name not in :data:`SCHEDULERS`, the one
-    check ``Scenario(scheduler=...)`` and ``Simulator(...)`` share.
-    """
-    cls = SCHEDULERS.get(HeapScheduler.name if name is None else name)
-    if cls is None:
-        available = ", ".join(sorted(SCHEDULERS))
-        raise ValueError(f"unknown scheduler {name!r}; available: {available}")
-    return cls()
+
+def resolve_scheduler_name(name: Optional[str]) -> str:
+    """Resolve an optional scheduler name: ``None`` means the heap."""
+    if name is None:
+        name = HeapScheduler.name
+    if name not in SCHEDULERS:
+        raise ValueError(
+            f"unknown scheduler {name!r}; available: {', '.join(available_schedulers())}"
+        )
+    return name
+
+
+def make_scheduler(name: Optional[str] = None):
+    """Build a scheduler instance from an optional selection name."""
+    return SCHEDULERS[resolve_scheduler_name(name)]()

@@ -202,9 +202,6 @@ class CrashRig:
         self.client.start()
 
     def run(self, until):
-        # A no-op event at `until` moves the clock there, so the crash or
-        # reboot a test delivers next happens at `until`.
-        self.sim.schedule(until - self.sim.now, lambda: None)
         self.sim.run(until=until)
 
     def crash(self):

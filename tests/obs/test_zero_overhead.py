@@ -57,7 +57,7 @@ schedulers = []
 class _SpySimulator(runner.Simulator):
     def __init__(self, scheduler=None):
         super().__init__(scheduler)
-        schedulers.append(self._scheduler.name)
+        schedulers.append(self.scheduler_name)
 runner.Simulator = _SpySimulator
 
 result = run({scenario})

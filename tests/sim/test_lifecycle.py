@@ -168,11 +168,16 @@ class TestNodeLifecycle:
         assert lifecycle.is_down(0)
         assert lifecycle.next_reboot(0) is None
 
-
-    def test_edges_land_exactly_at_their_instants(self):
+    @pytest.mark.parametrize("built_at", [0.0, 0.7])
+    def test_edges_land_exactly_at_their_instants(self, built_at):
         probe = Probe()
-        at, recover_at = 0.1 + 0.2, 1.1 + 2.2  # not representable sums
+        # Neither sum is representable, and 0.7 + (at - 0.7) != at.
+        at, recover_at = 1.1 + 2.2, 2.2 + 3.3
         sim = Simulator()
+        # Built after the clock has moved, an edge must still land on its
+        # instant, not on ``now`` plus a rounded delay.
+        sim.schedule(built_at, lambda: None)
+        sim.run()
         NodeLifecycle(sim, [(0, at, recover_at)], {0: [probe]})
         sim.run()
         assert probe.events == [("crash", at), ("recover", recover_at)]

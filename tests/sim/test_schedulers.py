@@ -17,7 +17,14 @@ import random
 import pytest
 
 from repro.sim.engine import Simulator
-from repro.sim.schedulers import SCHEDULERS, CalendarQueue, HeapScheduler, make_scheduler
+from repro.sim.schedulers import (
+    SCHEDULERS,
+    CalendarQueue,
+    HeapScheduler,
+    available_schedulers,
+    make_scheduler,
+    resolve_scheduler_name,
+)
 
 ALL_SCHEDULERS = ("heap", "calendar")
 
@@ -34,28 +41,27 @@ def _run_script(scheduler_name, script):
     """
     sim = Simulator(scheduler_name)
     trace = []
-    timers = {}
+    handles = {}
 
     def fire(tag):
         trace.append((sim.now, tag))
 
     def fire_and_nest(tag, delay, sub_tag):
         trace.append((sim.now, tag))
-        sim.schedule(delay, fire, sub_tag)
+        sim.post_in(delay, fire, sub_tag)
 
-    # Queued before the run, at now == 0: each delay is an instant.
     for index, op in enumerate(script):
         kind = op[0]
         if kind == "at":
             _, time, tag = op
-            timers[index] = sim.schedule(time, fire, tag)
+            handles[index] = sim.schedule_at(time, fire, tag)
         elif kind == "nest":
             _, time, tag, delay = op
-            timers[index] = sim.schedule(time, fire_and_nest, tag, delay, f"{tag}+nest")
+            handles[index] = sim.schedule_at(time, fire_and_nest, tag, delay, f"{tag}+nest")
         elif kind == "cancel":
             target = op[1]
-            if target in timers:
-                sim.cancel(timers[target])
+            if target in handles:
+                handles[target].cancel()
     sim.run()
     return trace, sim.now, sim.processed_events
 
@@ -103,15 +109,16 @@ class TestDifferential:
         assert _run_script("heap", script) == _run_script("calendar", script)
 
     @pytest.mark.parametrize("scheduler", ALL_SCHEDULERS)
-    def test_bounded_run_then_drain_parity(self, scheduler):
-        """An until-bounded run, then a drain, agree across schedulers."""
+    def test_bounded_run_and_step_parity(self, scheduler):
+        """until-bounded runs and single steps agree across schedulers."""
         sim = Simulator(scheduler)
         fired = []
         for i in range(100):
-            sim.schedule(float(i % 13), fired.append, i)
+            sim.schedule_at(float(i % 13), fired.append, i)
         sim.run(until=5.0)
         mid = list(fired)
-        sim.run()
+        while sim.step():
+            pass
         if scheduler == "heap":
             TestDifferential._heap_result = (mid, list(fired))
         else:
@@ -123,9 +130,9 @@ class TestDifferential:
         sim = Simulator(scheduler)
 
         def rearm():
-            sim.schedule(1.0, rearm)
+            sim.post_in(1.0, rearm)
 
-        sim.schedule(0.0, rearm)
+        sim.post_in(0.0, rearm)
         with pytest.raises(Exception, match="max_events"):
             sim.run(max_events=50)
 
@@ -159,53 +166,61 @@ class TestCalendarQueue:
         assert drained == sorted(entries)
         assert len(q) == 0
 
+    def test_clear_resets_all_tiers(self):
+        q = CalendarQueue()
+        for i in range(100):
+            q.push((float(i), i, None, ()))
+        q.pop()
+        q.clear()
+        assert len(q) == 0
+        assert q.pop() is None
+        q.push((1.0, 0, None, ()))
+        assert q.pop() == (1.0, 0, None, ())
+
 
 # --------------------------------------------------------------------- #
 # selection: argument > default
 # --------------------------------------------------------------------- #
 class TestSelection:
     def test_default_is_heap(self):
-        assert type(make_scheduler(None)) is HeapScheduler
-        assert type(Simulator()._scheduler) is HeapScheduler
+        assert resolve_scheduler_name(None) == "heap"
+        assert Simulator().scheduler_name == "heap"
 
     def test_unknown_name_rejected(self):
-        message = "unknown scheduler 'fibonacci'; available: calendar, heap"
-        with pytest.raises(ValueError, match=message):
-            make_scheduler("fibonacci")
+        with pytest.raises(ValueError, match="unknown scheduler"):
+            resolve_scheduler_name("fibonacci")
         with pytest.raises(ValueError, match="unknown scheduler"):
             Simulator("fibonacci")
 
-    def test_scenario_rejects_an_unknown_name_with_the_same_message(self):
-        from repro.experiments.scenario import Scenario
-        from repro.workload.params import WorkloadParams
-
-        with pytest.raises(ValueError) as scenario_error:
-            Scenario("with_loan", WorkloadParams(), scheduler="fibonacci")
-        with pytest.raises(ValueError) as factory_error:
-            make_scheduler("fibonacci")
-        assert str(scenario_error.value) == str(factory_error.value)
-
-    def test_table_and_factory_agree(self):
-        assert sorted(SCHEDULERS) == ["calendar", "heap"]
-        for name, cls in SCHEDULERS.items():
-            assert type(make_scheduler(name)) is cls
+    def test_registry_and_factory_agree(self):
+        assert set(available_schedulers()) == set(SCHEDULERS)
+        assert type(make_scheduler("heap")) is HeapScheduler
+        assert type(make_scheduler("calendar")) is CalendarQueue
 
 
 # --------------------------------------------------------------------- #
-# cancellation: a timer is its sequence number
+# reset: stale handles go inert (generation counter)
 # --------------------------------------------------------------------- #
-@pytest.mark.parametrize("scheduler", ALL_SCHEDULERS)
-class TestCancelBySeq:
-    def test_a_seq_cancels_exactly_its_own_event(self, scheduler):
+class TestResetGenerations:
+    @pytest.mark.parametrize("scheduler", ALL_SCHEDULERS)
+    def test_stale_handle_cannot_cancel_new_event(self, scheduler):
         sim = Simulator(scheduler)
         fired = []
-        timer = sim.schedule(1.0, fired.append, "a")
-        sim.schedule(1.0, fired.append, "b")
-        sim.cancel(timer)
+        stale = sim.schedule(1.0, fired.append, "old")
+        sim.reset()
+        # The new event reuses seq 0 — the stale handle must not kill it.
+        sim.schedule(1.0, fired.append, "new")
+        stale.cancel()  # inert: silently dropped, not applied to seq 0
+        assert not stale.cancelled
+        sim.run()
+        assert fired == ["new"]
+
+    @pytest.mark.parametrize("scheduler", ALL_SCHEDULERS)
+    def test_live_handle_still_cancels(self, scheduler):
+        sim = Simulator(scheduler)
+        fired = []
+        handle = sim.schedule(1.0, fired.append, "a")
+        sim.schedule(2.0, fired.append, "b")
+        handle.cancel()
         sim.run()
         assert fired == ["b"]
-
-    def test_seqs_lists_every_queued_event(self, scheduler):
-        sim = Simulator(scheduler)
-        timers = [sim.schedule(float(i % 3), lambda: None) for i in range(10)]
-        assert sorted(sim._scheduler.seqs()) == timers
