@@ -45,7 +45,9 @@ def main() -> None:
     trace = TraceRecorder()
     config = CoreConfigSpec(enable_loan=False, resend_interval=None)
     nodes = [
-        CoreAllocatorNode(sim, network, p, num_resources=2, config=config, trace=trace)
+        CoreAllocatorNode(
+            sim, network, p, num_resources=2, num_processes=3, config=config, trace=trace
+        )
         for p in range(3)
     ]
     metrics = MetricsCollector(num_resources=2)

@@ -8,14 +8,14 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
 # Docs gates first: they are instant and catch the cheapest regressions
 # (a dead relative link in docs//README, a public experiments/, obs/,
-# workload/, core/config.py or sim/{engine,faults,schedulers}.py symbol without a
-# docstring —
+# workload/, core/{config,ordering,token}.py or sim/{engine,faults,schedulers}.py
+# symbol without a docstring —
 # scripts/check_docstrings.py is the container-local stand-in for
 # `ruff check --select D1`).
 echo "== docs link check =="
 python scripts/check_links.py
 
-echo "== docstring gate (experiments/, obs/, workload/, core/config.py, sim/{engine,faults,schedulers}.py) =="
+echo "== docstring gate (experiments/, obs/, workload/, core/{config,ordering,token}.py, sim/{engine,faults,schedulers}.py) =="
 python scripts/check_docstrings.py
 
 echo "== tier-1 test suite =="

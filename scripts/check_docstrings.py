@@ -32,6 +32,8 @@ GATED = [
     "src/repro/sim/schedulers.py",
     "src/repro/workload",
     "src/repro/core/config.py",
+    "src/repro/core/ordering.py",
+    "src/repro/core/token.py",
 ]
 
 #: Dunder methods whose semantics are standard enough to skip (D105).

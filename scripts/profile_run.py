@@ -49,7 +49,10 @@ protocol is a tuple-backed record built by one C call, and the envelope
 constructors that validate (the only Python functions the module
 defines besides ``__eq__``) are not on the protocol's path.  Before the
 records were tuple-backed the run executed exactly one ``__post_init__``
-frame per message there.
+frame per message there.  They also assert zero ``request_key`` frames
+from ``core/ordering.py``: the sort key of the order ``/`` is an
+``operator.attrgetter``, so inserting into a token queue and
+``precedes`` run no Python frame per comparison.
 
 A blind spot to know about when reading these profiles: cProfile cannot
 count record *constructions*.  ``pstats`` keys a function by ``(file,
@@ -123,6 +126,14 @@ FORBIDDEN_ON_SEND_PATH = (
     (os.path.join("sim", "engine.py"), "post_at", os.path.join("sim", "network.py")),
 )
 
+#: Frames, as above, no profiled run may execute anywhere: the sort key
+#: of the order ``/`` is an ``operator.attrgetter``, so the token queues'
+#: ``bisect_left`` inserts and ``precedes`` enter no Python frame per
+#: comparison.  A ``def request_key`` was one frame per comparison.
+FORBIDDEN_ON_EVERY_RUN = FORBIDDEN_ON_SEND_PATH + (
+    (os.path.join("core", "ordering.py"), "request_key", ""),
+)
+
 #: Frames, as above, the armed run must never execute: each was one
 #: Python frame per message or per event before the armed path was made
 #: to cost what its work costs.  ``Random.uniform`` is only forbidden to
@@ -134,7 +145,7 @@ FORBIDDEN_ON_ARMED_PATH = (
     (os.path.join("sim", "network.py"), "record", ""),
     (os.path.join("sim", "engine.py"), "now", ""),
     ("random.py", "uniform", os.path.join("sim", "latency.py")),
-) + FORBIDDEN_ON_SEND_PATH
+) + FORBIDDEN_ON_EVERY_RUN
 
 
 def profile_canonical(scheduler, armed=False, algorithm="with_loan"):
@@ -255,7 +266,7 @@ def main() -> None:
         "--check", action="store_true",
         help="assert the no-fault runs (with_loan, bouabdallah) execute no "
         "fault/lifecycle/recovery/obs frames, no frame defined in core/messages.py "
-        "and no Node.send or network-called post_at frame",
+        "and no Node.send, network-called post_at or request_key frame",
     )
     parser.add_argument(
         "--armed", action="store_true",
@@ -296,7 +307,7 @@ def main() -> None:
                 "(budget: 0 frames from its module)"
                 for filename, lineno, funcname in forbidden_frames(run_profile, forbidden)
             ]
-            offenders += forbidden_calls(run_profile, FORBIDDEN_ON_SEND_PATH)
+            offenders += forbidden_calls(run_profile, FORBIDDEN_ON_EVERY_RUN)
             problems += [f"{algorithm}: {line}" for line in sorted(offenders)]
         if problems:
             print("no-fault runs executed forbidden frames:", file=sys.stderr)
@@ -310,7 +321,7 @@ def main() -> None:
             + ", ".join(name for _module, name in ALLOWED_FRAMES)
             + "; 0 frames of "
             + ", ".join(f"{suffix} {name}" + (f" called from {caller}" if caller else "")
-                        for suffix, name, caller in FORBIDDEN_ON_SEND_PATH)
+                        for suffix, name, caller in FORBIDDEN_ON_EVERY_RUN)
         )
         return
 

@@ -10,6 +10,7 @@ up once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -45,7 +46,8 @@ class CoreConfigSpec:
     resend_interval:
         If not ``None``, a node re-sends its outstanding ``ReqCnt``/``ReqRes``
         messages after this much simulated time without progress (safety
-        net; see :mod:`repro.core.node`).
+        net; see :mod:`repro.core.node`).  Must be a finite number > 0;
+        ``None`` is the one way to turn the safety net off.
     initial_holder:
         Site owning every resource token at time zero (the *elected node*
         of the initialisation pseudo-code).
@@ -68,6 +70,13 @@ class CoreConfigSpec:
     def __post_init__(self) -> None:
         if self.loan_threshold is not None and self.loan_threshold < 0:
             raise ValueError("loan_threshold must be >= 0")
+        if self.resend_interval is not None and not 0 < self.resend_interval < math.inf:
+            # Zero or NaN re-sends forever without time passing; a
+            # negative interval schedules into the past.
+            raise ValueError(
+                f"resend_interval must be None or a finite number > 0, "
+                f"not {self.resend_interval!r}"
+            )
         if self.initial_holder < 0:
             raise ValueError("initial_holder must be a valid site id")
         # Fail fast on policy-name typos, without holding the instance.

@@ -127,6 +127,10 @@ class CoreAllocatorNode(Node, MultiResourceAllocator):
         Simulation plumbing (see :class:`repro.sim.node.Node`).
     num_resources:
         Total number of resources ``M``.
+    num_processes:
+        Total number of sites ``N``: the length of every token's
+        obsolescence vectors.  ``node_id`` and ``config.initial_holder``
+        must lie in ``0..N-1``.
     config:
         Algorithm configuration (loan on/off, threshold, policy ``A``,
         re-send interval); with loans on, ``loan_threshold`` must not be
@@ -141,6 +145,7 @@ class CoreAllocatorNode(Node, MultiResourceAllocator):
         network: Network,
         node_id: int,
         num_resources: int,
+        num_processes: int,
         config: CoreConfigSpec,
         trace: Optional[TraceRecorder] = None,
     ) -> None:
@@ -148,6 +153,13 @@ class CoreAllocatorNode(Node, MultiResourceAllocator):
         if num_resources < 1:
             raise ValueError("num_resources must be >= 1")
         self.num_resources = num_resources
+        if not 0 <= node_id < num_processes:
+            raise ValueError(f"node_id {node_id} is not a site id in 0..{num_processes - 1}")
+        if not 0 <= config.initial_holder < num_processes:
+            raise ValueError(
+                f"config.initial_holder {config.initial_holder} is not a site id "
+                f"in 0..{num_processes - 1}"
+            )
         if config.enable_loan and config.loan_threshold is None:
             raise ValueError("a lending node needs config.loan_threshold resolved")
         self.config = config
@@ -158,7 +170,12 @@ class CoreAllocatorNode(Node, MultiResourceAllocator):
         owns_all = node_id == owner
         # tokDir: probable owner per resource (None <=> this node holds the token)
         self.tok_dir: List[Optional[int]] = [None if owns_all else owner] * num_resources
-        self.last_tok: List[ResourceToken] = [ResourceToken(resource=r) for r in range(num_resources)]
+        # lastTok: a (possibly stale) snapshot of every token, its
+        # obsolescence vectors indexed by site id.
+        self.last_tok: List[ResourceToken] = [
+            ResourceToken(r, 1, [0] * num_processes, [0] * num_processes)
+            for r in range(num_resources)
+        ]
         self._t_owned: Set[int] = set(range(num_resources)) if owns_all else set()
 
         self._state = _IDLE

@@ -4,13 +4,18 @@ Exactly one token exists per resource at any time; the process holding it
 is the only one allowed to read and increment the resource counter and to
 manipulate the waiting queues, which is what makes counter values unique
 without any global lock.
+
+The two obsolescence vectors ``lastReqC`` and ``lastCS`` are arrays with
+one entry per site, as in Figure 8: plain lists of ``N`` ints indexed by
+site id ``0..N-1``.  A node starts every snapshot with ``N`` zeros, and a
+site outside that range fails with :class:`IndexError`.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, TYPE_CHECKING, Union
+from typing import List, Optional, TYPE_CHECKING, Union
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.messages import ReqLoan, ReqRes
@@ -34,13 +39,13 @@ class ResourceToken:
     counter:
         Next counter value to hand out (strictly increasing).
     last_req_cnt:
-        ``lastReqC`` array of the paper: per site, the id of the last
-        ``ReqCnt`` already answered — used to discard obsolete counter
-        requests.
+        ``lastReqC`` array of the paper, indexed by site id: the id of the
+        last ``ReqCnt`` of each site already answered — used to discard
+        obsolete counter requests.
     last_cs:
-        ``lastCS`` array: per site, the id of the last critical-section
-        request already satisfied — used to discard obsolete resource and
-        loan requests.
+        ``lastCS`` array, indexed by site id: the id of the last
+        critical-section request of each site already satisfied — used to
+        discard obsolete resource and loan requests.
     wqueue:
         Pending ``ReqRes`` entries in increasing ``/`` order (mark, site).
     wloan:
@@ -57,8 +62,8 @@ class ResourceToken:
 
     resource: int
     counter: int = 1
-    last_req_cnt: Dict[int, int] = field(default_factory=dict)
-    last_cs: Dict[int, int] = field(default_factory=dict)
+    last_req_cnt: List[int] = field(default_factory=list)
+    last_cs: List[int] = field(default_factory=list)
     wqueue: List["ReqRes"] = field(default_factory=list)
     wloan: List["ReqLoan"] = field(default_factory=list)
     lender: Optional[int] = None
@@ -78,11 +83,11 @@ class ResourceToken:
     # ------------------------------------------------------------------ #
     def is_obsolete_cnt(self, sinit: int, req_id: int) -> bool:
         """Whether a ``ReqCnt`` from ``sinit`` with ``req_id`` is obsolete."""
-        return req_id <= self.last_req_cnt.get(sinit, 0) or req_id <= self.last_cs.get(sinit, 0)
+        return req_id <= self.last_req_cnt[sinit] or req_id <= self.last_cs[sinit]
 
     def is_obsolete_cs(self, sinit: int, req_id: int) -> bool:
         """Whether a ``ReqRes``/``ReqLoan`` from ``sinit`` is obsolete."""
-        return req_id <= self.last_cs.get(sinit, 0)
+        return req_id <= self.last_cs[sinit]
 
     # ------------------------------------------------------------------ #
     # waiting queues
@@ -145,8 +150,8 @@ class ResourceToken:
         return ResourceToken(
             self.resource,
             self.counter,
-            dict(self.last_req_cnt),
-            dict(self.last_cs),
+            self.last_req_cnt[:],
+            self.last_cs[:],
             list(self.wqueue),
             list(self.wloan),
             self.lender,

@@ -95,7 +95,9 @@ def _build_core(config, params, sim, network, trace):
     if config.loan_threshold is None:
         config = dataclasses.replace(config, loan_threshold=params.loan_threshold)
     return [
-        CoreAllocatorNode(sim, network, p, params.num_resources, config, trace)
+        CoreAllocatorNode(
+            sim, network, p, params.num_resources, params.num_processes, config, trace
+        )
         for p in range(params.num_processes)
     ]
 

@@ -29,6 +29,11 @@ class TestCoreConfigSpec:
         with pytest.raises(ValueError):
             CoreConfigSpec(initial_holder=-2)
 
+    @pytest.mark.parametrize("interval", [0.0, -5.0, float("nan"), float("inf")])
+    def test_bad_resend_interval_rejected(self, interval):
+        with pytest.raises(ValueError, match="resend_interval"):
+            CoreConfigSpec(resend_interval=interval)
+
     def test_describe_mentions_loan_state(self):
         assert "no-loan" in CoreConfigSpec(enable_loan=False).describe()
         assert "loan<=3" in CoreConfigSpec(loan_threshold=3).describe()

@@ -34,7 +34,9 @@ def make_forwarder(node_id=5, num_resources=6):
     """A node that holds no token; every probable owner is node 0."""
     network = RecordingNetwork()
     config = CoreConfigSpec(loan_threshold=1, resend_interval=None)
-    node = CoreAllocatorNode(Simulator(), network, node_id, num_resources, config=config)
+    node = CoreAllocatorNode(
+        Simulator(), network, node_id, num_resources, num_processes=10, config=config
+    )
     return node, network
 
 

@@ -6,6 +6,23 @@ from repro.core.messages import ReqLoan, ReqRes
 from repro.core.token import ResourceToken
 
 
+#: Sites of the tokens the obsolescence tests build.
+N = 10
+
+
+def vector(entries=None):
+    """An obsolescence vector of ``N`` sites: zero, except ``entries`` (site -> id)."""
+    v = [0] * N
+    for site, req_id in (entries or {}).items():
+        v[site] = req_id
+    return v
+
+
+def fresh_token(resource=0, last_req_cnt=None, last_cs=None):
+    """A token whose vectors have one entry per site, as a node builds them."""
+    return ResourceToken(resource, 1, vector(last_req_cnt), vector(last_cs))
+
+
 def req(site, mark, req_id=1, resource=0):
     return ReqRes(resource=resource, sinit=site, req_id=req_id, mark=mark)
 
@@ -30,13 +47,13 @@ class TestCounter:
 
 class TestObsolescence:
     def test_cnt_obsolete_when_already_answered(self):
-        tok = ResourceToken(resource=0, last_req_cnt={3: 5})
+        tok = fresh_token(last_req_cnt={3: 5})
         assert tok.is_obsolete_cnt(3, 5)
         assert tok.is_obsolete_cnt(3, 4)
         assert not tok.is_obsolete_cnt(3, 6)
 
     def test_cnt_obsolete_when_cs_already_done(self):
-        tok = ResourceToken(resource=0, last_cs={3: 7})
+        tok = fresh_token(last_cs={3: 7})
         assert tok.is_obsolete_cnt(3, 7)
         assert not tok.is_obsolete_cnt(3, 8)
 
@@ -46,9 +63,17 @@ class TestObsolescence:
         assert not tok.is_obsolete_cs(3, 3)
 
     def test_unknown_site_never_obsolete(self):
-        tok = ResourceToken(resource=0)
+        # A site the token has never served has zero in both vectors.
+        tok = fresh_token()
         assert not tok.is_obsolete_cs(9, 1)
         assert not tok.is_obsolete_cnt(9, 1)
+
+    def test_site_outside_the_vectors_fails_loudly(self):
+        tok = fresh_token()
+        with pytest.raises(IndexError):
+            tok.is_obsolete_cs(N, 1)
+        with pytest.raises(IndexError):
+            tok.is_obsolete_cnt(N, 1)
 
 
 class TestWaitingQueue:
@@ -107,14 +132,16 @@ class TestLoanQueue:
 
 class TestCopy:
     def test_copy_is_deep_enough(self):
-        tok = ResourceToken(resource=0, last_cs={1: 2})
+        tok = fresh_token(last_req_cnt={1: 3}, last_cs={1: 2})
         tok.enqueue(req(2, mark=1.0))
         dup = tok.copy()
         dup.take_counter()
+        dup.last_req_cnt[1] = 98
         dup.last_cs[1] = 99
         dup.wqueue.clear()
         dup.lender = 5
         assert tok.counter == 1
+        assert tok.last_req_cnt == vector({1: 3})
         assert tok.last_cs[1] == 2
         assert len(tok.wqueue) == 1
         assert tok.lender is None

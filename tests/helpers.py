@@ -91,7 +91,8 @@ def build_system(
             config = node_config(enable_loan=(algorithm == "core_loan"))
         allocators = [
             CoreAllocatorNode(
-                sim, network, p, num_resources=num_resources, config=config, trace=trace,
+                sim, network, p, num_resources=num_resources,
+                num_processes=num_processes, config=config, trace=trace,
             )
             for p in range(num_processes)
         ]

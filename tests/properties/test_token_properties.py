@@ -28,6 +28,20 @@ def reference_insert(queue, req):
     queue.insert(keys.index(request_key(req)), req)
 
 
+#: Sites of the tokens the obsolescence properties build (ids ``0..31``).
+SITES = 32
+
+
+def dict_obsolete_cs(last_cs, sinit, req_id):
+    """Oracle: the Section 4.2.1 rule over a dict vector, where a missing site reads 0."""
+    return req_id <= last_cs.get(sinit, 0)
+
+
+def dict_obsolete_cnt(last_req_cnt, last_cs, sinit, req_id):
+    """Oracle: a ``ReqCnt`` is obsolete once answered or once its CS is done."""
+    return req_id <= last_req_cnt.get(sinit, 0) or req_id <= last_cs.get(sinit, 0)
+
+
 # Few sites and few marks, so equal (mark, sinit) keys are common.
 colliding_entry_strategy = st.tuples(
     st.integers(min_value=0, max_value=3),
@@ -119,6 +133,31 @@ class TestObsolescenceProperties:
         st.integers(min_value=1, max_value=50),
     )
     def test_fresh_request_never_obsolete_on_new_token(self, site, req_id):
-        token = ResourceToken(resource=0)
+        token = ResourceToken(0, 1, [0] * SITES, [0] * SITES)
         assert not token.is_obsolete_cs(site, req_id)
         assert not token.is_obsolete_cnt(site, req_id)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.booleans(),                                # True: lastCS, False: lastReqC
+                st.integers(min_value=0, max_value=SITES - 1),
+                st.integers(min_value=0, max_value=50),
+            ),
+            max_size=60,
+        ),
+    )
+    def test_vectors_judge_like_the_dict_rule(self, writes):
+        token = ResourceToken(0, 1, [0] * SITES, [0] * SITES)
+        oracle_cnt, oracle_cs = {}, {}
+        for to_cs, site, req_id in writes:
+            (token.last_cs if to_cs else token.last_req_cnt)[site] = req_id
+            (oracle_cs if to_cs else oracle_cnt)[site] = req_id
+        for site in range(SITES):
+            for req_id in range(52):
+                assert token.is_obsolete_cs(site, req_id) == dict_obsolete_cs(
+                    oracle_cs, site, req_id
+                )
+                assert token.is_obsolete_cnt(site, req_id) == dict_obsolete_cnt(
+                    oracle_cnt, oracle_cs, site, req_id
+                )
