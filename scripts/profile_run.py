@@ -25,8 +25,9 @@ Three uses:
   too, and asserts for both runs that the shared send path costs one
   frame of ``sim`` per message: no ``Node.send`` frame (a node's
   ``send`` is a ``partial`` over the network's bound send) and no
-  ``Simulator.post_at`` called from ``sim/network.py`` (the sends queue
-  through the simulator's push directly).  Wired into
+  ``Simulator.schedule`` or ``Simulator.schedule_at`` called from
+  ``sim/network.py`` (the sends queue through the simulator's push
+  directly).  Wired into
   ``scripts/check.sh``.
 * ``python scripts/profile_run.py --armed --check`` — the same kind of
   structural assertion for a run that *does* have a fault layer: the
@@ -36,10 +37,11 @@ Three uses:
   its work costs: the two fault hooks run only for messages that touch
   the crashable node (fewer than 0.25 hook calls per message, where
   consulting both hooks for every message is 2.0), and the per-message
-  path executes no frame of ``HeapScheduler.peek``/``pop``,
-  ``MessageStats.record``, ``Random.uniform`` called by the jittered
-  latency (``sim/latency.py``), a ``now`` property, or the two frames
-  the no-fault leg forbids on the send path.
+  path executes no frame of ``MessageStats.record``, ``Random.uniform``
+  called by the jittered latency (``sim/latency.py``), a ``now``
+  property, or the frames the no-fault leg forbids on the send path.
+  (The bounded run loop pops the heap inline; the heap has no
+  ``peek``/``pop`` method to call.)
   The exact per-message hook count is pinned by
   ``tests/sim/test_network.py``; this leg checks a whole run.
 
@@ -120,10 +122,12 @@ ARMED_HOOK_CALLS_PER_MESSAGE = 0.25
 #: was one Python frame per message before a node's ``send`` became a
 #: ``partial`` over the network's bound send and the sends queued through
 #: the simulator's push directly.  An empty caller suffix matches any
-#: caller (``post_at`` stays a public method for other callers).
+#: caller (``schedule``/``schedule_at`` are how every other layer queues
+#: its timers, so only the network's calls count).
 FORBIDDEN_ON_SEND_PATH = (
     (os.path.join("sim", "node.py"), "send", ""),
-    (os.path.join("sim", "engine.py"), "post_at", os.path.join("sim", "network.py")),
+    (os.path.join("sim", "engine.py"), "schedule", os.path.join("sim", "network.py")),
+    (os.path.join("sim", "engine.py"), "schedule_at", os.path.join("sim", "network.py")),
 )
 
 #: Frames, as above, no profiled run may execute anywhere: the sort key
@@ -140,8 +144,6 @@ FORBIDDEN_ON_EVERY_RUN = FORBIDDEN_ON_SEND_PATH + (
 #: the latency model (the workload generator draws think times with it,
 #: once per request).
 FORBIDDEN_ON_ARMED_PATH = (
-    (os.path.join("sim", "schedulers.py"), "peek", ""),
-    (os.path.join("sim", "schedulers.py"), "pop", ""),
     (os.path.join("sim", "network.py"), "record", ""),
     (os.path.join("sim", "engine.py"), "now", ""),
     ("random.py", "uniform", os.path.join("sim", "latency.py")),
@@ -266,7 +268,7 @@ def main() -> None:
         "--check", action="store_true",
         help="assert the no-fault runs (with_loan, bouabdallah) execute no "
         "fault/lifecycle/recovery/obs frames, no frame defined in core/messages.py "
-        "and no Node.send, network-called post_at or request_key frame",
+        "and no Node.send, network-called schedule/schedule_at or request_key frame",
     )
     parser.add_argument(
         "--armed", action="store_true",

@@ -86,7 +86,7 @@ from repro.core.messages import (
 from repro.core.ordering import precedes, request_key
 from repro.core.policies import get_policy
 from repro.core.token import ResourceToken
-from repro.sim.engine import Event, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.network import Network
 from repro.sim.node import Node
 from repro.sim.trace import TraceRecorder
@@ -194,7 +194,7 @@ class CoreAllocatorNode(Node, MultiResourceAllocator):
         # _set_state.
         self._mark: Optional[float] = None
         self._my_reqs: Dict[int, ReqRes] = {}
-        self._resend_event: Optional[Event] = None
+        self._resend_timer: Optional[int] = None  # its event seq, while armed
         self._single_fast_path = False
         # Highest token epoch witnessed per resource (fencing against
         # stale copies of regenerated tokens; all zero in crash-free runs).
@@ -975,15 +975,15 @@ class CoreAllocatorNode(Node, MultiResourceAllocator):
         if interval is None:
             return
         self._cancel_resend_timer()
-        self._resend_event = self.set_timer(interval, self._on_resend_timer)
+        self._resend_timer = self.sim.schedule(interval, self._on_resend_timer)
 
     def _cancel_resend_timer(self) -> None:
-        if self._resend_event is not None:
-            self._resend_event.cancel()
-            self._resend_event = None
+        if self._resend_timer is not None:
+            self.sim.cancel(self._resend_timer)
+            self._resend_timer = None
 
     def _on_resend_timer(self) -> None:
-        self._resend_event = None
+        self._resend_timer = None
         if self._state is _WAIT_S:
             outstanding = self._cnt_needed
         elif self._state is _WAIT_CS:

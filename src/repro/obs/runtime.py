@@ -84,7 +84,7 @@ class TelemetryRuntime:
 
     def start(self) -> None:
         """Arm the sampling probe (first firing one interval from now)."""
-        self.sim.post_in(self.spec.sample_interval, self._probe)
+        self.sim.schedule(self.spec.sample_interval, self._probe)
 
     def _probe(self) -> None:
         self._samples += 1
@@ -92,7 +92,7 @@ class TelemetryRuntime:
         # timers keep a healthy closed loop's queue non-empty after the last
         # grant), never into an otherwise empty queue: the run has drained.
         if self.sim.pending_events and any(c.waiting or not c.stopped for c in self.clients):
-            self.sim.post_in(self.spec.sample_interval, self._probe)
+            self.sim.schedule(self.spec.sample_interval, self._probe)
 
     def finalize(self) -> TelemetrySnapshot:
         """Take the final sample and freeze the run's telemetry."""

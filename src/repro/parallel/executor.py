@@ -22,7 +22,6 @@ after the sweep: a sweep that dies part-way keeps what it finished.
 from __future__ import annotations
 
 import pickle
-from concurrent.futures import ProcessPoolExecutor
 from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.parallel.cache import RunCache
@@ -136,6 +135,10 @@ class SweepExecutor:
             for i in pending:
                 yield i, execute_job(specs[i]), None
         elif pending:
+            # Imported here: the pool pulls in multiprocessing, socket and
+            # logging, which a single-process run never needs.
+            from concurrent.futures import ProcessPoolExecutor
+
             workers = min(self.workers, len(pending))
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 shipped = pool.map(_execute_job_shipped, [specs[i] for i in pending])

@@ -9,7 +9,7 @@ that the network consults directly (:mod:`repro.sim.latency`,
 :mod:`repro.sim.faults`), node crash/recovery lifecycle delivery
 (:mod:`repro.sim.lifecycle`) and declarative crash detection
 (:mod:`repro.sim.detectorspec`), a node/process abstraction with message
-dispatch, timers and lifecycle hooks (:mod:`repro.sim.node`),
+dispatch and lifecycle hooks (:mod:`repro.sim.node`),
 deterministic random-number streams (:mod:`repro.sim.rng`) and execution
 tracing (:mod:`repro.sim.trace`).
 
@@ -20,7 +20,7 @@ communication graph, one process per node, no shared memory).
 """
 
 from repro.sim.detectorspec import DetectorSpec, HeartbeatDetector, NoDetector
-from repro.sim.engine import Event, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.faults import (
     BernoulliLoss,
     BoundBernoulliLoss,
@@ -44,7 +44,6 @@ from repro.sim.rng import RandomStreams
 from repro.sim.trace import TraceEvent, TraceRecorder
 
 __all__ = [
-    "Event",
     "Simulator",
     "FaultSpec",
     "NoFaults",

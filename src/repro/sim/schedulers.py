@@ -32,8 +32,8 @@ Scheduler push protocol
 Every scheduler exposes one ``push(entry)`` callable, and everything that
 queues an event goes through it: the :class:`~repro.sim.engine.Simulator`
 binds it once (with a C-level sequence counter beside it), and its
-``schedule``/``schedule_at``/``post_at``/``post_in`` and the network's
-sends call the pair directly.  For the heap, ``push`` is
+``schedule``/``schedule_at`` and the network's sends call the pair
+directly.  For the heap, ``push`` is
 ``partial(heappush, entries)`` — a C-level callable, so queueing an
 event costs no Python frame.  The calendar queue's ``push`` is a method
 that appends past its window and bisects into it otherwise; that frame
@@ -43,7 +43,10 @@ Selection is by name through :func:`make_scheduler`, driven only by
 ``Scenario(scheduler=...)`` (see :mod:`repro.experiments.scenario`); the
 default is the heap.  Because of the determinism contract the choice
 never changes a result, which is also why it is hash-neutral for the run
-cache when left unset.
+cache when left unset.  A scheduler offers only what the engine calls:
+``push``, ``len`` and ``seqs`` (for pruning cancellations), plus
+``entries`` on the heap, which the run loop drains inline, and
+``take_ready``/``peek``/``pop`` on the calendar queue.
 """
 
 from __future__ import annotations
@@ -72,11 +75,9 @@ class HeapScheduler:
     """Binary-heap scheduler — the reference implementation.
 
     A thin wrapper over :mod:`heapq` on a plain list.  The engine's
-    drain loop special-cases this class and runs ``heappop`` inline on
+    run loop special-cases this class and runs ``heappop`` inline on
     :attr:`entries`, and :attr:`push` is a C-level
-    ``partial(heappush, entries)``, so wrapping costs nothing on the
-    default path.  :meth:`clear` empties the list in place, so ``push``
-    stays bound to the live heap for the scheduler's lifetime.
+    ``partial(heappush, entries)``, so wrapping costs nothing.
     """
 
     name = "heap"
@@ -89,22 +90,8 @@ class HeapScheduler:
         #: Insert one entry (see the module docstring's push protocol).
         self.push = partial(heapq.heappush, self.entries)
 
-    def pop(self) -> Optional[Entry]:
-        """Remove and return the smallest entry, or ``None`` when empty."""
-        entries = self.entries
-        return heapq.heappop(entries) if entries else None
-
-    def peek(self) -> Optional[Entry]:
-        """Return the smallest entry without removing it (``None`` if empty)."""
-        entries = self.entries
-        return entries[0] if entries else None
-
     def __len__(self) -> int:
         return len(self.entries)
-
-    def clear(self) -> None:
-        """Drop every queued entry."""
-        self.entries.clear()
 
     def seqs(self) -> Iterator[int]:
         """Iterate the sequence numbers of all queued entries."""
@@ -274,15 +261,6 @@ class CalendarQueue:
             - self._spine_pos
             + len(self._pending)
         )
-
-    def clear(self) -> None:
-        """Drop every queued entry and reset the window."""
-        self._window = []
-        self.pos = 0
-        self._spine = []
-        self._spine_pos = 0
-        self._pending = []
-        self._threshold = _NEG_INF
 
     def seqs(self) -> Iterator[int]:
         """Iterate the sequence numbers of all queued entries."""

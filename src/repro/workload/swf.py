@@ -11,6 +11,7 @@ columns, 20 bytes a job, and never builds a job object.
 
 from __future__ import annotations
 
+import math
 from array import array
 from typing import Optional, Tuple
 
@@ -58,7 +59,8 @@ def read_swf_columns(path: str, max_jobs: Optional[int] = None) -> Tuple[array, 
     requested processor count, falling back to the allocated one (at
     least 1) when the trace does not know it.  Comment (``;``) and blank
     lines are skipped.  Every field of a line is checked, so a malformed
-    line raises ``ValueError`` naming its line and field; lines after the
+    line — a token that is not a number, or is ``nan`` or ``±inf`` —
+    raises ``ValueError`` naming its line and field; lines after the
     ``max_jobs``-th job are not read.
     """
     submit, run, procs = array("d"), array("d"), array("i")
@@ -72,11 +74,14 @@ def read_swf_columns(path: str, max_jobs: Optional[int] = None) -> Tuple[array, 
             values = []
             for name, token in zip(SWF_FIELDS, fields + _PADDING[len(fields):]):
                 try:
-                    values.append(float(token) if name in _FLOAT_FIELDS else int(float(token)))
+                    value = float(token)
                 except ValueError:
                     raise ValueError(
                         f"SWF line {lineno}: field {name!r} is not numeric: {token!r}"
                     ) from None
+                if not math.isfinite(value):
+                    raise ValueError(f"SWF line {lineno}: field {name!r} is not finite: {token!r}")
+                values.append(value if name in _FLOAT_FIELDS else int(value))
             submit.append(values[_SUBMIT])
             run.append(values[_RUN])
             requested = values[_REQUESTED]

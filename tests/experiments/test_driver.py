@@ -202,6 +202,9 @@ class CrashRig:
         self.client.start()
 
     def run(self, until):
+        # run(until=) leaves the clock at the last event it ran; a no-op
+        # at `until` moves it there, so crash()/recover() act at `until`.
+        self.sim.schedule_at(until, lambda: None)
         self.sim.run(until=until)
 
     def crash(self):

@@ -265,7 +265,7 @@ def probe_run(spec, until, clients, horizon=None):
     """Samples a real simulator's probe took by ``until`` (final sample included)."""
     sim = Simulator()
     if horizon is not None:
-        sim.post_in(horizon, lambda: None)  # keeps the event queue busy
+        sim.schedule(horizon, lambda: None)  # keeps the event queue busy
     rt = TelemetryRuntime(spec, sim, clients=clients)
     rt.start()
     # A probe that never stops re-arming raises instead of hanging.

@@ -1,7 +1,10 @@
 """Executor tests: ordering, caching, and serial/parallel determinism."""
 
 import lzma
+import os
 import pickle
+import subprocess
+import sys
 
 import pytest
 
@@ -228,3 +231,31 @@ class TestEncodeOnce:
         survivor = RunCache(path=tmp_path)
         assert jobs[0].key() in survivor and jobs[1].key() in survivor
         assert failing.key() not in survivor
+
+
+#: Subprocess body: a single run and a one-worker sweep, then which of the
+#: process-pool modules the interpreter has loaded.
+SINGLE_PROCESS_RUN = """
+import sys
+from repro.experiments.runner import run
+from repro.experiments.scenario import Scenario
+from repro.parallel import run_sweep
+from repro.workload.params import WorkloadParams
+
+params = WorkloadParams(num_processes=3, num_resources=4, phi=2, duration=200.0, warmup=20.0)
+run(Scenario(algorithm="with_loan", params=params))
+run_sweep(Scenario(algorithm="with_loan", params=params).sweep(seed=(1, 2)), workers=1)
+pool = ("concurrent.futures.process", "multiprocessing")
+print(",".join(name for name in pool if name in sys.modules) or "clean")
+"""
+
+
+def test_a_single_process_run_never_loads_the_process_pool():
+    """Only a sweep with ``workers > 1`` imports ``ProcessPoolExecutor``."""
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.normpath(src))
+    out = subprocess.run(
+        [sys.executable, "-c", SINGLE_PROCESS_RUN],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.split() == ["clean"]

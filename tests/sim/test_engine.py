@@ -1,5 +1,6 @@
 """Unit tests for the discrete-event simulation engine."""
 
+import heapq
 import math
 
 import pytest
@@ -40,9 +41,24 @@ class TestScheduling:
         sim.run()
         assert fired == ["x"] and sim.now == 2.5
 
+    def test_both_calls_return_the_next_sequence_number(self, sim):
+        seqs = [sim.schedule(1.0, lambda: None), sim.schedule_at(0.5, lambda: None)]
+        seqs.append(sim.schedule(0.0, lambda: None))
+        assert seqs == [0, 1, 2]
+
     def test_negative_delay_rejected(self, sim):
         with pytest.raises(SimulationError):
             sim.schedule(-1.0, lambda: None)
+
+    def test_nan_delay_or_time_rejected(self, sim):
+        # A NaN compares false with everything, so only a test written
+        # as `not x >= bound` catches it; it would otherwise be queued
+        # and fire mid-run with `now = nan`.
+        with pytest.raises(SimulationError):
+            sim.schedule(math.nan, lambda: None)
+        with pytest.raises(SimulationError):
+            sim.schedule_at(math.nan, lambda: None)
+        assert sim.pending_events == 0
 
     def test_schedule_in_past_rejected(self, sim):
         sim.schedule(5.0, lambda: None)
@@ -72,8 +88,7 @@ class TestScheduling:
 class TestCancellation:
     def test_cancelled_event_does_not_fire(self, sim):
         fired = []
-        event = sim.schedule(1.0, fired.append, "x")
-        event.cancel()
+        sim.cancel(sim.schedule(1.0, fired.append, "x"))
         sim.run()
         assert fired == []
 
@@ -82,67 +97,90 @@ class TestCancellation:
         sim.schedule(1.0, fired.append, "keep")
         cancelled = sim.schedule(2.0, fired.append, "drop")
         sim.schedule(3.0, fired.append, "keep2")
-        cancelled.cancel()
+        sim.cancel(cancelled)
         sim.run()
         assert fired == ["keep", "keep2"]
-
-    def test_step_skips_cancelled_events(self, sim):
-        fired = []
-        cancelled = sim.schedule(1.0, fired.append, "drop")
-        sim.schedule(2.0, fired.append, "keep")
-        cancelled.cancel()
-        assert sim.step() is True
-        assert fired == ["keep"]
-        assert sim.now == 2.0
-        assert sim.step() is False
 
     def test_run_until_skips_cancelled_events(self, sim):
         fired = []
         cancelled = sim.schedule(1.0, fired.append, "drop")
         sim.schedule(2.0, fired.append, "keep")
         sim.schedule(10.0, fired.append, "late")
-        cancelled.cancel()
+        sim.cancel(cancelled)
         sim.run(until=5.0)
         assert fired == ["keep"]
-        assert sim.now == 5.0
+        assert sim.now == 2.0
 
     def test_cancelled_head_beyond_until_does_not_fire_later(self, sim):
         fired = []
         late = sim.schedule(10.0, fired.append, "late")
         sim.run(until=5.0)
-        late.cancel()
+        sim.cancel(late)
         sim.run()
         assert fired == []
 
-    def test_cancelled_flag_visible_on_handle(self, sim):
-        event = sim.schedule(1.0, lambda: None)
-        assert event.cancelled is False
-        event.cancel()
-        assert event.cancelled is True
-
     def test_cancel_is_idempotent(self, sim):
         fired = []
-        event = sim.schedule(1.0, fired.append, "x")
-        event.cancel()
-        event.cancel()
+        timer = sim.schedule(1.0, fired.append, "x")
+        sim.cancel(timer)
+        sim.cancel(timer)
         sim.run()
         assert fired == []
 
     def test_cancel_after_fire_is_harmless(self, sim):
         fired = []
-        event = sim.schedule(1.0, fired.append, "x")
+        timer = sim.schedule(1.0, fired.append, "x")
         sim.run()
-        event.cancel()
+        sim.cancel(timer)
         sim.schedule(2.0, fired.append, "y")
         sim.run()
         assert fired == ["x", "y"]
+
+
+@pytest.mark.parametrize("scheduler", ["heap", "calendar"])
+class TestCancelPruning:
+    """``cancel`` prunes its set of seqs whenever it outgrows the queue."""
+
+    @staticmethod
+    def fired_and_queued(scheduler, fired, queued):
+        """A simulator with ``fired`` seqs already run and ``queued`` live."""
+        sim = Simulator(scheduler)
+        done = [sim.schedule(0.0, lambda: None) for _ in range(fired)]
+        sim.run()
+        log = []
+        live = [sim.schedule(1.0 + i, log.append, i) for i in range(queued)]
+        return sim, done, live, log
+
+    def test_cancels_of_fired_events_stay_bounded(self, scheduler):
+        sim, done, _live, _log = self.fired_and_queued(scheduler, 500, 10)
+        sizes = []
+        for seq in done:
+            sim.cancel(seq)
+            sizes.append(len(sim._cancelled))
+            assert sizes[-1] <= max(64, sim.pending_events)
+        assert max(sizes) == 64 and sizes.count(0) == len(done) // 65  # every 65th prunes
+
+    def test_pruning_keeps_every_queued_cancel(self, scheduler):
+        sim, done, live, log = self.fired_and_queued(scheduler, 500, 100)
+        dropped = set(live[::3])
+        stale = iter(done)
+        for seq in live:
+            if seq in dropped:
+                sim.cancel(seq)
+            for _ in range(5):
+                sim.cancel(next(stale))
+            assert dropped & set(live[: seq - live[0] + 1]) <= sim._cancelled
+        assert len(sim._cancelled) < len(dropped) + 64  # a pass ran
+        sim.run()
+        assert log == [i for i, seq in enumerate(live) if seq not in dropped]
+        assert not sim._cancelled & set(live)  # each discarded as it popped
 
 
 class TestRunWithoutClockAdvance:
     def test_drained_queue_leaves_clock_at_last_event(self, sim):
         fired = []
         sim.schedule(1.0, fired.append, "x")
-        sim.run(until=10.0, advance_to_until=False)
+        sim.run(until=10.0)
         assert fired == ["x"]
         assert sim.now == 1.0
 
@@ -150,36 +188,10 @@ class TestRunWithoutClockAdvance:
         fired = []
         sim.schedule(1.0, fired.append, "x")
         sim.schedule(5.0, fired.append, "y")
-        sim.run(until=3.0, advance_to_until=False)
+        sim.run(until=3.0)
         assert fired == ["x"]
         assert sim.now == 1.0
 
-    def test_default_still_advances_to_until(self, sim):
-        sim.run(until=10.0)
-        assert sim.now == 10.0
-
-
-class TestEventHandleHash:
-    def test_event_handles_are_hashable(self, sim):
-        """Regression: __eq__ under __slots__ used to suppress __hash__,
-        so hash(Event(...)) raised TypeError."""
-        event = sim.schedule(1.0, lambda: None)
-        assert isinstance(hash(event), int)
-
-    def test_hash_consistent_with_equality(self, sim):
-        from repro.sim.engine import Event
-
-        a = Event(1.0, 0, lambda: None)
-        b = Event(1.0, 0, lambda: None)
-        assert a == b
-        assert hash(a) == hash(b)
-        assert len({a, b}) == 1
-
-    def test_distinct_events_usable_as_dict_keys(self, sim):
-        first = sim.schedule(1.0, lambda: None)
-        second = sim.schedule(2.0, lambda: None)
-        table = {first: "a", second: "b"}
-        assert table[first] == "a" and table[second] == "b"
 
 
 class TestRunControl:
@@ -189,13 +201,15 @@ class TestRunControl:
         sim.schedule(10.0, fired.append, "b")
         sim.run(until=5.0)
         assert fired == ["a"]
-        assert sim.now == 5.0
+        assert sim.now == 1.0
         sim.run()
         assert fired == ["a", "b"]
 
     def test_run_until_advances_clock_with_empty_queue(self, sim):
+        # `until` is a cap, not a target: with nothing to run the clock
+        # stays where the last event left it.
         sim.run(until=7.0)
-        assert sim.now == 7.0
+        assert sim.now == 0.0
 
     def test_max_events_raises_on_runaway(self, sim):
         def rearm():
@@ -205,40 +219,11 @@ class TestRunControl:
         with pytest.raises(SimulationError, match="max_events"):
             sim.run(max_events=50)
 
-    def test_step_executes_single_event(self, sim):
-        fired = []
-        sim.schedule(1.0, fired.append, "a")
-        sim.schedule(2.0, fired.append, "b")
-        assert sim.step() is True
-        assert fired == ["a"]
-        assert sim.step() is True
-        assert sim.step() is False
-
     def test_processed_events_counter(self, sim):
         for i in range(5):
             sim.schedule(float(i), lambda: None)
         sim.run()
         assert sim.processed_events == 5
-
-    def test_reset_clears_state(self, sim):
-        sim.schedule(3.0, lambda: None)
-        sim.run()
-        sim.reset()
-        assert sim.now == 0.0
-        assert sim.pending_events == 0
-        assert sim.processed_events == 0
-
-    def test_reset_clears_cancellation_bookkeeping(self, sim):
-        event = sim.schedule(3.0, lambda: None)
-        event.cancel()
-        sim.reset()
-        assert sim._cancelled == set()
-        # Sequence numbers restart after reset; a stale cancellation must
-        # not suppress a fresh event that reuses the same seq.
-        fired = []
-        sim.schedule(1.0, fired.append, "fresh")
-        sim.run()
-        assert fired == ["fresh"]
 
     def test_reentrant_run_rejected(self, sim):
         def nested():
@@ -267,9 +252,9 @@ class TestMaxEventsBoundary:
         def tick(i):
             fired.append(i)
             if i + 1 < length:
-                sim.post_in(1.0, tick, i + 1)
+                sim.schedule(1.0, tick, i + 1)
 
-        sim.post_in(1.0, tick, 0)
+        sim.schedule(1.0, tick, 0)
         return sim, fired
 
     def test_exactly_max_events_completes(self, scheduler, until):
@@ -288,7 +273,7 @@ class TestMaxEventsBoundary:
     def test_cancelled_entries_never_count(self, scheduler, until):
         sim, fired = self.chain(scheduler, 7)
         for delay in (0.5, 3.5, 3.5, 7.0):
-            sim.schedule(delay, fired.append, "cancelled").cancel()
+            sim.cancel(sim.schedule(delay, fired.append, "cancelled"))
         sim.run(until=until, max_events=7)
         assert fired == list(range(7))
         assert sim.pending_events == 0
@@ -300,7 +285,7 @@ def test_events_past_until_do_not_count_against_max_events(scheduler):
     sim.schedule(500.0, fired.append, "late")
     sim.run(until=100.0, max_events=7)
     assert fired == list(range(7))
-    assert sim.now == 100.0 and sim.pending_events == 1
+    assert sim.now == 7.0 and sim.pending_events == 1
     # Drained, the late event is the one too many.
     with pytest.raises(SimulationError, match="max_events"):
         sim.run(max_events=0)
@@ -311,30 +296,38 @@ class PlainHeap(HeapScheduler):
 
     ``Simulator.run`` inlines ``heappop`` only for exactly
     ``HeapScheduler``; under ``until`` this subclass is driven by the
-    scheduler-agnostic ``peek()``/``pop()`` loop instead, on identical
-    queue contents — the oracle for the inlined bounded loop.
+    ``peek()``/``pop()`` loop instead, on identical queue contents.  Its
+    ``peek``/``pop`` are a plain :mod:`heapq` replay of its own
+    ``entries`` — the oracle for the inlined bounded loop, independent
+    of the calendar queue.
     """
 
     __slots__ = ()
 
+    def peek(self):
+        return self.entries[0] if self.entries else None
 
-#: One scheduled event: when (a coarse grid, so instants tie), whether its
-#: handle is cancelled up front, and what its callback does besides
-#: logging — nothing, arm a follow-up (0 = at ``now``), call ``step()``,
-#: or cancel the next event listed.
+    def pop(self):
+        return heapq.heappop(self.entries) if self.entries else None
+
+
+#: One scheduled event: when (a coarse grid, so instants tie), whether it
+#: is cancelled up front, and what its callback does besides logging —
+#: nothing, arm a follow-up (0 = at ``now``), or cancel the next event
+#: listed.
 event_specs = st.tuples(
     st.integers(0, 40).map(lambda quarter: quarter / 4),
     st.booleans(),
-    st.sampled_from(["log", "log", "arm-now", "arm-later", "step", "cancel-next"]),
+    st.sampled_from(["log", "log", "arm-now", "arm-later", "cancel-next"]),
 )
 untils = st.integers(0, 44).map(lambda quarter: quarter / 4)
 
 
-def run_bounded_phases(scheduler, specs, phases, advance_to_until):
+def run_bounded_phases(scheduler, specs, phases):
     """Play ``specs`` through ``run(until=...)`` phase by phase; observe each."""
     sim = Simulator(scheduler)
     log = []
-    handles = []
+    timers = []
 
     def fire(index, action):
         log.append((index, sim.now))
@@ -342,49 +335,46 @@ def run_bounded_phases(scheduler, specs, phases, advance_to_until):
             sim.schedule(0.0, fire, f"{index}+", "log")
         elif action == "arm-later":
             sim.schedule(1.25, fire, f"{index}+", "log")
-        elif action == "step":
-            log.append(("stepped", sim.step()))
-        elif action == "cancel-next" and index + 1 < len(handles):
-            handles[index + 1].cancel()
+        elif action == "cancel-next" and index + 1 < len(timers):
+            sim.cancel(timers[index + 1])
 
     for index, (time, _cancelled, action) in enumerate(specs):
-        handles.append(sim.schedule_at(time, fire, index, action))
-    for handle, (_time, cancelled, _action) in zip(handles, specs):
+        timers.append(sim.schedule_at(time, fire, index, action))
+    for timer, (_time, cancelled, _action) in zip(timers, specs):
         if cancelled:
-            handle.cancel()
+            sim.cancel(timer)
     observed = []
     for until in phases:
-        sim.run(until=until, advance_to_until=advance_to_until)
+        sim.run(until=until)
         observed.append((list(log), sim.now, sim.processed_events, sim.pending_events))
     return observed
 
 
 class TestBoundedHeapLoop:
-    """The inlined ``until`` loop against the scheduler-agnostic one."""
+    """The inlined ``until`` loop against the peek/pop one."""
 
-    @given(st.lists(event_specs, max_size=30), untils, untils, st.booleans())
+    @given(st.lists(event_specs, max_size=30), untils, untils)
     @settings(max_examples=300, deadline=None)
-    def test_agrees_with_the_scheduler_agnostic_loop(self, specs, first, more, advance):
+    def test_agrees_with_the_scheduler_agnostic_loop(self, specs, first, more):
         phases = [first, first + more, math.inf]
-        inlined = run_bounded_phases(HeapScheduler(), specs, phases, advance)
+        inlined = run_bounded_phases(HeapScheduler(), specs, phases)
         for oracle in (PlainHeap(), "calendar"):
-            assert inlined == run_bounded_phases(oracle, specs, phases, advance)
+            assert inlined == run_bounded_phases(oracle, specs, phases)
 
-    @pytest.mark.parametrize("advance", [True, False])
-    def test_cancelled_head_past_until_is_discarded(self, advance):
+    def test_cancelled_head_past_until_is_discarded(self):
         observed = []
         for scheduler in (HeapScheduler(), PlainHeap()):
             sim = Simulator(scheduler)
             fired = []
             sim.schedule(1.0, fired.append, "a")
-            sim.schedule(6.0, fired.append, "dead").cancel()
+            sim.cancel(sim.schedule(6.0, fired.append, "dead"))
             sim.schedule(7.0, fired.append, "b")
-            sim.run(until=5.0, advance_to_until=advance)
+            sim.run(until=5.0)
             # The cancelled head (t=6) is swept although it lies past
             # `until`; the live event behind it stays queued.
             assert sim.pending_events == 1 and sim._cancelled == set()
-            assert sim.now == (5.0 if advance else 1.0)
-            sim.run(until=10.0, advance_to_until=advance)
+            assert sim.now == 1.0
+            sim.run(until=10.0)
             observed.append((fired, sim.now, sim.processed_events, sim.pending_events))
         assert observed[0] == observed[1]
         assert observed[0][0] == ["a", "b"]

@@ -1,4 +1,4 @@
-"""Unit tests for the node base class (dispatch, timers)."""
+"""Unit tests for the node base class (dispatch, registration)."""
 
 from dataclasses import dataclass
 
@@ -23,7 +23,6 @@ class Greeter(Node):
     def __init__(self, sim, network, node_id):
         super().__init__(sim, network, node_id)
         self.greetings = []
-        self.timer_fired = 0
 
     def on_Hello(self, src, msg):
         self.greetings.append((src, msg.text))
@@ -51,22 +50,3 @@ class TestDispatch:
         node = Greeter(sim, net, 7)
         assert net.node(7) is node
 
-
-class TestTimers:
-    def test_set_timer_fires_after_delay(self, sim, network):
-        node = Greeter(sim, network, 0)
-
-        def fire():
-            node.timer_fired += 1
-
-        node.set_timer(2.0, fire)
-        sim.run(until=1.0)
-        assert node.timer_fired == 0
-        sim.run()
-        assert node.timer_fired == 1
-
-    def test_timer_can_be_cancelled(self, sim, network):
-        node = Greeter(sim, network, 0)
-        event = node.set_timer(1.0, lambda: pytest.fail("should not fire"))
-        event.cancel()
-        sim.run()

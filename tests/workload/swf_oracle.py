@@ -56,8 +56,9 @@ FIELDS = tuple(field.name for field in fields(SWFJob))
 def parse_swf(lines: Iterable[str]) -> Iterator[SWFJob]:
     """Parse SWF lines into records, skipping comment (``;``) and blank lines.
 
-    A truncated record is padded with ``-1``; a non-numeric field raises
-    ``ValueError`` naming the line and field.
+    A truncated record is padded with ``-1``; a non-numeric or non-finite
+    (``nan``, ``±inf``) field raises ``ValueError`` naming the line and
+    field.
     """
     for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
@@ -69,11 +70,14 @@ def parse_swf(lines: Iterable[str]) -> Iterator[SWFJob]:
         values = []
         for name, token in zip(FIELDS, tokens):
             try:
-                values.append(float(token) if name in _FLOAT_FIELDS else int(float(token)))
+                value = float(token)
             except ValueError:
                 raise ValueError(
                     f"SWF line {lineno}: field {name!r} is not numeric: {token!r}"
                 ) from None
+            if value != value or value in (float("inf"), float("-inf")):
+                raise ValueError(f"SWF line {lineno}: field {name!r} is not finite: {token!r}")
+            values.append(value if name in _FLOAT_FIELDS else int(value))
         yield SWFJob(*values)
 
 

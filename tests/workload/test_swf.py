@@ -146,6 +146,47 @@ class TestColumnsAgainstOracle:
         assert str(from_columns.value).startswith(f"SWF line 4: field {field!r}")
 
 
+class TestNonFiniteFields:
+    """``nan`` and ``±inf`` parse as floats but are no SWF value.
+
+    Accepted, an ``inf`` submit time ran a replay to ``simulated_time =
+    inf`` and an ``inf`` run time livelocked it; in an integer field
+    ``inf`` escaped as a bare ``OverflowError``.
+    """
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", SWF_FIELDS)
+    def test_every_field_rejects_the_token(self, field, token, tmp_path):
+        tokens = "1 0 0 5 4 -1 -1 4 10 -1 1 1 1 1 1 -1 -1 -1".split()
+        tokens[SWF_FIELDS.index(field)] = token
+        lines = ["1 0 0 5 4 -1 -1 4", " ".join(tokens)]
+        bad = tmp_path / "bad.swf"
+        bad.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as from_oracle:
+            list(parse_swf(lines))
+        with pytest.raises(ValueError) as from_columns:
+            read_swf_columns(str(bad))
+        assert str(from_columns.value) == str(from_oracle.value)
+        assert str(from_columns.value) == f"SWF line 2: field {field!r} is not finite: {token!r}"
+
+    def test_a_replay_fails_with_the_reader_error(self, tmp_path):
+        from repro.experiments.runner import run
+        from repro.experiments.scenario import Scenario
+        from repro.workload.params import WorkloadParams
+        from repro.workload.spec import TraceReplaySpec
+
+        jobs = [line for line in SAMPLE.read_text().splitlines() if not line.startswith(";")]
+        tokens = jobs[5].split()
+        tokens[SWF_FIELDS.index("submit_time")] = "inf"
+        jobs[5] = " ".join(tokens)
+        trace = tmp_path / "slice.swf"
+        trace.write_text("\n".join(jobs[:12]) + "\n")
+        params = WorkloadParams(num_processes=4, num_resources=8, phi=2, seed=1)
+        scenario = Scenario("with_loan", params, workload=TraceReplaySpec(path=str(trace)))
+        with pytest.raises(ValueError, match="SWF line 6: field 'submit_time' is not finite"):
+            run(scenario)
+
+
 class TestMaxJobs:
     @pytest.mark.parametrize("max_jobs, kept", [(1, 1), (3, 3), (5, 5), (9, 5)])
     def test_max_jobs_caps_the_columns(self, max_jobs, kept):
