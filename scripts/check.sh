@@ -102,6 +102,14 @@ python scripts/bench_pairs.py HEAD HEAD --workload closed_loop_paper --pairs 1 -
 python scripts/bench_pairs.py HEAD HEAD --workload crash_recovery --pairs 1 --smoke >/dev/null
 echo "bench_pairs smoke OK"
 
+# What no run reaches: every function under src/repro that the entry
+# points (figure reproduction, the nine examples, the telemetry export,
+# the benchmark smoke) never enter must be listed, with its kind and
+# reason, in scripts/reach_unreached.txt, and nothing listed may be
+# reached (~27 s).
+echo "== reach list (scripts/reach.py) =="
+python scripts/reach.py
+
 # The observability package is pinned to a >=90% line-coverage floor by
 # its dedicated suite (tests/obs).  check_coverage.py measures with a
 # stdlib settrace tracer, so the gate runs in the bare container too.

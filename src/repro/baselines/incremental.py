@@ -82,11 +82,6 @@ class IncrementalAllocatorNode(Node, MultiResourceAllocator):
     def is_idle(self) -> bool:
         return not self._in_cs and self._on_granted is None and not self._pending
 
-    @property
-    def acquired_resources(self) -> FrozenSet[int]:
-        """Resources already locked for the outstanding request."""
-        return frozenset(self._acquired)
-
     def acquire(self, resources: Iterable[int], on_granted: Callable[[], None]) -> None:
         if not self.is_idle:
             raise AllocatorError(
@@ -147,7 +142,6 @@ class IncrementalAllocatorNode(Node, MultiResourceAllocator):
     # ------------------------------------------------------------------ #
     def on_crash(self, time: float) -> None:
         """The process halts (no local timers to suspend in this baseline)."""
-        Node.on_crash(self, time)
         if self.trace is not None:
             self.trace.record(time, self.node_id, "crash")
 
@@ -161,7 +155,6 @@ class IncrementalAllocatorNode(Node, MultiResourceAllocator):
         instances release — and the closed-loop client issues a fresh
         request afterwards.
         """
-        Node.on_recover(self, time)
         self._pending = []
         self._acquired = []
         self._required = frozenset()

@@ -246,16 +246,6 @@ class CoreAllocatorNode(Node, MultiResourceAllocator):
             len(last_tok[r].wqueue) + len(last_tok[r].wloan) for r in self._t_owned
         )
 
-    @property
-    def required_resources(self) -> FrozenSet[int]:
-        """Resources of the outstanding request (empty when idle)."""
-        return frozenset(self._t_required)
-
-    @property
-    def current_request_id(self) -> int:
-        """Identifier of the most recent critical-section request."""
-        return self._cur_id
-
     def acquire(self, resources: Iterable[int], on_granted: Callable[[], None]) -> None:
         """Request exclusive access to ``resources`` (``Request_CS``)."""
         if self._state is not _IDLE:
@@ -339,7 +329,6 @@ class CoreAllocatorNode(Node, MultiResourceAllocator):
     # ------------------------------------------------------------------ #
     def on_crash(self, time: float) -> None:
         """The process halts: suspend local timers (the resend safety net)."""
-        Node.on_crash(self, time)
         self._cancel_resend_timer()
         self._trace("crash", tokens=sorted(self._t_owned))
 
@@ -354,7 +343,6 @@ class CoreAllocatorNode(Node, MultiResourceAllocator):
         notified before this participant callback), so serving the
         remaining queues can never emit a duplicate token.
         """
-        Node.on_recover(self, time)
         self._set_state(_IDLE)
         self._t_required = set()
         self._cnt_needed = set()

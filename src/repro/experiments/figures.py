@@ -72,10 +72,6 @@ class FigureSeries:
     errors: Dict[str, List[Tuple[float, float]]] = field(default_factory=dict)
     results: List[ExperimentResult] = field(default_factory=list)
 
-    def series_for(self, algorithm: str) -> List[Tuple[float, float]]:
-        """Points of one curve (empty list if the algorithm was not run)."""
-        return self.series.get(algorithm, [])
-
 
 def _submit(
     scenarios: Sequence[Scenario],

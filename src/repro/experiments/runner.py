@@ -175,11 +175,6 @@ class ExperimentResult:
         """Resource-use rate in percent (Figure 5's y-axis)."""
         return self.metrics.use_rate
 
-    @property
-    def average_waiting_time(self) -> float:
-        """Average waiting time in ms (Figures 6 and 7's y-axis)."""
-        return self.metrics.waiting.mean
-
     def describe(self) -> str:
         """One-line human-readable summary (says how the run ended if not cleanly)."""
         end = self.termination
@@ -202,7 +197,7 @@ def run(scenario: Scenario) -> ExperimentResult:
     params = scenario.params
 
     sim = Simulator(scenario.scheduler)
-    trace = TraceRecorder(enabled=True) if scenario.collect_trace else None
+    trace = TraceRecorder() if scenario.collect_trace else None
     network = None
     faults = None
     if algo.needs_network:

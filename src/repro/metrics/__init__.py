@@ -15,7 +15,7 @@ examples to reproduce the content of Figures 1 and 4.
 from repro.metrics.collector import MetricsCollector, RequestRecord, RunMetrics, SafetyViolation
 from repro.metrics.columns import RecordColumns
 from repro.metrics.gantt import GanttChart, render_gantt
-from repro.metrics.stats import SummaryStats, mean, percentile, stddev, summarize
+from repro.metrics.stats import SummaryStats, percentile, summarize
 
 __all__ = [
     "MetricsCollector",
@@ -26,8 +26,6 @@ __all__ = [
     "GanttChart",
     "render_gantt",
     "SummaryStats",
-    "mean",
-    "stddev",
     "percentile",
     "summarize",
 ]

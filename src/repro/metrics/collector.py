@@ -3,10 +3,10 @@
 The collector is the single observer of every experiment run.  It records
 request lifecycles (issue -> grant -> release) directly into a
 struct-of-arrays :class:`~repro.metrics.columns.RecordColumns` (double
-precision on this live path), verifies online that the *safety* property
-holds (no resource is ever used by two processes at the same simulated
-time) and computes the paper's metrics over the measurement window
-``[warmup, horizon]``:
+precision on this live path), verifies on every grant that the *safety*
+property holds (no resource is ever used by two processes at the same
+simulated time; the check has no off switch) and computes the paper's
+metrics over the measurement window ``[warmup, horizon]``:
 
 * resource-use rate (Figure 5),
 * average waiting time, overall and per request-size class (Figures 6, 7).
@@ -56,8 +56,7 @@ class SafetyViolation(AssertionError):
 def _bucket_for(size: int, buckets: Optional[List[int]]) -> int:
     """Size class of a request: nearest of ``buckets``, or the exact size.
 
-    The single definition of Figure 7's bucket-assignment rule, shared by
-    the public grouping helper and the one-pass aggregation in ``build``.
+    Figure 7's bucket-assignment rule, e.g. ``[1, 17, 33, 49, 65, 80]``.
     """
     if buckets:
         return min(buckets, key=lambda b: abs(b - size))
@@ -103,9 +102,6 @@ class MetricsCollector:
         Requests *issued* before this time are excluded from waiting-time
         statistics, and resource busy time before this instant is excluded
         from the use-rate numerator.
-    check_safety:
-        When true (default), concurrent use of a resource by two processes
-        raises :class:`SafetyViolation` immediately.
     chunk_rows:
         When set, seal completed prefixes of about this many rows into
         packed chunks (see the module docstring).  ``None`` (default)
@@ -116,7 +112,6 @@ class MetricsCollector:
         self,
         num_resources: int,
         warmup: float = 0.0,
-        check_safety: bool = True,
         chunk_rows: Optional[int] = None,
     ) -> None:
         if num_resources < 1:
@@ -125,7 +120,6 @@ class MetricsCollector:
             raise ValueError("chunk_rows must be >= 1 (or None for unchunked)")
         self.num_resources = num_resources
         self.warmup = float(warmup)
-        self.check_safety = check_safety
         #: Live struct-of-arrays record store, in issue order, full doubles.
         #: In chunked mode this holds only the rows not yet sealed; row
         #: numbers in ``_rows`` are local to it.
@@ -188,14 +182,13 @@ class MetricsCollector:
         ids = cols.resource_ids
         lo, hi = cols.offsets[row], cols.offsets[row + 1]
         holder_map = self._holder
-        if self.check_safety:
-            for k in range(lo, hi):
-                holder = holder_map.get(ids[k])
-                if holder is not None:
-                    raise SafetyViolation(
-                        f"resource {ids[k]} granted to process {process} at t={time} "
-                        f"while held by process {holder[0]} (request {holder})"
-                    )
+        for k in range(lo, hi):
+            holder = holder_map.get(ids[k])
+            if holder is not None:
+                raise SafetyViolation(
+                    f"resource {ids[k]} granted to process {process} at t={time} "
+                    f"while held by process {holder[0]} (request {holder})"
+                )
         busy_since = self._busy_since
         for k in range(lo, hi):
             holder_map[ids[k]] = key
@@ -394,26 +387,6 @@ class MetricsCollector:
         for row, (issue, grant) in enumerate(zip(cols.issue, cols.grant)):
             if not math.isnan(grant):
                 yield issue, grant - issue, offsets[row + 1] - offsets[row]
-
-    def waiting_times(self, min_issue: Optional[float] = None) -> List[float]:
-        """Waiting times of granted requests issued after ``min_issue``."""
-        threshold = self.warmup if min_issue is None else min_issue
-        return [wait for issue, wait, _ in self._samples() if issue >= threshold]
-
-    def waiting_times_by_size(
-        self, buckets: Optional[List[int]] = None
-    ) -> Dict[int, List[float]]:
-        """Waiting times grouped by request size.
-
-        When ``buckets`` is given (e.g. ``[1, 17, 33, 49, 65, 80]`` as in
-        Figure 7), each request is assigned to the closest bucket value;
-        otherwise exact sizes are used as keys.
-        """
-        grouped: Dict[int, List[float]] = {}
-        for issue, wait, size in self._samples():
-            if issue >= self.warmup:
-                grouped.setdefault(_bucket_for(size, buckets), []).append(wait)
-        return grouped
 
     def build(
         self,

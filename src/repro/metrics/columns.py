@@ -678,19 +678,6 @@ class DowntimeColumns:
         """Total downtime summed over all nodes."""
         return sum(self.downtime)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DowntimeColumns):
-            return NotImplemented
-        return (
-            self.nodes == other.nodes
-            and self.downtime == other.downtime
-            and self.crashes == other.crashes
-        )
-
-    def __hash__(self) -> int:
-        """Value hash consistent with ``__eq__`` (hash a finished run only)."""
-        return hash((bytes(self.nodes), bytes(self.downtime), bytes(self.crashes)))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         rows = ", ".join(
             f"{n}: {d:g}ms/{c}x" for n, d, c in zip(self.nodes, self.downtime, self.crashes)

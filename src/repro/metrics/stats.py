@@ -21,23 +21,6 @@ from dataclasses import dataclass
 from typing import Iterable, List, Sequence
 
 
-def mean(values: Sequence[float]) -> float:
-    """Arithmetic mean; 0.0 for an empty sequence."""
-    vals = list(values)
-    if not vals:
-        return 0.0
-    return sum(vals) / len(vals)
-
-
-def stddev(values: Sequence[float]) -> float:
-    """Population standard deviation; 0.0 for fewer than two samples."""
-    vals = list(values)
-    if len(vals) < 2:
-        return 0.0
-    mu = mean(vals)
-    return math.sqrt(sum((v - mu) ** 2 for v in vals) / len(vals))
-
-
 def _percentile_of_sorted(vals: Sequence[float], q: float) -> float:
     """Linear-interpolation percentile of an already-sorted sample."""
     if not vals:
@@ -119,8 +102,6 @@ def summarize(values: Iterable[float]) -> SummaryStats:
 
 __all__: List[str] = [
     "SummaryStats",
-    "mean",
-    "stddev",
     "percentile",
     "summarize",
 ]

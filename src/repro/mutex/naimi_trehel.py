@@ -142,11 +142,6 @@ class NaimiTrehelInstance:
         return self._has_token
 
     @property
-    def in_critical_section(self) -> bool:
-        """Whether the host process is inside this instance's CS."""
-        return self._in_cs
-
-    @property
     def requesting(self) -> bool:
         """Whether a request is outstanding (waiting for the token)."""
         return self._requesting

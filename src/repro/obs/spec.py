@@ -27,8 +27,10 @@ class TelemetrySpec:
     Attributes
     ----------
     sample_interval:
-        Simulated milliseconds between telemetry samples (the probe
-        reads engine/network/node counters at this cadence).
+        Simulated milliseconds between firings of the sampling probe,
+        which only counts itself (``repro_telemetry_samples_total``);
+        every other counter and gauge is read once, at the final sample
+        (see :mod:`repro.obs.runtime`).
     node_gauges:
         Collect per-node queue-depth and token-wait series.  Off for
         very large clusters where per-node label cardinality would

@@ -191,36 +191,3 @@ class RunCache:
     def __len__(self) -> int:
         """Number of results held in memory (disk entries load lazily)."""
         return len(self._store)
-
-    def __contains__(self, key: str) -> bool:
-        """Whether :meth:`get` would hit (without touching the counters).
-
-        Membership must agree with lookup: a disk entry is only counted
-        present if it actually *loads* — a corrupt or torn file that
-        ``get`` would treat as a miss must not answer ``True`` here.  The
-        loaded result is kept, so a subsequent ``get`` is free.
-        """
-        if key in self._store:
-            return True
-        if self.path is None:
-            return False
-        result = self._load(key)
-        if result is None:
-            return False
-        self._store[key] = result
-        return True
-
-    def clear(self) -> None:
-        """Drop every cached result (memory *and* disk) and reset counters."""
-        self._store.clear()
-        self.hits = 0
-        self.misses = 0
-        if self.path is not None:
-            # ``*.tmp``: what a writer killed between ``mkstemp`` and
-            # ``os.replace`` left behind; nothing else ever removes it.
-            for pattern in (f"*.v{CACHE_FORMAT}.pkl", "*.tmp"):
-                for entry in self.path.glob(pattern):
-                    try:
-                        entry.unlink()
-                    except OSError:
-                        pass

@@ -21,6 +21,7 @@ the scenario shares its key with the detector-less run.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
@@ -74,10 +75,10 @@ class HeartbeatDetector(DetectorSpec):
     timeout: float = 75.0
 
     def __post_init__(self) -> None:
-        if self.interval <= 0:
-            raise ValueError(f"heartbeat interval must be > 0, got {self.interval!r}")
-        if self.timeout < 0:
-            raise ValueError(f"heartbeat timeout must be >= 0, got {self.timeout!r}")
+        if not 0 < self.interval < math.inf:
+            raise ValueError(f"heartbeat interval must be finite and > 0, got {self.interval!r}")
+        if not 0 <= self.timeout < math.inf:
+            raise ValueError(f"heartbeat timeout must be finite and >= 0, got {self.timeout!r}")
 
     @property
     def detection_delay(self) -> float:

@@ -179,8 +179,12 @@ class LinkPartition(FaultSpec):
         object.__setattr__(self, "pairs", tuple(sorted(set(normalised))))
         if not self.pairs:
             raise ValueError("partition needs at least one node pair")
-        if self.end is not None and self.end <= self.start:
-            raise ValueError(f"end ({self.end!r}) must be after start ({self.start!r})")
+        if not 0 <= self.start < math.inf:
+            raise ValueError(f"start must be finite and >= 0, got {self.start!r}")
+        if self.end is not None and not self.start < self.end < math.inf:
+            raise ValueError(
+                f"end must be None or finite and after start ({self.start!r}), got {self.end!r}"
+            )
 
     def bind(self, params: "WorkloadParams") -> "LinkPartition":
         """The spec itself, once every pair's nodes are in the workload."""
@@ -227,8 +231,13 @@ class NodeCrash(FaultSpec):
     def __post_init__(self) -> None:
         if self.node < 0:
             raise ValueError(f"node must be a valid site id, got {self.node!r}")
-        if self.recover_at is not None and self.recover_at <= self.at:
-            raise ValueError(f"recover_at ({self.recover_at!r}) must be after at ({self.at!r})")
+        if not 0 <= self.at < math.inf:
+            raise ValueError(f"at must be finite and >= 0, got {self.at!r}")
+        if self.recover_at is not None and not self.at < self.recover_at < math.inf:
+            raise ValueError(
+                f"recover_at must be None or finite and after at ({self.at!r}), "
+                f"got {self.recover_at!r}"
+            )
 
     def bind(self, params: "WorkloadParams") -> "NodeCrash":
         """The spec itself, once the node is in the workload."""

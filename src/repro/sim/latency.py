@@ -12,6 +12,7 @@ against the workload.  It returns the resolved spec, or for jitter a
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Optional, Tuple
@@ -53,8 +54,11 @@ class ConstantLatencySpec(LatencySpec):
     local: float = 0.0
 
     def __post_init__(self) -> None:
-        if (self.gamma is not None and self.gamma < 0) or self.local < 0:
-            raise ValueError("latencies must be non-negative")
+        # One comparison each, so NaN fails too.
+        if self.gamma is not None and not 0 <= self.gamma < math.inf:
+            raise ValueError(f"gamma must be finite and non-negative, got {self.gamma!r}")
+        if not 0 <= self.local < math.inf:
+            raise ValueError(f"local must be finite and non-negative, got {self.local!r}")
 
     def bind(self, params: "WorkloadParams") -> "ConstantLatencySpec":
         """The spec, with ``gamma`` resolved against ``params``."""
@@ -81,8 +85,8 @@ class UniformJitterLatencySpec(LatencySpec):
     def __post_init__(self) -> None:
         if not 0 <= self.jitter < 1:
             raise ValueError(f"jitter must lie in [0, 1), got {self.jitter!r}")
-        if self.gamma is not None and self.gamma <= 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma!r}")
+        if self.gamma is not None and not 0 < self.gamma < math.inf:
+            raise ValueError(f"gamma must be finite and positive, got {self.gamma!r}")
 
     def bind(self, params: "WorkloadParams") -> "UniformJitterLatency":
         """A fresh :class:`UniformJitterLatency` for one run."""
@@ -131,8 +135,14 @@ class HierarchicalLatencySpec(LatencySpec):
             object.__setattr__(self, "cluster_of", tuple(self.cluster_of))
         if self.cluster_of is None and (self.num_clusters is None or self.num_clusters <= 0):
             raise ValueError("either cluster_of or a positive num_clusters must be given")
-        if (self.gamma_local is not None and self.gamma_local < 0) or self.gamma_remote < 0:
-            raise ValueError("latencies must be non-negative")
+        if self.gamma_local is not None and not 0 <= self.gamma_local < math.inf:
+            raise ValueError(
+                f"gamma_local must be finite and non-negative, got {self.gamma_local!r}"
+            )
+        if not 0 <= self.gamma_remote < math.inf:
+            raise ValueError(
+                f"gamma_remote must be finite and non-negative, got {self.gamma_remote!r}"
+            )
 
     def bind(self, params: "WorkloadParams") -> "HierarchicalLatencySpec":
         """The spec, with ``gamma_local`` resolved; a cluster map must cover every node."""

@@ -126,10 +126,6 @@ class NodeLifecycle:
         """Whether ``node`` is currently inside a crash window."""
         return self._depth.get(node, 0) > 0
 
-    def down_nodes(self) -> List[int]:
-        """Sorted ids of every node currently down."""
-        return sorted(node for node, depth in self._depth.items() if depth > 0)
-
     def next_reboot(self, node: int) -> Optional[float]:
         """Earliest future time an outage of ``node`` actually ends.
 

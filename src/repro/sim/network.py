@@ -36,16 +36,16 @@ once (an unknown destination raises ``KeyError`` there, before anything
 is counted), update one flat counter, and queue the delivery through the
 simulator's push and sequence counter directly (see
 :mod:`repro.sim.engine`), with no ``Simulator.schedule_at`` frame.
-They skip its past-time check: every latency spec rejects a negative
-delay at construction (``tests/sim/test_latency.py``) and the FIFO clamp
-only moves a delivery later, so a delivery is never before ``now``.  A
-node's ``send`` enters the bound function directly
+They skip its past-time check: every latency spec rejects a negative or
+non-finite delay at construction (``tests/sim/test_latency.py``) and the
+FIFO clamp only moves a delivery later, so a delivery is never before
+``now``.  A node's ``send`` enters the bound function directly
 (:class:`~repro.sim.node.Node`), so a message costs one Python frame of
-``sim`` on the constant send.  And both
-apply the same **exposure test** before involving the fault layer: a
-message is exposed when it is delivered at or after the layer's
-``quiet_until()`` *and* its source or destination is one of the layer's
-``exposed_nodes()`` (``None``: every node).  Only an exposed message is
+``sim`` on the constant send.  And both apply the same **exposure
+test** before involving the fault layer: a message is exposed when it
+is delivered at or after the layer's ``quiet_until()`` *and* its source
+or destination is one of the layer's ``exposed_nodes()`` (``None``:
+every node).  Only an exposed message is
 put to ``drop_on_send`` and routed through ``_deliver`` →
 ``drop_on_delivery``; every other message is posted straight to the
 resolved handler, because both hooks are contractually ``False`` for it.
@@ -138,38 +138,6 @@ class MessageStats:
         """Return a plain-dict copy of the per-type counters."""
         return dict(self.by_type)
 
-    def dropped_snapshot(self) -> Dict[str, int]:
-        """Return a plain-dict copy of the per-type dropped counters."""
-        return dict(self.dropped_by_type)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MessageStats):
-            return NotImplemented
-        return (
-            self.total == other.total
-            and self.dropped == other.dropped
-            and dict(self.by_type) == dict(other.by_type)
-            and dict(self.by_sender) == dict(other.by_sender)
-            and dict(self.dropped_by_type) == dict(other.dropped_by_type)
-        )
-
-    def __hash__(self) -> int:
-        """Value hash consistent with ``__eq__``.
-
-        The counters are mutable, so the hash changes as messages are
-        recorded: hash a stats object only once its run has finished (do
-        not mutate it while it serves as a dict key / set member).
-        """
-        return hash(
-            (
-                self.total,
-                self.dropped,
-                frozenset(self.by_type.items()),
-                frozenset(self.by_sender.items()),
-                frozenset(self.dropped_by_type.items()),
-            )
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"MessageStats(total={self.total}, dropped={self.dropped}, "
@@ -208,7 +176,6 @@ class Network:
         "faults",
         "send",
         "_nodes",
-        "_node_ids",
         "_sent",
         "_delivery_cache",
         "_gamma",
@@ -231,8 +198,6 @@ class Network:
         self.faults = faults
         self.stats = MessageStats()
         self._nodes: Dict[int, "Node"] = {}
-        # Sorted-ids cache for the node_ids property (None = stale).
-        self._node_ids: Optional[Tuple[int, ...]] = None
         # The stats object's flat sent-counter, aliased so the sends do
         # one inline dict update instead of a method call.
         self._sent = self.stats._sent
@@ -272,19 +237,6 @@ class Network:
         if node.node_id in self._nodes:
             raise ValueError(f"node id {node.node_id} already registered")
         self._nodes[node.node_id] = node
-        self._node_ids = None
-
-    def node(self, node_id: int) -> "Node":
-        """Return the node registered under ``node_id``."""
-        return self._nodes[node_id]
-
-    @property
-    def node_ids(self) -> list[int]:
-        """Sorted list of registered node ids (cached between registrations)."""
-        ids = self._node_ids
-        if ids is None:
-            ids = self._node_ids = tuple(sorted(self._nodes))
-        return list(ids)
 
     # ------------------------------------------------------------------ #
     # message passing
@@ -400,7 +352,11 @@ class Network:
         could still be scheduled *before* it; once ``delivery <= now`` any
         new message is scheduled at ``now + latency >= delivery`` anyway
         (latencies are non-negative), so past entries can never clamp
-        again and would otherwise accumulate for the whole run.
+        again and dropping them changes no delivery.  The table is keyed
+        by directed link, so it never holds more than N² entries: with
+        the threshold at 4 096, a run of fewer than 64 nodes never
+        compacts, and a larger cluster keeps only the links that still
+        have a delivery ahead.
         """
         now = self.sim.now
         self._last_delivery = {

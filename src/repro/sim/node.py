@@ -20,12 +20,12 @@ and equal only to records of their own class.
 Nodes are also the unit of *failure*: when a scenario's fault spec
 declares node outages (:meth:`repro.sim.faults.FaultSpec.crash_windows`),
 the :class:`~repro.sim.lifecycle.NodeLifecycle` layer delivers
-:meth:`Node.on_crash` at the start of each window and
-:meth:`Node.on_recover` at its end.  The base implementations only flip
-the :attr:`crashed` flag; protocol subclasses override them to suspend
-and restore their local timers (e.g. the resend safety net of
-:class:`repro.core.node.CoreAllocatorNode`) so a dead node does not keep
-computing while its network is cut.
+``on_crash(time)`` and ``on_recover(time)`` at the edges of each window
+to every participant that defines them.  The base class defines neither,
+and ``NodeLifecycle.is_down`` is the one place that knows whether a node
+is down.  Protocol subclasses define the hooks to suspend and restore
+their local timers (e.g. the resend safety net of
+:class:`repro.core.node.CoreAllocatorNode`).
 """
 
 from __future__ import annotations
@@ -80,7 +80,6 @@ class Node:
         self.sim = sim
         self.network = network
         self.node_id = int(node_id)
-        self._crashed = False
         # message class -> bound on_<ClassName> handler, so dispatch pays
         # one dict hit per message instead of an f-string + getattr.
         self._handler_cache: dict = {}
@@ -88,34 +87,6 @@ class Node:
         # id to it once, so sending costs no frame of the node's.
         self.send: Callable[[int, Any], float] = partial(network.send, self.node_id)
         network.register(self)
-
-    # ------------------------------------------------------------------ #
-    # lifecycle
-    # ------------------------------------------------------------------ #
-    @property
-    def crashed(self) -> bool:
-        """Whether the node is currently down (inside a crash window)."""
-        return self._crashed
-
-    def on_crash(self, time: float) -> None:
-        """Lifecycle callback: the node halts at simulated ``time``.
-
-        Delivered by :class:`~repro.sim.lifecycle.NodeLifecycle` at the
-        start of a crash window.  Subclasses override this to cancel
-        their local timers (and must call ``super().on_crash(time)``);
-        the network side of the crash (no sends, no deliveries) is
-        enforced independently by the fault layer.
-        """
-        self._crashed = True
-
-    def on_recover(self, time: float) -> None:
-        """Lifecycle callback: the node reboots at simulated ``time``.
-
-        Delivered at the end of a finite crash window.  Subclasses
-        override this to discard volatile protocol state and re-arm
-        timers (and must call ``super().on_recover(time)``).
-        """
-        self._crashed = False
 
     # ------------------------------------------------------------------ #
     # delivery

@@ -45,7 +45,3 @@ class RandomStreams:
             rng = random.Random(self._derive(self.master_seed, key))
             self._streams[key] = rng
         return rng
-
-    def spawn(self, name: str) -> "RandomStreams":
-        """Derive a child :class:`RandomStreams` with an independent master seed."""
-        return RandomStreams(self._derive(self.master_seed, f"spawn/{name}"))

@@ -37,18 +37,16 @@ class TraceEvent:
 class TraceRecorder:
     """Append-only store of :class:`TraceEvent` records.
 
-    Recording can be disabled (the default for large sweeps) in which case
-    :meth:`record` is a no-op, keeping the hot path cheap.
+    A run without tracing has no recorder at all (``trace=None``, the
+    runner's default when ``Scenario.collect_trace`` is unset), so the hot
+    path pays one ``is None`` test instead of a call.
     """
 
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         self._events: List[TraceEvent] = []
 
     def record(self, time: float, node: int, kind: str, **details: Any) -> None:
-        """Append one event if recording is enabled."""
-        if not self.enabled:
-            return
+        """Append one event."""
         self._events.append(TraceEvent(time=time, node=node, kind=kind, details=dict(details)))
 
     def events(self, kind: Optional[str] = None, node: Optional[int] = None) -> List[TraceEvent]:
@@ -62,10 +60,3 @@ class TraceRecorder:
 
     def __iter__(self) -> Iterator[TraceEvent]:
         return iter(self._events)
-
-    def __len__(self) -> int:
-        return len(self._events)
-
-    def clear(self) -> None:
-        """Drop all recorded events."""
-        self._events.clear()

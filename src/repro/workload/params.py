@@ -18,6 +18,7 @@ time, matching the paper's units.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
@@ -137,8 +138,8 @@ class WorkloadParams:
             raise ValueError("phi must lie in [1, num_resources]")
         if self.alpha_min <= 0 or self.alpha_max < self.alpha_min:
             raise ValueError("require 0 < alpha_min <= alpha_max")
-        if self.gamma < 0:
-            raise ValueError("gamma must be non-negative")
+        if not 0 <= self.gamma < math.inf:
+            raise ValueError(f"gamma must be finite and non-negative, got {self.gamma!r}")
         if self.duration <= 0:
             raise ValueError("duration must be positive")
         if not 0 <= self.warmup < self.duration:
@@ -192,17 +193,6 @@ class WorkloadParams:
     def with_seed(self, seed: int) -> "WorkloadParams":
         """Return a copy with a different master seed."""
         return replace(self, seed=seed)
-
-    def scaled(self, processes: int, resources: int, duration: float) -> "WorkloadParams":
-        """Return a scaled-down copy (used by the fast benchmark suite)."""
-        return replace(
-            self,
-            num_processes=processes,
-            num_resources=resources,
-            phi=min(self.phi, resources),
-            duration=duration,
-            warmup=min(self.warmup, duration / 10.0),
-        )
 
     def describe(self) -> str:
         """One-line summary used in reports.

@@ -66,7 +66,7 @@ class TestRunExperiment:
         with_trace = run(
             Scenario(algorithm="with_loan", params=tiny_params, collect_trace=True)
         )
-        assert with_trace.trace is not None and len(with_trace.trace) > 0
+        assert with_trace.trace is not None and len(with_trace.trace.events()) > 0
 
     def test_size_buckets_grouping(self, tiny_params):
         result = run(

@@ -31,7 +31,7 @@ class System:
     network: Optional[Network]
     allocators: List[MultiResourceAllocator]
     num_resources: int
-    trace: TraceRecorder = field(default_factory=lambda: TraceRecorder(enabled=True))
+    trace: TraceRecorder = field(default_factory=TraceRecorder)
 
     def run(self, until: Optional[float] = None, max_events: int = 500_000) -> None:
         """Run the simulation to completion (or until a time bound)."""
@@ -62,7 +62,7 @@ def build_system(
     nodes default to :func:`node_config`.
     """
     sim = Simulator()
-    trace = TraceRecorder(enabled=True)
+    trace = TraceRecorder()
     if algorithm == "shared_memory":
         scheduler = CentralScheduler(sim, num_resources)
         allocators: List[MultiResourceAllocator] = [

@@ -97,9 +97,9 @@ class TestCollectorChunking:
     def test_waiting_times_include_sealed_rows(self):
         c = MetricsCollector(num_resources=2, warmup=0.0, chunk_rows=8)
         drive(c, 100)
-        assert len(c.waiting_times()) == 100
-        by_size = c.waiting_times_by_size()
-        assert sum(len(v) for v in by_size.values()) == 100
+        metrics = c.build("x", horizon=600.0)
+        assert metrics.waiting.count == 100
+        assert sum(s.count for s in metrics.waiting_by_size.values()) == 100
 
 
 class TestEndToEndChunking:

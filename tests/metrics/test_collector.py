@@ -87,13 +87,6 @@ class TestSafetyCheck:
         c.on_grant(4.0, 1, 0)  # must not raise
         assert c.currently_held()[0] == (1, 0)
 
-    def test_safety_check_can_be_disabled(self):
-        c = MetricsCollector(num_resources=2, check_safety=False)
-        c.on_issue(1.0, 0, 0, frozenset({0}))
-        c.on_issue(1.0, 1, 0, frozenset({0}))
-        c.on_grant(2.0, 0, 0)
-        c.on_grant(2.5, 1, 0)  # tolerated when disabled
-
 
 class TestUseRate:
     def test_single_busy_resource(self):
@@ -139,7 +132,9 @@ class TestWaitingTimes:
         c.on_issue(11.0, 0, 1, frozenset({0}))
         c.on_grant(15.0, 0, 1)
         c.on_release(16.0, 0, 1)
-        assert c.waiting_times() == [pytest.approx(4.0)]
+        waiting = c.build("x", horizon=20.0).waiting
+        assert waiting.count == 1
+        assert waiting.mean == pytest.approx(4.0)
 
     def test_waiting_by_size_buckets(self):
         c = make_collector(m=10)
@@ -147,15 +142,15 @@ class TestWaitingTimes:
         c.on_grant(1.0, 0, 0)
         c.on_issue(0.0, 1, 0, frozenset(range(1, 10)))
         c.on_grant(9.0, 1, 0)
-        grouped = c.waiting_times_by_size(buckets=[1, 10])
-        assert grouped[1] == [pytest.approx(1.0)]
-        assert grouped[10] == [pytest.approx(9.0)]
+        grouped = c.build("x", horizon=10.0, size_buckets=[1, 10]).waiting_by_size
+        assert (grouped[1].count, grouped[1].mean) == (1, pytest.approx(1.0))
+        assert (grouped[10].count, grouped[10].mean) == (1, pytest.approx(9.0))
 
     def test_waiting_by_exact_size(self):
         c = make_collector(m=10)
         c.on_issue(0.0, 0, 0, frozenset({0, 1, 2}))
         c.on_grant(2.0, 0, 0)
-        grouped = c.waiting_times_by_size()
+        grouped = c.build("x", horizon=5.0).waiting_by_size
         assert list(grouped) == [3]
 
 

@@ -2,31 +2,7 @@
 
 import pytest
 
-from repro.metrics.stats import mean, percentile, stddev, summarize
-
-
-class TestMean:
-    def test_basic(self):
-        assert mean([1.0, 2.0, 3.0]) == pytest.approx(2.0)
-
-    def test_empty_is_zero(self):
-        assert mean([]) == 0.0
-
-    def test_single_value(self):
-        assert mean([7.0]) == pytest.approx(7.0)
-
-
-class TestStddev:
-    def test_constant_sample_has_zero_spread(self):
-        assert stddev([4.0, 4.0, 4.0]) == pytest.approx(0.0)
-
-    def test_known_value(self):
-        # population stddev of [2, 4, 4, 4, 5, 5, 7, 9] is 2
-        assert stddev([2, 4, 4, 4, 5, 5, 7, 9]) == pytest.approx(2.0)
-
-    def test_fewer_than_two_samples(self):
-        assert stddev([]) == 0.0
-        assert stddev([3.0]) == 0.0
+from repro.metrics.stats import percentile, summarize
 
 
 class TestPercentile:
@@ -60,6 +36,18 @@ class TestSummarize:
         assert summary.minimum == pytest.approx(1.0)
         assert summary.maximum == pytest.approx(4.0)
         assert summary.median == pytest.approx(2.5)
+
+    def test_population_stddev_known_value(self):
+        # population stddev of [2, 4, 4, 4, 5, 5, 7, 9] is 2, around mean 5
+        summary = summarize([2, 4, 4, 4, 5, 5, 7, 9])
+        assert summary.mean == pytest.approx(5.0)
+        assert summary.stddev == pytest.approx(2.0)
+
+    def test_single_sample_has_zero_spread(self):
+        summary = summarize([7.0])
+        assert summary.count == 1
+        assert summary.mean == pytest.approx(7.0)
+        assert summary.stddev == 0.0
 
     def test_empty_summary_is_all_zero(self):
         summary = summarize([])

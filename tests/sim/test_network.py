@@ -62,12 +62,6 @@ class TestDelivery:
         with pytest.raises(ValueError):
             Recorder(sim, net, 0)
 
-    def test_node_ids_sorted(self, sim):
-        net = Network(sim, ConstantLatency(gamma=0.6))
-        for node_id in (3, 1, 2):
-            Recorder(sim, net, node_id)
-        assert net.node_ids == [1, 2, 3]
-
     def test_send_returns_delivery_time(self, sim):
         net = Network(sim, ConstantLatency(gamma=1.5))
         Recorder(sim, net, 0)

@@ -47,6 +47,9 @@ class TestDispatch:
 
     def test_registration_happens_on_construction(self, sim):
         net = Network(sim, ConstantLatencySpec(gamma=0.6))
+        sender = Greeter(sim, net, 0)
         node = Greeter(sim, net, 7)
-        assert net.node(7) is node
+        sender.send(7, Hello("registered"))
+        sim.run()
+        assert node.greetings == [(0, "registered")]
 

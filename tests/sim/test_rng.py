@@ -30,13 +30,6 @@ class TestRandomStreams:
         s2.stream("b").random()
         assert s2.stream("a").random() == first
 
-    def test_spawn_derives_child_seed(self):
-        parent = RandomStreams(5)
-        child_a = parent.spawn("child")
-        child_b = RandomStreams(5).spawn("child")
-        assert child_a.master_seed == child_b.master_seed
-        assert child_a.master_seed != parent.master_seed
-
     def test_index_none_and_zero_are_distinct_streams(self):
         streams = RandomStreams(3)
         assert streams.stream("x") is not streams.stream("x", 0)

@@ -8,7 +8,7 @@ class TestTraceRecorder:
         trace = TraceRecorder()
         trace.record(1.0, 0, "cs_enter", resources=[1, 2])
         trace.record(2.0, 1, "cs_exit")
-        assert len(trace) == 2
+        assert len(trace.events()) == 2
         kinds = [e.kind for e in trace]
         assert kinds == ["cs_enter", "cs_exit"]
 
@@ -21,23 +21,12 @@ class TestTraceRecorder:
         assert len(trace.events(node=0)) == 2
         assert len(trace.events(kind="a", node=0)) == 1
 
-    def test_disabled_recorder_is_noop(self):
-        trace = TraceRecorder(enabled=False)
-        trace.record(1.0, 0, "x")
-        assert len(trace) == 0
-
     def test_details_are_copied(self):
         trace = TraceRecorder()
         payload = {"k": 1}
         trace.record(1.0, 0, "x", **payload)
         payload["k"] = 2
         assert trace.events()[0].details == {"k": 1}
-
-    def test_clear_empties_recorder(self):
-        trace = TraceRecorder()
-        trace.record(1.0, 0, "x")
-        trace.clear()
-        assert len(trace) == 0
 
     def test_event_is_frozen_dataclass(self):
         event = TraceEvent(time=1.0, node=2, kind="k")

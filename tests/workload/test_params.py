@@ -67,14 +67,6 @@ class TestWorkloadParams:
     def test_with_seed(self):
         assert WorkloadParams().with_seed(99).seed == 99
 
-    def test_scaled_shrinks_system(self):
-        scaled = WorkloadParams(phi=40).scaled(processes=8, resources=16, duration=500.0)
-        assert scaled.num_processes == 8
-        assert scaled.num_resources == 16
-        assert scaled.phi == 16
-        assert scaled.duration == 500.0
-        assert scaled.warmup <= 50.0
-
     def test_describe_contains_key_values(self):
         text = WorkloadParams(phi=7, seed=123).describe()
         assert "phi=7" in text and "seed=123" in text
