@@ -78,7 +78,9 @@ echo "telemetry export OK"
 # hook calls per message; asking about every message is 2.0) and the
 # per-message path has no peek/pop, stats-method, Random.uniform or
 # `now` property frame.  All three legs also assert zero Python frames
-# defined in core/messages.py (its records are built by C calls).
+# defined in core/messages.py (its records are built by C calls).  The
+# two no-fault legs also fail on any resend-timer or `cancel` frame: a
+# reliable run arms no per-request timer.
 echo "== no-fault fast-path and armed-path profile checks =="
 python scripts/profile_run.py --check
 python scripts/profile_run.py --scheduler calendar --check

@@ -27,7 +27,9 @@ Three uses:
   ``send`` is a ``partial`` over the network's bound send) and no
   ``Simulator.schedule`` or ``Simulator.schedule_at`` called from
   ``sim/network.py`` (the sends queue through the simulator's push
-  directly).  Wired into
+  directly).  It also asserts that a reliable run arms no per-request
+  timer: no ``_on_resend_timer`` frame from ``core/node.py`` and no
+  ``Simulator.cancel`` frame at all.  Wired into
   ``scripts/check.sh``.
 * ``python scripts/profile_run.py --armed --check`` — the same kind of
   structural assertion for a run that *does* have a fault layer: the
@@ -136,6 +138,16 @@ FORBIDDEN_ON_SEND_PATH = (
 #: comparison.  A ``def request_key`` was one frame per comparison.
 FORBIDDEN_ON_EVERY_RUN = FORBIDDEN_ON_SEND_PATH + (
     (os.path.join("core", "ordering.py"), "request_key", ""),
+)
+
+#: Frames, as above, a no-fault run must never execute: nothing is lost
+#: on reliable links, so the core's resend net stays unarmed and no
+#: per-request timer fires or is cancelled.  With the net armed, every
+#: request cancelled its timer at CS entry (one ``cancel`` frame per
+#: critical section) and a 500 ms silence fired ``_on_resend_timer``.
+FORBIDDEN_ON_RELIABLE_PATH = FORBIDDEN_ON_EVERY_RUN + (
+    (os.path.join("core", "node.py"), "_on_resend_timer", ""),
+    (os.path.join("sim", "engine.py"), "cancel", ""),
 )
 
 #: Frames, as above, the armed run must never execute: each was one
@@ -268,7 +280,8 @@ def main() -> None:
         "--check", action="store_true",
         help="assert the no-fault runs (with_loan, bouabdallah) execute no "
         "fault/lifecycle/recovery/obs frames, no frame defined in core/messages.py "
-        "and no Node.send, network-called schedule/schedule_at or request_key frame",
+        "and no Node.send, network-called schedule/schedule_at, request_key, "
+        "_on_resend_timer or cancel frame",
     )
     parser.add_argument(
         "--armed", action="store_true",
@@ -309,7 +322,7 @@ def main() -> None:
                 "(budget: 0 frames from its module)"
                 for filename, lineno, funcname in forbidden_frames(run_profile, forbidden)
             ]
-            offenders += forbidden_calls(run_profile, FORBIDDEN_ON_EVERY_RUN)
+            offenders += forbidden_calls(run_profile, FORBIDDEN_ON_RELIABLE_PATH)
             problems += [f"{algorithm}: {line}" for line in sorted(offenders)]
         if problems:
             print("no-fault runs executed forbidden frames:", file=sys.stderr)
@@ -323,7 +336,7 @@ def main() -> None:
             + ", ".join(name for _module, name in ALLOWED_FRAMES)
             + "; 0 frames of "
             + ", ".join(f"{suffix} {name}" + (f" called from {caller}" if caller else "")
-                        for suffix, name, caller in FORBIDDEN_ON_EVERY_RUN)
+                        for suffix, name, caller in FORBIDDEN_ON_RELIABLE_PATH)
         )
         return
 

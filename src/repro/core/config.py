@@ -16,8 +16,9 @@ from typing import Optional
 
 from repro.core.policies import get_policy
 
-#: Default safety-net re-send interval of the core algorithm (ms).  See the
-#: implementation notes in :mod:`repro.core.node`.
+#: Default loss-recovery re-send interval of the core algorithm (ms), used
+#: on runs with a fault layer.  See the implementation notes in
+#: :mod:`repro.core.node`.
 DEFAULT_RESEND_INTERVAL = 500.0
 
 
@@ -44,10 +45,15 @@ class CoreConfigSpec:
         :func:`repro.core.policies.get_policy`); defaults to the paper's
         mean of non-zero counter values.
     resend_interval:
-        If not ``None``, a node re-sends its outstanding ``ReqCnt``/``ReqRes``
-        messages after this much simulated time without progress (safety
-        net; see :mod:`repro.core.node`).  Must be a finite number > 0;
-        ``None`` is the one way to turn the safety net off.
+        The loss-recovery interval: if not ``None``, a node re-sends its
+        outstanding ``ReqCnt``/``ReqRes`` messages after this much
+        simulated time without progress (see :mod:`repro.core.node`).  It
+        is used only when the run's network has a fault layer that can
+        lose a message; on reliable links the algorithm's builder leaves
+        the timer unarmed whatever the value, so there the value changes
+        no result and only splits cache entries (it still feeds
+        ``Scenario.key()``).  Must be a finite number > 0; ``None`` turns
+        the timer off on every network.
     initial_holder:
         Site owning every resource token at time zero (the *elected node*
         of the initialisation pseudo-code).

@@ -30,12 +30,17 @@ Implementation notes (documented deviations)
   cases the pseudo-code leaves implicit.
 * A borrower returning tokens after a *failed* loan re-registers its own
   ``ReqRes`` in the returned token so the request cannot be lost.
-* An optional requester-side re-send timer
-  (``CoreConfigSpec.resend_interval``) re-issues pending ``ReqCnt``/``ReqRes``
-  messages after a long silence.  Request messages are idempotent (they are
-  de-duplicated through ``lastReqC``/``lastCS`` and queue membership), so
-  the retry is a pure safety net against the rare message-drop case of
-  Section 4.2.1 where no forwarder ends up seeing the token.
+* A requester-side re-send timer (``CoreConfigSpec.resend_interval``)
+  re-issues pending ``ReqCnt``/``ReqRes`` messages after a long silence:
+  loss recovery for the message-drop case of Section 4.2.1 where no
+  forwarder ends up seeing the token.  It is armed only on runs whose
+  network has a fault layer; on reliable links nothing is lost, and the
+  algorithm's builder leaves it unarmed whatever the interval.  A re-sent
+  request is mostly de-duplicated (``lastReqC``/``lastCS`` and queue
+  membership) but not always harmless: with a fault layer that never
+  fires, a 5 ms timer sends several times the protocol's own messages
+  and moves the grants of some runs
+  (``tests/integration/test_resend_net.py``).
 
 Crash-recovery model (beyond the paper)
 ---------------------------------------
@@ -199,8 +204,9 @@ class CoreAllocatorNode(Node, MultiResourceAllocator):
         # Highest token epoch witnessed per resource (fencing against
         # stale copies of regenerated tokens; all zero in crash-free runs).
         self._tok_epoch: List[int] = [0] * num_resources
-        # Safety-net re-sends issued by _on_resend_timer, reported by the
-        # runner as ExperimentResult.resend_count (fault-recovery metric).
+        # Re-sends issued by _on_resend_timer, reported by the runner as
+        # ExperimentResult.resend_count (fault-recovery metric; 0 on
+        # reliable links, where the timer is never armed).
         self.resend_count = 0
 
         # Aggregation buffers (Section 4.2.2): request messages and response
@@ -328,7 +334,7 @@ class CoreAllocatorNode(Node, MultiResourceAllocator):
     # crash / recovery lifecycle (see the module docstring)
     # ------------------------------------------------------------------ #
     def on_crash(self, time: float) -> None:
-        """The process halts: suspend local timers (the resend safety net)."""
+        """The process halts: suspend local timers (the resend timer)."""
         self._cancel_resend_timer()
         self._trace("crash", tokens=sorted(self._t_owned))
 
@@ -956,7 +962,7 @@ class CoreAllocatorNode(Node, MultiResourceAllocator):
             self.trace.record(self.sim.now, self.node_id, kind, **details)
 
     # ------------------------------------------------------------------ #
-    # re-send safety net
+    # re-send timer (loss recovery; unarmed on reliable links)
     # ------------------------------------------------------------------ #
     def _arm_resend_timer(self) -> None:
         interval = self.config.resend_interval

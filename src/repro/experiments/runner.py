@@ -138,7 +138,8 @@ class ExperimentResult:
     termination: Termination
     #: Messages lost to injected faults (0 under reliable links).
     messages_dropped: int = 0
-    #: Safety-net re-sends issued by the core algorithm's resend timers.
+    #: Re-sends issued by the core algorithm's resend timers (0 without a
+    #: fault layer, where the timers are never armed).
     resend_count: int = 0
     #: Lost tokens rebuilt by the recovery protocol (requires a
     #: ``Scenario.detector``; 0 when crashes go undetected).

@@ -8,7 +8,7 @@ lifecycle events delivered to the node's participants (its protocol
 allocator and its workload client):
 
 * ``on_crash(time)`` at the start of the window — participants suspend
-  their local timers (resend safety nets, think-time clients) so a dead
+  their local timers (resend timers, think-time clients) so a dead
   node stops computing;
 * ``on_recover(time)`` at its end — participants discard volatile state
   and resume.

@@ -24,7 +24,7 @@ the :class:`~repro.sim.lifecycle.NodeLifecycle` layer delivers
 to every participant that defines them.  The base class defines neither,
 and ``NodeLifecycle.is_down`` is the one place that knows whether a node
 is down.  Protocol subclasses define the hooks to suspend and restore
-their local timers (e.g. the resend safety net of
+their local timers (e.g. the resend timer of
 :class:`repro.core.node.CoreAllocatorNode`).
 """
 

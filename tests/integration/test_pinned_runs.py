@@ -514,10 +514,10 @@ PINNED = {
         'b167c2e6e10c13ec28e7274d58924df7ad041176c67c4dff93c755d2ab7c2f86',
     ),
     'with_loan-swf': (
-        2290,
-        (('CounterEnvelope', 204), ('RequestEnvelope', 1233), ('TokenEnvelope', 451)),
+        2280,
+        (('CounterEnvelope', 204), ('RequestEnvelope', 1225), ('TokenEnvelope', 451)),
         '9d9de0daea54b60b890d5a7c28043c1c4c27d04b342537043d1762766887c8b6',
-        '4d539c14691d242de89016537dd7459940e72bbdb34f7cf6c04dee9283a79f96',
+        '0f5627bf3c667e34bece225786b92d816a9ccee8e6f3500ac1e89090459a5230',
     ),
     'without_loan-s1-closed': (
         5355,

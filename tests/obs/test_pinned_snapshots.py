@@ -155,8 +155,8 @@ PINNED = {
         '99332bbece38776dfdbe2f2c57e1db00f65e19b2fa939c12bedcf0e398dec500',
     ),
     'with_loan-swf': (
-        'f306cde4d19d27c2bb570b1749bec908f38b526453396d2c2b8a7da47a348384',
-        '8e2187205c4f9f688746da9ae0c6961d6db124a8325da0bf27006b674c4ea673',
+        '3c97211fa99349346db71a928d3b7e089a1b128c891cd371d714734d599bbf85',
+        '5b5b56bdff91f541415c585ecd509260865bce31431bb98fe4d84609a1070b2c',
     ),
     'without_loan-default': (
         'ee3321c9fa73b9e3503482ecadda299dc4a30acf906eafbd3cb31aa23057850b',
