@@ -22,7 +22,6 @@ import time
 
 from conftest import run_once
 
-from repro.core.config import CoreConfigSpec
 from repro.experiments.runner import run
 from repro.experiments.scenario import Scenario
 from repro.sim.engine import Simulator
@@ -126,7 +125,7 @@ def test_lifecycle_hooks_overhead_on_no_fault_path(bench_params, bench_max_event
 
     The armed scenario declares a crash far beyond the run horizon: the
     lifecycle layer schedules its window, every client/allocator carries
-    its hooks and the fault layer is consulted per message — but nothing
+    its hooks and the run loop is bounded by the stall cap — but nothing
     fires, so the workload (and its results) are identical to the plain
     run.  The wall-clock ratio of the two is the whole price of the
     crash-recovery subsystem on runs that never crash.
@@ -136,12 +135,8 @@ def test_lifecycle_hooks_overhead_on_no_fault_path(bench_params, bench_max_event
     )
     # Crash far past the stall cap (fault_run_until ~ a few workload
     # durations), so neither the crash event nor the cap changes the run.
-    # A fault layer also arms the core's resend net, which the plain run
-    # leaves off; turning it off here keeps the protocol work the same on
-    # both sides, so the ratio prices the lifecycle hooks alone.
     armed = plain.replace(
         faults=NodeCrash(node=0, at=1e9),
-        config=CoreConfigSpec(resend_interval=None),
         require_all_completed=False,
     )
 

@@ -2,13 +2,14 @@
 """Crash-recovery ablation: node crashes with and without failure detection.
 
 The paper assumes nodes never halt.  ``NodeCrash`` drops that assumption
-twice over: the fault layer cuts the node off the network, and the
-lifecycle layer (:mod:`repro.sim.lifecycle`) halts its local timers — a
-full fail-silent crash.  Tokens held by the dead node are unreachable,
-so without recovery every algorithm stalls: requesters chase a dead
-probable-owner chain forever (the loan algorithm's resend net just
-re-sends into the void) and the run ends at the stall cap with every
-survivor still waiting.
+twice over: the fault layer cuts the node off the network (its sends are
+lost; messages due at it wait in the channel until it reboots, and are
+lost if it never does), and the lifecycle layer
+(:mod:`repro.sim.lifecycle`) halts its local timers — a full fail-silent
+crash.  Tokens held by the dead node are unreachable, so without
+recovery every algorithm stalls: requesters wait on a dead
+probable-owner chain, and the run drains with every survivor that needs
+one of those tokens still waiting.
 
 The ``detector`` scenario axis (:mod:`repro.sim.detectorspec`) closes
 the gap.  With a ``HeartbeatDetector``, crashes are detected after a
@@ -31,9 +32,8 @@ Three crash shapes are swept per algorithm:
 * ``permanent`` — the node never comes back (tokens must be regenerated);
 * ``reboot``    — down long enough to be detected, then fenced on return;
 * ``blip``      — recovers *before* detection: heartbeats resume in time,
-  no regeneration happens at all, and the node simply rejoins (for the
-  loan algorithm; the incremental baseline has no resend machinery, so
-  requests whose messages crossed an undetected blip can still stall).
+  no regeneration happens at all, and the node simply rejoins, receiving
+  on reboot what was sent to it while it was down.
 
 Run with::
 
@@ -49,7 +49,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.core.config import CoreConfigSpec
 from repro.experiments import Scenario
 from repro.experiments.report import format_table
 from repro.parallel import run_sweep
@@ -116,17 +115,12 @@ def main() -> None:
             load=LoadLevel.HIGH, seed=7,
         )
 
-    # Tight heartbeats make recovery latency visible at this time scale;
-    # the loan algorithm additionally tightens its resend net (default
-    # 500 ms) so re-issued requests land promptly after a repoint.
+    # Tight heartbeats make recovery latency visible at this time scale.
     detector = HeartbeatDetector(interval=10.0, timeout=30.0)
     base = Scenario(algorithm=ALGORITHMS[0], params=params, require_all_completed=False)
 
     def scenario_for(algorithm: str, faults, det) -> Scenario:
-        changes = {"algorithm": algorithm, "faults": faults, "detector": det}
-        if algorithm == "with_loan":
-            changes["config"] = CoreConfigSpec(enable_loan=True, resend_interval=50.0)
-        return base.replace(**changes)
+        return base.replace(algorithm=algorithm, faults=faults, detector=det)
 
     shapes = crash_shapes(params, detector.detection_delay)
     cells = []
@@ -152,14 +146,15 @@ def main() -> None:
     print(format_table(header, rows, title=f"Crash recovery (workers={args.workers})"))
     print()
     print("Without a detector a permanent crash stalls both algorithms: the dead")
-    print("node's tokens are gone and every requester chases them forever.  With")
-    print("the heartbeat detector, lost tokens are regenerated at the lowest-id")
+    print("node's tokens are gone and every requester that needs one waits for good.")
+    print("With the heartbeat detector, lost tokens are regenerated at the lowest-id")
     print("surviving requester and the run drains with nobody waiting — the only loss")
     print("is the request that died with its process ('abandoned'; also 'aborted' if")
     print("it was inside its critical section).  A blip that recovers before detection")
-    print("regenerates nothing (regen=0): the node just rejoins, and the loan")
-    print("algorithm's resend net absorbs the dropped messages (the incremental")
-    print("baseline, lacking resends, may still stall).")
+    print("regenerates nothing (regen=0): the node just rejoins, and the channel hands")
+    print("it on reboot what was sent to it while it was down.  The incremental")
+    print("baseline has no recovery of its own, so a crash can still leave one of its")
+    print("requesters waiting.")
 
     # Self-check: the recovery bar this example exists to demonstrate.
     failures = []

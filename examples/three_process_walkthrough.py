@@ -43,7 +43,7 @@ def main() -> None:
     sim = Simulator()
     network = Network(sim, ConstantLatencySpec(gamma=1.0))
     trace = TraceRecorder()
-    config = CoreConfigSpec(enable_loan=False, resend_interval=None)
+    config = CoreConfigSpec(enable_loan=False)
     nodes = [
         CoreAllocatorNode(
             sim, network, p, num_resources=2, num_processes=3, config=config, trace=trace

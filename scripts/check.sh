@@ -74,13 +74,13 @@ echo "telemetry export OK"
 # (Scenario(scheduler=...)) so neither dispatch loop can quietly
 # re-enter the crash subsystem.  The third leg is the same kind of pin
 # for a run that has a fault layer (node crash + detector + jitter): the
-# fault hooks run only for messages touching the crashable node (< 0.25
-# hook calls per message; asking about every message is 2.0) and the
+# fault hook runs only for messages touching the crashable node (< 0.25
+# hook calls per message; asking about every message is 1.0) and the
 # per-message path has no peek/pop, stats-method, Random.uniform or
 # `now` property frame.  All three legs also assert zero Python frames
 # defined in core/messages.py (its records are built by C calls).  The
-# two no-fault legs also fail on any resend-timer or `cancel` frame: a
-# reliable run arms no per-request timer.
+# two no-fault legs also fail on any `cancel` frame: a reliable run
+# cancels no timer.
 echo "== no-fault fast-path and armed-path profile checks =="
 python scripts/profile_run.py --check
 python scripts/profile_run.py --scheduler calendar --check

@@ -27,18 +27,17 @@ Three uses:
   ``send`` is a ``partial`` over the network's bound send) and no
   ``Simulator.schedule`` or ``Simulator.schedule_at`` called from
   ``sim/network.py`` (the sends queue through the simulator's push
-  directly).  It also asserts that a reliable run arms no per-request
-  timer: no ``_on_resend_timer`` frame from ``core/node.py`` and no
-  ``Simulator.cancel`` frame at all.  Wired into
+  directly).  It also asserts that a reliable run cancels no timer:
+  no ``Simulator.cancel`` frame at all.  Wired into
   ``scripts/check.sh``.
 * ``python scripts/profile_run.py --armed --check`` — the same kind of
   structural assertion for a run that *does* have a fault layer: the
   canonical scenario plus a permanent crash of node 1 at t=300, a
   heartbeat detector and jittered latency (the ``crash_recovery``
   benchmark's configuration in small).  An armed network must cost what
-  its work costs: the two fault hooks run only for messages that touch
+  its work costs: the fault hook runs only for messages that touch
   the crashable node (fewer than 0.25 hook calls per message, where
-  consulting both hooks for every message is 2.0), and the per-message
+  consulting the hook for every message is 1.0), and the per-message
   path executes no frame of ``MessageStats.record``, ``Random.uniform``
   called by the jittered latency (``sim/latency.py``), a ``now``
   property, or the frames the no-fault leg forbids on the send path.
@@ -115,8 +114,8 @@ FORBIDDEN_ON_EVERY_PATH = (os.path.join("core", "messages.py"),)
 ALLOWED_FRAMES = (("repro.sim.faults", "NoFaults.bind"),)
 
 
-#: Ceiling on ``drop_on_send`` + ``drop_on_delivery`` calls per message
-#: of the armed run.  Consulting both hooks for every message is 2.0.
+#: Ceiling on ``handover`` calls per message of the armed run.
+#: Consulting the hook for every message is 1.0.
 ARMED_HOOK_CALLS_PER_MESSAGE = 0.25
 
 #: ``(file suffix, function name, caller's file suffix)`` frames no
@@ -140,13 +139,11 @@ FORBIDDEN_ON_EVERY_RUN = FORBIDDEN_ON_SEND_PATH + (
     (os.path.join("core", "ordering.py"), "request_key", ""),
 )
 
-#: Frames, as above, a no-fault run must never execute: nothing is lost
-#: on reliable links, so the core's resend net stays unarmed and no
-#: per-request timer fires or is cancelled.  With the net armed, every
-#: request cancelled its timer at CS entry (one ``cancel`` frame per
-#: critical section) and a 500 ms silence fired ``_on_resend_timer``.
+#: Frames, as above, a no-fault run must never execute: no per-request
+#: timer is armed or cancelled on reliable links.  A requester-side
+#: resend timer once cancelled its timer at every CS entry (one
+#: ``cancel`` frame per critical section).
 FORBIDDEN_ON_RELIABLE_PATH = FORBIDDEN_ON_EVERY_RUN + (
-    (os.path.join("core", "node.py"), "_on_resend_timer", ""),
     (os.path.join("sim", "engine.py"), "cancel", ""),
 )
 
@@ -251,7 +248,7 @@ def check_armed_budget(profile, messages: int) -> tuple:
     faults_py = os.path.join("sim", "faults.py")
     hook_calls = 0
     for (filename, _lineno, funcname), (_cc, _nc, _tt, _ct, callers) in stats.stats.items():
-        if filename.endswith(faults_py) and funcname in ("drop_on_send", "drop_on_delivery"):
+        if filename.endswith(faults_py) and funcname == "handover":
             hook_calls += sum(calls[0] for calls in callers.values())
     problems = forbidden_calls(profile, FORBIDDEN_ON_ARMED_PATH)
     for filename, lineno, funcname in forbidden_frames(profile, FORBIDDEN_ON_EVERY_PATH):
@@ -280,8 +277,8 @@ def main() -> None:
         "--check", action="store_true",
         help="assert the no-fault runs (with_loan, bouabdallah) execute no "
         "fault/lifecycle/recovery/obs frames, no frame defined in core/messages.py "
-        "and no Node.send, network-called schedule/schedule_at, request_key, "
-        "_on_resend_timer or cancel frame",
+        "and no Node.send, network-called schedule/schedule_at, request_key "
+        "or cancel frame",
     )
     parser.add_argument(
         "--armed", action="store_true",

@@ -19,7 +19,7 @@ and the pseudo-code of Annex A):
 The process-level endpoint is :class:`repro.core.node.CoreAllocatorNode`.
 """
 
-from repro.core.config import DEFAULT_RESEND_INTERVAL, CoreConfigSpec
+from repro.core.config import CoreConfigSpec
 from repro.core.messages import (
     CounterEnvelope,
     CounterValue,
@@ -42,7 +42,6 @@ from repro.core.policies import (
 from repro.core.token import ResourceToken
 
 __all__ = [
-    "DEFAULT_RESEND_INTERVAL",
     "CoreConfigSpec",
     "CoreAllocatorNode",
     "ProcessState",

@@ -10,16 +10,10 @@ up once.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.policies import get_policy
-
-#: Default loss-recovery re-send interval of the core algorithm (ms), used
-#: on runs with a fault layer.  See the implementation notes in
-#: :mod:`repro.core.node`.
-DEFAULT_RESEND_INTERVAL = 500.0
 
 
 @dataclass(frozen=True)
@@ -44,16 +38,6 @@ class CoreConfigSpec:
         Registry name of the scheduling function ``A`` (see
         :func:`repro.core.policies.get_policy`); defaults to the paper's
         mean of non-zero counter values.
-    resend_interval:
-        The loss-recovery interval: if not ``None``, a node re-sends its
-        outstanding ``ReqCnt``/``ReqRes`` messages after this much
-        simulated time without progress (see :mod:`repro.core.node`).  It
-        is used only when the run's network has a fault layer that can
-        lose a message; on reliable links the algorithm's builder leaves
-        the timer unarmed whatever the value, so there the value changes
-        no result and only splits cache entries (it still feeds
-        ``Scenario.key()``).  Must be a finite number > 0; ``None`` turns
-        the timer off on every network.
     initial_holder:
         Site owning every resource token at time zero (the *elected node*
         of the initialisation pseudo-code).
@@ -69,20 +53,12 @@ class CoreConfigSpec:
     enable_loan: bool = True
     loan_threshold: Optional[int] = None
     policy: str = "mean_nonzero"
-    resend_interval: Optional[float] = DEFAULT_RESEND_INTERVAL
     initial_holder: int = 0
     single_resource_optimization: bool = False
 
     def __post_init__(self) -> None:
         if self.loan_threshold is not None and self.loan_threshold < 0:
             raise ValueError("loan_threshold must be >= 0")
-        if self.resend_interval is not None and not 0 < self.resend_interval < math.inf:
-            # Zero or NaN re-sends forever without time passing; a
-            # negative interval schedules into the past.
-            raise ValueError(
-                f"resend_interval must be None or a finite number > 0, "
-                f"not {self.resend_interval!r}"
-            )
         if self.initial_holder < 0:
             raise ValueError("initial_holder must be a valid site id")
         # Fail fast on policy-name typos, without holding the instance.

@@ -30,17 +30,14 @@ Implementation notes (documented deviations)
   cases the pseudo-code leaves implicit.
 * A borrower returning tokens after a *failed* loan re-registers its own
   ``ReqRes`` in the returned token so the request cannot be lost.
-* A requester-side re-send timer (``CoreConfigSpec.resend_interval``)
-  re-issues pending ``ReqCnt``/``ReqRes`` messages after a long silence:
-  loss recovery for the message-drop case of Section 4.2.1 where no
-  forwarder ends up seeing the token.  It is armed only on runs whose
-  network has a fault layer; on reliable links nothing is lost, and the
-  algorithm's builder leaves it unarmed whatever the interval.  A re-sent
-  request is mostly de-duplicated (``lastReqC``/``lastCS`` and queue
-  membership) but not always harmless: with a fault layer that never
-  fires, a 5 ms timer sends several times the protocol's own messages
-  and moves the grants of some runs
-  (``tests/integration/test_resend_net.py``).
+* A token the process does not need is handed to the head of its queue
+  before the process enters its critical section on the arrival of the
+  tokens it does need: ``Release_CS`` serves only the required tokens,
+  so a spare token kept through the critical section would keep its
+  queue for good.
+* Links are the reliable FIFO channels of Section 3.1 on every run: the
+  network turns injected faults into delay (:mod:`repro.sim.network`),
+  so the process never re-sends a message.
 
 Crash-recovery model (beyond the paper)
 ---------------------------------------
@@ -50,10 +47,10 @@ the crash-recovery interface consumed by
 :class:`repro.core.recovery.RecoveryCoordinator` under a standard
 stable-storage model:
 
-* **on_crash** — the process halts: its resend timer is cancelled (the
-  network side — no sends, no deliveries — is enforced by the fault
-  layer).  Tokens it holds are *durable* (stable storage) but unreachable
-  while it is down.
+* **on_crash** — the process halts; it has no local timer to suspend
+  (the network side — no sends, deliveries held until the reboot — is
+  enforced by the fault layer).  Tokens it holds are *durable* (stable
+  storage) but unreachable while it is down.
 * **on_recover** — the process reboots: volatile request state (the
   outstanding request, counter phase, aggregation buffers, remembered
   foreign requests) died with it and is reset; durable token state
@@ -137,8 +134,8 @@ class CoreAllocatorNode(Node, MultiResourceAllocator):
         obsolescence vectors.  ``node_id`` and ``config.initial_holder``
         must lie in ``0..N-1``.
     config:
-        Algorithm configuration (loan on/off, threshold, policy ``A``,
-        re-send interval); with loans on, ``loan_threshold`` must not be
+        Algorithm configuration (loan on/off, threshold, policy ``A``);
+        with loans on, ``loan_threshold`` must not be
         ``None`` (the algorithm's builder resolves it from the workload).
     trace:
         Optional trace recorder for Gantt rendering / debugging.
@@ -199,15 +196,10 @@ class CoreAllocatorNode(Node, MultiResourceAllocator):
         # _set_state.
         self._mark: Optional[float] = None
         self._my_reqs: Dict[int, ReqRes] = {}
-        self._resend_timer: Optional[int] = None  # its event seq, while armed
         self._single_fast_path = False
         # Highest token epoch witnessed per resource (fencing against
         # stale copies of regenerated tokens; all zero in crash-free runs).
         self._tok_epoch: List[int] = [0] * num_resources
-        # Re-sends issued by _on_resend_timer, reported by the runner as
-        # ExperimentResult.resend_count (fault-recovery metric; 0 on
-        # reliable links, where the timer is never armed).
-        self.resend_count = 0
 
         # Aggregation buffers (Section 4.2.2): request messages and response
         # messages addressed to the same site are combined per handler run.
@@ -282,7 +274,6 @@ class CoreAllocatorNode(Node, MultiResourceAllocator):
                 self.tok_dir[resource], ReqCnt(resource, self.node_id, self._cur_id, True)
             )
             self._flush_requests(self._visited_self)
-            self._arm_resend_timer()
             return
         self._set_state(_WAIT_S)
         for r in sorted(rset):
@@ -300,8 +291,6 @@ class CoreAllocatorNode(Node, MultiResourceAllocator):
             # since: move straight to the acquisition phase.
             self._process_cnt_needed_empty()
             self._flush_requests(self._visited_self)
-        if self._state is not _IN_CS:
-            self._arm_resend_timer()
 
     def release(self) -> None:
         """Exit the critical section (``Release_CS``)."""
@@ -327,15 +316,13 @@ class CoreAllocatorNode(Node, MultiResourceAllocator):
                     self._send_token(nxt, r)
         self._t_required = set()
         self._my_vector = [0] * self.num_resources
-        self._cancel_resend_timer()
         self._flush_responses()
 
     # ------------------------------------------------------------------ #
     # crash / recovery lifecycle (see the module docstring)
     # ------------------------------------------------------------------ #
     def on_crash(self, time: float) -> None:
-        """The process halts: suspend local timers (the resend timer)."""
-        self._cancel_resend_timer()
+        """The process halts (it has no local timer to suspend)."""
         self._trace("crash", tokens=sorted(self._t_owned))
 
     def on_recover(self, time: float) -> None:
@@ -464,8 +451,8 @@ class CoreAllocatorNode(Node, MultiResourceAllocator):
         discarded, and any outstanding request of our own for the
         resource is re-issued: it may have died in the crashed node's
         queues or in flight to it.  Re-issues are idempotent
-        (``lastReqC``/``lastCS`` and queue-membership dedup), exactly
-        like resend-timer retries.  ``regenerated`` and ``requesters``
+        (``lastReqC``/``lastCS`` and queue-membership dedup).
+        ``regenerated`` and ``requesters``
         exist for algorithms that must rebuild distributed queues (the
         Naimi–Tréhel chain); this algorithm's queues travel inside the
         token, so both are ignored here.
@@ -603,6 +590,10 @@ class CoreAllocatorNode(Node, MultiResourceAllocator):
             if self.config.enable_loan:
                 self._process_pending_loans(owned)
                 self._maybe_request_loan()
+        elif self._t_owned != self._t_required:
+            # Release_CS serves only the required tokens: hand the spare
+            # ones on now, or their queues would wait for good.
+            self._serve_queues(sorted(self._t_owned - self._t_required))
         if self._cnt_buffer or self._tok_buffer:
             self._flush_responses()
         if self._req_buffer:
@@ -940,7 +931,6 @@ class CoreAllocatorNode(Node, MultiResourceAllocator):
 
     def _enter_cs(self) -> None:
         self._set_state(_IN_CS)
-        self._cancel_resend_timer()
         callback = self._on_granted
         self._on_granted = None
         if self.trace is not None:
@@ -960,34 +950,3 @@ class CoreAllocatorNode(Node, MultiResourceAllocator):
     def _trace(self, kind: str, **details: object) -> None:
         if self.trace is not None:
             self.trace.record(self.sim.now, self.node_id, kind, **details)
-
-    # ------------------------------------------------------------------ #
-    # re-send timer (loss recovery; unarmed on reliable links)
-    # ------------------------------------------------------------------ #
-    def _arm_resend_timer(self) -> None:
-        interval = self.config.resend_interval
-        if interval is None:
-            return
-        self._cancel_resend_timer()
-        self._resend_timer = self.sim.schedule(interval, self._on_resend_timer)
-
-    def _cancel_resend_timer(self) -> None:
-        if self._resend_timer is not None:
-            self.sim.cancel(self._resend_timer)
-            self._resend_timer = None
-
-    def _on_resend_timer(self) -> None:
-        self._resend_timer = None
-        if self._state is _WAIT_S:
-            outstanding = self._cnt_needed
-        elif self._state is _WAIT_CS:
-            outstanding = self._t_required - self._t_owned
-        else:
-            return
-        for r in sorted(outstanding):
-            father = self.tok_dir[r]
-            if father is not None:
-                self.resend_count += 1
-                self._reissue_pending(r, father)
-        self._flush_requests(self._visited_self)
-        self._arm_resend_timer()

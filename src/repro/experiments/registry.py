@@ -94,9 +94,6 @@ def _build_bouabdallah(config, params, sim, network, trace):
 def _build_core(config, params, sim, network, trace):
     if config.loan_threshold is None:
         config = dataclasses.replace(config, loan_threshold=params.loan_threshold)
-    if network.faults is None and config.resend_interval is not None:
-        # Nothing is lost on reliable links: the loss-recovery net stays unarmed.
-        config = dataclasses.replace(config, resend_interval=None)
     return [
         CoreAllocatorNode(
             sim, network, p, params.num_resources, params.num_processes, config, trace

@@ -12,6 +12,7 @@ as the memoisation key.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -58,13 +59,15 @@ def default_max_events(
 def fault_run_until(params: WorkloadParams) -> float:
     """Simulated-time cap applied to runs with an active fault layer.
 
-    Without faults a run terminates when the event queue drains; with
-    them a stalled protocol (a lost token, a crashed holder) re-arms its
-    resend timers forever, so the queue never drains.  The cap is
+    Without faults a run terminates when the event queue drains.  With
+    them, events may stay queued past the run's natural end: a telemetry
+    sampler re-arms for as long as a wedged node waits, and a crash or
+    reboot edge (with the messages held for that reboot) may lie at any
+    time.  The cap is the stall guard that ends such a run.  It is
     deterministic in the params — part of the scenario's semantics, not
     of who runs it — and deliberately generous: one full workload
     duration of grace plus far more than the worst-case serial drain of
-    every process's last critical section, so a run whose faults dropped
+    every process's last critical section, so a run whose faults delayed
     little (or nothing) completes its natural tail instead of having it
     clipped and miscounted as a liveness failure.
     """
@@ -80,8 +83,9 @@ class Termination:
     ``metrics.issued == metrics.completed + sum(n for _, n in waiting) + abandoned``.
     """
 
-    #: ``"drained"`` (the event queue emptied) or ``"fault_cap"`` (stopped at
-    #: :func:`fault_run_until` with events pending).  The event cap raises.
+    #: ``"drained"`` (the event queue emptied, but for crash or reboot edges
+    #: past the cap) or ``"fault_cap"`` (stopped at :func:`fault_run_until`
+    #: with other events pending).  The event cap raises.
     reason: str
     #: Simulated time of the last grant; ``None`` if there was none.
     last_grant: Optional[float]
@@ -138,8 +142,8 @@ class ExperimentResult:
     termination: Termination
     #: Messages lost to injected faults (0 under reliable links).
     messages_dropped: int = 0
-    #: Re-sends issued by the core algorithm's resend timers (0 without a
-    #: fault layer, where the timers are never armed).
+    #: Tries the channel re-sent after a Bernoulli loss (0 under reliable
+    #: links).
     resend_count: int = 0
     #: Lost tokens rebuilt by the recovery protocol (requires a
     #: ``Scenario.detector``; 0 when crashes go undetected).
@@ -275,6 +279,9 @@ def run(scenario: Scenario) -> ExperimentResult:
             params, expected_requests=workload.expected_requests()
         )
 
+    # Crash and reboot edges past the cap keep the queue alive but cap
+    # nothing: a run left with only those has drained.
+    late_edges = 0
     try:
         if faults is None:
             sim.run(max_events=max_events)
@@ -282,12 +289,18 @@ def run(scenario: Scenario) -> ExperimentResult:
             # The cap is a stall guard, not a target: the clock stays at
             # the last event, so a run that drains before it reports its
             # real drain time, comparable to a reliable run's.
-            sim.run(until=fault_run_until(params), max_events=max_events)
+            cap = fault_run_until(params)
+            late_edges = sum(
+                cap < edge < math.inf for _node, at, back in crash_windows for edge in (at, back)
+            )
+            sim.run(until=cap, max_events=max_events)
     except SimulationError as exc:
         raise SimulationError(f"{exc}; {_termination('error', clients).progress()}") from exc
     # The bounded loop stops only on a live event past the cap, so
-    # anything still queued means the cap, not a drain, ended the run.
-    termination = _termination("fault_cap" if sim.pending_events else "drained", clients)
+    # anything queued beyond the late edges means the cap ended the run.
+    termination = _termination(
+        "fault_cap" if sim.pending_events > late_edges else "drained", clients
+    )
 
     horizon = min(params.duration, sim.now) if sim.now > params.warmup else sim.now
     messages_total = network.stats.total if network is not None else 0
@@ -321,7 +334,7 @@ def run(scenario: Scenario) -> ExperimentResult:
         record_columns=metrics.result_columns(),
         termination=termination,
         messages_dropped=network.stats.dropped if network is not None else 0,
-        resend_count=sum(getattr(a, "resend_count", 0) for a in allocators),
+        resend_count=network.stats.resent if network is not None else 0,
         tokens_regenerated=coordinator.tokens_regenerated if coordinator is not None else 0,
         recovery_time=coordinator.recovery_time if coordinator is not None else 0.0,
         downtime=lifecycle.downtime_columns(sim.now) if lifecycle is not None else None,

@@ -124,10 +124,7 @@ class Scenario:
     config:
         Frozen config spec of the algorithm, of its default config's
         type; ``None`` uses that default.  Node ids it names (a holder)
-        must lie in ``0..N-1``.  Without ``faults`` the core algorithm's
-        ``resend_interval`` is ignored (nothing is lost, so no resend
-        timer is armed), yet it is part of :meth:`key`: scenarios that
-        differ only in it give identical results under different keys.
+        must lie in ``0..N-1``.
     latency:
         Declarative latency model (:class:`~repro.sim.latency.LatencySpec`);
         ``None`` means constant ``params.gamma``.  The runner binds it to

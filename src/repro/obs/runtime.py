@@ -4,8 +4,8 @@
 for telemetry (``Scenario(telemetry=...)``) — the nullable seam that
 keeps default runs at zero frames from this package.  Every counter it
 reports is a monotone total a hot layer already maintains (the engine's
-dispatched count, :class:`~repro.sim.network.MessageStats`, allocator
-resend counts, client issue/complete counts, recovery totals), so
+dispatched count, :class:`~repro.sim.network.MessageStats` with the
+channel's re-sent tries, client issue/complete counts, recovery totals), so
 :meth:`~TelemetryRuntime.finalize` reads each total once, at the final
 sample, and builds the snapshot's samples directly; gauges are read at
 that sample too.  A self-rescheduling probe fires every
@@ -88,9 +88,8 @@ class TelemetryRuntime:
 
     def _probe(self) -> None:
         self._samples += 1
-        # Re-arm while clients still issue or hold requests (stale resend
-        # timers keep a healthy closed loop's queue non-empty after the last
-        # grant), never into an otherwise empty queue: the run has drained.
+        # Re-arm while clients still issue or hold requests, never into an
+        # otherwise empty queue: the run has drained.
         if self.sim.pending_events and any(c.waiting or not c.stopped for c in self.clients):
             self.sim.schedule(self.spec.sample_interval, self._probe)
 
@@ -129,7 +128,7 @@ class TelemetryRuntime:
                       "Messages dropped by the fault layer, by message class.", "type", dropped),
             _single("repro_resends_total", "counter",
                     "Control-plane resends across allocator nodes.",
-                    sum(getattr(a, "resend_count", 0) for a in self.allocators)),
+                    self.network.stats.resent if self.network is not None else 0),
             _single("repro_requests_issued_total", "counter",
                     "Requests issued by workload clients.",
                     sum(c.issued for c in self.clients)),

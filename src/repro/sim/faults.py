@@ -1,13 +1,17 @@
 """Fault injection: frozen fault specs that are also the network's fault layer.
 
-Section 3.1 of the paper assumes reliable FIFO links; here that is a
-*default*.  Each spec is a frozen, picklable, content-hashable value, and
-its methods are the hooks ``Network`` consults: ``drop_on_send`` (crashed
-sender, Bernoulli loss) and ``drop_on_delivery`` (partition window,
-crashed receiver).  Both hooks are ``False`` before ``quiet_until()`` and
-for a message with neither endpoint in ``exposed_nodes()`` (``None``: any
-message); these two declarations depend on the spec alone, so the network
-decides once per message, and the defaults (``0.0``, ``None``) are safe
+Section 3.1 of the paper assumes reliable FIFO links, and every run keeps
+them: a fault delays a message, and loses it only where nothing could
+ever deliver it (:mod:`repro.sim.network` states the channel's
+contract).  Each spec is a frozen, picklable, content-hashable value,
+and its :meth:`FaultSpec.handover` is the one hook ``Network`` consults,
+once, when the message is sent: given the send time and the
+(FIFO-clamped) time the message is due, it returns when the channel
+hands the message over, ``math.inf`` for never.  The hook returns
+``due`` itself before ``quiet_until()`` and for a message with neither
+endpoint in ``exposed_nodes()`` (``None``: any message); these two
+declarations depend on the spec alone, so the network decides once per
+message whether to ask, and the defaults (``0.0``, ``None``) are safe
 for a custom spec.  ``crash_windows()`` declares the node outages the
 runner turns into lifecycle events (:mod:`repro.sim.lifecycle`).
 
@@ -17,7 +21,7 @@ against the workload and returns ``None`` when the spec injects nothing
 deterministic, or a :class:`BoundBernoulliLoss` holding the loss's own
 RNG, seeded from the spec — the only randomness, so fault sweeps stay
 bit-identical between ``workers=1`` and ``workers=N``.  A ``None`` window
-end means "never": the hooks read it as ``math.inf``, and the field, which
+end means "never": the hook reads it as ``math.inf``, and the field, which
 ``Scenario.key()`` hashes, keeps ``None``.
 """
 
@@ -28,7 +32,10 @@ import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, FrozenSet, Iterable, Optional, Tuple
 
+from repro.sim.network import RTO
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sim.network import MessageStats
     from repro.workload.params import WorkloadParams
 
 __all__ = [
@@ -48,7 +55,7 @@ def _check_nodes(fault: str, nodes: Iterable[int], params: "WorkloadParams") -> 
 
 
 class FaultSpec:
-    """A fault process; the defaults drop nothing and declare the safe scope."""
+    """A fault process; the defaults delay nothing and declare the safe scope."""
 
     def bind(self, params: "WorkloadParams") -> Optional["FaultSpec"]:
         """The fault layer of one run under ``params`` (``None``: reliable links)."""
@@ -62,24 +69,27 @@ class FaultSpec:
         """
         return self if self.bind(params) is not None else NoFaults()
 
-    def drop_on_send(self, time: float, src: int, dst: int, message: Any) -> bool:
-        """Whether a message sent at ``time`` from ``src`` to ``dst`` is lost."""
-        return False
+    def handover(
+        self, sent: float, due: float, src: int, dst: int, message: Any, stats: "MessageStats"
+    ) -> float:
+        """When the channel hands over a message sent at ``sent`` and due at ``due``.
 
-    def drop_on_delivery(self, time: float, src: int, dst: int, message: Any) -> bool:
-        """Whether a message arriving at ``time`` at ``dst`` from ``src`` is lost."""
-        return False
+        Never before ``due``; ``math.inf`` when the message is lost for
+        good (the network counts that loss).  A spec that re-sends lost
+        tries records each in ``stats``.
+        """
+        return due
 
     def crash_windows(self) -> Tuple[Tuple[int, float, float], ...]:
         """Node outages ``(node, at, recover_at)``, ``math.inf`` for good; no RNG."""
         return ()
 
     def quiet_until(self) -> float:
-        """First simulated instant either drop hook could return ``True``."""
+        """First due time :meth:`handover` could move a message from."""
         return 0.0
 
     def exposed_nodes(self) -> Optional[FrozenSet[int]]:
-        """Nodes whose traffic either drop hook could ever drop (``None``: any)."""
+        """Nodes whose traffic :meth:`handover` could ever move (``None``: any)."""
         return None
 
     def describe(self) -> str:
@@ -102,16 +112,15 @@ class NoFaults(FaultSpec):
 
 @dataclass(frozen=True)
 class BernoulliLoss(FaultSpec):
-    """Independent message loss with probability ``p``, drawn at send time.
+    """Independent loss of each try with probability ``p``, drawn at send time.
 
-    ``kinds`` restricts the loss to messages whose *class name* is listed
-    (normalised to a sorted tuple); ``None`` puts every message at risk.
-    Naming only control-plane messages (``("RequestEnvelope",
-    "CounterEnvelope")`` for the core algorithm, ``("NTRequest",)`` for
-    Naimi–Tréhel-based baselines) models lossy request datagrams over
-    reliable token transfer — what the Section 4.2.1 resend net is for.
-    Kinds cannot be validated up front: a misspelt or wrong-algorithm name
-    drops nothing, so check that ``messages_dropped`` is plausible.
+    The channel re-sends a lost try :data:`~repro.sim.network.RTO` later,
+    so loss becomes delay; with ``p == 1`` no try ever arrives and the
+    message is lost.  ``kinds`` restricts the loss to messages whose
+    *class name* is listed (normalised to a sorted tuple); ``None`` puts
+    every message at risk.  Kinds cannot be validated up front: a misspelt
+    or wrong-algorithm name loses nothing, so check that
+    ``messages_dropped`` is plausible.
     """
 
     p: float
@@ -140,8 +149,9 @@ class BernoulliLoss(FaultSpec):
 class BoundBernoulliLoss(FaultSpec):
     """One run's :class:`BernoulliLoss`, drawing from ``random.Random(seed)``.
 
-    The drops depend only on the spec and the (deterministic) order of
-    sends; only messages at risk consume a draw.
+    The losses depend only on the spec and the (deterministic) order of
+    sends; only messages at risk consume draws, one per try, and a sure
+    loss (``p == 1``) consumes none.
     """
 
     def __init__(self, spec: BernoulliLoss) -> None:
@@ -149,11 +159,20 @@ class BoundBernoulliLoss(FaultSpec):
         self.kinds = frozenset(spec.kinds) if spec.kinds is not None else None
         self._rng = random.Random(spec.seed)
 
-    def drop_on_send(self, time: float, src: int, dst: int, message: Any) -> bool:
-        """Lost when a message at risk draws below ``p``."""
+    def handover(
+        self, sent: float, due: float, src: int, dst: int, message: Any, stats: "MessageStats"
+    ) -> float:
+        """``due`` plus ``RTO`` per try drawn below ``p``; never when ``p == 1``."""
         if self.kinds is not None and type(message).__name__ not in self.kinds:
-            return False
-        return self._rng.random() < self.p
+            return due
+        p = self.p
+        if p >= 1.0:
+            return math.inf
+        draw = self._rng.random
+        while draw() < p:
+            stats.record_resent(src, message)
+            due += RTO
+        return due
 
 
 @dataclass(frozen=True)
@@ -162,7 +181,9 @@ class LinkPartition(FaultSpec):
 
     ``pairs`` is normalised (each pair sorted, pairs sorted), so
     ``((1, 0),)`` and ``((0, 1),)`` share a key.  ``end=None`` never heals.
-    A message is dropped when its *delivery* falls inside the window.
+    A message over a cut link that is *due* inside the window is held
+    until ``end``, when the link delivers what it held in FIFO order; a
+    partition that never heals loses it.
     """
 
     pairs: Tuple[Tuple[int, int], ...]
@@ -191,12 +212,16 @@ class LinkPartition(FaultSpec):
         _check_nodes("partition", (node for pair in self.pairs for node in pair), params)
         return self
 
-    def drop_on_delivery(self, time: float, src: int, dst: int, message: Any) -> bool:
-        """Lost when delivered inside the window over a cut link."""
+    def handover(
+        self, sent: float, due: float, src: int, dst: int, message: Any, stats: "MessageStats"
+    ) -> float:
+        """``end`` (never, unhealed) when due inside the window over a cut link."""
         end = self.end
-        if time < self.start or (end is not None and time >= end):
-            return False
-        return ((src, dst) if src < dst else (dst, src)) in self.pairs
+        if due < self.start or (end is not None and due >= end):
+            return due
+        if ((src, dst) if src < dst else (dst, src)) not in self.pairs:
+            return due
+        return math.inf if end is None else end
 
     def quiet_until(self) -> float:
         """No message can hit the cut before the partition starts."""
@@ -216,8 +241,10 @@ class LinkPartition(FaultSpec):
 class NodeCrash(FaultSpec):
     """Fail-silent crash of ``node`` during ``[at, recover_at)`` (``None``: for good).
 
-    While down the node neither sends nor receives, and its local timers
-    halt too: the window is also a :meth:`crash_windows` entry, delivered
+    While down the node neither sends nor receives: what it sends is
+    lost, and a message due at it is held until it reboots (lost, if it
+    never does).  Its local timers halt too: the window is also a
+    :meth:`crash_windows` entry, delivered
     as ``on_crash``/``on_recover`` by :mod:`repro.sim.lifecycle`.  A crash
     mid-critical-section aborts that request.  Tokens survive a reboot;
     pair the crash with a ``Scenario.detector``
@@ -249,13 +276,16 @@ class NodeCrash(FaultSpec):
         recover_at = self.recover_at
         return self.at <= time and (recover_at is None or time < recover_at)
 
-    def drop_on_send(self, time: float, src: int, dst: int, message: Any) -> bool:
-        """A down node's sends are lost."""
-        return src == self.node and self.crashed(time)
-
-    def drop_on_delivery(self, time: float, src: int, dst: int, message: Any) -> bool:
-        """Messages arriving at a down node are lost."""
-        return dst == self.node and self.crashed(time)
+    def handover(
+        self, sent: float, due: float, src: int, dst: int, message: Any, stats: "MessageStats"
+    ) -> float:
+        """Never from a down sender; the reboot (never, if none) for a down receiver."""
+        node = self.node
+        if src == node and self.crashed(sent):
+            return math.inf
+        if dst == node and self.crashed(due):
+            return math.inf if self.recover_at is None else self.recover_at
+        return due
 
     def crash_windows(self) -> Tuple[Tuple[int, float, float], ...]:
         """The single outage window this crash produces."""
@@ -267,7 +297,7 @@ class NodeCrash(FaultSpec):
         return self.at
 
     def exposed_nodes(self) -> FrozenSet[int]:
-        """Only messages the crashed node sends or receives are lost."""
+        """Only messages the crashed node sends or receives are moved."""
         return frozenset((self.node,))
 
     def describe(self) -> str:
@@ -278,7 +308,12 @@ class NodeCrash(FaultSpec):
 
 @dataclass(frozen=True)
 class CompositeFaults(FaultSpec):
-    """Union of fault specs: a message is dropped if *any* child drops it."""
+    """Union of fault specs: a message is handed over once *every* child lets it.
+
+    The children are asked in order, and again until a full round moves
+    the message no further (a hold that ends inside another child's
+    window is held again); a child that loses it loses it.
+    """
 
     specs: Tuple[FaultSpec, ...] = field(default_factory=tuple)
 
@@ -313,13 +348,18 @@ class CompositeFaults(FaultSpec):
             return effective[0]
         return CompositeFaults(tuple(effective))
 
-    def drop_on_send(self, time: float, src: int, dst: int, message: Any) -> bool:
-        """Whether any child, asked in order, drops the message at send time."""
-        return any(spec.drop_on_send(time, src, dst, message) for spec in self.specs)
-
-    def drop_on_delivery(self, time: float, src: int, dst: int, message: Any) -> bool:
-        """Whether any child, asked in order, drops the message at delivery."""
-        return any(spec.drop_on_delivery(time, src, dst, message) for spec in self.specs)
+    def handover(
+        self, sent: float, due: float, src: int, dst: int, message: Any, stats: "MessageStats"
+    ) -> float:
+        """The first time no child moves the message from (``math.inf``: lost)."""
+        while True:
+            start = due
+            for spec in self.specs:
+                due = spec.handover(sent, due, src, dst, message, stats)
+                if due == math.inf:
+                    return due
+            if due == start:
+                return due
 
     def crash_windows(self) -> Tuple[Tuple[int, float, float], ...]:
         """The children's windows, sorted by (at, node) whatever their order."""

@@ -1,14 +1,15 @@
 """Node crash/recovery lifecycle delivery.
 
 The fault layer (:mod:`repro.sim.faults`) models the *network* side of a
-crash — a down node neither sends nor receives.  This module adds the
+crash — a down node's sends are lost, and messages due at it are held
+until it reboots (lost, if it never does).  This module adds the
 *process* side: every outage window a fault spec declares through
 :meth:`~repro.sim.faults.FaultSpec.crash_windows` is turned into two
 lifecycle events delivered to the node's participants (its protocol
 allocator and its workload client):
 
 * ``on_crash(time)`` at the start of the window — participants suspend
-  their local timers (resend timers, think-time clients) so a dead
+  their local timers (think-time clients) so a dead
   node stops computing;
 * ``on_recover(time)`` at its end — participants discard volatile state
   and resume.

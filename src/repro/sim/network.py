@@ -1,4 +1,4 @@
-"""FIFO message-passing network, reliable by default.
+"""FIFO message-passing network: the reliable channel of the paper's model.
 
 Implements the communication model assumed in Section 3.1 of the paper:
 
@@ -8,13 +8,20 @@ Implements the communication model assumed in Section 3.1 of the paper:
   jittered (delivery times are clamped to be non-decreasing per link);
 * complete communication graph — any node can message any other node.
 
-Reliability is a default, not an axiom: an optional fault layer (a
-fault spec of :mod:`repro.sim.faults`, bound to the run) may drop a
-message at send time (crashed sender, Bernoulli link loss) or at
-delivery time (partition window, crashed receiver); dropped messages
-never reach node delivery and are accounted separately in
-:class:`MessageStats`.  With no fault layer (``faults=None``) the hot
-path is exactly the reliable one.
+An optional fault layer (a fault spec of :mod:`repro.sim.faults`, bound
+to the run) keeps that model and turns faults into *delay*: its one
+hook, ``handover``, is asked once, at send time, when the channel hands
+the message over.  A try lost to Bernoulli loss is re-sent :data:`RTO`
+later, a message due over a partitioned link is held until the link
+heals, and one due at a down node is held until the node reboots; each
+lost try counts in :class:`MessageStats` (``dropped``, ``resent``).  A
+message is lost for good (the hook says ``math.inf``) only when nothing
+could ever deliver it: a down sender, a sure loss (``p == 1``), a
+partition that never heals, a receiver that never reboots.  The FIFO
+clamp applies after the delay, so a held or re-sent message holds back
+the later messages of its link (head-of-line blocking), and a lost one
+holds back nothing.  With no fault layer (``faults=None``) the hot path
+is exactly the reliable one.
 
 The network also keeps per-message-type counters so experiments can report
 message complexity alongside the paper's two primary metrics.
@@ -26,8 +33,8 @@ of two functions as the instance attribute ``send``.
 
 * exactly :class:`~repro.sim.latency.ConstantLatencySpec` (the paper's
   default configuration): a constant latency can never reorder a link,
-  so there is no per-link FIFO clamp and the latency is hoisted to two
-  floats.
+  so an unexposed message needs no per-link FIFO clamp, and the latency
+  is hoisted to two floats.
 * any other latency spec (or a subclass): a latency draw through a bound
   method hoisted at construction, plus the per-link FIFO clamp.
 
@@ -43,20 +50,21 @@ FIFO clamp only moves a delivery later, so a delivery is never before
 (:class:`~repro.sim.node.Node`), so a message costs one Python frame of
 ``sim`` on the constant send.  And both apply the same **exposure
 test** before involving the fault layer: a message is exposed when it
-is delivered at or after the layer's ``quiet_until()`` *and* its source
+is due at or after the layer's ``quiet_until()`` *and* its source
 or destination is one of the layer's ``exposed_nodes()`` (``None``:
-every node).  Only an exposed message is
-put to ``drop_on_send`` and routed through ``_deliver`` →
-``drop_on_delivery``; every other message is posted straight to the
-resolved handler, because both hooks are contractually ``False`` for it.
-Both declarations depend on the fault spec alone, so deciding at send
-time cannot race a crash that begins while the message is in flight: a
-message to or from a node that can crash is always exposed, whenever it
-is sent.  A reliable network is quiet forever.
+every node).  Only an exposed message is put to ``handover`` and goes
+through the clamp table on both sends; every other message is due when
+its latency says, because the hook contractually returns that time for
+it.  Both declarations depend on the fault spec alone, so deciding at
+send time cannot race a crash that begins while the message is in
+flight: a message to or from a node that can crash is always exposed,
+whenever it is sent.  On the constant send, once a link's messages are
+due past ``quiet_until()`` every later one is too, so its unexposed
+messages never need the clamp.  A reliable network is quiet forever.
 
 Both sends produce bit-identical simulations where both apply; the
 differential tests in ``tests/sim/test_network.py`` pin that, and pin
-the production network against a reference that consults both hooks
+the production network against a reference that consults the hook
 for every message.
 """
 
@@ -76,13 +84,17 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Compact ``Network._last_delivery`` once it holds this many links.
 _LAST_DELIVERY_COMPACT_THRESHOLD = 4096
 
+#: Retransmission timeout of the channel (simulated ms): a try lost to
+#: Bernoulli loss is re-sent this long after it was due.
+RTO = 5.0
+
 
 class MessageStats:
     """Aggregate message accounting for one simulation run.
 
-    ``total`` counts every send attempt; ``dropped`` counts the subset
-    lost to injected faults (so ``dropped <= total`` and
-    ``total - dropped`` messages were actually delivered).
+    ``total`` counts every message sent; ``dropped`` counts the tries
+    that injected faults lost: every try the channel re-sent (``resent``
+    of them) plus one per message lost for good.
 
     Sent-message counters are kept *flat* — one dict keyed by
     ``(message class, sender)`` updated with a single store per send —
@@ -91,13 +103,14 @@ class MessageStats:
     counter updates per message.
     """
 
-    __slots__ = ("_sent", "dropped", "dropped_by_type")
+    __slots__ = ("_sent", "dropped", "dropped_by_type", "resent")
 
     def __init__(self) -> None:
         # (message class, src) -> sent count; the single hot-path counter.
         self._sent: Dict[Tuple[type, int], int] = {}
         self.dropped: int = 0
         self.dropped_by_type: Dict[str, int] = defaultdict(int)
+        self.resent: int = 0
 
     def record(self, src: int, message: Any) -> None:
         """Record one sent message."""
@@ -106,9 +119,14 @@ class MessageStats:
         sent[key] = sent.get(key, 0) + 1
 
     def record_dropped(self, src: int, message: Any) -> None:
-        """Record one message lost to an injected fault (already counted sent)."""
+        """Record one message lost for good to an injected fault (already counted sent)."""
         self.dropped += 1
         self.dropped_by_type[message.__class__.__name__] += 1
+
+    def record_resent(self, src: int, message: Any) -> None:
+        """Record one lost try of a message that the channel re-sends."""
+        self.record_dropped(src, message)
+        self.resent += 1
 
     # ------------------------------------------------------------------ #
     # merged views (cold path: reports, assertions, snapshots)
@@ -141,7 +159,7 @@ class MessageStats:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"MessageStats(total={self.total}, dropped={self.dropped}, "
-            f"by_type={dict(self.by_type)!r})"
+            f"resent={self.resent}, by_type={dict(self.by_type)!r})"
         )
 
 
@@ -204,7 +222,7 @@ class Network:
         # (dst, message class) -> delivery callable, resolved once.
         self._delivery_cache: Dict[Tuple[int, type], Callable[[int, Any], None]] = {}
         # Last scheduled delivery time per directed link, used to enforce
-        # per-link FIFO even under jittered latencies.
+        # per-link FIFO even under jittered latencies and fault delays.
         self._last_delivery: Dict[Tuple[int, int], float] = {}
         # Size at which the clamp table is next compacted; doubled past
         # the live-entry count after each sweep (hysteresis) so a table
@@ -214,10 +232,10 @@ class Network:
         self._gamma = 0.0
         self._local = 0.0
         # The fault layer's scope, read once (it is a function of the
-        # spec): the layer cannot drop anything delivered before
-        # _quiet_until, nor anything whose source and destination are both
-        # outside _exposed_nodes (None: every node is exposed).  A
-        # reliable network is quiet forever.
+        # spec): the layer cannot move anything due before _quiet_until,
+        # nor anything whose source and destination are both outside
+        # _exposed_nodes (None: every node is exposed).  A reliable
+        # network is quiet forever.
         self._quiet_until = faults.quiet_until() if faults is not None else math.inf
         self._exposed_nodes = faults.exposed_nodes() if faults is not None else None
         # The latency draw of the general send, bound once.
@@ -269,10 +287,12 @@ class Network:
         return target
 
     def _send_constant(self, src: int, dst: int, message: Any) -> float:
-        """Constant-latency send: no FIFO clamp, latency from two hoisted floats.
+        """Constant-latency send: latency from two hoisted floats.
 
         An unexposed message (see the module docstring; every message,
-        without a fault layer) is queued straight to the resolved handler.
+        without a fault layer) is queued for its handler with no FIFO
+        clamp; an exposed one is clamped, then put to the fault layer.
+        Returns the delivery time (``math.inf``: lost).
         """
         cls = message.__class__
         target = self._delivery_cache.get((dst, cls))
@@ -288,14 +308,20 @@ class Network:
         if delivery >= self._quiet_until:
             exposed = self._exposed_nodes
             if exposed is None or src in exposed or dst in exposed:
-                if self.faults.drop_on_send(now, src, dst, message):
-                    # Lost before entering the link: never scheduled.
+                link = (src, dst)
+                last = self._last_delivery
+                prev = last.get(link, -1.0)
+                if delivery < prev:
+                    delivery = prev
+                delivery = self.faults.handover(now, delivery, src, dst, message, self.stats)
+                if delivery == math.inf:
+                    # Lost for good: never scheduled, and the clamp is
+                    # untouched, so it cannot delay later messages.
                     self.stats.record_dropped(src, message)
                     return delivery
-                sim._push(
-                    (delivery, sim._next_seq(), self._deliver, (target, src, dst, message))
-                )
-                return delivery
+                last[link] = delivery
+                if len(last) >= self._compact_at:
+                    self._compact_last_delivery()
         sim._push((delivery, sim._next_seq(), target, (src, message)))
         return delivery
 
@@ -303,8 +329,9 @@ class Network:
         """General send: a latency draw plus the per-link FIFO clamp.
 
         The order of side effects is fixed: count, draw the latency (so
-        the latency RNG advances even for a message that is then
-        dropped), ``drop_on_send`` if exposed, clamp, post.
+        the latency RNG advances even for a message that is then lost),
+        clamp, ``handover`` if exposed, post.  Returns the delivery time
+        (``math.inf``: lost).
         """
         cls = message.__class__
         target = self._delivery_cache.get((dst, cls))
@@ -322,27 +349,21 @@ class Network:
         last = self._last_delivery
         prev = last.get(link, -1.0)
         due = delivery if delivery >= prev else prev
-        deliver = None
         if due >= self._quiet_until:
             exposed = self._exposed_nodes
             if exposed is None or src in exposed or dst in exposed:
-                if self.faults.drop_on_send(now, src, dst, message):
-                    # Lost before entering the link (crashed sender,
-                    # Bernoulli loss): never scheduled, and the FIFO clamp
-                    # is untouched — a dropped message cannot delay later
-                    # ones.
+                due = self.faults.handover(now, due, src, dst, message, self.stats)
+                if due == math.inf:
+                    # Lost for good: never scheduled, and the clamp is
+                    # untouched, so it cannot delay later messages.
                     self.stats.record_dropped(src, message)
-                    return delivery
-                deliver = self._deliver
+                    return due
         last[link] = due
         if len(last) >= self._compact_at:
             self._compact_last_delivery()
-        # Never in the past: latencies are non-negative and the clamp only
-        # moves a delivery later (module docstring).
-        if deliver is None:
-            sim._push((due, sim._next_seq(), target, (src, message)))
-        else:
-            sim._push((due, sim._next_seq(), deliver, (target, src, dst, message)))
+        # Never in the past: latencies are non-negative, and the clamp and
+        # the fault layer only move a delivery later (module docstring).
+        sim._push((due, sim._next_seq(), target, (src, message)))
         return due
 
     def _compact_last_delivery(self) -> None:
@@ -365,18 +386,3 @@ class Network:
         self._compact_at = max(
             _LAST_DELIVERY_COMPACT_THRESHOLD, 2 * len(self._last_delivery)
         )
-
-    def _deliver(
-        self, target: Callable[[int, Any], None], src: int, dst: int, message: Any
-    ) -> None:
-        """Delivery of an exposed message: the fault layer's second say.
-
-        Only the sends post this, so the fault layer exists and ``target``
-        is the handler they resolved for ``(dst, message class)``.
-        """
-        if self.faults.drop_on_delivery(self.sim.now, src, dst, message):
-            # Lost in flight (partition window, crashed receiver): the
-            # message dies here instead of reaching node delivery.
-            self.stats.record_dropped(src, message)
-            return
-        target(src, message)

@@ -23,9 +23,11 @@ the :class:`~repro.sim.lifecycle.NodeLifecycle` layer delivers
 ``on_crash(time)`` and ``on_recover(time)`` at the edges of each window
 to every participant that defines them.  The base class defines neither,
 and ``NodeLifecycle.is_down`` is the one place that knows whether a node
-is down.  Protocol subclasses define the hooks to suspend and restore
-their local timers (e.g. the resend timer of
-:class:`repro.core.node.CoreAllocatorNode`).
+is down.  Participants define the hooks to suspend and restore their
+local timers and to drop volatile state (e.g. the reboot of
+:class:`repro.core.node.CoreAllocatorNode`); the network side of an
+outage (sends lost, deliveries held until the reboot) is the fault
+layer's (:mod:`repro.sim.faults`).
 """
 
 from __future__ import annotations

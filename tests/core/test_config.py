@@ -1,8 +1,10 @@
 """Unit tests for the core algorithm configuration."""
 
+import dataclasses
+
 import pytest
 
-from repro.core.config import DEFAULT_RESEND_INTERVAL, CoreConfigSpec
+from repro.core.config import CoreConfigSpec
 
 from tests.helpers import build_system
 
@@ -13,8 +15,8 @@ class TestCoreConfigSpec:
         assert config.enable_loan is True
         assert config.loan_threshold is None  # the workload's threshold (1 by default)
         assert config.policy == "mean_nonzero"
-        assert config.resend_interval == DEFAULT_RESEND_INTERVAL
         assert config.initial_holder == 0
+        assert len(dataclasses.fields(config)) == 5
 
     def test_policy_by_name(self):
         assert CoreConfigSpec(policy="max").policy == "max"
@@ -28,11 +30,6 @@ class TestCoreConfigSpec:
     def test_negative_initial_holder_rejected(self):
         with pytest.raises(ValueError):
             CoreConfigSpec(initial_holder=-2)
-
-    @pytest.mark.parametrize("interval", [0.0, -5.0, float("nan"), float("inf")])
-    def test_bad_resend_interval_rejected(self, interval):
-        with pytest.raises(ValueError, match="resend_interval"):
-            CoreConfigSpec(resend_interval=interval)
 
     def test_describe_mentions_loan_state(self):
         assert "no-loan" in CoreConfigSpec(enable_loan=False).describe()

@@ -57,7 +57,7 @@ def loan_scenario(params, faults=None, detector=None, **scenario_kw):
     return Scenario(
         algorithm="with_loan",
         params=params,
-        config=CoreConfigSpec(enable_loan=True, resend_interval=50.0),
+        config=CoreConfigSpec(enable_loan=True),
         faults=faults,
         detector=detector,
         **scenario_kw,
@@ -74,9 +74,10 @@ class TestCrashWhileHoldingTokens:
             )
         )
         assert result.tokens_regenerated == 0
-        # Every survivor chases the dead holder until the stall cap.
+        # Every survivor waits for the dead holder's tokens; nothing is
+        # re-sent into the void, so the queue drains with them waiting.
         end = result.termination
-        assert end.reason == "fault_cap"
+        assert end.reason == "drained"
         assert end.waiting == ((0, 1), (1, 1), (3, 1), (4, 1))
         assert end.abandoned == 0
         assert end.last_grant == pytest.approx(166.46, abs=0.01)
@@ -133,9 +134,7 @@ class TestCrashDuringLoan:
         scenario = Scenario(
             algorithm="with_loan",
             params=params,
-            config=CoreConfigSpec(
-                enable_loan=True, loan_threshold=2, resend_interval=50.0
-            ),
+            config=CoreConfigSpec(enable_loan=True, loan_threshold=2),
             faults=NodeCrash(node=3, at=291.0),
             detector=DETECTOR,
         )
@@ -223,12 +222,8 @@ class TestNonRecoveryAllocatorBlip:
         # release the allocator instead of leaving it parked inside a
         # critical section nobody is running (which silently wedged
         # every other node: the run used to drain at t=165 of 500).
-        #
-        # What HEAD still does, pinned beside it: node 3 — which never
-        # crashed — waits for ever for a grant.  This is the resend-less
-        # Bouabdallah-Laforest limitation (a message to the blipping node
-        # is lost and nobody re-sends it) that ROADMAP item 2 has to
-        # settle: implement a recovery path or call the pair unsupported.
+        # Messages due at the blipping node are held until its reboot,
+        # so no survivor is left waiting for one of them either.
         result = run(
             Scenario(
                 algorithm="bouabdallah",
@@ -239,7 +234,7 @@ class TestNonRecoveryAllocatorBlip:
         )
         assert result.simulated_time >= 500.0
         assert result.termination.last_grant > 490.0  # the others ran to the end
-        assert result.termination.waiting == ((3, 1),)
+        assert result.termination.waiting == ()
         assert result.termination.abandoned == 1
 
     def test_aborted_cs_releases_on_reboot(self):

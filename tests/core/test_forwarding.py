@@ -33,7 +33,7 @@ class RecordingNetwork:
 def make_forwarder(node_id=5, num_resources=6):
     """A node that holds no token; every probable owner is node 0."""
     network = RecordingNetwork()
-    config = CoreConfigSpec(loan_threshold=1, resend_interval=None)
+    config = CoreConfigSpec(loan_threshold=1)
     node = CoreAllocatorNode(
         Simulator(), network, node_id, num_resources, num_processes=10, config=config
     )

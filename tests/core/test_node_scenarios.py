@@ -3,6 +3,7 @@
 import pytest
 
 from repro.allocator import AllocatorError
+from repro.core.messages import ReqRes
 from repro.core.node import ProcessState
 
 from tests.helpers import assert_all_completed, build_system, run_scripted
@@ -237,3 +238,31 @@ class TestPriorityYield:
         metrics = run_scripted(system, requests, max_events=1_000_000)
         assert_all_completed(metrics)
         assert len(metrics.records) == 15
+
+
+class TestSpareTokens:
+    def test_spare_token_is_handed_on_when_its_arrival_lets_the_node_enter(self):
+        """A token a node does not need is served before the node enters.
+
+        Node 0 holds both tokens in its CS, with node 1's request for
+        r0 and node 2's for r1 queued in them.  A stale entry of node 1
+        heads r1's queue (as in a token regenerated from an old
+        snapshot), so node 0's release sends r0 and r1 to node 1 in one
+        envelope.  That delivery lets node 1 enter its CS for r0; r1 must
+        go on to node 2 then, because ``release()`` serves only the
+        tokens the CS required.
+        """
+        system = build_system("core", num_processes=3, num_resources=2, gamma=1.0)
+        n0, n1, n2 = system.allocators
+        granted = []
+        n0.acquire({0, 1}, lambda: granted.append(0))
+        n1.acquire({0}, lambda: granted.append(1))
+        n2.acquire({1}, lambda: granted.append(2))
+        system.sim.run()
+        assert granted == [0]
+        n0.last_tok[1].enqueue(ReqRes(1, 1, n1._cur_id, 0.0))
+        n0.release()
+        system.sim.run()
+        assert granted == [0, 1, 2]
+        assert n1.owned_tokens == frozenset({0})
+        assert n2.owned_tokens == frozenset({1})

@@ -129,12 +129,30 @@ class TestFaultRunCap:
         # run reports its real drain time, comparable to the reliable run.
         assert faulty.simulated_time == reliable.simulated_time
 
+    @pytest.mark.parametrize("algorithm", ["with_loan", "without_loan", "bouabdallah"])
+    def test_never_firing_crash_drains_like_its_twin(self, algorithm):
+        """A crash past the cap fires nothing: the run is its reliable twin."""
+        scenario = Scenario(
+            algorithm=algorithm,
+            params=WorkloadParams(
+                num_processes=8, num_resources=20, phi=4, duration=1500.0, warmup=150.0,
+                load=LoadLevel.HIGH, seed=1,
+            ),
+        )
+        twin = run(scenario)
+        armed = run(scenario.replace(faults=NodeCrash(node=0, at=1e9)))
+        assert armed.termination == twin.termination
+        assert armed.termination.reason == "drained"
+        assert armed.record_columns.content_key() == twin.record_columns.content_key()
+        assert armed.metrics.messages_total == twin.metrics.messages_total
+        assert armed.events_processed == twin.events_processed
+
 
 class TestTermination:
     """``result.termination``: the one answer to "how did this run end?"."""
 
-    #: ROADMAP item 1's loss run: the protocol wedges at t = 81 ms of 5 000.
-    LOSS_PARAMS = WorkloadParams(
+    #: The paper's testbed size, N=32 and M=80, at high load.
+    WEDGE_PARAMS = WorkloadParams(
         num_processes=32, num_resources=80, phi=8, duration=5_000.0, load=LoadLevel.HIGH
     )
 
@@ -147,26 +165,27 @@ class TestTermination:
         # A clean run's one-line summary does not mention how it ended.
         assert "ended=" not in result.describe()
 
-    def test_loss_run_reports_the_wedge_its_twin_does_not(self):
-        twin = run(Scenario(algorithm="with_loan", params=self.LOSS_PARAMS))
+    def test_crash_run_reports_the_wedge_its_twin_does_not(self):
+        """Node 0, the initial holder, dies undetected at t=80 with most tokens."""
+        twin = run(Scenario(algorithm="with_loan", params=self.WEDGE_PARAMS))
         assert twin.termination == Termination(
             "drained", twin.termination.last_grant, (), 0
         )
-        lossy = Scenario(
-            algorithm="with_loan", params=self.LOSS_PARAMS, faults=BernoulliLoss(p=0.005)
+        crashed = Scenario(
+            algorithm="with_loan", params=self.WEDGE_PARAMS, faults=NodeCrash(node=0, at=80.0)
         )
-        result = run(lossy.replace(require_all_completed=False))
+        result = run(crashed.replace(require_all_completed=False))
         end = result.termination
-        assert end.reason == "fault_cap"
-        assert end.last_grant == pytest.approx(80.6, abs=0.1)
-        assert end.waiting == tuple((node, 1) for node in range(32))
-        assert end.abandoned == 0
-        # completed/issued = 37/69 hides it; the twin's count does not.
-        assert (result.metrics.completed, twin.metrics.completed) == (37, 2501)
-        assert "ended=fault_cap (last grant t=80.6" in result.describe()
-        with pytest.raises(RuntimeError, match="liveness failure.*fault_cap.*last grant") as exc:
-            run(lossy)
-        assert "(first: process 0, index 1)" in str(exc.value)
+        assert end.reason == "drained"
+        assert end.last_grant == pytest.approx(148.8, abs=0.1)
+        assert end.waiting == tuple((node, 1) for node in range(1, 32))
+        assert end.abandoned == 1
+        # completed/issued = 74/106 hides it; the twin's count does not.
+        assert (result.metrics.completed, twin.metrics.completed) == (74, 2501)
+        assert "ended=drained (last grant t=148.8" in result.describe()
+        with pytest.raises(RuntimeError, match="liveness failure.*drained.*last grant") as exc:
+            run(crashed)
+        assert "(first: process 1, index 2)" in str(exc.value)
 
     def test_default_scenario_accepts_a_request_that_died_with_its_node(self, tiny_params):
         # Node 0 (the initial holder of every token) dies mid-request and

@@ -39,11 +39,11 @@ class System:
 
 
 def node_config(**fields: object) -> CoreConfigSpec:
-    """A core config resolved for a node: loan threshold 1, no re-send net.
+    """A core config resolved for a node: loan threshold 1.
 
-    ``fields`` override either default or set any other field.
+    ``fields`` override that default or set any other field.
     """
-    return CoreConfigSpec(**{"loan_threshold": 1, "resend_interval": None, **fields})
+    return CoreConfigSpec(**{"loan_threshold": 1, **fields})
 
 
 def build_system(

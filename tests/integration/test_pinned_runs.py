@@ -106,73 +106,73 @@ def fingerprint(result):
 
 PINNED = {
     'bouabdallah-blip-hb-closed': (
-        999,
-        (('BLInquire', 234), ('BLResourceToken', 222), ('NTRequest', 234), ('NTToken', 103)),
-        'd13e8dc36ef7237c542fed9ca0e7ffe6fba409df619a5a4ae8b376b0bc8ab913',
-        '540febc2e5092f5c4dc26f8df0e8680946f8d1aa7b1b190bc4d5eedabba479e3',
+        3476,
+        (('BLInquire', 806), ('BLResourceToken', 806), ('NTRequest', 804), ('NTToken', 348)),
+        '983a7f9f26fb55a1d3847691345bc03d296935a00fb3bc0cadf0f61278f8f98e',
+        '8069e5648e79f543b34dff8ca54fd28b1925d64c1b7b3fbf9ec2a7980fb18fec',
     ),
     'bouabdallah-blip-hb-open': (
-        1133,
-        (('BLInquire', 199), ('BLResourceToken', 191), ('NTRequest', 180), ('NTToken', 93)),
-        'e701d51c59016db25821afac9618cc3fa5994c994da40f9e5bd28877a02978fe',
-        '8473254d90759856e432bcb1aa85bba025cca474b6b68806c71d38fdf4da5cd7',
+        3326,
+        (('BLInquire', 766), ('BLResourceToken', 766), ('NTRequest', 697), ('NTToken', 354)),
+        '8a3d3fe4051e85aa67734e5dcf12fd31c6de5884d704299bca4f04c808ad91e4',
+        'bca3dc1307cd8bba2721a0cec922b63a4b1f75a9a5f9790196ea1f90fc353a0e',
     ),
     'bouabdallah-blip-nodet-closed': (
-        998,
-        (('BLInquire', 234), ('BLResourceToken', 222), ('NTRequest', 234), ('NTToken', 103)),
-        'd13e8dc36ef7237c542fed9ca0e7ffe6fba409df619a5a4ae8b376b0bc8ab913',
-        '540febc2e5092f5c4dc26f8df0e8680946f8d1aa7b1b190bc4d5eedabba479e3',
+        3475,
+        (('BLInquire', 806), ('BLResourceToken', 806), ('NTRequest', 804), ('NTToken', 348)),
+        '983a7f9f26fb55a1d3847691345bc03d296935a00fb3bc0cadf0f61278f8f98e',
+        '8069e5648e79f543b34dff8ca54fd28b1925d64c1b7b3fbf9ec2a7980fb18fec',
     ),
     'bouabdallah-blip-nodet-open': (
-        1132,
-        (('BLInquire', 199), ('BLResourceToken', 191), ('NTRequest', 180), ('NTToken', 93)),
-        'e701d51c59016db25821afac9618cc3fa5994c994da40f9e5bd28877a02978fe',
-        '8473254d90759856e432bcb1aa85bba025cca474b6b68806c71d38fdf4da5cd7',
+        3325,
+        (('BLInquire', 766), ('BLResourceToken', 766), ('NTRequest', 697), ('NTToken', 354)),
+        '8a3d3fe4051e85aa67734e5dcf12fd31c6de5884d704299bca4f04c808ad91e4',
+        'bca3dc1307cd8bba2721a0cec922b63a4b1f75a9a5f9790196ea1f90fc353a0e',
     ),
     'bouabdallah-nested-hb-closed': (
-        989,
-        (('BLInquire', 231), ('BLResourceToken', 221), ('NTRequest', 229), ('NTToken', 100)),
-        'fa599bbc5d7f4cc0df67e13b87a5ac1d23fe05f27fa6b4a374de5d658c266908',
-        '50a74597a7401c0f34dcc3c8bf97c6a1946ccadcd38f25becaa36467b6ab8d33',
+        1078,
+        (('BLInquire', 250), ('BLResourceToken', 243), ('NTRequest', 251), ('NTToken', 112)),
+        'd5c704c612acb81fa97bc0aadc97e6bc65e761774261ed5447f708ffef35d30e',
+        '2bb11257f87bbb5c6098ec01c9b72fafcbdb7df583de29efd239b0ae8391ab82',
     ),
     'bouabdallah-nested-hb-open': (
-        1100,
-        (('BLInquire', 199), ('BLResourceToken', 191), ('NTRequest', 180), ('NTToken', 93)),
-        '4dbb7ffd35d22984d2eb1c0ce24c850bdbba1c16d2f953f71294fa31e7d40eba',
-        '4e636d9bd02e1bb94da87b8861257ca16cb5de243bec741b485b99839b27c0a4',
+        1128,
+        (('BLInquire', 198), ('BLResourceToken', 198), ('NTRequest', 197), ('NTToken', 94)),
+        'a0c97753cb10ba7f34cb4116e20f26764c5d51ed264744eac6a8199bd12e42c1',
+        'e4cb3fc29b5a38b242e643eb6c331ff8220c48127f07268d75f50c0a44bfb39f',
     ),
     'bouabdallah-nested-nodet-closed': (
-        987,
-        (('BLInquire', 231), ('BLResourceToken', 221), ('NTRequest', 229), ('NTToken', 100)),
-        'fa599bbc5d7f4cc0df67e13b87a5ac1d23fe05f27fa6b4a374de5d658c266908',
-        '50a74597a7401c0f34dcc3c8bf97c6a1946ccadcd38f25becaa36467b6ab8d33',
+        1076,
+        (('BLInquire', 250), ('BLResourceToken', 243), ('NTRequest', 251), ('NTToken', 112)),
+        'd5c704c612acb81fa97bc0aadc97e6bc65e761774261ed5447f708ffef35d30e',
+        '2bb11257f87bbb5c6098ec01c9b72fafcbdb7df583de29efd239b0ae8391ab82',
     ),
     'bouabdallah-nested-nodet-open': (
-        1098,
-        (('BLInquire', 199), ('BLResourceToken', 191), ('NTRequest', 180), ('NTToken', 93)),
-        '4dbb7ffd35d22984d2eb1c0ce24c850bdbba1c16d2f953f71294fa31e7d40eba',
-        '4e636d9bd02e1bb94da87b8861257ca16cb5de243bec741b485b99839b27c0a4',
+        1126,
+        (('BLInquire', 198), ('BLResourceToken', 198), ('NTRequest', 197), ('NTToken', 94)),
+        'a0c97753cb10ba7f34cb4116e20f26764c5d51ed264744eac6a8199bd12e42c1',
+        'e4cb3fc29b5a38b242e643eb6c331ff8220c48127f07268d75f50c0a44bfb39f',
     ),
     'bouabdallah-permanent-hb-closed': (
-        1170,
+        1168,
         (('BLInquire', 271), ('BLResourceToken', 262), ('NTRequest', 275), ('NTToken', 122)),
         '920532a8b288d4c87cb15030776b0624a67ec5cc150b929a69eb622b8ff15973',
         'c03d03a1d317c8d120897d59615bf1033a61670417ad3ca5e94861be20ab3bbd',
     ),
     'bouabdallah-permanent-hb-open': (
-        1250,
+        1248,
         (('BLInquire', 224), ('BLResourceToken', 224), ('NTRequest', 237), ('NTToken', 107)),
         'e06bde726b62ef00bdcf5f3baebf76a77753bde560962d73acbbffad0f81d3ac',
         '1118c7db404404a1309ae9796a9b4b00f13c0f0f2f94b95a971d63568b8d5034',
     ),
     'bouabdallah-permanent-nodet-closed': (
-        1169,
+        1167,
         (('BLInquire', 271), ('BLResourceToken', 262), ('NTRequest', 275), ('NTToken', 122)),
         '920532a8b288d4c87cb15030776b0624a67ec5cc150b929a69eb622b8ff15973',
         'e9b6928a47d70f7be8fa3d9ebc59ae37e42bdc22e3d0be27eaa028d9b566c268',
     ),
     'bouabdallah-permanent-nodet-open': (
-        1249,
+        1247,
         (('BLInquire', 224), ('BLResourceToken', 224), ('NTRequest', 237), ('NTToken', 107)),
         'e06bde726b62ef00bdcf5f3baebf76a77753bde560962d73acbbffad0f81d3ac',
         '1118c7db404404a1309ae9796a9b4b00f13c0f0f2f94b95a971d63568b8d5034',
@@ -226,73 +226,73 @@ PINNED = {
         'ec44fe21f6f10619187c9383f32097cbe27437f71636d50fae4d36820508b827',
     ),
     'incremental-blip-hb-closed': (
-        3487,
-        (('NTRequest', 1760), ('NTToken', 915)),
-        '663bbf9aab4620983fe65ac7d002137136eb80ccdb1a681d6e645db8c3e1a6de',
-        'fb0800cd5fae68ff82e6f32ed1db4dbd7ba4ac9242349bfc6e6e9aae6faa000a',
+        1244,
+        (('NTRequest', 622), ('NTToken', 336)),
+        '57567658f9aafd01aa0a18fd4abdcd77f89423fdfce2a3b67cb72889696d2658',
+        'e141076a0e848bd8a269006504e94808449aae812c5d36af230dfb2f724c6740',
     ),
     'incremental-blip-hb-open': (
-        2956,
-        (('NTRequest', 1441), ('NTToken', 772)),
+        2957,
+        (('NTRequest', 1442), ('NTToken', 772)),
         '04b046e7a6f616cd6ae5662dc31236dcb930f7bf8a9c748f0cfd2bc224cf37e6',
-        '5c0fcf397c718828a5cc86a13623ab73cfb487530f4f5de79080899d7eb518a6',
+        'fdc1190aa7b9a65e07d9cccfd5258f63576b01d46093a09a3afa12c9ee485b2d',
     ),
     'incremental-blip-nodet-closed': (
-        729,
-        (('NTRequest', 366), ('NTToken', 194)),
-        'b13811df0056bb8f39d9935690175213e3ae4ec55e6324f3f36db01746fb2abb',
-        '1c2640e92ec0624736873b98069331580d984c5f0f12c6f219484d0879dbda12',
+        1195,
+        (('NTRequest', 583), ('NTToken', 315)),
+        'fd2b95d30706c69311a9716629a9fe993a8a5297efb03af31d15bc7a1e92e6b8',
+        '8d18dd67f727366e130993ae928efef54f340c9ef954695c922d06c1d8376a2b',
     ),
     'incremental-blip-nodet-open': (
-        970,
-        (('NTRequest', 330), ('NTToken', 184)),
-        '4f46ea9593f810b6f58c7c1633168c3349efb99916b3c2e09cf282350fcc4e18',
-        'b692ed8da82e55772cf919e2a532fc93eee0275f96bc4308b89819556fabac32',
+        3030,
+        (('NTRequest', 1494), ('NTToken', 794)),
+        'cb294671f3244932c0f5ee8b37f3072f6cc1c85cab5cdd1dd99e11518ac50c3a',
+        'c9f068b960b5eb1bbf322cc69fa424c43d2c1e7c68c576002a2853d769f555e2',
     ),
     'incremental-nested-hb-closed': (
-        3014,
-        (('NTRequest', 1442), ('NTToken', 821)),
-        '1f0a06466252ff48217841a0b779039be2e17711a0a090f48d4e34c224da7b4b',
-        'cdb3f6c7b481478cd9553b2137d0f9b20b94f374e72404b48d8bbd4ef5f0daae',
+        1245,
+        (('NTRequest', 613), ('NTToken', 338)),
+        'eb2848c74d4bbff277ab756abed0a791ad092607e6f68847b6718bc8a837c760',
+        '29d9650c9517f4e5f771b44d2e62d87ed5c1f533979cfa82d4239f7f45eb76b4',
     ),
     'incremental-nested-hb-open': (
-        2269,
-        (('NTRequest', 1027), ('NTToken', 596)),
+        2266,
+        (('NTRequest', 1028), ('NTToken', 596)),
         'd50ab4dc1e5b60797b485a72f691f7fcb27b373f14c520eb48292812499a99cd',
-        '565ac46ece62d7252b08429aa0852669654a7a6508ff5a0ded149029c1ec9e29',
+        '5b7d961a03b43893b053b4687e12fc0df110cb2f19cde8f03e17204da0b07cf8',
     ),
     'incremental-nested-nodet-closed': (
-        732,
-        (('NTRequest', 366), ('NTToken', 194)),
-        '6c2a9884f072dfe0b1a8901a0e621cb4c3d0894fab78c0676df4fcfb64ce6d8e',
-        '39705760ceb31c3b6974461cde3148e1614e0f392c69163310f5f55ab93e5ddb',
+        784,
+        (('NTRequest', 394), ('NTToken', 208)),
+        'cdd341dbe4cfe1fc5499bb0ae682722200fc5ebdc77a24de16f7a6092b197590',
+        '19d161ab9ea79ebb0888431dc8277ea2b96a050d9408b2010f0ddb75b08264bb',
     ),
     'incremental-nested-nodet-open': (
-        936,
-        (('NTRequest', 330), ('NTToken', 184)),
-        '40cc71400a030d99776a589be80e7752cff4ce8d80557afbd3ac9370d113bbef',
-        '0c8b2b44c87a80476a81ee314fdc96969871ceaf024384fae7e336d9f12d2859',
+        957,
+        (('NTRequest', 344), ('NTToken', 192)),
+        '8dfd815c32d6f4351a2a32b3f9cd795c5b4f9eada4f18f4fed443827502c4a80',
+        '3726d5c4ba8bf9b5bcb3212f3df56c211d4751a29b11ca5873e6bee4fb59e9cc',
     ),
     'incremental-permanent-hb-closed': (
-        3317,
+        3313,
         (('NTRequest', 1619), ('NTToken', 905)),
         'c739026349aa0d16bd4df8fa1084ee69ded91da4d12049052ecf466fec6e826c',
         '98cac3fa9fdfb66536a5921cb4d71f54d359cd1e9fc862061b9278a1e500a3a0',
     ),
     'incremental-permanent-hb-open': (
-        2646,
+        2643,
         (('NTRequest', 1267), ('NTToken', 693)),
         '2f456d240cb2a8dd8fe6e0b7394fe9f669a18ece5ddc8685cca4c32a0db74afc',
         '76bf6e73e76dc925c11f56253868c4414a3e2c571d9d9e1509f3fa6d0602ec3d',
     ),
     'incremental-permanent-nodet-closed': (
-        1001,
+        997,
         (('NTRequest', 497), ('NTToken', 269)),
         'cea8596176e448cb556d3387d4e0f126501b02bc7948815c598279ea1d1254f7',
-        'a89982fe8da48f1bbd77de9f9b097916cf47c1347323fa6e37e0dfdd22255ff9',
+        '0c52ab95daf7288b5be60d7787384ad57b1390d72f9bef720da8ca87283f1ed3',
     ),
     'incremental-permanent-nodet-open': (
-        1115,
+        1113,
         (('NTRequest', 425), ('NTToken', 235)),
         'c6906c8e63d8701088ee0800453780b2d3c41352a5ab7f4118987ce7102856f3',
         'ea567e4c07223fdc8b42018041b20b14e1c784d180bff8fde2051dff39b0c546',
@@ -394,76 +394,76 @@ PINNED = {
         'fe580dc756a20a58377b01654a8e1037f91768cded09f368e1241a588d99bea6',
     ),
     'with_loan-blip-hb-closed': (
-        5869,
-        (('CounterEnvelope', 614), ('RequestEnvelope', 3126), ('TokenEnvelope', 1148)),
+        5875,
+        (('CounterEnvelope', 614), ('RequestEnvelope', 3132), ('TokenEnvelope', 1148)),
         'f54b6670f8e72728448e7d6a79508c299c3efd52c31143622be55fd9b9f6dd79',
-        '5609aa85cd553d1f15bc3005123376345df2a17b928330e870d387b8b7c64649',
+        '3396911c3b5c4c36e4f6b41bf26385a46993dd9ffdce9ea7ccca86965e296ce3',
     ),
     'with_loan-blip-hb-open': (
-        3588,
-        (('CounterEnvelope', 234), ('RequestEnvelope', 1860), ('TokenEnvelope', 751)),
+        3592,
+        (('CounterEnvelope', 234), ('RequestEnvelope', 1864), ('TokenEnvelope', 751)),
         '6597a650146eb0e862e5998c6eafb1a9e1706ef8952d06f2fee61212cd5d83c2',
-        '3376fd96f6ff24b5d762ee900661f16aca16cc1436da360569dd6b8b65267a56',
+        '3726a638956218ab439856b39eb0b4dcf1378d8caa5bf96345e54662b623eeda',
     ),
     'with_loan-blip-nodet-closed': (
-        3916,
-        (('CounterEnvelope', 407), ('RequestEnvelope', 2076), ('TokenEnvelope', 770)),
-        '54d997b10b9edb402a708ff299e69fa4670a73324ecb649b082030ec196ec4b9',
-        '6b7e537b736bbbf3c9cf10006e8f650bbcde001ad7e3f8c2d216b24307e6ff9c',
+        4927,
+        (('CounterEnvelope', 526), ('RequestEnvelope', 2615), ('TokenEnvelope', 980)),
+        '35df401ed1a1f75afb7fb6b4ef1f022aee29956ec4c5dec2ea568bf3f4caa174',
+        '81dc236092717898b7cae0dede10de08f9749b0a6e068dc093614aa998fe80fc',
     ),
     'with_loan-blip-nodet-open': (
-        3964,
-        (('CounterEnvelope', 375), ('RequestEnvelope', 2058), ('TokenEnvelope', 784)),
-        '5a000ca724191f1013d1bc3a9cb04a38315d7d085fd8abc8041aecc2c3d352df',
-        '932685374182db54751a748833da3786975d605c75ed68b994d5f3fedf3796bd',
+        3691,
+        (('CounterEnvelope', 268), ('RequestEnvelope', 1926), ('TokenEnvelope', 755)),
+        '5f88f118bbd929af55b7df0e199f4e1a3919c053c59c44b6a1b1f0ab4089303d',
+        '8f52572575e8fcf7827e36b7e009ae92748fc9817b0b0de672def1f734aacbdb',
     ),
     'with_loan-nested-hb-closed': (
-        5290,
-        (('CounterEnvelope', 556), ('RequestEnvelope', 2739), ('TokenEnvelope', 1078)),
-        '71589da51b607688503a510efb2906db00e402a6d2843cf3d19733c363b84cfe',
-        '24f87c4f4c1a823240d35b9f05793682e362e363115eb8759c52704a3fe89745',
+        5191,
+        (('CounterEnvelope', 538), ('RequestEnvelope', 2702), ('TokenEnvelope', 1061)),
+        'cec1ddc14d86c5d48b24c69e689806eac85630a1cdbd5b4537f7fde1dc59de15',
+        'e1b82944d59d8fd18248bda4cbf7fbcc5fcdd54e90a9e840ffb4a690858b0602',
     ),
     'with_loan-nested-hb-open': (
-        2643,
-        (('CounterEnvelope', 154), ('RequestEnvelope', 1253), ('TokenEnvelope', 575)),
+        2614,
+        (('CounterEnvelope', 154), ('RequestEnvelope', 1242), ('TokenEnvelope', 575)),
         'fdb8214bb57ee19d1733be776cc4557bea0643e2199fc0c91955dcea237dd0ae',
-        '26bbc0e7ccb9a7faa882d590b0e3a27bc1f75af4be5ec02d53cc59472ff0f022',
+        'f8623c63890fb790a8fcee71b6e7e75ca19a5b40196170928ea87b8136371c7f',
     ),
     'with_loan-nested-nodet-closed': (
-        1721,
-        (('CounterEnvelope', 138), ('RequestEnvelope', 973), ('TokenEnvelope', 268)),
-        'c7867d5b88679b7d430865c628a1f7cd99667b10bcda06fbcd4c92f2a1a450dc',
-        '78711843cdf53834f4f2b10b28d9ae0801ed80611beb3bee41a51597ceee2d3d',
+        1303,
+        (('CounterEnvelope', 138), ('RequestEnvelope', 679), ('TokenEnvelope', 268)),
+        '943cdbf8bc3c8fc194526b976be59a162bd13aa49a17a0c4d5bbc5a08c14dd39',
+        'ea9ad58a0524210e1159b6d1a1ac359a08277d127e508a54973cc6bd55fa8038',
     ),
     'with_loan-nested-nodet-open': (
-        1743,
-        (('CounterEnvelope', 92), ('RequestEnvelope', 856), ('TokenEnvelope', 231)),
-        '4a296fbdfb2ab9710c85453d04436df396030cad3ba1f23ae2172291daf33b40',
-        '4c56e5f6a67058dd235063e68d47ac3d14a08a4c7ed72b239475aae956f651eb',
+        1345,
+        (('CounterEnvelope', 99), ('RequestEnvelope', 569), ('TokenEnvelope', 234)),
+        'fd7643c1953c8e4ce2f6e8a972915829d2787e3d56a7768df58daaf7c4eaccfc',
+        'ef188b3cc7f6b0f8f483f0bd8f4d7fd186fcdbe2a8204365886a00704e485016',
     ),
     'with_loan-permanent-hb-closed': (
-        5245,
+        5234,
         (('CounterEnvelope', 529), ('RequestEnvelope', 2739), ('TokenEnvelope', 1076)),
         '228e45d49337dad1155b78b9dfdf3931d5d98cd6f19a75098b0d5e585dffdbf6',
         'c07b861a34e5a424985c40b64e8751cf194533658c4ca74a12c9c2f9264b1eda',
     ),
     'with_loan-permanent-hb-open': (
-        3120,
+        3116,
         (('CounterEnvelope', 190), ('RequestEnvelope', 1573), ('TokenEnvelope', 671)),
         '394fd5dbd28ddaec923b5bfd22b8ce0be336cd66e948e3ba5b0e6c23fcdfa4fc',
         '574911b82b68457b5c03d134b91448861c82fa8bdc149e865cf9a2a06861c1c2',
     ),
     'with_loan-permanent-nodet-closed': (
-        1990,
-        (('CounterEnvelope', 167), ('RequestEnvelope', 1115), ('TokenEnvelope', 327)),
+        1580,
+        (('CounterEnvelope', 167), ('RequestEnvelope', 827), ('TokenEnvelope', 327)),
         '7364e19426009a6724abb52297e1b64edae72bce76b2fe77f6d71cdfb10c034a',
-        'cd74b8c8f1b963b3d69475e76d5ffbb2a7e1493f8676e3dede70629c5bb93a1d',
+        '9eb26ad942f068024300bb854b9f065e3d47be4ce4ed3d27b320d7baff30f37b',
     ),
     'with_loan-permanent-nodet-open': (
-        1723,
-        (('CounterEnvelope', 90), ('RequestEnvelope', 816), ('TokenEnvelope', 244)),
+        1363,
+        (('CounterEnvelope', 90), ('RequestEnvelope', 576), ('TokenEnvelope', 244)),
         'e4108f84148bfe02d1ebd9e3cd517d15944c80da09982b5444e8b957717904f6',
-        '6ffc51ba1fd93c622af33e79f9f6360395f2f715a91a516f658093a158643647',
+        '1b1d330561168dc47e6ec4a626feed29541a22e5ba8b447be39bcff60aafe3a4',
     ),
     'with_loan-s1-closed': (
         5942,

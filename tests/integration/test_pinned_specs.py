@@ -79,13 +79,13 @@ def pin_of(result):
 PINNED = {
     'bouabdallah-composite-hb': (
         (
-            878,
-            (('BLInquire', 201), ('BLResourceToken', 193), ('NTRequest', 215), ('NTToken', 90)),
-            'c4e5ac08c87b4b42db7f706d2eb37b1be83dd3cb626b16ef3adfdc120139df2e',
-            '118c8f083035933d2066451743b91f34a26f18945167b2a56b8514132826092e',
+            936,
+            (('BLInquire', 215), ('BLResourceToken', 211), ('NTRequest', 227), ('NTToken', 94)),
+            '015a7ef307008f3c83505c6037f110d652add1c4b205a56eec8439c7333a5f4c',
+            '429098d7123b9fa8b014fc79a7cd44c1511647cf9a87ae2ac4575d4caf4c1b62',
         ),
-        3,
-        ('drained', 343.9410237518523, ((0, 1), (1, 1), (2, 1), (3, 1), (5, 1), (6, 1), (7, 1)), 1),
+        8,
+        ('drained', 516.3629311352878, ((0, 1), (1, 1), (2, 1), (3, 1), (5, 1), (6, 1), (7, 1)), 1),
     ),
     'bouabdallah-hierarchical-clusters': (
         (
@@ -119,17 +119,17 @@ PINNED = {
     ),
     'bouabdallah-loss': (
         (
-            598,
-            (('BLInquire', 137), ('BLResourceToken', 127), ('NTRequest', 151), ('NTToken', 64)),
-            '9f31e536f53a76351e560686c8e7bd8ce4bbc3774ce4dea437b8d710cc4f164d',
-            'c96916fc408e9d66a191c1914b8bb69ed07c5d2aab4b6bc1bb9cf76c6105c7ea',
+            2515,
+            (('BLInquire', 582), ('BLResourceToken', 582), ('NTRequest', 581), ('NTToken', 254)),
+            '3c946be2024126d679a6dad40393ab7af31b1992add3a2f2f4e3bc2f868de420',
+            'ca57013bf6199f3b0f3ee69725478adc461276aede18eb0254e7bd38b69d9b18',
         ),
-        1,
-        ('drained', 190.45016617131088, ((0, 1), (1, 1), (2, 1), (3, 1), (4, 1), (5, 1), (6, 1), (7, 1)), 0),
+        3,
+        ('drained', 1022.2415210039253, (), 0),
     ),
     'bouabdallah-partition-forever': (
         (
-            1016,
+            1014,
             (('BLInquire', 223), ('BLResourceToken', 223), ('NTRequest', 255), ('NTToken', 103)),
             '470dbc837f9cf7bb666598ce69fa5fc0e2ab5c4d65aa3ab0e78f519f497d7a42',
             '372e83697c491f69e3075e873519ec07a1f372fff747473d885647b90903a832',
@@ -139,23 +139,23 @@ PINNED = {
     ),
     'bouabdallah-partition-heals': (
         (
-            816,
-            (('BLInquire', 185), ('BLResourceToken', 179), ('NTRequest', 200), ('NTToken', 84)),
-            '2d8f36ee10d28b086525a1d14036b9ccd22b9985ce93731cde5a928685284c2f',
-            'd24dcb2ed8a651454eaeb12a565245c40444222f7d54841ac4a760161770b68b',
+            1932,
+            (('BLInquire', 447), ('BLResourceToken', 447), ('NTRequest', 448), ('NTToken', 192)),
+            '1d273374497c3b02e56a087caeeee606c20bf91670cfe837654274687c14b93d',
+            'a19b44193bc1b3425c06e3865534892dc0203e3d38db1e651398e85de86dfd9f',
         ),
-        3,
-        ('drained', 284.01248613825527, ((0, 1), (1, 1), (2, 1), (3, 1), (4, 1), (5, 1), (6, 1), (7, 1)), 0),
+        0,
+        ('drained', 1017.4314909330781, (), 0),
     ),
     'with_loan-composite-hb': (
         (
-            2300,
-            (('CounterEnvelope', 282), ('RequestEnvelope', 1164), ('TokenEnvelope', 457)),
-            'ef3e005886d0713fa474fb6335aba009b61d7f21328bc7d18c9a6888bd55168d',
-            'ea2df49a098d61c8dcf4988f458d702193bea6ea261ca8f4b5e9b85f2e02e730',
+            2555,
+            (('CounterEnvelope', 302), ('RequestEnvelope', 1330), ('TokenEnvelope', 494)),
+            '02443d2420d0bd78901e78894282a89b1145cdb5fb14c1cd307c02ca9ab22b00',
+            'd37da81958f7cbf488a0dd444b2c36cc36083723a48dccde994947a7427fb11d',
         ),
-        10,
-        ('drained', 1461.5608723467979, (), 1),
+        6,
+        ('drained', 1050.8550577504736, (), 1),
     ),
     'with_loan-hierarchical-clusters': (
         (
@@ -189,33 +189,33 @@ PINNED = {
     ),
     'with_loan-loss': (
         (
-            3267,
-            (('CounterEnvelope', 370), ('RequestEnvelope', 1777), ('TokenEnvelope', 577)),
-            'f9cee1cf34a25ba2ddfb19e9a1049818f81431a1fcbbe99387dd618d1c57a725',
-            'becaa30707017195bde403928cea16ecc958e6b5f3f7ef9249dd9eca1d2fb413',
+            3331,
+            (('CounterEnvelope', 402), ('RequestEnvelope', 1779), ('TokenEnvelope', 630)),
+            '415c930730e20bd648da4dc8c3cb61c6ee55839d2e59b8566b57779cbed23050',
+            '36262f073907ba7a91626b64cc57df6e93258692c6093802ab12f4b408449b7c',
         ),
-        6,
-        ('fault_cap', 1258.4896388612308, ((0, 1), (2, 1), (3, 1), (4, 1), (7, 1)), 0),
+        7,
+        ('drained', 1023.8964025203223, (), 0),
     ),
     'with_loan-partition-forever': (
         (
-            3072,
-            (('CounterEnvelope', 355), ('RequestEnvelope', 1602), ('TokenEnvelope', 589)),
+            3014,
+            (('CounterEnvelope', 355), ('RequestEnvelope', 1574), ('TokenEnvelope', 589)),
             '3f707ad2d0f884e74012106672b8045c799595325a3c95deecc556b1bf6343c0',
-            '974dbaa27cea47633bc8e149946c78f69bf13057ccdbef16fd550ff9f9e4d161',
+            '11b67ebda99bb99584886c5bd664c7575fa45d2250cf5c0dba6ff9f23118c896',
         ),
-        16,
-        ('fault_cap', 1002.953063155836, ((1, 1), (6, 1)), 0),
+        2,
+        ('drained', 1002.953063155836, ((1, 1), (6, 1)), 0),
     ),
     'with_loan-partition-heals': (
         (
-            1434,
-            (('CounterEnvelope', 117), ('RequestEnvelope', 868), ('TokenEnvelope', 175)),
-            '90cd8ac737b5125ed879383af742df011d244b9bb65992d821b073f93d64141a',
-            'f79870d0f0795fbfebf9f09ec7534108742b4bd703d8ddf453a8b6de8ac15e96',
+            2727,
+            (('CounterEnvelope', 331), ('RequestEnvelope', 1466), ('TokenEnvelope', 500)),
+            '36e123b072252aa535605f9543e1511985302d9736eee16242d414340bc26a8d',
+            'acd85f0378e6dcab883a6e53dc2cfeb12c25b40e4baffd7313617a6f3e006ef3',
         ),
-        7,
-        ('fault_cap', 771.7149728345805, ((0, 1), (1, 1), (2, 1), (3, 1), (4, 1), (5, 1), (6, 1), (7, 1)), 0),
+        0,
+        ('drained', 1044.2983151048456, (), 0),
     ),
 }
 

@@ -63,32 +63,32 @@ def timer_fingerprint(result):
 
 PINNED = {
     "with_loan-permanent-nodet": (
-        2075,
-        (('CounterEnvelope', 172), ('RequestEnvelope', 1212), ('TokenEnvelope', 318)),
+        1584,
+        (('CounterEnvelope', 172), ('RequestEnvelope', 844), ('TokenEnvelope', 318)),
         '518b28866c2c2433c12b9fda41bc216c61990ed8dcb9eef99fe97d82254d436f',
-        'a6f23e4f956b2ee5500574c524e4ee2164a74cdeb688021ef62739d8099587a8',
-        192,
-        8435.00085651058,
-        "Termination(reason='fault_cap', last_grant=421.8269075003557, "
+        'eadf77311dc2eff7eda875b9b006e1e189f9beba93146d8f94b126c4b6285244',
+        0,
+        434.8690492295827,
+        "Termination(reason='drained', last_grant=421.8269075003557, "
         "waiting=((0, 1), (1, 1), (2, 1), (3, 1), (4, 1), (6, 1), (7, 1)), abandoned=1)",
     ),
     "with_loan-reqloss": (
-        2529,
-        (('CounterEnvelope', 254), ('RequestEnvelope', 1346), ('TokenEnvelope', 500)),
-        '2e0e60417d09797d8281648bd0425325ecefd62f1bd0bbcc1d63051eefd74723',
-        '15b5cd77c7dc8019088d6297cc27395f813dbae8d21430f42e8f5c3a5294ce0f',
-        7,
-        1958.7388377682164,
-        "Termination(reason='drained', last_grant=1944.217069597947, waiting=(), abandoned=0)",
+        6104,
+        (('CounterEnvelope', 645), ('RequestEnvelope', 3309), ('TokenEnvelope', 1180)),
+        '8bd93b096a1df3e6b1a8177d1f0d76753a23d51449d0c6f521239556d3196780',
+        '2f91ee2668fb9a998ea0d45a620cf88254c6cb7b853700ffaa42489005701c48',
+        18,
+        1533.0331207925317,
+        "Termination(reason='drained', last_grant=1525.7095614682326, waiting=(), abandoned=0)",
     ),
     "with_loan-shortblip-hb": (
-        5525,
-        (('CounterEnvelope', 583), ('RequestEnvelope', 2945), ('TokenEnvelope', 1091)),
-        'aa4f83eeb764b63d4c35e9bcc20a0ede2527dfcb5e0f5c4510c18e87e1b8f81d',
-        'd9ffd6996c16d331e02b55e149fb2fb0b7c872d2bc634bb6a946c74afca06c3f',
-        1,
-        1522.3851213082708,
-        "Termination(reason='drained', last_grant=1509.8873161712004, waiting=(), abandoned=1)",
+        5936,
+        (('CounterEnvelope', 612), ('RequestEnvelope', 3209), ('TokenEnvelope', 1165)),
+        'da7f449f58d0e6d8383cb0d81bb9d1076ce9160484d3ed18b71bf71d502b8c32',
+        '4ac5cd4aaceeb8e72874df81088060d304ba3ec5e0b93a5f84390e99ab042e2e',
+        0,
+        1523.3870413352363,
+        "Termination(reason='drained', last_grant=1506.3214860781168, waiting=(), abandoned=1)",
     ),
 }
 

@@ -107,8 +107,8 @@ PINNED = {
         'f4a18428fb9f9e4413e60f34fd40458ade93aa1a4a2f5ab57021de454952926e',
     ),
     'incremental-crash-hb': (
-        '02c8ff251e1697ecf5daa2edd5f995735bde7f5fa77e0f4d8e36c9f07ee45955',
-        '98e797a02bec5770ecb6df06585d4c7bf59e7b3f8fe6597c7f90de45496f7357',
+        '122b7e38d9988af4f46d80348c2e9702af5ce366f2edfc8ae886b2aa4eac5bd9',
+        '6cff3f0edcab72354678c187aa47d033c9dd16dcfe10435324274d5e67f4bdff',
     ),
     'incremental-default': (
         '608611baeff4ccbfd7f47f682d2d4e39ce84c611db887990b4dbd2a4eae3fc8c',
@@ -119,12 +119,12 @@ PINNED = {
         '616e83e656f99f51a830b3ece1e700a66822ccbe025e0042318dc29675e2c2e5',
     ),
     'with_loan-blip-hb': (
-        '1ed4f765890ddde65361e0d53e8ad30b256b68de780388c728138f900350dfcb',
-        '2ca055ac73ee240cfbe33668aca5efc925e50b2fc33bfbeebd32552fa402708e',
+        '404e639aa8a6699db67119579c48e21f155fe5a18d0547b848a6e546469d4ccb',
+        '7bc3d447aebd2fcd03191f1ee404406b9650f24f5ac82902f454aba4e3ecdf39',
     ),
     'with_loan-crash-hb': (
-        '244b0bf6b33649f54e3af32501fd05f904b20021984d0c3ab42c6d6374b4cbd4',
-        'fae64d97aef5fb1d6dfdc8579801dfcb755147429bdf600d8470349c6945b7aa',
+        'eb38eb945b8c3f79529aa1b40e6bd5cd85e8e6c8e00e17f43ebce1e870b8d7c7',
+        '109d73218bd644d78d0d3fae030a32c76f3d9f95eb4537e9b59c110f796db19b',
     ),
     'with_loan-default': (
         'c15b7cf19857e4c1f40b0f97afd93f32d10767018c431a355fd4d0a3e59b0da5',
@@ -139,8 +139,8 @@ PINNED = {
         'a82668c22104ac27467ed00f9aa5882cabbe4b3c574a7f39250c862d959a0d8c',
     ),
     'with_loan-loss': (
-        '3f766922928ff50e2a6bcbd760c9990ed7ae6945be6474ef64242ef5c4bd976d',
-        '040b2a66351cd0c4e63d8cbef744ab60c13262db782adcf1021e84b4b0a805a7',
+        '6b4c2f9b2cbfaa51bb623d0f8f387b49b59796456cdf7ae1ccb7debd2ee33837',
+        'aa635f897e71f5d6a038fe142c1e3c60b2439192eec0cba7fab48de8ae3f340b',
     ),
     'with_loan-no-node-gauges': (
         'ad306cffd6daa43f481feb748ec5a15c0ecb6fee8bd8591d28870bd794e3ba1a',

@@ -46,12 +46,14 @@ def client(issued=0, completed=0, last_grant=None, waiting=0, stopped=True):
     )
 
 
-def allocator(node_id, depth=0, resends=0):
-    return SimpleNamespace(node_id=node_id, telemetry_queue_depth=depth, resend_count=resends)
+def allocator(node_id, depth=0):
+    return SimpleNamespace(node_id=node_id, telemetry_queue_depth=depth)
 
 
-def network(sent=None, dropped=None):
-    return SimpleNamespace(stats=SimpleNamespace(by_type=sent or {}, dropped_by_type=dropped or {}))
+def network(sent=None, dropped=None, resent=0):
+    return SimpleNamespace(
+        stats=SimpleNamespace(by_type=sent or {}, dropped_by_type=dropped or {}, resent=resent)
+    )
 
 
 def runtime(spec=None, now=0.0, events=0, pending=0, **layers):
@@ -72,8 +74,8 @@ class TestFamilies:
         # Pickled snapshots are pinned byte for byte: an int would change them.
         snapshot = runtime(
             now=5, events=3, pending=2,
-            network=network({"Token": 4}, {"Token": 1}),
-            allocators=[allocator(0, depth=2, resends=1)],
+            network=network({"Token": 4}, {"Token": 1}, resent=1),
+            allocators=[allocator(0, depth=2)],
             clients=[client(issued=1, completed=1)],
             coordinator=SimpleNamespace(tokens_regenerated=1, fences_applied=2, recovery_time=7),
         ).finalize()
@@ -102,8 +104,7 @@ class TestCounter:
              dict(clients=[client(issued=3), client(issued=4)]), 7.0),
             ("repro_requests_completed_total",
              dict(clients=[client(completed=2), client(completed=5)]), 7.0),
-            ("repro_resends_total",
-             dict(allocators=[allocator(0, resends=2), allocator(1, resends=3)]), 5.0),
+            ("repro_resends_total", dict(network=network(resent=5)), 5.0),
             ("repro_tokens_regenerated_total",
              dict(coordinator=SimpleNamespace(
                  tokens_regenerated=4, fences_applied=0, recovery_time=0.0)), 4.0),
@@ -117,11 +118,6 @@ class TestCounter:
     )
     def test_reads_its_source_total(self, family, layers, expected):
         assert runtime(**layers).finalize().value(family) == expected
-
-    def test_allocator_without_resend_count_counts_zero(self):
-        bare = SimpleNamespace(node_id=1)
-        snapshot = runtime(allocators=[allocator(0, resends=2), bare]).finalize()
-        assert snapshot.value("repro_resends_total") == 2.0
 
     def test_totals_are_read_at_the_final_sample(self):
         sim = SimpleNamespace(now=0.0, processed_events=0, pending_events=0)

@@ -64,19 +64,23 @@ class TestFaultSweepDeterminism:
 
     def test_faults_actually_perturb_results(self, fault_grid):
         results = run_sweep(fault_grid, workers=1)
-        reliable = [r for s, r in zip(fault_grid, results) if s.faults is None]
-        faulty = [r for s, r in zip(fault_grid, results) if s.faults is not None]
-        assert all(r.messages_dropped == 0 for r in reliable)
-        assert any(r.messages_dropped > 0 for r in faulty)
+        twins = {s.algorithm: r for s, r in zip(fault_grid, results) if s.faults is None}
+        faulty = [(s, r) for s, r in zip(fault_grid, results) if s.faults is not None]
+        assert all(r.messages_dropped == r.resend_count == 0 for r in twins.values())
+        for scenario, result in faulty:
+            # Every lost try is re-sent: the loss delays grants, and the
+            # records move away from the reliable twin's.
+            assert result.messages_dropped == result.resend_count > 0
+            twin = twins[scenario.algorithm]
+            assert result.record_columns.content_key() != twin.record_columns.content_key()
         # The fingerprint carries ``termination`` through the pool, the
         # memory cache and the disk cache; make sure it is not trivial here.
         assert all(
             (r.termination.reason, r.termination.waiting, r.termination.abandoned)
             == ("drained", (), 0)
-            for r in reliable
+            for r in twins.values()
         )
-        assert {r.termination.reason for r in faulty} == {"drained", "fault_cap"}
-        assert any(r.termination.waiting and r.termination.abandoned for r in faulty)
+        assert any(r.termination.abandoned for _, r in faulty)
 
 
 class TestFaultSweepMemoisation:

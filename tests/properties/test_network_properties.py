@@ -1,12 +1,13 @@
 """Property-based differential: the production network against its oracle.
 
 ``Network`` asks the fault layer only about messages that can meet a
-fault and posts the rest straight to their handlers; the
-``ReferenceNetwork`` kept in ``tests/sim/test_network.py`` asks both
-hooks about every message.  Random send scripts, latency models and
-fault models must not be able to tell the two apart — which holds
-because every fault model keeps the two scoping contracts
-(``quiet_until()``, ``exposed_nodes()``), checked here as well.
+fault, and clamps a constant-latency link only once its messages can;
+the ``ReferenceNetwork`` kept in ``tests/sim/test_network.py`` clamps
+every link and asks the one hook about every message.  Random send
+scripts, latency models and fault models must not be able to tell the
+two apart — which holds because every fault model keeps the two scoping
+contracts (``quiet_until()``, ``exposed_nodes()``), checked here as
+well.
 """
 
 import math
@@ -20,7 +21,7 @@ from repro.sim.latency import (
     HierarchicalLatencySpec,
     UniformJitterLatencySpec,
 )
-from repro.sim.network import Network
+from repro.sim.network import MessageStats, Network
 from repro.workload.params import WorkloadParams
 from tests.sim.test_network import (
     ClampedConstantLatency,
@@ -150,8 +151,9 @@ def test_network_is_indistinguishable_from_the_reference(script, latency_recipe,
     returned, log, stats, _rngs = production
     refused = returned.count("KeyError")
     assert refused == sum(1 for _time, _src, dst, _message in script if dst == UNREGISTERED)
-    # A refused send is not counted; every other one is delivered or dropped.
-    assert stats[0] == len(script) - refused == len(log) + stats[3]
+    # A refused send is not counted; every other one is delivered or lost
+    # for good (a dropped try that was not re-sent).
+    assert stats[0] == len(script) - refused == len(log) + stats[3] - stats[5]
 
 
 @given(scripts, st.sampled_from(["constant", "clamped"]), simple_faults, st.booleans())
@@ -159,12 +161,12 @@ def test_network_is_indistinguishable_from_the_reference(script, latency_recipe,
 def test_hooks_are_asked_exactly_about_exposed_messages(script, latency, fault_recipe, scoped):
     """``scoped=False``: a model that declares nothing is asked about everything."""
     faults = CountingFaults(thaw(fault_recipe), scoped)
-    _net, returned, _log = play_script(Network, LATENCIES[latency](0), faults, script, nodes=NODES)
-    asked = exposed_sends(faults, script, returned)
+    latency_model = LATENCIES[latency](0)
+    _net, returned, _log = play_script(Network, latency_model, faults, script, nodes=NODES)
+    asked = exposed_sends(faults, script, returned, latency_model)
     if not scoped:
         assert asked == len(script) - returned.count("KeyError")
-    assert faults.send_calls == asked
-    assert faults.delivery_calls == asked - faults.send_drops
+    assert faults.calls == asked
 
 
 probes = st.lists(
@@ -181,19 +183,24 @@ probes = st.lists(
 
 @given(fault_recipes.filter(lambda recipe: recipe is not None), probes)
 @settings(max_examples=300, deadline=None)
-def test_hooks_are_false_outside_the_declared_scope(fault_recipe, probed):
-    """The two contracts the network's exposure test relies on.
+def test_hook_keeps_the_due_time_outside_the_declared_scope(fault_recipe, probed):
+    """The contracts the network's exposure test and its clamp rely on.
 
-    Before ``quiet_until()``, or with neither endpoint in a non-``None``
-    ``exposed_nodes()``, both hooks say ``False`` — for every model and
-    every composite, windows ending at ``math.inf`` included.
+    The hook never hands a message over before it is due.  Before
+    ``quiet_until()``, or with neither endpoint in a non-``None``
+    ``exposed_nodes()``, it hands it over when due and counts nothing —
+    for every model and every composite, windows ending at ``math.inf``
+    included.
     """
     model = thaw(fault_recipe)
     quiet, scope = model.quiet_until(), model.exposed_nodes()
     for time, src, dst, message in probed:
+        stats = MessageStats()
+        handed_over = model.handover(time, time, src, dst, message, stats)
+        assert handed_over >= time
         if time < quiet or (scope is not None and src not in scope and dst not in scope):
-            assert not model.drop_on_send(time, src, dst, message)
-            assert not model.drop_on_delivery(time, src, dst, message)
+            assert handed_over == time
+            assert stats.dropped == 0
 
 
 @given(st.lists(simple_faults, max_size=4))

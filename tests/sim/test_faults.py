@@ -18,7 +18,7 @@ from repro.sim.faults import (
     NodeCrash,
 )
 from repro.sim.latency import ConstantLatencySpec
-from repro.sim.network import MessageStats, Network
+from repro.sim.network import RTO, MessageStats, Network
 from repro.sim.node import Node
 from repro.workload.params import WorkloadParams
 
@@ -181,31 +181,48 @@ class TestBind:
         assert spec.bind(PARAMS) is spec
 
     def test_loss_binds_an_rng_seeded_from_the_spec(self):
+        """One draw per try: a message waits ``RTO`` per try drawn below ``p``."""
         bound = BernoulliLoss(p=0.25, seed=9).bind(PARAMS)
         assert isinstance(bound, BoundBernoulliLoss)
         assert bound.p == 0.25
         rng = random.Random(9)
-        assert [bound.drop_on_send(0.0, 0, 1, Ping(0)) for _ in range(100)] == [
-            rng.random() < 0.25 for _ in range(100)
-        ]
+        expected = []
+        for _ in range(100):
+            lost = 0
+            while rng.random() < 0.25:
+                lost += 1
+            expected.append(1.0 + lost * RTO)
+        stats = MessageStats()
+        assert [bound.handover(0.0, 1.0, 0, 1, Ping(0), stats) for _ in range(100)] == expected
+        assert stats.dropped == stats.resent == round((sum(expected) - 100.0) / RTO)
 
     def test_each_bind_is_a_fresh_identical_stream(self):
-        """Equal specs observe identical drop sequences in any process."""
+        """Equal specs observe identical loss sequences in any process."""
         spec = BernoulliLoss(p=0.3, seed=4)
         a, b = spec.bind(PARAMS), spec.bind(PARAMS)
         assert a is not b
         msg = object()
-        seq_a = [a.drop_on_send(0.0, 0, 1, msg) for _ in range(200)]
-        seq_b = [b.drop_on_send(0.0, 0, 1, msg) for _ in range(200)]
+        seq_a = [a.handover(0.0, 1.0, 0, 1, msg, MessageStats()) for _ in range(200)]
+        seq_b = [b.handover(0.0, 1.0, 0, 1, msg, MessageStats()) for _ in range(200)]
         assert seq_a == seq_b
-        assert any(seq_a) and not all(seq_a)
+        assert 1.0 in seq_a and max(seq_a) > 1.0
 
     def test_kinds_filtered_messages_consume_no_draw(self):
-        bound = BernoulliLoss(p=1.0, kinds=("Ping",)).bind(PARAMS)
+        bound = BernoulliLoss(p=0.5, kinds=("Ping",)).bind(PARAMS)
         before = bound._rng.getstate()
-        assert not bound.drop_on_send(0.0, 0, 1, Pong(0))
+        assert bound.handover(0.0, 1.0, 0, 1, Pong(0), MessageStats()) == 1.0
         assert bound._rng.getstate() == before
-        assert bound.drop_on_send(0.0, 0, 1, Ping(0))
+        bound.handover(0.0, 1.0, 0, 1, Ping(0), MessageStats())
+        assert bound._rng.getstate() != before
+
+    def test_sure_loss_returns_never_without_a_draw(self):
+        """``p == 1``: no try ever arrives, and the hook does not loop on it."""
+        bound = BernoulliLoss(p=1.0).bind(PARAMS)
+        before = bound._rng.getstate()
+        stats = MessageStats()
+        assert bound.handover(0.0, 1.0, 0, 1, Ping(0), stats) == math.inf
+        assert bound._rng.getstate() == before
+        assert stats.dropped == stats.resent == 0  # the network counts the loss
 
     def test_composite_elides_ineffective_children(self):
         assert CompositeFaults(()).bind(PARAMS) is None
@@ -239,30 +256,36 @@ class TestBind:
         )
 
 
-class TestHooks:
-    def test_partition_drops_inside_its_window(self):
-        spec = LinkPartition(pairs=((0, 1),), start=5.0, end=9.0)
-        msg = object()
-        assert spec.drop_on_delivery(5.0, 0, 1, msg)
-        assert spec.drop_on_delivery(8.9, 1, 0, msg)  # bidirectional
-        assert not spec.drop_on_delivery(9.0, 0, 1, msg)
-        assert not spec.drop_on_delivery(4.9, 0, 1, msg)
-        assert not spec.drop_on_delivery(6.0, 0, 2, msg)
-        assert not spec.drop_on_send(6.0, 0, 1, msg)
+def handover(spec, sent, due, src, dst):
+    """``spec``'s hook for one message, with throwaway accounting."""
+    return spec.handover(sent, due, src, dst, object(), MessageStats())
 
-    def test_unhealed_partition_lasts_forever(self):
+
+class TestHooks:
+    def test_partition_holds_what_is_due_inside_its_window(self):
+        spec = LinkPartition(pairs=((0, 1),), start=5.0, end=9.0)
+        assert handover(spec, 4.0, 5.0, 0, 1) == 9.0
+        assert handover(spec, 8.0, 8.9, 1, 0) == 9.0  # bidirectional
+        assert handover(spec, 8.0, 9.0, 0, 1) == 9.0  # healed
+        assert handover(spec, 3.0, 4.9, 0, 1) == 4.9
+        assert handover(spec, 5.0, 6.0, 0, 2) == 6.0  # other link
+
+    def test_unhealed_partition_loses_what_it_holds(self):
         spec = LinkPartition(pairs=((0, 1),), start=1.0)
-        assert spec.drop_on_delivery(1e12, 0, 1, object())
+        assert handover(spec, 1e12, 1e12, 0, 1) == math.inf
         assert spec.end is None
 
-    def test_crash_drops_both_ways_inside_its_window(self):
+    def test_crash_loses_sends_and_holds_deliveries(self):
         spec = NodeCrash(node=2, at=3.0, recover_at=7.0)
-        msg = object()
-        assert spec.drop_on_send(4.0, 2, 0, msg)
-        assert spec.drop_on_delivery(4.0, 0, 2, msg)
-        assert not spec.drop_on_send(4.0, 0, 1, msg)
-        assert not spec.drop_on_send(2.9, 2, 0, msg)
-        assert not spec.drop_on_send(7.0, 2, 0, msg)  # recovered
+        assert handover(spec, 4.0, 5.0, 2, 0) == math.inf  # down sender
+        assert handover(spec, 2.5, 4.0, 0, 2) == 7.0  # due while down
+        assert handover(spec, 2.5, 4.0, 2, 0) == 4.0  # sent before the crash
+        assert handover(spec, 4.0, 5.0, 0, 1) == 5.0
+        assert handover(spec, 2.0, 2.9, 2, 0) == 2.9
+        assert handover(spec, 7.0, 8.0, 2, 0) == 8.0  # recovered
+
+    def test_permanent_crash_loses_deliveries(self):
+        assert handover(NodeCrash(node=2, at=3.0), 2.5, 4.0, 0, 2) == math.inf
 
     def test_unrecovered_crash_lasts_forever(self):
         spec = NodeCrash(node=1, at=2.0)
@@ -276,14 +299,24 @@ class TestHooks:
         assert window == (1, 2.0, 5.0)
         assert all(type(t) is float for t in window[1:])
 
-    def test_composite_ors_children(self):
+    def test_composite_loses_what_any_child_loses(self):
         layer = CompositeFaults(
             (NodeCrash(node=0, at=0.0), NodeCrash(node=1, at=0.0))
         ).bind(PARAMS)
-        msg = object()
-        assert layer.drop_on_send(1.0, 0, 2, msg)
-        assert layer.drop_on_send(1.0, 1, 2, msg)
-        assert not layer.drop_on_send(1.0, 2, 3, msg)
+        assert handover(layer, 1.0, 2.0, 0, 2) == math.inf
+        assert handover(layer, 1.0, 2.0, 1, 2) == math.inf
+        assert handover(layer, 1.0, 2.0, 2, 3) == 2.0
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["cut-first", "crash-first"])
+    def test_composite_holds_until_no_child_holds(self, reverse):
+        """The cut heals at 5 inside the receiver's outage, which ends at 8."""
+        children = (
+            LinkPartition(pairs=((0, 1),), start=1.0, end=5.0),
+            NodeCrash(node=1, at=4.0, recover_at=8.0),
+        )
+        layer = CompositeFaults(children[::-1] if reverse else children)
+        assert handover(layer, 1.0, 2.0, 0, 1) == 8.0
+        assert handover(layer, 1.0, 2.0, 0, 2) == 2.0
 
 
 class TestScopeDeclarations:
@@ -298,8 +331,8 @@ class TestScopeDeclarations:
         # A spec that overrides neither declaration is asked always,
         # about everything.
         class Legacy(FaultSpec):
-            def drop_on_send(self, time, src, dst, message):
-                return True
+            def handover(self, sent, due, src, dst, message, stats):
+                return math.inf
 
         assert Legacy().quiet_until() == 0.0
         assert Legacy().exposed_nodes() is None
@@ -345,15 +378,33 @@ class TestNetwork:
         assert net.faults is None
         assert net.stats.dropped == 0
 
-    def test_all_loss_drops_everything(self, sim):
+    def test_sure_loss_loses_everything_and_returns(self, sim):
         net, nodes = make_net(sim, BernoulliLoss(p=1.0).bind(PARAMS))
-        for i in range(5):
-            net.send(0, 1, Ping(i))
+        assert [net.send(0, 1, Ping(i)) for i in range(5)] == [math.inf] * 5
         sim.run()
         assert nodes[1].received == []
         assert net.stats.total == 5
         assert net.stats.dropped == 5
+        assert net.stats.resent == 0
         assert net.stats.dropped_by_type == {"Ping": 5}
+
+    @pytest.mark.parametrize(
+        "latency_cls", [ConstantLatencySpec, ClampedConstantLatency], ids=["constant", "general"]
+    )
+    def test_lost_tries_become_delay_in_fifo_order(self, sim, latency_cls):
+        """Every message arrives, ``RTO`` late per lost try, behind its link."""
+        net, nodes = make_net(
+            sim, BernoulliLoss(p=0.5, seed=1).bind(PARAMS), latency_cls=latency_cls
+        )
+        returned = [net.send(0, 1, Ping(i)) for i in range(20)]
+        sim.run()
+        received = nodes[1].received
+        assert [m.payload for _, _, m in received] == list(range(20))
+        assert [t for t, _, _ in received] == returned == sorted(returned)
+        assert all((t - 1.0) / RTO == round((t - 1.0) / RTO) for t in returned)
+        assert returned[-1] > 1.0
+        assert net.stats.dropped == net.stats.resent > 0
+        assert net.stats.total == 20
 
     def test_no_loss_drops_nothing(self, sim):
         net, nodes = make_net(sim, BernoulliLoss(p=0.0).bind(PARAMS))
@@ -373,8 +424,8 @@ class TestNetwork:
         assert net.stats.dropped == 1
         assert net.stats.dropped_by_type == {"Ping": 1}
 
-    def test_dropped_messages_do_not_advance_fifo_clamp(self, sim):
-        """A dropped message must not delay later ones on the same link."""
+    def test_lost_messages_do_not_advance_fifo_clamp(self, sim):
+        """A message lost for good must not delay later ones on the same link."""
         net, nodes = make_net(
             sim,
             BernoulliLoss(p=1.0, kinds=("Ping",)).bind(PARAMS),
@@ -386,41 +437,55 @@ class TestNetwork:
         assert nodes[1].received == [(1.0, 0, Pong(2))]
         assert net._last_delivery == {(0, 1): 1.0}
 
-    def test_partition_window_checked_at_delivery_time(self, sim):
-        """gamma=1: a message sent at 1.5 arrives at 2.5, inside [2, 4)."""
+    @pytest.mark.parametrize(
+        "latency_cls", [ConstantLatencySpec, ClampedConstantLatency], ids=["constant", "general"]
+    )
+    def test_healed_partition_delivers_what_it_held_in_fifo_order(self, sim, latency_cls):
+        """gamma=1: sends at 1.5..3.0 are due inside [2, 4) and arrive at 4."""
         cut = LinkPartition(pairs=((0, 1),), start=2.0, end=4.0)
-        net, nodes = make_net(sim, cut.bind(PARAMS))
-        sim.schedule(0.0, net.send, 0, 1, Ping(0))  # arrives 1.0: delivered
-        sim.schedule(1.5, net.send, 0, 1, Ping(1))  # arrives 2.5: dropped
-        sim.schedule(2.5, net.send, 1, 0, Ping(2))  # reverse dir, 3.5: dropped
-        sim.schedule(3.5, net.send, 0, 1, Ping(3))  # arrives 4.5: healed
-        sim.schedule(2.5, net.send, 0, 2, Ping(4))  # other link: delivered
+        net, nodes = make_net(sim, cut.bind(PARAMS), latency_cls=latency_cls)
+        sim.schedule(0.0, net.send, 0, 1, Ping(0))  # due 1.0: delivered
+        for i, at in enumerate((1.5, 2.0, 2.5, 3.0), start=1):
+            sim.schedule(at, net.send, 0, 1, Ping(i))  # held until 4.0
+        sim.schedule(2.5, net.send, 1, 0, Ping(5))  # reverse direction: held
+        sim.schedule(3.5, net.send, 0, 1, Ping(6))  # due 4.5: healed
+        sim.schedule(2.5, net.send, 0, 2, Ping(7))  # other link: delivered
         sim.run()
-        assert [m.payload for _, _, m in nodes[1].received] == [0, 3]
-        assert [m.payload for _, _, m in nodes[0].received] == []
-        assert [m.payload for _, _, m in nodes[2].received] == [4]
-        assert net.stats.dropped == 2
+        assert [(t, m.payload) for t, _, m in nodes[1].received] == [
+            (1.0, 0), (4.0, 1), (4.0, 2), (4.0, 3), (4.0, 4), (4.5, 6),
+        ]
+        assert [(t, m.payload) for t, _, m in nodes[0].received] == [(4.0, 5)]
+        assert [(t, m.payload) for t, _, m in nodes[2].received] == [(3.5, 7)]
+        assert net.stats.dropped == 0
 
-    def test_crashed_node_neither_sends_nor_receives(self, sim):
+    def test_unhealed_partition_loses_what_it_cuts(self, sim):
+        net, nodes = make_net(sim, LinkPartition(pairs=((0, 1),), start=2.0).bind(PARAMS))
+        sim.schedule(0.0, net.send, 0, 1, Ping(0))  # due 1.0: delivered
+        sim.schedule(1.5, net.send, 0, 1, Ping(1))  # due 2.5: lost
+        sim.run()
+        assert [m.payload for _, _, m in nodes[1].received] == [0]
+        assert net.stats.dropped == 1
+
+    def test_message_to_a_blipping_node_arrives_after_its_reboot(self, sim):
         net, nodes = make_net(sim, NodeCrash(node=1, at=2.0, recover_at=5.0).bind(PARAMS))
-        sim.schedule(0.5, net.send, 1, 0, Ping(0))  # before crash: delivered
-        sim.schedule(1.5, net.send, 0, 1, Ping(1))  # arrives 2.5, crashed: dropped
-        sim.schedule(3.0, net.send, 1, 0, Ping(2))  # crashed sender: dropped
-        sim.schedule(5.0, net.send, 0, 1, Ping(3))  # arrives 6.0, recovered
+        sim.schedule(0.5, net.send, 1, 0, Ping(0))  # before the crash: delivered
+        sim.schedule(1.5, net.send, 0, 1, Ping(1))  # due 2.5, node down: held
+        sim.schedule(3.0, net.send, 1, 0, Ping(2))  # down sender: lost
+        sim.schedule(5.0, net.send, 0, 1, Ping(3))  # due 6.0, recovered
         sim.run()
-        assert [m.payload for _, _, m in nodes[0].received] == [0]
-        assert [m.payload for _, _, m in nodes[1].received] == [3]
-        assert net.stats.dropped == 2
+        assert [(t, m.payload) for t, _, m in nodes[0].received] == [(1.5, 0)]
+        assert [(t, m.payload) for t, _, m in nodes[1].received] == [(5.0, 1), (6.0, 3)]
+        assert net.stats.dropped == 1
 
-    def test_message_in_flight_at_crash_is_lost(self, sim):
-        """Sent before the crash, arriving during it: lost in flight."""
-        net, nodes = make_net(sim, NodeCrash(node=1, at=0.5, recover_at=9.0))
-        net.send(0, 1, Ping(0))  # sent at 0 (node up), arrives at 1.0 while down
+    def test_message_in_flight_at_a_permanent_crash_is_lost(self, sim):
+        """Sent before the crash, due after it, and no reboot ever comes."""
+        net, nodes = make_net(sim, NodeCrash(node=1, at=0.5))
+        assert net.send(0, 1, Ping(0)) == math.inf  # sent at 0 (node up), due at 1.0
         sim.run()
         assert nodes[1].received == []
         assert net.stats.dropped == 1
 
-    def test_any_child_of_a_composite_can_drop(self, sim):
+    def test_any_child_of_a_composite_can_lose(self, sim):
         faults = CompositeFaults(
             (NodeCrash(node=2, at=0.0), BernoulliLoss(p=1.0, kinds=("Pong",)))
         ).bind(PARAMS)
@@ -442,9 +507,17 @@ class TestMessageStatsAccounting:
         stats.record(1, Pong(2))
         assert stats.total == 2
         assert stats.dropped == 1
+        assert stats.resent == 0
         assert dict(stats.dropped_by_type) == {"Ping": 1}
         assert stats.snapshot() == {"Ping": 1, "Pong": 1}
 
+    def test_a_resent_try_is_a_dropped_one(self):
+        stats = MessageStats()
+        stats.record(0, Pong(1))
+        stats.record_resent(0, Pong(1))
+        stats.record_resent(0, Pong(1))
+        assert (stats.total, stats.dropped, stats.resent) == (1, 2, 2)
+        assert dict(stats.dropped_by_type) == {"Pong": 2}
 
 
 class TestCanonicalForm:

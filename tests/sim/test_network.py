@@ -1,5 +1,6 @@
 """Unit tests for the FIFO reliable network."""
 
+import math
 from dataclasses import dataclass
 
 import pytest
@@ -252,23 +253,17 @@ class TestSendBindingsAgree:
         for time, src, dst, message in SEND_SCRIPT:
             sim.schedule(time, lambda s=src, d=dst, m=message: returned.append(net.send(s, d, m)))
         sim.run()
-        stats = net.stats
-        return net, returned, log, (
-            stats.total,
-            dict(stats.by_type),
-            dict(stats.by_sender),
-            stats.dropped,
-            dict(stats.dropped_by_type),
-        )
+        return net, returned, log, stats_of(net)
 
     @pytest.mark.parametrize(
         "make_faults, dropped",
         [
             (lambda: None, 0),
             (lambda: NodeCrashModel(node=1, at=1e9), 0),
-            # Down over [2.5, 4.75): three sends by node 1 and two
-            # deliveries to it (one sent before the crash) are lost.
-            (lambda: NodeCrashModel(node=1, at=2.5, recover_at=4.75), 5),
+            # Down over [2.5, 4.75): three sends by node 1 are lost, and
+            # the two messages due at it inside the window (one sent
+            # before the crash) are held until 4.75.
+            (lambda: NodeCrashModel(node=1, at=2.5, recover_at=4.75), 3),
         ],
         ids=["no-faults", "crash-never-fires", "crash-mid-script"],
     )
@@ -325,14 +320,14 @@ class TestSendsQueueThroughTheSimulator:
 
 
 class ReferenceNetwork:
-    """The network before it scoped its fault checks, kept as the oracle.
+    """The network without its fast paths, kept as the oracle.
 
-    One send for every latency model — count, draw the latency, ask
-    ``drop_on_send``, clamp per link, post ``_deliver`` — and a delivery
-    that asks ``drop_on_delivery`` and then dispatches through
-    ``Node.deliver``: both hooks for *every* message, whatever the
-    model's ``quiet_until()`` / ``exposed_nodes()`` say.  The production
-    network must be indistinguishable from it on anything observable
+    One send for every latency model — count, draw the latency, clamp
+    per link, ask ``handover``, post a dispatch through ``Node.deliver``
+    — asking the hook about *every* message, whatever the model's
+    ``quiet_until()`` / ``exposed_nodes()`` say, and clamping every
+    message, whatever the latency model.  The production network must be
+    indistinguishable from it on anything observable
     (``tests/properties/test_network_properties.py``).
     """
 
@@ -351,22 +346,17 @@ class ReferenceNetwork:
         if dst not in self._nodes:
             raise KeyError(f"unknown destination node {dst}")
         self.stats.record(src, message)
-        delivery = self.sim.now + self.latency.latency(src, dst)
-        faults = self.faults
-        if faults is not None and faults.drop_on_send(self.sim.now, src, dst, message):
-            self.stats.record_dropped(src, message)
-            return delivery
+        now = self.sim.now
+        delivery = now + self.latency.latency(src, dst)
         delivery = max(delivery, self._last_delivery.get((src, dst), -1.0))
+        if self.faults is not None:
+            delivery = self.faults.handover(now, delivery, src, dst, message, self.stats)
+            if delivery == math.inf:
+                self.stats.record_dropped(src, message)
+                return delivery
         self._last_delivery[(src, dst)] = delivery
-        self.sim.schedule_at(delivery, self._deliver, src, dst, message)
+        self.sim.schedule_at(delivery, self._nodes[dst].deliver, src, message)
         return delivery
-
-    def _deliver(self, src, dst, message):
-        faults = self.faults
-        if faults is not None and faults.drop_on_delivery(self.sim.now, src, dst, message):
-            self.stats.record_dropped(src, message)
-            return
-        self._nodes[dst].deliver(src, message)
 
 
 def stats_of(net):
@@ -378,6 +368,7 @@ def stats_of(net):
         dict(stats.by_sender),
         stats.dropped,
         dict(stats.dropped_by_type),
+        stats.resent,
     )
 
 
@@ -408,7 +399,7 @@ def play_script(network_cls, latency, faults, script, nodes=3):
 
 
 class CountingFaults(FaultSpec):
-    """Delegates to ``inner`` and counts how often each hook is asked.
+    """Delegates to ``inner`` and counts how often its hook is asked.
 
     With ``scoped=False`` it declares nothing — the inherited
     ``quiet_until()`` / ``exposed_nodes()`` of a spec that does not
@@ -418,19 +409,11 @@ class CountingFaults(FaultSpec):
     def __init__(self, inner, scoped=True):
         self.inner = inner
         self.scoped = scoped
-        self.send_calls = 0
-        self.send_drops = 0
-        self.delivery_calls = 0
+        self.calls = 0
 
-    def drop_on_send(self, time, src, dst, message):
-        self.send_calls += 1
-        dropped = self.inner.drop_on_send(time, src, dst, message)
-        self.send_drops += dropped
-        return dropped
-
-    def drop_on_delivery(self, time, src, dst, message):
-        self.delivery_calls += 1
-        return self.inner.drop_on_delivery(time, src, dst, message)
+    def handover(self, sent, due, src, dst, message, stats):
+        self.calls += 1
+        return self.inner.handover(sent, due, src, dst, message, stats)
 
     def quiet_until(self):
         return self.inner.quiet_until() if self.scoped else super().quiet_until()
@@ -439,19 +422,20 @@ class CountingFaults(FaultSpec):
         return self.inner.exposed_nodes() if self.scoped else super().exposed_nodes()
 
 
-def exposed_sends(faults, script, returned):
+def exposed_sends(faults, script, returned, latency):
     """Sends of ``script`` the fault layer has to be asked about.
 
-    For a latency that is constant per link, what ``send`` returns is
-    the delivery instant whether or not the message is then dropped.
+    ``latency`` must be constant per link: a link's messages are then
+    due in the order they are sent, so the instant a message is due is
+    its send time plus its latency, whatever the clamp holds back.
     """
     quiet = faults.quiet_until()
     scope = faults.exposed_nodes()
     return sum(
         1
-        for (_time, src, dst, _message), delivery in zip(script, returned)
+        for (time, src, dst, _message), delivery in zip(script, returned)
         if delivery != "KeyError"
-        and delivery >= quiet
+        and time + latency.latency(src, dst) >= quiet
         and (scope is None or src in scope or dst in scope)
     )
 
@@ -464,16 +448,14 @@ class TestFaultLayerIsConsultedOnlyWhenExposed:
 
     def play(self, latency_cls, inner, scoped=True):
         faults = CountingFaults(inner, scoped)
-        _net, returned, _log = play_script(
-            Network, latency_cls(gamma=1.0, local=0.25), faults, SEND_SCRIPT
-        )
-        return faults, returned
+        latency = latency_cls(gamma=1.0, local=0.25)
+        _net, returned, _log = play_script(Network, latency, faults, SEND_SCRIPT)
+        return faults, returned, latency
 
     @pytest.mark.parametrize(
         "inner, asked",
         [
-            # Eleven messages have node 1 at one end; the three node 1
-            # sends inside [2.5, 4.75) die at the send hook.
+            # Eleven messages have node 1 at one end.
             (NodeCrashModel(node=1, at=0.0, recover_at=1e9), 11),
             (NodeCrashModel(node=1, at=2.5, recover_at=4.75), 7),
             # The form the benchmark's probe uses: nobody registered 7.
@@ -482,22 +464,23 @@ class TestFaultLayerIsConsultedOnlyWhenExposed:
             # Nodes 0 and 2 are named, so only 1 -> 1 self-sends are not.
             (LinkPartition(((0, 2),), start=0.0), 13),
             (LinkPartition(((0, 2),), start=3.0, end=5.0), 8),
-            # Unscoped: asked about everything, and drops every Pong.
+            # Unscoped: asked about everything, and loses every Pong.
             (BernoulliLoss(p=1.0, kinds=("Pong",)).bind(PARAMS), 15),
         ],
         ids=["crash", "crash-window", "crash-unregistered", "crash-never", "partition",
              "partition-window", "loss"],
     )
     def test_hook_calls_equal_exposed_messages(self, latency_cls, inner, asked):
-        faults, returned = self.play(latency_cls, inner)
-        assert exposed_sends(faults, SEND_SCRIPT, returned) == asked
-        assert faults.send_calls == asked
-        assert faults.delivery_calls == asked - faults.send_drops
+        faults, returned, latency = self.play(latency_cls, inner)
+        assert exposed_sends(faults, SEND_SCRIPT, returned, latency) == asked
+        assert faults.calls == asked
 
     def test_model_that_declares_no_scope_is_asked_about_everything(self, latency_cls):
-        faults, _returned = self.play(latency_cls, NodeCrashModel(node=7, at=1e9), scoped=False)
+        faults, _returned, _latency = self.play(
+            latency_cls, NodeCrashModel(node=7, at=1e9), scoped=False
+        )
         assert faults.quiet_until() == 0.0 and faults.exposed_nodes() is None
-        assert faults.send_calls == faults.delivery_calls == len(SEND_SCRIPT)
+        assert faults.calls == len(SEND_SCRIPT)
 
 
 class ScriptedLatency(LatencySpec):
@@ -511,21 +494,60 @@ class ScriptedLatency(LatencySpec):
 
 
 @pytest.mark.parametrize("network_cls", [Network, ReferenceNetwork])
-def test_message_clamped_into_a_crash_window_is_exposed(network_cls):
-    """Exposure is judged on the instant a message is *delivered*.
+def test_message_clamped_behind_a_held_one_waits_for_it(network_cls):
+    """The FIFO clamp applies after the fault layer's delay.
 
-    Two same-instant sends on one link: the second draws the shorter
-    delay (due 0.5) and the FIFO clamp holds it back to the first's 1.5.
-    The receiver dies at 1.0 — after the second message's own due time,
-    before its clamped one — and must take both messages with it.
+    Two same-instant sends on one link: the first is due at 1.5, inside
+    the receiver's outage [1.0, 3.0), and is held until 3.0; the second
+    draws the shorter delay (due 0.5, before the outage) and the clamp
+    holds it back behind the first.
     """
+    script = [(0.0, 0, 1, Ping(0)), (0.0, 0, 1, Ping(1))]
+    net, returned, log = play_script(
+        network_cls,
+        ScriptedLatency([1.5, 0.5]),
+        NodeCrashModel(node=1, at=1.0, recover_at=3.0),
+        script,
+    )
+    assert returned == [3.0, 3.0]
+    assert log == [(3.0, 0, 1, Ping(0)), (3.0, 0, 1, Ping(1))]
+    assert net.stats.dropped == 0
+
+
+@pytest.mark.parametrize("network_cls", [Network, ReferenceNetwork])
+def test_message_lost_for_good_holds_back_nothing(network_cls):
+    """As above, but the receiver never reboots: the first message is lost."""
     script = [(0.0, 0, 1, Ping(0)), (0.0, 0, 1, Ping(1))]
     net, returned, log = play_script(
         network_cls, ScriptedLatency([1.5, 0.5]), NodeCrashModel(node=1, at=1.0), script
     )
-    assert returned == [1.5, 1.5]
-    assert log == []
-    assert net.stats.dropped == 2
+    assert returned == [math.inf, 0.5]
+    assert log == [(0.5, 0, 1, Ping(1))]
+    assert net.stats.dropped == 1
+
+
+class DelayFirstMessage(FaultSpec):
+    """Holds the first message it is asked about back by ``delay``."""
+
+    def __init__(self, delay):
+        self.delay = delay
+
+    def handover(self, sent, due, src, dst, message, stats):
+        delay, self.delay = self.delay, 0.0
+        return due + delay
+
+
+@pytest.mark.parametrize(
+    "latency",
+    [ConstantLatency(gamma=1.0), ClampedConstantLatency(gamma=1.0)],
+    ids=["constant-send", "general-send"],
+)
+def test_both_sends_clamp_after_the_delay(latency):
+    """A delayed message holds back the rest of its link, on either send."""
+    script = [(0.0, 0, 1, Ping(0)), (0.5, 0, 1, Ping(1)), (0.5, 0, 2, Ping(2))]
+    _net, returned, log = play_script(Network, latency, DelayFirstMessage(10.0), script)
+    assert returned == [11.0, 11.0, 1.5]
+    assert log == [(1.5, 0, 2, Ping(2)), (11.0, 0, 1, Ping(0)), (11.0, 0, 1, Ping(1))]
 
 
 @pytest.mark.parametrize(
@@ -556,7 +578,7 @@ def test_unknown_destination_raises_before_anything_is_counted(sim, make_latency
         Recorder(sim, net, node_id)
     with pytest.raises(KeyError, match="unknown destination node 99"):
         net.send(1, 99, Ping(0))
-    assert stats_of(net) == (0, {}, {}, 0, {})
+    assert stats_of(net) == (0, {}, {}, 0, {}, 0)
     assert sim.pending_events == 0
     assert rng_states == [
         model._rng.getstate() for model in (latency, faults) if hasattr(model, "_rng")
