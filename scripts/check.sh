@@ -104,6 +104,14 @@ python scripts/bench_pairs.py HEAD HEAD --workload closed_loop_paper --pairs 1 -
 python scripts/bench_pairs.py HEAD HEAD --workload crash_recovery --pairs 1 --smoke >/dev/null
 echo "bench_pairs smoke OK"
 
+# The deterministic cost count (scripts/count_work.py): executed
+# bytecodes per layer of one warmed closed_loop_paper run at 1/20 scale,
+# counted twice in fresh interpreters (~10 s).  The two counts must be
+# equal, or the count cannot aim or predict a performance change.
+echo "== bytecode count repeatability (scripts/count_work.py) =="
+python scripts/count_work.py --workload closed_loop_paper --scale 0.05 --repeat-check >/dev/null
+echo "bytecode count repeatable"
+
 # What no run reaches: every function under src/repro that the entry
 # points (figure reproduction, the nine examples, the telemetry export,
 # the benchmark smoke) never enter must be listed, with its kind and

@@ -9,6 +9,7 @@ against each of them.
 
 from __future__ import annotations
 
+import operator
 from abc import ABC, abstractmethod
 from typing import Callable, FrozenSet, Iterable
 
@@ -54,13 +55,22 @@ class MultiResourceAllocator(ABC):
 def validate_resources(resources: Iterable[int], num_resources: int) -> FrozenSet[int]:
     """Validate and normalise a resource set against ``num_resources``.
 
-    Raises :class:`AllocatorError` on empty sets or out-of-range ids, which
-    keeps protocol implementations free of repeated argument checking.
+    Raises :class:`AllocatorError` on empty sets, on ids that are not
+    integers (``operator.index`` accepts ``int`` and its subclasses and
+    integer types such as NumPy's; ``2.7`` or ``"3"`` is rejected, not
+    truncated or parsed) and on out-of-range ids, which keeps protocol
+    implementations free of repeated argument checking.  The set is built
+    and its range checked by C calls; the ids are walked one by one only
+    to name an offender.
     """
-    rset = frozenset(int(r) for r in resources)
+    try:
+        rset = frozenset(map(operator.index, resources))
+    except TypeError as exc:
+        raise AllocatorError(f"resource ids must be integers: {exc}") from None
     if not rset:
         raise AllocatorError("a request must name at least one resource")
-    for r in rset:
-        if not 0 <= r < num_resources:
-            raise AllocatorError(f"resource id {r} out of range [0, {num_resources})")
+    if min(rset) < 0 or max(rset) >= num_resources:
+        for r in rset:
+            if not 0 <= r < num_resources:
+                raise AllocatorError(f"resource id {r} out of range [0, {num_resources})")
     return rset

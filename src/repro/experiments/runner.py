@@ -66,12 +66,26 @@ def fault_run_until(params: WorkloadParams) -> float:
     time.  The cap is the stall guard that ends such a run.  It is
     deterministic in the params — part of the scenario's semantics, not
     of who runs it — and deliberately generous: one full workload
-    duration of grace plus far more than the worst-case serial drain of
-    every process's last critical section, so a run whose faults delayed
-    little (or nothing) completes its natural tail instead of having it
-    clipped and miscounted as a liveness failure.
+    duration of grace plus one :func:`stall_grace`.  It is where a run
+    *may* stop, not where it must: one that granted within the last
+    grace period before the cap goes on (see :func:`stall_grace`), so a
+    run whose faults delayed little (or nothing) completes its natural
+    tail instead of having it clipped and miscounted as a liveness
+    failure.
     """
-    return 2.0 * params.duration + 20.0 * params.num_processes * params.alpha_max
+    return 2.0 * params.duration + stall_grace(params)
+
+
+def stall_grace(params: WorkloadParams) -> float:
+    """Grant-free time after which a fault run counts as stalled.
+
+    ``20 * N * alpha_max``: far more than the worst-case serial drain of
+    every process's last critical section.  A fault run stops at
+    :func:`fault_run_until` only if nothing was granted in the last grace
+    period before it; otherwise the cap moves to the last grant plus one
+    grace period, so a natural drain is never clipped.
+    """
+    return 20.0 * params.num_processes * params.alpha_max
 
 
 @dataclass(frozen=True)
@@ -84,8 +98,9 @@ class Termination:
     """
 
     #: ``"drained"`` (the event queue emptied, but for crash or reboot edges
-    #: past the cap) or ``"fault_cap"`` (stopped at :func:`fault_run_until`
-    #: with other events pending).  The event cap raises.
+    #: past the cap) or ``"fault_cap"`` (stopped at the cap of
+    #: :func:`fault_run_until`, moved past the last grant by
+    #: :func:`stall_grace`, with other events pending).  The event cap raises.
     reason: str
     #: Simulated time of the last grant; ``None`` if there was none.
     last_grant: Optional[float]
@@ -288,12 +303,23 @@ def run(scenario: Scenario) -> ExperimentResult:
         else:
             # The cap is a stall guard, not a target: the clock stays at
             # the last event, so a run that drains before it reports its
-            # real drain time, comparable to a reliable run's.
+            # real drain time, comparable to a reliable run's.  A run
+            # still granting within one grace period of the cap is
+            # draining, not stalled: the cap moves to its last grant plus
+            # the grace, and the event budget stays one for the whole run.
             cap = fault_run_until(params)
-            late_edges = sum(
-                cap < edge < math.inf for _node, at, back in crash_windows for edge in (at, back)
-            )
-            sim.run(until=cap, max_events=max_events)
+            grace = stall_grace(params)
+            while True:
+                sim.run(until=cap, max_events=max_events - sim.processed_events)
+                late_edges = sum(
+                    cap < edge < math.inf
+                    for _node, at, back in crash_windows
+                    for edge in (at, back)
+                )
+                last = last_grant(clients)
+                if sim.pending_events == late_edges or last is None or last + grace <= cap:
+                    break
+                cap = last + grace
     except SimulationError as exc:
         raise SimulationError(f"{exc}; {_termination('error', clients).progress()}") from exc
     # The bounded loop stops only on a live event past the cap, so

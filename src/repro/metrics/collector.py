@@ -125,7 +125,8 @@ class MetricsCollector:
         #: numbers in ``_rows`` are local to it.
         self.columns = RecordColumns(time_typecode="d")
         self._rows: Dict[Tuple[int, int], int] = {}
-        self._holder: Dict[int, Tuple[int, int]] = {}
+        #: Holder of each resource, indexed by resource id (``None``: free).
+        self._holder: List[Optional[Tuple[int, int]]] = [None] * num_resources
         self._busy_since: Dict[int, float] = {}
         self._busy_time: Dict[int, float] = {}
         #: Requests whose critical section was cut short by a node crash.
@@ -165,6 +166,10 @@ class MetricsCollector:
             raise ValueError(f"duplicate request {key}")
         if not resources:
             raise ValueError("request must name at least one resource")
+        if min(resources) < 0 or max(resources) >= self.num_resources:
+            raise ValueError(
+                f"request {key} names a resource outside [0, {self.num_resources})"
+            )
         self._rows[key] = self.columns.append(process, index, resources, time)
         if len(self.columns) > self.max_live_rows:
             self.max_live_rows = len(self.columns)
@@ -179,20 +184,19 @@ class MetricsCollector:
         if not math.isnan(cols.grant[row]):
             raise ValueError(f"request {key} granted twice")
         cols.grant[row] = time
-        ids = cols.resource_ids
-        lo, hi = cols.offsets[row], cols.offsets[row + 1]
+        ids = cols.resource_ids[cols.offsets[row] : cols.offsets[row + 1]]
         holder_map = self._holder
-        for k in range(lo, hi):
-            holder = holder_map.get(ids[k])
-            if holder is not None:
-                raise SafetyViolation(
-                    f"resource {ids[k]} granted to process {process} at t={time} "
-                    f"while held by process {holder[0]} (request {holder})"
-                )
+        if any(map(holder_map.__getitem__, ids)):
+            r = next(r for r in ids if holder_map[r] is not None)
+            holder = holder_map[r]
+            raise SafetyViolation(
+                f"resource {r} granted to process {process} at t={time} "
+                f"while held by process {holder[0]} (request {holder})"
+            )
         busy_since = self._busy_since
-        for k in range(lo, hi):
-            holder_map[ids[k]] = key
-            busy_since[ids[k]] = time
+        for r in ids:
+            holder_map[r] = key
+            busy_since[r] = time
         telemetry = self.telemetry
         if telemetry is not None:
             telemetry.observe_grant(time, process, time - cols.issue[row])
@@ -228,22 +232,24 @@ class MetricsCollector:
         clears the holder map, so subsequent grants of the same resources
         pass the online safety check.  Shared by :meth:`on_release` and
         :meth:`on_abort` so busy-time accounting can never diverge
-        between the clean and the crashed path.
+        between the clean and the crashed path.  Every interval ``key``
+        holds opened at its grant, so the clamped length is one number
+        for the whole request.
         """
         cols = self.columns
-        ids = cols.resource_ids
+        ids = cols.resource_ids[cols.offsets[row] : cols.offsets[row + 1]]
         busy_time = self._busy_time
         holder_map = self._holder
         busy_since = self._busy_since
-        warmup = self.warmup
-        for k in range(cols.offsets[row], cols.offsets[row + 1]):
-            r = ids[k]
-            if holder_map.get(r) == key:
-                start = busy_since.pop(r, grant_time)
-                begin = start if start > warmup else warmup
-                if time > begin:
-                    busy_time[r] = busy_time.get(r, 0.0) + (time - begin)
-                del holder_map[r]
+        begin = grant_time if grant_time > self.warmup else self.warmup
+        busy = time > begin
+        length = time - begin
+        for r in ids:
+            if holder_map[r] == key:
+                holder_map[r] = None
+                del busy_since[r]
+                if busy:
+                    busy_time[r] = busy_time.get(r, 0.0) + length
 
     def on_abort(self, time: float, process: int, index: int) -> None:
         """A crash killed the process while it was inside its CS.
@@ -330,7 +336,7 @@ class MetricsCollector:
 
     def currently_held(self) -> Dict[int, Tuple[int, int]]:
         """Snapshot of resource -> (process, index) currently holding it."""
-        return dict(self._holder)
+        return {r: key for r, key in enumerate(self._holder) if key is not None}
 
     def result_columns(self) -> Union[RecordColumns, ChunkedColumns]:
         """Compact copy of the records for an :class:`ExperimentResult`.

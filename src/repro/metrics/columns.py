@@ -224,8 +224,7 @@ class RecordColumns:
         self.issue.append(issue_time)
         self.grant.append(_NAN)
         self.release.append(_NAN)
-        for r in resources:
-            self.resource_ids.append(r)
+        self.resource_ids.extend(resources)
         self.offsets.append(len(self.resource_ids))
         return row
 

@@ -32,7 +32,6 @@ replay keeps its 20 bytes a job, and no job or request objects).
 from __future__ import annotations
 
 import hashlib
-import itertools
 import math
 import os
 from abc import ABC, abstractmethod
@@ -42,8 +41,7 @@ from typing import TYPE_CHECKING, ClassVar, Dict, Iterator, Optional, Tuple
 
 from repro.sim.rng import RandomStreams
 from repro.workload.arrivals import ArrivalSpec, PoissonArrivals
-from repro.workload.generator import RequestSpec, draw_request_shape
-from repro.workload.params import cs_duration_for_size
+from repro.workload.generator import RequestSpec, cs_means, request_shapes, sample_ids
 from repro.workload.swf import read_swf_columns
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -58,6 +56,8 @@ __all__ = [
     "OpenLoopSpec",
     "TraceReplaySpec",
 ]
+
+_tuple_new = tuple.__new__
 
 
 class WorkloadSpec(ABC):
@@ -145,18 +145,21 @@ class SyntheticSpec(WorkloadSpec):
         exponential time with mean ``beta``.
         """
         params = run.params
-        size_rng = run.streams.stream("size", process)
-        pick_rng = run.streams.stream("pick", process)
-        think_rng = run.streams.stream("think", process)
-        cs_rng = run.streams.stream("cs", process)
+        streams = run.streams
+        shapes = request_shapes(
+            params,
+            streams.stream("size", process),
+            streams.stream("pick", process),
+            streams.stream("cs", process),
+        )
+        think_rng = streams.stream("think", process)
         beta = params.beta
-        for index in itertools.count():
-            resources, cs_duration = draw_request_shape(params, size_rng, pick_rng, cs_rng)
+        for index, (resources, cs_duration) in enumerate(shapes):
             if index == 0:
                 think = think_rng.uniform(0.0, min(beta, params.alpha_max))
             else:
                 think = think_rng.expovariate(1.0 / beta) if beta > 0 else 0.0
-            yield RequestSpec(process, index, resources, cs_duration, think)
+            yield _tuple_new(RequestSpec, (process, index, resources, cs_duration, think))
 
     def describe(self) -> str:
         """Canonical label of the closed-loop workload."""
@@ -175,7 +178,7 @@ class OpenLoopSpec(WorkloadSpec):
 
     Request *shapes* (size, resource pick, CS duration) reuse the
     synthetic distribution and draw order of
-    :func:`~repro.workload.generator.draw_request_shape` on dedicated
+    :func:`~repro.workload.generator.request_shapes` on dedicated
     RNG streams, so two open-loop specs differing only in their arrival
     process issue identically shaped requests at different instants.
     """
@@ -199,13 +202,16 @@ class OpenLoopSpec(WorkloadSpec):
     def stream(self, run: BoundWorkload, process: int) -> Iterator[RequestSpec]:
         """Gaps from the arrival spec, synthetic shapes."""
         params = run.params
-        size_rng = run.streams.stream("ol-size", process)
-        pick_rng = run.streams.stream("ol-pick", process)
-        cs_rng = run.streams.stream("ol-cs", process)
-        arrival_rng = run.streams.stream("ol-arrival", process)
-        for index, gap in enumerate(self.arrival.gaps(arrival_rng, params)):
-            resources, cs_duration = draw_request_shape(params, size_rng, pick_rng, cs_rng)
-            yield RequestSpec(process, index, resources, cs_duration, gap)
+        streams = run.streams
+        shapes = request_shapes(
+            params,
+            streams.stream("ol-size", process),
+            streams.stream("ol-pick", process),
+            streams.stream("ol-cs", process),
+        )
+        gaps = self.arrival.gaps(streams.stream("ol-arrival", process), params)
+        for index, (gap, (resources, cs_duration)) in enumerate(zip(gaps, shapes)):
+            yield _tuple_new(RequestSpec, (process, index, resources, cs_duration, gap))
 
     def expected_requests(self, run: BoundWorkload) -> Optional[int]:
         """Mean offered volume: ``N * duration * rate`` (capped by the per-process limit)."""
@@ -307,7 +313,8 @@ class TraceReplaySpec(WorkloadSpec):
     def stream(self, run: BoundWorkload, process: int) -> Iterator[RequestSpec]:
         """This process's round-robin share of the trace."""
         params = run.params
-        pick_rng = run.streams.stream("trace-pick", process)
+        pick_bits = run.streams.stream("trace-pick", process).getrandbits
+        means = cs_means(params)
         scale = self.time_scale
         submit_times, run_times, procs = run.columns
         if not submit_times:
@@ -324,14 +331,9 @@ class TraceReplaySpec(WorkloadSpec):
                 arrival = max(arrival, last_arrival)
             last_arrival = arrival
             size = min(params.phi, max(1, procs[row].bit_length()))
-            resources = frozenset(pick_rng.sample(range(params.num_resources), size))
+            resources = sample_ids(pick_bits, params.num_resources, size)
             run_time = run_times[row]
-            if run_time > 0:
-                cs_duration = max(run_time * scale, 1e-6)
-            else:
-                cs_duration = cs_duration_for_size(
-                    size, params.num_resources, params.alpha_min, params.alpha_max
-                )
+            cs_duration = max(run_time * scale, 1e-6) if run_time > 0 else means[size]
             yield RequestSpec(process, index, resources, cs_duration, gap)
 
     def expected_requests(self, run: BoundWorkload) -> Optional[int]:

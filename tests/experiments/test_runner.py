@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.config import CoreConfigSpec
 from repro.experiments.registry import ALGORITHMS
 from repro.experiments.runner import Termination, run
 from repro.experiments.scenario import Scenario
@@ -9,7 +10,9 @@ from repro.sim.detectorspec import HeartbeatDetector
 from repro.sim.engine import SimulationError
 from repro.sim.faultspec import BernoulliLoss, NodeCrash
 from repro.sim.latencyspec import HierarchicalLatencySpec
+from repro.workload.arrivals import PoissonArrivals
 from repro.workload.params import LoadLevel, WorkloadParams
+from repro.workload.spec import OpenLoopSpec
 
 
 @pytest.fixture
@@ -129,16 +132,38 @@ class TestFaultRunCap:
         # run reports its real drain time, comparable to the reliable run.
         assert faulty.simulated_time == reliable.simulated_time
 
-    @pytest.mark.parametrize("algorithm", ["with_loan", "without_loan", "bouabdallah"])
-    def test_never_firing_crash_drains_like_its_twin(self, algorithm):
+    #: Open loop on one resource whose natural drain (t = 35 353) outlives
+    #: the first cap, 2 * 3 000 + 20 * 32 * 35 = 28 400: the cap must move
+    #: with the grants instead of stopping the run with 194 requests waiting.
+    SLOW_DRAIN = Scenario(
+        algorithm="without_loan",
+        params=WorkloadParams(
+            num_processes=32, num_resources=1, phi=1, duration=3_000.0,
+            load=LoadLevel.LOW, seed=348118,
+        ),
+        workload=OpenLoopSpec(PoissonArrivals(rate=0.01)),
+        config=CoreConfigSpec(enable_loan=False, policy="sum", initial_holder=8),
+    )
+
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            pytest.param(
+                Scenario(
+                    algorithm=algorithm,
+                    params=WorkloadParams(
+                        num_processes=8, num_resources=20, phi=4, duration=1500.0,
+                        warmup=150.0, load=LoadLevel.HIGH, seed=1,
+                    ),
+                ),
+                id=algorithm,
+            )
+            for algorithm in ("with_loan", "without_loan", "bouabdallah")
+        ]
+        + [pytest.param(SLOW_DRAIN, id="slow-open-drain")],
+    )
+    def test_never_firing_crash_drains_like_its_twin(self, scenario):
         """A crash past the cap fires nothing: the run is its reliable twin."""
-        scenario = Scenario(
-            algorithm=algorithm,
-            params=WorkloadParams(
-                num_processes=8, num_resources=20, phi=4, duration=1500.0, warmup=150.0,
-                load=LoadLevel.HIGH, seed=1,
-            ),
-        )
         twin = run(scenario)
         armed = run(scenario.replace(faults=NodeCrash(node=0, at=1e9)))
         assert armed.termination == twin.termination

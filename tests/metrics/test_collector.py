@@ -55,6 +55,15 @@ class TestLifecycle:
         with pytest.raises(ValueError):
             make_collector().on_issue(1.0, 0, 0, frozenset())
 
+    @pytest.mark.parametrize("bad", [-1, 4])
+    def test_out_of_range_resource_rejected(self, bad):
+        """Holders are a list indexed by resource id: ``-1`` would alias
+        resource ``M - 1`` instead of failing."""
+        c = make_collector(m=4)
+        with pytest.raises(ValueError, match="outside"):
+            c.on_issue(1.0, 0, 0, frozenset({0, bad}))
+        assert len(c.columns) == 0
+
     def test_pending_request_is_incomplete(self):
         c = make_collector()
         c.on_issue(1.0, 0, 0, frozenset({0}))
@@ -77,6 +86,16 @@ class TestSafetyCheck:
         c.on_grant(2.0, 0, 0)
         c.on_grant(2.0, 1, 0)
         assert set(c.currently_held()) == {0, 1}
+
+    def test_violation_names_the_held_resource_and_its_holder(self):
+        c = make_collector()
+        c.on_issue(1.0, 0, 0, frozenset({3}))
+        c.on_issue(1.0, 1, 0, frozenset({0, 3}))
+        c.on_grant(2.0, 0, 0)
+        held = r"resource 3 .* held by process 0 \(request \(0, 0\)\)"
+        with pytest.raises(SafetyViolation, match=held):
+            c.on_grant(3.0, 1, 0)
+        assert c.currently_held() == {3: (0, 0)}
 
     def test_resource_free_after_release(self):
         c = make_collector()

@@ -1,11 +1,13 @@
-"""Unit tests for requests and the Section-5.1 closed-loop stream."""
+"""Unit tests for requests, their draws and the Section-5.1 closed-loop stream."""
 
 import itertools
+import pickle
+import random
 
 import pytest
 
-from repro.workload.generator import RequestSpec
-from repro.workload.params import LoadLevel, WorkloadParams
+from repro.workload.generator import RequestSpec, request_shapes, sample_ids
+from repro.workload.params import LoadLevel, WorkloadParams, cs_duration_for_size
 from repro.workload.spec import SyntheticSpec
 
 
@@ -36,6 +38,82 @@ class TestRequestSpec:
     def test_negative_think_rejected(self):
         with pytest.raises(ValueError):
             RequestSpec(0, 0, frozenset({1}), 1.0, -1.0)
+
+
+class TestRequestSpecRecord:
+    """The tuple-backed record keeps the dataclass's fields, repr and value."""
+
+    SPEC = RequestSpec(3, 7, frozenset({4, 1}), 12.5, 0.25)
+
+    def test_fields_in_order(self):
+        assert RequestSpec._fields == (
+            "process", "index", "resources", "cs_duration", "think_time"
+        )
+        assert (self.SPEC.process, self.SPEC.index, self.SPEC.resources) == (
+            3, 7, frozenset({1, 4})
+        )
+
+    def test_repr_names_the_fields(self):
+        assert repr(self.SPEC) == (
+            "RequestSpec(process=3, index=7, resources=frozenset({1, 4}), "
+            "cs_duration=12.5, think_time=0.25)"
+        )
+
+    def test_keywords_and_positions_agree(self):
+        assert self.SPEC == RequestSpec(
+            process=3, index=7, resources=frozenset({1, 4}), cs_duration=12.5, think_time=0.25
+        )
+
+    def test_immutable_hashable_and_picklable(self):
+        with pytest.raises(AttributeError):
+            self.SPEC.think_time = 1.0
+        assert hash(self.SPEC) == hash(RequestSpec(3, 7, frozenset({1, 4}), 12.5, 0.25))
+        assert pickle.loads(pickle.dumps(self.SPEC)) == self.SPEC
+
+    def test_never_equal_to_a_bare_tuple(self):
+        assert self.SPEC != (3, 7, frozenset({1, 4}), 12.5, 0.25)
+
+
+class TestDrawsMatchRandom:
+    """Differential oracle: the draw helpers are ``random``'s own draws.
+
+    Every stream pin rests on them, so an interpreter whose ``random``
+    samples differently fails here, by name, instead of through the
+    seventeen pins of ``test_pinned_streams.py``.
+    """
+
+    SEEDS = range(20)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_sample_ids_is_sample(self, seed):
+        ours, ref = random.Random(seed), random.Random(seed)
+        for n in range(1, 129):
+            for k in range(1, min(n, 16) + 1):
+                expected = ref.sample(range(n), k)
+                got = sample_ids(ours.getrandbits, n, k)
+                assert got == frozenset(expected), (n, k)
+                # Same selection order, hence the same set iteration order.
+                assert list(got) == list(frozenset(expected)), (n, k)
+                assert ours.getstate() == ref.getstate(), (n, k)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_request_shapes_are_randint_sample_uniform(self, seed):
+        """Size ``randint(1, phi)``, pick ``sample``, noise ``uniform``: for
+        every ``phi`` up to 128, on the three streams, call for call."""
+        for phi in range(1, 129):
+            params = WorkloadParams(
+                num_processes=1, num_resources=phi, phi=phi, cs_noise=0.2, seed=seed
+            )
+            rngs = [random.Random(f"{seed}/{phi}/{name}") for name in ("size", "pick", "cs")]
+            refs = [random.Random(f"{seed}/{phi}/{name}") for name in ("size", "pick", "cs")]
+            shapes = request_shapes(params, *rngs)
+            for _ in range(3):
+                resources, cs_duration = next(shapes)
+                size = refs[0].randint(1, phi)
+                assert resources == frozenset(refs[1].sample(range(phi), size))
+                mean = cs_duration_for_size(size, phi, params.alpha_min, params.alpha_max)
+                assert cs_duration == max(mean * refs[2].uniform(1.0 - 0.2, 1.0 + 0.2), 1e-6)
+            assert [r.getstate() for r in rngs] == [r.getstate() for r in refs]
 
 
 class TestClosedLoopStream:
