@@ -21,8 +21,12 @@ Three uses:
   ``benchmarks/test_bench_engine.py`` and
   ``benchmarks/test_bench_obs.py``; this check pins the mechanism (the
   code is truly never entered), so it cannot rot into "slow but under
-  the noise floor".  The same leg profiles a small ``bouabdallah`` run
-  too, and asserts for both runs that the shared send path costs one
+  the noise floor".  Nor may it execute any function defined on the
+  crash-recovery subclasses (``RecoverableCoreNode``,
+  ``RecoverableIncrementalNode``; :data:`CRASH_ONLY_CLASSES`), which
+  only a run with crash windows builds.  The same leg profiles small
+  ``bouabdallah`` and ``incremental`` runs too, and asserts for all three
+  runs that the shared send path costs one
   frame of ``sim`` per message: no ``Node.send`` frame (a node's
   ``send`` is a ``partial`` over the network's bound send) and no
   ``Simulator.schedule`` or ``Simulator.schedule_at`` called from
@@ -113,6 +117,17 @@ FORBIDDEN_ON_EVERY_PATH = (os.path.join("core", "messages.py"),)
 #: ``None``, so the network keeps its reliable path).
 ALLOWED_FRAMES = (("repro.sim.faults", "NoFaults.bind"),)
 
+#: Classes, as ``(module, name)``, none of whose own functions a no-fault
+#: run may execute: the crash-recovery subclasses, which the runner builds
+#: only for a scenario with crash windows.
+CRASH_ONLY_CLASSES = (
+    ("repro.core.recovery", "RecoverableCoreNode"),
+    ("repro.baselines.incremental", "RecoverableIncrementalNode"),
+)
+
+#: The algorithms the no-fault ``--check`` profiles.
+NO_FAULT_ALGORITHMS = ("with_loan", "bouabdallah", "incremental")
+
 
 #: Ceiling on ``handover`` calls per message of the armed run.
 #: Consulting the hook for every message is 1.0.
@@ -194,16 +209,32 @@ def profile_canonical(scheduler, armed=False, algorithm="with_loan"):
     return profile, result
 
 
+def _lookup(module: str, qualname: str):
+    obj = importlib.import_module(module)
+    for name in qualname.split("."):
+        obj = getattr(obj, name)
+    return obj
+
+
+def _key(code) -> tuple:
+    return (code.co_filename, code.co_firstlineno, code.co_name)
+
+
 def allowed_frames() -> frozenset:
     """The ``pstats`` keys ``(file, line, func)`` of :data:`ALLOWED_FRAMES`."""
-    keys = set()
-    for module, qualname in ALLOWED_FRAMES:
-        function = importlib.import_module(module)
-        for name in qualname.split("."):
-            function = getattr(function, name)
-        code = function.__code__
-        keys.add((code.co_filename, code.co_firstlineno, code.co_name))
-    return frozenset(keys)
+    return frozenset(
+        _key(_lookup(module, qualname).__code__) for module, qualname in ALLOWED_FRAMES
+    )
+
+
+def crash_only_frames() -> frozenset:
+    """The ``pstats`` keys of every function defined on :data:`CRASH_ONLY_CLASSES`."""
+    return frozenset(
+        _key(function.__code__)
+        for module, name in CRASH_ONLY_CLASSES
+        for function in vars(_lookup(module, name)).values()
+        if hasattr(function, "__code__")
+    )
 
 
 def forbidden_frames(profile, forbidden) -> list:
@@ -275,10 +306,10 @@ def main() -> None:
     )
     parser.add_argument(
         "--check", action="store_true",
-        help="assert the no-fault runs (with_loan, bouabdallah) execute no "
-        "fault/lifecycle/recovery/obs frames, no frame defined in core/messages.py "
-        "and no Node.send, network-called schedule/schedule_at, request_key "
-        "or cancel frame",
+        help="assert the no-fault runs (with_loan, bouabdallah, incremental) execute "
+        "no fault/lifecycle/recovery/obs frames, no crash-recovery subclass frame, "
+        "no frame defined in core/messages.py and no Node.send, network-called "
+        "schedule/schedule_at, request_key or cancel frame",
     )
     parser.add_argument(
         "--armed", action="store_true",
@@ -311,13 +342,23 @@ def main() -> None:
 
     if args.check:
         forbidden = FORBIDDEN_ON_NO_FAULT_PATH + FORBIDDEN_ON_EVERY_PATH
-        bl_profile, _ = profile_canonical(args.scheduler, algorithm="bouabdallah")
+        crash_only = crash_only_frames()
         problems = []
-        for algorithm, run_profile in (("with_loan", profile), ("bouabdallah", bl_profile)):
+        for algorithm in NO_FAULT_ALGORITHMS:
+            run_profile = (
+                profile if algorithm == "with_loan"
+                else profile_canonical(args.scheduler, algorithm=algorithm)[0]
+            )
             offenders = [
                 f"{os.path.relpath(filename, REPO)}:{lineno} {funcname} "
                 "(budget: 0 frames from its module)"
                 for filename, lineno, funcname in forbidden_frames(run_profile, forbidden)
+            ]
+            offenders += [
+                f"{os.path.relpath(filename, REPO)}:{lineno} {funcname} "
+                "(budget: 0 frames of a crash-recovery subclass)"
+                for filename, lineno, funcname in pstats.Stats(run_profile).stats
+                if (filename, lineno, funcname) in crash_only
             ]
             offenders += forbidden_calls(run_profile, FORBIDDEN_ON_RELIABLE_PATH)
             problems += [f"{algorithm}: {line}" for line in sorted(offenders)]
@@ -327,8 +368,10 @@ def main() -> None:
                 print(f"  {line}", file=sys.stderr)
             sys.exit(1)
         print(
-            "no-fault fast path clean (with_loan, bouabdallah): 0 frames from "
+            f"no-fault fast path clean ({', '.join(NO_FAULT_ALGORITHMS)}): 0 frames from "
             + ", ".join(forbidden)
+            + f", 0 of the {len(crash_only)} functions of "
+            + ", ".join(name for _module, name in CRASH_ONLY_CLASSES)
             + " beside the allowed "
             + ", ".join(name for _module, name in ALLOWED_FRAMES)
             + "; 0 frames of "

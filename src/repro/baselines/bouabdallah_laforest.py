@@ -24,6 +24,28 @@ The control token serialises registrations, so the per-resource waiting
 chains are globally consistent and deadlock-free — but every requester must
 wait for the control token even when its resources conflict with nobody,
 which is exactly the synchronisation cost the paper attacks.
+
+Registration race
+-----------------
+Links are reliable and FIFO, but a message on a two-hop path may
+overtake one sent directly (under jitter above 1/3).  So the control
+token can reach a process A that still holds r before the INQUIRE of the
+process that registered for r after A's previous request does.  A then
+finds ``vector[r]`` naming another process while it owns r: it *owes* r
+to that chain.  It does not count r towards its new entry, sends its own
+INQUIRE as usual, and hands r over when the owed INQUIRE arrives.  An
+INQUIRE carries the sender's registration number (the control vector
+counts registrations in its last slot), so the owed one is told apart
+from a later registrant's, which may overtake it too and queues behind
+A's request.  Serving r to A's new request instead held r against an
+earlier registrant: a wait cycle, or A registering again without the
+token.  Under constant latency no message overtakes another and the
+rule is never reached.
+
+The published paper is not in this repository, so this rule was checked
+only against the description above (Section 2.2 of the ICPP paper), which
+does not say how an INQUIRE overtaken by the control token is handled,
+nor that the algorithm assumes causal delivery.
 """
 
 from __future__ import annotations
@@ -68,14 +90,22 @@ class BLResourceToken(Record, namedtuple("BLResourceToken", "resource")):
     resource: int
 
 
-class BLInquire(Record, namedtuple("BLInquire", "resource requester")):
+class BLInquire(
+    Record, namedtuple("BLInquire", "resource requester registration", defaults=(0,))
+):
     """Ask the previous latest requester to forward ``resource``'s token to
-    ``requester`` once it is done with it."""
+    ``requester`` once it is done with it.
+
+    ``registration`` numbers the requester's registration (see the
+    control vector's last slot), so that a node owing a token can tell the
+    INQUIRE of an earlier registration from that of a later one.
+    """
 
     __slots__ = ()
 
     resource: int
     requester: int
+    registration: int
 
 
 class BLAllocatorNode(Node, MultiResourceAllocator):
@@ -102,9 +132,15 @@ class BLAllocatorNode(Node, MultiResourceAllocator):
             initial_holder=control_holder,
         )
         if node_id == control_holder:
-            # Initially every resource token is stored inside the control token.
-            self._control.token_payload = [TOKEN_HERE] * num_resources
+            # Initially every resource token is stored inside the control
+            # token; the vector's last slot counts the registrations.
+            self._control.token_payload = [TOKEN_HERE] * num_resources + [0]
         self._owned: set[int] = set()
+        # Tokens still held here but owed to an earlier registration's
+        # chain, not counted towards our own entry (see
+        # _on_control_acquired), and the number of our latest registration.
+        self._owed: set[int] = set()
+        self._registration = 0
         self._needed: FrozenSet[int] = frozenset()
         self._waiting = False
         self._registered = False
@@ -126,7 +162,7 @@ class BLAllocatorNode(Node, MultiResourceAllocator):
     @property
     def owned_tokens(self) -> FrozenSet[int]:
         """Resource tokens currently held by this process."""
-        return frozenset(self._owned)
+        return frozenset(self._owned | self._owed)
 
     def acquire(self, resources: Iterable[int], on_granted: Callable[[], None]) -> None:
         if not self.is_idle:
@@ -162,6 +198,8 @@ class BLAllocatorNode(Node, MultiResourceAllocator):
         vector: List[ControlEntry] = self._control.token_payload
         if vector is None:  # pragma: no cover - defensive
             raise AllocatorError("control token arrived without its vector")
+        registration = vector[-1] + 1
+        vector[-1] = self._registration = registration
         for r in sorted(self._needed):
             entry = vector[r]
             if isinstance(entry, _TokenHere):
@@ -176,7 +214,14 @@ class BLAllocatorNode(Node, MultiResourceAllocator):
                         "but does not hold its token"
                     )
             else:
-                self.send(entry, _tuple_new(BLInquire, (r, self.node_id)))
+                if r in self._owned:
+                    # Someone registered for r after our previous request
+                    # and its INQUIRE has not reached us yet: the token is
+                    # theirs first.  It waits here for that INQUIRE and
+                    # comes back to us down the chain.
+                    self._owned.discard(r)
+                    self._owed.add(r)
+                self.send(entry, _tuple_new(BLInquire, (r, self.node_id, registration)))
             vector[r] = self.node_id
         self._registered = True
         self._control.token_payload = vector
@@ -197,6 +242,11 @@ class BLAllocatorNode(Node, MultiResourceAllocator):
         r = msg.resource
         if r in self._owned and not self._resource_busy(r):
             self._owned.discard(r)
+            self.send(msg.requester, _tuple_new(BLResourceToken, (r,)))
+        elif r in self._owed and msg.registration < self._registration:
+            # The INQUIRE the owed token waited for.  A later registrant's
+            # may overtake it: that one queues behind our request below.
+            self._owed.discard(r)
             self.send(msg.requester, _tuple_new(BLResourceToken, (r,)))
         else:
             self._next_holder[r] = msg.requester

@@ -55,7 +55,6 @@ class IncrementalAllocatorNode(Node, MultiResourceAllocator):
         self.num_resources = num_resources
         self.num_processes = num_processes
         self.trace = trace
-        self._initial_holder = initial_holder
         self._instances: Dict[int, NaimiTrehelInstance] = {}
         for r in range(num_resources):
             holder = initial_holder if initial_holder is not None else r % num_processes
@@ -138,8 +137,34 @@ class IncrementalAllocatorNode(Node, MultiResourceAllocator):
             callback()
 
     # ------------------------------------------------------------------ #
-    # crash / recovery lifecycle
+    # message routing
     # ------------------------------------------------------------------ #
+    def on_NTRequest(self, src: int, msg: NTRequest) -> None:
+        """Route a Naimi–Tréhel request to the matching per-resource instance."""
+        self._instances[msg.instance].receive_request(msg.requester)
+
+    def on_NTToken(self, src: int, msg: NTToken) -> None:
+        """Route a Naimi–Tréhel token to the matching per-resource instance."""
+        self._instances[msg.instance].receive_token(msg)
+
+
+class RecoverableIncrementalNode(IncrementalAllocatorNode):
+    """The incremental baseline plus the crash-recovery extension.
+
+    Adds the lifecycle hooks and the ``recovery_*`` interface of
+    :mod:`repro.core.recovery` over the Naimi–Tréhel instances' recovery
+    primitives.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        # Per resource, where a rebooted instance with no token points:
+        # its initial holder, or the next node if that is this one.
+        me, n = self.node_id, self.num_processes
+        self._reboot_owner = [
+            (me + 1) % n if inst.owner is None else inst.owner for inst in self._instances.values()
+        ]
+
     def on_crash(self, time: float) -> None:
         """The process halts (no local timers to suspend in this baseline)."""
         if self.trace is not None:
@@ -169,18 +194,11 @@ class IncrementalAllocatorNode(Node, MultiResourceAllocator):
                 # pointer (any live node's pointer chain leads to the
                 # current root; the recovery coordinator repoints it more
                 # precisely when a detection fires).
-                owner = self._initial_holder if self._initial_holder is not None else r % self.num_processes
-                if owner == self.node_id:
-                    owner = (self.node_id + 1) % self.num_processes
-                inst.owner = owner
+                inst.owner = self._reboot_owner[r]
         if self.trace is not None:
             self.trace.record(time, self.node_id, "recover")
 
     # -- crash-recovery interface (RecoveryCoordinator) ----------------- #
-    def recovery_token_keys(self) -> range:
-        """Universe of token keys (one Naimi–Tréhel instance per resource)."""
-        return range(self.num_resources)
-
     def recovery_held_tokens(self) -> FrozenSet[int]:
         """Resources whose Naimi–Tréhel token sits on this node."""
         return frozenset(r for r, inst in self._instances.items() if inst.has_token)
@@ -274,14 +292,3 @@ class IncrementalAllocatorNode(Node, MultiResourceAllocator):
             self.trace.record(
                 self.sim.now, self.node_id, "token_fenced", resource=resource, owner=owner
             )
-
-    # ------------------------------------------------------------------ #
-    # message routing
-    # ------------------------------------------------------------------ #
-    def on_NTRequest(self, src: int, msg: NTRequest) -> None:
-        """Route a Naimi–Tréhel request to the matching per-resource instance."""
-        self._instances[msg.instance].receive_request(msg.requester)
-
-    def on_NTToken(self, src: int, msg: NTToken) -> None:
-        """Route a Naimi–Tréhel token to the matching per-resource instance."""
-        self._instances[msg.instance].receive_token(msg)

@@ -39,33 +39,9 @@ Implementation notes (documented deviations)
   network turns injected faults into delay (:mod:`repro.sim.network`),
   so the process never re-sends a message.
 
-Crash-recovery model (beyond the paper)
----------------------------------------
-The paper assumes nodes never halt; the lifecycle layer
-(:mod:`repro.sim.lifecycle`) drops that assumption.  The node implements
-the crash-recovery interface consumed by
-:class:`repro.core.recovery.RecoveryCoordinator` under a standard
-stable-storage model:
-
-* **on_crash** — the process halts; it has no local timer to suspend
-  (the network side — no sends, deliveries held until the reboot — is
-  enforced by the fault layer).  Tokens it holds are *durable* (stable
-  storage) but unreachable while it is down.
-* **on_recover** — the process reboots: volatile request state (the
-  outstanding request, counter phase, aggregation buffers, remembered
-  foreign requests) died with it and is reset; durable token state
-  survives, so the reboot handler immediately serves the waiting queues
-  of the tokens it still holds and returns any borrowed token.
-* **token regeneration** — when a crash is *detected*
-  (:class:`~repro.sim.detectorspec.DetectorSpec`), the lowest-id
-  surviving requester of each lost token rebuilds it from its local
-  stale copy (``lastTok``): queues and obsolescence vectors are restored
-  from the last time the token passed through, and the counter is bumped
-  by ``N`` as slack against values the lost token handed out after that
-  snapshot.  Counter collisions merely perturb priorities, never safety
-  (safety is token possession).  A node that recovers *after* its tokens
-  were regenerated is fenced: it discards the stale ownership and points
-  at the regenerator.
+The crash-recovery extension, beyond the paper, is the subclass
+:class:`repro.core.recovery.RecoverableCoreNode`; only runs whose
+scenario declares crash windows build it.
 """
 
 from __future__ import annotations
@@ -97,7 +73,6 @@ from repro.sim.trace import TraceRecorder
 # flush and the two response flushes) where a non-empty payload is
 # structural, so they are built positionally — one C call — instead of
 # through the validating public constructor (see repro.core.messages).
-# The regenerator's literal one-token envelope is built the same way.
 _tuple_new = tuple.__new__
 
 
@@ -197,9 +172,6 @@ class CoreAllocatorNode(Node, MultiResourceAllocator):
         self._mark: Optional[float] = None
         self._my_reqs: Dict[int, ReqRes] = {}
         self._single_fast_path = False
-        # Highest token epoch witnessed per resource (fencing against
-        # stale copies of regenerated tokens; all zero in crash-free runs).
-        self._tok_epoch: List[int] = [0] * num_resources
 
         # Aggregation buffers (Section 4.2.2): request messages and response
         # messages addressed to the same site are combined per handler run.
@@ -317,183 +289,6 @@ class CoreAllocatorNode(Node, MultiResourceAllocator):
         self._t_required = set()
         self._my_vector = [0] * self.num_resources
         self._flush_responses()
-
-    # ------------------------------------------------------------------ #
-    # crash / recovery lifecycle (see the module docstring)
-    # ------------------------------------------------------------------ #
-    def on_crash(self, time: float) -> None:
-        """The process halts (it has no local timer to suspend)."""
-        self._trace("crash", tokens=sorted(self._t_owned))
-
-    def on_recover(self, time: float) -> None:
-        """The process reboots: drop volatile state, serve durable tokens.
-
-        Volatile state (the outstanding request, counter phase,
-        aggregation buffers, remembered foreign requests) died with the
-        process; tokens and their queues are durable.  Any token that was
-        regenerated elsewhere while this node was down has already been
-        fenced away by the recovery coordinator (a lifecycle *listener*,
-        notified before this participant callback), so serving the
-        remaining queues can never emit a duplicate token.
-        """
-        self._set_state(_IDLE)
-        self._t_required = set()
-        self._cnt_needed = set()
-        self._my_vector = [0] * self.num_resources
-        self._on_granted = None
-        self._loan_asked = False
-        self._single_fast_path = False
-        self._req_buffer = {}
-        self._cnt_buffer = {}
-        self._tok_buffer = {}
-        self._pending_req = {r: {} for r in range(self.num_resources)}
-        owned = sorted(self._t_owned)
-        self._trace("recover", tokens=owned)
-        self._return_failed_loans(owned)
-        self._serve_queues(owned)
-        if self.config.enable_loan:
-            self._process_pending_loans(owned)
-        self._flush_responses()
-        self._flush_requests(self._visited_self)
-
-    # -- crash-recovery interface (RecoveryCoordinator) ----------------- #
-    def recovery_token_keys(self) -> range:
-        """Universe of token keys this algorithm manages (one per resource)."""
-        return range(self.num_resources)
-
-    def recovery_held_tokens(self) -> FrozenSet[int]:
-        """Tokens on this node's stable storage (lost while it is down)."""
-        return frozenset(self._t_owned)
-
-    def recovery_requires(self) -> FrozenSet[int]:
-        """Tokens this node is currently waiting for (regeneration priority)."""
-        if self._state in _WAITING:
-            return frozenset(self._t_required - self._t_owned)
-        return frozenset()
-
-    def recovery_purge(self, crashed: int) -> None:
-        """A peer was detected dead: forget its queued requests.
-
-        Entries of ``crashed`` are dropped from *every* ``lastTok``
-        snapshot — held tokens (so no future grant goes to a node known
-        to be down; it would be dropped in flight and lose the token
-        again) *and* stale snapshots of tokens currently elsewhere, which
-        are exactly what ``recovery_regenerate`` rebuilds from: a dead
-        requester surviving inside a stale snapshot would re-enter the
-        regenerated queue and be served into the void, with every
-        detection already spent.  The locally remembered request history
-        is scrubbed too.  A rebooted node re-requests with a fresh id,
-        which re-registers normally.
-        """
-        for r in range(self.num_resources):
-            tok = self.last_tok[r]
-            tok.remove_requests_of(crashed)
-            tok.remove_loans_of(crashed)
-        for pending in self._pending_req.values():
-            for key in [k for k, req in pending.items() if req.sinit == crashed]:
-                del pending[key]
-
-    def recovery_regenerate(
-        self,
-        resource: int,
-        crashed: Optional[int],
-        counter_slack: int,
-        epoch: int,
-        requesters: Tuple[int, ...] = (),
-    ) -> None:
-        """Rebuild the lost token of ``resource`` from local request state.
-
-        The regenerated token is this node's stale ``lastTok`` snapshot —
-        queues and obsolescence vectors from the last time the token
-        passed through here — minus the crashed node's entries, with the
-        counter bumped by ``counter_slack`` (the coordinator passes
-        ``N``) as slack against values the lost token handed out after
-        the snapshot.  Counter collisions only perturb request
-        priorities, never safety; the fresh ``epoch`` fences out any
-        stale copy of the previous incarnation still in flight.  Adopting
-        the rebuilt token reuses the ordinary token arrival path, so
-        entering the CS, serving queues and loans all behave exactly as
-        for a received token.  ``requesters`` (the surviving-requester
-        ids) is part of the coordinator interface but unused here: this
-        algorithm's queues travel inside the token.
-        """
-        if resource in self._t_owned:  # pragma: no cover - defensive
-            raise AllocatorError(
-                f"node {self.node_id}: regenerating token {resource} it already holds"
-            )
-        tok = self.last_tok[resource].copy()
-        tok.lender = None
-        tok.counter += counter_slack
-        tok.epoch = epoch
-        if crashed is not None:
-            tok.remove_requests_of(crashed)
-            tok.remove_loans_of(crashed)
-        self._trace("token_regenerated", resource=resource, crashed=crashed, epoch=epoch)
-        self.on_TokenEnvelope(self.node_id, _tuple_new(TokenEnvelope, ((tok,),)))
-
-    def recovery_repoint(
-        self,
-        resource: int,
-        owner: int,
-        crashed: Optional[int],
-        epoch: int,
-        regenerated: bool,
-        requesters: Tuple[int, ...] = (),
-    ) -> None:
-        """The token of ``resource`` lives at ``owner``: chase it, not the dead.
-
-        Called on every survivor both for regenerated tokens (``owner``
-        is the regenerator, ``epoch`` is fresh) and for alive tokens
-        whose probable-owner chain may have run through the crashed node
-        (``owner`` is the actual holder).  The pointer is set straight to
-        ``owner`` — the freshest information available at detection time
-        — the witnessed epoch is advanced so stale incarnations get
-        discarded, and any outstanding request of our own for the
-        resource is re-issued: it may have died in the crashed node's
-        queues or in flight to it.  Re-issues are idempotent
-        (``lastReqC``/``lastCS`` and queue-membership dedup).
-        ``regenerated`` and ``requesters``
-        exist for algorithms that must rebuild distributed queues (the
-        Naimi–Tréhel chain); this algorithm's queues travel inside the
-        token, so both are ignored here.
-        """
-        if epoch > self._tok_epoch[resource]:
-            self._tok_epoch[resource] = epoch
-        if resource in self._t_owned or owner == self.node_id:
-            return
-        self.tok_dir[resource] = owner
-        self._reissue_pending(resource, owner)
-        self._flush_requests(self._visited_self)
-
-    def recovery_fence(self, resource: int, owner: int, epoch: int) -> None:
-        """Called on reboot for tokens regenerated while this node was down.
-
-        Stale ownership (if any) is discarded in favour of the
-        regenerator at ``owner`` — the rejoin handshake of a real
-        implementation — and the witnessed epoch is advanced so a stale
-        in-flight copy arriving after the reboot is discarded too.  Runs
-        before :meth:`on_recover` (listeners precede participants), so
-        the reboot handler never serves a fenced token's queues.
-        """
-        if epoch > self._tok_epoch[resource]:
-            self._tok_epoch[resource] = epoch
-        self._t_owned.discard(resource)
-        self._t_lent.discard(resource)
-        if owner != self.node_id:
-            self.tok_dir[resource] = owner
-        self._trace("token_fenced", resource=resource, owner=owner, epoch=epoch)
-
-    def _reissue_pending(self, resource: int, dest: int) -> None:
-        """Buffer a fresh copy of our outstanding request for ``resource``."""
-        if self._state is _WAIT_S:
-            if resource in self._cnt_needed:
-                self._buffer_request(dest, ReqCnt(resource, self.node_id, self._cur_id))
-        elif self._state is _WAIT_CS:
-            if resource in self._t_required and resource not in self._t_owned:
-                if self._single_fast_path:
-                    self._buffer_request(dest, ReqCnt(resource, self.node_id, self._cur_id, True))
-                else:
-                    self._buffer_request(dest, self._my_req_for(resource))
 
     # ------------------------------------------------------------------ #
     # message handlers
@@ -686,13 +481,6 @@ class CoreAllocatorNode(Node, MultiResourceAllocator):
     def _process_update(self, incoming: ResourceToken) -> None:
         """Adopt a received token as the authoritative state (``processUpdate``)."""
         r = incoming.resource
-        if incoming.epoch < self._tok_epoch[r]:
-            # Stale copy of a lost-and-regenerated token still in flight:
-            # a newer incarnation exists, adopting this one would create
-            # a second live token.  Unreachable in crash-free runs.
-            self._trace("stale_token_dropped", resource=r, epoch=incoming.epoch)
-            return
-        self._tok_epoch[r] = incoming.epoch
         tok = incoming
         if tok.lender == self.node_id:
             # One of our lent tokens coming home.

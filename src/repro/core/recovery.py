@@ -4,8 +4,12 @@ The paper's algorithms are token-based: exactly one token exists per
 resource, and a fail-silent crash of its holder retires the resource for
 the rest of the run (``examples/fault_ablation.py`` shows every
 completion rate collapsing once tokens can vanish).  This module closes
-that gap with a deterministic recovery protocol layered on the lifecycle
-events of :mod:`repro.sim.lifecycle`:
+that gap, beyond the paper, with a deterministic recovery protocol
+layered on the lifecycle events of :mod:`repro.sim.lifecycle`.  Its
+model is stable storage: tokens and their queues are *durable* (but
+unreachable while their holder is down), request state is *volatile*,
+so a rebooted process (``on_recover``) drops its outstanding request and
+buffers, then serves the queues of the tokens it still holds.
 
 1. **Detection** — a scenario's
    :class:`~repro.sim.detectorspec.HeartbeatDetector` gives a
@@ -56,27 +60,31 @@ detection delay are data; adjudication reads single-threaded simulation
 state), so recovery runs are memoisable and bit-identical between
 ``workers=1`` and ``workers=N`` like everything else.
 
-Allocators opt into recovery by providing the ``recovery_*`` methods
-(duck-typed; see :class:`repro.core.node.CoreAllocatorNode` and
-:class:`repro.baselines.incremental.IncrementalAllocatorNode`).  Nodes
-without the interface — e.g. the Bouabdallah–Laforest baseline, whose
-control token has no regeneration story — are simply skipped: their
-crashes are still detected, but their tokens stay lost.
+An allocator takes part through the lifecycle hooks and
+:data:`RECOVERY_INTERFACE`, as :class:`RecoverableCoreNode` below and
+:class:`~repro.baselines.incremental.RecoverableIncrementalNode` do; the
+runner builds them only for a scenario that declares crash windows.
+Nodes without the interface (Bouabdallah–Laforest, whose control token
+has no regeneration story) are skipped: their crashes are detected, but
+their tokens stay lost.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
+from repro.allocator import AllocatorError
+from repro.core.messages import ReqCnt, TokenEnvelope
+from repro.core.node import CoreAllocatorNode, ProcessState
+from repro.core.token import ResourceToken
 from repro.sim.detectorspec import HeartbeatDetector
 from repro.sim.engine import Simulator
 from repro.sim.lifecycle import NodeLifecycle
 
-__all__ = ["RecoveryCoordinator", "supports_recovery"]
+__all__ = ["RecoverableCoreNode", "RecoveryCoordinator", "supports_recovery"]
 
 #: Methods an allocator must provide to take part in token recovery.
 RECOVERY_INTERFACE = (
-    "recovery_token_keys",
     "recovery_held_tokens",
     "recovery_requires",
     "recovery_purge",
@@ -84,7 +92,6 @@ RECOVERY_INTERFACE = (
     "recovery_repoint",
     "recovery_fence",
 )
-
 
 def supports_recovery(allocator: object) -> bool:
     """Whether ``allocator`` implements the crash-recovery interface."""
@@ -96,7 +103,8 @@ class RecoveryCoordinator:
 
     Registered as a :class:`~repro.sim.lifecycle.NodeLifecycle` listener,
     so it observes crash/recover edges before the participants act on
-    them.  Aggregate outcomes are exposed for
+    them.  ``num_resources`` is the number of tokens it watches, one per
+    resource.  Aggregate outcomes are exposed for
     :class:`~repro.experiments.runner.ExperimentResult`:
 
     * :attr:`tokens_regenerated` — number of lost tokens rebuilt;
@@ -115,9 +123,17 @@ class RecoveryCoordinator:
         allocators: Sequence[object],
         lifecycle: NodeLifecycle,
         detector: HeartbeatDetector,
+        num_resources: int,
     ) -> None:
         self._sim = sim
         self._allocators = list(allocators)
+        # ``node id -> allocator`` of the recovery-capable nodes, ascending.
+        self._capable = {
+            i: a for i, a in enumerate(self._allocators) if supports_recovery(a)
+        }
+        # Every token key, in the order adjudication visits them; none
+        # without a capable node.
+        self._keys = sorted(range(num_resources), key=repr) if self._capable else []
         self._lifecycle = lifecycle
         self._detector = detector
         # Per down node, the seq of its armed detection timeout.
@@ -160,9 +176,9 @@ class RecoveryCoordinator:
         ones.
         """
         pending = self._pending.pop(node, None)
-        allocator = self._allocators[node]
+        allocator = self._capable.get(node)
         fences = self._fenced.pop(node, {})
-        if fences and supports_recovery(allocator):
+        if fences and allocator is not None:
             for key in sorted(fences, key=repr):
                 owner, epoch = fences[key]
                 allocator.recovery_fence(key, owner=owner, epoch=epoch)
@@ -174,17 +190,11 @@ class RecoveryCoordinator:
     # ------------------------------------------------------------------ #
     # detection + adjudication
     # ------------------------------------------------------------------ #
-    def _capable(self) -> List[Tuple[int, object]]:
-        return [
-            (i, a) for i, a in enumerate(self._allocators) if supports_recovery(a)
-        ]
-
     def _detect(self, node: int) -> None:
         """Detection timeout fired: the node is (still) down — adjudicate."""
         self._pending.pop(node, None)
-        capable = self._capable()
         survivors = [
-            a for i, a in capable if i != node and not self._lifecycle.is_down(i)
+            a for i, a in self._capable.items() if i != node and not self._lifecycle.is_down(i)
         ]
         if not survivors:
             # Nobody is up to adjudicate right now.  If another capable
@@ -200,7 +210,7 @@ class RecoveryCoordinator:
             # and the timeout is dropped so the event queue can drain.
             reboots = [
                 t
-                for i, _ in capable
+                for i in self._capable
                 if i != node
                 for t in (self._lifecycle.next_reboot(i),)
                 if t is not None
@@ -214,7 +224,7 @@ class RecoveryCoordinator:
             return
         for allocator in survivors:
             allocator.recovery_purge(node)
-        regenerated = self._adjudicate(dead=node, capable=capable, survivors=survivors)
+        regenerated = self._adjudicate(dead=node, survivors=survivors)
         if regenerated:
             self.tokens_regenerated += regenerated
             # Per lost token, like _confirm_loss: crash-to-regeneration
@@ -224,14 +234,13 @@ class RecoveryCoordinator:
 
     def _post_blip_sweep(self) -> None:
         """Queue tokens dropped in flight during an undetected blip."""
-        capable = self._capable()
-        survivors = [a for i, a in capable if not self._lifecycle.is_down(i)]
+        survivors = [a for i, a in self._capable.items() if not self._lifecycle.is_down(i)]
         if not survivors:
             return
-        self._adjudicate(dead=None, capable=capable, survivors=survivors)
+        self._adjudicate(dead=None, survivors=survivors)
 
-    def _holder_map(self) -> Tuple[Dict[object, int], set]:
-        """Current ``key -> holder`` map and key universe over capable nodes.
+    def _holder_map(self) -> Dict[object, int]:
+        """Current ``key -> holder`` map over capable nodes.
 
         A down node's claim to a key already fenced for it is *stale*:
         that key was regenerated away while the node was gone, and its
@@ -242,20 +251,17 @@ class RecoveryCoordinator:
         fired, leaving the token lost forever.
         """
         holder_of: Dict[object, int] = {}
-        universe = set()
-        for i, allocator in self._capable():
-            universe.update(allocator.recovery_token_keys())
+        for i, allocator in self._capable.items():
             fenced = self._fenced.get(i, ())
             for key in allocator.recovery_held_tokens():
                 if key in fenced:
                     continue  # regenerated elsewhere while i was down
                 holder_of[key] = i
-        return holder_of, universe
+        return holder_of
 
     def _adjudicate(
         self,
         dead: Optional[int],
-        capable: List[Tuple[int, object]],
         survivors: List[object],
     ) -> int:
         """Classify every token: regenerate, confirm later, or repoint.
@@ -272,9 +278,9 @@ class RecoveryCoordinator:
         repointed at the real holder.  Returns the number of tokens
         regenerated *now* (confirmed losses count when they confirm).
         """
-        holder_of, universe = self._holder_map()
+        holder_of = self._holder_map()
         regenerated = 0
-        for key in sorted(universe, key=repr):
+        for key in self._keys:
             holder = holder_of.get(key)
             if holder is None:
                 self._sim.schedule(
@@ -324,11 +330,10 @@ class RecoveryCoordinator:
         regenerated at the lowest-id surviving requester, accounted like
         any other loss (with its originating crash when known).
         """
-        holder_of, _ = self._holder_map()
-        if key in holder_of:
+        if key in self._holder_map():
             return  # the suspect landed: it was a live transfer
         survivors = [
-            a for i, a in self._capable() if not self._lifecycle.is_down(i)
+            a for i, a in self._capable.items() if not self._lifecycle.is_down(i)
         ]
         if not survivors:
             return
@@ -376,3 +381,200 @@ class RecoveryCoordinator:
                     regenerated=True,
                     requesters=requester_ids,
                 )
+
+
+class RecoverableCoreNode(CoreAllocatorNode):
+    """The paper's process plus the crash-recovery extension.
+
+    Adds the lifecycle hooks, the ``recovery_*`` interface and the epoch
+    fence: the highest token epoch witnessed per resource, against which
+    :meth:`_process_update` drops a stale copy of a regenerated token.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        # All zero until a regeneration or a repoint witnesses an epoch.
+        self._tok_epoch = [0] * self.num_resources
+
+    def _process_update(self, incoming: ResourceToken) -> None:
+        """Adopt a received token unless a newer incarnation was witnessed."""
+        r = incoming.resource
+        if incoming.epoch < self._tok_epoch[r]:
+            # Stale copy of a lost-and-regenerated token still in flight:
+            # adopting it would create a second live token.
+            self._trace("stale_token_dropped", resource=r, epoch=incoming.epoch)
+            return
+        self._tok_epoch[r] = incoming.epoch
+        CoreAllocatorNode._process_update(self, incoming)
+
+    # ------------------------------------------------------------------ #
+    # crash / recovery lifecycle (see the module docstring)
+    # ------------------------------------------------------------------ #
+    def on_crash(self, time: float) -> None:
+        """The process halts (it has no local timer to suspend)."""
+        self._trace("crash", tokens=sorted(self._t_owned))
+
+    def on_recover(self, time: float) -> None:
+        """The process reboots: drop volatile state, serve durable tokens.
+
+        Any token that was regenerated elsewhere while this node was down
+        has already been fenced away by the recovery coordinator (a
+        lifecycle *listener*, notified before this participant callback),
+        so serving the remaining queues can never emit a duplicate token.
+        """
+        self._set_state(ProcessState.IDLE)
+        self._t_required = set()
+        self._cnt_needed = set()
+        self._my_vector = [0] * self.num_resources
+        self._on_granted = None
+        self._loan_asked = False
+        self._single_fast_path = False
+        self._req_buffer = {}
+        self._cnt_buffer = {}
+        self._tok_buffer = {}
+        self._pending_req = {r: {} for r in range(self.num_resources)}
+        owned = sorted(self._t_owned)
+        self._trace("recover", tokens=owned)
+        self._return_failed_loans(owned)
+        self._serve_queues(owned)
+        if self.config.enable_loan:
+            self._process_pending_loans(owned)
+        self._flush_responses()
+        self._flush_requests(self._visited_self)
+
+    # -- crash-recovery interface (RecoveryCoordinator) ----------------- #
+    def recovery_held_tokens(self) -> FrozenSet[int]:
+        """Tokens on this node's stable storage (lost while it is down)."""
+        return frozenset(self._t_owned)
+
+    def recovery_requires(self) -> FrozenSet[int]:
+        """Tokens this node is currently waiting for (regeneration priority)."""
+        if self._state in (ProcessState.WAIT_S, ProcessState.WAIT_CS):
+            return frozenset(self._t_required - self._t_owned)
+        return frozenset()
+
+    def recovery_purge(self, crashed: int) -> None:
+        """A peer was detected dead: forget its queued requests.
+
+        Entries of ``crashed`` are dropped from *every* ``lastTok``
+        snapshot — held tokens (so no future grant goes to a node known
+        to be down; it would be dropped in flight and lose the token
+        again) *and* stale snapshots of tokens currently elsewhere, which
+        are exactly what ``recovery_regenerate`` rebuilds from: a dead
+        requester surviving inside a stale snapshot would re-enter the
+        regenerated queue and be served into the void, with every
+        detection already spent.  The locally remembered request history
+        is scrubbed too.  A rebooted node re-requests with a fresh id,
+        which re-registers normally.
+        """
+        for r in range(self.num_resources):
+            tok = self.last_tok[r]
+            tok.remove_requests_of(crashed)
+            tok.remove_loans_of(crashed)
+        for pending in self._pending_req.values():
+            for key in [k for k, req in pending.items() if req.sinit == crashed]:
+                del pending[key]
+
+    def recovery_regenerate(
+        self,
+        resource: int,
+        crashed: Optional[int],
+        counter_slack: int,
+        epoch: int,
+        requesters: Tuple[int, ...] = (),
+    ) -> None:
+        """Rebuild the lost token of ``resource`` from local request state.
+
+        The regenerated token is this node's stale ``lastTok`` snapshot —
+        queues and obsolescence vectors from the last time the token
+        passed through here — minus the crashed node's entries, with the
+        counter bumped by ``counter_slack`` (the coordinator passes
+        ``N``) as slack against values the lost token handed out after
+        the snapshot.  Counter collisions only perturb request
+        priorities, never safety; the fresh ``epoch`` fences out any
+        stale copy of the previous incarnation still in flight.  Adopting
+        the rebuilt token reuses the ordinary token arrival path, so
+        entering the CS, serving queues and loans all behave exactly as
+        for a received token.  ``requesters`` (the surviving-requester
+        ids) is part of the coordinator interface but unused here: this
+        algorithm's queues travel inside the token.
+        """
+        if resource in self._t_owned:  # pragma: no cover - defensive
+            raise AllocatorError(
+                f"node {self.node_id}: regenerating token {resource} it already holds"
+            )
+        tok = self.last_tok[resource].copy()
+        tok.lender = None
+        tok.counter += counter_slack
+        tok.epoch = epoch
+        if crashed is not None:
+            tok.remove_requests_of(crashed)
+            tok.remove_loans_of(crashed)
+        self._trace("token_regenerated", resource=resource, crashed=crashed, epoch=epoch)
+        # A literal one-token envelope, built positionally like the
+        # protocol's own (see repro.core.messages).
+        self.on_TokenEnvelope(self.node_id, tuple.__new__(TokenEnvelope, ((tok,),)))
+
+    def recovery_repoint(
+        self,
+        resource: int,
+        owner: int,
+        crashed: Optional[int],
+        epoch: int,
+        regenerated: bool,
+        requesters: Tuple[int, ...] = (),
+    ) -> None:
+        """The token of ``resource`` lives at ``owner``: chase it, not the dead.
+
+        Called on every survivor both for regenerated tokens (``owner``
+        is the regenerator, ``epoch`` is fresh) and for alive tokens
+        whose probable-owner chain may have run through the crashed node
+        (``owner`` is the actual holder).  The pointer is set straight to
+        ``owner`` — the freshest information available at detection time
+        — the witnessed epoch is advanced so stale incarnations get
+        discarded, and any outstanding request of our own for the
+        resource is re-issued: it may have died in the crashed node's
+        queues or in flight to it.  Re-issues are idempotent
+        (``lastReqC``/``lastCS`` and queue-membership dedup).
+        ``regenerated`` and ``requesters``
+        exist for algorithms that must rebuild distributed queues (the
+        Naimi–Tréhel chain); this algorithm's queues travel inside the
+        token, so both are ignored here.
+        """
+        if epoch > self._tok_epoch[resource]:
+            self._tok_epoch[resource] = epoch
+        if resource in self._t_owned or owner == self.node_id:
+            return
+        self.tok_dir[resource] = owner
+        self._reissue_pending(resource, owner)
+        self._flush_requests(self._visited_self)
+
+    def recovery_fence(self, resource: int, owner: int, epoch: int) -> None:
+        """Called on reboot for tokens regenerated while this node was down.
+
+        Stale ownership (if any) is discarded in favour of the
+        regenerator at ``owner`` — the rejoin handshake of a real
+        implementation — and the witnessed epoch is advanced so a stale
+        in-flight copy arriving after the reboot is discarded too.  Runs
+        before :meth:`on_recover` (listeners precede participants), so
+        the reboot handler never serves a fenced token's queues.
+        """
+        if epoch > self._tok_epoch[resource]:
+            self._tok_epoch[resource] = epoch
+        self._t_owned.discard(resource)
+        self._t_lent.discard(resource)
+        if owner != self.node_id:
+            self.tok_dir[resource] = owner
+        self._trace("token_fenced", resource=resource, owner=owner, epoch=epoch)
+
+    def _reissue_pending(self, resource: int, dest: int) -> None:
+        """Buffer a fresh copy of our outstanding request for ``resource``."""
+        if self._state is ProcessState.WAIT_S:
+            if resource in self._cnt_needed:
+                self._buffer_request(dest, ReqCnt(resource, self.node_id, self._cur_id))
+        elif self._state is ProcessState.WAIT_CS:
+            if resource in self._t_required and resource not in self._t_owned:
+                if self._single_fast_path:
+                    self._buffer_request(dest, ReqCnt(resource, self.node_id, self._cur_id, True))
+                else:
+                    self._buffer_request(dest, self._my_req_for(resource))

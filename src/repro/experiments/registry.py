@@ -5,7 +5,10 @@ label, its default config — the frozen spec a
 :class:`~repro.experiments.scenario.Scenario` carries and the builder
 reads, ``None`` for an algorithm that takes none — whether it needs a
 network, and the builder that instantiates one allocator endpoint per
-process.  Adding an algorithm is adding a row.
+process.  Adding an algorithm is adding a row.  A run that declares
+crash windows builds with the row's ``crash_build`` instead, where an
+algorithm has one: its crash-recovery subclass, so every other run
+executes the protocol alone.
 
 The five rows match the five curves of Figure 5:
 
@@ -24,14 +27,16 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence
 
 from repro.allocator import MultiResourceAllocator
 from repro.baselines.bouabdallah_laforest import BLAllocatorNode
 from repro.baselines.central_scheduler import CentralScheduler, CentralSchedulerClientAllocator
-from repro.baselines.incremental import IncrementalAllocatorNode
+from repro.baselines.incremental import IncrementalAllocatorNode, RecoverableIncrementalNode
 from repro.core.config import CoreConfigSpec
 from repro.core.node import CoreAllocatorNode
+from repro.core.recovery import RecoverableCoreNode
 
 __all__ = [
     "ALGORITHMS",
@@ -62,9 +67,9 @@ class BLConfigSpec:
     control_holder: int = 0
 
 
-def _build_incremental(config, params, sim, network, trace):
+def _build_incremental(config, params, sim, network, trace, node=IncrementalAllocatorNode):
     return [
-        IncrementalAllocatorNode(
+        node(
             sim,
             network,
             p,
@@ -91,11 +96,11 @@ def _build_bouabdallah(config, params, sim, network, trace):
     ]
 
 
-def _build_core(config, params, sim, network, trace):
+def _build_core(config, params, sim, network, trace, node=CoreAllocatorNode):
     if config.loan_threshold is None:
         config = dataclasses.replace(config, loan_threshold=params.loan_threshold)
     return [
-        CoreAllocatorNode(
+        node(
             sim, network, p, params.num_resources, params.num_processes, config, trace
         )
         for p in range(params.num_processes)
@@ -123,18 +128,28 @@ class Algorithm(NamedTuple):
     needs_network: bool
     #: ``(config, params, sim, network, trace) -> allocators``, one per process.
     build: Callable[..., List[MultiResourceAllocator]]
+    #: ``build`` for a run that declares crash windows (the algorithm's
+    #: crash-recovery subclass); ``None``: ``build`` serves every run.
+    crash_build: Optional[Callable[..., List[MultiResourceAllocator]]] = None
 
 
 #: Every algorithm, by name, in the order the paper's legends use.
 TABLE: Dict[str, Algorithm] = {
     row.name: row
     for row in (
-        Algorithm("incremental", "Incremental", IncrementalConfigSpec(), True, _build_incremental),
+        Algorithm(
+            "incremental", "Incremental", IncrementalConfigSpec(), True, _build_incremental,
+            partial(_build_incremental, node=RecoverableIncrementalNode),
+        ),
         Algorithm("bouabdallah", "Bouabdallah Laforest", BLConfigSpec(), True, _build_bouabdallah),
         Algorithm(
-            "without_loan", "Without loan", CoreConfigSpec(enable_loan=False), True, _build_core
+            "without_loan", "Without loan", CoreConfigSpec(enable_loan=False), True, _build_core,
+            partial(_build_core, node=RecoverableCoreNode),
         ),
-        Algorithm("with_loan", "With loan", CoreConfigSpec(enable_loan=True), True, _build_core),
+        Algorithm(
+            "with_loan", "With loan", CoreConfigSpec(enable_loan=True), True, _build_core,
+            partial(_build_core, node=RecoverableCoreNode),
+        ),
         Algorithm("shared_memory", "in shared memory", None, False, _build_shared_memory),
     )
 }

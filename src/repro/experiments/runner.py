@@ -225,7 +225,11 @@ def run(scenario: Scenario) -> ExperimentResult:
         if scenario.faults is not None:
             faults = scenario.faults.bind(params)
         network = Network(sim, latency_spec.bind(params), faults=faults)
-    allocators = algo.build(scenario.config, params, sim, network, trace)
+    crash_windows = faults.crash_windows() if faults is not None else ()
+    # Crash windows, detected or not, need the crash-recovery subclass:
+    # its reboot handler runs either way.  Every other run builds the protocol.
+    build =algo.crash_build if crash_windows and algo.crash_build else algo.build
+    allocators = build(scenario.config, params, sim, network, trace)
 
     metrics = MetricsCollector(
         params.num_resources, warmup=params.warmup, chunk_rows=scenario.record_chunk_rows
@@ -256,7 +260,6 @@ def run(scenario: Scenario) -> ExperimentResult:
     # a protocol event at the same instant always resolve crash-first.
     lifecycle: Optional[NodeLifecycle] = None
     coordinator: Optional[RecoveryCoordinator] = None
-    crash_windows = faults.crash_windows() if faults is not None else ()
     if crash_windows:
         participants = {
             p: [obj for obj in (allocators[p], clients[p]) if hasattr(obj, "on_crash")]
@@ -265,7 +268,9 @@ def run(scenario: Scenario) -> ExperimentResult:
         lifecycle = NodeLifecycle(sim, crash_windows, participants)
         detector = scenario.detector.bind(params) if scenario.detector is not None else None
         if detector is not None:
-            coordinator = RecoveryCoordinator(sim, allocators, lifecycle, detector)
+            coordinator = RecoveryCoordinator(
+                sim, allocators, lifecycle, detector, params.num_resources
+            )
 
     # Telemetry is the nullable seam of repro.obs: nothing below imports
     # — or executes a single frame of — the package unless the scenario

@@ -25,7 +25,7 @@ to every participant that defines them.  The base class defines neither,
 and ``NodeLifecycle.is_down`` is the one place that knows whether a node
 is down.  Participants define the hooks to suspend and restore their
 local timers and to drop volatile state (e.g. the reboot of
-:class:`repro.core.node.CoreAllocatorNode`); the network side of an
+:class:`repro.core.recovery.RecoverableCoreNode`); the network side of an
 outage (sends lost, deliveries held until the reboot) is the fault
 layer's (:mod:`repro.sim.faults`).
 """

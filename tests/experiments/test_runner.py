@@ -2,7 +2,11 @@
 
 import pytest
 
+from repro.baselines.bouabdallah_laforest import BLAllocatorNode
+from repro.baselines.incremental import IncrementalAllocatorNode, RecoverableIncrementalNode
 from repro.core.config import CoreConfigSpec
+from repro.core.node import CoreAllocatorNode
+from repro.core.recovery import RecoverableCoreNode
 from repro.experiments.registry import ALGORITHMS
 from repro.experiments.runner import Termination, run
 from repro.experiments.scenario import Scenario
@@ -158,7 +162,7 @@ class TestFaultRunCap:
                 ),
                 id=algorithm,
             )
-            for algorithm in ("with_loan", "without_loan", "bouabdallah")
+            for algorithm in ("with_loan", "without_loan", "bouabdallah", "incremental")
         ]
         + [pytest.param(SLOW_DRAIN, id="slow-open-drain")],
     )
@@ -171,6 +175,61 @@ class TestFaultRunCap:
         assert armed.record_columns.content_key() == twin.record_columns.content_key()
         assert armed.metrics.messages_total == twin.metrics.messages_total
         assert armed.events_processed == twin.events_processed
+
+
+class TestCrashExtensionSelection:
+    """Only a run whose faults declare crash windows builds the crash-recovery subclasses."""
+
+    EXPECTED = {
+        # algorithm: (class of a run without crash windows, class with them)
+        "with_loan": (CoreAllocatorNode, RecoverableCoreNode),
+        "without_loan": (CoreAllocatorNode, RecoverableCoreNode),
+        "incremental": (IncrementalAllocatorNode, RecoverableIncrementalNode),
+        "bouabdallah": (BLAllocatorNode, BLAllocatorNode),
+    }
+
+    @pytest.mark.parametrize(
+        "axes, crashes",
+        [
+            pytest.param({}, False, id="no fault"),
+            pytest.param({"faults": BernoulliLoss(p=1e-9)}, False, id="loss, no crash"),
+            pytest.param({"faults": NodeCrash(node=0, at=1e9)}, True, id="never-firing crash"),
+            pytest.param(
+                {
+                    "faults": NodeCrash(node=1, at=100.0),
+                    "detector": HeartbeatDetector(interval=10.0, timeout=30.0),
+                },
+                True,
+                id="detected crash",
+            ),
+        ],
+    )
+    def test_crash_windows_pick_the_class(self, tiny_params, monkeypatch, axes, crashes):
+        from repro.experiments import registry
+
+        built = {}
+
+        def spy(name, build):
+            def recording_build(*args):
+                built[name] = build(*args)
+                return built[name]
+
+            return recording_build
+
+        for name in self.EXPECTED:
+            row = registry.TABLE[name]
+            monkeypatch.setitem(
+                registry.TABLE,
+                name,
+                row._replace(
+                    build=spy(name, row.build),
+                    crash_build=row.crash_build and spy(name, row.crash_build),
+                ),
+            )
+            run(Scenario(algorithm=name, params=tiny_params, require_all_completed=False, **axes))
+        assert {name: {type(a) for a in allocators} for name, allocators in built.items()} == {
+            name: {classes[crashes]} for name, classes in self.EXPECTED.items()
+        }
 
 
 class TestTermination:

@@ -1,4 +1,4 @@
-"""Reproducers of ROADMAP items 1 and 2, pinned with ``result.termination``.
+"""Reproducers of ROADMAP items 1, 2 and 16, pinned with ``result.termination``.
 
 "Pin, then fix".  Every case asserts the behaviour the protocol owes —
 the run drains and no live node is left waiting.  A case that still
@@ -8,7 +8,8 @@ day its defect is fixed; what it does on HEAD is in its id.  The loss
 cases pass unmarked: the network re-sends every lost try, so loss is
 delay and the protocol sees the reliable links of Section 3.1.
 
-All cases: ``with_loan``, high load, duration 3 000, warm-up 150.
+Items 1 and 2: ``with_loan``, high load, duration 3 000, warm-up 150.
+Item 16's cases say their own setting.
 """
 
 import pytest
@@ -126,4 +127,58 @@ def test_loss_of_requests_and_counters_stays_safe(p):
     kinds = ("RequestEnvelope", "CounterEnvelope")
     result = run(scenario(32, 80, 8, 6, faults=BernoulliLoss(p=p, kinds=kinds)))
     assert result.messages_dropped > 0
+    assert_finished(result)
+
+
+@pytest.mark.parametrize(
+    "n, m, phi, jitter, seed",
+    [
+        pytest.param(8, 20, 4, 0.95, 1, id="8-20-4 j=0.95 seed 1: drains (all 8 waited)"),
+        pytest.param(8, 20, 4, 0.95, 4, id="8-20-4 j=0.95 seed 4: drains (all 8 waited)"),
+        pytest.param(
+            8, 20, 4, 0.95, 30,
+            id="8-20-4 j=0.95 seed 30: drains (registered as latest requester "
+            "of 14 without its token)",
+        ),
+        # A later registrant's INQUIRE overtakes the one an owed token
+        # waits for; handing the token to the first to arrive wedged these.
+        pytest.param(6, 3, 1, 0.99, 306, id="6-3-1 j=0.99 seed 306: drains (overtaken INQUIRE)"),
+        pytest.param(6, 3, 1, 0.99, 507, id="6-3-1 j=0.99 seed 507: drains (overtaken INQUIRE)"),
+    ],
+)
+def test_bouabdallah_drains_on_a_jittered_reliable_channel(n, m, phi, jitter, seed):
+    """ROADMAP item 16: BL, high load, duration 2 000, no fault, gamma 3.
+
+    Jitter above 1/3 lets a message on a two-hop path overtake one sent
+    directly, which the reliable FIFO links of Section 3.1 allow.
+    """
+    params = WorkloadParams(
+        num_processes=n, num_resources=m, phi=phi, duration=2_000.0,
+        load=LoadLevel.HIGH, seed=seed,
+    )
+    result = run(
+        Scenario(
+            algorithm="bouabdallah", params=params, require_all_completed=False,
+            latency=UniformJitterLatencySpec(gamma=3.0, jitter=jitter),
+        )
+    )
+    assert_finished(result)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="seed 7: drained, node 0 waiting")
+def test_incremental_undetected_blip_drains():
+    """ROADMAP item 16: incremental, N=5/M=10/phi=3, node 2 down over [125, 145), no detector.
+
+    The rows ``incremental blip off`` of ``examples/crash_recovery.py --quick``.
+    """
+    params = WorkloadParams(
+        num_processes=5, num_resources=10, phi=3, duration=500.0, warmup=50.0,
+        load=LoadLevel.HIGH, seed=7,
+    )
+    result = run(
+        Scenario(
+            algorithm="incremental", params=params, require_all_completed=False,
+            faults=NodeCrash(node=2, at=125.0, recover_at=145.0),
+        )
+    )
     assert_finished(result)
