@@ -12,16 +12,20 @@ fast the tuple-heap kernel dispatches events across PRs:
   ``default_max_events`` budget from the shared conftest;
 * ``test_lifecycle_hooks_overhead_on_no_fault_path`` guards the crash
   subsystem's cost contract: arming the lifecycle machinery (a crash
-  window that never fires, hooks installed, fault layer consulted) must
-  stay within 5% of the plain no-fault run.
+  window that never fires, hooks installed, fault layer consulted) adds
+  a fixed count of opcodes per run outside one override frame per token
+  arrival, counted with ``scripts/count_work.py``'s counters.
 """
 
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 
 from conftest import run_once
 
+from repro.core.node import CoreAllocatorNode
+from repro.core.recovery import RecoverableCoreNode
 from repro.experiments.runner import run
 from repro.experiments.scenario import Scenario
 from repro.sim.engine import Simulator
@@ -111,60 +115,54 @@ def test_run_end_to_end(benchmark, bench_params, bench_max_events):
     benchmark.extra_info["simulated_ms_per_wall_s"] = round(result.simulated_time / elapsed)
 
 
-#: Allowed slowdown of an armed-but-idle crashy run over the plain run.
-LIFECYCLE_OVERHEAD_CEILING = 1.05
-
-#: Interleaved timing rounds; the minimum per variant is compared, which
-#: is robust against one-off scheduler noise on CI machines.  Each round
-#: is ~50 ms, so the floor of several rounds is a stable estimate.
-OVERHEAD_ROUNDS = 7
-
-
-def test_lifecycle_hooks_overhead_on_no_fault_path(bench_params, bench_max_events):
-    """Crashy wiring must cost <5% when no crash ever fires.
+def test_lifecycle_hooks_overhead_on_no_fault_path(bench_params, bench_max_events, count_work):
+    """A crash window that never fires costs a fixed count of opcodes per run.
 
     The armed scenario declares a crash far beyond the run horizon: the
-    lifecycle layer schedules its window, every client/allocator carries
-    its hooks and the run loop is bounded by the stall cap — but nothing
-    fires, so the workload (and its results) are identical to the plain
-    run.  The wall-clock ratio of the two is the whole price of the
-    crash-recovery subsystem on runs that never crash.
+    lifecycle layer schedules its window, the allocators are the
+    crash-recovery subclasses and the run loop is bounded by the stall
+    cap, but nothing fires, so the workload and its results are those
+    of the plain run.  What arming adds is per-run set-up (the lifecycle,
+    the fault spec's queries, the cap) plus the subclass's one
+    ``_process_update`` override frame per token arrival, each calling
+    the base once.  Counted at two durations, the opcodes arming adds
+    outside that override must not change: a lifecycle or fault call
+    made per message or per event, or inline work added to a frame the
+    plain run has, would grow with the run.
     """
-    plain = Scenario(
-        algorithm="with_loan", params=bench_params, max_events=bench_max_events
-    )
-    # Crash far past the stall cap (fault_run_until ~ a few workload
-    # durations), so neither the crash event nor the cap changes the run.
-    armed = plain.replace(
-        faults=NodeCrash(node=0, at=1e9),
-        require_all_completed=False,
-    )
+    override = count_work.code_key(RecoverableCoreNode._process_update)
+    base = count_work.code_key(CoreAllocatorNode._process_update)
 
-    def measure(rounds):
-        timings = {"plain": [], "armed": []}
-        results = {}
-        for round_index in range(rounds + 1):
-            for name, scenario in (("plain", plain), ("armed", armed)):
-                start = time.perf_counter()
-                results[name] = run(scenario)
-                if round_index > 0:  # round 0 warms caches and allocators
-                    timings[name].append(time.perf_counter() - start)
-        return min(timings["armed"]) / min(timings["plain"]), results
+    def scenarios(duration):
+        plain = Scenario(
+            algorithm="with_loan",
+            params=replace(bench_params, duration=duration),
+            max_events=bench_max_events,
+        )
+        # Crash far past the stall cap (fault_run_until ~ a few workload
+        # durations), so neither the crash event nor the cap changes the run.
+        return plain, plain.replace(faults=NodeCrash(node=0, at=1e9), require_all_completed=False)
 
-    ratio, results = measure(OVERHEAD_ROUNDS)
-    if ratio >= LIFECYCLE_OVERHEAD_CEILING:
-        # One free re-measurement with more rounds: a loaded CI runner can
-        # push two ~50 ms runs past 5% apart without any code change, and
-        # min-of-more-rounds is robust against exactly that.  A genuine
-        # regression reproduces; transient noise does not.
-        ratio, results = measure(3 * OVERHEAD_ROUNDS)
+    def added_by_arming(duration):
+        plain, armed = scenarios(duration)
+        plain_result, plain_opcodes = count_work.count_opcodes(run, plain)
+        armed_result, armed_opcodes = count_work.count_opcodes(run, armed)
+        # The never-firing window must not perturb the protocol at all.
+        assert armed_result.metrics.completed == plain_result.metrics.completed
+        assert armed_result.metrics.use_rate == plain_result.metrics.use_rate
+        assert armed_result.tokens_regenerated == 0
+        return {
+            key: armed_opcodes[key] - plain_opcodes[key]
+            for key in armed_opcodes.keys() | plain_opcodes.keys()
+            if key != override and armed_opcodes[key] != plain_opcodes[key]
+        }
 
-    # The never-firing window must not perturb the protocol at all.
-    assert results["armed"].metrics.completed == results["plain"].metrics.completed
-    assert results["armed"].metrics.use_rate == results["plain"].metrics.use_rate
-    assert results["armed"].tokens_regenerated == 0
+    for scenario in scenarios(bench_params.duration / 2):
+        run(scenario)  # imports and caches are paid before the count
+    assert added_by_arming(bench_params.duration / 2) == added_by_arming(bench_params.duration)
 
-    assert ratio < LIFECYCLE_OVERHEAD_CEILING, (
-        f"lifecycle hooks cost {100.0 * (ratio - 1.0):.1f}% on the no-fault "
-        f"fast path (ceiling {100.0 * (LIFECYCLE_OVERHEAD_CEILING - 1.0):.0f}%)"
-    )
+    # One override frame per token arrival, each calling the base once.
+    plain, armed = scenarios(bench_params.duration)
+    plain_calls = count_work.by_function(count_work.count_calls(run, plain)[1])
+    armed_calls = count_work.by_function(count_work.count_calls(run, armed)[1])
+    assert armed_calls[override] == armed_calls[base] == plain_calls[base] > 0

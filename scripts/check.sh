@@ -67,24 +67,13 @@ grep -q '^# HEALTH grant_progress ' "$prom"
 rm -f "$prom"
 echo "telemetry export OK"
 
-# Structural zero-overhead check: a no-fault run must execute no frames
-# from the fault layer, the crash lifecycle or the recovery coordinator
-# (the wall-clock version of the same contract lives in
-# benchmarks/test_bench_engine.py).  Profiled under both schedulers
-# (Scenario(scheduler=...)) so neither dispatch loop can quietly
-# re-enter the crash subsystem.  The third leg is the same kind of pin
-# for a run that has a fault layer (node crash + detector + jitter): the
-# fault hook runs only for messages touching the crashable node (< 0.25
-# hook calls per message; asking about every message is 1.0) and the
-# per-message path has no peek/pop, stats-method, Random.uniform or
-# `now` property frame.  All three legs also assert zero Python frames
-# defined in core/messages.py (its records are built by C calls).  The
-# two no-fault legs also fail on any `cancel` frame: a reliable run
-# cancels no timer.
-echo "== no-fault fast-path and armed-path profile checks =="
-python scripts/profile_run.py --check
-python scripts/profile_run.py --scheduler calendar --check
-python scripts/profile_run.py --armed --check
+# The call-count contracts (a no-fault run enters no fault, lifecycle,
+# recovery or obs code; the send path and an armed run cost what their
+# work costs) are tier-1 tests: tests/integration/test_call_contracts.py.
+# The human-readable cProfile report is run so that it cannot rot.
+echo "== profile report smoke (scripts/profile_run.py) =="
+python scripts/profile_run.py >/dev/null
+echo "profile report OK"
 
 # The repository's benchmark at 1/20 scale (~3 s): runs all four
 # workloads through the real harness and applies its output checks —

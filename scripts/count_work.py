@@ -21,11 +21,18 @@ counting interpreter), so two runs on one tree print the same table;
 It is blind to work done in C, so a change that swaps Python frames for
 C calls of equal cost reads as a saving the clock may not see: it aims
 and predicts a wall-clock measurement, it does not replace one.
+
+In-process, the same hook is :func:`count_opcodes` (opcodes per
+function of one call) and, with no opcode tracing, :func:`count_calls`
+(the Python calls one call makes, per function and caller's file).  The
+call-count contracts of ``tests/integration/test_call_contracts.py`` and
+the benchmark suite's lifecycle contract are assertions over them.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import subprocess
@@ -33,7 +40,7 @@ import sys
 import sysconfig
 import tempfile
 from collections import Counter
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 ROOT = os.path.normpath(os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir))
 
@@ -53,6 +60,87 @@ def layer_of(filename: str, src: str, stdlib: str) -> str:
     return "other"
 
 
+def traced(hook, fn, *args):
+    """``fn(*args)`` with ``hook`` as the global trace function, then the previous one again."""
+    previous = sys.gettrace()
+    sys.settrace(hook)
+    try:
+        return fn(*args)
+    finally:
+        sys.settrace(previous)
+
+
+def code_key(function) -> Tuple[str, int, str]:
+    """``(file, first line, name)``: how the counters key ``function``'s code, as ``pstats`` does."""
+    code = function.__code__
+    return (code.co_filename, code.co_firstlineno, code.co_name)
+
+
+def count_calls(fn, *args) -> Tuple[Any, Counter]:
+    """``fn(*args)`` and the Python calls it made, as ``(result, calls)``.
+
+    ``calls`` counts each call by ``(file, first line, name, caller's
+    file)``: the callee's :func:`code_key` (so the generated constructors
+    of one name share a ``<string>`` key) and the file of the frame that
+    made the call.  A generator counts once per resume.  Garbage left by
+    earlier code is collected first, so its finalizers (a dropped
+    generator's close) are not counted here.  A trace function already
+    installed keeps seeing every call, and is installed again afterwards.
+    """
+    gc.collect()
+    calls: Counter = Counter()
+    outer = sys.gettrace()
+
+    def on_call(frame, event, arg):
+        code = frame.f_code
+        caller = frame.f_back
+        calls[
+            code.co_filename, code.co_firstlineno, code.co_name,
+            caller.f_code.co_filename if caller is not None else "",
+        ] += 1
+        return outer(frame, event, arg) if outer is not None else None
+
+    return traced(on_call, fn, *args), calls
+
+
+def by_function(calls: Counter) -> Counter:
+    """:func:`count_calls`' counts summed over callers, keyed by :func:`code_key`."""
+    counts: Counter = Counter()
+    for (file, line, name, _caller), n in calls.items():
+        counts[file, line, name] += n
+    return counts
+
+
+def count_opcodes(fn, *args) -> Tuple[Any, Counter]:
+    """``fn(*args)`` and the opcodes it executed, per function keyed by :func:`code_key`.
+
+    Collects garbage first and keeps an outer trace function, as
+    :func:`count_calls` does; the outer one sees every event but the
+    opcodes.
+    """
+    gc.collect()
+    opcodes: Counter = Counter()
+    outer = sys.gettrace()
+
+    def on_call(frame, event, arg):
+        frame.f_trace_opcodes = True
+        code = frame.f_code
+        key = (code.co_filename, code.co_firstlineno, code.co_name)
+        local = outer(frame, event, arg) if outer is not None else None
+
+        def on_event(frame, event, arg):
+            nonlocal local
+            if event == "opcode":
+                opcodes[key] += 1
+            elif local is not None:
+                local = local(frame, event, arg)
+            return on_event
+
+        return on_event
+
+    return traced(on_call, fn, *args), opcodes
+
+
 def probe(workload: str, scale: float) -> Dict[str, int]:
     """Opcode events per layer of one warmed run of ``workload`` (in this interpreter)."""
     from e2ebench.workloads import build
@@ -62,29 +150,12 @@ def probe(workload: str, scale: float) -> Dict[str, int]:
 
     scenario = build(workload, 1, scale).jobs[0]
     run(scenario)
-    by_code: Counter = Counter()
-
-    def on_call(frame, event, arg):
-        frame.f_trace_opcodes = True
-        code = frame.f_code
-
-        def on_event(frame, event, arg):
-            if event == "opcode":
-                by_code[code] += 1
-            return on_event
-
-        return on_event
-
-    sys.settrace(on_call)
-    try:
-        run(scenario)
-    finally:
-        sys.settrace(None)
+    _result, opcodes = count_opcodes(run, scenario)
     src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
     stdlib = os.path.normpath(sysconfig.get_paths()["stdlib"]) + os.sep
     layers: Counter = Counter()
-    for code, count in by_code.items():
-        layers[layer_of(code.co_filename, src, stdlib)] += count
+    for (filename, _line, _name), count in opcodes.items():
+        layers[layer_of(filename, src, stdlib)] += count
     return dict(layers)
 
 

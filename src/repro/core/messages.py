@@ -45,8 +45,8 @@ it — so they build the record directly with ``tuple.__new__(cls, fields)``
 and save one Python frame per message (as does the token regenerator, for
 a literal one-token payload).  Both ways produce the same class.
 ``tests/properties/test_envelope_properties.py`` checks on whole runs that
-no empty envelope ever reaches the network, and ``scripts/profile_run.py
---check`` that a run executes no Python frame defined in this module.
+no empty envelope ever reaches the network, and
+``tests/integration/test_call_contracts.py`` that no run enters this module.
 """
 
 from __future__ import annotations

@@ -274,7 +274,7 @@ def run(scenario: Scenario) -> ExperimentResult:
 
     # Telemetry is the nullable seam of repro.obs: nothing below imports
     # — or executes a single frame of — the package unless the scenario
-    # carries a spec, which is what profile_run.py --check pins.
+    # carries a spec, which is what test_call_contracts.py pins.
     telemetry_runtime = None
     if scenario.telemetry is not None:
         from repro.obs.runtime import TelemetryRuntime

@@ -187,7 +187,7 @@ class Scenario:
         telemetry.  ``None`` (default) is no telemetry at all — and is
         hash-neutral, because a run without telemetry executes zero
         instrumentation frames (pinned by
-        ``scripts/profile_run.py --check``) and produces the exact
+        ``tests/integration/test_call_contracts.py``) and produces the exact
         result a pre-axis scenario named.  An explicit spec *is* hashed:
         its snapshot rides on ``ExperimentResult.telemetry`` through the
         cache, so the key must know about it.

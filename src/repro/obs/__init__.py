@@ -18,7 +18,7 @@ API is five names:
 
 The axis is **hash-neutral when unset** and provably inert when
 disabled: default runs execute zero frames from this package (pinned by
-``scripts/profile_run.py --check``), and the whole package stays
+``tests/integration/test_call_contracts.py``), and the whole package stays
 importable *optional* — the runner only imports it when a run actually
 asks for telemetry, so a deployment may strip ``repro/obs`` entirely
 without touching default results (pinned by the differential test in

@@ -5,7 +5,7 @@ every other scenario axis (latency, faults, workload, scheduler).  The
 axis is **hash-neutral when unset**: ``Scenario(telemetry=None)`` keys
 identically to a scenario written before the axis existed, because a
 run without telemetry *is* that run — the instrumentation executes zero
-frames (see :mod:`repro.obs` and ``scripts/profile_run.py --check``).
+frames (pinned by ``tests/integration/test_call_contracts.py``).
 The scenario is the only switch: nothing outside it turns telemetry on.
 """
 

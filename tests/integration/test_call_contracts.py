@@ -1,0 +1,192 @@
+"""Call-count contracts: the Python frames a run may and may not execute.
+
+A no-fault run is the paper's model and nothing more (Section 3.1:
+reliable FIFO links, no process halts), so it must not enter the fault
+layer, the crash lifecycle, the recovery coordinator, the crash-recovery
+subclasses or the telemetry package.  A run with a fault layer must cost
+what its faults cost.  And the per-message path of every run stays one
+frame of ``sim`` per message.
+
+Each contract is an exact assertion over the calls
+``scripts/count_work.py``'s :func:`count_calls` counts (per function,
+keyed ``(file, first line, name, caller's file)``) in one warmed run of
+the benchmark-size closed loop (10 processes, 24 resources, phi 4,
+duration 1 500).  The legs: ``with_loan`` under the heap and under the
+calendar scheduler, ``bouabdallah`` and ``incremental`` likewise, all
+with no fault, and an *armed* ``with_loan`` run: a permanent crash of node 1 at t=300,
+a heartbeat detector and jittered latency (the ``crash_recovery``
+benchmark's configuration in small).  Every leg is run once to warm
+imports and caches, then counted.  A failing rule prints the offending
+calls with their keys.
+"""
+
+from __future__ import annotations
+
+import os
+
+import pytest
+
+from repro.baselines.incremental import RecoverableIncrementalNode
+from repro.core.recovery import RecoverableCoreNode
+from repro.experiments.runner import run
+from repro.experiments.scenario import Scenario
+from repro.sim.detectorspec import HeartbeatDetector
+from repro.sim.faults import NoFaults, NodeCrash
+from repro.sim.latency import UniformJitterLatencySpec
+from repro.workload.params import WorkloadParams
+
+PARAMS = WorkloadParams(
+    num_processes=10, num_resources=24, phi=4, duration=1_500.0, warmup=200.0, seed=1,
+)
+
+#: The no-fault legs: each algorithm under each scheduler.
+NO_FAULT = {
+    algorithm + suffix: Scenario(algorithm=algorithm, params=PARAMS, scheduler=scheduler)
+    for algorithm in ("with_loan", "bouabdallah", "incremental")
+    for suffix, scheduler in (("", None), ("-calendar", "calendar"))
+}
+
+#: Every leg: the no-fault ones and the armed run.
+LEGS = {
+    **NO_FAULT,
+    "armed": NO_FAULT["with_loan"].replace(
+        faults=NodeCrash(node=1, at=300.0),
+        detector=HeartbeatDetector(interval=10, timeout=30),
+        latency=UniformJitterLatencySpec(jitter=0.4),
+        require_all_completed=False,
+    ),
+}
+
+
+def _path(*parts: str) -> str:
+    return os.path.join("repro", *parts)
+
+
+ENGINE = _path("sim", "engine.py")
+NETWORK = _path("sim", "network.py")
+
+#: Files (or, ending with a separator, packages) no no-fault run enters.
+NO_FAULT_FORBIDDEN = (
+    _path("sim", "faults.py"),
+    _path("sim", "lifecycle.py"),
+    _path("core", "recovery.py"),
+    _path("obs") + os.sep,
+)
+
+#: ``(defining file, function, caller's file)`` no run executes; an
+#: empty caller matches every caller.  Each was one frame per message,
+#: or per comparison, before a node's ``send`` became a ``partial`` over
+#: the network's bound send, the sends queued through the simulator's
+#: push directly and the order's sort key became an ``attrgetter``.
+#: (``schedule``/``schedule_at`` are how every other layer queues its
+#: timers, so only the network's calls count.)
+EVERY_RUN_FORBIDDEN = (
+    (_path("sim", "node.py"), "send", ""),
+    (ENGINE, "schedule", NETWORK),
+    (ENGINE, "schedule_at", NETWORK),
+    (_path("core", "ordering.py"), "request_key", ""),
+)
+
+#: As above, for the armed run: each was one frame per message or event
+#: before the armed path was made to cost what its work costs.
+#: ``Random.uniform`` is forbidden only to the latency model: the
+#: workload draws think times with it.
+ARMED_FORBIDDEN = (
+    (NETWORK, "record", ""),
+    (ENGINE, "now", ""),
+    ("random.py", "uniform", _path("sim", "latency.py")),
+)
+
+#: Ceiling on fault-hook calls per message of the armed run; consulting
+#: the hook for every message is 1.0.
+ARMED_HOOK_CALLS_PER_MESSAGE = 0.25
+
+
+def ran(calls, file: str, name=None, caller: str = "") -> dict:
+    """The counted calls of ``name`` (any function if ``None``) defined in ``file``, made from ``caller``."""
+    return {
+        key: n for key, n in calls.items()
+        if file in key[0] and (name is None or key[2] == name) and caller in key[3]
+    }
+
+
+@pytest.fixture(scope="module")
+def counted(count_work):
+    """``counted(leg)``: ``(result, calls)`` of the leg's run, warmed once and counted once."""
+    cache = {}
+
+    def counts(leg):
+        if leg not in cache:
+            run(LEGS[leg])  # imports and caches are paid before the count
+            cache[leg] = count_work.count_calls(run, LEGS[leg])
+        return cache[leg]
+
+    return counts
+
+
+@pytest.mark.parametrize("leg", NO_FAULT)
+def test_no_fault_run_enters_no_fault_lifecycle_recovery_or_obs_code(counted, count_work, leg):
+    """A no-fault run binds its ``NoFaults`` once and enters nothing else of the crash subsystem.
+
+    Catches a runner that builds the crash path for every run, and a
+    collector that calls into ``repro/obs`` on a default run.
+    """
+    _result, calls = counted(leg)
+    entered = {}
+    for module in NO_FAULT_FORBIDDEN:
+        entered.update(ran(calls, module))
+    assert count_work.by_function(entered) == {count_work.code_key(NoFaults.bind): 1}
+
+
+@pytest.mark.parametrize("leg", NO_FAULT)
+def test_no_fault_run_executes_no_crash_recovery_subclass_function(counted, count_work, leg):
+    """The crash-recovery subclasses are built only for a scenario with crash windows."""
+    _result, calls = counted(leg)
+    subclass_code = {
+        count_work.code_key(function)
+        for cls in (RecoverableCoreNode, RecoverableIncrementalNode)
+        for function in vars(cls).values()
+        if hasattr(function, "__code__")
+    }
+    assert {key: n for key, n in calls.items() if key[:3] in subclass_code} == {}
+
+
+@pytest.mark.parametrize("leg", NO_FAULT)
+def test_reliable_run_cancels_no_timer(counted, leg):
+    """No per-request timer is armed or cancelled on reliable links."""
+    _result, calls = counted(leg)
+    assert ran(calls, ENGINE, "cancel") == {}
+
+
+@pytest.mark.parametrize("leg", LEGS)
+def test_run_executes_no_frame_of_core_messages(counted, leg):
+    """Records are built by C calls, envelopes by ``tuple.__new__``, not the validating ``__new__``."""
+    _result, calls = counted(leg)
+    assert ran(calls, _path("core", "messages.py")) == {}
+
+
+@pytest.mark.parametrize("leg", LEGS)
+def test_send_path_and_order_key_run_no_python_frame(counted, leg):
+    """No ``Node.send``, network-called ``schedule``/``schedule_at`` or ``request_key`` frame."""
+    _result, calls = counted(leg)
+    entered = {}
+    for file, name, caller in EVERY_RUN_FORBIDDEN:
+        entered.update(ran(calls, file, name, caller))
+    assert entered == {}
+
+
+def test_armed_run_consults_the_fault_hook_only_for_exposed_messages(counted):
+    """Only messages that touch the crashable node reach ``FaultSpec.handover``."""
+    result, calls = counted("armed")
+    messages = result.metrics.messages_total
+    hook_calls = sum(ran(calls, _path("sim", "faults.py"), "handover").values())
+    assert 0 < hook_calls < ARMED_HOOK_CALLS_PER_MESSAGE * messages, (hook_calls, messages)
+
+
+def test_armed_run_executes_no_per_message_stats_clock_or_draw_frame(counted):
+    """No ``MessageStats.record``, ``now`` property or latency-drawn ``uniform`` frame."""
+    _result, calls = counted("armed")
+    entered = {}
+    for file, name, caller in ARMED_FORBIDDEN:
+        entered.update(ran(calls, file, name, caller))
+    assert entered == {}

@@ -14,8 +14,8 @@ Three layers of the contract:
   columns and message accounting identical to the disabled run (the
   probe reads counters, it never perturbs the protocol).
 
-The structural frame-count pin lives in ``scripts/profile_run.py
---check``; the wall-clock guard in ``benchmarks/test_bench_obs.py``.
+The call-count pin (zero ``repro/obs`` frames on a default run) lives in
+``tests/integration/test_call_contracts.py``.
 """
 
 from __future__ import annotations
