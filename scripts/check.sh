@@ -101,6 +101,12 @@ echo "== bytecode count repeatability (scripts/count_work.py) =="
 python scripts/count_work.py --workload closed_loop_paper --scale 0.05 --repeat-check >/dev/null
 echo "bytecode count repeatable"
 
+# The same count per function, the five costliest (~5 s): keeps the
+# per-function table from rotting.
+echo "== per-function bytecode count smoke (scripts/count_work.py --by function) =="
+python scripts/count_work.py --workload closed_loop_paper --scale 0.05 --by function --top 5 >/dev/null
+echo "per-function count OK"
+
 # What no run reaches: every function under src/repro that the entry
 # points (figure reproduction, the nine examples, the telemetry export,
 # the benchmark smoke) never enter must be listed, with its kind and

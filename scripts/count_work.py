@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Executed bytecodes of a benchmark workload, per layer: a deterministic cost count.
 
-``python scripts/count_work.py [--workload W ...] [--scale S] [REF ...]``
+``python scripts/count_work.py [--workload W ...] [--scale S] [--by function [--top K]] [REF ...]``
 
 For each REF (any tree-ish; none: the working tree) the tree is exported
 with ``git archive``, as ``scripts/bench_pairs.py`` does, and a fresh
@@ -11,7 +11,11 @@ S).jobs[0]``, runs it once to warm up, then runs it again under
 events by the file of the executing code.  Files group into the package
 under ``src/repro`` (``core``, ``sim``, ``allocator`` for a top-level
 module, ...), ``generated`` (code compiled from a string: dataclass and
-namedtuple constructors), ``stdlib`` and ``other``.  The table prints
+namedtuple constructors), ``stdlib`` and ``other``.  With ``--by
+function`` they group by function instead, labelled ``path:qualname``
+(the path relative to the tree or the standard library, so one function
+lines up across REFs), and the table shows the ``--top K`` (default 20)
+with the most opcodes in any tree, then the ``rest``.  The table prints
 one column per REF and, for two or more, the change of the last against
 the first.
 
@@ -20,7 +24,17 @@ counting interpreter), so two runs on one tree print the same table;
 ``--repeat-check`` runs every count twice and exits 1 if they differ.
 It is blind to work done in C, so a change that swaps Python frames for
 C calls of equal cost reads as a saving the clock may not see: it aims
-and predicts a wall-clock measurement, it does not replace one.
+and predicts a wall-clock measurement, it does not replace one.  The
+reverse holds too.  Moving constant-latency deliveries from the event
+heap to the engine's FIFO lane (:mod:`repro.sim.engine`) replaced a
+``heappush`` and a ``heappop`` sift per message, C work this count
+never saw, with a merge of two queue heads written in bytecode.  On
+``open_loop_bl`` at the default scale the count rose 4.2 % (20 128 801
+to 20 979 423 opcodes: ``Simulator.run`` 3 094 683 to 3 753 390,
+``Network._send_constant`` 4 478 096 to 4 669 976, all other functions
+together +35), while the benchmark's spin-normalised ``run_s`` fell
+10.7 % and 14.6 % (seeds 1 and 2, the change faster in 10 of 10 pairs
+each).
 
 In-process, the same hook is :func:`count_opcodes` (opcodes per
 function of one call) and, with no opcode tracing, :func:`count_calls`
@@ -118,6 +132,15 @@ def count_opcodes(fn, *args) -> Tuple[Any, Counter]:
     :func:`count_calls` does; the outer one sees every event but the
     opcodes.
     """
+    result, qualified = count_qualified_opcodes(fn, *args)
+    opcodes: Counter = Counter()
+    for (file, line, name, _qualname), n in qualified.items():
+        opcodes[file, line, name] += n
+    return result, opcodes
+
+
+def count_qualified_opcodes(fn, *args) -> Tuple[Any, Counter]:
+    """:func:`count_opcodes`, keyed ``(file, first line, name, qualified name)``."""
     gc.collect()
     opcodes: Counter = Counter()
     outer = sys.gettrace()
@@ -125,7 +148,10 @@ def count_opcodes(fn, *args) -> Tuple[Any, Counter]:
     def on_call(frame, event, arg):
         frame.f_trace_opcodes = True
         code = frame.f_code
-        key = (code.co_filename, code.co_firstlineno, code.co_name)
+        key = (
+            code.co_filename, code.co_firstlineno, code.co_name,
+            getattr(code, "co_qualname", code.co_name),  # Python 3.11+
+        )
         local = outer(frame, event, arg) if outer is not None else None
 
         def on_event(frame, event, arg):
@@ -141,8 +167,22 @@ def count_opcodes(fn, *args) -> Tuple[Any, Counter]:
     return traced(on_call, fn, *args), opcodes
 
 
-def probe(workload: str, scale: float) -> Dict[str, int]:
-    """Opcode events per layer of one warmed run of ``workload`` (in this interpreter)."""
+def function_label(filename: str, qualname: str, src: str, stdlib: str) -> str:
+    """``path:qualname`` of a function, the same in every tree whose sources are ``src``.
+
+    The path is relative to the tree (``src/repro/sim/engine.py``) or to
+    the standard library (``heapq.py``); any other file keeps its name.
+    """
+    tree = os.path.dirname(src) + os.sep
+    for base in (tree, stdlib):
+        if filename.startswith(base):
+            filename = filename[len(base):]
+            break
+    return f"{filename}:{qualname}"
+
+
+def probe(workload: str, scale: float, by: str = "layer") -> Dict[str, int]:
+    """Opcode events per layer (or per function) of one warmed run of ``workload`` (in this interpreter)."""
     from e2ebench.workloads import build
 
     import repro
@@ -150,16 +190,19 @@ def probe(workload: str, scale: float) -> Dict[str, int]:
 
     scenario = build(workload, 1, scale).jobs[0]
     run(scenario)
-    _result, opcodes = count_opcodes(run, scenario)
+    _result, opcodes = count_qualified_opcodes(run, scenario)
     src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
     stdlib = os.path.normpath(sysconfig.get_paths()["stdlib"]) + os.sep
-    layers: Counter = Counter()
-    for (filename, _line, _name), count in opcodes.items():
-        layers[layer_of(filename, src, stdlib)] += count
-    return dict(layers)
+    groups: Counter = Counter()
+    for (filename, _line, _name, qualname), count in opcodes.items():
+        if by == "function":
+            groups[function_label(filename, qualname, src, stdlib)] += count
+        else:
+            groups[layer_of(filename, src, stdlib)] += count
+    return dict(groups)
 
 
-def count_tree(tree: str, workload: str, scale: float) -> Dict[str, int]:
+def count_tree(tree: str, workload: str, scale: float, by: str = "layer") -> Dict[str, int]:
     """Run :func:`probe` in a fresh interpreter inside ``tree``."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     env["PYTHONPATH"] = os.pathsep.join(
@@ -168,7 +211,8 @@ def count_tree(tree: str, workload: str, scale: float) -> Dict[str, int]:
     env["PYTHONHASHSEED"] = "0"
     env["PYTHONDONTWRITEBYTECODE"] = "1"
     command = [
-        sys.executable, os.path.abspath(__file__), "--probe", workload, "--scale", str(scale)
+        sys.executable, os.path.abspath(__file__), "--probe", workload, "--scale", str(scale),
+        "--by", by,
     ]
     done = subprocess.run(
         command, cwd=tree, env=env, stdout=subprocess.PIPE, text=True, check=True
@@ -185,16 +229,36 @@ def export(ref: str, target: str) -> None:
         raise SystemExit(f"git archive {ref} failed")
 
 
-def table(workload: str, names: List[str], counts: List[Dict[str, int]]) -> str:
-    """One workload's per-layer counts, one column per tree."""
-    outside = ("generated", "stdlib", "other")
-    layers = sorted(set().union(*counts), key=lambda layer: (layer in outside, layer))
-    width = max(12, *(len(name) for name in names))
-    lines = [f"== {workload}", f"   {'layer':<12}" + "".join(f" {name:>{width}}" for name in names)]
-    rows = [(layer, [c.get(layer, 0) for c in counts]) for layer in layers]
+def table(
+    workload: str, names: List[str], counts: List[Dict[str, int]], top: Optional[int] = None
+) -> str:
+    """One workload's counts, one column per tree.
+
+    Per layer (``top`` is ``None``): every layer, ``src/repro`` packages
+    first.  Per function: the ``top`` functions with the most opcodes in
+    any tree, most first, then one ``rest`` row for all the others.
+    """
+    groups = set().union(*counts)
+    rest: List[str] = []
+    if top is None:
+        outside = ("generated", "stdlib", "other")
+        shown = sorted(groups, key=lambda layer: (layer in outside, layer))
+    else:
+        ranked = sorted(groups, key=lambda group: (-max(c.get(group, 0) for c in counts), group))
+        shown, rest = ranked[:top], ranked[top:]
+    rows = [(group, [c.get(group, 0) for c in counts]) for group in shown]
+    if rest:
+        rows.append(("rest", [sum(c.get(group, 0) for group in rest) for c in counts]))
     rows.append(("total", [sum(c.values()) for c in counts]))
-    for layer, values in rows:
-        line = f"   {layer:<12}" + "".join(f" {value:>{width},}" for value in values)
+    label = max(12, *(len(group) for group, _values in rows))
+    width = max(12, *(len(name) for name in names))
+    heading = "layer" if top is None else "function"
+    lines = [
+        f"== {workload}",
+        f"   {heading:<{label}}" + "".join(f" {name:>{width}}" for name in names),
+    ]
+    for group, values in rows:
+        line = f"   {group:<{label}}" + "".join(f" {value:>{width},}" for value in values)
         if len(values) > 1:
             first, last = values[0], values[-1]
             line += f"  {(last - first) / first:+8.1%}" if first else "       new"
@@ -210,13 +274,20 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument("--scale", type=float, default=0.2, help="workload duration scale")
     parser.add_argument(
+        "--by", choices=("layer", "function"), default="layer", help="group opcodes by (default: layer)"
+    )
+    parser.add_argument(
+        "--top", type=int, default=20, metavar="K", help="functions shown with --by function"
+    )
+    parser.add_argument(
         "--repeat-check", action="store_true", help="count twice, exit 1 on a difference"
     )
     parser.add_argument("--probe", metavar="W", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.probe:
-        print(json.dumps(probe(args.probe, args.scale), sort_keys=True))
+        print(json.dumps(probe(args.probe, args.scale, args.by), sort_keys=True))
         return 0
+    top = args.top if args.by == "function" else None
 
     workloads = args.workload or list(WORKLOADS)
     stable = True
@@ -228,13 +299,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         names = list(args.refs) or ["worktree"]
         trees = trees or [ROOT]
         for workload in workloads:
-            counts = [count_tree(tree, workload, args.scale) for tree in trees]
+            counts = [count_tree(tree, workload, args.scale, args.by) for tree in trees]
             if args.repeat_check:
-                again = [count_tree(tree, workload, args.scale) for tree in trees]
+                again = [count_tree(tree, workload, args.scale, args.by) for tree in trees]
                 if again != counts:
                     stable = False
                     print(f"== {workload}: counts differ between two runs", file=sys.stderr)
-            print(table(workload, names, counts), flush=True)
+            print(table(workload, names, counts, top), flush=True)
     return 0 if stable else 1
 
 

@@ -6,27 +6,46 @@ protocol-evaluation substrate, so ties on the timestamp are broken by a
 monotonically increasing sequence number (insertion order), which makes
 every run with the same seed bit-for-bit reproducible.
 
-One way to queue, one way to cancel
------------------------------------
-The queue holds plain ``(time, seq, callback, args)`` tuples, so ordering
-is decided by CPython's C-level tuple comparison — ``time`` never ties
-with itself and ``seq`` is unique, so comparison never reaches the
-(uncomparable) callback.
+Two ways to queue, one way to cancel
+------------------------------------
+Every queued event is a plain ``(time, seq, callback, args)`` tuple, so
+ordering is decided by CPython's C-level tuple comparison — ``time``
+never ties with itself and ``seq`` is unique, so comparison never
+reaches the (uncomparable) callback.
 
-Every event is queued the same way: ``push((time, next_seq(), callback,
-args))``, where ``push`` is the scheduler's one push callable and
-``next_seq`` the ``__next__`` of an :func:`itertools.count` — on the
-heap, both are C-level, so queueing costs no Python frame.  The
-:class:`Simulator` binds the pair once, as ``_push`` and ``_next_seq``.
+An event is queued as ``push((time, next_seq(), callback, args))``,
+where ``next_seq`` is the ``__next__`` of an :func:`itertools.count`
+and ``push`` one of two callables:
+
+* the scheduler's push (``_push``), for every timer and every message
+  whose delivery time its sender cannot promise to be in order;
+* the **FIFO lane**'s ``deque.append``, for entries pushed in
+  non-decreasing ``(time, seq)`` order.  The paper's links have one
+  constant latency γ (Section 3.1), so a delivery sent at ``now`` is due
+  at ``now + γ``: ``now`` never decreases, IEEE addition is monotone and
+  ``seq`` strictly increases, so a constant-latency network's
+  deliveries arrive already sorted, and the lane spares each of them a
+  heap sift on push and on pop.  One lane serves one γ:
+  :meth:`Simulator.claim_lane` hands it to its first claimant, and the
+  scheduler's push to every later one.
+
+On the heap both pushes are C-level, so queueing costs no Python frame.
+The run loop dispatches the smaller of the lane's head and the heap's
+head (one tuple comparison), so it runs events in exactly the ``(time,
+seq)`` order one heap holding every entry would.  Only the heap has a
+lane: under any other scheduler ``claim_lane`` returns the scheduler's
+own push, and the lane stays empty.
+
 :meth:`Simulator.schedule` (a delay from now) and
 :meth:`Simulator.schedule_at` (an absolute instant) are the public calls
-built on it; the network's sends (:mod:`repro.sim.network`) push onto the
-pair directly.
+built on the scheduler's pair; the network's sends
+(:mod:`repro.sim.network`) push onto the pair, or the lane, directly.
 
 A timer *is* its sequence number: both scheduling calls return the
 ``seq`` they queued, and :meth:`Simulator.cancel` takes it back.
 Cancellation is the rare case, tracked in a side set of sequence numbers
-that the run loop checks as it pops.
+that the run loop checks as it pops.  A send returns a time, never a
+``seq``, so no lane entry is ever cancelled.
 
 *How* the tuples are stored is pluggable (:mod:`repro.sim.schedulers`):
 the binary heap is the default and the reference implementation, and a
@@ -41,6 +60,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from collections import deque
 from typing import Any, Callable, Optional, Union
 
 from repro.sim.schedulers import CalendarQueue, HeapScheduler, make_scheduler
@@ -88,7 +108,10 @@ class Simulator:
     1.5
     """
 
-    __slots__ = ("_scheduler", "_push", "_next_seq", "now", "_running", "_processed", "_cancelled")
+    __slots__ = (
+        "_scheduler", "_push", "_next_seq", "_lane", "_lane_claimed",
+        "now", "_running", "_processed", "_cancelled",
+    )
 
     def __init__(self, scheduler: Union[str, SchedulerLike, None] = None) -> None:
         if scheduler is None or isinstance(scheduler, str):
@@ -97,6 +120,9 @@ class Simulator:
         # The queueing pair (see the module docstring).
         self._push = scheduler.push
         self._next_seq = itertools.count().__next__
+        # The FIFO lane (see the module docstring); only the heap has one.
+        self._lane: deque = deque()
+        self._lane_claimed = type(scheduler) is not HeapScheduler
         self.now: float = 0.0
         self._running = False
         self._processed = 0
@@ -111,12 +137,26 @@ class Simulator:
     @property
     def pending_events(self) -> int:
         """Number of events still queued (including cancelled ones)."""
-        return len(self._scheduler)
+        return len(self._scheduler) + len(self._lane)
 
     @property
     def scheduler_name(self) -> str:
         """Selection name of the active event scheduler."""
         return self._scheduler.name
+
+    def claim_lane(self) -> Callable[[tuple], None]:
+        """The push for entries that will arrive in ``(time, seq)`` order.
+
+        The first call takes the FIFO lane and returns its append; every
+        later call, and every call under a scheduler other than the
+        heap, returns the scheduler's push.  The caller promises that
+        everything it pushes through the lane's append is due no earlier
+        than what it pushed before (see the module docstring).
+        """
+        if self._lane_claimed:
+            return self._push
+        self._lane_claimed = True
+        return self._lane.append
 
     def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> int:
         """Queue ``callback(*args)`` to run ``delay`` time units from now.
@@ -189,34 +229,69 @@ class Simulator:
         self._running = True
         scheduler = self._scheduler
         cancelled = self._cancelled
-        # max_events is a countdown, not a loop structure, and means the
-        # same in every loop: a run of exactly max_events events
-        # completes, one more about to run raises.
-        budget = -1 if max_events is None else max_events
+        # max_events is a cap on the event counter, not a loop
+        # structure, and means the same in every loop: a run of exactly
+        # max_events events completes, one more about to run raises.
+        # Each loop counts in a local and stores it before every
+        # callback, so `processed_events` is current inside callbacks.
+        processed = self._processed
+        limit = -1 if max_events is None else processed + max_events
         try:
             if type(scheduler) is HeapScheduler:
-                # The heap inline, draining or bounded by `until` alike:
-                # this is the loop of every default run, and `until` is
-                # how every run with a fault layer is driven.  Popping
-                # before looking at the time keeps the drain free of a
-                # peek; the one live entry found past the horizon goes
-                # back under its own (time, seq), so order is untouched.
+                # The heap and the FIFO lane inline, draining or bounded
+                # by `until` alike: this is the loop of every default
+                # run, and `until` is how every run with a fault layer
+                # is driven.  Each turn dispatches the smaller head of
+                # the two queues (see the module docstring).
+                #
+                # A lane head is read in place and popped only when it
+                # runs: one past the horizon, or one too many for
+                # max_events, simply stays at the front of the lane.
+                # No lane entry is ever cancelled, so its turn skips the
+                # cancellation check; it is the turn of nearly every
+                # message, hence the dispatch written out twice.
+                #
+                # A heap head is popped before its time is looked at,
+                # which keeps the drain free of a peek; the one live
+                # entry found past the horizon, or one too many for
+                # max_events, goes back under its own (time, seq), so
+                # order is untouched.
                 queue = scheduler.entries
+                lane = self._lane
+                popleft = lane.popleft
                 heappop = heapq.heappop
                 horizon = math.inf if until is None else until
-                while queue:
-                    time, seq, callback, args = heappop(queue)
+                while True:
+                    if lane:
+                        entry = lane[0]
+                        if not queue or entry < queue[0]:
+                            time, _seq, callback, args = entry
+                            if time > horizon:
+                                break
+                            if processed == limit:
+                                self._raise_runaway(max_events)
+                            popleft()
+                            self.now = time
+                            processed += 1
+                            self._processed = processed
+                            callback(*args)
+                            continue
+                    elif not queue:
+                        break
+                    entry = heappop(queue)
+                    time, seq, callback, args = entry
                     if cancelled and seq in cancelled:
                         cancelled.discard(seq)
                         continue
                     if time > horizon:
-                        heapq.heappush(queue, (time, seq, callback, args))
+                        heapq.heappush(queue, entry)
                         break
-                    if budget == 0:
+                    if processed == limit:
+                        heapq.heappush(queue, entry)
                         self._raise_runaway(max_events)
-                    budget -= 1
                     self.now = time
-                    self._processed += 1
+                    processed += 1
+                    self._processed = processed
                     callback(*args)
             elif until is None:
                 # Batch drain: iterate the scheduler's ready window in
@@ -237,11 +312,11 @@ class Simulator:
                         if cancelled and seq in cancelled:
                             cancelled.discard(seq)
                             continue
-                        if budget == 0:
+                        if processed == limit:
                             self._raise_runaway(max_events)
-                        budget -= 1
                         self.now = time
-                        self._processed += 1
+                        processed += 1
+                        self._processed = processed
                         callback(*args)
             else:
                 # Peek/pop loop: only the calendar queue bounded by
@@ -259,12 +334,12 @@ class Simulator:
                         continue
                     if time > until:
                         break
-                    if budget == 0:
+                    if processed == limit:
                         self._raise_runaway(max_events)
-                    budget -= 1
                     pop()
                     self.now = time
-                    self._processed += 1
+                    processed += 1
+                    self._processed = processed
                     callback(*args)
         finally:
             self._running = False

@@ -34,14 +34,20 @@ of two functions as the instance attribute ``send``.
 * exactly :class:`~repro.sim.latency.ConstantLatencySpec` (the paper's
   default configuration): a constant latency can never reorder a link,
   so an unexposed message needs no per-link FIFO clamp, and the latency
-  is hoisted to two floats.
+  is hoisted to two floats.  Better still, every unexposed message
+  between two distinct nodes is due ``gamma`` after it is sent, so this
+  network's deliveries are sent in the order they fire: the network
+  claims the simulator's FIFO lane (:meth:`Simulator.claim_lane
+  <repro.sim.engine.Simulator.claim_lane>`) for them, and they skip the
+  heap.  A self-send (``local``) and an exposed message still go on the
+  heap.
 * any other latency spec (or a subclass): a latency draw through a bound
   method hoisted at construction, plus the per-link FIFO clamp.
 
 Both resolve the delivery callback *per (destination, message class)*
 once (an unknown destination raises ``KeyError`` there, before anything
 is counted), update one flat counter, and queue the delivery through the
-simulator's push and sequence counter directly (see
+simulator's sequence counter and its push, or the lane's, directly (see
 :mod:`repro.sim.engine`), with no ``Simulator.schedule_at`` frame.
 They skip its past-time check: every latency spec rejects a negative or
 non-finite delay at construction (``tests/sim/test_latency.py``) and the
@@ -198,6 +204,7 @@ class Network:
         "_delivery_cache",
         "_gamma",
         "_local",
+        "_post",
         "_last_delivery",
         "_compact_at",
         "_quiet_until",
@@ -243,6 +250,9 @@ class Network:
         if type(self.latency) is ConstantLatencySpec:
             self._gamma = self.latency.gamma
             self._local = self.latency.local
+            # Unexposed deliveries between distinct nodes are due `_gamma`
+            # after they are sent, so they are sent in the order they fire.
+            self._post = sim.claim_lane()
             self.send = self._send_constant
         else:
             self.send = self._send_general
@@ -291,8 +301,10 @@ class Network:
 
         An unexposed message (see the module docstring; every message,
         without a fault layer) is queued for its handler with no FIFO
-        clamp; an exposed one is clamped, then put to the fault layer.
-        Returns the delivery time (``math.inf``: lost).
+        clamp, on the FIFO lane if it is not a self-send and this
+        network holds the lane; an exposed one is clamped, then put to
+        the fault layer, and queued on the heap.  Returns the delivery
+        time (``math.inf``: lost).
         """
         cls = message.__class__
         target = self._delivery_cache.get((dst, cls))
@@ -304,7 +316,12 @@ class Network:
         sim = self.sim
         now = sim.now
         # Never in the past: latencies are non-negative (module docstring).
-        delivery = now + (self._gamma if src != dst else self._local)
+        if src != dst:
+            delivery = now + self._gamma
+            post = self._post
+        else:
+            delivery = now + self._local
+            post = sim._push
         if delivery >= self._quiet_until:
             exposed = self._exposed_nodes
             if exposed is None or src in exposed or dst in exposed:
@@ -322,7 +339,9 @@ class Network:
                 last[link] = delivery
                 if len(last) >= self._compact_at:
                     self._compact_last_delivery()
-        sim._push((delivery, sim._next_seq(), target, (src, message)))
+                # Clamped or delayed: out of the lane's order.
+                post = sim._push
+        post((delivery, sim._next_seq(), target, (src, message)))
         return delivery
 
     def _send_general(self, src: int, dst: int, message: Any) -> float:

@@ -18,6 +18,10 @@ a heartbeat detector and jittered latency (the ``crash_recovery``
 benchmark's configuration in small).  Every leg is run once to warm
 imports and caches, then counted.  A failing rule prints the offending
 calls with their keys.
+
+Queueing happens in C (``deque.append``, ``heappush``), where no call
+counter sees it, so where each event is queued is counted by one more
+run of each leg on a :class:`QueueCountingSimulator`.
 """
 
 from __future__ import annotations
@@ -28,9 +32,11 @@ import pytest
 
 from repro.baselines.incremental import RecoverableIncrementalNode
 from repro.core.recovery import RecoverableCoreNode
+from repro.experiments import runner
 from repro.experiments.runner import run
 from repro.experiments.scenario import Scenario
 from repro.sim.detectorspec import HeartbeatDetector
+from repro.sim.engine import Simulator
 from repro.sim.faults import NoFaults, NodeCrash
 from repro.sim.latency import UniformJitterLatencySpec
 from repro.workload.params import WorkloadParams
@@ -190,3 +196,71 @@ def test_armed_run_executes_no_per_message_stats_clock_or_draw_frame(counted):
     for file, name, caller in ARMED_FORBIDDEN:
         entered.update(ran(calls, file, name, caller))
     assert entered == {}
+
+
+class QueueCountingSimulator(Simulator):
+    """A simulator that counts its timers and what each of its queues is given.
+
+    ``timers``: ``schedule``/``schedule_at`` calls; ``heap``: pushes
+    through the scheduler's push, timers included; ``lane``: appends to
+    the FIFO lane.  The wrappers are Python frames, so these runs are
+    never the call-counted ones.
+    """
+
+    __slots__ = ("timers", "heap", "lane")
+
+    def __init__(self, scheduler=None):
+        super().__init__(scheduler)
+        self.timers = self.heap = self.lane = 0
+        push = self._push
+
+        def counted_push(entry):
+            self.heap += 1
+            push(entry)
+
+        self._push = counted_push
+
+    def claim_lane(self):
+        post = super().claim_lane()
+        if post == self._push:
+            return post
+
+        def counted_post(entry):
+            self.lane += 1
+            post(entry)
+
+        return counted_post
+
+    def schedule(self, delay, callback, *args):
+        self.timers += 1
+        return super().schedule(delay, callback, *args)
+
+    def schedule_at(self, time, callback, *args):
+        self.timers += 1
+        return super().schedule_at(time, callback, *args)
+
+
+@pytest.mark.parametrize("leg", LEGS)
+def test_messages_of_a_constant_heap_run_take_the_fifo_lane(monkeypatch, leg):
+    """On the heap with constant latency, every message is a lane entry and the heap holds only timers.
+
+    The calendar scheduler keeps the lane empty, and the armed run's
+    jittered latency queues every delivered message on the heap; a
+    message lost for good is never queued.
+    """
+    built = []
+
+    def simulator(scheduler):
+        built.append(QueueCountingSimulator(scheduler))
+        return built[-1]
+
+    monkeypatch.setattr(runner, "Simulator", simulator)
+    result = run(LEGS[leg])
+    (sim,) = built
+    messages = result.metrics.messages_total
+    delivered = messages - (result.messages_dropped - result.resend_count)
+    assert messages > 0
+    if leg in NO_FAULT and sim.scheduler_name == "heap":
+        assert (sim.lane, sim.heap) == (messages, sim.timers)
+    else:
+        assert (sim.lane, sim.heap) == (0, sim.timers + delivered)

@@ -1,8 +1,9 @@
 """``scripts/count_work.py``: how executed code is grouped, and the in-process counters.
 
 The opcode counting itself runs workloads and is ``scripts/check.sh``'s
-job (two counts of one tree must be equal); these tests pin the grouping
-and the table, which need no run, and the in-process counters on toy code.
+job (two counts of one tree must be equal, and the per-function table
+must print); these tests pin the grouping and the tables, which need no
+run, and the in-process counters on toy code.
 """
 
 import os
@@ -50,6 +51,44 @@ def test_table_prints_every_layer_a_total_and_the_change(count_work):
     assert rows["total"] == ["150", "125", "-16.7%"]
 
 
+def test_functions_are_labelled_by_tree_relative_path_and_qualified_name(count_work):
+    src = os.path.join(os.sep, "tree", "src")
+    stdlib = os.path.join(os.sep, "py", "lib", "python3.11") + os.sep
+
+    def label(qualname, *parts):
+        return count_work.function_label(os.path.join(*parts), qualname, src, stdlib)
+
+    engine = os.path.join("src", "repro", "sim", "engine.py")
+    assert label("Simulator.run", src, "repro", "sim", "engine.py") == f"{engine}:Simulator.run"
+    workloads = os.path.join("benchmarks", "e2e", "e2ebench", "workloads.py")
+    assert label("build", os.sep, "tree", workloads) == f"{workloads}:build"
+    assert label("heappush", stdlib, "heapq.py") == "heapq.py:heappush"
+    assert label("__create_fn__.<locals>.__init__", "<string>") == (
+        "<string>:__create_fn__.<locals>.__init__"
+    )
+
+
+def test_table_by_function_ranks_the_top_k_and_sums_the_rest(count_work):
+    text = count_work.table(
+        "open_loop_bl", ["parent", "change"],
+        [
+            {"engine.py:Simulator.run": 40, "network.py:Network.send": 90, "a.py:f": 3, "b.py:g": 2},
+            {"engine.py:Simulator.run": 60, "network.py:Network.send": 70, "a.py:f": 3},
+        ],
+        top=2,
+    )
+    lines = text.splitlines()
+    assert lines[1].split() == ["function", "parent", "change"]
+    rows = [line.split() for line in lines[2:]]
+    # Ranked by the larger count in any tree; the rest summed per tree.
+    assert rows == [
+        ["network.py:Network.send", "90", "70", "-22.2%"],
+        ["engine.py:Simulator.run", "40", "60", "+50.0%"],
+        ["rest", "5", "3", "-40.0%"],
+        ["total", "135", "133", "-1.5%"],
+    ]
+
+
 def test_count_calls_counts_each_function_by_its_caller_file(count_work):
     result, calls = count_work.count_calls(caller, 1)
     assert result == 4
@@ -73,6 +112,14 @@ def test_count_opcodes_counts_each_function_by_its_code(count_work):
     # Two calls of ``callee`` run its opcodes twice.
     _result, once = count_work.count_opcodes(callee, 1)
     assert opcodes[count_work.code_key(callee)] == 2 * once[count_work.code_key(callee)] > 0
+
+
+def test_qualified_opcode_counts_name_each_function_and_sum_to_the_plain_ones(count_work):
+    _result, qualified = count_work.count_qualified_opcodes(caller, 1)
+    _result, plain = count_work.count_opcodes(caller, 1)
+    assert {key[3] for key in qualified} == {"caller", "callee"}
+    assert {key[:3] for key in qualified} == set(plain)
+    assert sum(qualified.values()) == sum(plain.values())
 
 
 @pytest.mark.parametrize("counter", ["count_calls", "count_opcodes"])

@@ -323,30 +323,73 @@ event_specs = st.tuples(
 untils = st.integers(0, 44).map(lambda quarter: quarter / 4)
 
 
-def run_bounded_phases(scheduler, specs, phases):
-    """Play ``specs`` through ``run(until=...)`` phase by phase; observe each."""
+#: One item of a script: a timer (as :data:`event_specs`) or a lane
+#: delivery, due ``step`` quarters after the lane's previous one (the
+#: lane's contract: pushes never go back in time).  Both use the coarse
+#: grid, so lane entries tie with timers.
+script_items = st.one_of(
+    st.tuples(st.just("timer"), event_specs),
+    st.tuples(
+        st.just("lane"),
+        st.tuples(
+            st.integers(0, 6).map(lambda quarter: quarter / 4),
+            st.sampled_from(["log", "log", "arm-now", "arm-later", "cancel-next", "send"]),
+        ),
+    ),
+)
+phase_specs = st.tuples(untils, st.one_of(st.none(), st.integers(0, 30)))
+
+
+def run_script(scheduler, script, phases, gamma=0.75):
+    """Play ``script`` through ``run(until=..., max_events=...)`` phases; observe each.
+
+    Items are queued in script order: a timer at its instant (cancelled
+    up front if its spec says so), a lane delivery through
+    ``claim_lane()`` — the FIFO lane on the heap, the scheduler's own
+    push on any other scheduler.  A ``send`` action posts one more
+    delivery ``gamma`` after now, as a constant-latency network does;
+    ``cancel-next`` cancels the next item of the script if it is a
+    timer.  Each phase observes ``(log, now, processed, pending)`` and
+    the error message if it raised.
+    """
     sim = Simulator(scheduler)
+    post = sim.claim_lane()
     log = []
-    timers = []
+    timers = {}
+    lane_last = [0.0]
 
-    def fire(index, action):
-        log.append((index, sim.now))
+    def deliver(time, label, action):
+        lane_last[0] = time = max(time, lane_last[0])
+        post((time, sim._next_seq(), fire, (label, action)))
+
+    def fire(label, action):
+        log.append((label, sim.now))
         if action == "arm-now":
-            sim.schedule(0.0, fire, f"{index}+", "log")
+            sim.schedule(0.0, fire, f"{label}+", "log")
         elif action == "arm-later":
-            sim.schedule(1.25, fire, f"{index}+", "log")
-        elif action == "cancel-next" and index + 1 < len(timers):
-            sim.cancel(timers[index + 1])
+            sim.schedule(1.25, fire, f"{label}+", "log")
+        elif action == "cancel-next" and label + 1 in timers:
+            sim.cancel(timers[label + 1])
+        elif action == "send":
+            deliver(sim.now + gamma, f"{label}>", "log")
 
-    for index, (time, _cancelled, action) in enumerate(specs):
-        timers.append(sim.schedule_at(time, fire, index, action))
-    for timer, (_time, cancelled, _action) in zip(timers, specs):
-        if cancelled:
-            sim.cancel(timer)
+    for index, (kind, spec) in enumerate(script):
+        if kind == "timer":
+            time, cancelled, action = spec
+            timers[index] = sim.schedule_at(time, fire, index, action)
+            if cancelled:
+                sim.cancel(timers[index])
+        else:
+            step, action = spec
+            deliver(lane_last[0] + step, index, action)
     observed = []
-    for until in phases:
-        sim.run(until=until)
-        observed.append((list(log), sim.now, sim.processed_events, sim.pending_events))
+    for until, max_events in phases:
+        try:
+            sim.run(until=until, max_events=max_events)
+            error = None
+        except SimulationError as exc:
+            error = str(exc)
+        observed.append((list(log), sim.now, sim.processed_events, sim.pending_events, error))
     return observed
 
 
@@ -356,10 +399,11 @@ class TestBoundedHeapLoop:
     @given(st.lists(event_specs, max_size=30), untils, untils)
     @settings(max_examples=300, deadline=None)
     def test_agrees_with_the_scheduler_agnostic_loop(self, specs, first, more):
-        phases = [first, first + more, math.inf]
-        inlined = run_bounded_phases(HeapScheduler(), specs, phases)
+        script = [("timer", spec) for spec in specs]
+        phases = [(first, None), (first + more, None), (math.inf, None)]
+        inlined = run_script(HeapScheduler(), script, phases)
         for oracle in (PlainHeap(), "calendar"):
-            assert inlined == run_bounded_phases(oracle, specs, phases)
+            assert inlined == run_script(oracle, script, phases)
 
     def test_cancelled_head_past_until_is_discarded(self):
         observed = []
@@ -386,3 +430,39 @@ class TestBoundedHeapLoop:
         sim.run(until=5.0)
         assert fired == ["same instant"]
         assert sim.pending_events == 1 and sim.now == 5.0
+
+
+class TestFifoLane:
+    """The heap loop merged with the FIFO lane against one plain heap."""
+
+    @given(st.lists(script_items, max_size=30), phase_specs, phase_specs, phase_specs)
+    @settings(max_examples=300, deadline=None)
+    def test_lane_fed_run_agrees_with_the_all_heap_run(self, script, first, second, third):
+        phases = [
+            first,
+            (first[0] + second[0], second[1]),
+            (math.inf, third[1]),
+            (math.inf, None),
+        ]
+        merged = run_script(HeapScheduler(), script, phases)
+        for oracle in (PlainHeap(), "calendar"):
+            assert merged == run_script(oracle, script, phases)
+
+    def test_lane_goes_to_its_first_claimant_only(self):
+        sim = Simulator()
+        assert sim.claim_lane() == sim._lane.append
+        assert sim.claim_lane() == sim._push
+        calendar = Simulator("calendar")
+        assert calendar.claim_lane() == calendar._push
+
+    def test_lane_head_past_until_stays_queued(self):
+        sim = Simulator()
+        post = sim.claim_lane()
+        fired = []
+        post((2.0, sim._next_seq(), fired.append, ("lane",)))
+        sim.schedule(1.0, fired.append, "timer")
+        sim.run(until=1.5)
+        assert fired == ["timer"] and sim.now == 1.0
+        assert sim.pending_events == len(sim._lane) == 1
+        sim.run()
+        assert fired == ["timer", "lane"] and sim.now == 2.0

@@ -598,3 +598,48 @@ def test_the_benchmark_probes_network_builds_as_it_did():
     assert general.faults == NodeCrash(node=3, at=0.0)
     assert constant.send.__func__ is Network._send_constant
     assert constant.latency == ConstantLatencySpec(gamma=0.6)
+
+
+class TestFifoLane:
+    """Which deliveries the constant send puts on the simulator's FIFO lane."""
+
+    def test_two_constant_networks_on_one_simulator_deliver_in_time_order(self, sim):
+        slow = Network(sim, ConstantLatency(gamma=2.0))
+        fast = Network(sim, ConstantLatency(gamma=0.5))
+        log = []
+        for net, base in ((slow, 0), (fast, 10)):
+            for node_id in (base, base + 1):
+                HandlerNode(sim, net, node_id, log)
+        # The first network takes the lane, the second queues on the heap.
+        assert slow._post == sim._lane.append and fast._post == sim._push
+        for step in range(4):
+            sim.schedule_at(step * 0.75, slow.send, 0, 1, Ping(step))
+            sim.schedule_at(step * 0.75, fast.send, 10, 11, Pong(step))
+        sim.run()
+        # Ties go to the earlier send, whichever queue holds it.
+        assert [(time, message) for time, _src, _dst, message in log] == [
+            (0.5, Pong(0)), (1.25, Pong(1)), (2.0, Ping(0)), (2.0, Pong(2)),
+            (2.75, Ping(1)), (2.75, Pong(3)), (3.5, Ping(2)), (4.25, Ping(3)),
+        ]
+
+    def test_only_unexposed_messages_between_distinct_nodes_take_the_lane(self, sim):
+        crash = NodeCrash(node=2, at=0.0, recover_at=5.0)
+        net = Network(sim, ConstantLatency(gamma=1.0, local=0.25), faults=crash)
+        for node_id in range(3):
+            Recorder(sim, net, node_id)
+        assert net.send(0, 1, Ping(0)) == 1.0  # unexposed: the lane
+        assert net.send(0, 0, Ping(1)) == 0.25  # a self-send: the heap
+        assert net.send(0, 2, Ping(2)) == 5.0  # exposed, held until node 2 reboots: the heap
+        assert net.send(2, 1, Ping(3)) == math.inf  # exposed, from a down node: lost
+        assert [entry[3][1] for entry in sim._lane] == [Ping(0)]
+        assert sorted(entry[3][1].payload for entry in sim._scheduler.entries) == [1, 2]
+
+    def test_the_calendar_leaves_the_lane_empty(self):
+        sim = Simulator("calendar")
+        net = Network(sim, ConstantLatency(gamma=1.0))
+        Recorder(sim, net, 0)
+        receiver = Recorder(sim, net, 1)
+        net.send(0, 1, Ping(0))
+        assert net._post == sim._push and not sim._lane and sim.pending_events == 1
+        sim.run()
+        assert receiver.received == [(1.0, 0, Ping(0))]
