@@ -3,7 +3,7 @@
 Makes the ``src`` layout importable even when the package has not been
 installed (e.g. running ``pytest`` straight from a fresh checkout in an
 offline environment), and hands ``scripts/count_work.py`` to the tests
-and benchmarks whose contracts are call counts.
+whose contracts are call counts.
 """
 
 import importlib.util

@@ -22,6 +22,9 @@ every pair ties (the exact, simulated metrics); ``unresolved`` otherwise.
 Only the final JSON line of each run is read.  Exit status 1 if any run
 failed its output checks or, over ten pairs or more, B's median is worse
 than A's by more than the bound ``BENCHMARK.json`` fixes for the metric.
+
+Each harness run is its own session: a SIGTERM or SIGINT kills the
+running harness with its workers, then removes both trees.
 """
 
 from __future__ import annotations
@@ -29,10 +32,12 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 ROOT = os.path.normpath(os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir))
@@ -62,12 +67,42 @@ def run_once(tree: str, declared: dict, workload: str, seed: int, smoke: bool) -
         command.append("--smoke")
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     env["PYTHONDONTWRITEBYTECODE"] = "1"
-    done = subprocess.run(command, cwd=tree, env=env, stdout=subprocess.PIPE, text=True)
-    lines = done.stdout.strip().splitlines()
+    # The harness and its workers form their own process group, so an
+    # interrupted run can be ended whole before its tree is removed.
+    with subprocess.Popen(
+        command, cwd=tree, env=env, stdout=subprocess.PIPE, text=True, start_new_session=True
+    ) as harness:
+        try:
+            stdout, _ = harness.communicate()
+        finally:
+            if harness.poll() is None:
+                kill_group(harness)
+    lines = stdout.strip().splitlines()
     try:
         return json.loads(lines[-1])
     except (IndexError, ValueError):
         return None
+
+
+def kill_group(harness: subprocess.Popen) -> None:
+    """SIGKILL ``harness``'s process group and wait until no member is left."""
+    try:
+        os.killpg(harness.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        return
+    harness.wait()
+    deadline = time.monotonic() + 10.0
+    while time.monotonic() < deadline:
+        try:
+            os.killpg(harness.pid, 0)
+        except ProcessLookupError:
+            return
+        time.sleep(0.01)
+
+
+def stop(signum: int, _frame) -> None:
+    """SIGTERM handler: unwind, so the running harness is killed and the trees are removed."""
+    raise SystemExit(128 + signum)
 
 
 def quartiles(values: Sequence[float]) -> Tuple[float, float, float]:
@@ -128,6 +163,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--smoke", action="store_true", help="pass --smoke to the harness")
     args = parser.parse_args(argv)
     seeds = [int(seed) for seed in args.seeds.split(",")]
+    signal.signal(signal.SIGTERM, stop)  # SIGINT already unwinds, as KeyboardInterrupt
 
     clean = True
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Local mirror of the CI workflow (.github/workflows/ci.yml):
-# tier-1 test suite plus a benchmark collection smoke-check.
+# Local mirror of the CI workflow (.github/workflows/ci.yml): docs
+# gates, the tier-1 test suite, then the examples, scripts and
+# benchmark smoke runs the suite does not cover.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -20,17 +21,6 @@ python scripts/check_docstrings.py
 
 echo "== tier-1 test suite =="
 python -m pytest -x -q
-
-echo "== benchmark collection smoke-check =="
-python -m pytest benchmarks -q --collect-only >/dev/null
-echo "benchmarks collect OK"
-
-# The payload-size benchmark is cheap (one quick run) and guards the
-# columnar transport contract: records payload >= 5x smaller than the
-# legacy record-list pickle.  Run it for real, not just collected.
-echo "== result-payload benchmark (quick run) =="
-python -m pytest benchmarks/test_bench_results.py -q >/dev/null
-echo "result payload OK"
 
 # The examples smoke tests (tests/integration/test_examples.py, which
 # also run fault_ablation --quick in a subprocess) are part of the tier-1

@@ -18,7 +18,7 @@ The container is **cheap to transport**: pickling goes through
 machine type that fits, byte-shuffles the time columns (grouping the
 high-order bytes that barely vary) and compresses the lot with lzma —
 about an order of magnitude smaller than pickling the equivalent record
-list (``benchmarks/test_bench_results.py`` tracks the exact ratio).  It
+list (``tests/metrics/test_columns.py`` holds the quick run to >= 5x).  It
 is **content-hashable** via :meth:`content_key`, and reads as a
 **sequence of records**: indexing, slicing and iteration materialise
 :class:`RequestRecord` views on demand.

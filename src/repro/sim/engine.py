@@ -313,6 +313,7 @@ class Simulator:
                             cancelled.discard(seq)
                             continue
                         if processed == limit:
+                            scheduler.pos = pos  # the entry stays queued
                             self._raise_runaway(max_events)
                         self.now = time
                         processed += 1

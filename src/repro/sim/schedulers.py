@@ -21,7 +21,8 @@ Two schedulers are provided:
   ``list.append``, and a bounded **dispatch window** the engine iterates
   in place — so the per-event cost collapses to one C-level sort share
   plus an index increment, which is what pushes no-op dispatch past the
-  heap by >2x (see ``benchmarks/test_bench_engine.py``).  That gain
+  heap by >2x (the traced ``benchmarks/e2e`` run records the ratio as
+  ``sim.engine.calendar_run_ratio``).  That gain
   does not survive a real run: ``benchmarks/e2e`` measured the calendar
   queue 1.13–1.26x *slower* than the heap end to end on all four
   workloads, so nothing should select it; it stays because the

@@ -13,10 +13,7 @@ from repro.workload.params import LoadLevel, WorkloadParams, cs_duration_for_siz
 from repro.workload.generator import RequestSpec
 from repro.workload.arrivals import (
     ArrivalSpec,
-    DiurnalArrivals,
-    LognormalArrivals,
     MarkovModulatedArrivals,
-    ParetoArrivals,
     PoissonArrivals,
 )
 from repro.workload.spec import (
@@ -35,10 +32,7 @@ __all__ = [
     "RequestSpec",
     "ArrivalSpec",
     "PoissonArrivals",
-    "ParetoArrivals",
-    "LognormalArrivals",
     "MarkovModulatedArrivals",
-    "DiurnalArrivals",
     "WorkloadSpec",
     "BoundWorkload",
     "SyntheticSpec",

@@ -10,17 +10,16 @@ inside the process running the experiment.
 
 All specs are *rate-normalised*: ``rate`` is the per-process mean arrival
 rate in requests per simulated millisecond, and every family draws gaps
-with mean ``1/rate`` — so swapping Poisson for Pareto changes the shape
-(variance, tail, burst structure) of the load while holding its mean
-offered rate fixed, which is what makes the heavy-tail/burstiness
-ablations an apples-to-apples comparison.  ``rate=None`` resolves to
+with mean ``1/rate`` — so swapping Poisson for the Markov-modulated
+process changes the burst structure of the load while holding its mean
+offered rate fixed, which is what makes the burstiness ablations an
+apples-to-apples comparison.  ``rate=None`` resolves to
 ``1 / params.beta`` at build time: the mean think rate of the equivalent
 closed loop.
 """
 
 from __future__ import annotations
 
-import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from random import Random
@@ -32,10 +31,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "ArrivalSpec",
     "PoissonArrivals",
-    "ParetoArrivals",
-    "LognormalArrivals",
     "MarkovModulatedArrivals",
-    "DiurnalArrivals",
 ]
 
 
@@ -89,57 +85,6 @@ class PoissonArrivals(ArrivalSpec):
         rate = self.mean_rate(params)
         while True:
             yield rng.expovariate(rate)
-
-
-@dataclass(frozen=True)
-class ParetoArrivals(ArrivalSpec):
-    """Heavy-tailed gaps: Pareto with tail index ``shape``, mean ``1/rate``.
-
-    ``shape`` must exceed 1 for the mean to exist; values just above 2
-    give wild (infinite-variance-like) burst gaps, larger values approach
-    exponential-looking traffic.  The scale is chosen so the mean gap is
-    exactly ``1/rate``.
-    """
-
-    rate: Optional[float] = None
-    shape: float = 2.5
-
-    def __post_init__(self) -> None:
-        self._check_rate()
-        if self.shape <= 1.0:
-            raise ValueError("shape must be > 1 (the mean gap diverges otherwise)")
-
-    def gaps(self, rng: Random, params: "WorkloadParams") -> Iterator[float]:
-        """Pareto inter-arrival gaps with the configured tail index."""
-        mean_gap = 1.0 / self.mean_rate(params)
-        scale = mean_gap * (self.shape - 1.0) / self.shape
-        while True:
-            yield scale * rng.paretovariate(self.shape)
-
-
-@dataclass(frozen=True)
-class LognormalArrivals(ArrivalSpec):
-    """Log-normal gaps with shape ``sigma`` and mean ``1/rate``.
-
-    A moderate heavy tail (all moments finite): ``sigma`` around 1 gives
-    the skewed session-like gaps observed in service traces, ``sigma``
-    near 0 degenerates to near-deterministic arrivals.
-    """
-
-    rate: Optional[float] = None
-    sigma: float = 1.0
-
-    def __post_init__(self) -> None:
-        self._check_rate()
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
-
-    def gaps(self, rng: Random, params: "WorkloadParams") -> Iterator[float]:
-        """Log-normal inter-arrival gaps."""
-        mean_gap = 1.0 / self.mean_rate(params)
-        mu = math.log(mean_gap) - 0.5 * self.sigma * self.sigma
-        while True:
-            yield rng.lognormvariate(mu, self.sigma)
 
 
 @dataclass(frozen=True)
@@ -198,39 +143,3 @@ class MarkovModulatedArrivals(ArrivalSpec):
                 )
             yield gap
 
-
-@dataclass(frozen=True)
-class DiurnalArrivals(ArrivalSpec):
-    """Poisson arrivals under a sinusoidal rate envelope (day/night cycle).
-
-    The instantaneous rate is ``rate * (1 + amplitude * sin(2*pi*t/period))``
-    — mean ``rate`` over a full period.  Gaps are drawn by Lewis-Shedler
-    thinning against the envelope peak, so the non-homogeneous process is
-    exact, not an approximation.
-    """
-
-    rate: Optional[float] = None
-    amplitude: float = 0.5
-    period: float = 5_000.0
-    phase: float = 0.0
-
-    def __post_init__(self) -> None:
-        self._check_rate()
-        if not 0.0 <= self.amplitude < 1.0:
-            raise ValueError("amplitude must lie in [0, 1) (the rate must stay positive)")
-        if self.period <= 0:
-            raise ValueError("period must be positive")
-
-    def gaps(self, rng: Random, params: "WorkloadParams") -> Iterator[float]:
-        """Thinned non-homogeneous Poisson gaps under the sinusoid."""
-        mean = self.mean_rate(params)
-        peak = mean * (1.0 + self.amplitude)
-        omega = 2.0 * math.pi / self.period
-        t = 0.0
-        last = 0.0
-        while True:
-            t += rng.expovariate(peak)
-            lam = mean * (1.0 + self.amplitude * math.sin(omega * (t + self.phase)))
-            if rng.random() * peak <= lam:
-                yield t - last
-                last = t

@@ -13,8 +13,8 @@ only binds it to one run's parameters and random streams
   normalise to this spec, and its canonical form is neutral, so existing
   cache keys and figure series are unchanged.
 * :class:`OpenLoopSpec` — requests arrive at instants drawn from a
-  pluggable :class:`~repro.workload.arrivals.ArrivalSpec` (Poisson,
-  heavy-tailed, bursty, diurnal), independent of completions.
+  pluggable :class:`~repro.workload.arrivals.ArrivalSpec` (Poisson or
+  bursty Markov-modulated), independent of completions.
 * :class:`TraceReplaySpec` — replays an SWF job trace
   (:mod:`repro.workload.swf`), parsed once per run into three compact
   columns (20 bytes a job); the SHA-256 of the trace
@@ -191,7 +191,7 @@ class OpenLoopSpec(WorkloadSpec):
         if not isinstance(self.arrival, ArrivalSpec):
             raise TypeError(
                 f"arrival must be an ArrivalSpec (got {type(self.arrival).__name__}); "
-                f"use e.g. PoissonArrivals / ParetoArrivals / MarkovModulatedArrivals"
+                f"use PoissonArrivals or MarkovModulatedArrivals"
             )
 
     def build(self, params: "WorkloadParams") -> BoundWorkload:

@@ -3,7 +3,7 @@
 The first class drives one node with hand-built envelopes and looks at
 exactly what it sends; the second pins whole runs of the core algorithm so
 that an edit to ``repro/core`` that changes behaviour fails here, by name,
-instead of through a figure benchmark.
+instead of through a figure's trend test.
 """
 
 import pytest

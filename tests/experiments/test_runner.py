@@ -1,5 +1,7 @@
 """Tests of the single-experiment runner."""
 
+import os
+
 import pytest
 
 from repro.baselines.bouabdallah_laforest import BLAllocatorNode
@@ -16,7 +18,16 @@ from repro.sim.faultspec import BernoulliLoss, NodeCrash
 from repro.sim.latencyspec import HierarchicalLatencySpec
 from repro.workload.arrivals import PoissonArrivals
 from repro.workload.params import LoadLevel, WorkloadParams
-from repro.workload.spec import OpenLoopSpec
+from repro.workload.spec import OpenLoopSpec, TraceReplaySpec
+
+SAMPLE_TRACE = os.path.join(
+    os.path.dirname(__file__), os.pardir, os.pardir, "examples", "data", "sample.swf"
+)
+
+#: The figures' scaled-down testbed: 10 processes, 24 resources.
+TESTBED = WorkloadParams(
+    num_processes=10, num_resources=24, phi=4, duration=1_500.0, warmup=200.0, seed=1
+)
 
 
 @pytest.fixture
@@ -58,9 +69,22 @@ class TestRunExperiment:
         b = run(Scenario(algorithm="with_loan", params=tiny_params.with_seed(99)))
         assert a.metrics.issued != b.metrics.issued or a.use_rate != b.use_rate
 
-    def test_messages_counted_for_distributed_algorithms(self, tiny_params):
-        result = run(Scenario(algorithm="bouabdallah", params=tiny_params))
+    @pytest.mark.parametrize(
+        "algorithm", ["incremental", "bouabdallah", "without_loan", "with_loan"]
+    )
+    def test_messages_counted_for_distributed_algorithms(self, tiny_params, algorithm):
+        result = run(Scenario(algorithm=algorithm, params=tiny_params))
         assert result.metrics.messages_total > 0
+        assert result.metrics.messages_per_cs > 0
+
+    @pytest.mark.parametrize(
+        "algorithm", ["incremental", "bouabdallah", "without_loan", "with_loan"]
+    )
+    def test_messages_counted_for_large_requests(self, algorithm):
+        """phi = M/2 at high load: every request moves many tokens."""
+        params = TESTBED.with_load(LoadLevel.HIGH).with_phi(TESTBED.num_resources // 2)
+        result = run(Scenario(algorithm=algorithm, params=params))
+        assert result.metrics.completed == result.metrics.issued > 0
         assert result.metrics.messages_per_cs > 0
 
     def test_shared_memory_has_no_messages(self, tiny_params):
@@ -101,6 +125,41 @@ class TestRunExperiment:
         capped = dataclasses.replace(tiny_params, requests_per_process=2)
         result = run(Scenario(algorithm="with_loan", params=capped))
         assert result.metrics.issued <= 2 * capped.num_processes
+
+
+class TestStreamingWorkloads:
+    """Open-loop arrivals with chunked records, and trace replay, under every algorithm."""
+
+    #: Far below the run's request volume, so the collector seals chunks.
+    CHUNK_ROWS = 128
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_open_loop_chunked_run_completes_every_request(self, algorithm):
+        params = WorkloadParams(
+            num_processes=8, num_resources=20, phi=4, duration=3_000.0, warmup=300.0, seed=1
+        )
+        result = run(
+            Scenario(
+                algorithm=algorithm,
+                params=params,
+                workload=OpenLoopSpec(arrival=PoissonArrivals(rate=0.03)),
+                record_chunk_rows=self.CHUNK_ROWS,
+            )
+        )
+        assert result.metrics.completed == result.metrics.issued > self.CHUNK_ROWS
+        assert result.record_columns.chunk_count > 1
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_trace_replay_completes_all_200_jobs(self, algorithm):
+        params = WorkloadParams(
+            num_processes=8, num_resources=20, phi=4, duration=4_000.0, warmup=400.0, seed=1
+        )
+        result = run(
+            Scenario(
+                algorithm=algorithm, params=params, workload=TraceReplaySpec(path=SAMPLE_TRACE)
+            )
+        )
+        assert result.metrics.completed == result.metrics.issued == 200
 
 
 class TestFaultRunCap:

@@ -10,8 +10,9 @@ frame of ``sim`` per message.
 Each contract is an exact assertion over the calls
 ``scripts/count_work.py``'s :func:`count_calls` counts (per function,
 keyed ``(file, first line, name, caller's file)``) in one warmed run of
-the benchmark-size closed loop (10 processes, 24 resources, phi 4,
-duration 1 500).  The legs: ``with_loan`` under the heap and under the
+the figure-scale closed loop (10 processes, 24 resources, phi 4,
+duration 1 500; ``tests/integration/test_paper_trends.py``'s figure
+series run at this size).  The legs: ``with_loan`` under the heap and under the
 calendar scheduler, ``bouabdallah`` and ``incremental`` likewise, all
 with no fault, and an *armed* ``with_loan`` run: a permanent crash of node 1 at t=300,
 a heartbeat detector and jittered latency (the ``crash_recovery``
@@ -22,22 +23,30 @@ calls with their keys.
 Queueing happens in C (``deque.append``, ``heappush``), where no call
 counter sees it, so where each event is queued is counted by one more
 run of each leg on a :class:`QueueCountingSimulator`.
+
+Two contracts compare two runs of that closed loop instead of legs: a
+crash window that never fires adds a fixed count of opcodes per run
+(:func:`count_opcodes`, at two durations), and enabled telemetry runs
+``repro/obs`` frames per grant and per probe sample, never per message.
 """
 
 from __future__ import annotations
 
 import os
+from dataclasses import replace
 
 import pytest
 
 from repro.baselines.incremental import RecoverableIncrementalNode
+from repro.core.node import CoreAllocatorNode
 from repro.core.recovery import RecoverableCoreNode
 from repro.experiments import runner
-from repro.experiments.runner import run
+from repro.experiments.runner import default_max_events, run
 from repro.experiments.scenario import Scenario
 from repro.sim.detectorspec import HeartbeatDetector
 from repro.sim.engine import Simulator
 from repro.sim.faults import NoFaults, NodeCrash
+from repro.obs import TelemetrySpec
 from repro.sim.latency import UniformJitterLatencySpec
 from repro.workload.params import WorkloadParams
 
@@ -264,3 +273,97 @@ def test_messages_of_a_constant_heap_run_take_the_fifo_lane(monkeypatch, leg):
         assert (sim.lane, sim.heap) == (messages, sim.timers)
     else:
         assert (sim.lane, sim.heap) == (0, sim.timers + delivered)
+
+
+def test_lifecycle_hooks_overhead_on_no_fault_path(count_work):
+    """A crash window that never fires costs a fixed count of opcodes per run.
+
+    The armed scenario declares a crash far beyond the run horizon: the
+    lifecycle layer schedules its window, the allocators are the
+    crash-recovery subclasses and the run loop is bounded by the stall
+    cap, but nothing fires, so the workload and its results are those
+    of the plain run.  What arming adds is per-run set-up (the lifecycle,
+    the fault spec's queries, the cap) plus the subclass's one
+    ``_process_update`` override frame per token arrival, each calling
+    the base once.  Counted at two durations, the opcodes arming adds
+    outside that override must not change: a lifecycle or fault call
+    made per message or per event, or inline work added to a frame the
+    plain run has, would grow with the run.
+    """
+    override = count_work.code_key(RecoverableCoreNode._process_update)
+    base = count_work.code_key(CoreAllocatorNode._process_update)
+    max_events = default_max_events(PARAMS)
+
+    def scenarios(duration):
+        plain = Scenario(
+            algorithm="with_loan",
+            params=replace(PARAMS, duration=duration),
+            max_events=max_events,
+        )
+        # Crash far past the stall cap (fault_run_until ~ a few workload
+        # durations), so neither the crash event nor the cap changes the run.
+        return plain, plain.replace(faults=NodeCrash(node=0, at=1e9), require_all_completed=False)
+
+    def added_by_arming(duration):
+        plain, armed = scenarios(duration)
+        plain_result, plain_opcodes = count_work.count_opcodes(run, plain)
+        armed_result, armed_opcodes = count_work.count_opcodes(run, armed)
+        # The never-firing window must not perturb the protocol at all.
+        assert armed_result.metrics.completed == plain_result.metrics.completed
+        assert armed_result.metrics.use_rate == plain_result.metrics.use_rate
+        assert armed_result.tokens_regenerated == 0
+        return {
+            key: armed_opcodes[key] - plain_opcodes[key]
+            for key in armed_opcodes.keys() | plain_opcodes.keys()
+            if key != override and armed_opcodes[key] != plain_opcodes[key]
+        }
+
+    for scenario in scenarios(PARAMS.duration / 2):
+        run(scenario)  # imports and caches are paid before the count
+    assert added_by_arming(PARAMS.duration / 2) == added_by_arming(PARAMS.duration)
+
+    # One override frame per token arrival, each calling the base once.
+    plain, armed = scenarios(PARAMS.duration)
+    plain_calls = count_work.by_function(count_work.count_calls(run, plain)[1])
+    armed_calls = count_work.by_function(count_work.count_calls(run, armed)[1])
+    assert armed_calls[override] == armed_calls[base] == plain_calls[base] > 0
+
+
+#: ``repro/obs/`` frames a telemetered run may execute per probe sample,
+#: beside one (``observe_grant``) per grant.  A probe firing costs its own
+#: frame plus a generator over the clients (at most one resume per client
+#: of the 10-process closed loop, and one to finish); the end-of-run
+#: snapshot's fixed cost (about 150 frames) fits in what the run's ~30
+#: samples leave over.  Telemetry that did work per message (~10 per
+#: grant) or a second frame per grant would not fit.
+OBS_FRAMES_PER_SAMPLE = 12
+
+
+def test_enabled_telemetry_overhead_under_ceiling(count_work):
+    """Full telemetry (probe + gauges + histogram) costs frames per grant and sample only.
+
+    Switching telemetry on (50 ms sampling probe, per-grant histogram
+    pushes, per-node gauges) must not add work per message: the
+    pull-style design reads counters the hot layers already maintain.
+    """
+    plain = Scenario(algorithm="with_loan", params=PARAMS, max_events=default_max_events(PARAMS))
+    telemetered = plain.replace(telemetry=TelemetrySpec())
+
+    plain_result = run(plain)
+    result, calls = count_work.count_calls(run, telemetered)
+
+    # The probe must observe without perturbing the protocol.
+    assert result.metrics == plain_result.metrics
+    snapshot = result.telemetry
+    assert snapshot is not None
+    grants = snapshot.value("repro_grants_total")
+    assert grants == float(plain_result.metrics.completed)
+
+    samples = snapshot.value("repro_telemetry_samples_total")
+    frames = sum(ran(calls, _path("obs") + os.sep).values())
+    budget = grants + samples * OBS_FRAMES_PER_SAMPLE
+    assert 0 < frames <= budget, (
+        f"telemetry ran {frames} repro/obs frames for {grants:.0f} grants, "
+        f"{samples:.0f} probe samples and {result.metrics.messages_total} messages "
+        f"(budget: {budget:.0f})"
+    )

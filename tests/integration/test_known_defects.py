@@ -9,7 +9,8 @@ cases pass unmarked: the network re-sends every lost try, so loss is
 delay and the protocol sees the reliable links of Section 3.1.
 
 Items 1 and 2: ``with_loan``, high load, duration 3 000, warm-up 150.
-Item 16's cases say their own setting.
+Item 16's cases and item 1's undetected short blips say their own
+setting.
 """
 
 import pytest
@@ -17,6 +18,7 @@ import pytest
 from repro.allocator import AllocatorError
 from repro.experiments import Scenario, run
 from repro.metrics.collector import SafetyViolation
+from repro.mutex.naimi_trehel import MutexError
 from repro.sim.detectorspec import HeartbeatDetector
 from repro.sim.faultspec import BernoulliLoss, NodeCrash
 from repro.sim.latencyspec import UniformJitterLatencySpec
@@ -180,5 +182,35 @@ def test_incremental_undetected_blip_drains():
             algorithm="incremental", params=params, require_all_completed=False,
             faults=NodeCrash(node=2, at=125.0, recover_at=145.0),
         )
+    )
+    assert_finished(result)
+
+
+@pytest.mark.parametrize(
+    "algorithm, seed, crash",
+    [
+        known(
+            AllocatorError, "with_loan", 36, NodeCrash(node=4, at=137.0, recover_at=154.0),
+            today="with_loan seed 36, node 4 down [137, 154): sends token 9 it does not own",
+        ),
+        known(
+            MutexError, "incremental", 27, NodeCrash(node=3, at=322.0, recover_at=336.0),
+            today="incremental seed 27, node 3 down [322, 336): root node without token",
+        ),
+    ],
+)
+def test_undetected_short_blip_drains(algorithm, seed, crash):
+    """ROADMAP item 1: a 14-17 ms blip with no detector, N=8/M=12/phi=4, constant latency.
+
+    No detector, so the recovery coordinator never acts: the ownership
+    error of the loan core needs no regeneration, and the incremental
+    one fails on Naimi-Trehel's reboot side.
+    """
+    params = WorkloadParams(
+        num_processes=8, num_resources=12, phi=4, duration=1_200.0, warmup=100.0,
+        load=LoadLevel.HIGH, seed=seed,
+    )
+    result = run(
+        Scenario(algorithm=algorithm, params=params, require_all_completed=False, faults=crash)
     )
     assert_finished(result)

@@ -12,12 +12,24 @@ results — who wins, in which regime — rather than absolute values:
   effect, Figure 5);
 * the loan mechanism does not hurt, and the shared-memory reference is an
   upper envelope on the use rate.
+
+The figure regenerations at the end (Figures 5-7, both loads, and the
+loan-threshold and topology ablations) run at the smaller figure scale of
+10 processes and 24 resources, one sweep per figure and load, and check
+the same shapes on the figure series themselves.
 """
 
 import pytest
 
+from repro.core.config import CoreConfigSpec
+from repro.experiments.figures import (
+    figure5_use_rate,
+    figure6_waiting_time,
+    figure7_waiting_by_size,
+)
 from repro.experiments.runner import run
 from repro.experiments.scenario import Scenario
+from repro.sim.latency import HierarchicalLatencySpec
 from repro.workload.params import LoadLevel, WorkloadParams
 
 #: Scaled-down version of the paper's testbed (32 procs / 80 resources).
@@ -125,3 +137,95 @@ class TestMediumLoad:
         ratio_medium = medium_core.metrics.waiting.mean / max(medium_bl.metrics.waiting.mean, 1e-9)
         ratio_high = high_core.metrics.waiting.mean / max(high_bl.metrics.waiting.mean, 1e-9)
         assert ratio_high <= ratio_medium * 1.1
+
+
+#: The figure scale: a scaled-down replica of the paper's testbed.
+FIGURE_PARAMS = WorkloadParams(
+    num_processes=10, num_resources=24, phi=4, duration=1_500.0, warmup=200.0, seed=1,
+)
+
+#: phi sweep of Figure 5 (the paper sweeps 1..M).
+FIGURE_PHIS = (1, 2, 4, 8, 16, 24)
+
+#: Size classes of Figure 7, scaled from the paper's (1, 17, 33, 49, 65, 80) for M=80.
+FIGURE_BUCKETS = [1, 5, 10, 15, 20, FIGURE_PARAMS.num_resources]
+
+LOADS = pytest.mark.parametrize(
+    "load", [LoadLevel.MEDIUM, LoadLevel.HIGH], ids=["medium", "high"]
+)
+
+
+class TestFigureSeries:
+    @LOADS
+    def test_figure5_use_rate_and_domino_effect(self, load):
+        """Figure 5: every use rate is a percentage, and the paper's
+        algorithm beats the incremental baseline at the largest phi."""
+        series = figure5_use_rate(load=load, base_params=FIGURE_PARAMS, phis=FIGURE_PHIS)
+        for algorithm, points in series.series.items():
+            assert all(0.0 < rate <= 100.0 for _, rate in points), algorithm
+        ours = dict(series.series["with_loan"])
+        incremental = dict(series.series["incremental"])
+        largest_phi = max(ours)
+        assert ours[largest_phi] > incremental[largest_phi]
+
+    @LOADS
+    def test_figure6_small_requests_wait_no_longer_than_global_lock(self, load):
+        """Figure 6: the paper's algorithm does not wait longer than the
+        control-token baseline for small requests (5 % tolerance for the
+        low-contention medium-load panel at this scale)."""
+        series = figure6_waiting_time(load=load, base_params=FIGURE_PARAMS, phi=4)
+        means = {alg: pts[0][1] for alg, pts in series.series.items()}
+        assert means["without_loan"] <= means["bouabdallah"] * 1.05
+        assert means["with_loan"] <= means["bouabdallah"] * 1.05
+        assert all(v >= 0 for v in means.values())
+
+    @LOADS
+    def test_figure7_waits_per_size_class(self, load):
+        """Figure 7: non-negative waits per size class, with the paper's
+        algorithm and the Bouabdallah-Laforest baseline both present."""
+        series = figure7_waiting_by_size(
+            load=load, base_params=FIGURE_PARAMS, size_buckets=FIGURE_BUCKETS
+        )
+        for algorithm, points in series.series.items():
+            assert all(y >= 0 for _, y in points), algorithm
+        assert "without_loan" in series.series and "bouabdallah" in series.series
+
+
+class TestAblations:
+    def test_loan_threshold(self):
+        """A1: threshold 1 (the paper's setting) is not worse on the use rate
+        than disabling the loan (threshold 0), within noise; high load,
+        medium-sized requests."""
+        params = FIGURE_PARAMS.with_load(LoadLevel.HIGH).with_phi(
+            max(4, FIGURE_PARAMS.num_resources // 4)
+        )
+        use_rate = {
+            threshold: run(
+                Scenario(
+                    algorithm="with_loan",
+                    params=params,
+                    config=CoreConfigSpec(loan_threshold=threshold),
+                )
+            ).use_rate
+            for threshold in (0, 1, 2, 4)
+        }
+        assert use_rate[1] >= use_rate[0] * 0.93
+        assert all(u > 0 for u in use_rate.values())
+
+    def test_hierarchical_topology(self):
+        """A3: everybody waits longer on a two-cluster cloud (20x
+        inter-cluster latency) than on a flat cluster, and the global-lock
+        baseline degrades at least as much as the paper's algorithm (its
+        control token keeps crossing the slow link)."""
+        params = FIGURE_PARAMS.with_load(LoadLevel.HIGH)
+        cloud = HierarchicalLatencySpec(gamma_remote=params.gamma * 20.0, num_clusters=2)
+        degradation = {}
+        for algorithm in ("bouabdallah", "without_loan", "with_loan"):
+            base = Scenario(algorithm=algorithm, params=params)
+            flat = run(base).metrics.waiting.mean  # default latency: constant params.gamma
+            slow = run(base.replace(latency=cloud)).metrics.waiting.mean
+            degradation[algorithm] = slow / flat if flat else float("inf")
+        assert all(d >= 1.0 for d in degradation.values())
+        assert degradation["bouabdallah"] >= min(
+            degradation["without_loan"], degradation["with_loan"]
+        ) * 0.9

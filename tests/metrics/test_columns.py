@@ -6,8 +6,11 @@ import pickle
 
 import pytest
 
+from repro.experiments.runner import run
+from repro.experiments.scenario import Scenario
 from repro.metrics import columns
 from repro.metrics.columns import RecordColumns, RequestRecord, _rebuild_columns
+from repro.workload.params import WorkloadParams
 
 #: The fixed-preset encoder every release up to PR 15 used, kept as the
 #: reference implementation: its blobs are what older cache directories
@@ -167,6 +170,72 @@ class TestPickle:
         )
         assert not gapped._index_is_canonical()
         assert pickle.loads(pickle.dumps(gapped)).index[0] == 7
+
+
+#: The ``reproduce_results.py --quick`` workload (8 processes, 20
+#: resources), the reference configuration of the transport contracts.
+QUICK_RUN = WorkloadParams(
+    num_processes=8, num_resources=20, phi=4, duration=1_200.0, warmup=150.0, seed=1,
+)
+
+#: Contractual floor for legacy-record-list bytes / columnar bytes.
+MIN_PAYLOAD_SHRINK = 5.0
+
+
+@pytest.fixture(scope="module")
+def quick_result():
+    return run(Scenario(algorithm="with_loan", params=QUICK_RUN))
+
+
+class TestResultTransport:
+    """What one quick run's result costs to ship between processes."""
+
+    def test_records_payload_shrinks_at_least_5x(self, quick_result):
+        """Columnar records pickle >= 5x smaller than the record list they replaced."""
+        protocol = pickle.HIGHEST_PROTOCOL
+        columnar = len(pickle.dumps(quick_result.record_columns, protocol=protocol))
+        legacy = len(pickle.dumps(list(quick_result.record_columns), protocol=protocol))
+        assert legacy / columnar >= MIN_PAYLOAD_SHRINK, (
+            f"records payload shrank only {legacy / columnar:.2f}x "
+            f"(contract: >= {MIN_PAYLOAD_SHRINK}x): {columnar} vs {legacy} legacy bytes"
+        )
+
+    def test_round_trip_runs_one_fitted_encoder_and_one_decoder(
+        self, quick_result, count_work, monkeypatch
+    ):
+        """Pickling packs once with the 256 KiB-dictionary chain; unpickling decodes once.
+
+        The bare preset's 8 MiB dictionary builds a 16 MiB hash table per
+        encoder (see :func:`columns._encoder_filters`); an encoder given
+        ``_LZMA_FILTERS`` fails here.  The codec calls are C calls no
+        call counter sees, so each goes through a recording wrapper.
+        """
+        encoded, decoded = [], []
+        compress, decompress = lzma.compress, lzma.decompress
+
+        def recording_compress(data, **kwargs):
+            encoded.append((len(data), kwargs["filters"]))
+            return compress(data, **kwargs)
+
+        def recording_decompress(data, **kwargs):
+            decoded.append(kwargs["filters"])
+            return decompress(data, **kwargs)
+
+        monkeypatch.setattr(lzma, "compress", recording_compress)
+        monkeypatch.setattr(lzma, "decompress", recording_decompress)
+        codecs = (
+            count_work.code_key(recording_compress), count_work.code_key(recording_decompress)
+        )
+
+        blob, packing = count_work.count_calls(pickle.dumps, quick_result, pickle.HIGHEST_PROTOCOL)
+        clone, unpacking = count_work.count_calls(pickle.loads, blob)
+        assert clone.record_columns == quick_result.record_columns
+        assert [count_work.by_function(packing)[key] for key in codecs] == [1, 0]
+        assert [count_work.by_function(unpacking)[key] for key in codecs] == [0, 1]
+        ((raw_bytes, filters),) = encoded
+        assert filters == columns._encoder_filters(raw_bytes)
+        assert filters[0]["dict_size"] == 256 << 10
+        assert decoded == [columns._LZMA_FILTERS]
 
 
 def sized_columns(rows):

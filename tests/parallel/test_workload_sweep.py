@@ -10,7 +10,7 @@ import pytest
 
 from repro.experiments.scenario import Scenario
 from repro.parallel.executor import run_sweep
-from repro.workload.arrivals import MarkovModulatedArrivals, ParetoArrivals
+from repro.workload.arrivals import MarkovModulatedArrivals
 from repro.workload.params import WorkloadParams
 from repro.workload.spec import OpenLoopSpec, SyntheticSpec, TraceReplaySpec
 
@@ -38,7 +38,7 @@ class TestWorkloadSweepDeterminism:
             workload=(
                 SyntheticSpec(),
                 OpenLoopSpec(),
-                OpenLoopSpec(arrival=ParetoArrivals(shape=2.1)),
+                OpenLoopSpec(arrival=MarkovModulatedArrivals(burst_factor=12.0, dwell=400.0)),
                 OpenLoopSpec(arrival=MarkovModulatedArrivals(burst_factor=6.0)),
                 TraceReplaySpec(path=MINI, time_scale=10.0),
             ),

@@ -269,6 +269,7 @@ class TestMaxEventsBoundary:
             sim.run(until=until, max_events=7)
         assert fired == list(range(7))
         assert sim.processed_events == 7 and sim.now == 7.0
+        assert sim.pending_events == 1
 
     def test_cancelled_entries_never_count(self, scheduler, until):
         sim, fired = self.chain(scheduler, 7)
@@ -277,6 +278,49 @@ class TestMaxEventsBoundary:
         sim.run(until=until, max_events=7)
         assert fired == list(range(7))
         assert sim.pending_events == 0
+
+    def test_resumed_run_dispatches_the_kept_event_once(self, scheduler, until):
+        sim, fired = self.chain(scheduler, 8)
+        with pytest.raises(SimulationError, match="max_events=7 exceeded"):
+            sim.run(until=until, max_events=7)
+        sim.run(until=until)
+        assert fired == list(range(8))
+        assert sim.processed_events == 8 and sim.pending_events == 0
+
+    def test_cancelled_entries_ahead_of_the_kept_event_are_dropped(self, scheduler, until):
+        sim, fired = self.chain(scheduler, 8)
+        # All due before event 7 (at 8.0, scheduled last), none of them live.
+        for delay in (7.25, 7.5, 8.0):
+            sim.cancel(sim.schedule(delay, fired.append, "cancelled"))
+        with pytest.raises(SimulationError, match="max_events=7 exceeded"):
+            sim.run(until=until, max_events=7)
+        assert fired == list(range(7))
+        assert sim.pending_events == 1
+        sim.run(until=until)
+        assert fired == list(range(8)) and sim.now == 8.0
+
+    def test_limit_inside_a_batch_of_simultaneous_events(self, scheduler, until):
+        sim = Simulator(scheduler)
+        fired = []
+        for label in range(5):
+            sim.schedule(2.0, fired.append, label)
+        with pytest.raises(SimulationError, match="max_events=2 exceeded"):
+            sim.run(until=until, max_events=2)
+        assert fired == [0, 1] and sim.pending_events == 3
+        sim.run(until=until)
+        assert fired == [0, 1, 2, 3, 4]
+
+    def test_lane_delivery_one_too_many_stays_queued(self, scheduler, until):
+        sim = Simulator(scheduler)
+        post = sim.claim_lane()
+        fired = []
+        for time in (1.0, 2.0, 3.0):
+            post((time, sim._next_seq(), fired.append, (time,)))
+        with pytest.raises(SimulationError, match="max_events=2 exceeded"):
+            sim.run(until=until, max_events=2)
+        assert fired == [1.0, 2.0] and sim.pending_events == 1
+        sim.run(until=until)
+        assert fired == [1.0, 2.0, 3.0] and sim.now == 3.0
 
 
 @pytest.mark.parametrize("scheduler", ["heap", "calendar"])

@@ -7,23 +7,10 @@ import statistics
 
 import pytest
 
-from repro.workload.arrivals import (
-    ArrivalSpec,
-    DiurnalArrivals,
-    LognormalArrivals,
-    MarkovModulatedArrivals,
-    ParetoArrivals,
-    PoissonArrivals,
-)
+from repro.workload.arrivals import ArrivalSpec, MarkovModulatedArrivals, PoissonArrivals
 from repro.workload.params import WorkloadParams
 
-ALL_FAMILIES = (
-    PoissonArrivals,
-    ParetoArrivals,
-    LognormalArrivals,
-    MarkovModulatedArrivals,
-    DiurnalArrivals,
-)
+ALL_FAMILIES = (PoissonArrivals, MarkovModulatedArrivals)
 
 PARAMS = WorkloadParams(num_processes=4, num_resources=8, phi=3, rho=2.0)
 
@@ -41,14 +28,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             family(rate=-1.0)
 
-    def test_pareto_shape_must_exceed_one(self):
-        with pytest.raises(ValueError):
-            ParetoArrivals(shape=1.0)
-
-    def test_lognormal_sigma_must_be_positive(self):
-        with pytest.raises(ValueError):
-            LognormalArrivals(sigma=0.0)
-
     def test_mmpp_parameters_validated(self):
         with pytest.raises(ValueError):
             MarkovModulatedArrivals(burst_factor=1.0)
@@ -56,12 +35,6 @@ class TestValidation:
             MarkovModulatedArrivals(burst_fraction=0.0)
         with pytest.raises(ValueError):
             MarkovModulatedArrivals(dwell=0.0)
-
-    def test_diurnal_amplitude_bounded(self):
-        with pytest.raises(ValueError):
-            DiurnalArrivals(amplitude=1.0)
-        with pytest.raises(ValueError):
-            DiurnalArrivals(period=0.0)
 
 
 class TestRateNormalisation:
@@ -86,26 +59,12 @@ class TestRateNormalisation:
 
 
 class TestShape:
-    def test_pareto_has_heavier_tail_than_poisson(self):
-        po = take_gaps(PoissonArrivals(rate=0.1), 50_000)
-        pa = take_gaps(ParetoArrivals(rate=0.1, shape=2.1), 50_000)
-        assert max(pa) > max(po)
-
     def test_mmpp_is_burstier_than_poisson(self):
         """Coefficient of variation of MMPP gaps exceeds the Poisson CV (~1)."""
         po = take_gaps(PoissonArrivals(rate=0.1), 50_000)
         mm = take_gaps(MarkovModulatedArrivals(rate=0.1, burst_factor=10.0), 50_000)
         cv = lambda xs: statistics.stdev(xs) / statistics.fmean(xs)
         assert cv(mm) > cv(po)
-
-    def test_diurnal_rate_oscillates(self):
-        """Arrivals cluster in the high-rate half of the cycle."""
-        spec = DiurnalArrivals(rate=0.1, amplitude=0.9, period=1_000.0)
-        gaps = take_gaps(spec, 50_000)
-        times = list(itertools.accumulate(gaps))
-        phases = [(t % 1_000.0) / 1_000.0 for t in times]
-        rising = sum(1 for p in phases if p < 0.5)  # sin > 0 half-cycle
-        assert rising / len(phases) > 0.55
 
 
 class TestDeterminismAndTransport:

@@ -3,10 +3,10 @@
 Each pin is the SHA-256 of the ``repr`` of the first 200 ``RequestSpec``
 objects of processes 0 and N-1, drawn through
 ``spec.build(params).stream_for(p)``.  The run pins in
-``tests/integration/test_pinned_runs.py`` exercise the closed loop, two
-arrival families and one trace; these pins cover every arrival family,
-both load levels with and without CS noise, and both SWF fixtures with
-and without ``max_jobs`` and ``time_scale``, so a refactor of the
+``tests/integration/test_pinned_runs.py`` exercise the closed loop, both
+arrival families and one trace; these pins add both load levels with
+and without CS noise, and both SWF fixtures with and without
+``max_jobs`` and ``time_scale``, so a refactor of the
 workload layer that moves a single draw fails here, by name.
 """
 
@@ -16,13 +16,7 @@ import os
 
 import pytest
 
-from repro.workload.arrivals import (
-    DiurnalArrivals,
-    LognormalArrivals,
-    MarkovModulatedArrivals,
-    ParetoArrivals,
-    PoissonArrivals,
-)
+from repro.workload.arrivals import MarkovModulatedArrivals, PoissonArrivals
 from repro.workload.params import LoadLevel, WorkloadParams
 from repro.workload.spec import OpenLoopSpec, SyntheticSpec, TraceReplaySpec
 
@@ -52,10 +46,7 @@ CASES = {
     "synthetic-medium-noise0": (SyntheticSpec(), _params(load=LoadLevel.MEDIUM, cs_noise=0.0)),
     "synthetic-medium-noise0.2": (SyntheticSpec(), MEDIUM),
     "open-poisson": (OpenLoopSpec(PoissonArrivals()), MEDIUM),
-    "open-pareto": (OpenLoopSpec(ParetoArrivals(rate=0.05, shape=2.1)), MEDIUM),
-    "open-lognormal": (OpenLoopSpec(LognormalArrivals(rate=0.05, sigma=1.2)), HIGH),
     "open-mmpp": (OpenLoopSpec(MarkovModulatedArrivals(rate=0.05)), HIGH),
-    "open-diurnal": (OpenLoopSpec(DiurnalArrivals(rate=0.05, period=400.0)), MEDIUM),
     "trace-sample": (TraceReplaySpec(SAMPLE), MEDIUM),
     "trace-sample-max_jobs": (TraceReplaySpec(SAMPLE, max_jobs=50), MEDIUM),
     "trace-sample-time_scale": (TraceReplaySpec(SAMPLE, time_scale=0.25), MEDIUM),
@@ -67,10 +58,7 @@ CASES = {
 }
 
 PINS = {
-    "open-diurnal": "64721c5a2f5c01ce93bb36209511c1747d1ba159cf08c003cdf7af27bd69a49a",
-    "open-lognormal": "9709f25fe3abd72f539f5bba10f605d031d4b5666d60a228ad55fe43beb7b6f5",
     "open-mmpp": "25292759889f418c11bd1e0e535b94996fd669c20780e14408d04410e4b19834",
-    "open-pareto": "a5c301ce21a5e15ed6315f3a45d0231059da5e6c7d29bb3cefd40199f3cce56d",
     "open-poisson": "d37c00e45f25520d491b644245b627da3b35c1f66863fcb56f1b40360355860a",
     "synthetic-high-noise0": "93221f45b17e8733155fc78a729d73717119d3a80eadfaf0eced71844208b727",
     "synthetic-high-noise0.2": "78e886137b6fb8eaa1dc60462e406c8718d1377b3aac460f99a4a1f0b7bde480",

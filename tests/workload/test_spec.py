@@ -8,7 +8,7 @@ import resource
 import pytest
 
 from repro.experiments.scenario import Scenario
-from repro.workload.arrivals import ParetoArrivals, PoissonArrivals
+from repro.workload.arrivals import MarkovModulatedArrivals, PoissonArrivals
 from repro.workload.params import WorkloadParams
 from repro.workload.spec import (
     OpenLoopSpec,
@@ -73,7 +73,7 @@ class TestOpenLoopSpec:
         assert OpenLoopSpec().build(PARAMS).closed_loop is False
 
     def test_streams_deterministic(self):
-        spec = OpenLoopSpec(arrival=ParetoArrivals(rate=0.1))
+        spec = OpenLoopSpec(arrival=MarkovModulatedArrivals(rate=0.1))
         a = list(itertools.islice(spec.build(PARAMS).stream_for(1), 40))
         b = list(itertools.islice(spec.build(PARAMS).stream_for(1), 40))
         assert a == b
@@ -86,9 +86,9 @@ class TestOpenLoopSpec:
         request sequences.
         """
         poisson = OpenLoopSpec(arrival=PoissonArrivals(rate=0.1)).build(PARAMS)
-        pareto = OpenLoopSpec(arrival=ParetoArrivals(rate=0.1)).build(PARAMS)
+        bursty = OpenLoopSpec(arrival=MarkovModulatedArrivals(rate=0.1)).build(PARAMS)
         a = list(itertools.islice(poisson.stream_for(0), 40))
-        b = list(itertools.islice(pareto.stream_for(0), 40))
+        b = list(itertools.islice(bursty.stream_for(0), 40))
         assert [r.resources for r in a] == [r.resources for r in b]
         assert [r.cs_duration for r in a] == [r.cs_duration for r in b]
         assert [r.think_time for r in a] != [r.think_time for r in b]
@@ -250,7 +250,7 @@ class TestTransport:
         [
             SyntheticSpec(),
             OpenLoopSpec(),
-            OpenLoopSpec(arrival=ParetoArrivals(rate=0.2, shape=2.1)),
+            OpenLoopSpec(arrival=MarkovModulatedArrivals(rate=0.2, burst_factor=4.0)),
             TraceReplaySpec(path=MINI, time_scale=0.5, max_jobs=3),
         ],
     )
