@@ -109,7 +109,11 @@ class BLInquire(
 
 
 class BLAllocatorNode(Node, MultiResourceAllocator):
-    """One process of the Bouabdallah–Laforest algorithm."""
+    """One process of the Bouabdallah–Laforest algorithm.
+
+    Node 0 holds the control token, and inside it every resource token,
+    at time zero.
+    """
 
     def __init__(
         self,
@@ -117,7 +121,6 @@ class BLAllocatorNode(Node, MultiResourceAllocator):
         network: Network,
         node_id: int,
         num_resources: int,
-        control_holder: int = 0,
         trace: Optional[TraceRecorder] = None,
     ) -> None:
         Node.__init__(self, sim, network, node_id)
@@ -129,9 +132,9 @@ class BLAllocatorNode(Node, MultiResourceAllocator):
             instance_id=CONTROL_INSTANCE,
             node_id=node_id,
             send_fn=self.send,
-            initial_holder=control_holder,
+            initial_holder=0,
         )
-        if node_id == control_holder:
+        if node_id == 0:
             # Initially every resource token is stored inside the control
             # token; the vector's last slot counts the registrations.
             self._control.token_payload = [TOKEN_HERE] * num_resources + [0]

@@ -8,8 +8,7 @@ and the pseudo-code of Annex A):
   pointers (a simplified, prioritised Mueller algorithm);
 * a request is stamped with the vector of counter values it obtained, and
   requests are totally ordered by ``A(vector)`` with site ids breaking ties
-  (the relation ``/`` of the paper) — :mod:`repro.core.ordering` and
-  :mod:`repro.core.policies`;
+  (the relation ``/`` of the paper) — :mod:`repro.core.ordering`;
 * an optional **loan mechanism** by which a waiting process lends *all* the
   tokens another process is missing so the borrower can run its critical
   section immediately, with at most one outstanding loan per lender —
@@ -30,15 +29,7 @@ from repro.core.messages import (
     TokenEnvelope,
 )
 from repro.core.node import CoreAllocatorNode, ProcessState
-from repro.core.ordering import precedes, request_key
-from repro.core.policies import (
-    MaxPolicy,
-    MeanNonZeroPolicy,
-    MinNonZeroPolicy,
-    SchedulingPolicy,
-    SumPolicy,
-    get_policy,
-)
+from repro.core.ordering import mark, precedes, request_key
 from repro.core.token import ResourceToken
 
 __all__ = [
@@ -53,12 +44,7 @@ __all__ = [
     "RequestEnvelope",
     "CounterEnvelope",
     "TokenEnvelope",
-    "SchedulingPolicy",
-    "MeanNonZeroPolicy",
-    "MaxPolicy",
-    "SumPolicy",
-    "MinNonZeroPolicy",
-    "get_policy",
+    "mark",
     "precedes",
     "request_key",
 ]

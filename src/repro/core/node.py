@@ -61,8 +61,7 @@ from repro.core.messages import (
     RequestKind,
     TokenEnvelope,
 )
-from repro.core.ordering import precedes, request_key
-from repro.core.policies import get_policy
+from repro.core.ordering import mark, precedes, request_key
 from repro.core.token import ResourceToken
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
@@ -106,12 +105,11 @@ class CoreAllocatorNode(Node, MultiResourceAllocator):
         Total number of resources ``M``.
     num_processes:
         Total number of sites ``N``: the length of every token's
-        obsolescence vectors.  ``node_id`` and ``config.initial_holder``
-        must lie in ``0..N-1``.
+        obsolescence vectors.  ``node_id`` must lie in ``0..N-1``; site 0
+        owns every token at time zero (the *elected node* of the
+        initialisation pseudo-code).
     config:
-        Algorithm configuration (loan on/off, threshold, policy ``A``);
-        with loans on, ``loan_threshold`` must not be
-        ``None`` (the algorithm's builder resolves it from the workload).
+        Algorithm configuration (loan on/off, loan threshold).
     trace:
         Optional trace recorder for Gantt rendering / debugging.
     """
@@ -132,21 +130,12 @@ class CoreAllocatorNode(Node, MultiResourceAllocator):
         self.num_resources = num_resources
         if not 0 <= node_id < num_processes:
             raise ValueError(f"node_id {node_id} is not a site id in 0..{num_processes - 1}")
-        if not 0 <= config.initial_holder < num_processes:
-            raise ValueError(
-                f"config.initial_holder {config.initial_holder} is not a site id "
-                f"in 0..{num_processes - 1}"
-            )
-        if config.enable_loan and config.loan_threshold is None:
-            raise ValueError("a lending node needs config.loan_threshold resolved")
         self.config = config
-        self._policy = get_policy(config.policy)
         self.trace = trace
 
-        owner = config.initial_holder
-        owns_all = node_id == owner
+        owns_all = node_id == 0
         # tokDir: probable owner per resource (None <=> this node holds the token)
-        self.tok_dir: List[Optional[int]] = [None if owns_all else owner] * num_resources
+        self.tok_dir: List[Optional[int]] = [None if owns_all else 0] * num_resources
         # lastTok: a (possibly stale) snapshot of every token, its
         # obsolescence vectors indexed by site id.
         self.last_tok: List[ResourceToken] = [
@@ -598,7 +587,7 @@ class CoreAllocatorNode(Node, MultiResourceAllocator):
         if not missing or len(missing) > self.config.loan_threshold:
             return
         self._loan_asked = True
-        mark = self._current_mark()
+        my_mark = self._current_mark()
         fmissing = frozenset(missing)
         for r in sorted(missing):
             father = self.tok_dir[r]
@@ -610,7 +599,7 @@ class CoreAllocatorNode(Node, MultiResourceAllocator):
                     resource=r,
                     sinit=self.node_id,
                     req_id=self._cur_id,
-                    mark=mark,
+                    mark=my_mark,
                     missing=fmissing,
                 ),
             )
@@ -639,12 +628,12 @@ class CoreAllocatorNode(Node, MultiResourceAllocator):
         ``waitS`` (a borrowed token reaching a rebooted node) the vector is
         still filling up and the mark is computed afresh.
         """
-        mark = self._mark
-        if mark is None:
-            mark = self._policy.mark(self._my_vector, self._t_required)
+        value = self._mark
+        if value is None:
+            value = mark(self._my_vector, self._t_required)
             if self._state is _WAIT_CS:
-                self._mark = mark
-        return mark
+                self._mark = value
+        return value
 
     def _my_req_for(self, resource: int) -> ReqRes:
         """Our own ``ReqRes`` entry for ``resource`` (``myReq``)."""

@@ -1,4 +1,5 @@
-"""The total order ``/`` over requests (Section 3.3.2, Definition 1).
+"""The scheduling function ``A`` and the total order ``/`` over requests
+(Section 3.3.2, Definition 1).
 
 A request is identified by ``(mark, sinit)`` where ``mark = A(vector)`` is
 the scheduling function applied to the request's counter vector and
@@ -15,7 +16,7 @@ their ``req_id``).
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Protocol
+from typing import AbstractSet, Protocol, Sequence
 
 
 class _HasMarkAndSite(Protocol):
@@ -23,6 +24,24 @@ class _HasMarkAndSite(Protocol):
 
     mark: float
     sinit: int
+
+
+def mark(vector: Sequence[int], required: AbstractSet[int]) -> float:
+    """``A(vector)``: the average of the non-zero counters of ``required``.
+
+    ``vector`` has one entry per resource; entries for non-required
+    resources are zero by construction.  This is the scheduling function
+    of the paper's evaluation.  Liveness only needs ``A`` to let every
+    request eventually have the smallest value among pending ones, which
+    holds for any monotone function of the counters: every new request
+    obtains counter values strictly greater than the ones previously
+    handed out for the same resources, so the minimum possible mark of
+    future requests keeps growing.
+    """
+    values = [vector[r] for r in required if vector[r] > 0]
+    if not values:
+        return 0.0
+    return sum(values) / len(values)
 
 
 #: Sort key implementing the order ``/``: ``request_key(req)`` is

@@ -2,7 +2,7 @@
 
 Glues together workload generation, the algorithm implementations and the
 metrics collector, and provides the sweep drivers that regenerate every
-figure of the paper's evaluation (see DESIGN.md for the experiment index).
+figure of the paper's evaluation (see docs/results.md for what a run returns).
 """
 
 from repro.experiments.driver import Client

@@ -25,8 +25,6 @@ name              algorithm
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence
 
@@ -42,29 +40,9 @@ __all__ = [
     "ALGORITHMS",
     "ALGORITHM_LABELS",
     "Algorithm",
-    "BLConfigSpec",
-    "IncrementalConfigSpec",
     "TABLE",
     "get_algorithm",
 ]
-
-
-@dataclass(frozen=True)
-class IncrementalConfigSpec:
-    """Config of the incremental baseline.
-
-    ``initial_holder`` is the site initially holding every resource token;
-    ``None`` spreads the tokens round-robin over the sites.
-    """
-
-    initial_holder: Optional[int] = None
-
-
-@dataclass(frozen=True)
-class BLConfigSpec:
-    """Config of the Bouabdallah–Laforest baseline."""
-
-    control_holder: int = 0
 
 
 def _build_incremental(config, params, sim, network, trace, node=IncrementalAllocatorNode):
@@ -75,7 +53,7 @@ def _build_incremental(config, params, sim, network, trace, node=IncrementalAllo
             p,
             num_resources=params.num_resources,
             num_processes=params.num_processes,
-            initial_holder=config.initial_holder,
+            initial_holder=None,
             trace=trace,
         )
         for p in range(params.num_processes)
@@ -89,7 +67,6 @@ def _build_bouabdallah(config, params, sim, network, trace):
             network,
             p,
             num_resources=params.num_resources,
-            control_holder=config.control_holder,
             trace=trace,
         )
         for p in range(params.num_processes)
@@ -97,8 +74,6 @@ def _build_bouabdallah(config, params, sim, network, trace):
 
 
 def _build_core(config, params, sim, network, trace, node=CoreAllocatorNode):
-    if config.loan_threshold is None:
-        config = dataclasses.replace(config, loan_threshold=params.loan_threshold)
     return [
         node(
             sim, network, p, params.num_resources, params.num_processes, config, trace
@@ -138,10 +113,10 @@ TABLE: Dict[str, Algorithm] = {
     row.name: row
     for row in (
         Algorithm(
-            "incremental", "Incremental", IncrementalConfigSpec(), True, _build_incremental,
+            "incremental", "Incremental", None, True, _build_incremental,
             partial(_build_incremental, node=RecoverableIncrementalNode),
         ),
-        Algorithm("bouabdallah", "Bouabdallah Laforest", BLConfigSpec(), True, _build_bouabdallah),
+        Algorithm("bouabdallah", "Bouabdallah Laforest", None, True, _build_bouabdallah),
         Algorithm(
             "without_loan", "Without loan", CoreConfigSpec(enable_loan=False), True, _build_core,
             partial(_build_core, node=RecoverableCoreNode),

@@ -195,13 +195,6 @@ class ExperimentResult:
         """Resource-use rate in percent (Figure 5's y-axis)."""
         return self.metrics.use_rate
 
-    def describe(self) -> str:
-        """One-line human-readable summary (says how the run ended if not cleanly)."""
-        end = self.termination
-        unclean = end.waiting or end.reason != "drained"
-        tail = f" ended={end.reason} ({end.progress()})" if unclean else ""
-        return f"[{self.params.describe()}] {self.metrics.describe()}{tail}"
-
 
 def run(scenario: Scenario) -> ExperimentResult:
     """Run one declarative scenario to completion.

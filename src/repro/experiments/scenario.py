@@ -49,10 +49,6 @@ __all__ = ["Scenario", "canonical", "content_hash"]
 #: :meth:`Scenario.sweep` as sweep axes.
 _PARAMS_FIELDS = frozenset(f.name for f in dataclasses.fields(WorkloadParams))
 
-#: Config fields that name a node, checked against N before any run starts
-#: (``None`` is no node: the incremental baseline's round-robin holders).
-_NODE_FIELDS = ("initial_holder", "control_holder")
-
 
 def canonical(value: Any) -> Any:
     """Canonical form of ``value`` used for content hashing.
@@ -123,8 +119,7 @@ class Scenario:
         Workload parameterisation (N, M, phi, load, duration, seed, ...).
     config:
         Frozen config spec of the algorithm, of its default config's
-        type; ``None`` uses that default.  Node ids it names (a holder)
-        must lie in ``0..N-1``.
+        type; ``None`` uses that default.
     latency:
         Declarative latency model (:class:`~repro.sim.latency.LatencySpec`);
         ``None`` means constant ``params.gamma``.  The runner binds it to
@@ -286,8 +281,8 @@ class Scenario:
     def normalized(self) -> "Scenario":
         """Fill the algorithm table's defaults in, so equal runs hash equally.
 
-        ``config=None`` is resolved to the algorithm's default config (a
-        config naming a node outside ``0..N-1`` fails here), ``workload=None`` to
+        ``config=None`` is resolved to the algorithm's default config,
+        ``workload=None`` to
         :class:`~repro.workload.spec.SyntheticSpec` (whose canonical form
         is neutral, so pre-axis scenarios keep their keys),
         ``latency=None`` to :class:`ConstantLatencySpec` and
@@ -303,14 +298,6 @@ class Scenario:
         changes: Dict[str, Any] = {}
         if self.config is None and algo.default_config is not None:
             changes["config"] = algo.default_config
-        config = changes.get("config", self.config)
-        for name in _NODE_FIELDS:
-            node = getattr(config, name, None)
-            if node is not None and not 0 <= node < self.params.num_processes:
-                raise ValueError(
-                    f"{type(config).__name__}.{name}={node} names no node: the workload "
-                    f"has N={self.params.num_processes} processes"
-                )
         if self.workload is None:
             changes["workload"] = SyntheticSpec()
         if algo.needs_network:

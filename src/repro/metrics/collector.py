@@ -82,14 +82,6 @@ class RunMetrics:
     num_resources: int
     extra: Dict[str, float] = field(default_factory=dict)
 
-    def describe(self) -> str:
-        """One-line summary used by the experiment reports."""
-        return (
-            f"{self.algorithm}: use_rate={self.use_rate:.1f}% "
-            f"avg_wait={self.waiting.mean:.1f}ms (sd={self.waiting.stddev:.1f}) "
-            f"completed={self.completed}/{self.issued} msgs/cs={self.messages_per_cs:.1f}"
-        )
-
 
 class MetricsCollector:
     """Observer recording every request lifecycle of a run.

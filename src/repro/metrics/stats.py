@@ -54,14 +54,6 @@ class SummaryStats:
     maximum: float
     median: float
 
-    def describe(self, unit: str = "") -> str:
-        """Compact human-readable rendering."""
-        suffix = f" {unit}" if unit else ""
-        return (
-            f"n={self.count} mean={self.mean:.2f}{suffix} sd={self.stddev:.2f} "
-            f"min={self.minimum:.2f} med={self.median:.2f} max={self.maximum:.2f}"
-        )
-
 
 def summarize(values: Iterable[float]) -> SummaryStats:
     """Build a :class:`SummaryStats` from a sample (all zeros when empty).

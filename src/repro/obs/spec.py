@@ -51,12 +51,14 @@ class TelemetrySpec:
     stall_after: float = 500.0
 
     def __post_init__(self) -> None:
-        if self.sample_interval <= 0:
+        if not 0 < self.sample_interval < math.inf:
             raise ValueError(
-                f"sample_interval must be > 0, got {self.sample_interval!r}"
+                f"sample_interval must be finite and > 0, got {self.sample_interval!r}"
             )
-        if self.stall_after <= 0:
-            raise ValueError(f"stall_after must be > 0, got {self.stall_after!r}")
+        if not 0 < self.stall_after < math.inf:
+            raise ValueError(
+                f"stall_after must be finite and > 0, got {self.stall_after!r}"
+            )
         if not isinstance(self.wait_buckets, tuple):
             object.__setattr__(self, "wait_buckets", tuple(self.wait_buckets))
         if not self.wait_buckets:

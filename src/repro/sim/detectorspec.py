@@ -55,10 +55,6 @@ class NoDetector(DetectorSpec):
         """Nothing detects: lost tokens are never regenerated."""
         return None
 
-    def describe(self) -> str:
-        """Human-readable description used in experiment reports."""
-        return "no detector"
-
 
 @dataclass(frozen=True)
 class HeartbeatDetector(DetectorSpec):

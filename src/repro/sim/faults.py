@@ -105,10 +105,6 @@ class NoFaults(FaultSpec):
         """Nothing to inject: the network keeps its reliable fast path."""
         return None
 
-    def describe(self) -> str:
-        """Human-readable description used in experiment reports."""
-        return "no faults"
-
 
 @dataclass(frozen=True)
 class BernoulliLoss(FaultSpec):
@@ -138,12 +134,6 @@ class BernoulliLoss(FaultSpec):
     def bind(self, params: "WorkloadParams") -> Optional["BoundBernoulliLoss"]:
         """A fresh :class:`BoundBernoulliLoss` (``None`` when ``p == 0``)."""
         return BoundBernoulliLoss(self) if self.p > 0.0 else None
-
-    def describe(self) -> str:
-        """Human-readable description used in experiment reports."""
-        if self.kinds is not None:
-            return f"loss(p={self.p:g}, kinds={list(self.kinds)})"
-        return f"loss(p={self.p:g})"
 
 
 class BoundBernoulliLoss(FaultSpec):
@@ -299,11 +289,6 @@ class NodeCrash(FaultSpec):
     def exposed_nodes(self) -> FrozenSet[int]:
         """Only messages the crashed node sends or receives are moved."""
         return frozenset((self.node,))
-
-    def describe(self) -> str:
-        """Human-readable description used in experiment reports."""
-        recover = f"{self.recover_at:g}" if self.recover_at is not None else "inf"
-        return f"crash(node={self.node}, [{self.at:g}, {recover}))"
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ closed loop.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from random import Random
@@ -62,13 +63,11 @@ class ArrivalSpec(ABC):
         (not the previous completion — that is the open-loop property).
         """
 
-    def describe(self) -> str:
-        """Human-readable description used in experiment reports."""
-        return repr(self)
-
     def _check_rate(self) -> None:
-        if self.rate is not None and self.rate <= 0:
-            raise ValueError("rate must be positive (or None for 1/beta)")
+        if self.rate is not None and not 0 < self.rate < math.inf:
+            raise ValueError(
+                f"rate must be finite and > 0 (or None for 1/beta), got {self.rate!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -106,12 +105,15 @@ class MarkovModulatedArrivals(ArrivalSpec):
 
     def __post_init__(self) -> None:
         self._check_rate()
-        if self.burst_factor <= 1.0:
-            raise ValueError("burst_factor must be > 1 (1 is plain Poisson)")
+        if not 1.0 < self.burst_factor < math.inf:
+            raise ValueError(
+                f"burst_factor must be finite and > 1 (1 is plain Poisson), "
+                f"got {self.burst_factor!r}"
+            )
         if not 0.0 < self.burst_fraction < 1.0:
             raise ValueError("burst_fraction must lie in (0, 1)")
-        if self.dwell <= 0:
-            raise ValueError("dwell must be positive")
+        if not 0 < self.dwell < math.inf:
+            raise ValueError(f"dwell must be finite and > 0, got {self.dwell!r}")
 
     def gaps(self, rng: Random, params: "WorkloadParams") -> Iterator[float]:
         """Exponential gaps modulated by a two-state Markov chain.

@@ -19,10 +19,10 @@ time, matching the paper's units.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
-from typing import Dict, Optional
+from typing import Optional
 
 
 class LoadLevel(str, Enum):
@@ -71,36 +71,6 @@ def cs_duration_for_size(
     return alpha_min + (alpha_max - alpha_min) * frac
 
 
-class _FrozenExtra(dict):
-    """Read-only ``dict`` used for :attr:`WorkloadParams.extra`.
-
-    ``WorkloadParams`` is a frozen, content-hashed value: a mutable
-    ``extra`` dict would let callers change a scenario *after* its cache
-    key was computed, silently serving stale cached results.  Freezing at
-    construction makes that a loud ``TypeError`` instead.  Still a real
-    ``dict`` subclass, so canonicalisation, equality and pickling are
-    unchanged.
-    """
-
-    def _frozen(self, *args: object, **kwargs: object) -> None:
-        raise TypeError(
-            "WorkloadParams.extra is frozen; build a new WorkloadParams "
-            "(dataclasses.replace) instead of mutating it in place"
-        )
-
-    __setitem__ = _frozen
-    __delitem__ = _frozen
-    __ior__ = _frozen
-    clear = _frozen
-    pop = _frozen
-    popitem = _frozen
-    setdefault = _frozen
-    update = _frozen
-
-    def __reduce__(self):
-        return (_FrozenExtra, (dict(self),))
-
-
 @dataclass(frozen=True)
 class WorkloadParams:
     """Full parameterisation of one experiment run.
@@ -126,8 +96,6 @@ class WorkloadParams:
     requests_per_process: Optional[int] = None
     cs_noise: float = 0.2
     seed: int = 1
-    loan_threshold: int = 1
-    extra: Dict[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.num_processes < 1:
@@ -136,24 +104,27 @@ class WorkloadParams:
             raise ValueError("num_resources must be >= 1")
         if not 1 <= self.phi <= self.num_resources:
             raise ValueError("phi must lie in [1, num_resources]")
-        if self.alpha_min <= 0 or self.alpha_max < self.alpha_min:
-            raise ValueError("require 0 < alpha_min <= alpha_max")
+        if not 0 < self.alpha_min < math.inf:
+            raise ValueError(f"alpha_min must be finite and > 0, got {self.alpha_min!r}")
+        if not self.alpha_min <= self.alpha_max < math.inf:
+            raise ValueError(
+                f"alpha_max must be finite and >= alpha_min, got {self.alpha_max!r}"
+            )
         if not 0 <= self.gamma < math.inf:
             raise ValueError(f"gamma must be finite and non-negative, got {self.gamma!r}")
-        if self.duration <= 0:
-            raise ValueError("duration must be positive")
+        if not 0 < self.duration < math.inf:
+            raise ValueError(f"duration must be finite and > 0, got {self.duration!r}")
         if not 0 <= self.warmup < self.duration:
             raise ValueError("warmup must lie in [0, duration)")
         if not 0 <= self.cs_noise < 1:
             raise ValueError("cs_noise must lie in [0, 1)")
-        if self.loan_threshold < 0:
-            raise ValueError("loan_threshold must be >= 0")
-        if self.rho is not None and self.rho < 0:
-            raise ValueError("rho must be non-negative (it is beta / (alpha + gamma))")
+        if self.rho is not None and not 0 <= self.rho < math.inf:
+            raise ValueError(
+                f"rho must be finite and non-negative (it is beta / (alpha + gamma)), "
+                f"got {self.rho!r}"
+            )
         if self.requests_per_process is not None and self.requests_per_process < 1:
             raise ValueError("requests_per_process must be >= 1 (or None for unbounded)")
-        if not isinstance(self.extra, _FrozenExtra):
-            object.__setattr__(self, "extra", _FrozenExtra(self.extra))
 
     # ------------------------------------------------------------------ #
     # derived quantities
@@ -198,14 +169,13 @@ class WorkloadParams:
         """One-line summary used in reports.
 
         Includes every knob that distinguishes runs in practice — in
-        particular ``loan_threshold`` and ``requests_per_process``, so two
-        report lines differing only in those are not conflated.
+        particular ``requests_per_process``, so two report lines differing
+        only in it are not conflated.
         """
         requests = self.requests_per_process if self.requests_per_process is not None else "all"
         return (
             f"N={self.num_processes} M={self.num_resources} phi={self.phi} "
             f"load={self.load.value} rho={self.effective_rho:g} "
             f"alpha=[{self.alpha_min},{self.alpha_max}]ms gamma={self.gamma}ms "
-            f"duration={self.duration:g}ms loan_threshold={self.loan_threshold} "
-            f"requests={requests} seed={self.seed}"
+            f"duration={self.duration:g}ms requests={requests} seed={self.seed}"
         )

@@ -88,9 +88,9 @@ class WorkloadSpec(ABC):
         """
         return None
 
-    @abstractmethod
     def describe(self) -> str:
         """Human-readable description used in experiment reports."""
+        return repr(self)
 
 
 class BoundWorkload:
@@ -161,10 +161,6 @@ class SyntheticSpec(WorkloadSpec):
                 think = think_rng.expovariate(1.0 / beta) if beta > 0 else 0.0
             yield _tuple_new(RequestSpec, (process, index, resources, cs_duration, think))
 
-    def describe(self) -> str:
-        """Canonical label of the closed-loop workload."""
-        return "workload=synthetic"
-
 
 @dataclass(frozen=True)
 class OpenLoopSpec(WorkloadSpec):
@@ -220,10 +216,6 @@ class OpenLoopSpec(WorkloadSpec):
         if params.requests_per_process is not None:
             per_process = min(per_process, params.requests_per_process)
         return max(1, math.ceil(per_process * params.num_processes))
-
-    def describe(self) -> str:
-        """Label naming the arrival family."""
-        return f"workload=open-loop({self.arrival.describe()})"
 
 
 #: Cache of trace-file digests keyed by (abspath, mtime_ns, size): key
@@ -343,10 +335,3 @@ class TraceReplaySpec(WorkloadSpec):
         if params.requests_per_process is not None:
             count = min(count, params.requests_per_process * params.num_processes)
         return max(1, count)
-
-    def describe(self) -> str:
-        """Label naming the trace file and scale."""
-        extras = f", scale={self.time_scale:g}"
-        if self.max_jobs is not None:
-            extras += f", max_jobs={self.max_jobs}"
-        return f"workload=trace({os.path.basename(self.path)}{extras})"

@@ -1,11 +1,37 @@
-"""Unit tests for the total order ``/`` over requests."""
+"""Unit tests for the scheduling function ``A`` and the total order ``/``."""
+
+import pytest
 
 from repro.core.messages import ReqRes
-from repro.core.ordering import precedes, request_key
+from repro.core.ordering import mark, precedes, request_key
 
 
 def req(mark, site, resource=0, req_id=1):
     return ReqRes(resource=resource, sinit=site, req_id=req_id, mark=mark)
+
+
+def vector(m, assignments):
+    v = [0] * m
+    for r, value in assignments.items():
+        v[r] = value
+    return v
+
+
+class TestMark:
+    def test_average_of_required_counters(self):
+        assert mark(vector(5, {0: 2, 3: 6}), {0, 3}) == pytest.approx(4.0)
+
+    def test_zero_entries_ignored(self):
+        # resource 3 required but its counter is still 0 (not yet obtained)
+        assert mark(vector(5, {0: 4}), {0, 3}) == pytest.approx(4.0)
+
+    def test_empty_vector_is_zero(self):
+        assert mark([0, 0, 0], {1}) == 0.0
+
+    def test_monotone_in_counters(self):
+        low = mark(vector(3, {0: 1, 1: 2}), {0, 1})
+        high = mark(vector(3, {0: 5, 1: 6}), {0, 1})
+        assert high > low
 
 
 class TestRequestKey:

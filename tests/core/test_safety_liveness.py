@@ -10,8 +10,9 @@ import random
 
 import pytest
 
+from repro.core.config import CoreConfigSpec
 
-from tests.helpers import assert_all_completed, build_system, node_config, run_scripted
+from tests.helpers import assert_all_completed, build_system, run_scripted
 
 
 def random_workload(rng, num_processes, num_resources, waves, max_size, cs_range=(2.0, 8.0)):
@@ -30,7 +31,7 @@ def random_workload(rng, num_processes, num_resources, waves, max_size, cs_range
 class TestRandomisedRuns:
     def test_safety_and_liveness(self, seed, enable_loan):
         rng = random.Random(seed)
-        config = node_config(enable_loan=enable_loan)
+        config = CoreConfigSpec(enable_loan=enable_loan)
         system = build_system("core", num_processes=6, num_resources=8, gamma=0.6,
                               core_config=config)
         requests = random_workload(rng, num_processes=6, num_resources=8,
@@ -42,7 +43,7 @@ class TestRandomisedRuns:
     def test_token_conservation(self, seed, enable_loan):
         """After quiescence every resource token exists exactly once."""
         rng = random.Random(seed + 100)
-        config = node_config(enable_loan=enable_loan)
+        config = CoreConfigSpec(enable_loan=enable_loan)
         system = build_system("core", num_processes=5, num_resources=6, gamma=0.4,
                               core_config=config)
         requests = random_workload(rng, num_processes=5, num_resources=6,
@@ -63,7 +64,7 @@ class TestHighContention:
     @pytest.mark.parametrize("enable_loan", [False, True])
     def test_everyone_wants_everything(self, enable_loan):
         """Worst case: every request asks for the full resource set."""
-        config = node_config(enable_loan=enable_loan)
+        config = CoreConfigSpec(enable_loan=enable_loan)
         system = build_system("core", num_processes=5, num_resources=4, gamma=0.5,
                               core_config=config)
         requests = [
@@ -94,15 +95,3 @@ class TestHighContention:
         assert_all_completed(metrics)
         assert len(metrics.records) == 10
 
-
-class TestSchedulingPolicies:
-    @pytest.mark.parametrize("policy", ["mean_nonzero", "max", "min_nonzero", "sum"])
-    def test_all_policies_are_safe_and_live(self, policy):
-        rng = random.Random(13)
-        config = node_config(enable_loan=True, policy=policy)
-        system = build_system("core", num_processes=5, num_resources=6, gamma=0.5,
-                              core_config=config)
-        requests = random_workload(rng, num_processes=5, num_resources=6,
-                                   waves=3, max_size=4)
-        metrics = run_scripted(system, requests, max_events=3_000_000)
-        assert_all_completed(metrics)

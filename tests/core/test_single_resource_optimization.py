@@ -6,11 +6,11 @@ import pytest
 
 from repro.core.config import CoreConfigSpec
 
-from tests.helpers import assert_all_completed, build_system, node_config, run_scripted
+from tests.helpers import assert_all_completed, build_system, run_scripted
 
 
 def config(enabled: bool) -> CoreConfigSpec:
-    return node_config(enable_loan=True, single_resource_optimization=enabled)
+    return CoreConfigSpec(enable_loan=True, single_resource_optimization=enabled)
 
 
 class TestFastPath:

@@ -10,20 +10,21 @@ import sys
 
 import pytest
 
+from repro.core.config import CoreConfigSpec
 from repro.core.node import CoreAllocatorNode
 from repro.sim.engine import Simulator
 from repro.sim.latency import ConstantLatencySpec
 from repro.sim.network import Network
 
-from tests.helpers import assert_all_completed, build_system, node_config, run_scripted
+from tests.helpers import assert_all_completed, build_system, run_scripted
 
 
-def make_node(node_id, num_processes=4, **config):
+def make_node(node_id, num_processes=4):
     sim = Simulator()
     network = Network(sim, ConstantLatencySpec(gamma=1.0))
     return CoreAllocatorNode(
         sim, network, node_id, num_resources=2, num_processes=num_processes,
-        config=node_config(**config),
+        config=CoreConfigSpec(),
     )
 
 
@@ -33,14 +34,9 @@ class TestSiteIds:
         with pytest.raises(ValueError, match="node_id"):
             make_node(node_id)
 
-    @pytest.mark.parametrize("holder", [4, 9])
-    def test_initial_holder_outside_the_sites_rejected(self, holder):
-        with pytest.raises(ValueError, match="initial_holder"):
-            make_node(0, initial_holder=holder)
-
-    def test_last_site_and_holder_accepted(self):
-        node = make_node(3, initial_holder=3)
-        assert node.owned_tokens == frozenset({0, 1})
+    def test_last_site_accepted_and_site_zero_holds_every_token(self):
+        assert make_node(3).owned_tokens == frozenset()
+        assert make_node(0).owned_tokens == frozenset({0, 1})
 
 
 class TestSnapshotFootprint:

@@ -1,7 +1,5 @@
 """Tests of the algorithm table."""
 
-import dataclasses
-
 import pytest
 
 from repro.baselines.bouabdallah_laforest import BLAllocatorNode
@@ -87,22 +85,34 @@ class TestTable:
         assert with_loan[0].config.enable_loan is True
         assert without[0].config.enable_loan is False
 
-    def test_policy_and_threshold_overrides(self, params):
+    def test_threshold_override(self, params):
         sim = Simulator()
         network = make_network(params, sim)
         allocators = make_allocators(
-            "with_loan", params, sim, network,
-            config=CoreConfigSpec(policy="max", loan_threshold=5),
+            "with_loan", params, sim, network, config=CoreConfigSpec(loan_threshold=5)
         )
-        assert allocators[0].config.policy == "max"
-        assert allocators[0].config.loan_threshold == 5
+        assert {a.config.loan_threshold for a in allocators} == {5}
 
-    def test_unset_threshold_binds_the_workload_threshold(self, params):
-        params = dataclasses.replace(params, loan_threshold=3)
+    @pytest.mark.parametrize(
+        "name, held, expected",
+        [
+            # Site 0 is the core's elected node: it holds every token.
+            ("with_loan", lambda a: sorted(a.owned_tokens), [[0, 1, 2, 3, 4, 5], [], [], []]),
+            # Site 0 holds BL's control token, and inside it every resource token.
+            ("bouabdallah", lambda a: a._control.has_token, [True, False, False, False]),
+            # The incremental baseline spreads token r to node r mod N.
+            (
+                "incremental",
+                lambda a: [r for r, inst in a._instances.items() if inst.has_token],
+                [[0, 4], [1, 5], [2], [3]],
+            ),
+        ],
+        ids=["with_loan", "bouabdallah", "incremental"],
+    )
+    def test_initial_token_holders(self, params, name, held, expected):
         sim = Simulator()
-        allocators = make_allocators("with_loan", params, sim, make_network(params, sim))
-        assert TABLE["with_loan"].default_config.loan_threshold is None
-        assert {a.config.loan_threshold for a in allocators} == {3}
+        allocators = make_allocators(name, params, sim, make_network(params, sim))
+        assert [held(a) for a in allocators] == expected
 
     def test_network_uses_params_gamma(self, params):
         sim = Simulator()

@@ -114,11 +114,6 @@ class TestRunExperiment:
         # Remote hops are ~8x slower, so waiting must not improve.
         assert hierarchical.metrics.waiting.mean >= flat.metrics.waiting.mean
 
-    def test_describe_summary(self, tiny_params):
-        result = run(Scenario(algorithm="with_loan", params=tiny_params))
-        text = result.describe()
-        assert "with_loan" in text and "use_rate" in text
-
     def test_requests_per_process_cap(self, tiny_params):
         import dataclasses
 
@@ -205,7 +200,7 @@ class TestFaultRunCap:
             load=LoadLevel.LOW, seed=348118,
         ),
         workload=OpenLoopSpec(PoissonArrivals(rate=0.01)),
-        config=CoreConfigSpec(enable_loan=False, policy="sum", initial_holder=8),
+        config=CoreConfigSpec(enable_loan=False),
     )
 
     @pytest.mark.parametrize(
@@ -305,8 +300,6 @@ class TestTermination:
         end = result.termination
         assert (end.reason, end.waiting, end.abandoned) == ("drained", (), 0)
         assert 0.0 < end.last_grant <= result.simulated_time
-        # A clean run's one-line summary does not mention how it ended.
-        assert "ended=" not in result.describe()
 
     def test_crash_run_reports_the_wedge_its_twin_does_not(self):
         """Node 0, the initial holder, dies undetected at t=80 with most tokens."""
@@ -325,7 +318,6 @@ class TestTermination:
         assert end.abandoned == 1
         # completed/issued = 74/106 hides it; the twin's count does not.
         assert (result.metrics.completed, twin.metrics.completed) == (74, 2501)
-        assert "ended=drained (last grant t=148.8" in result.describe()
         with pytest.raises(RuntimeError, match="liveness failure.*drained.*last grant") as exc:
             run(crashed)
         assert "(first: process 1, index 2)" in str(exc.value)

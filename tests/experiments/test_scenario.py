@@ -2,14 +2,12 @@
 
 import dataclasses
 import pickle
-import re
 import subprocess
 import sys
 
 import pytest
 
 from repro.core.config import CoreConfigSpec
-from repro.experiments.registry import BLConfigSpec, IncrementalConfigSpec
 from repro.experiments.runner import run
 from repro.experiments.scenario import Scenario
 from repro.sim.faultspec import BernoulliLoss, NoFaults, NodeCrash
@@ -33,7 +31,7 @@ class TestScenarioValue:
         scenario = Scenario(
             algorithm="with_loan",
             params=small_params(),
-            config=CoreConfigSpec(loan_threshold=2, policy="max"),
+            config=CoreConfigSpec(loan_threshold=2),
             latency=UniformJitterLatencySpec(jitter=0.4),
             size_buckets=(1, 4, 8),
         )
@@ -44,8 +42,7 @@ class TestScenarioValue:
     def test_scenarios_are_frozen_values(self):
         a = Scenario(algorithm="with_loan", params=small_params())
         b = Scenario(algorithm="with_loan", params=small_params())
-        # Identity for memoisation purposes is the content hash key(), not
-        # hash() — the embedded params carry an (unhashable) ``extra`` dict.
+        # Identity for memoisation purposes is the content hash key().
         assert a == b and a.key() == b.key()
         with pytest.raises(dataclasses.FrozenInstanceError):
             a.algorithm = "bouabdallah"
@@ -60,11 +57,14 @@ class TestScenarioValue:
 
     def test_mismatched_config_type_rejected(self):
         with pytest.raises(TypeError, match="CoreConfigSpec"):
-            Scenario(algorithm="with_loan", params=small_params(), config=BLConfigSpec())
+            Scenario(
+                algorithm="with_loan", params=small_params(), config=ConstantLatencySpec()
+            )
 
-    def test_config_on_configless_algorithm_rejected(self):
+    @pytest.mark.parametrize("algorithm", ["bouabdallah", "incremental", "shared_memory"])
+    def test_config_on_configless_algorithm_rejected(self, algorithm):
         with pytest.raises(TypeError, match="no config"):
-            Scenario(algorithm="shared_memory", params=small_params(), config=CoreConfigSpec())
+            Scenario(algorithm=algorithm, params=small_params(), config=CoreConfigSpec())
 
     def test_live_latency_model_rejected(self):
         """What a jittered latency binds to for one run holds an RNG: not a spec."""
@@ -83,53 +83,10 @@ class TestScenarioValue:
             Scenario(algorithm="with_loan", params=small_params(), detector=40.0)
 
 
-class TestConfigNodeIds:
-    """A config naming a node outside the workload fails before any run starts."""
-
-    @pytest.mark.parametrize(
-        "algorithm, config, field",
-        [
-            ("with_loan", CoreConfigSpec(initial_holder=9), "CoreConfigSpec.initial_holder=9"),
-            ("bouabdallah", BLConfigSpec(control_holder=9), "BLConfigSpec.control_holder=9"),
-            ("bouabdallah", BLConfigSpec(control_holder=-1), "BLConfigSpec.control_holder=-1"),
-            (
-                "incremental",
-                IncrementalConfigSpec(initial_holder=9),
-                "IncrementalConfigSpec.initial_holder=9",
-            ),
-        ],
-    )
-    def test_holder_outside_workload_rejected(self, algorithm, config, field):
-        scenario = Scenario(algorithm=algorithm, params=small_params(), config=config)
-        message = re.escape(field) + ".*N=4"
-        with pytest.raises(ValueError, match=message):
-            scenario.key()
-        with pytest.raises(ValueError, match=message):
-            run(scenario)
-
-    @pytest.mark.parametrize(
-        "algorithm, config",
-        [
-            ("with_loan", CoreConfigSpec(initial_holder=3)),
-            ("bouabdallah", BLConfigSpec(control_holder=3)),
-            ("incremental", IncrementalConfigSpec(initial_holder=3)),
-            ("incremental", IncrementalConfigSpec(initial_holder=None)),
-        ],
-    )
-    def test_holder_inside_workload_runs(self, algorithm, config):
-        result = run(Scenario(algorithm=algorithm, params=small_params(), config=config))
-        assert result.termination.reason == "drained"
-
-
 class TestScenarioKey:
     def test_key_stable_across_pickling(self):
         scenario = Scenario(algorithm="with_loan", params=small_params(), size_buckets=(1, 4))
         assert pickle.loads(pickle.dumps(scenario)).key() == scenario.key()
-
-    def test_key_independent_of_extra_dict_order(self):
-        a = Scenario(algorithm="with_loan", params=small_params(extra={"x": 1, "y": 2}))
-        b = Scenario(algorithm="with_loan", params=small_params(extra={"y": 2, "x": 1}))
-        assert a.key() == b.key()
 
     def test_key_normalises_defaults(self):
         implicit = Scenario(algorithm="with_loan", params=small_params())
@@ -140,6 +97,14 @@ class TestScenarioKey:
             latency=ConstantLatencySpec(),
         )
         assert implicit.key() == explicit.key()
+
+    @pytest.mark.parametrize("threshold", [0, 2])
+    def test_loan_threshold_is_part_of_the_key(self, threshold):
+        """The config is the threshold's one home: another value is another run."""
+        default = Scenario(algorithm="with_loan", params=small_params())
+        other = default.replace(config=CoreConfigSpec(loan_threshold=threshold))
+        assert other.key() != default.key()
+        assert default.normalized().config.loan_threshold == 1
 
     def test_key_ignores_latency_on_networkless_algorithm(self):
         plain = Scenario(algorithm="shared_memory", params=small_params())
@@ -235,15 +200,19 @@ class TestScenarioKey:
     def test_key_stable_across_processes(self):
         """The content hash must not depend on the interpreter instance.
 
-        PYTHONHASHSEED randomises ``hash()`` per process; the scenario key
+        PYTHONHASHSEED randomises ``hash()`` per process, and with it the
+        iteration order of the set of loss kinds below; the scenario key
         must survive it, or the on-disk cache would never hit.
         """
         program = (
+            "from repro.core.config import CoreConfigSpec\n"
             "from repro.experiments.scenario import Scenario\n"
+            "from repro.sim.faultspec import BernoulliLoss\n"
             "from repro.workload.params import WorkloadParams\n"
             "s = Scenario(algorithm='with_loan', params=WorkloadParams(\n"
             "    num_processes=4, num_resources=8, phi=3, duration=400.0,\n"
-            "    warmup=50.0, extra={'x': 1, 'y': 2}))\n"
+            "    warmup=50.0), config=CoreConfigSpec(loan_threshold=2),\n"
+            "    faults=BernoulliLoss(p=0.05, kinds={'ReqRes', 'ReqCnt', 'CounterValue'}))\n"
             "print(s.key())\n"
         )
         keys = set()
@@ -258,7 +227,10 @@ class TestScenarioKey:
             assert proc.returncode == 0, proc.stderr
             keys.add(proc.stdout.strip())
         local = Scenario(
-            algorithm="with_loan", params=small_params(extra={"x": 1, "y": 2})
+            algorithm="with_loan",
+            params=small_params(),
+            config=CoreConfigSpec(loan_threshold=2),
+            faults=BernoulliLoss(p=0.05, kinds={"ReqRes", "ReqCnt", "CounterValue"}),
         ).key()
         assert keys == {local}
 
@@ -322,13 +294,13 @@ class TestRunScenario:
             workload=OpenLoopSpec(),
             record_chunk_rows=128,
         ).describe()
-        assert "open-loop" in text and "chunked=128" in text
+        assert "OpenLoopSpec(" in text and "chunked=128" in text
         trace_text = Scenario(
             algorithm="with_loan",
             params=small_params(),
             workload=TraceReplaySpec(path="some.swf"),
         ).describe()
-        assert "trace(some.swf" in trace_text
+        assert "TraceReplaySpec(path='some.swf'" in trace_text
 
     def test_describe_mentions_algorithm_and_config(self):
         scenario = Scenario(

@@ -38,14 +38,6 @@ class System:
         self.sim.run(until=until, max_events=max_events)
 
 
-def node_config(**fields: object) -> CoreConfigSpec:
-    """A core config resolved for a node: loan threshold 1.
-
-    ``fields`` override that default or set any other field.
-    """
-    return CoreConfigSpec(**{"loan_threshold": 1, **fields})
-
-
 def build_system(
     algorithm: str,
     num_processes: int,
@@ -58,8 +50,7 @@ def build_system(
 
     ``algorithm`` is one of ``core``, ``core_loan``, ``incremental``,
     ``bouabdallah``, ``shared_memory`` (the short names used by unit tests;
-    the experiment registry uses the paper-facing names).  ``core``
-    nodes default to :func:`node_config`.
+    the experiment registry uses the paper-facing names).
     """
     sim = Simulator()
     trace = TraceRecorder()
@@ -88,7 +79,7 @@ def build_system(
     elif algorithm in ("core", "core_loan"):
         config = core_config
         if config is None:
-            config = node_config(enable_loan=(algorithm == "core_loan"))
+            config = CoreConfigSpec(enable_loan=(algorithm == "core_loan"))
         allocators = [
             CoreAllocatorNode(
                 sim, network, p, num_resources=num_resources,

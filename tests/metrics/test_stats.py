@@ -55,9 +55,5 @@ class TestSummarize:
         assert summary.mean == 0.0
         assert summary.stddev == 0.0
 
-    def test_describe_mentions_count_and_unit(self):
-        text = summarize([1.0, 2.0]).describe(unit="ms")
-        assert "n=2" in text and "ms" in text
-
     def test_accepts_generators(self):
         assert summarize(float(x) for x in range(5)).count == 5

@@ -6,6 +6,8 @@ import runpy
 import sys
 from pathlib import Path
 
+import pytest
+
 from tests.obs.helpers import parse_exposition
 
 SCRIPT = Path(__file__).resolve().parents[2] / "scripts" / "export_metrics.py"
@@ -28,3 +30,20 @@ def test_health_export_to_file(tmp_path, monkeypatch):
     checks = sorted(line.split()[2] for line in health)
     assert checks == ["grant_progress", "heartbeat"]
     assert len(health) == len(families["repro_health"]["samples"])
+
+
+@pytest.mark.parametrize(
+    "flag, value, field",
+    [
+        ("--interval", "nan", "sample_interval"),
+        ("--interval", "inf", "sample_interval"),
+        ("--interval", "0", "sample_interval"),
+        ("--duration", "inf", "duration"),
+        ("--warmup", "nan", "warmup"),
+    ],
+)
+def test_bad_option_fails_before_the_run(monkeypatch, flag, value, field):
+    """A command-line float reaches the specs as is; they reject it by name."""
+    monkeypatch.setattr(sys, "argv", [str(SCRIPT), flag, value])
+    with pytest.raises(ValueError, match=field):
+        runpy.run_path(str(SCRIPT))["main"]()

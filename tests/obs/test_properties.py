@@ -67,15 +67,19 @@ class TestHistogramInvariants:
 #: Scenario.key() values captured at the pre-telemetry-axis HEAD (PR 9).
 #: The axis must be invisible to every one of them.  The four ``with_loan``
 #: keys were re-captured when ``CoreConfigSpec`` lost its
-#: ``resend_interval`` field, which changed their canonical form.
+#: ``resend_interval`` field, which changed their canonical form.  All
+#: seven were re-captured when ``WorkloadParams`` lost ``loan_threshold``
+#: and ``extra``, ``CoreConfigSpec`` lost ``policy`` and ``initial_holder``
+#: (its ``loan_threshold`` default became 1), and the two baselines lost
+#: their configs: every canonical form changed, no run did.
 PRE_AXIS_KEYS = {
-    "bare": "9bf11145e14d381df32031e2960c7f1a8f88c10e5b7aa1b8076a9e1cd04ade30",
-    "medium": "acbfdddfe4b79999867d0fbf6a5846ce306a2b70858141cf456316708f3d5d98",
-    "bl": "0f59735e37394bfe7660a7cbb4702db0f99877a2b61adebe4f5ce91624cd2772",
-    "incr": "200f3ec81231125c033a58c51ff08a75b15aaed2a50b1dee71a8fffe03acbb9a",
-    "shm": "8dba60171461b030c4ffeb4e5d410aa072b8add2789611a9354559f133404b4c",
-    "lat": "6a4cb506bc637ff077672182115103d8363912f0208daa11410453cdfaf5189e",
-    "high": "40adf2b73e11f43a89d677c667d45233b19a5f0dfa062b1f81e2368ee20aa400",
+    "bare": "8e4cb1b438a39538a4540067048445d7156fb389546e2a419524f987b560263c",
+    "medium": "a3d318d838204ac32c9368392fa9f407a772e56bfb56b83f0d9d2bd90d07f02c",
+    "bl": "c89408e5a4c287d1692a028da9792c2180faee02a37c10929c76305ec7841a57",
+    "incr": "982fd13e83d39c5f6d0baa88358b5eeb53686736ffb81cc6af46f2425973d90d",
+    "shm": "37cfaf59cd5d83a52f47402ad306973eba27ae3db6a8a76978ab4c1cc9191117",
+    "lat": "f84bd649cf5ad4ecd3e440f28974810385b9624354015ee415344d4b6e784067",
+    "high": "8816a70bbe116d94f0f655772cb22f8b16abc662e715db762f56dcc5ad668492",
 }
 
 

@@ -25,15 +25,21 @@ class TestTelemetrySpec:
             spec.sample_interval = 20.0
         assert pickle.loads(pickle.dumps(spec)) == spec
 
-    def test_interval_must_be_positive(self):
-        with pytest.raises(ValueError, match="sample_interval"):
-            TelemetrySpec(sample_interval=0.0)
-        with pytest.raises(ValueError, match="sample_interval"):
-            TelemetrySpec(sample_interval=-5.0)
-
-    def test_stall_after_must_be_positive(self):
-        with pytest.raises(ValueError, match="stall_after"):
-            TelemetrySpec(stall_after=0.0)
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"sample_interval": 0.0},
+            {"sample_interval": -5.0},
+            {"sample_interval": math.nan},
+            {"sample_interval": math.inf},
+            {"stall_after": 0.0},
+            {"stall_after": math.nan},
+            {"stall_after": math.inf},
+        ],
+    )
+    def test_non_positive_or_non_finite_rejected(self, kwargs):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            TelemetrySpec(**kwargs)
 
     def test_buckets_normalised_to_tuple(self):
         spec = TelemetrySpec(wait_buckets=[1.0, 2.0])

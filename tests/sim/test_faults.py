@@ -100,17 +100,34 @@ class TestSpecValues:
     @pytest.mark.parametrize(
         "spec, text",
         [
-            (NoFaults(), "no faults"),
-            (BernoulliLoss(p=0.05), "loss(p=0.05)"),
-            (BernoulliLoss(p=0.05, kinds=("B", "A")), "loss(p=0.05, kinds=['A', 'B'])"),
             (LinkPartition(pairs=((1, 0),), start=2.0), "partition([(0, 1)], [2, inf))"),
-            (NodeCrash(node=1, at=3.0), "crash(node=1, [3, inf))"),
-            (NodeCrash(node=1, at=3.0, recover_at=9.5), "crash(node=1, [3, 9.5))"),
             (
-                CompositeFaults((BernoulliLoss(p=0.1), NodeCrash(node=1, at=3.0))),
-                "loss(p=0.1) + crash(node=1, [3, inf))",
+                CompositeFaults(
+                    (
+                        LinkPartition(pairs=((1, 0),), start=2.0),
+                        LinkPartition(pairs=((2, 3),), start=1.0, end=4.5),
+                    )
+                ),
+                "partition([(0, 1)], [2, inf)) + partition([(2, 3)], [1, 4.5))",
             ),
             (CompositeFaults(()), "no faults"),
+            (
+                CompositeFaults((BernoulliLoss(p=0.1), NodeCrash(node=1, at=3.0))),
+                "BernoulliLoss(p=0.1, seed=0, kinds=None)"
+                " + NodeCrash(node=1, at=3.0, recover_at=None)",
+            ),
+            # The other specs describe themselves by their repr.
+            (NoFaults(), "NoFaults()"),
+            (BernoulliLoss(p=0.05), "BernoulliLoss(p=0.05, seed=0, kinds=None)"),
+            (
+                BernoulliLoss(p=0.05, kinds=("B", "A")),
+                "BernoulliLoss(p=0.05, seed=0, kinds=('A', 'B'))",
+            ),
+            (NodeCrash(node=1, at=3.0), "NodeCrash(node=1, at=3.0, recover_at=None)"),
+            (
+                NodeCrash(node=1, at=3.0, recover_at=9.5),
+                "NodeCrash(node=1, at=3.0, recover_at=9.5)",
+            ),
         ],
         ids=lambda value: type(value).__name__,
     )

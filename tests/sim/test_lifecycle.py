@@ -202,3 +202,6 @@ class TestDetectorSpecs:
         assert HeartbeatDetector() == HeartbeatDetector()
         assert hash(HeartbeatDetector(interval=5.0)) == hash(HeartbeatDetector(interval=5.0))
         assert "heartbeat" in HeartbeatDetector().describe()
+
+    def test_no_detector_describes_itself_by_its_repr(self):
+        assert NoDetector().describe() == repr(NoDetector()) == "NoDetector()"

@@ -1,6 +1,7 @@
 """Unit tests for the open-loop arrival processes."""
 
 import itertools
+import math
 import pickle
 import random
 import statistics
@@ -21,20 +22,28 @@ def take_gaps(spec, n, seed=42, params=PARAMS):
 
 
 class TestValidation:
+    @pytest.mark.parametrize("rate", [0.0, -1.0, math.nan, math.inf])
     @pytest.mark.parametrize("family", ALL_FAMILIES)
-    def test_non_positive_rate_rejected(self, family):
-        with pytest.raises(ValueError):
-            family(rate=0.0)
-        with pytest.raises(ValueError):
-            family(rate=-1.0)
+    def test_invalid_rate_rejected(self, family, rate):
+        with pytest.raises(ValueError, match="rate"):
+            family(rate=rate)
 
-    def test_mmpp_parameters_validated(self):
-        with pytest.raises(ValueError):
-            MarkovModulatedArrivals(burst_factor=1.0)
-        with pytest.raises(ValueError):
-            MarkovModulatedArrivals(burst_fraction=0.0)
-        with pytest.raises(ValueError):
-            MarkovModulatedArrivals(dwell=0.0)
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"burst_factor": 1.0},
+            {"burst_factor": math.nan},
+            {"burst_factor": math.inf},
+            {"burst_fraction": 0.0},
+            {"burst_fraction": math.nan},
+            {"dwell": 0.0},
+            {"dwell": math.nan},
+            {"dwell": math.inf},
+        ],
+    )
+    def test_mmpp_parameters_validated(self, kwargs):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            MarkovModulatedArrivals(**kwargs)
 
 
 class TestRateNormalisation:

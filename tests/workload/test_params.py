@@ -1,5 +1,8 @@
 """Unit tests for the experiment parameters."""
 
+import dataclasses
+import math
+
 import pytest
 
 from repro.workload.params import LoadLevel, WorkloadParams, cs_duration_for_size
@@ -80,19 +83,36 @@ class TestWorkloadParams:
             {"phi": 100, "num_resources": 80},
             {"alpha_min": 0.0},
             {"alpha_min": 40.0, "alpha_max": 30.0},
+            {"alpha_min": math.nan},
+            {"alpha_min": math.inf},
+            {"alpha_max": math.nan},
+            {"alpha_max": math.inf},
             {"gamma": -1.0},
+            {"gamma": math.nan},
+            {"gamma": math.inf},
             {"duration": 0.0},
+            {"duration": math.nan},
+            {"duration": math.inf},
             {"warmup": 30_000.0},
+            {"warmup": math.nan},
             {"cs_noise": 1.5},
-            {"loan_threshold": -1},
+            {"cs_noise": math.nan},
             {"rho": -0.5},
+            {"rho": math.nan},
+            {"rho": math.inf},
             {"requests_per_process": 0},
             {"requests_per_process": -3},
         ],
     )
     def test_invalid_configurations_rejected(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
             WorkloadParams(**kwargs)
+
+    def test_fields_in_order(self):
+        assert [f.name for f in dataclasses.fields(WorkloadParams)] == [
+            "num_processes", "num_resources", "phi", "alpha_min", "alpha_max", "gamma",
+            "load", "rho", "duration", "warmup", "requests_per_process", "cs_noise", "seed",
+        ]
 
     def test_boundary_values_accepted(self):
         assert WorkloadParams(rho=0.0).effective_rho == 0.0
@@ -103,54 +123,3 @@ class TestWorkloadParams:
         large = WorkloadParams(phi=60)
         assert large.mean_alpha > small.mean_alpha
 
-
-class TestFrozenExtra:
-    """``extra`` must stay immutable after the cache key is computed."""
-
-    def test_mutation_raises(self):
-        params = WorkloadParams(extra={"knob": 1})
-        with pytest.raises(TypeError, match="frozen"):
-            params.extra["knob"] = 2
-        with pytest.raises(TypeError, match="frozen"):
-            params.extra["new"] = 3
-        with pytest.raises(TypeError, match="frozen"):
-            del params.extra["knob"]
-        with pytest.raises(TypeError, match="frozen"):
-            params.extra.update({"knob": 2})
-        with pytest.raises(TypeError, match="frozen"):
-            params.extra.pop("knob")
-        with pytest.raises(TypeError, match="frozen"):
-            params.extra.clear()
-        with pytest.raises(TypeError, match="frozen"):
-            params.extra.setdefault("other", 1)
-
-    def test_reads_still_work(self):
-        params = WorkloadParams(extra={"knob": 1})
-        assert params.extra["knob"] == 1
-        assert dict(params.extra) == {"knob": 1}
-        assert "knob" in params.extra
-
-    def test_equality_with_plain_dict(self):
-        assert WorkloadParams(extra={"a": 1}) == WorkloadParams(extra={"a": 1})
-        assert WorkloadParams(extra={"a": 1}).extra == {"a": 1}
-
-    def test_pickle_roundtrip_stays_frozen(self):
-        import pickle
-
-        clone = pickle.loads(pickle.dumps(WorkloadParams(extra={"a": 1})))
-        with pytest.raises(TypeError, match="frozen"):
-            clone.extra["a"] = 2
-
-    def test_scenario_key_unaffected_by_freezing(self):
-        """Regression: freezing must not perturb canonicalisation."""
-        from repro.experiments.scenario import Scenario
-
-        with_extra = Scenario(
-            algorithm="with_loan", params=WorkloadParams(extra={"a": 1})
-        ).key()
-        same_extra = Scenario(
-            algorithm="with_loan", params=WorkloadParams(extra={"a": 1})
-        ).key()
-        bare = Scenario(algorithm="with_loan", params=WorkloadParams()).key()
-        assert with_extra == same_extra
-        assert with_extra != bare

@@ -32,6 +32,15 @@ class TestSyntheticSpec:
         assert SyntheticSpec().build(PARAMS).expected_requests() is None
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [SyntheticSpec(), OpenLoopSpec(MarkovModulatedArrivals()), TraceReplaySpec(path=MINI)],
+    ids=lambda spec: type(spec).__name__,
+)
+def test_describe_is_the_repr(spec):
+    assert spec.describe() == repr(spec)
+
+
 class TestScenarioKeyNeutrality:
     """Scenarios written before the workload axis keep their cache keys."""
 
