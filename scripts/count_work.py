@@ -36,6 +36,22 @@ together +35), while the benchmark's spin-normalised ``run_s`` fell
 10.7 % and 14.6 % (seeds 1 and 2, the change faster in 10 of 10 pairs
 each).
 
+Below each table, one line gives the cyclic collector's passes per
+generation (0/1/2) during one more, untraced run of the same job in
+each tree (:func:`collector_passes`).  The collector is the second cost
+this count cannot see: it walks every container the run has allocated
+and not yet freed, in C, whenever allocations outrun frees by 700.  A
+run grows its live graph all the way, so on ``closed_loop_paper`` at
+the default scale the collector made 44 young and 4 middle passes,
+and ``gc.callbacks`` timed 61 young and 5 middle passes at 50 + 17 ms
+of one full-size 1.09 s run (6.1 %; CPython 3.11.7, 2-core container).  ``run`` now pauses the collector
+and leaves no cyclic garbage (:mod:`repro.experiments.runner`), and
+every workload reads 0/0/0; the other three read 3/0/0
+(``open_loop_bl``), 44/3/0 (``crash_recovery``) and 6/0/0
+(``figure_sweep``) before.  The reading is as exact as the count: the
+same ``PYTHONHASHSEED``, and the garbage of earlier code collected
+first, so ``--repeat-check`` covers it too.
+
 In-process, the same hook is :func:`count_opcodes` (opcodes per
 function of one call) and, with no opcode tracing, :func:`count_calls`
 (the Python calls one call makes, per function and caller's file).  The
@@ -181,8 +197,31 @@ def function_label(filename: str, qualname: str, src: str, stdlib: str) -> str:
     return f"{filename}:{qualname}"
 
 
-def probe(workload: str, scale: float, by: str = "layer") -> Dict[str, int]:
-    """Opcode events per layer (or per function) of one warmed run of ``workload`` (in this interpreter)."""
+def collector_passes(fn, *args) -> List[int]:
+    """The cyclic collector's passes per generation (0, 1, 2) while ``fn(*args)`` runs.
+
+    Garbage left by earlier code is collected first, which also zeroes
+    the allocation counts that start a pass, so the reading depends on
+    ``fn`` alone.
+    """
+    passes = [0, 0, 0]
+
+    def on_collect(phase, info):
+        if phase == "start":
+            passes[info["generation"]] += 1
+
+    gc.collect()
+    gc.callbacks.append(on_collect)
+    try:
+        fn(*args)
+    finally:
+        gc.callbacks.remove(on_collect)
+    return passes
+
+
+def probe(workload: str, scale: float, by: str = "layer") -> Tuple[Dict[str, int], List[int]]:
+    """Opcode events per layer (or per function) of one warmed run of ``workload``, and
+    the collector's passes per generation in one more, untraced run (in this interpreter)."""
     from e2ebench.workloads import build
 
     import repro
@@ -199,10 +238,12 @@ def probe(workload: str, scale: float, by: str = "layer") -> Dict[str, int]:
             groups[function_label(filename, qualname, src, stdlib)] += count
         else:
             groups[layer_of(filename, src, stdlib)] += count
-    return dict(groups)
+    return dict(groups), collector_passes(run, scenario)
 
 
-def count_tree(tree: str, workload: str, scale: float, by: str = "layer") -> Dict[str, int]:
+def count_tree(
+    tree: str, workload: str, scale: float, by: str = "layer"
+) -> Tuple[Dict[str, int], List[int]]:
     """Run :func:`probe` in a fresh interpreter inside ``tree``."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     env["PYTHONPATH"] = os.pathsep.join(
@@ -217,7 +258,8 @@ def count_tree(tree: str, workload: str, scale: float, by: str = "layer") -> Dic
     done = subprocess.run(
         command, cwd=tree, env=env, stdout=subprocess.PIPE, text=True, check=True
     )
-    return json.loads(done.stdout.strip().splitlines()[-1])
+    groups, passes = json.loads(done.stdout.strip().splitlines()[-1])
+    return groups, passes
 
 
 def export(ref: str, target: str) -> None:
@@ -266,6 +308,12 @@ def table(
     return "\n".join(lines)
 
 
+def collector_line(passes: List[List[int]]) -> str:
+    """The collector's passes per tree, as ``gen0/gen1/gen2`` columns under :func:`table`."""
+    readings = ["/".join(str(n) for n in tree) for tree in passes]
+    return "   collector passes (gen 0/1/2): " + "  ".join(readings)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("refs", metavar="REF", nargs="*", help="tree-ish (none: the working tree)")
@@ -285,7 +333,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--probe", metavar="W", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.probe:
-        print(json.dumps(probe(args.probe, args.scale, args.by), sort_keys=True))
+        groups, passes = probe(args.probe, args.scale, args.by)
+        print(json.dumps([groups, passes], sort_keys=True))
         return 0
     top = args.top if args.by == "function" else None
 
@@ -299,13 +348,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         names = list(args.refs) or ["worktree"]
         trees = trees or [ROOT]
         for workload in workloads:
-            counts = [count_tree(tree, workload, args.scale, args.by) for tree in trees]
+            readings = [count_tree(tree, workload, args.scale, args.by) for tree in trees]
             if args.repeat_check:
                 again = [count_tree(tree, workload, args.scale, args.by) for tree in trees]
-                if again != counts:
+                if again != readings:
                     stable = False
                     print(f"== {workload}: counts differ between two runs", file=sys.stderr)
+            counts = [groups for groups, _passes in readings]
             print(table(workload, names, counts, top), flush=True)
+            print(collector_line([passes for _groups, passes in readings]), flush=True)
     return 0 if stable else 1
 
 

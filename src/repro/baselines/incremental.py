@@ -26,17 +26,18 @@ from repro.sim.trace import TraceRecorder
 class IncrementalAllocatorNode(Node, MultiResourceAllocator):
     """One process of the incremental baseline.
 
+    Token ``r`` starts at node ``r mod N``: spread holders match a
+    warmed-up system better than one node holding every token, and it is
+    the only layout a run builds.
+
     Parameters
     ----------
     sim, network, node_id:
         Simulation plumbing.
     num_resources:
         Number of resources ``M`` (one Naimi–Tréhel instance each).
-    initial_holder:
-        Node holding every token at time zero.  Spreading the initial
-        holders (``initial_holder=None``) assigns token ``r`` to node
-        ``r mod N``, which matches a warmed-up system better and is the
-        default used by the experiment harness.
+    num_processes:
+        Number of processes ``N``, which places the initial tokens.
     """
 
     def __init__(
@@ -46,7 +47,6 @@ class IncrementalAllocatorNode(Node, MultiResourceAllocator):
         node_id: int,
         num_resources: int,
         num_processes: int,
-        initial_holder: Optional[int] = 0,
         trace: Optional[TraceRecorder] = None,
     ) -> None:
         Node.__init__(self, sim, network, node_id)
@@ -57,12 +57,11 @@ class IncrementalAllocatorNode(Node, MultiResourceAllocator):
         self.trace = trace
         self._instances: Dict[int, NaimiTrehelInstance] = {}
         for r in range(num_resources):
-            holder = initial_holder if initial_holder is not None else r % num_processes
             self._instances[r] = NaimiTrehelInstance(
                 instance_id=r,
                 node_id=node_id,
                 send_fn=self.send,
-                initial_holder=holder,
+                initial_holder=r % num_processes,
             )
         self._pending: List[int] = []
         self._acquired: List[int] = []

@@ -47,6 +47,19 @@ a literal one-token payload).  Both ways produce the same class.
 ``tests/properties/test_envelope_properties.py`` checks on whole runs that
 no empty envelope ever reaches the network, and
 ``tests/integration/test_call_contracts.py`` that no run enters this module.
+
+How records are built on the hot path
+-------------------------------------
+The request and counter records are built the same way wherever a run
+makes them, in ``core/node.py`` and ``core/recovery.py``:
+``tuple.__new__(cls, fields)`` with every field given.  The public
+constructors are each namedtuple's generated ``__new__``, code compiled
+from a string that costs one Python frame per record, and they are
+where the defaults live (``single=False``, ``missing=frozenset()``), so
+a positional ``ReqCnt`` spells out its ``single``.  The public
+constructors remain the vocabulary of tests and hand-built records.
+``tests/integration/test_generated_frames.py`` checks that a run's
+generated frames do not grow with its length.
 """
 
 from __future__ import annotations

@@ -68,10 +68,13 @@ from repro.sim.network import Network
 from repro.sim.node import Node
 from repro.sim.trace import TraceRecorder
 
-# Envelopes are assembled at four places below (the forwarder, the request
-# flush and the two response flushes) where a non-empty payload is
-# structural, so they are built positionally — one C call — instead of
-# through the validating public constructor (see repro.core.messages).
+# Every record below is built positionally, one C call and no Python
+# frame: a request or counter record through ``tuple.__new__`` with every
+# field given (a namedtuple's defaults apply only in its generated
+# ``__new__``), and an envelope at the four places that assemble one (the
+# forwarder, the request flush and the two response flushes), where a
+# non-empty payload is structural, instead of through the validating
+# public constructor (see repro.core.messages).
 _tuple_new = tuple.__new__
 
 
@@ -232,7 +235,8 @@ class CoreAllocatorNode(Node, MultiResourceAllocator):
             self._single_fast_path = True
             self._set_state(_WAIT_CS)
             self._buffer_request(
-                self.tok_dir[resource], ReqCnt(resource, self.node_id, self._cur_id, True)
+                self.tok_dir[resource],
+                _tuple_new(ReqCnt, (resource, self.node_id, self._cur_id, True)),
             )
             self._flush_requests(self._visited_self)
             return
@@ -243,7 +247,9 @@ class CoreAllocatorNode(Node, MultiResourceAllocator):
                 self._my_vector[r] = self.last_tok[r].take_counter()
             else:
                 self._cnt_needed.add(r)
-                self._buffer_request(self.tok_dir[r], ReqCnt(r, self.node_id, self._cur_id))
+                self._buffer_request(
+                    self.tok_dir[r], _tuple_new(ReqCnt, (r, self.node_id, self._cur_id, False))
+                )
         self._flush_requests(self._visited_self)
         if self._t_required <= self._t_owned:
             self._enter_cs()
@@ -407,10 +413,12 @@ class CoreAllocatorNode(Node, MultiResourceAllocator):
                 # Section 4.6.1: stamp the request here and treat it as
                 # a resource request right away.
                 self._handle_request(
-                    ReqRes(r, req.sinit, req.req_id, float(tok.take_counter()))
+                    _tuple_new(ReqRes, (r, req.sinit, req.req_id, float(tok.take_counter())))
                 )
             else:
-                self._buffer_counter(req.sinit, CounterValue(r, tok.take_counter()))
+                self._buffer_counter(
+                    req.sinit, _tuple_new(CounterValue, (r, tok.take_counter()))
+                )
         elif not tok.queue_contains(req.sinit, req.req_id):
             if self._state is _WAIT_CS:
                 my_req = self._my_req_for(r)
@@ -507,9 +515,11 @@ class CoreAllocatorNode(Node, MultiResourceAllocator):
                 tok.last_req_cnt[sinit] = req_id
                 if req.single:
                     if not tok.queue_contains(sinit, req_id):
-                        tok.enqueue(ReqRes(r, sinit, req_id, float(tok.take_counter())))
+                        tok.enqueue(
+                            _tuple_new(ReqRes, (r, sinit, req_id, float(tok.take_counter())))
+                        )
                 else:
-                    self._buffer_counter(sinit, CounterValue(r, tok.take_counter()))
+                    self._buffer_counter(sinit, _tuple_new(CounterValue, (r, tok.take_counter())))
             elif tok.is_obsolete_cs(sinit, req_id):
                 continue
             elif cls is ReqRes:
@@ -595,13 +605,7 @@ class CoreAllocatorNode(Node, MultiResourceAllocator):
                 continue
             self._buffer_request(
                 father,
-                ReqLoan(
-                    resource=r,
-                    sinit=self.node_id,
-                    req_id=self._cur_id,
-                    mark=my_mark,
-                    missing=fmissing,
-                ),
+                _tuple_new(ReqLoan, (r, self.node_id, self._cur_id, my_mark, fmissing)),
             )
         if self.trace is not None:
             self._trace("loan_requested", missing=sorted(missing))
@@ -639,7 +643,9 @@ class CoreAllocatorNode(Node, MultiResourceAllocator):
         """Our own ``ReqRes`` entry for ``resource`` (``myReq``)."""
         req = self._my_reqs.get(resource)
         if req is None:
-            req = ReqRes(resource, self.node_id, self._cur_id, self._current_mark())
+            req = _tuple_new(
+                ReqRes, (resource, self.node_id, self._cur_id, self._current_mark())
+            )
             if self._state is _WAIT_CS:
                 self._my_reqs[resource] = req
         return req

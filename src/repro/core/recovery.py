@@ -81,6 +81,9 @@ from repro.sim.detectorspec import HeartbeatDetector
 from repro.sim.engine import Simulator
 from repro.sim.lifecycle import NodeLifecycle
 
+# Records are built positionally, every field given, as in repro.core.node.
+_tuple_new = tuple.__new__
+
 __all__ = ["RecoverableCoreNode", "RecoveryCoordinator", "supports_recovery"]
 
 #: Methods an allocator must provide to take part in token recovery.
@@ -513,7 +516,7 @@ class RecoverableCoreNode(CoreAllocatorNode):
         self._trace("token_regenerated", resource=resource, crashed=crashed, epoch=epoch)
         # A literal one-token envelope, built positionally like the
         # protocol's own (see repro.core.messages).
-        self.on_TokenEnvelope(self.node_id, tuple.__new__(TokenEnvelope, ((tok,),)))
+        self.on_TokenEnvelope(self.node_id, _tuple_new(TokenEnvelope, ((tok,),)))
 
     def recovery_repoint(
         self,
@@ -571,10 +574,14 @@ class RecoverableCoreNode(CoreAllocatorNode):
         """Buffer a fresh copy of our outstanding request for ``resource``."""
         if self._state is ProcessState.WAIT_S:
             if resource in self._cnt_needed:
-                self._buffer_request(dest, ReqCnt(resource, self.node_id, self._cur_id))
+                self._buffer_request(
+                    dest, _tuple_new(ReqCnt, (resource, self.node_id, self._cur_id, False))
+                )
         elif self._state is ProcessState.WAIT_CS:
             if resource in self._t_required and resource not in self._t_owned:
                 if self._single_fast_path:
-                    self._buffer_request(dest, ReqCnt(resource, self.node_id, self._cur_id, True))
+                    self._buffer_request(
+                        dest, _tuple_new(ReqCnt, (resource, self.node_id, self._cur_id, True))
+                    )
                 else:
                     self._buffer_request(dest, self._my_req_for(resource))

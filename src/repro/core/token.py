@@ -23,6 +23,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 from repro.core.ordering import request_key
 
 
+_object_new = object.__new__
+
+
 def _insert_in_order(queue: List, req: Union["ReqRes", "ReqLoan"]) -> None:
     """Insert ``req`` into ``queue`` (sorted by ``/``), before any equal key."""
     queue.insert(bisect_left(queue, request_key(req), key=request_key), req)
@@ -144,16 +147,17 @@ class ResourceToken:
 
         Request entries are immutable, so copying the containers is
         sufficient to decouple the sender's stale snapshot from the live
-        token travelling through the network.  Arguments are positional
-        (one copy per token hop), in the field order declared above.
+        token travelling through the network.  There is one copy per
+        token hop, so it skips the generated ``__init__`` frame: a bare
+        instance and one store per slot, every field declared above.
         """
-        return ResourceToken(
-            self.resource,
-            self.counter,
-            self.last_req_cnt[:],
-            self.last_cs[:],
-            list(self.wqueue),
-            list(self.wloan),
-            self.lender,
-            self.epoch,
-        )
+        token = _object_new(ResourceToken)
+        token.resource = self.resource
+        token.counter = self.counter
+        token.last_req_cnt = self.last_req_cnt[:]
+        token.last_cs = self.last_cs[:]
+        token.wqueue = self.wqueue[:]
+        token.wloan = self.wloan[:]
+        token.lender = self.lender
+        token.epoch = self.epoch
+        return token

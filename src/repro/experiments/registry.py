@@ -53,7 +53,6 @@ def _build_incremental(config, params, sim, network, trace, node=IncrementalAllo
             p,
             num_resources=params.num_resources,
             num_processes=params.num_processes,
-            initial_holder=None,
             trace=trace,
         )
         for p in range(params.num_processes)

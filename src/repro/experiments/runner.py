@@ -12,6 +12,7 @@ as the memoisation key.
 
 from __future__ import annotations
 
+import gc
 import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
@@ -204,7 +205,26 @@ def run(scenario: Scenario) -> ExperimentResult:
     ``scenario.params.seed``, and nothing is shared with any other run —
     which is what lets :mod:`repro.parallel` fan scenarios out over worker
     processes and memoise them by :meth:`Scenario.key`.
+
+    The cyclic collector is paused for the whole call, and the caller's
+    setting is restored when it returns or raises: the event loop makes
+    no cyclic garbage, so a pass would only walk the growing live graph
+    and find nothing.  Once the result is built, the cycles among the
+    run's objects (nodes and network, clients and their allocators,
+    queued callbacks and the simulator) are broken, so reference
+    counting frees them as this returns.
     """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(scenario)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _run(scenario: Scenario) -> ExperimentResult:
+    """:func:`run` with the collector paused."""
     scenario = scenario.normalized()
     algo = get_algorithm(scenario.algorithm)
     params = scenario.params
@@ -348,7 +368,7 @@ def run(scenario: Scenario) -> ExperimentResult:
             f"index {clients[first].waiting_index})"
         )
 
-    return ExperimentResult(
+    result = ExperimentResult(
         algorithm=scenario.algorithm,
         params=params,
         metrics=run_metrics,
@@ -364,4 +384,21 @@ def run(scenario: Scenario) -> ExperimentResult:
         downtime=lifecycle.downtime_columns(sim.now) if lifecycle is not None else None,
         telemetry=telemetry_runtime.finalize() if telemetry_runtime is not None else None,
     )
+    # The result holds none of the run's objects, so they are dead.  Each
+    # cycle among them passes through a queued event, the network's bound
+    # send, a protocol object or the telemetry hook; breaking those frees
+    # the graph by reference counting when this returns.  Dropping an
+    # allocator's state unties the network's node table and route cache,
+    # the handler caches, an outstanding request's callbacks with its
+    # client and the Naimi–Tréhel callbacks; dropping the coordinator's
+    # unties it from the lifecycle.
+    sim.clear()
+    if network is not None:
+        del network.send
+    for obj in allocators:
+        vars(obj).clear()
+    if coordinator is not None:
+        vars(coordinator).clear()
+    metrics.telemetry = None
+    return result
 

@@ -199,6 +199,18 @@ class Simulator:
         if len(self._cancelled) > 64 and len(self._cancelled) > len(self._scheduler):
             self._cancelled.intersection_update(self._scheduler.seqs())
 
+    def clear(self) -> None:
+        """Drop every queued event, cancelled or not, and forget the cancellations.
+
+        For a finished run: a queued event's callback holds the object
+        that queued it, which holds this simulator, so the events a run
+        leaves queued (a fault run stopped at its cap) tie its objects
+        into reference cycles that only the cyclic collector could free.
+        """
+        self._scheduler.clear()
+        self._lane.clear()
+        self._cancelled.clear()
+
     @staticmethod
     def _raise_runaway(max_events: Optional[int]) -> None:
         """Shared ``max_events`` error of the three loops in :meth:`run`."""

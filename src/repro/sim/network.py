@@ -102,27 +102,26 @@ class MessageStats:
     that injected faults lost: every try the channel re-sent (``resent``
     of them) plus one per message lost for good.
 
-    Sent-message counters are kept *flat* — one dict keyed by
-    ``(message class, sender)`` updated with a single store per send —
-    and merged into the classic ``total`` / ``by_type`` / ``by_sender``
-    views lazily, so the hot send path never pays for three separate
-    counter updates per message.
+    Sent messages are counted in one dict keyed by message class,
+    updated with a single store per send, and read through the ``total``
+    and ``by_type`` views, so the hot send path pays one counter update
+    per message and builds no key.
     """
 
     __slots__ = ("_sent", "dropped", "dropped_by_type", "resent")
 
     def __init__(self) -> None:
-        # (message class, src) -> sent count; the single hot-path counter.
-        self._sent: Dict[Tuple[type, int], int] = {}
+        # message class -> sent count; the single hot-path counter.
+        self._sent: Dict[type, int] = {}
         self.dropped: int = 0
         self.dropped_by_type: Dict[str, int] = defaultdict(int)
         self.resent: int = 0
 
     def record(self, src: int, message: Any) -> None:
         """Record one sent message."""
-        key = (message.__class__, src)
+        cls = message.__class__
         sent = self._sent
-        sent[key] = sent.get(key, 0) + 1
+        sent[cls] = sent.get(cls, 0) + 1
 
     def record_dropped(self, src: int, message: Any) -> None:
         """Record one message lost for good to an injected fault (already counted sent)."""
@@ -146,16 +145,8 @@ class MessageStats:
     def by_type(self) -> Dict[str, int]:
         """Sent counts per message class name (merged on demand)."""
         merged: Dict[str, int] = defaultdict(int)
-        for (cls, _src), count in self._sent.items():
+        for cls, count in self._sent.items():
             merged[cls.__name__] += count
-        return merged
-
-    @property
-    def by_sender(self) -> Dict[int, int]:
-        """Sent counts per sender id (merged on demand)."""
-        merged: Dict[int, int] = defaultdict(int)
-        for (_cls, src), count in self._sent.items():
-            merged[src] += count
         return merged
 
     def snapshot(self) -> Dict[str, int]:
@@ -310,9 +301,8 @@ class Network:
         target = self._delivery_cache.get((dst, cls))
         if target is None:
             target = self._resolve_delivery(dst, cls)
-        key = (cls, src)
         sent = self._sent
-        sent[key] = sent.get(key, 0) + 1
+        sent[cls] = sent.get(cls, 0) + 1
         sim = self.sim
         now = sim.now
         # Never in the past: latencies are non-negative (module docstring).
@@ -356,9 +346,8 @@ class Network:
         target = self._delivery_cache.get((dst, cls))
         if target is None:
             target = self._resolve_delivery(dst, cls)
-        key = (cls, src)
         sent = self._sent
-        sent[key] = sent.get(key, 0) + 1
+        sent[cls] = sent.get(cls, 0) + 1
         sim = self.sim
         now = sim.now
         delivery = now + self._latency_of(src, dst)

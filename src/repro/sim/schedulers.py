@@ -94,6 +94,10 @@ class HeapScheduler:
     def __len__(self) -> int:
         return len(self.entries)
 
+    def clear(self) -> None:
+        """Drop every queued entry."""
+        self.entries.clear()
+
     def seqs(self) -> Iterator[int]:
         """Iterate the sequence numbers of all queued entries."""
         return (entry[1] for entry in self.entries)
@@ -262,6 +266,14 @@ class CalendarQueue:
             - self._spine_pos
             + len(self._pending)
         )
+
+    def clear(self) -> None:
+        """Drop every queued entry, consumed window entries included."""
+        self._window.clear()
+        self._spine.clear()
+        self._pending.clear()
+        self.pos = self._spine_pos = 0
+        self._threshold = _NEG_INF
 
     def seqs(self) -> Iterator[int]:
         """Iterate the sequence numbers of all queued entries."""

@@ -1,6 +1,8 @@
 """Tests of the single-experiment runner."""
 
+import gc
 import os
+from collections import Counter
 
 import pytest
 
@@ -15,7 +17,8 @@ from repro.experiments.scenario import Scenario
 from repro.sim.detectorspec import HeartbeatDetector
 from repro.sim.engine import SimulationError
 from repro.sim.faultspec import BernoulliLoss, NodeCrash
-from repro.sim.latencyspec import HierarchicalLatencySpec
+from repro.obs import TelemetrySpec
+from repro.sim.latencyspec import HierarchicalLatencySpec, UniformJitterLatencySpec
 from repro.workload.arrivals import PoissonArrivals
 from repro.workload.params import LoadLevel, WorkloadParams
 from repro.workload.spec import OpenLoopSpec, TraceReplaySpec
@@ -353,3 +356,108 @@ class TestTermination:
         with pytest.raises(SimulationError, match="max_events=50 exceeded") as exc:
             run(Scenario(algorithm="with_loan", params=params, max_events=50))
         assert str(exc.value).endswith("last grant t=178.647; 1 waiting on nodes 1; 0 abandoned")
+
+
+def cyclic_garbage() -> Counter:
+    """Types of the objects only the cyclic collector can free right now, by count."""
+    flags = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        gc.collect()
+        return Counter(type(obj).__name__ for obj in gc.garbage)
+    finally:
+        gc.garbage.clear()
+        gc.set_debug(flags)
+
+
+class TestCyclicCollector:
+    """``run`` pauses the cyclic collector and leaves nothing for it to free."""
+
+    PARAMS = WorkloadParams(
+        num_processes=5, num_resources=10, phi=3, duration=400.0, warmup=50.0,
+        load=LoadLevel.HIGH, seed=1,
+    )
+
+    #: Every axis that builds objects of its own, each at a small size.
+    VARIANTS = {
+        "no fault": {},
+        "loss": {"faults": BernoulliLoss(p=0.1)},
+        "blip": {"faults": NodeCrash(node=1, at=100.0, recover_at=150.0)},
+        # Its crash edge is still queued when the run ends.
+        "never-firing crash": {"faults": NodeCrash(node=0, at=1e9)},
+        "detected crash, jitter": {
+            "faults": NodeCrash(node=1, at=100.0),
+            "detector": HeartbeatDetector(interval=10, timeout=30),
+            "latency": UniformJitterLatencySpec(jitter=0.4),
+        },
+        "trace": {"collect_trace": True},
+        "telemetry": {"telemetry": TelemetrySpec()},
+        "chunked records": {"record_chunk_rows": 64},
+        "calendar": {"scheduler": "calendar"},
+    }
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_run_leaves_no_cyclic_garbage(self, algorithm, variant):
+        """The run's graph is freed by reference counting as ``run`` returns."""
+        scenario = Scenario(
+            algorithm=algorithm, params=self.PARAMS, require_all_completed=False,
+            **self.VARIANTS[variant],
+        )
+        gc.collect()
+        result = run(scenario)
+        assert cyclic_garbage() == Counter()
+        assert result.metrics.completed > 0
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize(
+        "scenario, error",
+        [
+            pytest.param(Scenario(algorithm="with_loan", params=PARAMS), None, id="returns"),
+            pytest.param(
+                Scenario(algorithm="with_loan", params=PARAMS, max_events=50),
+                SimulationError,
+                id="event cap",
+            ),
+            pytest.param(
+                Scenario(algorithm="with_loan", params=PARAMS, faults=NodeCrash(node=0, at=10.0)),
+                RuntimeError,
+                id="liveness failure",
+            ),
+        ],
+    )
+    def test_caller_collector_setting_is_restored(self, scenario, error, enabled):
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            if error is None:
+                run(scenario)
+            else:
+                with pytest.raises(error):
+                    run(scenario)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+
+    def test_run_starts_no_collection(self):
+        """A figure-scale run allocates enough to start several passes, and starts none."""
+        params = WorkloadParams(
+            num_processes=10, num_resources=24, phi=4, duration=750.0, warmup=200.0, seed=1
+        )
+        scenario = Scenario(algorithm="with_loan", params=params)
+        passes = []
+
+        def spy(phase, info):
+            if phase == "start":
+                passes.append(info["generation"])
+
+        was = gc.isenabled()
+        gc.enable()
+        gc.collect()
+        gc.callbacks.append(spy)
+        try:
+            run(scenario)
+        finally:
+            gc.callbacks.remove(spy)
+            (gc.enable if was else gc.disable)()
+        assert passes == []

@@ -67,7 +67,7 @@ def build_system(
         allocators = [
             IncrementalAllocatorNode(
                 sim, network, p, num_resources=num_resources,
-                num_processes=num_processes, initial_holder=0, trace=trace,
+                num_processes=num_processes, trace=trace,
             )
             for p in range(num_processes)
         ]

@@ -153,7 +153,7 @@ def test_network_is_indistinguishable_from_the_reference(script, latency_recipe,
     assert refused == sum(1 for _time, _src, dst, _message in script if dst == UNREGISTERED)
     # A refused send is not counted; every other one is delivered or lost
     # for good (a dropped try that was not re-sent).
-    assert stats[0] == len(script) - refused == len(log) + stats[3] - stats[5]
+    assert stats[0] == len(script) - refused == len(log) + stats[2] - stats[4]
 
 
 @given(scripts, st.sampled_from(["constant", "clamped"]), simple_faults, st.booleans())

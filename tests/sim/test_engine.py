@@ -138,6 +138,26 @@ class TestCancellation:
 
 
 @pytest.mark.parametrize("scheduler", ["heap", "calendar"])
+def test_clear_drops_every_queued_event_and_cancellation(scheduler):
+    """A finished run's leftovers go: heap or calendar entries, lane entries, cancellations."""
+    sim = Simulator(scheduler)
+    post = sim.claim_lane()
+    fired = []
+    sim.schedule(1.0, fired.append, "ran")
+    sim.schedule(9.0, fired.append, "late")
+    sim.cancel(sim.schedule(8.0, fired.append, "cancelled"))
+    post((7.0, sim._next_seq(), fired.append, ("lane",)))
+    sim.run(until=5.0)
+    sim.clear()
+    assert sim.pending_events == 0 and not sim._cancelled
+    sim.run()
+    assert fired == ["ran"]
+    sim.schedule(1.0, fired.append, "after")
+    sim.run()
+    assert fired == ["ran", "after"]
+
+
+@pytest.mark.parametrize("scheduler", ["heap", "calendar"])
 class TestCancelPruning:
     """``cancel`` prunes its set of seqs whenever it outgrows the queue."""
 

@@ -183,7 +183,6 @@ class TestStats:
         assert net.stats.total == 3
         assert net.stats.by_type["Ping"] == 2
         assert net.stats.by_type["str"] == 1
-        assert net.stats.by_sender[0] == 2
 
     def test_snapshot_is_plain_dict(self, sim):
         net = Network(sim, ConstantLatency(gamma=1.0))
@@ -277,7 +276,7 @@ class TestSendBindingsAgree:
         assert constant == general
         returned, log, stats = constant
         assert len(returned) == len(SEND_SCRIPT) == stats[0]
-        assert stats[3] == dropped
+        assert stats[2] == dropped
         assert len(log) == len(SEND_SCRIPT) - dropped
 
 
@@ -365,7 +364,6 @@ def stats_of(net):
     return (
         stats.total,
         dict(stats.by_type),
-        dict(stats.by_sender),
         stats.dropped,
         dict(stats.dropped_by_type),
         stats.resent,
@@ -578,7 +576,7 @@ def test_unknown_destination_raises_before_anything_is_counted(sim, make_latency
         Recorder(sim, net, node_id)
     with pytest.raises(KeyError, match="unknown destination node 99"):
         net.send(1, 99, Ping(0))
-    assert stats_of(net) == (0, {}, {}, 0, {}, 0)
+    assert stats_of(net) == (0, {}, 0, {}, 0)
     assert sim.pending_events == 0
     assert rng_states == [
         model._rng.getstate() for model in (latency, faults) if hasattr(model, "_rng")
