@@ -8,7 +8,7 @@ a pushgateway, or simple diffing between runs::
 
     python scripts/export_metrics.py                        # canonical scenario
     python scripts/export_metrics.py --algorithm incremental --phi 8
-    python scripts/export_metrics.py --interval 10 -o run.prom
+    python scripts/export_metrics.py -o run.prom
     python scripts/export_metrics.py --health               # health reports too
 
 The scenario printed at the top (``Scenario(telemetry=...)``) is the
@@ -39,10 +39,7 @@ def build_scenario(args):
         warmup=args.warmup,
         seed=args.seed,
     )
-    spec = TelemetrySpec(
-        sample_interval=args.interval,
-        node_gauges=not args.no_node_gauges,
-    )
+    spec = TelemetrySpec(node_gauges=not args.no_node_gauges)
     return Scenario(algorithm=args.algorithm, params=params, telemetry=spec)
 
 
@@ -58,8 +55,6 @@ def main() -> None:
     parser.add_argument("--warmup", type=float, default=200.0,
                         help="warmup cut-off in ms (default 200)")
     parser.add_argument("--seed", type=int, default=1, help="workload seed (default 1)")
-    parser.add_argument("--interval", type=float, default=50.0,
-                        help="telemetry sample interval in simulated ms (default 50)")
     parser.add_argument("--no-node-gauges", action="store_true",
                         help="skip per-node series (large clusters)")
     parser.add_argument("--health", action="store_true",

@@ -61,8 +61,7 @@ def fault_run_until(params: WorkloadParams) -> float:
     """Simulated-time cap applied to runs with an active fault layer.
 
     Without faults a run terminates when the event queue drains.  With
-    them, events may stay queued past the run's natural end: a telemetry
-    sampler re-arms for as long as a wedged node waits, and a crash or
+    them, events may stay queued past the run's natural end: a crash or
     reboot edge (with the messages held for that reboot) may lie at any
     time.  The cap is the stall guard that ends such a run.  It is
     deterministic in the params — part of the scenario's semantics, not
@@ -209,9 +208,9 @@ def run(scenario: Scenario) -> ExperimentResult:
     The cyclic collector is paused for the whole call, and the caller's
     setting is restored when it returns or raises: the event loop makes
     no cyclic garbage, so a pass would only walk the growing live graph
-    and find nothing.  Once the result is built, the cycles among the
-    run's objects (nodes and network, clients and their allocators,
-    queued callbacks and the simulator) are broken, so reference
+    and find nothing.  Whether the run returns or raises, the cycles
+    among its objects (nodes and network, clients and their allocators,
+    queued callbacks and the simulator) are then broken, so reference
     counting frees them as this returns.
     """
     enabled = gc.isenabled()
@@ -301,7 +300,6 @@ def _run(scenario: Scenario) -> ExperimentResult:
             coordinator=coordinator,
         )
         metrics.telemetry = telemetry_runtime
-        telemetry_runtime.start()
 
     for client in clients:
         client.start()
@@ -316,89 +314,95 @@ def _run(scenario: Scenario) -> ExperimentResult:
     # nothing: a run left with only those has drained.
     late_edges = 0
     try:
-        if faults is None:
-            sim.run(max_events=max_events)
-        else:
-            # The cap is a stall guard, not a target: the clock stays at
-            # the last event, so a run that drains before it reports its
-            # real drain time, comparable to a reliable run's.  A run
-            # still granting within one grace period of the cap is
-            # draining, not stalled: the cap moves to its last grant plus
-            # the grace, and the event budget stays one for the whole run.
-            cap = fault_run_until(params)
-            grace = stall_grace(params)
-            while True:
-                sim.run(until=cap, max_events=max_events - sim.processed_events)
-                late_edges = sum(
-                    cap < edge < math.inf
-                    for _node, at, back in crash_windows
-                    for edge in (at, back)
-                )
-                last = last_grant(clients)
-                if sim.pending_events == late_edges or last is None or last + grace <= cap:
-                    break
-                cap = last + grace
-    except SimulationError as exc:
-        raise SimulationError(f"{exc}; {_termination('error', clients).progress()}") from exc
-    # The bounded loop stops only on a live event past the cap, so
-    # anything queued beyond the late edges means the cap ended the run.
-    termination = _termination(
-        "fault_cap" if sim.pending_events > late_edges else "drained", clients
-    )
-
-    horizon = min(params.duration, sim.now) if sim.now > params.warmup else sim.now
-    messages_total = network.stats.total if network is not None else 0
-    messages_by_type: Dict[str, int] = network.stats.snapshot() if network is not None else {}
-    run_metrics = metrics.build(
-        algorithm=scenario.algorithm,
-        horizon=horizon,
-        messages_total=messages_total,
-        messages_by_type=messages_by_type,
-        size_buckets=list(scenario.size_buckets) if scenario.size_buckets is not None else None,
-        # Only materialised when crashes actually aborted a CS, keeping
-        # no-fault RunMetrics byte-identical to the pre-lifecycle layout.
-        extra={"aborted": float(metrics.aborted)} if metrics.aborted else None,
-    )
-
-    if scenario.require_all_completed and termination.waiting:
-        first = termination.waiting[0][0]
-        raise RuntimeError(
-            f"liveness failure under {scenario.algorithm!r}: run ended "
-            f"{termination.reason}; {termination.progress()} (first: process {first}, "
-            f"index {clients[first].waiting_index})"
+        try:
+            if faults is None:
+                sim.run(max_events=max_events)
+            else:
+                # The cap is a stall guard, not a target: the clock stays at
+                # the last event, so a run that drains before it reports its
+                # real drain time, comparable to a reliable run's.  A run
+                # still granting within one grace period of the cap is
+                # draining, not stalled: the cap moves to its last grant plus
+                # the grace, and the event budget stays one for the whole run.
+                cap = fault_run_until(params)
+                grace = stall_grace(params)
+                while True:
+                    sim.run(until=cap, max_events=max_events - sim.processed_events)
+                    late_edges = sum(
+                        cap < edge < math.inf
+                        for _node, at, back in crash_windows
+                        for edge in (at, back)
+                    )
+                    last = last_grant(clients)
+                    if sim.pending_events == late_edges or last is None or last + grace <= cap:
+                        break
+                    cap = last + grace
+        except SimulationError as exc:
+            progress = _termination("error", clients).progress()
+            raise SimulationError(f"{exc}; {progress}") from exc
+        # The bounded loop stops only on a live event past the cap, so
+        # anything queued beyond the late edges means the cap ended the run.
+        termination = _termination(
+            "fault_cap" if sim.pending_events > late_edges else "drained", clients
         )
 
-    result = ExperimentResult(
-        algorithm=scenario.algorithm,
-        params=params,
-        metrics=run_metrics,
-        trace=trace,
-        simulated_time=sim.now,
-        events_processed=sim.processed_events,
-        record_columns=metrics.result_columns(),
-        termination=termination,
-        messages_dropped=network.stats.dropped if network is not None else 0,
-        resend_count=network.stats.resent if network is not None else 0,
-        tokens_regenerated=coordinator.tokens_regenerated if coordinator is not None else 0,
-        recovery_time=coordinator.recovery_time if coordinator is not None else 0.0,
-        downtime=lifecycle.downtime_columns(sim.now) if lifecycle is not None else None,
-        telemetry=telemetry_runtime.finalize() if telemetry_runtime is not None else None,
-    )
-    # The result holds none of the run's objects, so they are dead.  Each
-    # cycle among them passes through a queued event, the network's bound
-    # send, a protocol object or the telemetry hook; breaking those frees
-    # the graph by reference counting when this returns.  Dropping an
-    # allocator's state unties the network's node table and route cache,
-    # the handler caches, an outstanding request's callbacks with its
-    # client and the Naimi–Tréhel callbacks; dropping the coordinator's
-    # unties it from the lifecycle.
-    sim.clear()
-    if network is not None:
-        del network.send
-    for obj in allocators:
-        vars(obj).clear()
-    if coordinator is not None:
-        vars(coordinator).clear()
-    metrics.telemetry = None
-    return result
+        horizon = min(params.duration, sim.now) if sim.now > params.warmup else sim.now
+        messages_total = network.stats.total if network is not None else 0
+        messages_by_type: Dict[str, int] = (
+            network.stats.snapshot() if network is not None else {}
+        )
+        run_metrics = metrics.build(
+            algorithm=scenario.algorithm,
+            horizon=horizon,
+            messages_total=messages_total,
+            messages_by_type=messages_by_type,
+            size_buckets=(
+                list(scenario.size_buckets) if scenario.size_buckets is not None else None
+            ),
+            # Only materialised when crashes actually aborted a CS, keeping
+            # no-fault RunMetrics byte-identical to the pre-lifecycle layout.
+            extra={"aborted": float(metrics.aborted)} if metrics.aborted else None,
+        )
 
+        if scenario.require_all_completed and termination.waiting:
+            first = termination.waiting[0][0]
+            raise RuntimeError(
+                f"liveness failure under {scenario.algorithm!r}: run ended "
+                f"{termination.reason}; {termination.progress()} (first: process {first}, "
+                f"index {clients[first].waiting_index})"
+            )
+
+        return ExperimentResult(
+            algorithm=scenario.algorithm,
+            params=params,
+            metrics=run_metrics,
+            trace=trace,
+            simulated_time=sim.now,
+            events_processed=sim.processed_events,
+            record_columns=metrics.result_columns(),
+            termination=termination,
+            messages_dropped=network.stats.dropped if network is not None else 0,
+            resend_count=network.stats.resent if network is not None else 0,
+            tokens_regenerated=coordinator.tokens_regenerated if coordinator is not None else 0,
+            recovery_time=coordinator.recovery_time if coordinator is not None else 0.0,
+            downtime=lifecycle.downtime_columns(sim.now) if lifecycle is not None else None,
+            telemetry=telemetry_runtime.finalize() if telemetry_runtime is not None else None,
+        )
+    finally:
+        # Returned or raised, nothing of the run outlives this call but
+        # its result, so its objects are dead.  Each cycle among them
+        # passes through a queued event, the network's bound send, a
+        # protocol object or the telemetry hook; breaking those frees the
+        # graph by reference counting.  Dropping an allocator's state
+        # unties the network's node table and route cache, an
+        # outstanding request's callbacks with its client and the
+        # Naimi–Tréhel callbacks; dropping the coordinator's unties it
+        # from the lifecycle.
+        sim.clear()
+        if network is not None:
+            del network.send
+        for obj in allocators:
+            vars(obj).clear()
+        if coordinator is not None:
+            vars(coordinator).clear()
+        metrics.telemetry = None

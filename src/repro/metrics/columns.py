@@ -677,6 +677,17 @@ class DowntimeColumns:
         """Total downtime summed over all nodes."""
         return sum(self.downtime)
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DowntimeColumns):
+            return NotImplemented
+        return (
+            self.nodes == other.nodes
+            and self.downtime == other.downtime
+            and self.crashes == other.crashes
+        )
+
+    __hash__ = None  # mutable arrays, like RecordColumns
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         rows = ", ".join(
             f"{n}: {d:g}ms/{c}x" for n, d, c in zip(self.nodes, self.downtime, self.crashes)

@@ -1,4 +1,4 @@
-"""Run-time observability: telemetry axis, sampling runtime, snapshot, health.
+"""Run-time observability: telemetry axis, runtime, snapshot, health.
 
 The package gives a running experiment a *live interior*.  Its public
 API is five names:
@@ -7,22 +7,26 @@ API is five names:
   axis (``Scenario(telemetry=...)``);
 * :class:`~repro.obs.runtime.TelemetryRuntime` — wired by the runner
   into the simulator, network, allocator nodes and recovery layer; a
-  probe counts samples, a push hook feeds the wait histogram, and the
-  end of the run reads every total once;
+  push hook feeds the wait histogram, and the end of the run reads
+  every total once;
 * :class:`~repro.obs.metrics.TelemetrySnapshot` — the picklable result
   (``ExperimentResult.telemetry``), Prometheus text exposition via
   ``render_text()``;
 * :class:`~repro.obs.health.HealthReport` and
-  :class:`~repro.obs.health.HealthStatus` — the verdicts of the two
-  health checks (event-clock heartbeat, grant progress).
+  :class:`~repro.obs.health.HealthStatus` — the verdict of the one
+  health check (grant progress).
 
 The axis is **hash-neutral when unset** and provably inert when
 disabled: default runs execute zero frames from this package (pinned by
-``tests/integration/test_call_contracts.py``), and the whole package stays
+``tests/integration/test_call_contracts.py``).  When enabled it watches
+without changing the run: nothing here queues an event, so a run with
+telemetry equals the same run without it plus its snapshot (pinned by
+``tests/obs/test_zero_overhead.py``), and its cost is one frame per
+grant plus a fixed end-of-run cost (pinned by
+``tests/integration/test_call_contracts.py``).  The whole package stays
 importable *optional* — the runner only imports it when a run actually
 asks for telemetry, so a deployment may strip ``repro/obs`` entirely
-without touching default results (pinned by the differential test in
-``tests/obs/test_zero_overhead.py``).
+without touching default results.
 """
 
 from repro.obs.health import HealthReport, HealthStatus

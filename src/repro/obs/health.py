@@ -1,17 +1,10 @@
-"""Health verdicts of a run: event-clock liveness and grant progress.
+"""Health verdict of a run: grant progress.
 
-Both checks are plain functions of what the run's final telemetry
-sample saw, each returning a :class:`HealthReport`:
-
-* :func:`heartbeat` — liveness of the event clock, named after the
-  run's last sample.  The probe fires at strictly increasing simulated
-  times and only the final sample can land on the last probe's time, so
-  the clock is never seen stuck for the two consecutive samples that
-  would make it unhealthy: the verdict is always ``HEALTHY``.
-* :func:`grant_progress` — progress of the protocol, not just the
-  clock.  ``DEGRADED`` once the clock is more than ``stall_after``
-  simulated ms past the run's last grant (events are flowing but nobody
-  gets the resource), ``UNHEALTHY`` at twice that.
+:func:`grant_progress` is a plain function of what the run's final
+telemetry sample saw, returning a :class:`HealthReport`: ``DEGRADED``
+once the clock is more than ``stall_after`` simulated ms past the run's
+last grant (events are flowing but nobody gets the resource),
+``UNHEALTHY`` at twice that.
 
 Statuses order by severity (``HEALTHY < DEGRADED < UNHEALTHY``;
 ``UNKNOWN`` sits between healthy and degraded — no data is worse than
@@ -24,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-__all__ = ["HealthReport", "HealthStatus", "grant_progress", "heartbeat"]
+__all__ = ["HealthReport", "HealthStatus", "grant_progress"]
 
 
 class HealthStatus:
@@ -52,11 +45,6 @@ class HealthReport:
     status: str
     detail: str = ""
     checked_at: float = 0.0
-
-
-def heartbeat(last_beat: float) -> HealthReport:
-    """Liveness of the event clock, whose last sample was at ``last_beat``."""
-    return HealthReport("heartbeat", HealthStatus.HEALTHY, f"last beat at {last_beat:g}", last_beat)
 
 
 def grant_progress(now: float, last_grant: Optional[float], stall_after: float) -> HealthReport:

@@ -8,14 +8,16 @@ dispatched count, :class:`~repro.sim.network.MessageStats` with the
 channel's re-sent tries, client issue/complete counts, recovery totals), so
 :meth:`~TelemetryRuntime.finalize` reads each total once, at the final
 sample, and builds the snapshot's samples directly; gauges are read at
-that sample too.  A self-rescheduling probe fires every
-``sample_interval`` simulated ms and counts itself.  The single *push*
-hook is :meth:`~TelemetryRuntime.observe_grant`, called by the metrics
-collector behind a ``None``-check when a request enters its critical
-section — the one place a per-request waiting time exists.
+that sample too.  The single *push* hook is
+:meth:`~TelemetryRuntime.observe_grant`, called by the metrics collector
+behind a ``None``-check when a request enters its critical section — the
+one place a per-request waiting time exists.
 
-Everything is driven by simulated time: snapshots of the same scenario
-are bit-identical whichever worker produced them.
+The runtime queues no event and sends no message, so a run with
+telemetry is the same run without it plus its snapshot (pinned by
+``tests/obs/test_zero_overhead.py``).  Everything is driven by simulated
+time: snapshots of the same scenario are bit-identical whichever worker
+produced them.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from itertools import accumulate
 from typing import Mapping, Sequence
 
 from repro.experiments.driver import last_grant
-from repro.obs.health import HealthStatus, grant_progress, heartbeat
+from repro.obs.health import HealthStatus, grant_progress
 from repro.obs.metrics import MetricSample, TelemetrySnapshot
 from repro.obs.spec import TelemetrySpec
 
@@ -44,7 +46,7 @@ def _labelled(name: str, kind: str, help: str, label: str, values: Mapping) -> M
 
 
 class TelemetryRuntime:
-    """Probe, wait histogram and end-of-run snapshot for one experiment run.
+    """Wait histogram and end-of-run snapshot for one experiment run.
 
     Parameters mirror what the runner has in hand when it wires a run:
     the simulator, the (possibly absent) network, the allocator nodes,
@@ -66,7 +68,6 @@ class TelemetryRuntime:
         self.allocators = list(allocators)
         self.clients = list(clients)
         self.coordinator = coordinator
-        self._samples = 0
         # Wait histogram: per-bucket (non-cumulative) hit counts, the
         # last slot being +Inf; ``le`` is inclusive, as in Prometheus.
         self._bounds = tuple(float(b) for b in spec.wait_buckets)
@@ -82,20 +83,8 @@ class TelemetryRuntime:
         if self._last_wait:
             self._last_wait[process] = float(wait)
 
-    def start(self) -> None:
-        """Arm the sampling probe (first firing one interval from now)."""
-        self.sim.schedule(self.spec.sample_interval, self._probe)
-
-    def _probe(self) -> None:
-        self._samples += 1
-        # Re-arm while clients still issue or hold requests, never into an
-        # otherwise empty queue: the run has drained.
-        if self.sim.pending_events and any(c.waiting or not c.stopped for c in self.clients):
-            self.sim.schedule(self.spec.sample_interval, self._probe)
-
     def finalize(self) -> TelemetrySnapshot:
         """Take the final sample and freeze the run's telemetry."""
-        self._samples += 1
         sim, spec, coord = self.sim, self.spec, self.coordinator
         now = sim.now
         sent = dropped = {}
@@ -110,24 +99,19 @@ class TelemetryRuntime:
                 if hasattr(a, "telemetry_queue_depth")
             }
         cumulative = tuple(accumulate(self._bucket_hits))
-        health = (
-            heartbeat(now),
-            grant_progress(now, last_grant(self.clients), spec.stall_after),
-        )
+        health = (grant_progress(now, last_grant(self.clients), spec.stall_after),)
         samples = (
             _single("repro_events_dispatched_total", "counter",
                     "Simulation events dispatched.", sim.processed_events),
             _single("repro_scheduler_backlog", "gauge",
                     "Events pending in the scheduler queue.", sim.pending_events),
             _single("repro_sim_time_ms", "gauge", "Current simulated time in ms.", now),
-            _single("repro_telemetry_samples_total", "counter",
-                    "Telemetry probe firings.", self._samples),
             _labelled("repro_messages_sent_total", "counter",
                       "Messages sent, by message class.", "type", sent),
             _labelled("repro_messages_dropped_total", "counter",
-                      "Messages dropped by the fault layer, by message class.", "type", dropped),
+                      "Tries lost to the fault layer, by message class.", "type", dropped),
             _single("repro_resends_total", "counter",
-                    "Control-plane resends across allocator nodes.",
+                    "Tries the channel re-sent after a loss.",
                     self.network.stats.resent if self.network is not None else 0),
             _single("repro_requests_issued_total", "counter",
                     "Requests issued by workload clients.",

@@ -22,15 +22,14 @@ __all__ = ["TelemetrySpec"]
 
 @dataclass(frozen=True)
 class TelemetrySpec:
-    """How a run samples itself.
+    """What a run's end-of-run snapshot reports.
+
+    Every counter and gauge is read once, at the final sample (see
+    :mod:`repro.obs.runtime`); the knobs only shape what that sample
+    holds and how its health is judged.
 
     Attributes
     ----------
-    sample_interval:
-        Simulated milliseconds between firings of the sampling probe,
-        which only counts itself (``repro_telemetry_samples_total``);
-        every other counter and gauge is read once, at the final sample
-        (see :mod:`repro.obs.runtime`).
     node_gauges:
         Collect per-node queue-depth and token-wait series.  Off for
         very large clusters where per-node label cardinality would
@@ -45,16 +44,11 @@ class TelemetrySpec:
         grant completing (see :func:`repro.obs.health.grant_progress`).
     """
 
-    sample_interval: float = 50.0
     node_gauges: bool = True
     wait_buckets: Tuple[float, ...] = DEFAULT_WAIT_BUCKETS_MS
     stall_after: float = 500.0
 
     def __post_init__(self) -> None:
-        if not 0 < self.sample_interval < math.inf:
-            raise ValueError(
-                f"sample_interval must be finite and > 0, got {self.sample_interval!r}"
-            )
         if not 0 < self.stall_after < math.inf:
             raise ValueError(
                 f"stall_after must be finite and > 0, got {self.stall_after!r}"
@@ -70,7 +64,7 @@ class TelemetrySpec:
 
     def describe(self) -> str:
         """One-line human-readable summary."""
-        parts = [f"telemetry@{self.sample_interval:g}ms"]
+        parts = ["telemetry"]
         if not self.node_gauges:
             parts.append("no-node-gauges")
         if self.wait_buckets != DEFAULT_WAIT_BUCKETS_MS:

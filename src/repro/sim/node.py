@@ -82,9 +82,6 @@ class Node:
         self.sim = sim
         self.network = network
         self.node_id = int(node_id)
-        # message class -> bound on_<ClassName> handler, so dispatch pays
-        # one dict hit per message instead of an f-string + getattr.
-        self._handler_cache: dict = {}
         # The network binds its send function once; a node binds its own
         # id to it once, so sending costs no frame of the node's.
         self.send: Callable[[int, Any], float] = partial(network.send, self.node_id)
@@ -94,11 +91,12 @@ class Node:
     # delivery
     # ------------------------------------------------------------------ #
     def _resolve_handler(self, cls: type) -> Callable[[int, Any], None]:
-        """Resolve (and cache) the bound handler for a message class.
+        """The bound handler for a message class.
 
         Raises ``NotImplementedError`` when no handler exists, which makes
         protocol wiring errors fail loudly instead of silently dropping
-        messages.  Also used by the network's constant send to skip
+        messages.  The network resolves each (destination, class) once
+        through this and queues the handler itself, so the sends skip
         per-message dispatch entirely.
         """
         handler: Optional[Callable[[int, Any], None]] = getattr(
@@ -108,16 +106,11 @@ class Node:
             raise NotImplementedError(
                 f"{type(self).__name__} has no handler for message {cls.__name__!r}"
             )
-        self._handler_cache[cls] = handler
         return handler
 
     def deliver(self, src: int, message: Any) -> None:
         """Dispatch an incoming message to ``on_<ClassName>``."""
-        cls = message.__class__
-        handler = self._handler_cache.get(cls)
-        if handler is None:
-            handler = self._resolve_handler(cls)
-        handler(src, message)
+        self._resolve_handler(message.__class__)(src, message)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} id={self.node_id}>"

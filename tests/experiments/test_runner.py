@@ -67,6 +67,29 @@ class TestRunExperiment:
         assert a.metrics.waiting.mean == pytest.approx(b.metrics.waiting.mean)
         assert a.metrics.messages_total == b.metrics.messages_total
 
+    @pytest.mark.parametrize(
+        "crash",
+        [
+            NodeCrash(node=2, at=100.0, recover_at=150.0),
+            NodeCrash(node=2, at=100.0),
+        ],
+        ids=["blip", "permanent"],
+    )
+    def test_equal_crash_runs_compare_equal(self, crash):
+        """A result's downtime compares by value, so the same run equals itself."""
+        scenario = Scenario(
+            algorithm="with_loan",
+            params=WorkloadParams(
+                num_processes=6, num_resources=12, phi=3, duration=400.0, warmup=50.0, seed=1
+            ),
+            faults=crash,
+            detector=HeartbeatDetector(interval=10, timeout=30),
+            require_all_completed=False,
+        )
+        first = run(scenario)
+        assert len(first.downtime) == 1
+        assert first == run(scenario)
+
     def test_different_seeds_differ(self, tiny_params):
         a = run(Scenario(algorithm="with_loan", params=tiny_params))
         b = run(Scenario(algorithm="with_loan", params=tiny_params.with_seed(99)))
@@ -409,22 +432,34 @@ class TestCyclicCollector:
         assert cyclic_garbage() == Counter()
         assert result.metrics.completed > 0
 
+    #: Runs that raise: one the event cap stops, and one whose undetected
+    #: crash leaves live nodes waiting.
+    RAISING = [
+        pytest.param(
+            Scenario(algorithm="with_loan", params=PARAMS, max_events=50),
+            SimulationError,
+            id="event cap",
+        ),
+        pytest.param(
+            Scenario(algorithm="with_loan", params=PARAMS, faults=NodeCrash(node=0, at=10.0)),
+            RuntimeError,
+            id="liveness failure",
+        ),
+    ]
+
+    @pytest.mark.parametrize("scenario, error", RAISING)
+    def test_run_that_raises_leaves_no_cyclic_garbage(self, scenario, error):
+        """The graph of a run that raises is freed as the error leaves ``run``."""
+        gc.collect()
+        with pytest.raises(error):
+            run(scenario)
+        assert cyclic_garbage() == Counter()
+
     @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
     @pytest.mark.parametrize(
         "scenario, error",
-        [
-            pytest.param(Scenario(algorithm="with_loan", params=PARAMS), None, id="returns"),
-            pytest.param(
-                Scenario(algorithm="with_loan", params=PARAMS, max_events=50),
-                SimulationError,
-                id="event cap",
-            ),
-            pytest.param(
-                Scenario(algorithm="with_loan", params=PARAMS, faults=NodeCrash(node=0, at=10.0)),
-                RuntimeError,
-                id="liveness failure",
-            ),
-        ],
+        [pytest.param(Scenario(algorithm="with_loan", params=PARAMS), None, id="returns")]
+        + RAISING,
     )
     def test_caller_collector_setting_is_restored(self, scenario, error, enabled):
         was = gc.isenabled()

@@ -9,7 +9,12 @@ import pytest
 from repro.experiments.runner import run
 from repro.experiments.scenario import Scenario
 from repro.metrics import columns
-from repro.metrics.columns import RecordColumns, RequestRecord, _rebuild_columns
+from repro.metrics.columns import (
+    DowntimeColumns,
+    RecordColumns,
+    RequestRecord,
+    _rebuild_columns,
+)
 from repro.workload.params import WorkloadParams
 
 #: The fixed-preset encoder every release up to PR 15 used, kept as the
@@ -377,3 +382,31 @@ class TestCompact:
     def test_invalid_time_typecode_rejected(self):
         with pytest.raises(ValueError):
             RecordColumns(time_typecode="i")
+
+
+class TestDowntimeEquality:
+    def test_equal_by_value(self):
+        a = DowntimeColumns.build([1, 3], [50.0, 12.5], [1, 2])
+        assert a == DowntimeColumns.build([1, 3], [50.0, 12.5], [1, 2])
+        assert a == pickle.loads(pickle.dumps(a))
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            ([1, 4], [50.0, 12.5], [1, 2]),
+            ([1, 3], [50.0, 12.0], [1, 2]),
+            ([1, 3], [50.0, 12.5], [1, 1]),
+            ([1], [50.0], [1]),
+        ],
+        ids=["nodes", "downtime", "crashes", "rows"],
+    )
+    def test_each_column_counts(self, other):
+        assert DowntimeColumns.build([1, 3], [50.0, 12.5], [1, 2]) != DowntimeColumns.build(
+            *other
+        )
+
+    def test_unhashable_and_foreign_types_unequal(self):
+        cols = DowntimeColumns()
+        assert cols != {} and cols != ()
+        with pytest.raises(TypeError):
+            hash(cols)

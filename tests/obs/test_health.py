@@ -1,4 +1,4 @@
-"""Health verdicts: status ordering, reports, heartbeat, grant-progress watchdog."""
+"""Health verdicts: status ordering, reports, grant-progress watchdog."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import pickle
 
 import pytest
 
-from repro.obs.health import HealthReport, HealthStatus, grant_progress, heartbeat
+from repro.obs.health import HealthReport, HealthStatus, grant_progress
 
 
 class TestHealthStatus:
@@ -44,19 +44,6 @@ class TestHealthReport:
         clone = pickle.loads(pickle.dumps(report))
         assert clone == report
         assert type(clone) is HealthReport
-
-
-class TestHeartbeat:
-    def test_names_the_last_beat(self):
-        report = heartbeat(12.5)
-        assert report.name == "heartbeat"
-        assert report.status == HealthStatus.HEALTHY
-        assert report.detail == "last beat at 12.5"
-        assert report.checked_at == 12.5
-
-    def test_detail_uses_the_general_number_format(self):
-        assert heartbeat(1500.0).detail == "last beat at 1500"
-        assert heartbeat(2.5e6).detail == "last beat at 2.5e+06"
 
 
 class TestGrantProgress:

@@ -8,10 +8,11 @@ of ``repro.obs`` must keep every sample, series order, float type,
 health report and exposition line exactly as it was.
 
 The grid covers each spec knob (node gauges, integer histogram bounds,
-stall budget, sampling interval), every algorithm, a permanent crash
-with a detector, a recovering blip, message loss with drops, resends and
-a degraded ``grant_progress`` check, an open loop with chunked records
-and the bundled SWF trace replay.
+stall budget), every algorithm, a permanent crash with a detector, a
+recovering blip, message loss with drops and resends, an open loop with
+chunked records and the bundled SWF trace replay, and every
+``grant_progress`` verdict: healthy (the defaults), degraded (the loss
+run) and unhealthy (the tight stall budget).
 """
 
 import hashlib
@@ -57,10 +58,9 @@ def scenarios():
     grid["with_loan-int-buckets"] = loan.replace(
         telemetry=TelemetrySpec(wait_buckets=(1, 3, 10))
     )
-    grid["with_loan-stall50"] = loan.replace(telemetry=TelemetrySpec(stall_after=50.0))
-    grid["with_loan-interval7.5"] = loan.replace(
-        telemetry=TelemetrySpec(sample_interval=7.5)
-    )
+    # The run's last grant lands 16.55 ms before its end: a 5 ms budget
+    # makes ``grant_progress`` unhealthy.
+    grid["with_loan-stall5"] = loan.replace(telemetry=TelemetrySpec(stall_after=5.0))
     for algorithm in ("with_loan", "incremental"):
         grid[f"{algorithm}-crash-hb"] = Scenario(
             algorithm, PARAMS, faults=NodeCrash(node=2, at=300.0),
@@ -72,11 +72,11 @@ def scenarios():
         detector=HeartbeatDetector(10, 30), telemetry=spec,
         require_all_completed=False,
     )
-    # The run's last grant lands ~23 ms before its final sample: a 15 ms
-    # budget degrades ``grant_progress`` without making it unhealthy.
+    # The run's last grant lands 8.42 ms before its end: a 5 ms budget
+    # degrades ``grant_progress`` without making it unhealthy.
     grid["with_loan-loss"] = loan.replace(
         faults=BernoulliLoss(p=0.01, kinds=("RequestEnvelope",)),
-        telemetry=TelemetrySpec(stall_after=15.0), require_all_completed=False,
+        telemetry=TelemetrySpec(stall_after=5.0), require_all_completed=False,
     )
     grid["with_loan-open-chunk16"] = loan.replace(
         workload=OpenLoopSpec(arrival=PoissonArrivals(rate=0.03)),
@@ -103,64 +103,60 @@ def fingerprint(snapshot):
 
 PINNED = {
     'bouabdallah-default': (
-        '93f7ca24ccd04efb33e69e62b8ff290d3d25ec3afcfddc93ce205812913d0423',
-        'f4a18428fb9f9e4413e60f34fd40458ade93aa1a4a2f5ab57021de454952926e',
+        '4f753738ae6b49ff9761e579dea4829bada1fe7cc36ee3c774d7a40b736117c9',
+        '687baa9425d73023cadf90c4addb8511af074379fa4ad6ea01c2b0bcd42747de',
     ),
     'incremental-crash-hb': (
-        '122b7e38d9988af4f46d80348c2e9702af5ce366f2edfc8ae886b2aa4eac5bd9',
-        '6cff3f0edcab72354678c187aa47d033c9dd16dcfe10435324274d5e67f4bdff',
+        '22dd2bb3615508fef621773ac26f02f8739a020328a58511d052c2d05d2a1439',
+        '7df53936204f6c6f33938b2d4b65bdf92eec30325131435e27c2d759cde511e1',
     ),
     'incremental-default': (
-        '608611baeff4ccbfd7f47f682d2d4e39ce84c611db887990b4dbd2a4eae3fc8c',
-        'f4eac273a7f0e7ec8608a01f5bf879d82d9d923d3e2057631752a8e4f78a104a',
+        'dc40034090f24e8530a0646bb1ae64916f06c2678156a09ca7463a31a547adb4',
+        '9e5b81045ef607fe71682cdf20f76c838a5678d20f4518f8a3017b6592d569d2',
     ),
     'shared_memory-default': (
-        'c223c23a1aafb4bebc9d0d6743fbedc99e5d24c7753555b04d431e673417939c',
-        '616e83e656f99f51a830b3ece1e700a66822ccbe025e0042318dc29675e2c2e5',
+        'f445663d848e34d4453b962b546e7f0d150ad30e8ba41e5704543218799709ef',
+        'ac321a4a0fbdcaab7c12b1cd0d35ead59e2a9ed281ee950cb0ea1187c8ff310c',
     ),
     'with_loan-blip-hb': (
-        '404e639aa8a6699db67119579c48e21f155fe5a18d0547b848a6e546469d4ccb',
-        '7bc3d447aebd2fcd03191f1ee404406b9650f24f5ac82902f454aba4e3ecdf39',
+        '9359c95bc89d0184118da604b2e4dd5177c6daea3b6ed0434a283fe656223d4f',
+        '6c8991c931d040531c9f9d820e671a7c5227295585d6cceac2a40a2b8224516a',
     ),
     'with_loan-crash-hb': (
-        'eb38eb945b8c3f79529aa1b40e6bd5cd85e8e6c8e00e17f43ebce1e870b8d7c7',
-        '109d73218bd644d78d0d3fae030a32c76f3d9f95eb4537e9b59c110f796db19b',
+        'e56d4de668716de6b8f60453aa3ca2c08634e7de3f4bd002b1a62d5e913095c2',
+        '69e757fe5b86b7ed4cc775874025e33af890e82945a83e098aa73992e4424ed6',
     ),
     'with_loan-default': (
-        'c15b7cf19857e4c1f40b0f97afd93f32d10767018c431a355fd4d0a3e59b0da5',
-        '99332bbece38776dfdbe2f2c57e1db00f65e19b2fa939c12bedcf0e398dec500',
+        'acf041f9e2ad211e000c9c12c81b5b32e3c9591ec55651f3adf18760b8880935',
+        '9bc645297db007c8ad105d7c465d6fb8f7b808ba037123781856ba5a9194d222',
     ),
     'with_loan-int-buckets': (
-        '9cc4838c96fdcc3e6d7936c81e784513cc694d662255477f9bdcda8f712c0c80',
-        'beb8aac6f15a630842f42cf7e5ac39c21672874243292504eb4eb167ba2ef4f0',
-    ),
-    'with_loan-interval7.5': (
-        'e165f64028c18ff4f559ba68847db914d840103b723b3119023e7a243da2a698',
-        'a82668c22104ac27467ed00f9aa5882cabbe4b3c574a7f39250c862d959a0d8c',
+        'c4d2a49e17958d7d7156e7f8b5557c7d18b020d6925b347e674b0a2d766e1564',
+        '450a1598dd200bc05a67921962a61598480a6d83f06c85f7c637c318e7f0c425',
     ),
     'with_loan-loss': (
-        '6b4c2f9b2cbfaa51bb623d0f8f387b49b59796456cdf7ae1ccb7debd2ee33837',
-        'aa635f897e71f5d6a038fe142c1e3c60b2439192eec0cba7fab48de8ae3f340b',
+        'e082cff37cc4544a6e296af12174ca3f24a092447fa74b16f34fd810f7ab32ab',
+        '56b041cdc75b9214848816bde6d83fb1dc4d454a06459020d7bc333e4e6f1369',
     ),
     'with_loan-no-node-gauges': (
-        'ad306cffd6daa43f481feb748ec5a15c0ecb6fee8bd8591d28870bd794e3ba1a',
-        'b0df0a4211b2c973045e19eb8103a9934e8dd233d2231f37c67574a378280301',
+        'b7a2b0d70350e097925e55a6cacadca9e3632b6c2308c5263b7433b4916be820',
+        '6cbb2ae533af9c72e1677a6ed24c4d6c0558f4233a405a5b0d1113e373d5f100',
     ),
     'with_loan-open-chunk16': (
-        '12385928bd62a5717d61d1f36d960cb46190412c0c774968c0b5f74d26ffb284',
-        '10f9edb5d8cc8715ba13397dcfd6575ef1eae852281b4cb5a1be21692a796879',
+        '472d936749a28de60ed0739591b9f1b6deaa35dd8b43082a305c4ea617b2115e',
+        '454017de3ac32b7d6452c2111a5110bf5933cee4775fe0d4302df8605e12ff0b',
     ),
-    'with_loan-stall50': (
-        'c15b7cf19857e4c1f40b0f97afd93f32d10767018c431a355fd4d0a3e59b0da5',
-        '99332bbece38776dfdbe2f2c57e1db00f65e19b2fa939c12bedcf0e398dec500',
+    'with_loan-stall5': (
+        '6e3604849d06e7b4624c4e36b9cf4a37bc8ef50ac7132fc7d3f58f112743f5d8',
+        'ac4dd6a909bb142a94c04b8f0bbc37fc2c050be2fcdbef6c86900a190da06a71',
     ),
     'with_loan-swf': (
-        '3c97211fa99349346db71a928d3b7e089a1b128c891cd371d714734d599bbf85',
-        '5b5b56bdff91f541415c585ecd509260865bce31431bb98fe4d84609a1070b2c',
+        '96f1d0a1d41cbe1020b910e6c18a90d749890d886d83a47887fd925b6a14cac6',
+        '7f6bab26f1ee6d0fb54eb26f438bc9bca24b01ade947df1811562477526230bc',
     ),
     'without_loan-default': (
-        'ee3321c9fa73b9e3503482ecadda299dc4a30acf906eafbd3cb31aa23057850b',
-        '869f6532d6de7ab5bfb217c328f6d1a5eb5fb365c44e0b2f52fc32ce43226566',
+        '610d9bbfa314e9b8c9b0593e764f49cffb2cb893c754cc9f44b06c036ef358f6',
+        'd77b8b394e13b62e58110771e0e952eb07b832743312b8ec3f6a6523ff8582cc',
     ),
 }
 

@@ -84,7 +84,7 @@ class TestSnapshotContents:
             Scenario(algorithm="with_loan", params=params, telemetry=TelemetrySpec())
         )
         health = {r.name: r.status for r in result.telemetry.health}
-        assert health == {"heartbeat": "healthy", "grant_progress": "healthy"}
+        assert health == {"grant_progress": "healthy"}
 
     def test_exposition_of_real_run_parses(self, params):
         from tests.obs.test_exposition import parse_exposition

@@ -138,23 +138,23 @@ class TestHashNeutrality:
     @given(
         phi=st.integers(min_value=1, max_value=8),
         seed=st.integers(min_value=0, max_value=1000),
-        interval=st.floats(min_value=1.0, max_value=500.0, allow_nan=False),
+        stall_after=st.floats(min_value=1.0, max_value=500.0, allow_nan=False),
     )
     @settings(max_examples=50, deadline=None)
-    def test_explicit_spec_changes_the_key(self, phi, seed, interval):
+    def test_explicit_spec_changes_the_key(self, phi, seed, stall_after):
         base = Scenario(
             algorithm="with_loan",
             params=WorkloadParams(num_processes=4, num_resources=8, phi=phi, seed=seed),
         )
-        enabled = base.replace(telemetry=TelemetrySpec(sample_interval=interval))
+        enabled = base.replace(telemetry=TelemetrySpec(stall_after=stall_after))
         assert base.key() != enabled.key()
         # ... deterministically: the same spec gives the same key.
-        again = base.replace(telemetry=TelemetrySpec(sample_interval=interval))
+        again = base.replace(telemetry=TelemetrySpec(stall_after=stall_after))
         assert enabled.key() == again.key()
 
     def test_spec_fields_distinguish_keys(self):
         base = Scenario(algorithm="with_loan", params=WorkloadParams())
-        a = base.replace(telemetry=TelemetrySpec(sample_interval=50.0))
-        b = base.replace(telemetry=TelemetrySpec(sample_interval=25.0))
+        a = base.replace(telemetry=TelemetrySpec(stall_after=50.0))
+        b = base.replace(telemetry=TelemetrySpec(stall_after=25.0))
         c = base.replace(telemetry=TelemetrySpec(node_gauges=False))
         assert len({a.key(), b.key(), c.key()}) == 3

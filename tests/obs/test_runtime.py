@@ -1,10 +1,9 @@
-"""TelemetryRuntime: which total each sample reads, and when the probe fires.
+"""TelemetryRuntime: which total each sample reads.
 
 The runtime is driven here by stand-ins for the layers a run wires into
 it (engine, network statistics, allocator nodes, workload clients,
 recovery coordinator), so every reported value can be checked against
-the one source it reads.  The probe schedule runs on a real
-:class:`~repro.sim.engine.Simulator`.
+the one source it reads.
 """
 
 from __future__ import annotations
@@ -15,14 +14,12 @@ import pytest
 
 from repro.obs import TelemetryRuntime, TelemetrySpec
 from repro.obs.health import HealthStatus
-from repro.sim.engine import Simulator
 
 #: Every family of a snapshot, in the order the runtime emits them.
 FAMILIES = (
     "repro_events_dispatched_total",
     "repro_scheduler_backlog",
     "repro_sim_time_ms",
-    "repro_telemetry_samples_total",
     "repro_messages_sent_total",
     "repro_messages_dropped_total",
     "repro_resends_total",
@@ -39,11 +36,8 @@ FAMILIES = (
 )
 
 
-def client(issued=0, completed=0, last_grant=None, waiting=0, stopped=True):
-    return SimpleNamespace(
-        issued=issued, completed=completed, last_grant=last_grant,
-        waiting=waiting, stopped=stopped,
-    )
+def client(issued=0, completed=0, last_grant=None):
+    return SimpleNamespace(issued=issued, completed=completed, last_grant=last_grant)
 
 
 def allocator(node_id, depth=0):
@@ -89,10 +83,8 @@ class TestCounter:
     def test_starts_at_zero(self):
         snapshot = runtime().finalize()
         for sample in snapshot.samples:
-            if sample.kind == "counter" and sample.name != "repro_telemetry_samples_total":
+            if sample.kind == "counter":
                 assert all(value == 0.0 for _, value in sample.series), sample.name
-        # The final sample is itself a sample.
-        assert snapshot.value("repro_telemetry_samples_total") == 1.0
 
     @pytest.mark.parametrize(
         "family, layers, expected",
@@ -225,15 +217,15 @@ class TestWaitHistogram:
 
 
 class TestHealth:
-    def test_heartbeat_then_grant_progress_at_the_final_sample(self):
+    def test_grant_progress_alone_at_the_final_sample(self):
         snapshot = runtime(now=120.0, clients=[client(last_grant=100.0)]).finalize()
-        assert [r.name for r in snapshot.health] == ["heartbeat", "grant_progress"]
-        assert all(r.checked_at == 120.0 for r in snapshot.health)
+        assert [r.name for r in snapshot.health] == ["grant_progress"]
+        assert snapshot.health[0].checked_at == 120.0
 
     def test_grant_progress_reads_the_latest_grant_across_clients(self):
         clients = [client(last_grant=10.0), client(last_grant=None), client(last_grant=90.0)]
         snapshot = runtime(TelemetrySpec(stall_after=50.0), now=120.0, clients=clients).finalize()
-        (progress,) = [r for r in snapshot.health if r.name == "grant_progress"]
+        (progress,) = snapshot.health
         assert progress.status == HealthStatus.HEALTHY
         assert progress.detail == "30 ms since the last grant"
 
@@ -241,62 +233,14 @@ class TestHealth:
         clients = [client(last_grant=100.0)]
         tight = runtime(TelemetrySpec(stall_after=40.0), now=200.0, clients=clients).finalize()
         loose = runtime(TelemetrySpec(stall_after=500.0), now=200.0, clients=clients).finalize()
-        assert tight.health[1].status == HealthStatus.UNHEALTHY
-        assert loose.health[1].status == HealthStatus.HEALTHY
+        assert tight.health[0].status == HealthStatus.UNHEALTHY
+        assert loose.health[0].status == HealthStatus.HEALTHY
 
     def test_health_gauge_reports_severity_by_check(self):
         snapshot = runtime(
             TelemetrySpec(stall_after=100.0), now=150.0, clients=[client(last_grant=0.0)]
         ).finalize()
         sample = snapshot.sample("repro_health")
-        # Sorted by check name, like every labelled family.
-        assert [pairs for pairs, _ in sample.series] == [
-            (("check", "grant_progress"),), (("check", "heartbeat"),),
-        ]
+        assert [pairs for pairs, _ in sample.series] == [(("check", "grant_progress"),)]
         assert snapshot.value("repro_health", check="grant_progress") == 2.0
-        assert snapshot.value("repro_health", check="heartbeat") == 0.0
 
-
-def probe_run(spec, until, clients, horizon=None):
-    """Samples a real simulator's probe took by ``until`` (final sample included)."""
-    sim = Simulator()
-    if horizon is not None:
-        sim.schedule(horizon, lambda: None)  # keeps the event queue busy
-    rt = TelemetryRuntime(spec, sim, clients=clients)
-    rt.start()
-    # A probe that never stops re-arming raises instead of hanging.
-    sim.run(until=until, max_events=1000)
-    return rt.finalize().value("repro_telemetry_samples_total"), sim
-
-
-class TestProbe:
-    def test_fires_every_interval_while_the_run_is_busy(self):
-        samples, _ = probe_run(
-            TelemetrySpec(sample_interval=10.0), 95.0, [client(stopped=False)], horizon=1000.0
-        )
-        assert samples == 9.0 + 1.0  # t = 10, 20, ..., 90, plus the final sample
-
-    def test_first_firing_is_one_interval_after_start(self):
-        samples, _ = probe_run(
-            TelemetrySpec(sample_interval=10.0), 9.5, [client(stopped=False)], horizon=1000.0
-        )
-        assert samples == 1.0
-
-    def test_stops_when_the_event_queue_drains(self):
-        samples, sim = probe_run(TelemetrySpec(sample_interval=10.0), None, [client(stopped=False)])
-        assert samples == 2.0
-        assert sim.now == 10.0 and sim.pending_events == 0
-
-    def test_stops_when_every_client_is_done(self):
-        samples, sim = probe_run(
-            TelemetrySpec(sample_interval=10.0), None, [client(stopped=True)], horizon=1000.0
-        )
-        assert samples == 2.0
-        assert sim.now == 1000.0  # the probe did not hold the run open
-
-    def test_keeps_firing_while_a_stopped_client_still_waits(self):
-        samples, _ = probe_run(
-            TelemetrySpec(sample_interval=10.0), 55.0,
-            [client(stopped=True, waiting=1)], horizon=1000.0,
-        )
-        assert samples == 5.0 + 1.0

@@ -14,24 +14,19 @@ from repro.obs.spec import TelemetrySpec
 class TestTelemetrySpec:
     def test_defaults(self):
         spec = TelemetrySpec()
-        assert spec.sample_interval == 50.0
         assert spec.node_gauges is True
         assert spec.wait_buckets == DEFAULT_WAIT_BUCKETS_MS
         assert spec.stall_after == 500.0
 
     def test_frozen_and_picklable(self):
-        spec = TelemetrySpec(sample_interval=10.0)
+        spec = TelemetrySpec(stall_after=10.0)
         with pytest.raises(AttributeError):
-            spec.sample_interval = 20.0
+            spec.stall_after = 20.0
         assert pickle.loads(pickle.dumps(spec)) == spec
 
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"sample_interval": 0.0},
-            {"sample_interval": -5.0},
-            {"sample_interval": math.nan},
-            {"sample_interval": math.inf},
             {"stall_after": 0.0},
             {"stall_after": math.nan},
             {"stall_after": math.inf},
@@ -65,14 +60,13 @@ class TestTelemetrySpec:
             TelemetrySpec(wait_buckets=(-math.inf, 1.0))
 
     def test_describe(self):
-        assert TelemetrySpec().describe() == "telemetry@50ms"
+        assert TelemetrySpec().describe() == "telemetry"
         full = TelemetrySpec(
-            sample_interval=10.0,
             node_gauges=False,
             wait_buckets=(1.0, 2.0),
             stall_after=100.0,
         ).describe()
-        assert full == "telemetry@10ms,no-node-gauges,2buckets,stall>100ms"
+        assert full == "telemetry,no-node-gauges,2buckets,stall>100ms"
 
     def test_scenario_rejects_non_spec_values(self):
         from repro.experiments.scenario import Scenario
@@ -92,7 +86,7 @@ class TestTelemetrySpec:
         text = Scenario(
             algorithm="with_loan",
             params=WorkloadParams(),
-            telemetry=TelemetrySpec(sample_interval=10.0),
+            telemetry=TelemetrySpec(stall_after=10.0),
         ).describe()
-        assert "telemetry@10ms" in text
+        assert "telemetry,stall>10ms" in text
 

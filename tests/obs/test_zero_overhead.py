@@ -10,18 +10,21 @@ Three layers of the contract:
   importable vs. **stubbed out entirely** (a meta-path blocker makes
   ``import repro.obs`` raise), so a deployment could delete the package
   without changing a single default result;
-* within one process, running with telemetry enabled leaves record
-  columns and message accounting identical to the disabled run (the
-  probe reads counters, it never perturbs the protocol).
+* a run with telemetry enabled is the same run without it: every field
+  of its result but ``telemetry`` equals the disabled run's, on every
+  scenario of the pinned snapshot grid and on a run that drains early
+  (the runtime reads counters and queues no event, so it cannot move
+  the clock, the event count or the use rate).
 
-The call-count pin (zero ``repro/obs`` frames on a default run) lives in
+The call-count pins (zero ``repro/obs`` frames on a default run, and a
+fixed count beside one per grant on an enabled one) live in
 ``tests/integration/test_call_contracts.py``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import os
-import pickle
 import subprocess
 import sys
 
@@ -29,7 +32,9 @@ import pytest
 
 from repro.experiments.runner import run
 from repro.experiments.scenario import Scenario
+from repro.obs import TelemetrySpec
 from repro.workload.params import WorkloadParams
+from tests.obs.test_pinned_snapshots import scenarios as pinned_grid
 
 REPO = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 SRC = os.path.join(REPO, "src")
@@ -134,31 +139,37 @@ class TestObsStubbedOut:
         assert hostile[1:] == ("obs-clean", "heap")
 
 
+#: The telemetry scenarios of the differential: the pinned snapshot grid,
+#: and a closed loop whose clients stop after five requests each, so its
+#: queue drains long before ``duration`` (a sampler that kept firing
+#: would push its clock and shrink its use rate).
+DIFFERENTIAL = {
+    **pinned_grid(),
+    "with_loan-drains-early": Scenario(
+        algorithm="with_loan",
+        params=WorkloadParams(
+            num_processes=6, num_resources=12, phi=3, duration=4000.0, warmup=50.0,
+            seed=7, requests_per_process=5,
+        ),
+        telemetry=TelemetrySpec(),
+    ),
+}
+
+
 class TestInProcessInertness:
-    @pytest.fixture()
-    def scenario(self) -> Scenario:
-        return Scenario(
+    def test_disabled_run_has_no_snapshot(self):
+        scenario = Scenario(
             algorithm="with_loan",
             params=WorkloadParams(
-                num_processes=6,
-                num_resources=12,
-                phi=3,
-                duration=400.0,
-                warmup=50.0,
-                seed=7,
+                num_processes=6, num_resources=12, phi=3, duration=400.0, warmup=50.0, seed=7
             ),
         )
+        assert run(scenario).telemetry is None
 
-    def test_disabled_run_has_no_snapshot(self, scenario):
-        result = run(scenario)
-        assert result.telemetry is None
-
-    def test_enabled_run_matches_disabled_run(self, scenario):
-        from repro.obs import TelemetrySpec
-
-        off = run(scenario)
-        on = run(scenario.replace(telemetry=TelemetrySpec(sample_interval=25.0)))
-        assert on.telemetry is not None
-        assert pickle.dumps(off.record_columns) == pickle.dumps(on.record_columns)
-        assert off.metrics == on.metrics
-        assert off.resend_count == on.resend_count
+    @pytest.mark.parametrize("name", sorted(DIFFERENTIAL))
+    def test_enabled_run_equals_disabled_run(self, name):
+        scenario = DIFFERENTIAL[name]
+        on = run(scenario)
+        off = run(scenario.replace(telemetry=None))
+        assert on.telemetry is not None and off.telemetry is None
+        assert dataclasses.replace(on, telemetry=None) == off
